@@ -70,9 +70,9 @@ fn bench_id_selection_flood(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sim vs threaded on the same all-to-all job: what the barrier + channel
-/// machinery costs (or buys) relative to the single-threaded reference at
-/// each system size.
+/// Sim vs pooled on the same all-to-all job: what the worker pool's task
+/// dispatch and phase fences cost (or buy) relative to the single-threaded
+/// reference at each system size.
 fn bench_backend_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate-backends");
     for n in [8usize, 32, 128] {

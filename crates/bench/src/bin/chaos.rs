@@ -52,7 +52,7 @@ use opr_sim::RunMetrics;
 fn usage() -> ! {
     eprintln!(
         "usage: chaos [--seed S] [--runs K] [--budget in|at|over|mixed]\n\
-         \x20            [--backend sim|threaded|pooled|both|all|auto]\n\
+         \x20            [--backend sim|pooled|both|auto]\n\
          \x20            [--jobs N] [--repro-out <file>] [--events <file>]\n\
          \x20      chaos explain <file> [--events <file>] [--perfetto <file>]\n\
          \x20                                replay a repro with the recorder attached and\n\
@@ -66,7 +66,7 @@ fn usage() -> ! {
          \x20                                judged by the ledger oracles + jobs determinism\n\
          \x20      chaos --service --repro <file>  replay a captured service failure\n\
          \x20      chaos --search [--seed S] [--budget in|at|over]\n\
-         \x20                     [--backend sim|threaded|pooled|both|all|auto]\n\
+         \x20                     [--backend sim|pooled|both|auto]\n\
          \x20                     [--jobs N] [--fitness margin|rounds|namespace|spread|drops]\n\
          \x20                     [--beam B] [--generations G] [--evals E] [--init I] [--top-k K]\n\
          \x20                     [--out-dir DIR] [--search-report <file>] [--baseline] [--timing]\n\
@@ -354,7 +354,7 @@ fn capture_metrics(schedule: &ChaosSchedule, backend: BackendChoice) -> Option<R
 fn write_campaign_events(args: &Args, path: &str) {
     let budget = args.budget.unwrap_or(BudgetRegime::ALL[0]);
     let schedule = generate_schedule(per_run_seed(args.seed, 0), budget);
-    let (reference, _) = args.backend.backends();
+    let (reference, _) = args.backend.backends_for(schedule.n);
     match schedule.run_observed(reference, None) {
         Ok(run) => match run.events {
             Some(log) => match std::fs::write(path, render_jsonl(&log)) {
@@ -462,7 +462,7 @@ fn replay(path: &str, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
     // Search-found repros also record a fitness score; the replay must
     // reproduce it exactly (the regression contract of worst-*.json seeds).
     if let Some(record) = &repro.fitness {
-        let (reference, _) = repro.backend.backends();
+        let (reference, _) = repro.backend.backends_for(repro.schedule.n);
         match repro.schedule.run_observed(reference, None) {
             Ok(run) => {
                 let got = evaluate(record.kind, &repro.schedule, &run, reference).0;
@@ -625,11 +625,7 @@ fn bench_exec(args: &Args, path: &str, oracles: &[Box<dyn opr_chaos::Oracle>]) -
 
 fn bench(args: &Args, path: &str, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
     let mut rows = Vec::new();
-    for backend in [
-        BackendChoice::Sim,
-        BackendChoice::Threaded,
-        BackendChoice::Pooled,
-    ] {
+    for backend in [BackendChoice::Sim, BackendChoice::Pooled] {
         let report = run_campaign(
             &CampaignConfig {
                 seed: args.seed,
@@ -774,7 +770,7 @@ fn service_spec_for(seed: u64) -> opr_service::ServiceSpec {
     let backend = if (seed >> 32).is_multiple_of(2) {
         BackendKind::Sim
     } else {
-        BackendKind::Threaded
+        BackendKind::Pooled
     };
     let shards = 1 + (seed % 4) as usize;
     opr_service::ServiceSpec {

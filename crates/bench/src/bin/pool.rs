@@ -1,5 +1,5 @@
 //! Round-engine benchmark: the task-scheduled `PooledBackend` vs the sim
-//! reference and the thread-per-process backend at large N.
+//! reference at large N.
 //!
 //! ```text
 //! cargo run --release -p opr-bench --bin pool -- --out crates/bench/BENCH_pool.json
@@ -11,14 +11,8 @@
 //! machinery alone. Each engine executes the same `Job` (`R` all-to-all
 //! rounds at N ∈ {128, 512, 1024}); the pooled backend additionally sweeps
 //! worker counts {1, 4, 8}. Reported per engine: runs/sec, mean ns per run
-//! and mean ns per round.
-//!
-//! The headline comparison is `pooled-w1` vs `threaded` at N = 128: the
-//! worker pool replaces N OS threads and 3 barriers per round with at most
-//! `workers` threads and 2 phase fences, so even serial pooled execution
-//! should beat thread-per-process by a wide margin (the committed
-//! `BENCH_pool.json` pins ≥5×). `--check` makes that gate an exit status
-//! for CI.
+//! and mean ns per round, with the host's `cpus` on every row — on one
+//! hardware thread the worker sweep measures dispatch overhead, not scaling.
 
 use opr_sim::{Actor, Inbox, Outbox, Topology, WireSize};
 use opr_transport::{BackendKind, Job, PooledBackend, Substrate};
@@ -130,29 +124,22 @@ where
 
 /// Iteration counts scaled so the O(N²) sizes don't dominate wall-clock:
 /// enough repeats at N=128 for a stable mean, fewer at N=1024.
-fn iters(n: usize, slow_engine: bool) -> usize {
-    let base = match n {
+fn iters(n: usize) -> usize {
+    match n {
         0..=128 => 30,
         129..=512 => 8,
         _ => 3,
-    };
-    if slow_engine {
-        (base / 3).max(1)
-    } else {
-        base
     }
 }
 
 fn main() {
     let mut out_path: Option<String> = None;
-    let mut check = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--out" => out_path = it.next(),
-            "--check" => check = true,
             _ => {
-                eprintln!("usage: pool [--out <path>] [--check]");
+                eprintln!("usage: pool [--out <path>]");
                 std::process::exit(2);
             }
         }
@@ -164,43 +151,21 @@ fn main() {
             format!("sim/N{n}"),
             n,
             None,
-            iters(n, false),
+            iters(n),
             opr_transport::SimBackend,
-        ));
-        rows.push(measure(
-            format!("threaded/N{n}"),
-            n,
-            None,
-            iters(n, true),
-            opr_transport::ThreadedBackend,
         ));
         for workers in [1usize, 4, 8] {
             rows.push(measure(
                 format!("pooled-w{workers}/N{n}"),
                 n,
                 Some(workers),
-                iters(n, false),
+                iters(n),
                 PooledBackend::new(workers),
             ));
         }
     }
 
-    // The headline number: serial pooled vs thread-per-process at N=128.
-    let mean = |name: &str| {
-        rows.iter()
-            .find(|r| r.name == name)
-            .map(|r| r.mean_ns)
-            .expect("row measured")
-    };
-    let speedup = mean("threaded/N128") / mean("pooled-w1/N128");
-    eprintln!("pool: pooled-w1 is {speedup:.1}x threaded at N=128");
-
-    let mut lines: Vec<String> = rows.iter().map(Row::json).collect();
-    lines.push(format!(
-        "  {{\"group\": \"pool\", \"name\": \"speedup/pooled-w1-vs-threaded-N128\", \
-         \"n\": 128, \"workers\": 1, \"cpus\": {}, \"speedup\": {speedup:.2}}}",
-        host_cpus(),
-    ));
+    let lines: Vec<String> = rows.iter().map(Row::json).collect();
     let json = format!("[\n{}\n]\n", lines.join(",\n"));
 
     match out_path {
@@ -214,16 +179,4 @@ fn main() {
     // exercised; a cheap smoke here keeps the flag wiring honest.
     let report = BackendKind::Pooled.execute(job(16));
     assert_eq!(report.rounds_executed, ROUNDS);
-
-    if check && speedup < 5.0 {
-        if host_cpus() == 1 {
-            // Thread-per-process vs the pool is a parallelism comparison; on
-            // a single hardware thread the gate measures scheduler luck, not
-            // the engine. The rows (with "cpus": 1) are still written.
-            eprintln!("pool: gate skipped: 1-cpu host, speedup {speedup:.1}x not held to >=5x");
-        } else {
-            eprintln!("pool: gate failed: expected >=5x over threaded at N=128, got {speedup:.1}x");
-            std::process::exit(1);
-        }
-    }
 }

@@ -77,7 +77,7 @@ const WATCH_EVERY: u64 = 5;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: service [--seed S] [--epochs E] [--shards K] [--backend sim|threaded|pooled|auto]\n\
+        "usage: service [--seed S] [--epochs E] [--shards K] [--backend sim|pooled|auto]\n\
          \x20       service --soak [--seed S] [--epochs E] [--shards K] [--repro-out <file>]\n\
          \x20                                 oracle + determinism gate across jobs {{1,4}}\n\
          \x20                                 and every backend (exit 1 on failure)\n\
@@ -336,8 +336,8 @@ fn write_metrics(args: &Args, registry: &MetricsRegistry, report: &ServiceReport
 
 /// The soak gate: the reference run (sim, serial) must be oracle-clean and
 /// actually recycle names, and every other execution strategy — jobs 4,
-/// the threaded and pooled backends, and their jobs-4 combinations — must
-/// reproduce it bit for bit.
+/// the pooled backend, and its jobs-4 combination — must reproduce it bit
+/// for bit.
 fn soak(args: &Args) -> i32 {
     let reference_spec = soak_spec(args.seed, args.epochs, args.shards, BackendKind::Sim, 1);
     eprintln!(
@@ -362,8 +362,6 @@ fn soak(args: &Args) -> i32 {
     }
     for (backend, jobs) in [
         (BackendKind::Sim, 4),
-        (BackendKind::Threaded, 1),
-        (BackendKind::Threaded, 4),
         (BackendKind::Pooled, 1),
         (BackendKind::Pooled, 4),
     ] {

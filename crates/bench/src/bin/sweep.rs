@@ -42,7 +42,7 @@ fn adversary_by_label(label: &str) -> Option<AdversarySpec> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sweep --alg <label> [--t A..B] [--seeds K] [--adversary <label>] [--n-extra E] [--backend sim|threaded|pooled|auto] [--jobs N]\n\
+        "usage: sweep --alg <label> [--t A..B] [--seeds K] [--adversary <label>] [--n-extra E] [--backend sim|pooled|auto] [--jobs N]\n\
          algorithms: {}\n\
          adversaries: {}",
         Algorithm::ALL.map(|a| a.label()).join(", "),

@@ -6,7 +6,7 @@
 //! cargo run -p opr-bench --bin tables            # all experiments, markdown
 //! cargo run -p opr-bench --bin tables -- t1 f3   # a subset
 //! cargo run -p opr-bench --bin tables -- --csv   # CSV instead of markdown
-//! cargo run -p opr-bench --bin tables -- --backend threaded t1
+//! cargo run -p opr-bench --bin tables -- --backend pooled t1
 //! cargo run -p opr-bench --bin tables -- --jobs 4
 //! ```
 //!
@@ -55,7 +55,7 @@ fn main() {
                 BackendKind::set_process_default(BackendKind::parse(label).expect("checked"));
             }
             _ => {
-                eprintln!("--backend takes one of: sim, threaded, pooled, auto");
+                eprintln!("--backend takes one of: sim, pooled, auto");
                 std::process::exit(2);
             }
         }

@@ -25,7 +25,7 @@ use crate::schedule::{BudgetRegime, ChaosSchedule};
 use opr_exec::RunPool;
 use opr_sim::RunMetrics;
 use opr_transport::BackendKind;
-use opr_types::Violation;
+use opr_types::{RenamingError, Violation};
 use opr_workload::DiagnosedRun;
 use std::collections::HashMap;
 use std::fmt;
@@ -37,43 +37,32 @@ use std::time::{Duration, Instant};
 pub enum BackendChoice {
     /// The single-threaded reference simulator only.
     Sim,
-    /// The thread-per-process backend only.
-    Threaded,
     /// The task-scheduled worker-pool backend only.
     Pooled,
-    /// Sim and threaded, with the cross-backend oracle comparing them run
-    /// by run.
+    /// The sim reference cross-checked against the pooled backend, with the
+    /// cross-backend oracle comparing them run by run.
     Both,
-    /// Every backend: the sim reference compared against threaded *and*
-    /// pooled, run by run.
-    All,
     /// Size-dependent: the simulator below
     /// [`BackendKind::AUTO_CUTOVER`] processes, the pooled backend at or
-    /// above it. Resolved per schedule (where `N` is known) via
-    /// [`BackendChoice::resolve_for`].
+    /// above it — decided per schedule by [`BackendChoice::backends_for`].
     Auto,
 }
 
 impl BackendChoice {
     /// All choices.
-    pub const ALL: [BackendChoice; 6] = [
+    pub const ALL: [BackendChoice; 4] = [
         BackendChoice::Sim,
-        BackendChoice::Threaded,
         BackendChoice::Pooled,
         BackendChoice::Both,
-        BackendChoice::All,
         BackendChoice::Auto,
     ];
 
-    /// A short stable label (`"sim"`, `"threaded"`, `"pooled"`, `"both"`,
-    /// `"all"`, `"auto"`).
+    /// A short stable label (`"sim"`, `"pooled"`, `"both"`, `"auto"`).
     pub fn label(&self) -> &'static str {
         match self {
             BackendChoice::Sim => "sim",
-            BackendChoice::Threaded => "threaded",
             BackendChoice::Pooled => "pooled",
             BackendChoice::Both => "both",
-            BackendChoice::All => "all",
             BackendChoice::Auto => "auto",
         }
     }
@@ -86,34 +75,18 @@ impl BackendChoice {
             .find(|b| b.label() == label)
     }
 
-    /// Resolves [`BackendChoice::Auto`] against a concrete system size
-    /// (`BackendKind::auto_for`); every other choice passes through. The
-    /// execution entry points call this with the schedule's `N`, so `Auto`
-    /// never reaches [`BackendChoice::backends`] unresolved.
-    pub fn resolve_for(self, n: usize) -> BackendChoice {
+    /// The reference backend for a run of `n` processes and, for
+    /// [`BackendChoice::Both`], the backend cross-checked against it.
+    /// `Auto` is decided here by [`BackendKind::auto_for`], so no caller
+    /// can see it unresolved.
+    pub fn backends_for(self, n: usize) -> (BackendKind, Option<BackendKind>) {
         match self {
-            BackendChoice::Auto => {
-                match BackendKind::auto_for(u32::try_from(n).unwrap_or(u32::MAX)) {
-                    BackendKind::Pooled => BackendChoice::Pooled,
-                    _ => BackendChoice::Sim,
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// The reference backend and the second backends to compare against it.
-    /// `Auto` falls back to the reference simulator here; callers that know
-    /// the system size resolve it first with [`BackendChoice::resolve_for`].
-    pub fn backends(&self) -> (BackendKind, &'static [BackendKind]) {
-        match self {
-            BackendChoice::Sim | BackendChoice::Auto => (BackendKind::Sim, &[]),
-            BackendChoice::Threaded => (BackendKind::Threaded, &[]),
-            BackendChoice::Pooled => (BackendKind::Pooled, &[]),
-            BackendChoice::Both => (BackendKind::Sim, &[BackendKind::Threaded]),
-            BackendChoice::All => (
-                BackendKind::Sim,
-                &[BackendKind::Threaded, BackendKind::Pooled],
+            BackendChoice::Sim => (BackendKind::Sim, None),
+            BackendChoice::Pooled => (BackendKind::Pooled, None),
+            BackendChoice::Both => (BackendKind::Sim, Some(BackendKind::Pooled)),
+            BackendChoice::Auto => (
+                BackendKind::auto_for(u32::try_from(n).unwrap_or(u32::MAX)),
+                None,
             ),
         }
     }
@@ -333,7 +306,7 @@ pub fn per_run_seed(campaign_seed: u64, index: usize) -> u64 {
 }
 
 /// The executed-but-not-yet-judged form of one schedule: the diagnosed
-/// reference run plus the runs of any second backends. Splitting
+/// reference run plus the cross-check run, if any. Splitting
 /// execution from judging lets campaigns execute on pool workers (pure
 /// data in, pure data out) while the oracle suite — whose trait objects
 /// are not `Send` — judges serially on the collector.
@@ -341,9 +314,9 @@ pub fn per_run_seed(campaign_seed: u64, index: usize) -> u64 {
 pub struct ExecutedRun {
     /// The run on the reference backend.
     pub reference: DiagnosedRun,
-    /// The runs on every second backend, in [`BackendChoice::backends`]
-    /// order, when the choice compares more than one.
-    pub others: Vec<(BackendKind, DiagnosedRun)>,
+    /// The run on the cross-check backend, when the choice compares two
+    /// ([`BackendChoice::Both`]).
+    pub cross_check: Option<(BackendKind, DiagnosedRun)>,
 }
 
 /// One campaign slot after execution: the schedule's provenance and either
@@ -373,13 +346,40 @@ pub fn execute_schedule(
     schedule: &ChaosSchedule,
     backend: BackendChoice,
 ) -> Result<ExecutedRun, RunVerdict> {
-    let (reference_backend, other_backends) = backend.resolve_for(schedule.n).backends();
-    let reference = execute_contained(schedule, reference_backend)?;
-    let mut others = Vec::with_capacity(other_backends.len());
-    for &kind in other_backends {
-        others.push((kind, execute_contained(schedule, kind)?));
-    }
-    Ok(ExecutedRun { reference, others })
+    execute_with(schedule, backend, ChaosSchedule::run_on)
+}
+
+/// [`execute_schedule`] over any runner: `run` executes on the reference
+/// backend and, for [`BackendChoice::Both`], on the cross-check backend,
+/// each call with panics contained. Campaigns pass `run_on`; the search
+/// passes `run_observed`, whose event stream its fitness signals need.
+pub(crate) fn execute_with(
+    schedule: &ChaosSchedule,
+    backend: BackendChoice,
+    run: impl Fn(&ChaosSchedule, BackendKind) -> Result<DiagnosedRun, RenamingError>,
+) -> Result<ExecutedRun, RunVerdict> {
+    let contained = |kind: BackendKind| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| run(schedule, kind)));
+        match outcome {
+            Ok(Ok(run)) => Ok(run),
+            Ok(Err(e)) => Err(RunVerdict::SetupError {
+                message: format!("{kind:?}: {e}"),
+            }),
+            Err(payload) => Err(RunVerdict::Panicked {
+                message: format!("{kind:?}: {}", panic_message(payload.as_ref())),
+            }),
+        }
+    };
+    let (reference_backend, cross_check) = backend.backends_for(schedule.n);
+    let reference = contained(reference_backend)?;
+    let cross_check = match cross_check {
+        Some(kind) => Some((kind, contained(kind)?)),
+        None => None,
+    };
+    Ok(ExecutedRun {
+        reference,
+        cross_check,
+    })
 }
 
 /// Runs the oracle suite over an executed schedule.
@@ -389,12 +389,12 @@ pub fn judge_executed(
     run: &ExecutedRun,
     oracles: &[Box<dyn Oracle>],
 ) -> RunVerdict {
-    let (reference_backend, _) = backend.resolve_for(schedule.n).backends();
+    let (reference_backend, _) = backend.backends_for(schedule.n);
     let input = OracleInput {
         schedule,
         reference: &run.reference,
         reference_backend,
-        others: run.others.iter().map(|(kind, run)| (*kind, run)).collect(),
+        cross_check: run.cross_check.as_ref().map(|(kind, run)| (*kind, run)),
     };
     let violations: Vec<Violation> = oracles
         .iter()
@@ -417,21 +417,6 @@ pub fn judge_schedule(
     match execute_schedule(schedule, backend) {
         Ok(run) => judge_executed(schedule, backend, &run, oracles),
         Err(verdict) => verdict,
-    }
-}
-
-fn execute_contained(
-    schedule: &ChaosSchedule,
-    backend: BackendKind,
-) -> Result<DiagnosedRun, RunVerdict> {
-    match catch_unwind(AssertUnwindSafe(|| schedule.run_on(backend))) {
-        Ok(Ok(run)) => Ok(run),
-        Ok(Err(e)) => Err(RunVerdict::SetupError {
-            message: format!("{backend:?}: {e}"),
-        }),
-        Err(payload) => Err(RunVerdict::Panicked {
-            message: format!("{backend:?}: {}", panic_message(payload.as_ref())),
-        }),
     }
 }
 
@@ -612,19 +597,26 @@ mod tests {
     #[test]
     fn auto_choice_resolves_per_schedule_size() {
         let cut = BackendKind::AUTO_CUTOVER as usize;
-        assert_eq!(BackendChoice::Auto.resolve_for(cut - 1), BackendChoice::Sim);
-        assert_eq!(BackendChoice::Auto.resolve_for(cut), BackendChoice::Pooled);
-        // Every non-auto choice passes through untouched.
+        let auto = BackendChoice::Auto;
+        assert_eq!(auto.backends_for(cut - 1), (BackendKind::Sim, None));
+        assert_eq!(auto.backends_for(cut), (BackendKind::Pooled, None));
+        // Every non-auto choice is independent of the system size.
         for choice in BackendChoice::ALL {
             if choice != BackendChoice::Auto {
-                assert_eq!(choice.resolve_for(cut), choice);
-                assert_eq!(choice.resolve_for(1), choice);
+                assert_eq!(choice.backends_for(cut), choice.backends_for(1));
             }
         }
-        // Labels round-trip, `auto` included.
+        assert_eq!(
+            BackendChoice::Both.backends_for(7),
+            (BackendKind::Sim, Some(BackendKind::Pooled))
+        );
+        // Labels round-trip, `auto` included; the retired thread-per-process
+        // labels are rejected, not aliased.
         for choice in BackendChoice::ALL {
             assert_eq!(BackendChoice::parse(choice.label()), Some(choice));
         }
+        assert_eq!(BackendChoice::parse("threaded"), None);
+        assert_eq!(BackendChoice::parse("all"), None);
     }
 
     #[test]

@@ -203,11 +203,11 @@ mod tests {
     fn every_signal_is_backend_invariant() {
         let schedule = generate_schedule(7, BudgetRegime::AtBudget);
         let sim = schedule.run_observed(BackendKind::Sim, None).unwrap();
-        let thr = schedule.run_observed(BackendKind::Threaded, None).unwrap();
+        let pooled = schedule.run_observed(BackendKind::Pooled, None).unwrap();
         for kind in FitnessKind::ALL {
             assert_eq!(
                 evaluate(kind, &schedule, &sim, BackendKind::Sim),
-                evaluate(kind, &schedule, &thr, BackendKind::Threaded),
+                evaluate(kind, &schedule, &pooled, BackendKind::Pooled),
                 "{kind}"
             );
         }

@@ -17,7 +17,7 @@
 //!    [`FaultPlan`](opr_transport::FaultPlan), aimed at one of three fault
 //!    *budget regimes* (strictly under `t`, exactly `t`, deliberately over).
 //! 2. [`schedule`] executes the schedule on the simulator and/or the
-//!    threaded backend via the diagnosing runner
+//!    pooled backend via the diagnosing runner
 //!    ([`opr_workload::RenamingRun::run_diagnosed`]) — over-budget runs
 //!    *degrade* into structured reports instead of panicking.
 //! 3. [`oracle`] holds the pluggable invariant suite: uniqueness, order

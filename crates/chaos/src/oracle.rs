@@ -28,9 +28,9 @@ pub struct OracleInput<'a> {
     pub reference: &'a DiagnosedRun,
     /// Which backend produced the reference.
     pub reference_backend: BackendKind,
-    /// The second executions (when the campaign compares backends), in
-    /// [`BackendChoice::backends`](crate::BackendChoice::backends) order.
-    pub others: Vec<(BackendKind, &'a DiagnosedRun)>,
+    /// The cross-check execution, when the campaign compares backends
+    /// ([`BackendChoice::Both`](crate::BackendChoice::Both)).
+    pub cross_check: Option<(BackendKind, &'a DiagnosedRun)>,
 }
 
 /// One paper invariant, checkable against an executed schedule.
@@ -218,7 +218,7 @@ impl Oracle for CrossBackendOracle {
     fn check(&self, input: &OracleInput<'_>) -> Vec<Violation> {
         let a = input.reference;
         let mut out = Vec::new();
-        for (_, other) in &input.others {
+        if let Some((_, other)) = input.cross_check {
             let mut diverge = |observable: &'static str, left: String, right: String| {
                 if left != right {
                     out.push(Violation::BackendDivergence {
@@ -367,7 +367,7 @@ pub fn suite_margins(
         schedule,
         reference: run,
         reference_backend: backend,
-        others: Vec::new(),
+        cross_check: None,
     };
     standard_suite()
         .iter()
@@ -390,10 +390,7 @@ mod tests {
             schedule,
             reference,
             reference_backend: BackendKind::Sim,
-            others: other
-                .map(|o| (BackendKind::Threaded, o))
-                .into_iter()
-                .collect(),
+            cross_check: other.map(|o| (BackendKind::Pooled, o)),
         }
     }
 
@@ -401,8 +398,8 @@ mod tests {
     fn clean_run_satisfies_every_oracle() {
         let schedule = generate_schedule(3, BudgetRegime::AtBudget);
         let sim = schedule.run_on(BackendKind::Sim).unwrap();
-        let thr = schedule.run_on(BackendKind::Threaded).unwrap();
-        let input = input_for(&schedule, &sim, Some(&thr));
+        let pooled = schedule.run_on(BackendKind::Pooled).unwrap();
+        let input = input_for(&schedule, &sim, Some(&pooled));
         for oracle in standard_suite() {
             let violations = oracle.check(&input);
             assert!(violations.is_empty(), "{}: {violations:?}", oracle.name());

@@ -318,11 +318,11 @@ mod tests {
     fn runs_identically_on_both_backends() {
         let s = base();
         let sim = s.run_on(BackendKind::Sim).unwrap();
-        let thr = s.run_on(BackendKind::Threaded).unwrap();
+        let pooled = s.run_on(BackendKind::Pooled).unwrap();
         assert!(sim.degraded.is_clean(), "{:?}", sim.degraded.violations);
-        assert_eq!(sim.full_outcome, thr.full_outcome);
-        assert_eq!(sim.rounds, thr.rounds);
-        assert_eq!(sim.malformed, thr.malformed);
+        assert_eq!(sim.full_outcome, pooled.full_outcome);
+        assert_eq!(sim.rounds, pooled.rounds);
+        assert_eq!(sim.malformed, pooled.malformed);
     }
 
     #[test]
@@ -330,16 +330,16 @@ mod tests {
         let s = base();
         let plain = s.run_on(BackendKind::Sim).unwrap();
         let sim = s.run_observed(BackendKind::Sim, None).unwrap();
-        let thr = s.run_observed(BackendKind::Threaded, None).unwrap();
+        let pooled = s.run_observed(BackendKind::Pooled, None).unwrap();
         // Attaching the recorder perturbs nothing deterministic…
         assert_eq!(plain.full_outcome, sim.full_outcome);
         assert_eq!(plain.rounds, sim.rounds);
         assert_eq!(plain.metrics, sim.metrics);
         // …and the event stream itself is backend-invariant.
         let sim_events = sim.events.expect("recorder attached");
-        let thr_events = thr.events.expect("recorder attached");
+        let pooled_events = pooled.events.expect("recorder attached");
         assert!(!sim_events.is_empty());
-        assert_eq!(sim_events, thr_events);
+        assert_eq!(sim_events, pooled_events);
     }
 
     #[test]

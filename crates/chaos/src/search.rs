@@ -25,9 +25,7 @@
 //! `--jobs` and on either backend — the contract `tests/adversary_search.rs`
 //! pins.
 
-use crate::engine::{
-    judge_executed, panic_message, per_run_seed, BackendChoice, ExecutedRun, RunVerdict,
-};
+use crate::engine::{execute_with, judge_executed, per_run_seed, BackendChoice, RunVerdict};
 use crate::fitness::{evaluate, Fitness, FitnessKind, FitnessRecord};
 use crate::generator::generate_schedule;
 use crate::genome::{crossover, genome_key, mutate};
@@ -37,12 +35,9 @@ use crate::repro::{schedule_to_json, Repro};
 use crate::schedule::{BudgetRegime, ChaosSchedule};
 use opr_exec::RunPool;
 use opr_sim::RunMetrics;
-use opr_transport::BackendKind;
-use opr_workload::DiagnosedRun;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Parameters of one guided search.
@@ -186,39 +181,6 @@ fn best_of(scored: &[ScoredSchedule]) -> i64 {
     scored.first().map_or(i64::MIN, |s| s.fitness.0)
 }
 
-/// `run_observed` with panic containment (mirrors the campaign executor,
-/// but keeps the event stream the fitness signals need).
-fn observe_contained(
-    schedule: &ChaosSchedule,
-    backend: BackendKind,
-) -> Result<DiagnosedRun, RunVerdict> {
-    match catch_unwind(AssertUnwindSafe(|| schedule.run_observed(backend, None))) {
-        Ok(Ok(run)) => Ok(run),
-        Ok(Err(e)) => Err(RunVerdict::SetupError {
-            message: format!("{backend:?}: {e}"),
-        }),
-        Err(payload) => Err(RunVerdict::Panicked {
-            message: format!("{backend:?}: {}", panic_message(payload.as_ref())),
-        }),
-    }
-}
-
-/// Executes one candidate: observed on the reference backend (events feed
-/// the fitness), plain on the optional second backend (the cross-backend
-/// oracle only compares outcome-level observables).
-fn observe_schedule(
-    schedule: &ChaosSchedule,
-    backend: BackendChoice,
-) -> Result<ExecutedRun, RunVerdict> {
-    let (reference_backend, other_backends) = backend.backends();
-    let reference = observe_contained(schedule, reference_backend)?;
-    let mut others = Vec::with_capacity(other_backends.len());
-    for &kind in other_backends {
-        others.push((kind, observe_contained(schedule, kind)?));
-    }
-    Ok(ExecutedRun { reference, others })
-}
-
 /// Executes a batch on the pool and scores each result serially (the
 /// oracle suite is not `Send`; scoring is cheap next to execution).
 fn evaluate_batch(
@@ -228,12 +190,12 @@ fn evaluate_batch(
     batch: Vec<ChaosSchedule>,
 ) -> Vec<ScoredSchedule> {
     let backend = config.backend;
-    let (reference_backend, _) = backend.backends();
     let tasks: Vec<_> = batch
         .iter()
         .map(|schedule| {
             let schedule = schedule.clone();
-            move || observe_schedule(&schedule, backend)
+            // Observed runs: the fitness signals read the event stream.
+            move || execute_with(&schedule, backend, |s, kind| s.run_observed(kind, None))
         })
         .collect();
     let results = pool.run_batch(tasks);
@@ -258,6 +220,7 @@ fn evaluate_batch(
                         }
                     }
                     let failure = verdict.is_failure(config.budget);
+                    let (reference_backend, _) = backend.backends_for(schedule.n);
                     let fitness =
                         evaluate(config.fitness, &schedule, &run.reference, reference_backend);
                     ScoredSchedule {

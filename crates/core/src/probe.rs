@@ -39,7 +39,7 @@ pub struct ProcessProbe {
 }
 
 /// Shared handle to a [`ProcessProbe`]. `Arc<Mutex<…>>` so actors stay
-/// `Send` and probes work on the threaded substrate; on the sim backend the
+/// `Send` and probes work on the pooled substrate; on the sim backend the
 /// lock is uncontended and effectively free.
 pub type SharedProcessProbe = Arc<Mutex<ProcessProbe>>;
 

@@ -5,8 +5,8 @@
 //!
 //! * **Deterministic plane** — protocol facts (messages, wire bits, quorum
 //!   crossings, grants, recycled names, oracle margins) derived from run
-//!   artefacts into a [`MetricsSnapshot`]. Bit-identical across the Sim,
-//!   Threaded, and Pooled backends and any `--jobs` value; safe to pin in
+//!   artefacts into a [`MetricsSnapshot`]. Bit-identical across the Sim
+//!   and Pooled backends and any `--jobs` value; safe to pin in
 //!   goldens and equivalence suites.
 //! * **Wall-clock plane** — latencies and queue waits recorded live through a
 //!   [`MetricsRegistry`] of sharded atomic cells. Never enters goldens or

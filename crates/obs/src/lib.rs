@@ -6,7 +6,7 @@
 //!    per-process stream of decision points (threshold crossings, vote
 //!    validation, trimmed means, king adoptions, name assignments). The
 //!    stream is a pure function of the messages a process receives, so for
-//!    a fixed schedule it is bit-identical across the Sim and Threaded
+//!    a fixed schedule it is bit-identical across the Sim and Pooled
 //!    backends and across `--jobs` counts; `tests/backend_equivalence.rs`
 //!    and `tests/exec_equivalence.rs` gate exactly that.
 //! 2. **Wall-clock spans** ([`Span`], [`SpanLog`]) — real per-round and

@@ -66,7 +66,7 @@ impl Recorder for MemoryRecorder {
 
 /// A shareable recorder handle: one per process, cloned into the actor and
 /// kept by the runner for post-run collection. `Mutex` (not `RefCell`)
-/// because the threaded backend moves actors onto process threads.
+/// because the pooled backend steps actors on worker threads.
 pub type SharedRecorder = Arc<Mutex<MemoryRecorder>>;
 
 /// Creates a fresh [`SharedRecorder`].

@@ -16,7 +16,7 @@
 //!
 //! # Determinism
 //!
-//! Slot numbers are *not* deterministic: on the threaded backend, actors
+//! Slot numbers are *not* deterministic: on the pooled backend, actors
 //! intern concurrently, so first-sight order (and hence slot order) varies
 //! between runs. Every observable therefore goes through values, never
 //! slots: `Debug` renders the decoded values in `Ord` order (byte-identical

@@ -190,7 +190,7 @@ mod tests {
                     regime: Regime::LogTime,
                     byzantine: 1,
                     adversary: AdversarySpec::RankSkew,
-                    backend: BackendKind::Threaded,
+                    backend: BackendKind::Pooled,
                     queue_capacity: 32,
                     shard_span: 16,
                     seed: 99,
@@ -244,5 +244,12 @@ mod tests {
             let err = ServiceRepro::from_json(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
+        // An otherwise valid file naming the retired thread-per-process
+        // backend is a typed error, not a panic or a silent alias.
+        let text = sample().to_json();
+        assert!(text.contains(r#""backend": "pooled""#), "{text}");
+        let stale = text.replace(r#""backend": "pooled""#, r#""backend": "threaded""#);
+        let err = ServiceRepro::from_json(&stale).unwrap_err();
+        assert!(err.to_string().contains("unknown backend label"), "{err}");
     }
 }

@@ -175,9 +175,9 @@ impl<M> FromIterator<(LinkId, Sealed<M>)> for Inbox<M> {
 /// the model requires. [`Actor::output`] is polled after each round; a run
 /// completes once every *correct* actor reports `Some`.
 ///
-/// Actors are `Send` so execution substrates may place each process on its
-/// own OS thread (`opr-transport`'s threaded backend); the deterministic
-/// simulator does not otherwise rely on it.
+/// Actors are `Send` so execution substrates may step processes on worker
+/// threads (`opr-transport`'s pooled backend); the deterministic simulator
+/// does not otherwise rely on it.
 pub trait Actor: Send {
     /// Message vocabulary of the protocol.
     type Msg;

@@ -5,8 +5,8 @@
 //! voting step. Fanning that out used to deep-copy the payload once per
 //! link — O(N²) heap allocations of O(N+t)-sized vectors per round across
 //! the system. [`Sealed`] makes the fan-out a refcount bump instead: the
-//! engine seals a broadcast payload exactly once and every inbox slot (and,
-//! on the threaded backend, every `mpsc` queue) shares the same allocation.
+//! engine seals a broadcast payload exactly once and every inbox slot, on
+//! either backend, shares the same allocation.
 //!
 //! # Ownership rules
 //!

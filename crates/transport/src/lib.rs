@@ -9,17 +9,13 @@
 //! * [`SimBackend`] — the deterministic single-threaded engine
 //!   ([`opr_sim::Network`]) the experiments were born on. Zero concurrency,
 //!   bit-for-bit reproducible, the reference semantics.
-//! * [`ThreadedBackend`] — one OS thread per process, `std::sync::mpsc`
-//!   links and a [`std::sync::Barrier`] round synchronizer. Real parallelism
-//!   across processes within a round, while inboxes are merged in canonical
-//!   link-id order so a given seed produces **identical**
-//!   outcomes, traces and [`RunMetrics`](opr_sim::RunMetrics) on both
-//!   backends.
-//! * [`PooledBackend`] — a fixed worker pool executing actor round-steps as
-//!   tasks over a flat slab of inbox slots, with two phase fences per round.
-//!   The scalable engine for N ≥ 1024: no per-process threads, no
-//!   per-process channels, same observable behaviour bit-for-bit at any
-//!   worker count.
+//! * [`PooledBackend`] — the real-threads engine: a fixed worker pool
+//!   executing actor round-steps as tasks over a flat slab of inbox slots,
+//!   with two phase fences per round. Real parallelism across processes
+//!   within a round, while inboxes are read in canonical link-id order so a
+//!   given seed produces **identical** outcomes, traces and
+//!   [`RunMetrics`](opr_sim::RunMetrics) on both backends, at any worker
+//!   count.
 //!
 //! The substrate boundary is also where the model's link-anonymity lives:
 //! receivers observe *link labels*, never sender identities, on every
@@ -58,19 +54,17 @@
 //!     5,
 //! );
 //! let sim = BackendKind::Sim.execute(job(()));
-//! let threaded = BackendKind::Threaded.execute(job(()));
-//! assert_eq!(sim.outputs, threaded.outputs);
-//! assert_eq!(sim.metrics, threaded.metrics);
+//! let pooled = BackendKind::Pooled.execute(job(()));
+//! assert_eq!(sim.outputs, pooled.outputs);
+//! assert_eq!(sim.metrics, pooled.metrics);
 //! ```
 
 pub mod faults;
 pub mod pooled;
 pub mod sim_backend;
 pub mod substrate;
-pub mod threaded;
 
 pub use faults::{FaultEvent, FaultPlan};
 pub use pooled::PooledBackend;
 pub use sim_backend::SimBackend;
 pub use substrate::{BackendKind, ExecutionReport, Job, Substrate};
-pub use threaded::ThreadedBackend;

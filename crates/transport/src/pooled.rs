@@ -2,14 +2,12 @@
 //!
 //! # Design
 //!
-//! [`ThreadedBackend`](crate::ThreadedBackend) pays for one OS thread per
-//! process and three barrier crossings per round — at N = 1024 that is a
-//! thousand threads ticking in lock-step, and `BENCH_substrate.json` shows
-//! it 14–46× slower than the sim. `PooledBackend` keeps the observable
-//! contract and drops both costs: a fixed [`RunPool`] of workers (reused
-//! across rounds) executes actor round-steps as *tasks*, and the N `mpsc`
-//! inboxes collapse into one flat, preallocated SoA slab of
-//! `Option<Sealed<M>>` slots indexed by `(sender, receiver)`.
+//! One OS thread and one channel per process does not scale: at N = 1024
+//! that is a thousand threads ticking in lock-step through per-round
+//! barriers. `PooledBackend` runs the same observable contract on a fixed
+//! [`RunPool`] of workers (reused across rounds) that executes actor
+//! round-steps as *tasks*, with every inbox held in one flat, preallocated
+//! SoA slab of `Option<Sealed<M>>` slots indexed by `(sender, receiver)`.
 //!
 //! A round is two pool-wide phase fences:
 //!
@@ -31,7 +29,7 @@
 //! owned by (or indexed by) its own process, the coordinator aggregates
 //! metrics, traces and malformed sends in process-index order, and the
 //! deliver walk reads links in canonical label order — the same order the
-//! sim produces and the threaded backend sorts into. Task interleaving can
+//! sim produces. Task interleaving can
 //! only change *when* a slot is written within a fence, never *what* any
 //! actor observes, so outcomes, metrics, traces and telemetry event streams
 //! are bit-for-bit identical to [`SimBackend`](crate::SimBackend)'s at any
@@ -41,10 +39,10 @@
 //!
 //! A panic inside an actor is contained per task by the pool
 //! ([`opr_exec::TaskPanic`]); the run stops at the current phase fence and
-//! the lowest-index panic payload is re-raised on the caller's thread,
-//! matching the threaded backend's observable behaviour (the report of a
-//! panicked run is never observable on either backend). Malformed sends are
-//! not panics: they are recorded and dropped exactly as in the reference.
+//! the lowest-index panic payload is re-raised on the caller's thread, as
+//! an actor panic on the simulator would be (the report of a panicked run
+//! is never observable on either backend). Malformed sends are not panics:
+//! they are recorded and dropped exactly as in the reference.
 
 use crate::substrate::{ExecutionReport, Job, Substrate};
 use opr_exec::RunPool;
@@ -337,8 +335,8 @@ where
 }
 
 /// One process's send step: identical routing, fault, metric, trace and
-/// malformed-send semantics to the threaded backend's send phase, except
-/// messages land in the slab row instead of mpsc queues.
+/// malformed-send semantics to the reference simulator's send phase, with
+/// messages landing in the slab row.
 #[allow(clippy::too_many_arguments)]
 fn send_step<M, O>(
     me: usize,

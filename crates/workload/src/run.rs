@@ -607,7 +607,7 @@ impl DiagnosedRun {
     /// crossings, vote verdicts and decisions from the event streams.
     ///
     /// Everything here is a pure function of the run's deterministic
-    /// artefacts, so the snapshot is bit-identical across Sim/Threaded/
+    /// artefacts, so the snapshot is bit-identical across the Sim and
     /// Pooled backends and any job count (the equivalence suites pin this).
     /// Wall-clock timings never appear in it.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -731,8 +731,8 @@ impl RenamingRun {
     }
 
     /// Selects the execution substrate (default: the single-threaded
-    /// simulator; `BackendKind::Threaded` runs one OS thread per process
-    /// with identical observable results).
+    /// simulator; `BackendKind::Pooled` steps processes as tasks on a worker
+    /// pool with identical observable results).
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
@@ -826,6 +826,7 @@ impl RenamingRun {
                         allow_fault_overrun: self.allow_fault_overrun,
                         payload_cap: self.payload_cap,
                         trace_capacity: None,
+                        spans: self.spans.clone(),
                         metrics: self.metrics.clone(),
                         ..Alg1Options::default()
                     },
@@ -864,6 +865,7 @@ impl RenamingRun {
                         faults: self.faults.clone(),
                         allow_fault_overrun: self.allow_fault_overrun,
                         payload_cap: self.payload_cap,
+                        spans: self.spans.clone(),
                         metrics: self.metrics.clone(),
                         ..TwoStepOptions::default()
                     },

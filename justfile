@@ -21,9 +21,9 @@ lint:
 build:
     cargo build --release
 
-# Full test suite (unit + property + integration + doc tests).
+# Full test suite (unit + property + integration + doc tests), every crate.
 test:
-    cargo test -q
+    cargo test -q --workspace
 
 # Cross-backend equivalence suite only.
 equivalence:
@@ -33,9 +33,9 @@ equivalence:
 exec-equivalence:
     cargo test -q --test exec_equivalence
 
-# Bounded chaos smoke campaign (fixed seed, all three backends) — the CI gate.
+# Bounded chaos smoke campaign (fixed seed, sim cross-checked against pooled) — the CI gate.
 chaos:
-    cargo run --release -p opr-bench --bin chaos -- --seed 42 --runs 200 --budget mixed --backend all --jobs 4
+    cargo run --release -p opr-bench --bin chaos -- --seed 42 --runs 200 --budget mixed --backend both --jobs 4
 
 # Long randomized chaos soak (override with `just chaos-soak SEED=7 RUNS=50000 JOBS=8`).
 chaos-soak SEED="1" RUNS="20000" JOBS="4":
@@ -50,11 +50,10 @@ bench-exec:
 bench-fanout:
     cargo run --release -p opr-bench --bin fanout -- --out crates/bench/BENCH_fanout.json
 
-# Round-engine comparison: PooledBackend vs sim vs thread-per-process at
-# N in {128, 512, 1024} (writes crates/bench/BENCH_pool.json). `--check`
-# gates on pooled-w1 being >=5x threaded at N=128.
+# Round-engine comparison: PooledBackend (workers 1/4/8) vs sim at
+# N in {128, 512, 1024} (writes crates/bench/BENCH_pool.json).
 bench-pool:
-    cargo run --release -p opr-bench --bin pool -- --out crates/bench/BENCH_pool.json --check
+    cargo run --release -p opr-bench --bin pool -- --out crates/bench/BENCH_pool.json
 
 # Flood-core comparison: interned slot-bitset Echo/Ready accumulation vs the
 # seed BTree set path on identical inputs at N in {128, 512, 1024} (writes
@@ -126,7 +125,7 @@ metrics OUT="metrics.prom":
 bench-metrics:
     cargo run --release -p opr-bench --bin metrics -- --out crates/bench/BENCH_metrics.json
 
-# Regenerate every experiment table (add `--backend threaded` to switch substrate).
+# Regenerate every experiment table (add `--backend pooled` to switch substrate).
 tables *ARGS:
     cargo run --release -p opr-bench --bin tables -- {{ARGS}}
 

@@ -16,6 +16,7 @@ use opr::chaos::{
     BudgetRegime, FitnessKind, Repro, SearchConfig,
 };
 use opr::exec::RunPool;
+use opr::transport::BackendKind;
 
 /// The fixed configuration the gates below pin. Small enough for CI,
 /// large enough that guided selection has generations to work with.
@@ -51,14 +52,14 @@ fn search_outcome_is_identical_across_backends() {
     // so the whole trajectory — selection included — must match.
     let pool = RunPool::new(2);
     let sim = run_search_on(&pool, &gate_config());
-    let threaded = run_search_on(
+    let pooled = run_search_on(
         &pool,
         &SearchConfig {
-            backend: BackendChoice::Threaded,
+            backend: BackendChoice::Pooled,
             ..gate_config()
         },
     );
-    assert_eq!(sim.outcome, threaded.outcome);
+    assert_eq!(sim.outcome, pooled.outcome);
 }
 
 #[test]
@@ -102,12 +103,7 @@ fn committed_worst_seeds_replay_green_with_exact_fitness() {
         );
         // The recorded fitness reproduces exactly, on every backend.
         let record = repro.fitness.expect("search seeds carry fitness");
-        for backend in [
-            BackendChoice::Sim,
-            BackendChoice::Threaded,
-            BackendChoice::Pooled,
-        ] {
-            let (reference, _) = backend.backends();
+        for reference in BackendKind::ALL {
             let run = repro
                 .schedule
                 .run_observed(reference, None)
@@ -115,7 +111,7 @@ fn committed_worst_seeds_replay_green_with_exact_fitness() {
             let got = evaluate(record.kind, &repro.schedule, &run, reference).0;
             assert_eq!(
                 got, record.score,
-                "{name}: fitness {} drifted on {backend}",
+                "{name}: fitness {} drifted on {reference}",
                 record.kind
             );
         }

@@ -1,7 +1,7 @@
-//! Cross-backend equivalence: the thread-per-process substrate *and* the
-//! task-scheduled worker-pool substrate must be observationally
+//! Cross-backend equivalence: the task-scheduled worker-pool substrate —
+//! the one real-threads engine — must be observationally
 //! indistinguishable from the single-threaded reference simulator. For any
-//! legal `(N, t, seed, adversary, id distribution)`, all three backends
+//! legal `(N, t, seed, adversary, id distribution)`, both backends
 //! must produce identical renaming outcomes, round counts and message/bit
 //! metrics — the tentpole guarantee of `opr-transport`.
 
@@ -49,18 +49,17 @@ fn assert_backends_agree(
             .unwrap()
     };
     let sim = run(BackendKind::Sim);
-    for backend in [BackendKind::Threaded, BackendKind::Pooled] {
-        let other = run(backend);
-        let tag = format!("{backend}: {spec}/{dist}/N{n}t{t}s{seed}");
-        assert_eq!(sim.outcome, other.outcome, "outcome: {tag}");
-        assert_eq!(sim.stats.rounds, other.stats.rounds, "rounds: {tag}");
-        assert_eq!(sim.stats.messages, other.stats.messages, "messages: {tag}");
-        assert_eq!(sim.stats.bits, other.stats.bits, "bits: {tag}");
-        assert_eq!(
-            sim.stats.max_message_bits, other.stats.max_message_bits,
-            "max bits: {tag}"
-        );
-    }
+    let backend = BackendKind::Pooled;
+    let other = run(backend);
+    let tag = format!("{backend}: {spec}/{dist}/N{n}t{t}s{seed}");
+    assert_eq!(sim.outcome, other.outcome, "outcome: {tag}");
+    assert_eq!(sim.stats.rounds, other.stats.rounds, "rounds: {tag}");
+    assert_eq!(sim.stats.messages, other.stats.messages, "messages: {tag}");
+    assert_eq!(sim.stats.bits, other.stats.bits, "bits: {tag}");
+    assert_eq!(
+        sim.stats.max_message_bits, other.stats.max_message_bits,
+        "max bits: {tag}"
+    );
 }
 
 proptest! {
@@ -130,11 +129,10 @@ proptest! {
                 .map(|event| event.to_string())
                 .collect()
         };
-        for backend in [BackendKind::Threaded, BackendKind::Pooled] {
-            let other = run(backend);
-            prop_assert_eq!(&sim, &other, "diagnosed run on {}: {}", backend, tag);
-            prop_assert_eq!(rendered(&sim), rendered(&other), "trace on {}: {}", backend, tag);
-        }
+        let backend = BackendKind::Pooled;
+        let other = run(backend);
+        prop_assert_eq!(&sim, &other, "diagnosed run on {}: {}", backend, tag);
+        prop_assert_eq!(rendered(&sim), rendered(&other), "trace on {}: {}", backend, tag);
     }
 }
 
@@ -162,18 +160,17 @@ proptest! {
         let sim = run(BackendKind::Sim);
         let tag = schedule.describe();
         let sim_log = sim.events.as_ref().expect("recorder attached");
-        for backend in [BackendKind::Threaded, BackendKind::Pooled] {
-            let other = run(backend);
-            let other_log = other.events.as_ref().expect("recorder attached");
-            prop_assert_eq!(sim_log, other_log, "event streams on {}: {}", backend, tag);
-            prop_assert_eq!(
-                opr::obs::render_jsonl(sim_log),
-                opr::obs::render_jsonl(other_log),
-                "JSONL bytes on {}: {}",
-                backend,
-                tag
-            );
-        }
+        let backend = BackendKind::Pooled;
+        let other = run(backend);
+        let other_log = other.events.as_ref().expect("recorder attached");
+        prop_assert_eq!(sim_log, other_log, "event streams on {}: {}", backend, tag);
+        prop_assert_eq!(
+            opr::obs::render_jsonl(sim_log),
+            opr::obs::render_jsonl(other_log),
+            "JSONL bytes on {}: {}",
+            backend,
+            tag
+        );
         // One log per correct process, every process attributed.
         prop_assert_eq!(
             sim_log.processes.len(),
@@ -193,12 +190,11 @@ proptest! {
             .run_on(BackendKind::Sim)
             .expect("chaos schedules are legal by construction");
         let tag = schedule.describe();
-        for backend in [BackendKind::Threaded, BackendKind::Pooled] {
-            let other = schedule
-                .run_on(backend)
-                .expect("chaos schedules are legal by construction");
-            prop_assert_eq!(&sim.metrics, &other.metrics, "metrics on {}: {}", backend, tag);
-        }
+        let backend = BackendKind::Pooled;
+        let other = schedule
+            .run_on(backend)
+            .expect("chaos schedules are legal by construction");
+        prop_assert_eq!(&sim.metrics, &other.metrics, "metrics on {}: {}", backend, tag);
         prop_assert_eq!(
             sim.metrics.rounds_executed(),
             sim.rounds,
@@ -209,7 +205,7 @@ proptest! {
 
     /// The deterministic `MetricsSnapshot` fold — counters, gauges and the
     /// per-round message histogram, including the event-derived quorum and
-    /// vote counters — is bit-identical across all three backends.
+    /// vote counters — is bit-identical across both backends.
     #[test]
     fn deterministic_metrics_snapshots_agree_across_backends(
         seed in 0u64..100_000,
@@ -222,13 +218,12 @@ proptest! {
             .expect("chaos schedules are legal by construction")
             .metrics_snapshot();
         prop_assert!(!reference.is_empty(), "snapshot never empty: {}", tag);
-        for backend in [BackendKind::Threaded, BackendKind::Pooled] {
-            let other = schedule
-                .run_observed(backend, None)
-                .expect("chaos schedules are legal by construction")
-                .metrics_snapshot();
-            prop_assert_eq!(&reference, &other, "snapshot on {}: {}", backend, tag);
-        }
+        let backend = BackendKind::Pooled;
+        let other = schedule
+            .run_observed(backend, None)
+            .expect("chaos schedules are legal by construction")
+            .metrics_snapshot();
+        prop_assert_eq!(&reference, &other, "snapshot on {}: {}", backend, tag);
     }
 }
 
@@ -432,15 +427,14 @@ fn baselines_agree_across_backends() {
         let sim = alg
             .run_on(BackendKind::Sim, cfg, &ids, t, AdversarySpec::Silent, 4)
             .unwrap();
-        for backend in [BackendKind::Threaded, BackendKind::Pooled] {
-            let other = alg
-                .run_on(backend, cfg, &ids, t, AdversarySpec::Silent, 4)
-                .unwrap();
-            assert_eq!(sim.rounds, other.rounds, "{alg} on {backend}");
-            assert_eq!(sim.messages, other.messages, "{alg} on {backend}");
-            assert_eq!(sim.bits, other.bits, "{alg} on {backend}");
-            assert_eq!(sim.max_name, other.max_name, "{alg} on {backend}");
-            assert_eq!(sim.violations, other.violations, "{alg} on {backend}");
-        }
+        let backend = BackendKind::Pooled;
+        let other = alg
+            .run_on(backend, cfg, &ids, t, AdversarySpec::Silent, 4)
+            .unwrap();
+        assert_eq!(sim.rounds, other.rounds, "{alg} on {backend}");
+        assert_eq!(sim.messages, other.messages, "{alg} on {backend}");
+        assert_eq!(sim.bits, other.bits, "{alg} on {backend}");
+        assert_eq!(sim.max_name, other.max_name, "{alg} on {backend}");
+        assert_eq!(sim.violations, other.violations, "{alg} on {backend}");
     }
 }

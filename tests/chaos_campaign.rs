@@ -19,7 +19,7 @@ fn digests_overlap(a: &str, b: &str) -> bool {
 
 /// The headline guarantee: a large seeded campaign of schedules whose
 /// effective fault load stays within the algorithm's bound `t` produces
-/// zero violations — on the reference simulator and the threaded backend,
+/// zero violations — on the reference simulator and the pooled backend,
 /// bit-identically.
 #[test]
 fn in_budget_campaign_is_clean_on_both_backends() {
@@ -132,17 +132,17 @@ fn injected_failure_shrinks_and_round_trips_through_repro() {
     assert!(digests_overlap(&first.digest(), &repro.digest));
 }
 
-/// The pooled-backend smoke campaign: a mixed-budget campaign judged with
-/// the cross-backend oracle comparing the simulator against *both* the
-/// threaded and the pooled substrate. Any pooled divergence — outcome,
-/// metrics or diagnosis — surfaces as a campaign failure here.
+/// The mixed-budget smoke campaign (over-budget schedules included),
+/// judged with the cross-backend oracle comparing the simulator against
+/// the pooled substrate. Any pooled divergence — outcome, metrics or
+/// diagnosis — surfaces as a campaign failure here.
 #[test]
 fn mixed_budget_campaign_is_clean_on_all_backends() {
     let config = CampaignConfig {
         seed: 0x900_1ED,
         runs: 200,
         budget: None,
-        backend: BackendChoice::All,
+        backend: BackendChoice::Both,
         jobs: 4,
     };
     let report = run_campaign(&config, &standard_suite());

@@ -46,10 +46,10 @@ fn budgets() -> impl Strategy<Value = Option<BudgetRegime>> {
     ])
 }
 
-/// `All` executes the simulator, the threaded backend *and* the pooled
-/// backend per schedule, so these two choices cover every backend.
+/// `Both` executes the simulator *and* the pooled backend per schedule, so
+/// these two choices cover every backend.
 fn backends() -> impl Strategy<Value = BackendChoice> {
-    select(vec![BackendChoice::Sim, BackendChoice::All])
+    select(vec![BackendChoice::Sim, BackendChoice::Both])
 }
 
 proptest! {

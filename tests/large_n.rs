@@ -1,10 +1,9 @@
 //! Large-N soak tests for the task-scheduled `PooledBackend`.
 //!
 //! The pooled engine exists so the harness can execute the paper's
-//! protocols at four-digit N without paying thread-per-process costs.
+//! protocols at four-digit N on a fixed number of OS threads.
 //! These tests pin that promise: a full Algorithm 1 run at `N = 1024,
-//! t = 300` must complete on the pooled backend — where the threaded
-//! backend would spawn 1024 OS threads — and produce a `DiagnosedRun`
+//! t = 300` must complete on the pooled backend and produce a `DiagnosedRun`
 //! bit-identical to the reference simulator's, and at `N = 512` the
 //! equivalence must hold across adversaries and worker counts.
 //!

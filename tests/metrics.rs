@@ -103,13 +103,11 @@ fn run_snapshot_is_backend_invariant() {
         .metrics_snapshot();
     assert!(!reference.is_empty());
     assert!(reference.counter("opr_rounds_total") > 0);
-    for backend in [BackendKind::Threaded, BackendKind::Pooled] {
-        let other = schedule
-            .run_observed(backend, None)
-            .expect("legal schedule")
-            .metrics_snapshot();
-        assert_eq!(reference, other, "snapshot on {backend}");
-    }
+    let pooled = schedule
+        .run_observed(BackendKind::Pooled, None)
+        .expect("legal schedule")
+        .metrics_snapshot();
+    assert_eq!(reference, pooled, "snapshot on pooled");
     let registry = MetricsRegistry::new();
     let instrumented = schedule
         .run_instrumented(BackendKind::Sim, None, Some(registry.clone()))
@@ -127,7 +125,7 @@ fn run_snapshot_is_backend_invariant() {
     );
 }
 
-/// The deterministic service snapshot is bit-identical across all three
+/// The deterministic service snapshot is bit-identical across both
 /// backends and `jobs` counts, observed or not.
 #[test]
 fn service_snapshot_is_backend_and_jobs_invariant() {
@@ -138,8 +136,6 @@ fn service_snapshot_is_backend_and_jobs_invariant() {
     assert!(reference.counter("opr_service_grants_total") > 0);
     for (backend, jobs) in [
         (BackendKind::Sim, 4),
-        (BackendKind::Threaded, 1),
-        (BackendKind::Threaded, 4),
         (BackendKind::Pooled, 1),
         (BackendKind::Pooled, 4),
     ] {

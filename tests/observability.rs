@@ -71,7 +71,7 @@ fn explain_waterfall_is_replay_invariant() {
     };
     assert_eq!(
         body(render(BackendKind::Sim)),
-        body(render(BackendKind::Threaded))
+        body(render(BackendKind::Pooled))
     );
 }
 
@@ -146,4 +146,36 @@ fn deterministic_exports_are_stable_across_replays() {
         render_trace_json(&first, None),
         render_trace_json(&second, None)
     );
+}
+
+/// `.spans(log)` is honoured by the plain `run()` path exactly as by
+/// `run_diagnosed()`: one wall span per executed round on both, in both
+/// runner arms (Alg1 and the 2-step algorithm), with the outcome untouched.
+#[test]
+fn plain_and_diagnosed_runs_record_the_same_round_spans() {
+    use opr::prelude::*;
+    for (regime, cfg) in [
+        (Regime::LogTime, SystemConfig::new(7, 2).unwrap()),
+        (Regime::TwoStep, SystemConfig::new(11, 2).unwrap()),
+    ] {
+        let ids = IdDistribution::SparseRandom.generate(cfg.n() - 2, 5);
+        let builder = |log| {
+            RenamingRun::builder(cfg, regime)
+                .correct_ids(ids.clone())
+                .adversary(AdversarySpec::Silent, 2)
+                .seed(5)
+                .spans(log)
+        };
+        let round_spans = |log: &opr::obs::SharedSpanLog| {
+            let log = log.lock().unwrap();
+            log.spans().iter().filter(|s| s.name == "round").count()
+        };
+        let plain_log = shared_span_log();
+        let plain = builder(plain_log.clone()).run().unwrap();
+        let diagnosed_log = shared_span_log();
+        let diagnosed = builder(diagnosed_log.clone()).run_diagnosed().unwrap();
+        assert_eq!(plain.outcome, diagnosed.full_outcome, "{regime:?}");
+        assert_eq!(round_spans(&plain_log), plain.stats.rounds as usize);
+        assert_eq!(round_spans(&plain_log), round_spans(&diagnosed_log));
+    }
 }

@@ -68,8 +68,8 @@ fn thousand_epoch_soak_is_oracle_clean_and_recycles() {
 
 #[test]
 fn soak_report_is_bit_identical_across_jobs_and_backends() {
-    // Full 1000 epochs on the simulator across worker counts; the threaded
-    // backend (7 OS threads per instance, thousands of instances) runs a
+    // Full 1000 epochs on the simulator across worker counts; the pooled
+    // backend (a worker pool per instance, thousands of instances) runs a
     // shorter schedule to keep the suite CI-sized — the backends' per-run
     // equivalence is already property-gated in `service_reduction.rs`.
     let reference = soak_spec(1000, BackendKind::Sim, 1).run().unwrap();
@@ -79,8 +79,8 @@ fn soak_report_is_bit_identical_across_jobs_and_backends() {
     let short_sim = soak_spec(120, BackendKind::Sim, 1).run().unwrap();
     for (backend, jobs) in [
         (BackendKind::Sim, 4),
-        (BackendKind::Threaded, 1),
-        (BackendKind::Threaded, 4),
+        (BackendKind::Pooled, 1),
+        (BackendKind::Pooled, 4),
     ] {
         let other = soak_spec(120, backend, jobs).run().unwrap();
         assert_eq!(
