@@ -16,12 +16,6 @@
 //! # Prove the shrink/repro pipeline end-to-end on an injected failure:
 //! cargo run --release -p opr-bench --bin chaos -- --self-test
 //!
-//! # Measure campaign throughput per backend into BENCH_chaos.json:
-//! cargo run --release -p opr-bench --bin chaos -- --bench crates/bench/BENCH_chaos.json
-//!
-//! # Measure serial-vs-parallel executor throughput into BENCH_exec.json:
-//! cargo run --release -p opr-bench --bin chaos -- --bench-exec crates/bench/BENCH_exec.json
-//!
 //! # Service-layer smoke: seeded multi-epoch service specs judged by the
 //! # ledger oracle suite, with a jobs-determinism cross-check per spec:
 //! cargo run --release -p opr-bench --bin chaos -- --service --seed 42 --runs 20
@@ -33,6 +27,7 @@
 //! Exit status: 0 when the campaign (or replay, or self-test) passes,
 //! 1 on failure, 2 on usage errors.
 
+use opr_bench::Flags;
 use opr_chaos::engine::{
     execute_schedule, judge_schedule, per_run_seed, run_campaign, BackendChoice, CampaignConfig,
 };
@@ -52,24 +47,22 @@ use opr_sim::RunMetrics;
 fn usage() -> ! {
     eprintln!(
         "usage: chaos [--seed S] [--runs K] [--budget in|at|over|mixed]\n\
-         \x20            [--backend sim|pooled|both|auto]\n\
+         \x20            [--backend sim|pooled|both]\n\
          \x20            [--jobs N] [--repro-out <file>] [--events <file>]\n\
          \x20      chaos explain <file> [--events <file>] [--perfetto <file>]\n\
          \x20                                replay a repro with the recorder attached and\n\
          \x20                                print the per-process decision waterfall\n\
          \x20      chaos --repro <file>      replay a captured failure\n\
          \x20      chaos --self-test         inject a failure, shrink it, round-trip the repro\n\
-         \x20      chaos --bench <file>      measure runs/sec per backend into <file>\n\
-         \x20      chaos --bench-exec <file> measure runs/sec at 1/2/4/8 jobs into <file>\n\
          \x20      chaos --service [--seed S] [--runs K] [--repro-out <file>]\n\
          \x20                                service-layer smoke: seeded epoch-engine specs\n\
          \x20                                judged by the ledger oracles + jobs determinism\n\
          \x20      chaos --service --repro <file>  replay a captured service failure\n\
          \x20      chaos --search [--seed S] [--budget in|at|over]\n\
-         \x20                     [--backend sim|pooled|both|auto]\n\
+         \x20                     [--backend sim|pooled|both]\n\
          \x20                     [--jobs N] [--fitness margin|rounds|namespace|spread|drops]\n\
          \x20                     [--beam B] [--generations G] [--evals E] [--init I] [--top-k K]\n\
-         \x20                     [--out-dir DIR] [--search-report <file>] [--baseline] [--timing]\n\
+         \x20                     [--out-dir DIR] [--search-report <file>] [--baseline]\n\
          \x20                                guided adversary search: optimize attack schedules,\n\
          \x20                                emit the top-K as replayable repro files\n\
          \x20      chaos --search --service  hill-climb over service-spec seeds, judged by\n\
@@ -87,8 +80,7 @@ struct Args {
     repro: Option<String>,
     repro_out: String,
     self_test: bool,
-    bench: Option<String>,
-    bench_exec: Option<String>,
+    service: bool,
     events_out: Option<String>,
     search: bool,
     fitness: FitnessKind,
@@ -100,7 +92,6 @@ struct Args {
     out_dir: String,
     search_report: Option<String>,
     baseline: bool,
-    timing: bool,
 }
 
 /// `chaos explain <file> [--events <file>] [--perfetto <file>]`.
@@ -110,19 +101,19 @@ struct ExplainArgs {
     perfetto_out: Option<String>,
 }
 
-fn parse_explain_args(raw: &[String]) -> ExplainArgs {
+fn parse_explain_args(raw: Vec<String>) -> ExplainArgs {
     let mut args = ExplainArgs {
         repro: String::new(),
         events_out: None,
         perfetto_out: None,
     };
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
+    let mut flags = Flags::new(raw, usage);
+    while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--events" => args.events_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--perfetto" => args.perfetto_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            path if args.repro.is_empty() && !path.starts_with("--") => args.repro = path.into(),
-            _ => usage(),
+            "--events" => args.events_out = Some(flags.value(&flag)),
+            "--perfetto" => args.perfetto_out = Some(flags.value(&flag)),
+            path if args.repro.is_empty() && !path.starts_with("--") => args.repro = flag,
+            _ => flags.unknown(&flag),
         }
     }
     if args.repro.is_empty() {
@@ -131,7 +122,7 @@ fn parse_explain_args(raw: &[String]) -> ExplainArgs {
     args
 }
 
-fn parse_args(raw: &[String]) -> Args {
+fn parse_args(raw: Vec<String>) -> Args {
     let mut args = Args {
         seed: 42,
         runs: 200,
@@ -141,8 +132,7 @@ fn parse_args(raw: &[String]) -> Args {
         repro: None,
         repro_out: "chaos-repro.json".to_string(),
         self_test: false,
-        bench: None,
-        bench_exec: None,
+        service: false,
         events_out: None,
         search: false,
         fitness: FitnessKind::Margin,
@@ -154,105 +144,48 @@ fn parse_args(raw: &[String]) -> Args {
         out_dir: ".".to_string(),
         search_report: None,
         baseline: false,
-        timing: false,
     };
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
+    let mut flags = Flags::new(raw, usage);
+    while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--runs" => {
-                args.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--seed" => args.seed = flags.value(&flag),
+            "--runs" => args.runs = flags.value(&flag),
             "--budget" => {
-                args.budget = match it.next().map(String::as_str) {
-                    Some("mixed") => None,
-                    Some(label) => Some(BudgetRegime::parse(label).unwrap_or_else(|| usage())),
-                    None => usage(),
-                }
+                args.budget = flags.label(&flag, |label| match label {
+                    "mixed" => Some(None),
+                    label => BudgetRegime::parse(label).map(Some),
+                })
             }
-            "--backend" => {
-                args.backend = it
-                    .next()
-                    .and_then(|v| BackendChoice::parse(v))
-                    .unwrap_or_else(|| usage())
-            }
-            "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--repro" => args.repro = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--repro-out" => args.repro_out = it.next().cloned().unwrap_or_else(|| usage()),
+            "--backend" => args.backend = flags.label(&flag, BackendChoice::parse),
+            "--jobs" => args.jobs = flags.value(&flag),
+            "--repro" => args.repro = Some(flags.value(&flag)),
+            "--repro-out" => args.repro_out = flags.value(&flag),
             "--self-test" => args.self_test = true,
-            "--bench" => args.bench = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--bench-exec" => args.bench_exec = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--events" => args.events_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--service" => args.service = true,
+            "--events" => args.events_out = Some(flags.value(&flag)),
             "--search" => args.search = true,
-            "--fitness" => {
-                args.fitness = it
-                    .next()
-                    .and_then(|v| FitnessKind::parse(v))
-                    .unwrap_or_else(|| usage())
-            }
-            "--beam" => {
-                args.beam = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--generations" => {
-                args.generations = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--evals" => {
-                args.evals = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--init" => {
-                args.init = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--top-k" => {
-                args.top_k = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--out-dir" => args.out_dir = it.next().cloned().unwrap_or_else(|| usage()),
-            "--search-report" => {
-                args.search_report = Some(it.next().cloned().unwrap_or_else(|| usage()))
-            }
+            "--fitness" => args.fitness = flags.label(&flag, FitnessKind::parse),
+            "--beam" => args.beam = flags.value(&flag),
+            "--generations" => args.generations = flags.value(&flag),
+            "--evals" => args.evals = flags.value(&flag),
+            "--init" => args.init = flags.value(&flag),
+            "--top-k" => args.top_k = flags.value(&flag),
+            "--out-dir" => args.out_dir = flags.value(&flag),
+            "--search-report" => args.search_report = Some(flags.value(&flag)),
             "--baseline" => args.baseline = true,
-            "--timing" => args.timing = true,
-            _ => usage(),
+            _ => flags.unknown(&flag),
         }
     }
     args
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("explain") {
-        std::process::exit(explain(&parse_explain_args(&raw[1..])));
+        std::process::exit(explain(&parse_explain_args(raw.split_off(1))));
     }
-    if raw.iter().any(|flag| flag == "--service") {
-        let rest: Vec<String> = raw.into_iter().filter(|flag| flag != "--service").collect();
-        let mut args = parse_args(&rest);
+    let mut args = parse_args(raw);
+    if args.service {
         if args.repro_out == "chaos-repro.json" {
             args.repro_out = "service-repro.json".to_string();
         }
@@ -263,7 +196,6 @@ fn main() {
         };
         std::process::exit(exit);
     }
-    let args = parse_args(&raw);
     let oracles = standard_suite();
     let exit = if let Some(path) = &args.repro {
         replay(path, &oracles)
@@ -271,10 +203,6 @@ fn main() {
         search_cmd(&args)
     } else if args.self_test {
         self_test(&args, &oracles)
-    } else if let Some(path) = &args.bench {
-        bench(&args, path, &oracles)
-    } else if let Some(path) = &args.bench_exec {
-        bench_exec(&args, path, &oracles)
     } else {
         campaign(&args, &oracles)
     };
@@ -354,7 +282,7 @@ fn capture_metrics(schedule: &ChaosSchedule, backend: BackendChoice) -> Option<R
 fn write_campaign_events(args: &Args, path: &str) {
     let budget = args.budget.unwrap_or(BudgetRegime::ALL[0]);
     let schedule = generate_schedule(per_run_seed(args.seed, 0), budget);
-    let (reference, _) = args.backend.backends_for(schedule.n);
+    let (reference, _) = args.backend.backends();
     match schedule.run_observed(reference, None) {
         Ok(run) => match run.events {
             Some(log) => match std::fs::write(path, render_jsonl(&log)) {
@@ -462,7 +390,7 @@ fn replay(path: &str, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
     // Search-found repros also record a fitness score; the replay must
     // reproduce it exactly (the regression contract of worst-*.json seeds).
     if let Some(record) = &repro.fitness {
-        let (reference, _) = repro.backend.backends_for(repro.schedule.n);
+        let (reference, _) = repro.backend.backends();
         match repro.schedule.run_observed(reference, None) {
             Ok(run) => {
                 let got = evaluate(record.kind, &repro.schedule, &run, reference).0;
@@ -553,117 +481,6 @@ fn self_test(args: &Args, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
     1
 }
 
-/// Runs the CI smoke workload (the campaign `--seed/--runs/--backend`
-/// describe) at 1/2/4/8 executor workers and records serial-vs-parallel
-/// runs/sec — the cross-run throughput trajectory. Every campaign must
-/// produce identical counts (the determinism-equivalence law); differing
-/// counts fail the bench.
-fn bench_exec(args: &Args, path: &str, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
-    // Speedup is bounded by the machine's core budget: record it per row
-    // so a 1.0× on a single-core box reads as "saturated", not "broken".
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut rows = Vec::new();
-    let mut serial_runs_per_sec = 0.0f64;
-    let mut serial_counts = (0usize, 0usize);
-    for jobs in [1usize, 2, 4, 8] {
-        let report = run_campaign(
-            &CampaignConfig {
-                seed: args.seed,
-                runs: args.runs,
-                budget: args.budget,
-                backend: args.backend,
-                jobs,
-            },
-            oracles,
-        );
-        eprintln!("chaos: jobs={jobs}: {report}");
-        if !report.passed() {
-            eprintln!("chaos: bench-exec campaign failed at jobs={jobs}; not writing {path}");
-            return 1;
-        }
-        if jobs == 1 {
-            serial_runs_per_sec = report.runs_per_sec();
-            serial_counts = (report.clean, report.degraded);
-        } else if (report.clean, report.degraded) != serial_counts {
-            eprintln!(
-                "chaos: bench-exec determinism breach at jobs={jobs}: {}/{} clean/degraded vs serial {}/{}",
-                report.clean, report.degraded, serial_counts.0, serial_counts.1
-            );
-            return 1;
-        }
-        let speedup = if serial_runs_per_sec > 0.0 {
-            report.runs_per_sec() / serial_runs_per_sec
-        } else {
-            0.0
-        };
-        rows.push(format!(
-            "  {{\"group\": \"exec-pool\", \"name\": \"{}/runs{}/jobs{}\", \"jobs\": {}, \"cpus\": {}, \"runs\": {}, \"clean\": {}, \"degraded\": {}, \"runs_per_sec\": {:.1}, \"speedup_vs_serial\": {:.2}}}",
-            args.backend,
-            args.runs,
-            jobs,
-            jobs,
-            cpus,
-            report.total,
-            report.clean,
-            report.degraded,
-            report.runs_per_sec(),
-            speedup
-        ));
-    }
-    let body = format!("[\n{}\n]\n", rows.join(",\n"));
-    match std::fs::write(path, body) {
-        Ok(()) => {
-            eprintln!("chaos: wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("chaos: could not write {path}: {e}");
-            1
-        }
-    }
-}
-
-fn bench(args: &Args, path: &str, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
-    let mut rows = Vec::new();
-    for backend in [BackendChoice::Sim, BackendChoice::Pooled] {
-        let report = run_campaign(
-            &CampaignConfig {
-                seed: args.seed,
-                runs: args.runs,
-                budget: None,
-                backend,
-                jobs: args.jobs,
-            },
-            oracles,
-        );
-        eprintln!("chaos: {backend}: {report}");
-        if !report.passed() {
-            eprintln!("chaos: bench campaign failed on {backend}; not writing {path}");
-            return 1;
-        }
-        rows.push(format!(
-            "  {{\"group\": \"chaos-campaign\", \"name\": \"{}/runs{}\", \"runs\": {}, \"clean\": {}, \"degraded\": {}, \"runs_per_sec\": {:.1}}}",
-            backend,
-            args.runs,
-            report.total,
-            report.clean,
-            report.degraded,
-            report.runs_per_sec()
-        ));
-    }
-    let body = format!("[\n{}\n]\n", rows.join(",\n"));
-    match std::fs::write(path, body) {
-        Ok(()) => {
-            eprintln!("chaos: wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("chaos: could not write {path}: {e}");
-            1
-        }
-    }
-}
-
 /// Guided adversary search over protocol schedule space: beam-search the
 /// configured fitness signal, print per-generation progress, emit the
 /// top-K finds as replayable repro files and (optionally) the report JSON.
@@ -731,7 +548,7 @@ fn search_cmd(args: &Args) -> i32 {
         }
     }
     if let Some(path) = &args.search_report {
-        let payload = render_search_json(&report, random.as_ref(), args.timing);
+        let payload = render_search_json(&report, random.as_ref());
         match std::fs::write(path, payload) {
             Ok(()) => eprintln!("chaos: wrote {path}"),
             Err(e) => {

@@ -1,5 +1,5 @@
-//! Renaming-as-a-service driver: soak gate, throughput benchmark and
-//! service-level Perfetto traces for the multi-tenant epoch engine.
+//! Renaming-as-a-service driver: soak gate and service-level Perfetto
+//! traces for the multi-tenant epoch engine.
 //!
 //! ```text
 //! # Quickstart: a small seeded service run with an oracle verdict:
@@ -8,10 +8,6 @@
 //! # The CI soak gate: ≥1000 epochs across 4 shards with recycling,
 //! # oracle-clean and bit-identical across --jobs {1,4} and every backend:
 //! cargo run --release -p opr-bench --bin service -- --soak --epochs 1000
-//!
-//! # Throughput matrix (names-assigned/sec, shards × jobs × backend) into
-//! # the committed benchmark file:
-//! cargo run --release -p opr-bench --bin service -- --bench crates/bench/BENCH_service.json
 //!
 //! # Service-level wall-clock spans (admission / per-shard protocol /
 //! # grant publication per epoch) as Chrome trace-event JSON for Perfetto:
@@ -35,6 +31,7 @@
 //! Exit status: 0 on pass, 1 on gate failure, 2 on usage errors.
 
 use opr_adversary::AdversarySpec;
+use opr_bench::Flags;
 use opr_metrics::{render_prometheus, shared_flight_recorder, MetricsRegistry};
 use opr_obs::{render_trace_json, shared_span_log, RunLog};
 use opr_service::{
@@ -43,45 +40,17 @@ use opr_service::{
 use opr_transport::BackendKind;
 use opr_types::{Regime, SystemConfig};
 use opr_workload::ServiceWorkload;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Counting shim around [`System`] so bench rows can report allocation
-/// counts alongside wall time (same pattern as the `fanout` bin).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Dashboard refresh period for `--watch`, in epochs.
 const WATCH_EVERY: u64 = 5;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: service [--seed S] [--epochs E] [--shards K] [--backend sim|pooled|auto]\n\
+        "usage: service [--seed S] [--epochs E] [--shards K] [--backend sim|pooled]\n\
          \x20       service --soak [--seed S] [--epochs E] [--shards K] [--repro-out <file>]\n\
          \x20                                 oracle + determinism gate across jobs {{1,4}}\n\
          \x20                                 and every backend (exit 1 on failure)\n\
-         \x20       service --bench <file>    names-assigned/sec matrix (shards x jobs x backend)\n\
          \x20       service --perfetto <file> export service-level spans as a Perfetto trace\n\
          \x20       service --repro <file>    replay a captured service failure\n\
          \x20       service --metrics <file>  write a Prometheus exposition of the run's metrics\n\
@@ -96,7 +65,6 @@ struct Args {
     epochs: u64,
     shards: usize,
     soak: bool,
-    bench: Option<String>,
     perfetto: Option<String>,
     repro: Option<String>,
     repro_out: String,
@@ -105,13 +73,12 @@ struct Args {
     flight: usize,
 }
 
-fn parse_args(raw: &[String]) -> Args {
+fn parse_args() -> Args {
     let mut args = Args {
         seed: 0x5eed,
         epochs: 1000,
         shards: 4,
         soak: false,
-        bench: None,
         perfetto: None,
         repro: None,
         repro_out: "service-repro.json".to_string(),
@@ -119,48 +86,21 @@ fn parse_args(raw: &[String]) -> Args {
         watch: false,
         flight: 32,
     };
-    let mut it = raw.iter();
-    while let Some(flag) = it.next() {
+    let mut flags = Flags::from_env(usage);
+    while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--epochs" => {
-                args.epochs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--shards" => {
-                args.shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--backend" => match it.next().map(String::as_str) {
-                Some("auto") => BackendKind::set_process_auto(true),
-                Some(label) => BackendKind::set_process_default(
-                    BackendKind::parse(label).unwrap_or_else(|| usage()),
-                ),
-                None => usage(),
-            },
+            "--seed" => args.seed = flags.value(&flag),
+            "--epochs" => args.epochs = flags.value(&flag),
+            "--shards" => args.shards = flags.value(&flag),
+            "--backend" => BackendKind::set_process_default(flags.label(&flag, BackendKind::parse)),
             "--soak" => args.soak = true,
-            "--bench" => args.bench = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--perfetto" => args.perfetto = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--repro" => args.repro = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--repro-out" => args.repro_out = it.next().cloned().unwrap_or_else(|| usage()),
-            "--metrics" => args.metrics = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--perfetto" => args.perfetto = Some(flags.value(&flag)),
+            "--repro" => args.repro = Some(flags.value(&flag)),
+            "--repro-out" => args.repro_out = flags.value(&flag),
+            "--metrics" => args.metrics = Some(flags.value(&flag)),
             "--watch" => args.watch = true,
-            "--flight" => {
-                args.flight = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            _ => usage(),
+            "--flight" => args.flight = flags.value(&flag),
+            _ => flags.unknown(&flag),
         }
     }
     args
@@ -194,34 +134,6 @@ fn soak_spec(
             arrivals_per_epoch: 4 * shards.max(1),
             max_hold: 3,
             seed: seed ^ 0x776f_726b,
-        },
-        jobs,
-    }
-}
-
-/// Throughput spec: fault-free instances (`byzantine = 0`, so every slot
-/// carries demand) over a million-client universe, demand matched to the
-/// aggregate epoch capacity so every shard runs a full instance each epoch.
-fn bench_spec(seed: u64, shards: usize, backend: BackendKind, jobs: usize) -> ServiceSpec {
-    let arrivals = 7 * shards;
-    ServiceSpec {
-        service: ServiceConfig {
-            shards,
-            epoch_cfg: SystemConfig::new(7, 2).expect("legal config"),
-            regime: Regime::LogTime,
-            byzantine: 0,
-            adversary: AdversarySpec::Silent,
-            backend,
-            queue_capacity: 2 * arrivals + 16,
-            shard_span: 64,
-            seed,
-        },
-        workload: ServiceWorkload {
-            clients: 1_000_000,
-            epochs: 120,
-            arrivals_per_epoch: arrivals,
-            max_hold: 2,
-            seed: seed ^ 0x6265_6e63,
         },
         jobs,
     }
@@ -383,59 +295,6 @@ fn soak(args: &Args) -> i32 {
     0
 }
 
-/// The throughput matrix: names-assigned/sec for shards × jobs × backend,
-/// written in the workspace's BENCH row format.
-fn bench(args: &Args, path: &str) -> i32 {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut rows = Vec::new();
-    for backend in BackendKind::ALL {
-        for shards in [1usize, 4, 8] {
-            for jobs in [1usize, 4] {
-                let spec = bench_spec(args.seed, shards, backend, jobs);
-                let allocs_before = ALLOCS.load(Ordering::Relaxed);
-                let start = Instant::now();
-                let report = match run_judged(&spec, "bench", args, None) {
-                    Ok(report) => report,
-                    Err(()) => return 1,
-                };
-                let elapsed = start.elapsed().as_secs_f64();
-                let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-                let names_per_sec = report.names_per_sec(elapsed);
-                let allocs_per_grant = allocs as f64 / report.grants.max(1) as f64;
-                eprintln!(
-                    "service: bench {}/shards{shards}/jobs{jobs}: {} grants in {elapsed:.2}s \
-                     ({names_per_sec:.0} names/sec, {allocs_per_grant:.0} allocs/grant)",
-                    backend.label(),
-                    report.grants,
-                );
-                rows.push(format!(
-                    "  {{\"group\": \"service\", \"name\": \"{}/shards{shards}/jobs{jobs}\", \
-                     \"backend\": \"{}\", \"shards\": {shards}, \"jobs\": {jobs}, \"cpus\": {cpus}, \
-                     \"epochs\": {}, \"grants\": {}, \"recycled\": {}, \
-                     \"names_per_sec\": {names_per_sec:.1}, \"allocs\": {allocs}, \
-                     \"allocs_per_grant\": {allocs_per_grant:.1}}}",
-                    backend.label(),
-                    backend.label(),
-                    report.epochs,
-                    report.grants,
-                    report.recycled,
-                ));
-            }
-        }
-    }
-    let body = format!("[\n{}\n]\n", rows.join(",\n"));
-    match std::fs::write(path, body) {
-        Ok(()) => {
-            eprintln!("service: wrote {path}");
-            0
-        }
-        Err(e) => {
-            eprintln!("service: could not write {path}: {e}");
-            1
-        }
-    }
-}
-
 /// Runs a short service schedule with the span log attached and exports the
 /// service-level timing (per-epoch admission / per-shard protocol / grant
 /// publication spans) as Chrome trace-event JSON loadable in Perfetto.
@@ -531,13 +390,11 @@ fn replay(path: &str) -> i32 {
 
 /// The quickstart: one small seeded run, summarized and judged.
 fn demo(args: &Args) -> i32 {
-    // Epoch instances are N = 7 (`soak_spec`), so `--backend auto` resolves
-    // against that size.
     let spec = soak_spec(
         args.seed,
         args.epochs.clamp(1, 50),
         args.shards,
-        BackendKind::default_for(7),
+        BackendKind::default(),
         2,
     );
     let registry = metrics_registry(args);
@@ -557,14 +414,11 @@ fn demo(args: &Args) -> i32 {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&raw);
+    let args = parse_args();
     let exit = if let Some(path) = &args.repro {
         replay(path)
     } else if args.soak {
         soak(&args)
-    } else if let Some(path) = args.bench.clone() {
-        bench(&args, &path)
     } else if let Some(path) = args.perfetto.clone() {
         perfetto(&args, &path)
     } else {

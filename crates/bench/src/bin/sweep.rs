@@ -14,6 +14,7 @@
 //! way, so the CSV is byte-identical at any worker count.
 
 use opr_adversary::AdversarySpec;
+use opr_bench::Flags;
 use opr_exec::RunPool;
 use opr_transport::BackendKind;
 use opr_types::SystemConfig;
@@ -42,7 +43,7 @@ fn adversary_by_label(label: &str) -> Option<AdversarySpec> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sweep --alg <label> [--t A..B] [--seeds K] [--adversary <label>] [--n-extra E] [--backend sim|pooled|auto] [--jobs N]\n\
+        "usage: sweep --alg <label> [--t A..B] [--seeds K] [--adversary <label>] [--n-extra E] [--backend sim|pooled] [--jobs N]\n\
          algorithms: {}\n\
          adversaries: {}",
         Algorithm::ALL.map(|a| a.label()).join(", "),
@@ -57,50 +58,24 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut alg: Option<Algorithm> = None;
     let mut t_range = (1usize, 4usize);
     let mut seeds = 3u64;
     let mut adversary: Option<AdversarySpec> = None;
     let mut n_extra = 0usize;
     let mut backend = BackendKind::default();
-    let mut backend_auto = false;
     let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
+    let mut flags = Flags::from_env(usage);
+    while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--alg" => alg = it.next().and_then(|v| algorithm_by_label(v)),
-            "--t" => {
-                t_range = it
-                    .next()
-                    .and_then(|v| parse_range(v))
-                    .unwrap_or_else(|| usage())
-            }
-            "--seeds" => {
-                seeds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--adversary" => adversary = it.next().and_then(|v| adversary_by_label(v)),
-            "--n-extra" => {
-                n_extra = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--backend" => match it.next().map(String::as_str) {
-                Some("auto") => backend_auto = true,
-                Some(label) => backend = BackendKind::parse(label).unwrap_or_else(|| usage()),
-                None => usage(),
-            },
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            _ => usage(),
+            "--alg" => alg = Some(flags.label(&flag, algorithm_by_label)),
+            "--t" => t_range = flags.label(&flag, parse_range),
+            "--seeds" => seeds = flags.value(&flag),
+            "--adversary" => adversary = Some(flags.label(&flag, adversary_by_label)),
+            "--n-extra" => n_extra = flags.value(&flag),
+            "--backend" => backend = flags.label(&flag, BackendKind::parse),
+            "--jobs" => jobs = flags.value(&flag),
+            _ => flags.unknown(&flag),
         }
     }
     let Some(alg) = alg else { usage() };
@@ -129,11 +104,7 @@ fn main() {
                 faulty: t,
                 adversary: spec,
                 seed,
-                backend: if backend_auto {
-                    BackendKind::auto_for(n as u32)
-                } else {
-                    backend
-                },
+                backend,
             });
         }
     }

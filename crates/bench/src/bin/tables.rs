@@ -11,12 +11,12 @@
 //! ```
 //!
 //! `--backend` selects the execution substrate every experiment runs on
-//! (default `sim`; `auto` picks per run size — sim below
-//! `BackendKind::AUTO_CUTOVER` processes, pooled at or above); results are
-//! identical on any backend, only the execution strategy changes. `--jobs` generates the requested experiments on
-//! executor workers — tables still print in request order, byte-identical
-//! to a serial run.
+//! (`sim`, the default, or `pooled`); results are identical on either, only
+//! the execution strategy changes. `--jobs` generates the requested
+//! experiments on executor workers — tables still print in request order,
+//! byte-identical to a serial run.
 
+use opr_bench::Flags;
 use opr_exec::RunPool;
 use opr_transport::BackendKind;
 use opr_workload::experiments;
@@ -45,57 +45,36 @@ const ALL_IDS: [&str; 13] = [
     "t1", "t2", "t3", "t4", "t5", "f1", "f2", "f3", "f4", "a1", "a2", "a3", "e1",
 ];
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: tables [<id> ...] [--csv] [--backend sim|pooled] [--jobs N]\n\
+         experiment ids: {}",
+        ALL_IDS.join(", ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    if let Some(pos) = args.iter().position(|a| a == "--backend") {
-        match args.get(pos + 1).map(String::as_str) {
-            Some("auto") => BackendKind::set_process_auto(true),
-            Some(label) if BackendKind::parse(label).is_some() => {
-                BackendKind::set_process_default(BackendKind::parse(label).expect("checked"));
-            }
-            _ => {
-                eprintln!("--backend takes one of: sim, pooled, auto");
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut csv = false;
     let mut jobs = 1usize;
-    if let Some(pos) = args.iter().position(|a| a == "--jobs") {
-        match args.get(pos + 1).and_then(|v| v.parse().ok()) {
-            Some(n) => jobs = n,
-            None => {
-                eprintln!("--jobs takes a worker count");
-                std::process::exit(2);
+    let mut ids: Vec<String> = Vec::new();
+    let mut flags = Flags::from_env(usage);
+    while let Some(arg) = flags.next_arg() {
+        match arg.as_str() {
+            "--csv" => csv = true,
+            "--backend" => BackendKind::set_process_default(flags.label(&arg, BackendKind::parse)),
+            "--jobs" => jobs = flags.value(&arg),
+            id => {
+                let id = id.to_lowercase();
+                if !ALL_IDS.contains(&id.as_str()) {
+                    flags.unknown(&arg);
+                }
+                ids.push(id);
             }
         }
     }
-    let mut skip_next = false;
-    let requested: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--backend" || *a == "--jobs" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
-    let ids: Vec<String> = if requested.is_empty() {
-        ALL_IDS.iter().map(|id| id.to_string()).collect()
-    } else {
-        requested.iter().map(|id| id.to_lowercase()).collect()
-    };
-    for id in &ids {
-        if !ALL_IDS.contains(&id.as_str()) {
-            eprintln!("unknown experiment id {id:?}; known: {ALL_IDS:?}");
-            std::process::exit(2);
-        }
+    if ids.is_empty() {
+        ids = ALL_IDS.iter().map(|id| id.to_string()).collect();
     }
     // Experiments are independent deterministic runs: generate on the pool,
     // print in request order (the pool reassembles results in submission

@@ -1,70 +1,63 @@
 #![warn(missing_docs)]
-//! Benchmark support: canonical workloads shared by the Criterion benches
-//! and the `tables` binary.
+//! Command-line plumbing shared by the `chaos`, `service`, `sweep` and
+//! `tables` binaries: one flag iterator, so a missing value, an unparsable
+//! value, an unknown label and an unknown flag all end the same way — the
+//! binary's usage text on stderr and exit status 2.
 //!
-//! The experiment *tables* (T1–T5, F1–F4 from DESIGN.md) are regenerated by
-//! the `tables` binary (`cargo run -p opr-bench --bin tables`); the
-//! Criterion benches measure wall-clock scaling of the implementations and
-//! their substrates (experiment F5).
+//! Timings are not taken here: the repo's one measurement system is
+//! `benchmark/` (see `benchmark/README.md`).
 
-use opr_adversary::AdversarySpec;
-use opr_types::{OriginalId, SystemConfig};
-use opr_workload::{Algorithm, IdDistribution, RunStats};
+use std::str::FromStr;
 
-/// A canonical benchmark point: an implementation at a given `(N, t)`.
-#[derive(Clone, Copy, Debug)]
-pub struct BenchPoint {
-    /// The implementation under test.
-    pub algorithm: Algorithm,
-    /// System size.
-    pub n: usize,
-    /// Fault bound.
-    pub t: usize,
+/// The arguments of one invocation, consumed front to back.
+pub struct Flags {
+    args: std::vec::IntoIter<String>,
+    usage: fn() -> !,
 }
 
-impl BenchPoint {
-    /// Benchmark points covering every implementation at small and medium
-    /// sizes within their regimes.
-    pub fn standard() -> Vec<BenchPoint> {
-        let mut points = Vec::new();
-        for alg in Algorithm::ALL {
-            for t in [1usize, 2] {
-                let n = alg.minimal_n(t).max(8);
-                points.push(BenchPoint {
-                    algorithm: alg,
-                    n,
-                    t,
-                });
-            }
+impl Flags {
+    /// Wraps `args` (without the program name); `usage` prints the binary's
+    /// usage text and exits with status 2.
+    pub fn new(args: Vec<String>, usage: fn() -> !) -> Self {
+        Flags {
+            args: args.into_iter(),
+            usage,
         }
-        points
     }
 
-    /// A stable label for Criterion.
-    pub fn label(&self) -> String {
-        format!("{}/N{}t{}", self.algorithm.label(), self.n, self.t)
+    /// The process's own arguments.
+    pub fn from_env(usage: fn() -> !) -> Self {
+        Flags::new(std::env::args().skip(1).collect(), usage)
     }
 
-    /// Generates the point's id workload.
-    pub fn ids(&self, seed: u64) -> Vec<OriginalId> {
-        IdDistribution::SparseRandom.generate(self.n - self.t, seed)
+    /// The next argument — a flag or a positional — or `None` at the end.
+    pub fn next_arg(&mut self) -> Option<String> {
+        self.args.next()
     }
 
-    /// Executes one run and returns its stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run fails — benchmark configurations are all legal.
-    pub fn execute(&self, seed: u64) -> RunStats {
-        let cfg = SystemConfig::new(self.n, self.t).expect("legal bench config");
-        let adversary = if self.algorithm.byzantine_suite_applicable() {
-            AdversarySpec::IdForge
-        } else {
-            AdversarySpec::Silent
+    /// The value following `flag`, parsed as `T` (use `String` for paths).
+    pub fn value<T: FromStr>(&mut self, flag: &str) -> T {
+        self.label(flag, |v| v.parse().ok())
+    }
+
+    /// The value following `flag`, looked up by `parse` (a label table such
+    /// as `BackendKind::parse`); a label `parse` does not know is a usage
+    /// error, never a silent default.
+    pub fn label<T>(&mut self, flag: &str, parse: impl FnOnce(&str) -> Option<T>) -> T {
+        let Some(raw) = self.args.next() else {
+            eprintln!("{flag} needs a value");
+            (self.usage)()
         };
-        self.algorithm
-            .run(cfg, &self.ids(seed), self.t, adversary, seed)
-            .expect("bench run")
+        parse(&raw).unwrap_or_else(|| {
+            eprintln!("{flag}: bad value {raw:?}");
+            (self.usage)()
+        })
+    }
+
+    /// Rejects `arg`, which the binary does not know.
+    pub fn unknown(&self, arg: &str) -> ! {
+        eprintln!("unknown argument {arg:?}");
+        (self.usage)()
     }
 }
 
@@ -72,20 +65,22 @@ impl BenchPoint {
 mod tests {
     use super::*;
 
-    #[test]
-    fn standard_points_all_execute() {
-        for point in BenchPoint::standard() {
-            let stats = point.execute(1);
-            assert_eq!(stats.violations, 0, "{}", point.label());
-        }
+    fn no_usage() -> ! {
+        panic!("usage requested")
     }
 
     #[test]
-    fn labels_are_unique() {
-        let mut labels: Vec<String> = BenchPoint::standard().iter().map(|p| p.label()).collect();
-        labels.sort();
-        let before = labels.len();
-        labels.dedup();
-        assert_eq!(labels.len(), before);
+    fn values_and_labels_are_consumed_in_order() {
+        let raw = ["--seed", "7", "--out", "a b.json", "--mode", "fast", "t1"];
+        let mut flags = Flags::new(raw.map(String::from).to_vec(), no_usage);
+        assert_eq!(flags.next_arg().as_deref(), Some("--seed"));
+        assert_eq!(flags.value::<u64>("--seed"), 7);
+        assert_eq!(flags.next_arg().as_deref(), Some("--out"));
+        assert_eq!(flags.value::<String>("--out"), "a b.json");
+        assert_eq!(flags.next_arg().as_deref(), Some("--mode"));
+        let fast = flags.label("--mode", |l| (l == "fast").then_some(1u8));
+        assert_eq!(fast, 1);
+        assert_eq!(flags.next_arg().as_deref(), Some("t1"));
+        assert_eq!(flags.next_arg(), None);
     }
 }

@@ -42,28 +42,22 @@ pub enum BackendChoice {
     /// The sim reference cross-checked against the pooled backend, with the
     /// cross-backend oracle comparing them run by run.
     Both,
-    /// Size-dependent: the simulator below
-    /// [`BackendKind::AUTO_CUTOVER`] processes, the pooled backend at or
-    /// above it — decided per schedule by [`BackendChoice::backends_for`].
-    Auto,
 }
 
 impl BackendChoice {
     /// All choices.
-    pub const ALL: [BackendChoice; 4] = [
+    pub const ALL: [BackendChoice; 3] = [
         BackendChoice::Sim,
         BackendChoice::Pooled,
         BackendChoice::Both,
-        BackendChoice::Auto,
     ];
 
-    /// A short stable label (`"sim"`, `"pooled"`, `"both"`, `"auto"`).
+    /// A short stable label (`"sim"`, `"pooled"`, `"both"`).
     pub fn label(&self) -> &'static str {
         match self {
             BackendChoice::Sim => "sim",
             BackendChoice::Pooled => "pooled",
             BackendChoice::Both => "both",
-            BackendChoice::Auto => "auto",
         }
     }
 
@@ -75,19 +69,13 @@ impl BackendChoice {
             .find(|b| b.label() == label)
     }
 
-    /// The reference backend for a run of `n` processes and, for
-    /// [`BackendChoice::Both`], the backend cross-checked against it.
-    /// `Auto` is decided here by [`BackendKind::auto_for`], so no caller
-    /// can see it unresolved.
-    pub fn backends_for(self, n: usize) -> (BackendKind, Option<BackendKind>) {
+    /// The reference backend and, for [`BackendChoice::Both`], the backend
+    /// cross-checked against it.
+    pub fn backends(self) -> (BackendKind, Option<BackendKind>) {
         match self {
             BackendChoice::Sim => (BackendKind::Sim, None),
             BackendChoice::Pooled => (BackendKind::Pooled, None),
             BackendChoice::Both => (BackendKind::Sim, Some(BackendKind::Pooled)),
-            BackendChoice::Auto => (
-                BackendKind::auto_for(u32::try_from(n).unwrap_or(u32::MAX)),
-                None,
-            ),
         }
     }
 }
@@ -370,7 +358,7 @@ pub(crate) fn execute_with(
             }),
         }
     };
-    let (reference_backend, cross_check) = backend.backends_for(schedule.n);
+    let (reference_backend, cross_check) = backend.backends();
     let reference = contained(reference_backend)?;
     let cross_check = match cross_check {
         Some(kind) => Some((kind, contained(kind)?)),
@@ -389,7 +377,7 @@ pub fn judge_executed(
     run: &ExecutedRun,
     oracles: &[Box<dyn Oracle>],
 ) -> RunVerdict {
-    let (reference_backend, _) = backend.backends_for(schedule.n);
+    let (reference_backend, _) = backend.backends();
     let input = OracleInput {
         schedule,
         reference: &run.reference,
@@ -595,28 +583,23 @@ mod tests {
     use crate::oracle::standard_suite;
 
     #[test]
-    fn auto_choice_resolves_per_schedule_size() {
-        let cut = BackendKind::AUTO_CUTOVER as usize;
-        let auto = BackendChoice::Auto;
-        assert_eq!(auto.backends_for(cut - 1), (BackendKind::Sim, None));
-        assert_eq!(auto.backends_for(cut), (BackendKind::Pooled, None));
-        // Every non-auto choice is independent of the system size.
-        for choice in BackendChoice::ALL {
-            if choice != BackendChoice::Auto {
-                assert_eq!(choice.backends_for(cut), choice.backends_for(1));
-            }
-        }
+    fn choices_resolve_to_backends_and_labels_round_trip() {
+        assert_eq!(BackendChoice::Sim.backends(), (BackendKind::Sim, None));
         assert_eq!(
-            BackendChoice::Both.backends_for(7),
+            BackendChoice::Pooled.backends(),
+            (BackendKind::Pooled, None)
+        );
+        assert_eq!(
+            BackendChoice::Both.backends(),
             (BackendKind::Sim, Some(BackendKind::Pooled))
         );
-        // Labels round-trip, `auto` included; the retired thread-per-process
-        // labels are rejected, not aliased.
         for choice in BackendChoice::ALL {
             assert_eq!(BackendChoice::parse(choice.label()), Some(choice));
         }
-        assert_eq!(BackendChoice::parse("threaded"), None);
-        assert_eq!(BackendChoice::parse("all"), None);
+        // Retired labels are rejected, not aliased.
+        for label in ["threaded", "all", "auto"] {
+            assert_eq!(BackendChoice::parse(label), None, "{label}");
+        }
     }
 
     #[test]

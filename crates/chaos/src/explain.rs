@@ -31,7 +31,7 @@ pub struct Explained {
 /// corrupt repro file) — the same conditions as
 /// [`crate::schedule::ChaosSchedule::run_on`].
 pub fn explain_repro(repro: &Repro) -> Result<Explained, RenamingError> {
-    let (reference, _) = repro.backend.backends_for(repro.schedule.n);
+    let (reference, _) = repro.backend.backends();
     let run = repro.schedule.run_observed(reference, None)?;
     let text = render_waterfall(repro, &run);
     Ok(Explained { run, text })
@@ -59,7 +59,7 @@ pub fn render_waterfall(repro: &Repro, run: &DiagnosedRun) -> String {
             metrics.max_message_bits()
         );
     }
-    let reference = repro.backend.backends_for(repro.schedule.n).0;
+    let reference = repro.backend.backends().0;
     let _ = writeln!(
         out,
         "replayed: {} rounds on {reference:?}; {}+{} msgs correct+faulty, {} bits correct, max msg {} bits",

@@ -469,10 +469,10 @@ mod tests {
             let err = Repro::from_json(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
-        // An otherwise valid file carrying a label of the retired
-        // thread-per-process backend is a typed error, not a panic or alias.
+        // An otherwise valid file carrying a retired backend label is a typed
+        // error, not a panic or alias.
         let text = sample_repro(23).to_json();
-        for label in ["threaded", "all"] {
+        for label in ["threaded", "all", "auto"] {
             let stale = text.replace(r#""backend": "both""#, &format!(r#""backend": "{label}""#));
             assert_ne!(stale, text);
             let err = Repro::from_json(&stale).unwrap_err();

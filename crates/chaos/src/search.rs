@@ -220,7 +220,7 @@ fn evaluate_batch(
                         }
                     }
                     let failure = verdict.is_failure(config.budget);
-                    let (reference_backend, _) = backend.backends_for(schedule.n);
+                    let (reference_backend, _) = backend.backends();
                     let fitness =
                         evaluate(config.fitness, &schedule, &run.reference, reference_backend);
                     ScoredSchedule {
@@ -437,15 +437,10 @@ pub fn repro_for(config: &SearchConfig, rank: usize, scored: &ScoredSchedule) ->
     }
 }
 
-/// Renders a search report as JSON (the `BENCH_search.json` payload and
-/// the CI artifact). With `include_timing: false` the document is a pure
-/// function of the outcome — bit-identical across worker counts and
-/// backends; timing fields are for bench files only.
-pub fn render_search_json(
-    report: &SearchReport,
-    random: Option<&SearchReport>,
-    include_timing: bool,
-) -> String {
+/// Renders a search report as JSON (the CI artifact). The document is a
+/// pure function of the outcome — bit-identical across worker counts and
+/// backends; wall-clock fields stay out of it.
+pub fn render_search_json(report: &SearchReport, random: Option<&SearchReport>) -> String {
     let config = &report.config;
     let outcome = &report.outcome;
     let mut fields: Vec<(String, Json)> = vec![
@@ -510,16 +505,6 @@ pub fn render_search_json(
             ]),
         ));
     }
-    if include_timing {
-        fields.push((
-            "elapsed_ms".into(),
-            Json::UInt(report.elapsed.as_millis() as u64),
-        ));
-        fields.push((
-            "evals_per_sec".into(),
-            Json::UInt(report.evals_per_sec() as u64),
-        ));
-    }
     Json::Obj(fields).render()
 }
 
@@ -577,10 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_deterministic_without_timing() {
+    fn report_json_is_deterministic() {
         let config = tiny(2);
-        let a = render_search_json(&run_search(&config), None, false);
-        let b = render_search_json(&run_search(&config), None, false);
+        let a = render_search_json(&run_search(&config), None);
+        let b = render_search_json(&run_search(&config), None);
         assert_eq!(a, b);
         assert!(a.contains("\"adversary-search\""));
     }

@@ -5,7 +5,7 @@
 //! allocation, no false sharing (shards are cache-line padded). Shards merge
 //! lazily at [`MetricsRegistry::snapshot`] time. When no registry is attached
 //! anywhere (the `Option<MetricsRegistry>` is `None`), instrumented code pays
-//! literally nothing — the bench suite gates this with alloc bracketing.
+//! literally nothing — `tests/alloc_gates.rs` gates this with alloc bracketing.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};

@@ -5,7 +5,7 @@
 //! for telemetry, and every emission site goes through [`record_if`], whose
 //! event-constructing closure is *never invoked* when no recorder is
 //! attached. Disabled runs therefore pay one branch per decision point and
-//! zero allocations — the fanout bench's counting allocator pins this.
+//! zero allocations — `tests/alloc_gates.rs` pins this with a counting allocator.
 
 use std::sync::{Arc, Mutex};
 

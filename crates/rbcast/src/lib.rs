@@ -23,7 +23,6 @@
 //! as a standalone [`Actor`](opr_sim::Actor) for tests and demos.
 
 pub mod flood;
-pub mod reference;
 pub mod slots;
 
 pub use flood::{

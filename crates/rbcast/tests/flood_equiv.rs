@@ -3,11 +3,13 @@
 //! on identical, adversarially-shaped inputs — same `FloodResult`, same
 //! observer decision sequence, same outgoing payloads, same wire accounting.
 
-use opr_rbcast::reference::SetFlood;
+mod set_flood;
+
 use opr_rbcast::{EchoReadyFlood, FloodMsg, FloodObserver, IdInterner, IdSlotSet};
 use opr_sim::{WireSize, COUNT_BITS, ID_BITS, TAG_BITS};
 use opr_types::LinkId;
 use proptest::prelude::*;
+use set_flood::SetFlood;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Val(u32);

@@ -5,15 +5,11 @@
 //! accumulation, exactly as the repository shipped it before the slot-bitset
 //! core. It consumes the same [`FloodMsg`] payloads (decoding each bitset
 //! back to values, as any non-interning receiver would) and drives the same
-//! [`FloodObserver`] callbacks, so property tests can hold the word-parallel
-//! [`EchoReadyFlood`](crate::EchoReadyFlood) to the old semantics decision
-//! by decision, and the `flood` benchmark can price the representations
-//! against each other on identical inputs.
-//!
-//! Not wired into any protocol: this module exists only for tests and
-//! benchmarks.
+//! [`FloodObserver`] callbacks, so the properties in `flood_equiv.rs` can
+//! hold the word-parallel [`EchoReadyFlood`](opr_rbcast::EchoReadyFlood) to
+//! the old semantics decision by decision.
 
-use crate::flood::{FloodMsg, FloodObserver, FloodResult, NoopFloodObserver};
+use opr_rbcast::{FloodMsg, FloodObserver, FloodResult};
 use opr_types::LinkId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
@@ -33,7 +29,7 @@ pub struct SetFlood<V> {
 
 impl<V: Ord + Clone + Debug> SetFlood<V> {
     /// Creates a flood participant announcing `initial`; see
-    /// [`EchoReadyFlood::new`](crate::EchoReadyFlood::new).
+    /// [`EchoReadyFlood::new`](opr_rbcast::EchoReadyFlood::new).
     pub fn new(n: usize, t: usize, initial: Option<V>) -> Self {
         SetFlood {
             n,
@@ -167,15 +163,6 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
             }
             _ => panic!("flood has exactly 4 steps, got step {step}"),
         }
-    }
-
-    /// [`deliver_observed`](SetFlood::deliver_observed) without observation.
-    pub fn deliver<'a, I>(&mut self, step: u32, inbox: I)
-    where
-        V: 'a,
-        I: IntoIterator<Item = (LinkId, &'a FloodMsg<V>)>,
-    {
-        self.deliver_observed(step, inbox, &mut NoopFloodObserver);
     }
 
     fn accumulate_ready<'a, I>(&mut self, inbox: I)

@@ -208,15 +208,6 @@ impl ServiceSpec {
 }
 
 impl ServiceReport {
-    /// Names granted per wall-clock second given an elapsed duration —
-    /// the bench binary's headline metric.
-    pub fn names_per_sec(&self, elapsed_secs: f64) -> f64 {
-        if elapsed_secs <= 0.0 {
-            return 0.0;
-        }
-        self.grants as f64 / elapsed_secs
-    }
-
     /// Folds the report into the deterministic metrics plane: a pure
     /// function of the (deterministic) report, so it is bit-identical
     /// across backends and `jobs` counts and safe to pin in goldens.

@@ -244,12 +244,17 @@ mod tests {
             let err = ServiceRepro::from_json(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
-        // An otherwise valid file naming the retired thread-per-process
-        // backend is a typed error, not a panic or a silent alias.
+        // An otherwise valid file naming a retired backend label is a typed
+        // error, not a panic or a silent alias.
         let text = sample().to_json();
         assert!(text.contains(r#""backend": "pooled""#), "{text}");
-        let stale = text.replace(r#""backend": "pooled""#, r#""backend": "threaded""#);
-        let err = ServiceRepro::from_json(&stale).unwrap_err();
-        assert!(err.to_string().contains("unknown backend label"), "{err}");
+        for label in ["threaded", "auto"] {
+            let stale = text.replace(
+                r#""backend": "pooled""#,
+                &format!(r#""backend": "{label}""#),
+            );
+            let err = ServiceRepro::from_json(&stale).unwrap_err();
+            assert!(err.to_string().contains("unknown backend label"), "{err}");
+        }
     }
 }

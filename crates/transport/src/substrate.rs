@@ -167,16 +167,13 @@ pub enum BackendKind {
     /// Single-threaded deterministic simulator (the reference).
     Sim,
     /// Fixed worker pool executing round-steps as tasks over a flat inbox
-    /// slab — the scalable engine for large N.
+    /// slab — the real-threads equivalence witness and the large-N soak
+    /// engine, not a speed path (DESIGN.md §2).
     Pooled,
 }
 
 /// The process-wide default backend; see [`BackendKind::set_process_default`].
 static PROCESS_DEFAULT: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Whether the process default is in *auto* mode; see
-/// [`BackendKind::set_process_auto`].
-static PROCESS_AUTO: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 impl Default for BackendKind {
     /// The process default: [`BackendKind::Sim`] unless a binary overrode it
@@ -189,27 +186,6 @@ impl Default for BackendKind {
 impl BackendKind {
     /// Every backend, reference first.
     pub const ALL: [BackendKind; 2] = [BackendKind::Sim, BackendKind::Pooled];
-
-    /// System sizes strictly below this run on the single-threaded simulator
-    /// (task dispatch + slab setup dominate the worker pool at small N); at
-    /// and above it [`BackendKind::auto_for`] picks the pool so its parallel
-    /// round-steps can use more than one core. The value is a heuristic: the
-    /// committed `BENCH_pool.json` rows come from a 1-cpu host, where the
-    /// two engines are level at N = 1024, so it is unverified on a
-    /// multi-core host.
-    pub const AUTO_CUTOVER: u32 = 256;
-
-    /// Picks the backend for a run of `n` processes: [`BackendKind::Sim`]
-    /// below [`BackendKind::AUTO_CUTOVER`], [`BackendKind::Pooled`] at or
-    /// above it. Backends are observationally equivalent, so this is purely
-    /// a wall-clock heuristic.
-    pub fn auto_for(n: u32) -> BackendKind {
-        if n < BackendKind::AUTO_CUTOVER {
-            BackendKind::Sim
-        } else {
-            BackendKind::Pooled
-        }
-    }
 
     /// The stable atomic discriminant used by the process-default cell. The
     /// exhaustive match is the point: adding a variant without assigning it
@@ -238,26 +214,6 @@ impl BackendKind {
     /// execute, never what they produce.
     pub fn set_process_default(kind: BackendKind) {
         PROCESS_DEFAULT.store(kind.tag(), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Puts the process default in *auto* mode (`--backend auto`): entry
-    /// points that know their system size and consult
-    /// [`BackendKind::default_for`] get [`BackendKind::auto_for`]'s pick
-    /// instead of the fixed process default.
-    pub fn set_process_auto(on: bool) {
-        PROCESS_AUTO.store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// The process-default backend for a run of `n` processes:
-    /// [`BackendKind::auto_for`] when auto mode is on
-    /// ([`BackendKind::set_process_auto`]), the fixed
-    /// [`BackendKind::default`] otherwise.
-    pub fn default_for(n: usize) -> BackendKind {
-        if PROCESS_AUTO.load(std::sync::atomic::Ordering::Relaxed) {
-            BackendKind::auto_for(u32::try_from(n).unwrap_or(u32::MAX))
-        } else {
-            BackendKind::default()
-        }
     }
 
     /// Stable label (accepted by [`BackendKind::parse`]).
@@ -302,8 +258,9 @@ mod tests {
             assert_eq!(BackendKind::parse(kind.label()), Some(kind));
         }
         assert_eq!(BackendKind::parse("fpga"), None);
-        // The retired thread-per-process label is rejected, not aliased.
+        // Retired labels are rejected, not aliased.
         assert_eq!(BackendKind::parse("threaded"), None);
+        assert_eq!(BackendKind::parse("auto"), None);
     }
 
     #[test]
@@ -314,23 +271,6 @@ mod tests {
             assert_eq!(BackendKind::from_tag(kind.tag()), kind);
         }
         assert_eq!(BackendKind::from_tag(200), BackendKind::Sim);
-    }
-
-    /// Pins the auto-selection cutover: changing `AUTO_CUTOVER` (or the
-    /// mapping around it) should be a deliberate, test-visible decision.
-    #[test]
-    fn auto_cutover_picks_sim_small_pooled_large() {
-        assert_eq!(BackendKind::auto_for(0), BackendKind::Sim);
-        assert_eq!(BackendKind::auto_for(64), BackendKind::Sim);
-        assert_eq!(
-            BackendKind::auto_for(BackendKind::AUTO_CUTOVER - 1),
-            BackendKind::Sim
-        );
-        assert_eq!(
-            BackendKind::auto_for(BackendKind::AUTO_CUTOVER),
-            BackendKind::Pooled
-        );
-        assert_eq!(BackendKind::auto_for(1024), BackendKind::Pooled);
     }
 
     /// One test covers both the initial default and the override round-trip:

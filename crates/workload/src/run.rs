@@ -132,7 +132,7 @@ impl Algorithm {
         seed: u64,
     ) -> Result<RunStats, RenamingError> {
         self.run_on(
-            BackendKind::default_for(cfg.n()),
+            BackendKind::default(),
             cfg,
             correct_ids,
             faulty,
@@ -689,7 +689,7 @@ impl RenamingRun {
             faulty: 0,
             seed: 0,
             extra_voting_steps: 0,
-            backend: BackendKind::default_for(cfg.n()),
+            backend: BackendKind::default(),
             faults: FaultPlan::default(),
             allow_fault_overrun: false,
             payload_cap: None,

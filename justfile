@@ -1,7 +1,7 @@
 # Development commands. `just ci` is the full gate; individual recipes below.
 
 # Everything CI runs, in order.
-ci: fmt-check lint build test
+ci: fmt-check lint build test bench-quick
 
 # Formatting gate.
 fmt-check:
@@ -41,27 +41,6 @@ chaos:
 chaos-soak SEED="1" RUNS="20000" JOBS="4":
     cargo run --release -p opr-bench --bin chaos -- --seed {{SEED}} --runs {{RUNS}} --budget mixed --backend both --jobs {{JOBS}}
 
-# Serial-vs-parallel executor throughput (writes crates/bench/BENCH_exec.json).
-bench-exec:
-    cargo run --release -p opr-bench --bin chaos -- --bench-exec crates/bench/BENCH_exec.json --seed 42 --runs 200 --budget mixed --backend both
-
-# Broadcast fan-out allocation profile: sealed-shared vs per-link-cloned
-# payloads (writes crates/bench/BENCH_fanout.json).
-bench-fanout:
-    cargo run --release -p opr-bench --bin fanout -- --out crates/bench/BENCH_fanout.json
-
-# Round-engine comparison: PooledBackend (workers 1/4/8) vs sim at
-# N in {128, 512, 1024} (writes crates/bench/BENCH_pool.json).
-bench-pool:
-    cargo run --release -p opr-bench --bin pool -- --out crates/bench/BENCH_pool.json
-
-# Flood-core comparison: interned slot-bitset Echo/Ready accumulation vs the
-# seed BTree set path on identical inputs at N in {128, 512, 1024} (writes
-# crates/bench/BENCH_flood.json, ns/round + allocs/round). `--check` gates
-# on the bitset core being >=4x the seed path at N=1024.
-bench-flood:
-    cargo run --release -p opr-bench --bin flood -- --out crates/bench/BENCH_flood.json --check
-
 # Large-N soak: full Alg1 at N=1024, t=300 on the pooled backend under a
 # wall-clock ceiling, bit-identical to the simulator, plus the N=512
 # sim-vs-pooled cross-check over adversaries and worker counts.
@@ -72,11 +51,6 @@ pool-soak:
 # process's decision waterfall (`just explain my-repro.json --events e.jsonl`).
 explain FILE="tests/data/chaos-repro.json" *ARGS:
     cargo run --release -p opr-bench --bin chaos -- explain {{FILE}} {{ARGS}}
-
-# Recorder overhead profile: the `obs` group of BENCH_fanout.json (full
-# Alg1 runs, recorder off vs on, with the zero-cost-when-off assertion).
-bench-obs:
-    cargo run --release -p opr-bench --bin fanout -- --out crates/bench/BENCH_fanout.json
 
 # Renaming-as-a-service demo: a short multi-shard epoch run with recycling,
 # judged by the ledger oracle suite.
@@ -104,31 +78,26 @@ search SEED="42" FITNESS="margin" EVALS="96" JOBS="4":
 search-service SEED="42" EVALS="48":
     cargo run --release -p opr-bench --bin chaos -- --search --service --seed {{SEED}} --evals {{EVALS}}
 
-# Search throughput + trajectory report (writes crates/bench/BENCH_search.json).
-bench-search:
-    cargo run --release -p opr-bench --bin chaos -- --search --seed 42 --budget at --backend both --jobs 4 --evals 96 --generations 6 --beam 4 --init 24 --top-k 3 --out-dir target --search-report crates/bench/BENCH_search.json --baseline --timing
-
-# Service throughput matrix: names-assigned/sec over shards x jobs x backend
-# (writes crates/bench/BENCH_service.json).
-bench-service:
-    cargo run --release -p opr-bench --bin service -- --bench crates/bench/BENCH_service.json
-
 # Metrics demo: a short instrumented service run writing a Prometheus
 # exposition (wall plane overlaid on the deterministic fold) and printing
 # the ANSI dashboard.
 metrics OUT="metrics.prom":
     cargo run --release -p opr-bench --bin service -- --epochs 20 --metrics {{OUT}} --watch
 
-# Metrics overhead gate: hot-path writes must be allocation-free and the
-# registry-off path alloc-identical; writes crates/bench/BENCH_metrics.json
-# (per-op ns + snapshot cost at N in {64, 256, 1024} metrics).
-bench-metrics:
-    cargo run --release -p opr-bench --bin metrics -- --out crates/bench/BENCH_metrics.json
-
 # Regenerate every experiment table (add `--backend pooled` to switch substrate).
 tables *ARGS:
     cargo run --release -p opr-bench --bin tables -- {{ARGS}}
 
-# Wall-clock benchmarks (writes BENCH_<target>.json per bench target).
-bench:
-    cargo bench
+# The repo benchmark in its checking form (< 20 s after build): correctness,
+# workload digests and the metric-name set. Never valid for numbers.
+bench-quick:
+    benchmark/run.sh --quick
+
+# The full benchmark: every workload, timed + traced pass, 5 sets
+# (writes benchmark/out/result.json).
+bench-full:
+    benchmark/run.sh --sets 5
+
+# Compare a result against the committed baseline (or any two result files).
+bench-compare BASE="benchmark/baseline.json" NEW="benchmark/out/result.json":
+    benchmark/run.sh --compare {{BASE}} {{NEW}}

@@ -1,0 +1,138 @@
+//! Allocation gates: the "free when off" and "allocation-free hot path"
+//! claims of the observability layers, as exact allocation counts.
+//!
+//! This is the one counting `#[global_allocator]` of the root workspace.
+//! It counts per thread, so libtest's own threads and the other tests of
+//! this binary cannot perturb the equalities below. Timings of the same
+//! layers are `benchmark/`'s job (`obs.recorder.overhead_ratio`,
+//! `metrics.registry.overhead_ratio`, `alloc.bytes_per_name`).
+
+use opr::obs::SpanLog;
+use opr::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::time::Instant;
+
+struct CountingAlloc;
+
+thread_local! {
+    // `const`-initialised and without a destructor: reading it from inside
+    // the allocator neither allocates nor registers a TLS dtor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the arguments it was
+// given; the counter never touches the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations (reallocations included) the calling thread makes in `f`.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// One full Algorithm 1 run (`N = 16`, `t = 3`, echo-split adversary) with
+/// the protocol recorder off or on: `(allocations, events recorded)`.
+fn diagnosed_run(record: bool) -> (u64, usize) {
+    let cfg = SystemConfig::new(16, 3).expect("legal config");
+    let ids = IdDistribution::SparseRandom.generate(13, 7);
+    let mut run = RenamingRun::builder(cfg, Regime::LogTime)
+        .correct_ids(ids)
+        .adversary(AdversarySpec::EchoSplit, 3)
+        .seed(9);
+    if record {
+        run = run.record_events();
+    }
+    let (allocs, out) = allocs_in(|| run.run_diagnosed().expect("run starts"));
+    assert_eq!(record, out.events.is_some(), "recording follows the knob");
+    (allocs, out.events.map_or(0, |log| log.len()))
+}
+
+#[test]
+fn recorder_off_runs_allocate_identically_around_a_recorded_run() {
+    // The warm-up absorbs one-time lazies; the two recorder-off runs then
+    // bracket the recorded one, so a disabled recorder that leaked any cost
+    // across runs (lazy caches, amortised growth) would break the equality.
+    diagnosed_run(false);
+    let (off_before, _) = diagnosed_run(false);
+    let (on, events) = diagnosed_run(true);
+    let (off_after, _) = diagnosed_run(false);
+    assert_eq!(off_before, off_after);
+    assert!(events > 0, "a recorded run emits events");
+    assert!(on >= off_before, "recording allocated {on} < {off_before}");
+}
+
+#[test]
+fn span_recording_into_a_presized_log_does_not_allocate() {
+    const SPANS: usize = 4096;
+    let mut log = SpanLog::with_capacity(SPANS);
+    let start = Instant::now();
+    let (allocs, ()) = allocs_in(|| {
+        for i in 0..SPANS {
+            log.record_indexed("gate span", i as u64, start);
+        }
+    });
+    assert_eq!(allocs, 0);
+    assert_eq!(log.spans().len(), SPANS);
+}
+
+#[test]
+fn metric_writes_through_existing_handles_do_not_allocate() {
+    let registry = MetricsRegistry::new();
+    for k in 0..128u64 {
+        registry.counter(&format!("gate_counter_{k}_total")).add(k);
+        registry
+            .histogram(&format!("gate_hist_{k}_ns"))
+            .record(1 << (k % 20));
+    }
+    let counter = registry.counter("gate_counter_0_total");
+    let hist = registry.histogram("gate_hist_0_ns");
+    let (allocs, ()) = allocs_in(|| {
+        for i in 0..100_000u64 {
+            counter.add(i & 1);
+            hist.record(i);
+        }
+    });
+    assert_eq!(allocs, 0);
+}
+
+#[test]
+fn registry_off_runs_allocate_identically() {
+    let run = || {
+        let ids: Vec<OriginalId> = (1..=5).map(|i| OriginalId::new(i * 10)).collect();
+        let cfg = SystemConfig::new(7, 2).expect("legal config");
+        allocs_in(|| {
+            RenamingRun::builder(cfg, Regime::LogTime)
+                .correct_ids(ids)
+                .adversary(AdversarySpec::Silent, 2)
+                .seed(0xbeef)
+                .run()
+                .expect("seed run is clean")
+        })
+        .0
+    };
+    run(); // warm-up, as above
+    assert_eq!(run(), run());
+}

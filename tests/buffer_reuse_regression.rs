@@ -120,7 +120,7 @@ fn replayed_repro_keeps_its_recorded_digest() {
 #[test]
 fn tracing_does_not_perturb_the_replay() {
     let repro = Repro::from_json(REPRO).expect("stored repro must parse");
-    let (reference, _) = repro.backend.backends_for(repro.schedule.n);
+    let (reference, _) = repro.backend.backends();
     let traced = repro
         .schedule
         .run_traced(reference, TRACE_CAPACITY)
