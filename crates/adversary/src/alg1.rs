@@ -567,7 +567,7 @@ mod tests {
         raw_ids: &[u64],
         f: usize,
         build: F,
-    ) -> opr_core::RunResult<opr_core::Alg1Probe>
+    ) -> opr_core::ObservedRun<opr_core::Alg1Probe>
     where
         F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = Alg1Msg, Output = NewName>>>,
     {
@@ -579,7 +579,6 @@ mod tests {
             build,
             Alg1Options {
                 seed: 42,
-                allow_regime_violation: false,
                 ..Alg1Options::default()
             },
         )

@@ -100,6 +100,14 @@ impl AdversarySpec {
         }
     }
 
+    /// Parses an [`AdversarySpec::label`].
+    pub fn parse(label: &str) -> Option<AdversarySpec> {
+        AdversarySpec::ALG1
+            .into_iter()
+            .chain(AdversarySpec::TWO_STEP)
+            .find(|spec| spec.label() == label)
+    }
+
     /// Builds an Algorithm 1 actor for this strategy (`None` ⇒ silent).
     pub fn build_alg1(
         &self,
@@ -244,7 +252,7 @@ impl fmt::Display for AdversarySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opr_core::runner::{run_alg1, run_two_step, Alg1Options};
+    use opr_core::runner::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
     use opr_types::SystemConfig;
 
     fn ids(raw: &[u64]) -> Vec<OriginalId> {
@@ -265,7 +273,6 @@ mod tests {
                     |env| spec.build_alg1(env),
                     Alg1Options {
                         seed,
-                        allow_regime_violation: false,
                         ..Alg1Options::default()
                     },
                 )
@@ -282,8 +289,17 @@ mod tests {
         let correct = ids(&[3, 9, 27, 81, 243, 300, 301, 302, 500]);
         for spec in AdversarySpec::TWO_STEP {
             for seed in 0..3 {
-                let result =
-                    run_two_step(cfg, &correct, 2, |env| spec.build_two_step(env), seed).unwrap();
+                let result = run_two_step(
+                    cfg,
+                    &correct,
+                    2,
+                    |env| spec.build_two_step(env),
+                    TwoStepOptions {
+                        seed,
+                        ..TwoStepOptions::default()
+                    },
+                )
+                .unwrap();
                 let violations = result.outcome.verify(121);
                 assert!(violations.is_empty(), "{spec} seed {seed}: {violations:?}");
             }

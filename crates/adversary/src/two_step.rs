@@ -257,7 +257,7 @@ impl Actor for HalfEcho {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opr_core::runner::run_two_step;
+    use opr_core::runner::{run_two_step, TwoStepOptions};
     use opr_types::SystemConfig;
 
     fn ids(raw: &[u64]) -> Vec<OriginalId> {
@@ -278,7 +278,10 @@ mod tests {
                 &ids(&raw),
                 2,
                 |env| Some(Box::new(FakeFlooder::new(env))),
-                seed,
+                TwoStepOptions {
+                    seed,
+                    ..TwoStepOptions::default()
+                },
             )
             .unwrap();
             let violations = result.outcome.verify(121);
@@ -299,7 +302,10 @@ mod tests {
                 &ids(&raw),
                 2,
                 |env| Some(Box::new(EchoWithholder::new(env))),
-                seed,
+                TwoStepOptions {
+                    seed,
+                    ..TwoStepOptions::default()
+                },
             )
             .unwrap();
             assert!(result.outcome.verify(121).is_empty(), "seed {seed}");
@@ -325,7 +331,10 @@ mod tests {
                 &ids(&raw),
                 2,
                 |env| Some(Box::new(EchoWithholder::new(env))),
-                seed,
+                TwoStepOptions {
+                    seed,
+                    ..TwoStepOptions::default()
+                },
             )
             .unwrap();
             max_delta = max_delta.max(result.probe.max_discrepancy(&correct_set(&raw)));
@@ -347,7 +356,10 @@ mod tests {
                 &ids(&raw),
                 2,
                 |env| Some(Box::new(HalfEcho::new(env))),
-                seed,
+                TwoStepOptions {
+                    seed,
+                    ..TwoStepOptions::default()
+                },
             )
             .unwrap();
             assert!(result.outcome.verify(121).is_empty(), "seed {seed}");
@@ -365,7 +377,10 @@ mod tests {
             &ids(&[6, 12, 25]),
             1,
             |env| Some(Box::new(FakeFlooder::new(env))),
-            9,
+            TwoStepOptions {
+                seed: 9,
+                ..TwoStepOptions::default()
+            },
         )
         .unwrap();
         assert!(result.outcome.verify(16).is_empty());

@@ -283,7 +283,7 @@ fn write_campaign_events(args: &Args, path: &str) {
     let budget = args.budget.unwrap_or(BudgetRegime::ALL[0]);
     let schedule = generate_schedule(per_run_seed(args.seed, 0), budget);
     let (reference, _) = args.backend.backends();
-    match schedule.run_observed(reference, None) {
+    match schedule.run_observed(reference) {
         Ok(run) => match run.events {
             Some(log) => match std::fs::write(path, render_jsonl(&log)) {
                 Ok(()) => eprintln!("chaos: wrote {path} ({} events)", log.len()),
@@ -391,7 +391,7 @@ fn replay(path: &str, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
     // reproduce it exactly (the regression contract of worst-*.json seeds).
     if let Some(record) = &repro.fitness {
         let (reference, _) = repro.backend.backends();
-        match repro.schedule.run_observed(reference, None) {
+        match repro.schedule.run_observed(reference) {
             Ok(run) => {
                 let got = evaluate(record.kind, &repro.schedule, &run, reference).0;
                 if got != record.score {

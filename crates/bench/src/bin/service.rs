@@ -307,7 +307,11 @@ fn perfetto(args: &Args, path: &str) -> i32 {
         2,
     );
     let spans = shared_span_log();
-    let report = match spec.run_with_spans(Some(spans.clone())) {
+    let obs = ServiceObs {
+        spans: Some(spans.clone()),
+        ..ServiceObs::default()
+    };
+    let report = match spec.run_observed(&obs) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("service: perfetto run failed: {e}");
@@ -353,7 +357,7 @@ fn replay(path: &str) -> i32 {
         s.shards,
         s.epoch_cfg.n(),
         s.epoch_cfg.t(),
-        opr_chaos::repro::regime_label(s.regime),
+        s.regime.label(),
         s.byzantine,
         s.adversary.label(),
         s.backend.label(),

@@ -29,18 +29,6 @@ fn parse_range(s: &str) -> Option<(usize, usize)> {
     }
 }
 
-fn algorithm_by_label(label: &str) -> Option<Algorithm> {
-    Algorithm::ALL.into_iter().find(|a| a.label() == label)
-}
-
-fn adversary_by_label(label: &str) -> Option<AdversarySpec> {
-    AdversarySpec::ALG1
-        .iter()
-        .chain(AdversarySpec::TWO_STEP.iter())
-        .copied()
-        .find(|s| s.label() == label)
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: sweep --alg <label> [--t A..B] [--seeds K] [--adversary <label>] [--n-extra E] [--backend sim|pooled] [--jobs N]\n\
@@ -68,10 +56,10 @@ fn main() {
     let mut flags = Flags::from_env(usage);
     while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--alg" => alg = Some(flags.label(&flag, algorithm_by_label)),
+            "--alg" => alg = Some(flags.label(&flag, Algorithm::parse)),
             "--t" => t_range = flags.label(&flag, parse_range),
             "--seeds" => seeds = flags.value(&flag),
-            "--adversary" => adversary = Some(flags.label(&flag, adversary_by_label)),
+            "--adversary" => adversary = Some(flags.label(&flag, AdversarySpec::parse)),
             "--n-extra" => n_extra = flags.value(&flag),
             "--backend" => backend = flags.label(&flag, BackendKind::parse),
             "--jobs" => jobs = flags.value(&flag),

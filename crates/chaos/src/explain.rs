@@ -32,7 +32,7 @@ pub struct Explained {
 /// [`crate::schedule::ChaosSchedule::run_on`].
 pub fn explain_repro(repro: &Repro) -> Result<Explained, RenamingError> {
     let (reference, _) = repro.backend.backends();
-    let run = repro.schedule.run_observed(reference, None)?;
+    let run = repro.schedule.run_observed(reference)?;
     let text = render_waterfall(repro, &run);
     Ok(Explained { run, text })
 }

@@ -202,8 +202,8 @@ mod tests {
     #[test]
     fn every_signal_is_backend_invariant() {
         let schedule = generate_schedule(7, BudgetRegime::AtBudget);
-        let sim = schedule.run_observed(BackendKind::Sim, None).unwrap();
-        let pooled = schedule.run_observed(BackendKind::Pooled, None).unwrap();
+        let sim = schedule.run_observed(BackendKind::Sim).unwrap();
+        let pooled = schedule.run_observed(BackendKind::Pooled).unwrap();
         for kind in FitnessKind::ALL {
             assert_eq!(
                 evaluate(kind, &schedule, &sim, BackendKind::Sim),
@@ -229,8 +229,8 @@ mod tests {
         let mut calm = attacked.clone();
         calm.byzantine = 0;
         calm.events.clear();
-        let run_a = attacked.run_observed(BackendKind::Sim, None).unwrap();
-        let run_c = calm.run_observed(BackendKind::Sim, None).unwrap();
+        let run_a = attacked.run_observed(BackendKind::Sim).unwrap();
+        let run_c = calm.run_observed(BackendKind::Sim).unwrap();
         let fit_a = evaluate(FitnessKind::Margin, &attacked, &run_a, BackendKind::Sim);
         let fit_c = evaluate(FitnessKind::Margin, &calm, &run_c, BackendKind::Sim);
         assert!(

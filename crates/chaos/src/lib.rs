@@ -33,7 +33,7 @@
 //! 5. [`shrink`] minimizes a failing schedule: delta debugging over the
 //!    fault events, then Byzantine-count reduction, then onset weakening.
 //! 6. [`repro`] round-trips the result through a `chaos-repro.json` file
-//!    (hand-rolled [`json`], no external dependencies) so the failure can
+//!    (hand-rolled [`opr_obs::json`], no external dependencies) so the failure can
 //!    be replayed deterministically from the file alone.
 //! 7. [`explain`] replays a repro with the protocol event recorder attached
 //!    ([`opr_obs`]) and renders every correct process's decision waterfall
@@ -50,7 +50,6 @@ pub mod explain;
 pub mod fitness;
 pub mod generator;
 pub mod genome;
-pub mod json;
 pub mod oracle;
 pub mod repro;
 pub mod schedule;

@@ -464,7 +464,7 @@ mod tests {
         let mut saw_quorum_edge = false;
         for seed in 0..8u64 {
             let schedule = generate_schedule(seed, BudgetRegime::InBudget);
-            let run = schedule.run_observed(BackendKind::Sim, None).unwrap();
+            let run = schedule.run_observed(BackendKind::Sim).unwrap();
             let margins = suite_margins(&schedule, &run, BackendKind::Sim);
             let lookup = |name: &str| margins.iter().find(|(n, _)| *n == name).map(|&(_, m)| m);
             // A clean in-budget run sits inside every numeric bound.

@@ -7,10 +7,10 @@
 
 use crate::engine::{judge_schedule, BackendChoice, RunVerdict};
 use crate::fitness::{FitnessKind, FitnessRecord};
-use crate::json::Json;
 use crate::oracle::Oracle;
 use crate::schedule::{BudgetRegime, ChaosSchedule};
 use opr_adversary::AdversarySpec;
+use opr_obs::json::Json;
 use opr_sim::{RoundMetrics, RunMetrics};
 use opr_transport::FaultEvent;
 use opr_types::Regime;
@@ -162,43 +162,11 @@ fn field_usize(doc: &Json, key: &str) -> Result<usize, ReproError> {
         .ok_or_else(|| bad(format!("missing or non-integer field '{key}'")))
 }
 
-/// Stable regime labels for the file format (also used by the service
-/// repro format in `opr-service`).
-pub fn regime_label(regime: Regime) -> &'static str {
-    match regime {
-        Regime::LogTime => "log-time",
-        Regime::ConstantTime => "constant-time",
-        Regime::TwoStep => "two-step",
-    }
-}
-
-/// Inverse of [`regime_label`].
-pub fn parse_regime(label: &str) -> Option<Regime> {
-    Regime::ALL.into_iter().find(|&r| regime_label(r) == label)
-}
-
-/// Looks an adversary up by its stable [`AdversarySpec::label`].
-pub fn parse_adversary(label: &str) -> Option<AdversarySpec> {
-    AdversarySpec::ALG1
-        .into_iter()
-        .chain(AdversarySpec::TWO_STEP)
-        .find(|spec| spec.label() == label)
-}
-
-fn parse_id_dist(label: &str) -> Option<IdDistribution> {
-    IdDistribution::ALL
-        .into_iter()
-        .find(|dist| dist.label() == label)
-}
-
 /// Encodes a schedule as a JSON object (used by the repro format and the
 /// chaos binary's failure dumps).
 pub fn schedule_to_json(schedule: &ChaosSchedule) -> Json {
     Json::Obj(vec![
-        (
-            "regime".into(),
-            Json::Str(regime_label(schedule.regime).into()),
-        ),
+        ("regime".into(), Json::Str(schedule.regime.label().into())),
         ("n".into(), Json::UInt(schedule.n as u64)),
         ("t".into(), Json::UInt(schedule.t as u64)),
         ("id_dist".into(), Json::Str(schedule.id_dist.label().into())),
@@ -227,7 +195,8 @@ pub fn schedule_to_json(schedule: &ChaosSchedule) -> Json {
 ///
 /// # Errors
 ///
-/// Returns [`ReproError`] on missing fields or unknown labels.
+/// Returns [`ReproError`] on missing fields, unknown labels, or more
+/// Byzantine processes than processes.
 pub fn schedule_from_json(doc: &Json) -> Result<ChaosSchedule, ReproError> {
     let events = doc
         .get("events")
@@ -240,17 +209,22 @@ pub fn schedule_from_json(doc: &Json) -> Result<ChaosSchedule, ReproError> {
         None | Some(Json::Null) => None,
         Some(v) => Some(v.as_u64().ok_or_else(|| bad("non-integer payload_cap"))?),
     };
+    let n = field_usize(doc, "n")?;
+    let byzantine = field_usize(doc, "byzantine")?;
+    if byzantine > n {
+        return Err(bad(format!("byzantine exceeds n ({byzantine} > {n})")));
+    }
     Ok(ChaosSchedule {
-        regime: parse_regime(field_str(doc, "regime")?)
+        regime: Regime::parse(field_str(doc, "regime")?)
             .ok_or_else(|| bad("unknown regime label"))?,
-        n: field_usize(doc, "n")?,
+        n,
         t: field_usize(doc, "t")?,
-        id_dist: parse_id_dist(field_str(doc, "id_dist")?)
+        id_dist: IdDistribution::parse(field_str(doc, "id_dist")?)
             .ok_or_else(|| bad("unknown id_dist label"))?,
         id_seed: field_u64(doc, "id_seed")?,
-        adversary: parse_adversary(field_str(doc, "adversary")?)
+        adversary: AdversarySpec::parse(field_str(doc, "adversary")?)
             .ok_or_else(|| bad("unknown adversary label"))?,
-        byzantine: field_usize(doc, "byzantine")?,
+        byzantine,
         run_seed: field_u64(doc, "run_seed")?,
         events,
         payload_cap,
@@ -469,6 +443,12 @@ mod tests {
             let err = Repro::from_json(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
+        // More Byzantine processes than processes is rejected at the file
+        // boundary (replaying it would ask for `n - byzantine` correct ids).
+        let mut hostile = sample_repro(23);
+        hostile.schedule.byzantine = hostile.schedule.n + 1;
+        let err = Repro::from_json(&hostile.to_json()).unwrap_err();
+        assert!(err.to_string().contains("byzantine exceeds n"), "{err}");
         // An otherwise valid file carrying a retired backend label is a typed
         // error, not a panic or alias.
         let text = sample_repro(23).to_json();

@@ -2,10 +2,8 @@
 
 use opr_adversary::AdversarySpec;
 use opr_core::fault_placement;
-use opr_metrics::MetricsRegistry;
-use opr_obs::SharedSpanLog;
 use opr_transport::{BackendKind, FaultEvent, FaultPlan};
-use opr_types::{OriginalId, Regime, RenamingError, SystemConfig};
+use opr_types::{Regime, RenamingError, SystemConfig};
 use opr_workload::{DiagnosedRun, IdDistribution, RenamingRun};
 use std::fmt;
 
@@ -110,11 +108,6 @@ impl ChaosSchedule {
         fault_placement(self.n, self.byzantine, self.run_seed)
     }
 
-    /// The correct processes' original ids (always `n − byzantine` of them).
-    pub fn correct_ids(&self) -> Vec<OriginalId> {
-        self.id_dist.generate(self.n - self.byzantine, self.id_seed)
-    }
-
     /// The effective fault load: Byzantine actors plus *correct* processes
     /// whose outgoing links the fault plan disturbs. Fault events aimed at
     /// Byzantine indices do not count twice.
@@ -142,117 +135,61 @@ impl ChaosSchedule {
         }
     }
 
-    /// Executes the schedule on `backend` and diagnoses the result.
-    /// Over-budget schedules degrade into reports rather than erroring.
+    /// The schedule as a ready-to-run [`RenamingRun`] on `backend` — the one
+    /// place a schedule becomes a run (ids, adversary, seed, fault plan,
+    /// payload cap, fault overrun). Callers that want more than
+    /// [`ChaosSchedule::run_on`] / [`ChaosSchedule::run_observed`] attach it
+    /// through the builder (`.trace(..)`, `.spans(..)`, `.metrics(..)`).
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError`] only for setups the runner cannot start
-    /// (invalid configuration, bad id set) — a generator or repro-file bug,
-    /// never a legitimate chaos outcome.
-    pub fn run_on(&self, backend: BackendKind) -> Result<DiagnosedRun, RenamingError> {
-        self.run_with(backend, None, false, None)
-    }
-
-    /// [`ChaosSchedule::run_on`] with delivery tracing enabled: the
-    /// diagnosis comes back with up to `capacity` events in
-    /// [`DiagnosedRun::trace`]. Used by the buffer-reuse regression gate to
-    /// pin the exact delivery stream of a replayed repro.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ChaosSchedule::run_on`].
-    pub fn run_traced(
-        &self,
-        backend: BackendKind,
-        capacity: usize,
-    ) -> Result<DiagnosedRun, RenamingError> {
-        self.run_with(backend, Some(capacity), false, None)
-    }
-
-    /// [`ChaosSchedule::run_on`] with the protocol event recorder attached:
-    /// the diagnosis comes back with [`DiagnosedRun::events`] populated.
-    /// When `spans` is given, the substrate additionally records per-round
-    /// wall timings into it (the non-deterministic layer — the event stream
-    /// itself stays bit-identical to an unobserved run). This is the entry
-    /// point `chaos explain` replays repro files through.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ChaosSchedule::run_on`].
-    pub fn run_observed(
-        &self,
-        backend: BackendKind,
-        spans: Option<SharedSpanLog>,
-    ) -> Result<DiagnosedRun, RenamingError> {
-        self.run_with(backend, None, true, spans)
-    }
-
-    /// [`ChaosSchedule::run_observed`] with a live [`MetricsRegistry`]
-    /// attached end-to-end: the substrate records wall-clock round
-    /// histograms while the run executes, and the deterministic
-    /// [`DiagnosedRun::metrics_snapshot`] fold is mirrored into the registry
-    /// afterwards (`MetricsRegistry::fold`). The returned diagnosis is
-    /// bit-identical to an uninstrumented run.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ChaosSchedule::run_on`].
-    pub fn run_instrumented(
-        &self,
-        backend: BackendKind,
-        spans: Option<SharedSpanLog>,
-        metrics: Option<MetricsRegistry>,
-    ) -> Result<DiagnosedRun, RenamingError> {
-        let run = self.run_with_metrics(backend, None, true, spans, metrics.clone())?;
-        if let Some(registry) = &metrics {
-            registry.fold(&run.metrics_snapshot());
-        }
-        Ok(run)
-    }
-
-    fn run_with(
-        &self,
-        backend: BackendKind,
-        trace_capacity: Option<usize>,
-        record_events: bool,
-        spans: Option<SharedSpanLog>,
-    ) -> Result<DiagnosedRun, RenamingError> {
-        self.run_with_metrics(backend, trace_capacity, record_events, spans, None)
-    }
-
-    fn run_with_metrics(
-        &self,
-        backend: BackendKind,
-        trace_capacity: Option<usize>,
-        record_events: bool,
-        spans: Option<SharedSpanLog>,
-        metrics: Option<MetricsRegistry>,
-    ) -> Result<DiagnosedRun, RenamingError> {
+    /// Returns [`RenamingError`] for setups the runner cannot start: an
+    /// invalid `(n, t)` pair, or more Byzantine actors than processes — a
+    /// generator or repro-file bug, never a legitimate chaos outcome.
+    pub fn to_run(&self, backend: BackendKind) -> Result<RenamingRun, RenamingError> {
         let cfg = self.cfg()?;
-        let mut run = RenamingRun::builder(cfg, self.regime)
-            .correct_ids(self.correct_ids())
+        if self.byzantine > self.n {
+            return Err(RenamingError::TooManyFaultyActors {
+                got: self.byzantine,
+                bound: self.n,
+            });
+        }
+        // `n − byzantine` correct processes; the check above keeps it from
+        // wrapping.
+        let ids = self.id_dist.generate(self.n - self.byzantine, self.id_seed);
+        let run = RenamingRun::builder(cfg, self.regime)
+            .correct_ids(ids)
             .adversary(self.adversary, self.byzantine)
             .seed(self.run_seed)
             .backend(backend)
             .faults(self.fault_plan())
             .allow_fault_overrun();
-        if let Some(cap) = self.payload_cap {
-            run = run.payload_cap(cap);
-        }
-        if let Some(capacity) = trace_capacity {
-            run = run.trace(capacity);
-        }
-        if record_events {
-            run = run.record_events();
-        }
-        if let Some(log) = spans {
-            run = run.spans(log);
-        }
-        if let Some(registry) = metrics {
-            run = run.metrics(registry);
-        }
-        run.run_diagnosed()
+        Ok(match self.payload_cap {
+            Some(cap) => run.payload_cap(cap),
+            None => run,
+        })
+    }
+
+    /// Executes the schedule on `backend` and diagnoses the result.
+    /// Over-budget schedules degrade into reports rather than erroring.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ChaosSchedule::to_run`], plus a bad id set.
+    pub fn run_on(&self, backend: BackendKind) -> Result<DiagnosedRun, RenamingError> {
+        self.to_run(backend)?.run_diagnosed()
+    }
+
+    /// [`ChaosSchedule::run_on`] with the protocol event recorder attached:
+    /// the diagnosis comes back with [`DiagnosedRun::events`] populated (the
+    /// event stream is deterministic — bit-identical across backends). This
+    /// is the entry point `chaos explain` replays repro files through.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ChaosSchedule::run_on`].
+    pub fn run_observed(&self, backend: BackendKind) -> Result<DiagnosedRun, RenamingError> {
+        self.to_run(backend)?.record_events().run_diagnosed()
     }
 
     /// A one-line human summary for logs and failure reports.
@@ -326,11 +263,23 @@ mod tests {
     }
 
     #[test]
+    fn more_byzantine_than_processes_is_a_setup_error() {
+        let s = ChaosSchedule {
+            byzantine: 9,
+            ..base()
+        };
+        assert!(matches!(
+            s.run_on(BackendKind::Sim),
+            Err(RenamingError::TooManyFaultyActors { got: 9, bound: 7 })
+        ));
+    }
+
+    #[test]
     fn observed_runs_match_unobserved_runs_and_each_other() {
         let s = base();
         let plain = s.run_on(BackendKind::Sim).unwrap();
-        let sim = s.run_observed(BackendKind::Sim, None).unwrap();
-        let pooled = s.run_observed(BackendKind::Pooled, None).unwrap();
+        let sim = s.run_observed(BackendKind::Sim).unwrap();
+        let pooled = s.run_observed(BackendKind::Pooled).unwrap();
         // Attaching the recorder perturbs nothing deterministic…
         assert_eq!(plain.full_outcome, sim.full_outcome);
         assert_eq!(plain.rounds, sim.rounds);

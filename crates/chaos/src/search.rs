@@ -29,11 +29,11 @@ use crate::engine::{execute_with, judge_executed, per_run_seed, BackendChoice, R
 use crate::fitness::{evaluate, Fitness, FitnessKind, FitnessRecord};
 use crate::generator::generate_schedule;
 use crate::genome::{crossover, genome_key, mutate};
-use crate::json::Json;
 use crate::oracle::{standard_suite, Oracle};
 use crate::repro::{schedule_to_json, Repro};
 use crate::schedule::{BudgetRegime, ChaosSchedule};
 use opr_exec::RunPool;
+use opr_obs::json::Json;
 use opr_sim::RunMetrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -195,7 +195,7 @@ fn evaluate_batch(
         .map(|schedule| {
             let schedule = schedule.clone();
             // Observed runs: the fitness signals read the event stream.
-            move || execute_with(&schedule, backend, |s, kind| s.run_observed(kind, None))
+            move || execute_with(&schedule, backend, ChaosSchedule::run_observed)
         })
         .collect();
     let results = pool.run_batch(tasks);

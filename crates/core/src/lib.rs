@@ -59,8 +59,7 @@ pub use probe::{Alg1Probe, TwoStepProbe, VotingSnapshot};
 pub use ranks::RankVector;
 pub use renaming::{Alg1Tweaks, OrderPreservingRenaming};
 pub use runner::{
-    fault_placement, run_alg1, run_alg1_observed, run_two_step, run_two_step_clamped,
-    run_two_step_observed, run_two_step_with, AdversaryEnv, Alg1Options, ObservedRun, RunResult,
-    TwoStepOptions,
+    fault_placement, run_alg1, run_alg1_observed, run_two_step, run_two_step_observed,
+    AdversaryEnv, Alg1Options, ObservedRun, RunOptions, TwoStepOptions,
 };
-pub use two_step::TwoStepRenaming;
+pub use two_step::{TwoStepRenaming, TwoStepTweaks};

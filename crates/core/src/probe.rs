@@ -55,6 +55,12 @@ pub struct Alg1Probe {
     pub processes: Vec<ProcessProbe>,
 }
 
+impl From<Vec<ProcessProbe>> for Alg1Probe {
+    fn from(processes: Vec<ProcessProbe>) -> Self {
+        Alg1Probe { processes }
+    }
+}
+
 impl Alg1Probe {
     /// Sizes of the final `accepted` sets, one per correct process.
     pub fn accepted_sizes(&self) -> Vec<usize> {
@@ -176,6 +182,12 @@ pub fn shared_two_step_probe() -> SharedTwoStepProbe {
 pub struct TwoStepProbe {
     /// One entry per correct process.
     pub processes: Vec<TwoStepProcessProbe>,
+}
+
+impl From<Vec<TwoStepProcessProbe>> for TwoStepProbe {
+    fn from(processes: Vec<TwoStepProcessProbe>) -> Self {
+        TwoStepProbe { processes }
+    }
 }
 
 impl TwoStepProbe {

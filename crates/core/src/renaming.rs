@@ -137,6 +137,8 @@ pub struct OrderPreservingRenaming {
 ///   process keeps broadcasting until the schedule ends (so it never starves
 ///   others of votes); only its *output* happens early.
 /// * `delta_override` — ablation on the stretch factor δ.
+/// * `allow_regime_violation` — the boundary experiment (T5) deliberately
+///   runs the algorithm outside its regime to observe the failure mode.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Alg1Tweaks {
     /// Additional voting steps beyond the schedule.
@@ -152,6 +154,8 @@ pub struct Alg1Tweaks {
     pub early_output: bool,
     /// Replace the stretch factor `δ = 1 + 1/(3(N+t))`.
     pub delta_override: Option<f64>,
+    /// Skip the runner's resilience precondition check (experiment T5).
+    pub allow_regime_violation: bool,
 }
 
 impl OrderPreservingRenaming {

@@ -6,23 +6,20 @@
 //! the outcome plus metrics and invariant probes.
 
 use crate::messages::{Alg1Msg, TwoStepMsg};
-use crate::probe::{
-    shared_probe, shared_two_step_probe, Alg1Probe, SharedProcessProbe, SharedTwoStepProbe,
-    TwoStepProbe,
-};
-use crate::renaming::OrderPreservingRenaming;
-use crate::two_step::TwoStepRenaming;
-use opr_metrics::MetricsRegistry;
-use opr_obs::{shared_recorder, ProcessLog, RunLog, SharedRecorder, SharedSpanLog};
+use crate::probe::{shared_probe, shared_two_step_probe, Alg1Probe, TwoStepProbe};
+use crate::renaming::{Alg1Tweaks, OrderPreservingRenaming};
+use crate::two_step::{TwoStepRenaming, TwoStepTweaks};
+use opr_obs::{shared_recorder, ProcessLog, RunLog, SharedRecorder};
 use opr_rbcast::IdInterner;
-use opr_sim::{Actor, Inbox, Outbox, RunMetrics, Topology, Trace, TraceMode, WireSize};
-use opr_transport::{BackendKind, FaultPlan, Job};
+use opr_sim::{Actor, Inbox, Outbox, RunMetrics, Topology, Trace, WireSize};
+use opr_transport::{BackendKind, ExecOptions, Job};
 use opr_types::{
     MalformedSend, NewName, OriginalId, Regime, RenamingError, RenamingOutcome, Round, SystemConfig,
 };
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::marker::PhantomData;
+use std::sync::{Arc, Mutex};
 
 /// Context handed to an adversary factory for each faulty actor it builds.
 ///
@@ -83,120 +80,58 @@ impl AdversaryEnv<'_> {
     }
 }
 
-/// Options for [`run_alg1`].
+/// The run surface of one protocol family: everything a run takes besides
+/// the system itself (`cfg`, ids, fault count, adversary). `T` is the
+/// family's experiment-only tweaks; the transport-level knobs are embedded
+/// whole as [`ExecOptions`], not re-declared.
 #[derive(Clone, Debug, Default)]
-pub struct Alg1Options {
+pub struct RunOptions<T> {
     /// Seed for topology labelling and faulty-actor placement.
     pub seed: u64,
-    /// Skip the resilience precondition — for the boundary experiment (T5)
-    /// that deliberately runs the algorithm outside its regime to observe
-    /// the failure mode.
-    pub allow_regime_violation: bool,
-    /// Algorithm knobs (extra/overridden voting steps, validation and δ
-    /// ablations, early output); see [`Alg1Tweaks`](crate::renaming::Alg1Tweaks).
-    pub tweaks: crate::renaming::Alg1Tweaks,
     /// Which execution substrate runs the system (observationally
     /// equivalent; defaults to the single-threaded simulator).
     pub backend: BackendKind,
-    /// Transport-level faults applied below the actors (drops and
-    /// delay-to-silence schedules on chosen links).
-    pub faults: FaultPlan,
     /// Skip the `faulty_count ≤ t` check — for over-budget chaos campaigns
     /// that deliberately exceed the fault bound to observe degradation.
     /// Strict entry points will then typically fail with
     /// [`RenamingError::MissedTermination`]; the `*_observed` entry points
     /// report what happened instead.
     pub allow_fault_overrun: bool,
-    /// When `Some(cap)`, sends wider than `cap` bits are rejected at the
-    /// transport and recorded as [`MalformedSend`]s.
-    pub payload_cap: Option<u64>,
-    /// When `Some(capacity)`, record up to `capacity` delivery events and
-    /// return them in [`ObservedRun::trace`].
-    pub trace_capacity: Option<usize>,
-    /// What a full trace buffer sacrifices (oldest vs. newest events).
-    pub trace_mode: TraceMode,
     /// When `true`, attach a protocol-event recorder to every correct actor
     /// and return the deterministic streams in [`ObservedRun::events`].
     pub record_events: bool,
-    /// When attached, the substrate records per-round wall-clock spans here
-    /// (observability only — never part of the deterministic stream).
-    pub spans: Option<SharedSpanLog>,
-    /// When attached, the substrate records per-round wall-clock timing
-    /// histograms here (same plane as `spans` — never deterministic).
-    pub metrics: Option<MetricsRegistry>,
+    /// Transport faults, payload cap, delivery tracing and the wall-plane
+    /// attachments (spans, metrics registry), handed to the substrate whole.
+    pub exec: ExecOptions,
+    /// Algorithm knobs; the default is the paper's algorithm.
+    pub tweaks: T,
 }
 
-/// Options for [`run_two_step_with`].
-#[derive(Clone, Debug)]
-pub struct TwoStepOptions {
-    /// Seed for topology labelling and faulty-actor placement.
-    pub seed: u64,
-    /// Whether offsets are clamped to `[0, t]` (the paper's algorithm; only
-    /// ablation A2 switches this off — see [`TwoStepRenaming::with_clamp`]).
-    pub clamp_offsets: bool,
-    /// Which execution substrate runs the system.
-    pub backend: BackendKind,
-    /// Transport-level faults applied below the actors.
-    pub faults: FaultPlan,
-    /// Skip the `faulty_count ≤ t` check (see
-    /// [`Alg1Options::allow_fault_overrun`]).
-    pub allow_fault_overrun: bool,
-    /// When `Some(cap)`, sends wider than `cap` bits are rejected at the
-    /// transport and recorded as [`MalformedSend`]s.
-    pub payload_cap: Option<u64>,
-    /// When `Some(capacity)`, record up to `capacity` delivery events and
-    /// return them in [`ObservedRun::trace`].
-    pub trace_capacity: Option<usize>,
-    /// What a full trace buffer sacrifices (oldest vs. newest events).
-    pub trace_mode: TraceMode,
-    /// When `true`, attach a protocol-event recorder to every correct actor
-    /// and return the deterministic streams in [`ObservedRun::events`].
-    pub record_events: bool,
-    /// When attached, the substrate records per-round wall-clock spans here
-    /// (observability only — never part of the deterministic stream).
-    pub spans: Option<SharedSpanLog>,
-    /// When attached, the substrate records per-round wall-clock timing
-    /// histograms here (same plane as `spans` — never deterministic).
-    pub metrics: Option<MetricsRegistry>,
-}
-
-impl Default for TwoStepOptions {
-    fn default() -> Self {
-        TwoStepOptions {
-            seed: 0,
-            clamp_offsets: true,
-            backend: BackendKind::default(),
-            faults: FaultPlan::default(),
-            allow_fault_overrun: false,
-            payload_cap: None,
-            trace_capacity: None,
-            trace_mode: TraceMode::KeepFirst,
-            record_events: false,
-            spans: None,
-            metrics: None,
+impl<T> RunOptions<T> {
+    /// The same run surface for another protocol family's tweaks.
+    pub fn with_tweaks<U>(self, tweaks: U) -> RunOptions<U> {
+        RunOptions {
+            seed: self.seed,
+            backend: self.backend,
+            allow_fault_overrun: self.allow_fault_overrun,
+            record_events: self.record_events,
+            exec: self.exec,
+            tweaks,
         }
     }
 }
 
-/// Everything observed in one run.
-#[derive(Clone, Debug)]
-pub struct RunResult<P> {
-    /// Names decided by the correct processes.
-    pub outcome: RenamingOutcome,
-    /// Network metrics (rounds, messages, bits).
-    pub metrics: RunMetrics,
-    /// Rounds executed.
-    pub rounds: u32,
-    /// Aggregated invariant probes.
-    pub probe: P,
-}
+/// Options for [`run_alg1`].
+pub type Alg1Options = RunOptions<Alg1Tweaks>;
+
+/// Options for [`run_two_step`].
+pub type TwoStepOptions = RunOptions<TwoStepTweaks>;
 
 /// Everything observed in one run, *without* judging it — missed
 /// termination and malformed traffic are reported, not turned into errors.
 /// This is the entry point for chaos campaigns: the caller (an oracle
 /// suite) decides whether what happened was acceptable for the fault load
-/// it injected. [`ObservedRun::strict`] recovers the classic judging
-/// behaviour.
+/// it injected. [`ObservedRun::strict`] applies the classic judgement.
 #[derive(Clone, Debug)]
 pub struct ObservedRun<P> {
     /// Names decided by the correct processes (undecided ⇒ absent).
@@ -234,16 +169,16 @@ impl<P> ObservedRun<P> {
             .collect()
     }
 
-    /// Converts the observation into the strict judgement the classic entry
-    /// points give: malformed traffic from a correct process or a missed
-    /// termination becomes an `Err`.
+    /// The strict judgement the classic entry points give: the observation
+    /// is returned unchanged unless a correct process sent malformed
+    /// traffic or missed its termination deadline.
     ///
     /// # Errors
     ///
     /// [`RenamingError::CorrectMalformed`] if a correct process sent
     /// malformed traffic; [`RenamingError::MissedTermination`] if any
     /// correct process failed to decide within the step budget.
-    pub fn strict(self) -> Result<RunResult<P>, RenamingError> {
+    pub fn strict(self) -> Result<Self, RenamingError> {
         if let Some(&m) = self.correct_malformed().first() {
             return Err(RenamingError::CorrectMalformed(m));
         }
@@ -252,12 +187,7 @@ impl<P> ObservedRun<P> {
                 budget: self.step_budget,
             });
         }
-        Ok(RunResult {
-            outcome: self.outcome,
-            metrics: self.metrics,
-            rounds: self.rounds,
-            probe: self.probe,
-        })
+        Ok(self)
     }
 }
 
@@ -291,16 +221,18 @@ impl<M, O> Actor for SilentActor<M, O> {
     }
 }
 
+/// `fault_bound` is `t`, or `N` when overrun is allowed: more faulty actors
+/// than processes is never a system, and `n - faulty_count` must not wrap.
 fn validate(
     cfg: SystemConfig,
     correct_ids: &[OriginalId],
     faulty_count: usize,
-    allow_fault_overrun: bool,
+    fault_bound: usize,
 ) -> Result<(), RenamingError> {
-    if !allow_fault_overrun && faulty_count > cfg.t() {
+    if faulty_count > fault_bound {
         return Err(RenamingError::TooManyFaultyActors {
             got: faulty_count,
-            bound: cfg.t(),
+            bound: fault_bound,
         });
     }
     if correct_ids.len() + faulty_count != cfg.n() {
@@ -343,54 +275,38 @@ pub fn fault_placement(n: usize, faulty_count: usize, seed: u64) -> Vec<bool> {
     faulty
 }
 
-/// Substrate- and transport-level knobs shared by every runner entry point.
-struct RunKnobs {
-    seed: u64,
-    total_steps: u32,
-    backend: BackendKind,
-    faults: FaultPlan,
-    allow_fault_overrun: bool,
-    payload_cap: Option<u64>,
-    trace_capacity: Option<usize>,
-    trace_mode: TraceMode,
-    spans: Option<SharedSpanLog>,
-    metrics: Option<MetricsRegistry>,
-    /// The run's shared id-slot registry, handed to every adversary's
-    /// [`AdversaryEnv`] so forged payloads encode against the same slots.
-    interner: IdInterner<OriginalId>,
-}
-
-fn generic_run<M, F, C, P>(
+/// Assembles and executes one system. `make_correct` builds a correct
+/// actor around the run's shared id interner and, when events are recorded,
+/// its recorder, and hands back the actor with its probe sink; the sinks
+/// fold into the family's probe type `P` after the run.
+fn generic_run<M, T, S, P>(
     cfg: SystemConfig,
     correct_ids: &[OriginalId],
     faulty_count: usize,
-    knobs: RunKnobs,
-    mut make_adversary: F,
-    mut make_correct: C,
-    collectors: (impl FnOnce() -> P, impl FnOnce() -> Option<RunLog>),
+    total_steps: u32,
+    opts: RunOptions<T>,
+    mut make_adversary: impl FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = M, Output = NewName>>>,
+    mut make_correct: impl FnMut(
+        OriginalId,
+        &IdInterner<OriginalId>,
+        Option<SharedRecorder>,
+    ) -> (Box<dyn Actor<Msg = M, Output = NewName>>, Arc<Mutex<S>>),
 ) -> Result<ObservedRun<P>, RenamingError>
 where
     M: Clone + Debug + WireSize + Send + Sync + 'static,
-    F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = M, Output = NewName>>>,
-    C: FnMut(OriginalId) -> Box<dyn Actor<Msg = M, Output = NewName>>,
+    S: Clone,
+    P: From<Vec<S>>,
 {
-    let RunKnobs {
-        seed,
-        total_steps,
-        backend,
-        faults,
-        allow_fault_overrun,
-        payload_cap,
-        trace_capacity,
-        trace_mode,
-        spans,
-        metrics,
-        interner,
-    } = knobs;
-    validate(cfg, correct_ids, faulty_count, allow_fault_overrun)?;
     let n = cfg.n();
+    let fault_bound = if opts.allow_fault_overrun { n } else { cfg.t() };
+    validate(cfg, correct_ids, faulty_count, fault_bound)?;
+    let seed = opts.seed;
     let faulty_mask = fault_placement(n, faulty_count, seed);
     let topology = Topology::seeded(n, seed);
+    // The run's shared id-slot registry: every correct actor's bitset
+    // payloads are relative to it, and every adversary's [`AdversaryEnv`]
+    // carries it so forged payloads encode against the same slots.
+    let interner = IdInterner::new();
     // Pre-compute the correct placements so adversaries can aim.
     let mut sorted_ids: Vec<OriginalId> = correct_ids.to_vec();
     sorted_ids.sort_unstable();
@@ -405,6 +321,9 @@ where
     };
     let mut actors: Vec<Box<dyn Actor<Msg = M, Output = NewName>>> = Vec::with_capacity(n);
     let mut correct_mask = Vec::with_capacity(n);
+    let mut sinks = Vec::with_capacity(correct_ids.len());
+    // Disabled runs never construct recorders.
+    let mut recorders: Vec<(OriginalId, SharedRecorder)> = Vec::new();
     let mut position_iter = correct_positions.iter();
     let mut slot = 0usize;
     for (index, &is_faulty) in faulty_mask.iter().enumerate() {
@@ -424,30 +343,33 @@ where
             actors.push(make_adversary(&env).unwrap_or_else(|| Box::new(SilentActor::new())));
             correct_mask.push(false);
         } else {
-            let (_, id) = position_iter.next().expect("mask and positions agree");
-            actors.push(make_correct(*id));
+            let &(_, id) = position_iter.next().expect("mask and positions agree");
+            let recorder = opts.record_events.then(shared_recorder);
+            if let Some(rec) = &recorder {
+                recorders.push((id, rec.clone()));
+            }
+            let (actor, sink) = make_correct(id, &interner, recorder);
+            actors.push(actor);
+            sinks.push(sink);
             correct_mask.push(true);
         }
     }
-    let mut job = Job::with_faulty(actors, correct_mask, topology, total_steps).faults(faults);
-    if let Some(cap) = payload_cap {
-        job = job.payload_cap(cap);
-    }
-    if let Some(capacity) = trace_capacity {
-        job = job.trace(capacity).trace_mode(trace_mode);
-    }
-    if let Some(log) = spans {
-        job = job.spans(log);
-    }
-    if let Some(registry) = metrics {
-        job = job.metrics(registry);
-    }
-    let report = backend.execute(job);
+    let job = Job::with_faulty(actors, correct_mask, topology, total_steps).opts(opts.exec);
+    let report = opts.backend.execute(job);
     let outcome = RenamingOutcome::new(
         correct_positions
             .iter()
             .map(|&(index, id)| (id, report.outputs[index])),
     );
+    let events = opts.record_events.then(|| RunLog {
+        processes: recorders
+            .iter()
+            .map(|(id, rec)| ProcessLog {
+                id: *id,
+                events: rec.lock().unwrap().events().to_vec(),
+            })
+            .collect(),
+    });
     Ok(ObservedRun {
         outcome,
         metrics: report.metrics,
@@ -457,31 +379,14 @@ where
         malformed: report.malformed,
         faulty_mask,
         trace: report.trace,
-        events: (collectors.1)(),
-        probe: (collectors.0)(),
-    })
-}
-
-/// Builds the `make_correct`-side recorder plumbing for an observed run:
-/// a store the actor factory pushes `(id, recorder)` pairs into, and the
-/// closure turning them into a [`RunLog`] after the run (or `None` when
-/// recording is off — disabled runs never construct recorders).
-fn event_collector(
-    recorders: &std::cell::RefCell<Vec<(OriginalId, SharedRecorder)>>,
-    record_events: bool,
-) -> impl FnOnce() -> Option<RunLog> + '_ {
-    move || {
-        record_events.then(|| RunLog {
-            processes: recorders
-                .borrow()
+        events,
+        probe: P::from(
+            sinks
                 .iter()
-                .map(|(id, rec)| ProcessLog {
-                    id: *id,
-                    events: rec.lock().unwrap().events().to_vec(),
-                })
+                .map(|sink| sink.lock().unwrap().clone())
                 .collect(),
-        })
-    }
+        ),
+    })
 }
 
 /// Runs Algorithm 1 (`regime` selects the log-time or constant-time voting
@@ -501,7 +406,7 @@ pub fn run_alg1<F>(
     faulty_count: usize,
     adversary: F,
     opts: Alg1Options,
-) -> Result<RunResult<Alg1Probe>, RenamingError>
+) -> Result<ObservedRun<Alg1Probe>, RenamingError>
 where
     F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = Alg1Msg, Output = NewName>>>,
 {
@@ -510,7 +415,7 @@ where
 
 /// [`run_alg1`] without the strict judgement: missed terminations and
 /// malformed sends are *reported* in the [`ObservedRun`] instead of becoming
-/// errors. Combined with [`Alg1Options::allow_fault_overrun`], this is how
+/// errors. Combined with [`RunOptions::allow_fault_overrun`], this is how
 /// chaos campaigns observe degradation beyond the fault bound.
 ///
 /// # Errors
@@ -529,59 +434,31 @@ pub fn run_alg1_observed<F>(
 where
     F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = Alg1Msg, Output = NewName>>>,
 {
-    if !opts.allow_regime_violation {
+    let tweaks = opts.tweaks;
+    if !tweaks.allow_regime_violation {
         cfg.require(regime)?;
     }
-    let voting = opts
-        .tweaks
+    let voting = tweaks
         .voting_steps_override
         .unwrap_or_else(|| cfg.voting_steps(regime))
-        + opts.tweaks.extra_voting_steps;
-    let total_steps = 4 + voting;
-    let probes = std::cell::RefCell::new(Vec::new());
-    let recorders = std::cell::RefCell::new(Vec::new());
-    let interner = IdInterner::new();
+        + tweaks.extra_voting_steps;
     generic_run(
         cfg,
         correct_ids,
         faulty_count,
-        RunKnobs {
-            seed: opts.seed,
-            total_steps,
-            backend: opts.backend,
-            faults: opts.faults,
-            allow_fault_overrun: opts.allow_fault_overrun,
-            payload_cap: opts.payload_cap,
-            trace_capacity: opts.trace_capacity,
-            trace_mode: opts.trace_mode,
-            spans: opts.spans.clone(),
-            metrics: opts.metrics.clone(),
-            interner: interner.clone(),
-        },
+        4 + voting,
+        opts,
         adversary,
-        |id| {
-            let mut actor = OrderPreservingRenaming::new_unchecked(cfg, regime, id, opts.tweaks);
+        |id, interner, recorder| {
+            let mut actor = OrderPreservingRenaming::new_unchecked(cfg, regime, id, tweaks);
             actor.share_interner(interner.clone());
             let sink = shared_probe();
             actor.attach_probe(sink.clone());
-            probes.borrow_mut().push(sink);
-            if opts.record_events {
-                let rec = shared_recorder();
-                actor.attach_recorder(rec.clone());
-                recorders.borrow_mut().push((id, rec));
+            if let Some(rec) = recorder {
+                actor.attach_recorder(rec);
             }
-            Box::new(actor)
+            (Box::new(actor), sink)
         },
-        (
-            || Alg1Probe {
-                processes: probes
-                    .borrow()
-                    .iter()
-                    .map(|p: &SharedProcessProbe| p.lock().unwrap().clone())
-                    .collect(),
-            },
-            event_collector(&recorders, opts.record_events),
-        ),
     )
 }
 
@@ -596,73 +473,15 @@ pub fn run_two_step<F>(
     correct_ids: &[OriginalId],
     faulty_count: usize,
     adversary: F,
-    seed: u64,
-) -> Result<RunResult<TwoStepProbe>, RenamingError>
-where
-    F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = TwoStepMsg, Output = NewName>>>,
-{
-    run_two_step_with(
-        cfg,
-        correct_ids,
-        faulty_count,
-        adversary,
-        TwoStepOptions {
-            seed,
-            ..TwoStepOptions::default()
-        },
-    )
-}
-
-/// [`run_two_step`] with the offset clamp made optional — ablation A2 only
-/// (see [`TwoStepRenaming::with_clamp`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_alg1`].
-pub fn run_two_step_clamped<F>(
-    cfg: SystemConfig,
-    correct_ids: &[OriginalId],
-    faulty_count: usize,
-    adversary: F,
-    seed: u64,
-    clamp_offsets: bool,
-) -> Result<RunResult<TwoStepProbe>, RenamingError>
-where
-    F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = TwoStepMsg, Output = NewName>>>,
-{
-    run_two_step_with(
-        cfg,
-        correct_ids,
-        faulty_count,
-        adversary,
-        TwoStepOptions {
-            seed,
-            clamp_offsets,
-            ..TwoStepOptions::default()
-        },
-    )
-}
-
-/// Runs Algorithm 4 with full control over substrate, transport faults, seed
-/// and the offset clamp.
-///
-/// # Errors
-///
-/// Same conditions as [`run_alg1`].
-pub fn run_two_step_with<F>(
-    cfg: SystemConfig,
-    correct_ids: &[OriginalId],
-    faulty_count: usize,
-    adversary: F,
     opts: TwoStepOptions,
-) -> Result<RunResult<TwoStepProbe>, RenamingError>
+) -> Result<ObservedRun<TwoStepProbe>, RenamingError>
 where
     F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = TwoStepMsg, Output = NewName>>>,
 {
     run_two_step_observed(cfg, correct_ids, faulty_count, adversary, opts)?.strict()
 }
 
-/// [`run_two_step_with`] without the strict judgement; see
+/// [`run_two_step`] without the strict judgement; see
 /// [`run_alg1_observed`] for the contract.
 ///
 /// # Errors
@@ -680,57 +499,32 @@ where
     F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = TwoStepMsg, Output = NewName>>>,
 {
     cfg.require(Regime::TwoStep)?;
-    let probes = std::cell::RefCell::new(Vec::new());
-    let recorders = std::cell::RefCell::new(Vec::new());
-    let interner = IdInterner::new();
+    let clamp_offsets = !opts.tweaks.disable_clamp;
     generic_run(
         cfg,
         correct_ids,
         faulty_count,
-        RunKnobs {
-            seed: opts.seed,
-            total_steps: 2,
-            backend: opts.backend,
-            faults: opts.faults,
-            allow_fault_overrun: opts.allow_fault_overrun,
-            payload_cap: opts.payload_cap,
-            trace_capacity: opts.trace_capacity,
-            trace_mode: opts.trace_mode,
-            spans: opts.spans.clone(),
-            metrics: opts.metrics.clone(),
-            interner: interner.clone(),
-        },
+        2,
+        opts,
         adversary,
-        |id| {
-            let mut actor = TwoStepRenaming::with_clamp(cfg, id, opts.clamp_offsets)
-                .expect("regime checked above");
+        |id, interner, recorder| {
+            let mut actor =
+                TwoStepRenaming::with_clamp(cfg, id, clamp_offsets).expect("regime checked above");
             actor.share_interner(interner.clone());
             let sink = shared_two_step_probe();
             actor.attach_probe(sink.clone());
-            probes.borrow_mut().push(sink);
-            if opts.record_events {
-                let rec = shared_recorder();
-                actor.attach_recorder(rec.clone());
-                recorders.borrow_mut().push((id, rec));
+            if let Some(rec) = recorder {
+                actor.attach_recorder(rec);
             }
-            Box::new(actor)
+            (Box::new(actor), sink)
         },
-        (
-            || TwoStepProbe {
-                processes: probes
-                    .borrow()
-                    .iter()
-                    .map(|p: &SharedTwoStepProbe| p.lock().unwrap().clone())
-                    .collect(),
-            },
-            event_collector(&recorders, opts.record_events),
-        ),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opr_transport::FaultPlan;
 
     fn ids(raw: &[u64]) -> Vec<OriginalId> {
         raw.iter().map(|&x| OriginalId::new(x)).collect()
@@ -768,7 +562,10 @@ mod tests {
             &ids(&[5, 10, 15, 20, 25, 30, 35, 40, 45]),
             2,
             |_| None,
-            3,
+            TwoStepOptions {
+                seed: 3,
+                ..TwoStepOptions::default()
+            },
         )
         .unwrap();
         assert!(result.outcome.verify(121).is_empty());
@@ -844,7 +641,10 @@ mod tests {
             faults = faults.crash_from(p, Round::FIRST);
         }
         let opts = |faults: FaultPlan| Alg1Options {
-            faults,
+            exec: ExecOptions {
+                faults,
+                ..ExecOptions::default()
+            },
             ..Alg1Options::default()
         };
         let err = run_alg1(
@@ -898,6 +698,24 @@ mod tests {
         // 3 silent faulty out of N=7 exceeds t=2; whatever happened, the
         // run must report rather than panic or error.
         assert_eq!(observed.faulty_mask.iter().filter(|&&f| f).count(), 3);
+        // Overrun lifts the bound to N, not to infinity: more faulty actors
+        // than processes is a typed error, never an arithmetic underflow.
+        let err = run_alg1_observed(
+            cfg,
+            Regime::LogTime,
+            &[],
+            cfg.n() + 2,
+            |_| None,
+            Alg1Options {
+                allow_fault_overrun: true,
+                ..Alg1Options::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            RenamingError::TooManyFaultyActors { got: 9, bound: 7 }
+        ));
     }
 
     #[test]
@@ -913,7 +731,10 @@ mod tests {
             Alg1Options {
                 seed: 1,
                 record_events: true,
-                spans: Some(spans.clone()),
+                exec: ExecOptions {
+                    spans: Some(spans.clone()),
+                    ..ExecOptions::default()
+                },
                 ..Alg1Options::default()
             },
         )

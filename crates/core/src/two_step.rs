@@ -37,6 +37,14 @@ pub struct TwoStepRenaming {
     recorder: Option<SharedRecorder>,
 }
 
+/// Experimental knobs on Algorithm 4; the default is the paper's algorithm.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TwoStepTweaks {
+    /// Skip the `[0, N − t]` offset clamp (ablation A2 — see
+    /// [`TwoStepRenaming::with_clamp`]). Never use outside experiments.
+    pub disable_clamp: bool,
+}
+
 impl TwoStepRenaming {
     /// Creates a correct process with original id `my_id`.
     ///

@@ -1,4 +1,4 @@
-//! A minimal JSON tree, writer and parser for the repro file format.
+//! A minimal JSON tree, writer and parser for the repro file formats.
 //!
 //! The build environment has no serde; the repro format needs only objects,
 //! arrays, strings, integers, booleans and `null`, so this module implements
@@ -181,7 +181,8 @@ fn newline(out: &mut String, indent: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted, escaped JSON string.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -387,7 +388,10 @@ mod tests {
         let doc = Json::Obj(vec![
             ("seed".into(), Json::UInt(u64::MAX)),
             ("delta".into(), Json::Int(-3)),
-            ("label".into(), Json::Str("echo-split \"quoted\"\n".into())),
+            (
+                "label".into(),
+                Json::Str("echo-split \\ \"quoted\"\n\u{1}".into()),
+            ),
             ("flag".into(), Json::Bool(true)),
             ("none".into(), Json::Null),
             (

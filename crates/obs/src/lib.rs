@@ -15,7 +15,9 @@
 //!
 //! Exporters: [`render_jsonl`] (one JSON object per event, machine-diffable)
 //! and [`render_trace_json`] (Chrome trace-event JSON, loadable in Perfetto
-//! or `chrome://tracing`).
+//! or `chrome://tracing`). [`json`] is the workspace's integer-only JSON
+//! tree, writer and parser — the repro file formats of `opr-chaos` and
+//! `opr-service` are built on it.
 //!
 //! Recording is opt-in and zero-cost when off: emission sites use
 //! [`record_if`] with an event-building closure that is never invoked
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 mod event;
+pub mod json;
 mod jsonl;
 mod log;
 mod perfetto;

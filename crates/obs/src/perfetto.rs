@@ -12,25 +12,10 @@
 use std::fmt::Write as _;
 
 use crate::event::{ProtocolEvent, ValidityViolation};
+use crate::json::write_escaped;
 use crate::jsonl::rank_field;
 use crate::log::RunLog;
 use crate::span::Span;
-
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn event_args(event: &ProtocolEvent) -> String {
     let mut args = String::from("{");
@@ -195,9 +180,13 @@ pub fn render_trace_json(log: &RunLog, spans: Option<&[Span]>) -> String {
         let ts = u64::from(m.event.step()) * 1000 + m.seq as u64;
         let _ = write!(
             out,
-            "{sep}{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"name\":\"{}\",\"cat\":\"protocol\",\"args\":{}}}",
-            m.process + 1,
-            escape(m.event.kind()),
+            "{sep}{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"name\":",
+            m.process + 1
+        );
+        write_escaped(&mut out, m.event.kind());
+        let _ = write!(
+            out,
+            ",\"cat\":\"protocol\",\"args\":{}}}",
             event_args(&m.event)
         );
         sep = ",";
@@ -206,11 +195,11 @@ pub fn render_trace_json(log: &RunLog, spans: Option<&[Span]>) -> String {
         for span in spans {
             let _ = write!(
                 out,
-                "{sep}{{\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"wall\",\"args\":{{}}}}",
-                span.start_micros,
-                span.duration_micros,
-                escape(&span.label())
+                "{sep}{{\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":{},\"dur\":{},\"name\":",
+                span.start_micros, span.duration_micros
             );
+            write_escaped(&mut out, &span.label());
+            out.push_str(",\"cat\":\"wall\",\"args\":{}}");
             sep = ",";
         }
     }
@@ -257,11 +246,5 @@ mod tests {
         assert!(rendered.contains("\"ts\":1000"));
         assert!(rendered.contains("\"ph\":\"X\""));
         assert!(rendered.contains("\"dur\":250"));
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -68,17 +68,6 @@ pub struct ServiceObs {
     pub watch_every: Option<u64>,
 }
 
-impl ServiceObs {
-    /// Observation bundle with only a span log attached (the pre-metrics
-    /// entry point's behaviour).
-    pub fn with_spans(spans: SharedSpanLog) -> Self {
-        ServiceObs {
-            spans: Some(spans),
-            ..ServiceObs::default()
-        }
-    }
-}
-
 impl ServiceSpec {
     /// Runs the full schedule.
     ///
@@ -88,25 +77,6 @@ impl ServiceSpec {
     /// protocol instance.
     pub fn run(&self) -> Result<ServiceReport, ServiceError> {
         self.run_observed(&ServiceObs::default())
-    }
-
-    /// [`ServiceSpec::run`] with an optional wall-clock span log attached to
-    /// both the engine (admission/protocol/grant spans) and the dispatch
-    /// pool (stage spans).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError`] on invalid configuration or a failed
-    /// protocol instance.
-    pub fn run_with_spans(
-        &self,
-        spans: Option<SharedSpanLog>,
-    ) -> Result<ServiceReport, ServiceError> {
-        let obs = ServiceObs {
-            spans,
-            ..ServiceObs::default()
-        };
-        self.run_observed(&obs)
     }
 
     /// [`ServiceSpec::run`] with the full wall-plane observation bundle:

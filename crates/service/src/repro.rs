@@ -9,10 +9,10 @@
 use crate::config::{ServiceConfig, ServiceError};
 use crate::driver::{ServiceReport, ServiceSpec};
 use crate::oracle::{judge_ledger, ServiceViolation};
-use opr_chaos::json::Json;
-use opr_chaos::repro::{parse_adversary, parse_regime, regime_label};
+use opr_adversary::AdversarySpec;
+use opr_obs::json::Json;
 use opr_transport::BackendKind;
-use opr_types::SystemConfig;
+use opr_types::{Regime, SystemConfig};
 use opr_workload::ServiceWorkload;
 use std::fmt;
 
@@ -82,7 +82,7 @@ impl ServiceRepro {
                     ("shards".into(), Json::UInt(s.shards as u64)),
                     ("n".into(), Json::UInt(s.epoch_cfg.n() as u64)),
                     ("t".into(), Json::UInt(s.epoch_cfg.t() as u64)),
-                    ("regime".into(), Json::Str(regime_label(s.regime).into())),
+                    ("regime".into(), Json::Str(s.regime.label().into())),
                     ("byzantine".into(), Json::UInt(s.byzantine as u64)),
                     ("adversary".into(), Json::Str(s.adversary.label().into())),
                     ("backend".into(), Json::Str(s.backend.label().into())),
@@ -129,10 +129,10 @@ impl ServiceRepro {
         let service = ServiceConfig {
             shards: field_usize(s, "shards")?,
             epoch_cfg,
-            regime: parse_regime(field_str(s, "regime")?)
+            regime: Regime::parse(field_str(s, "regime")?)
                 .ok_or_else(|| bad("unknown regime label"))?,
             byzantine: field_usize(s, "byzantine")?,
-            adversary: parse_adversary(field_str(s, "adversary")?)
+            adversary: AdversarySpec::parse(field_str(s, "adversary")?)
                 .ok_or_else(|| bad("unknown adversary label"))?,
             backend: BackendKind::parse(field_str(s, "backend")?)
                 .ok_or_else(|| bad("unknown backend label"))?,
@@ -178,8 +178,6 @@ impl ServiceRepro {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opr_adversary::AdversarySpec;
-    use opr_types::Regime;
 
     fn sample() -> ServiceRepro {
         ServiceRepro {

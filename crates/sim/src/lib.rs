@@ -82,5 +82,5 @@ pub use metrics::{RoundMetrics, RunMetrics};
 pub use network::{DeliveryFilter, Network, RunReport};
 pub use sealed::Sealed;
 pub use topology::Topology;
-pub use trace::{Trace, TraceEvent, TraceMode};
+pub use trace::{Trace, TraceEvent};
 pub use wire::{WireSize, COUNT_BITS, ID_BITS, RANK_BITS, TAG_BITS};

@@ -127,20 +127,6 @@ where
         self.trace = Some(Trace::with_capacity(capacity));
     }
 
-    /// Starts recording deliveries with an explicit overflow
-    /// [`TraceMode`](crate::TraceMode).
-    pub fn enable_trace_mode(&mut self, capacity: usize, mode: crate::TraceMode) {
-        self.trace = Some(Trace::with_mode(capacity, mode));
-    }
-
-    /// Rotates a ring trace oldest-first; see
-    /// [`Trace::normalize`](crate::Trace::normalize).
-    pub fn normalize_trace(&mut self) {
-        if let Some(trace) = &mut self.trace {
-            trace.normalize();
-        }
-    }
-
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()

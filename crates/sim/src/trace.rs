@@ -32,89 +32,36 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// What a full [`Trace`] buffer sacrifices.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceMode {
-    /// Keep the oldest `capacity` events, count the rest as dropped (the
-    /// historical behavior — good for "how did it start" questions).
-    #[default]
-    KeepFirst,
-    /// Keep the *newest* `capacity` events in a ring, dropping the oldest —
-    /// good for failure forensics, where the interesting deliveries are the
-    /// final rounds that [`TraceMode::KeepFirst`] loses.
-    KeepLast,
-}
-
 /// A capacity-bounded event buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    mode: TraceMode,
-    /// Ring start index in [`TraceMode::KeepLast`]; [`normalize`](Trace::normalize)
-    /// rotates it back to 0.
-    start: usize,
 }
 
 impl Trace {
     /// Creates a trace retaining at most `capacity` events (oldest first;
     /// once full, further events are counted but not stored).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_mode(capacity, TraceMode::KeepFirst)
-    }
-
-    /// Creates a trace with an explicit overflow [`TraceMode`].
-    pub fn with_mode(capacity: usize, mode: TraceMode) -> Self {
         Trace {
             events: Vec::new(),
             capacity,
             dropped: 0,
-            mode,
-            start: 0,
         }
     }
 
-    /// The trace's overflow mode.
-    pub fn mode(&self) -> TraceMode {
-        self.mode
-    }
-
-    /// Records an event; when full, drops the newest or the oldest event
-    /// according to the [`TraceMode`].
+    /// Records an event, or counts it as dropped when the buffer is full.
     pub fn record(&mut self, event: TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(event);
-            return;
-        }
-        self.dropped += 1;
-        if self.mode == TraceMode::KeepLast && self.capacity > 0 {
-            self.events[self.start] = event;
-            self.start = (self.start + 1) % self.capacity;
-        }
-    }
-
-    /// Rotates a [`TraceMode::KeepLast`] ring so that
-    /// [`events`](Trace::events) is oldest-first. Idempotent; backends call
-    /// it once after a run finishes.
-    pub fn normalize(&mut self) {
-        if self.start != 0 {
-            self.events.rotate_left(self.start);
-            self.start = 0;
+        } else {
+            self.dropped += 1;
         }
     }
 
     /// The recorded events, oldest first.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if a [`TraceMode::KeepLast`] ring has wrapped and has
-    /// not been [`normalize`](Trace::normalize)d yet.
     pub fn events(&self) -> &[TraceEvent] {
-        debug_assert_eq!(
-            self.start, 0,
-            "call normalize() before reading a ring trace"
-        );
         &self.events
     }
 
@@ -155,30 +102,6 @@ mod tests {
         t.record(event(1, 1, 0));
         t.record(event(2, 0, 1));
         assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 1);
-    }
-
-    #[test]
-    fn keep_last_retains_the_newest_events() {
-        let mut t = Trace::with_mode(3, TraceMode::KeepLast);
-        for round in 1..=7u32 {
-            t.record(event(round, 0, 1));
-        }
-        t.normalize();
-        assert_eq!(t.dropped(), 4);
-        let rounds: Vec<u32> = t.events().iter().map(|e| e.round.number()).collect();
-        assert_eq!(rounds, vec![5, 6, 7]);
-        // normalize is idempotent.
-        t.normalize();
-        assert_eq!(t.events().len(), 3);
-    }
-
-    #[test]
-    fn keep_last_zero_capacity_only_counts() {
-        let mut t = Trace::with_mode(0, TraceMode::KeepLast);
-        t.record(event(1, 0, 1));
-        t.normalize();
-        assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 1);
     }
 

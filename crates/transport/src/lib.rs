@@ -67,4 +67,4 @@ pub mod substrate;
 pub use faults::{FaultEvent, FaultPlan};
 pub use pooled::PooledBackend;
 pub use sim_backend::SimBackend;
-pub use substrate::{BackendKind, ExecutionReport, Job, Substrate};
+pub use substrate::{BackendKind, ExecOptions, ExecutionReport, Job, Substrate};

@@ -44,7 +44,7 @@
 //! is never observable on either backend). Malformed sends are not panics:
 //! they are recorded and dropped exactly as in the reference.
 
-use crate::substrate::{ExecutionReport, Job, Substrate};
+use crate::substrate::{ExecOptions, ExecutionReport, Job, Substrate};
 use opr_exec::RunPool;
 use opr_sim::{
     Actor, Inbox, Outbox, RoundMetrics, RunMetrics, Sealed, Topology, Trace, TraceEvent, WireSize,
@@ -136,12 +136,14 @@ where
             correct,
             topology,
             max_rounds,
-            faults,
-            trace_capacity,
-            trace_mode,
-            payload_cap,
-            spans,
-            metrics: registry,
+            opts:
+                ExecOptions {
+                    faults,
+                    payload_cap,
+                    trace_capacity,
+                    spans,
+                    metrics: registry,
+                },
         } = job;
         let n = actors.len();
         assert!(n >= 1, "pooled backend needs at least one process");
@@ -305,11 +307,10 @@ where
         }
 
         let trace = trace_capacity.map(|capacity| {
-            let mut trace = Trace::with_mode(capacity, trace_mode);
+            let mut trace = Trace::with_capacity(capacity);
             for event in trace_events {
                 trace.record(event);
             }
-            trace.normalize();
             trace
         });
 
@@ -346,7 +347,7 @@ fn send_step<M, O>(
     topology: &Topology,
     faults: &crate::FaultPlan,
     correct: &[bool],
-    payload_cap: Option<u64>,
+    cap: Option<u64>,
     trace_enabled: bool,
 ) -> SendOut<M, O>
 where
@@ -365,7 +366,7 @@ where
             // Cached inside the seal: computed once per payload, shared by
             // the cap check, metrics and all N slots of a broadcast.
             let bits = msg.wire_bits();
-            if let Some(cap) = payload_cap {
+            if let Some(cap) = cap {
                 if bits > cap {
                     malformed.push(MalformedSend {
                         sender,
@@ -547,6 +548,20 @@ mod tests {
             .collect()
     }
 
+    fn traced(capacity: usize) -> ExecOptions {
+        ExecOptions {
+            trace_capacity: Some(capacity),
+            ..ExecOptions::default()
+        }
+    }
+
+    fn capped(cap: u64) -> ExecOptions {
+        ExecOptions {
+            payload_cap: Some(cap),
+            ..ExecOptions::default()
+        }
+    }
+
     fn assert_reports_match(sim: &ExecutionReport<u64>, pooled: &ExecutionReport<u64>) {
         assert_eq!(sim.outputs, pooled.outputs);
         assert_eq!(sim.metrics, pooled.metrics);
@@ -572,11 +587,12 @@ mod tests {
             let mut actors = summers(&[10, 20, 30, 40]);
             actors.push(Box::new(Equivocator(5)));
             let correct = vec![true, true, true, true, false];
-            Job::with_faulty(actors, correct, Topology::seeded(5, 42), 6).faults(
-                FaultPlan::new()
+            Job::with_faulty(actors, correct, Topology::seeded(5, 42), 6).opts(ExecOptions {
+                faults: FaultPlan::new()
                     .drop_message(0, LinkId::new(2), Round::new(1))
                     .silence_link_from(4, LinkId::new(1), Round::new(1)),
-            )
+                ..ExecOptions::default()
+            })
         };
         let sim = BackendKind::Sim.execute(build(()));
         let pooled = BackendKind::Pooled.execute(build(()));
@@ -585,7 +601,7 @@ mod tests {
 
     #[test]
     fn traces_are_identical_to_the_reference() {
-        let job = |_| Job::new(summers(&[7, 8, 9]), Topology::seeded(3, 11), 2).trace(1000);
+        let job = |_| Job::new(summers(&[7, 8, 9]), Topology::seeded(3, 11), 2).opts(traced(1000));
         let sim = BackendKind::Sim.execute(job(()));
         let pooled = BackendKind::Pooled.execute(job(()));
         let (st, pt) = (sim.trace.unwrap(), pooled.trace.unwrap());
@@ -600,7 +616,7 @@ mod tests {
                 let mut actors = summers(&[10, 20, 30, 40]);
                 actors.push(Box::new(Equivocator(5)));
                 let correct = vec![true, true, true, true, false];
-                Job::with_faulty(actors, correct, Topology::seeded(5, 9), 6).trace(500)
+                Job::with_faulty(actors, correct, Topology::seeded(5, 9), 6).opts(traced(500))
             };
             let serial = PooledBackend::new(1).execute(job(()));
             let parallel = PooledBackend::new(workers).execute(job(()));
@@ -706,7 +722,7 @@ mod tests {
             let mut actors = summers(&[10, 20, 30]);
             actors.push(Box::new(Sloppy));
             let correct = vec![true, true, true, false];
-            Job::with_faulty(actors, correct, Topology::seeded(4, 7), 3).payload_cap(64)
+            Job::with_faulty(actors, correct, Topology::seeded(4, 7), 3).opts(capped(64))
         };
         let sim = BackendKind::Sim.execute(build(()));
         let pooled = BackendKind::Pooled.execute(build(()));
@@ -716,7 +732,7 @@ mod tests {
 
     #[test]
     fn payload_cap_matches_reference_backend() {
-        let build = |_| Job::new(summers(&[1, 2]), Topology::canonical(2), 2).payload_cap(32);
+        let build = |_| Job::new(summers(&[1, 2]), Topology::canonical(2), 2).opts(capped(32));
         let sim = BackendKind::Sim.execute(build(()));
         let pooled = BackendKind::Pooled.execute(build(()));
         assert_eq!(sim.malformed.len(), 4);

@@ -1,7 +1,7 @@
 //! The reference substrate: an adapter over the deterministic
 //! single-threaded [`opr_sim::Network`].
 
-use crate::substrate::{ExecutionReport, Job, Substrate};
+use crate::substrate::{ExecOptions, ExecutionReport, Job, Substrate};
 use opr_sim::{Network, WireSize};
 use std::fmt::Debug;
 
@@ -20,16 +20,18 @@ where
             correct,
             topology,
             max_rounds,
-            faults,
-            trace_capacity,
-            trace_mode,
-            payload_cap,
-            spans,
-            metrics,
+            opts:
+                ExecOptions {
+                    faults,
+                    payload_cap,
+                    trace_capacity,
+                    spans,
+                    metrics,
+                },
         } = job;
         let mut net = Network::with_faults(actors, correct, topology);
         if let Some(capacity) = trace_capacity {
-            net.enable_trace_mode(capacity, trace_mode);
+            net.enable_trace(capacity);
         }
         net.set_payload_cap(payload_cap);
         if !faults.is_empty() {
@@ -66,7 +68,6 @@ where
             }
             report
         };
-        net.normalize_trace();
         ExecutionReport {
             rounds_executed: report.rounds_executed,
             completed: report.completed,
@@ -138,11 +139,12 @@ mod tests {
     #[test]
     fn fault_plan_removes_deliveries_and_metrics() {
         let clean = SimBackend.execute(Job::new(counters(3), Topology::canonical(3), 5));
-        let faulty =
-            SimBackend.execute(
-                Job::new(counters(3), Topology::canonical(3), 5)
-                    .faults(FaultPlan::new().drop_message(0, LinkId::new(1), Round::new(1))),
-            );
+        let faulty = SimBackend.execute(Job::new(counters(3), Topology::canonical(3), 5).opts(
+            ExecOptions {
+                faults: FaultPlan::new().drop_message(0, LinkId::new(1), Round::new(1)),
+                ..ExecOptions::default()
+            },
+        ));
         assert_eq!(
             faulty.metrics.messages_correct(),
             clean.metrics.messages_correct() - 1
@@ -155,7 +157,12 @@ mod tests {
 
     #[test]
     fn trace_capacity_is_honoured() {
-        let report = SimBackend.execute(Job::new(counters(2), Topology::canonical(2), 5).trace(3));
+        let report = SimBackend.execute(Job::new(counters(2), Topology::canonical(2), 5).opts(
+            ExecOptions {
+                trace_capacity: Some(3),
+                ..ExecOptions::default()
+            },
+        ));
         let trace = report.trace.expect("trace requested");
         assert_eq!(trace.events().len(), 3);
         assert!(trace.dropped() > 0);

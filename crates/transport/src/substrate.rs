@@ -4,14 +4,39 @@ use crate::faults::FaultPlan;
 use crate::{PooledBackend, SimBackend};
 use opr_metrics::MetricsRegistry;
 use opr_obs::SharedSpanLog;
-use opr_sim::{Actor, RunMetrics, Topology, Trace, TraceMode, WireSize};
+use opr_sim::{Actor, RunMetrics, Topology, Trace, WireSize};
 use opr_types::MalformedSend;
 use std::fmt;
 use std::fmt::Debug;
 
+/// Everything a [`Job`] carries besides its actors, mask, topology and
+/// round budget — the run surface's one declaration of the transport-level
+/// knobs. The runner and workload layers embed this value and hand it down
+/// whole; both backends destructure it once.
+#[derive(Clone, Debug, Default)]
+pub struct ExecOptions {
+    /// Transport-level faults applied below the actors (drops and
+    /// delay-to-silence schedules on chosen links).
+    pub faults: FaultPlan,
+    /// When `Some(cap)`, sends wider than `cap` bits are rejected and
+    /// recorded as [`MalformedSend`]s instead of delivered.
+    pub payload_cap: Option<u64>,
+    /// When `Some(cap)`, record the first `cap` delivery events into
+    /// [`ExecutionReport::trace`].
+    pub trace_capacity: Option<usize>,
+    /// When attached, backends record one wall-clock span per round here.
+    /// Wall timings are *not* part of the deterministic contract — they
+    /// never appear in [`ExecutionReport`] equality checks.
+    pub spans: Option<SharedSpanLog>,
+    /// When attached, backends record per-round wall-clock timing
+    /// histograms (`opr_round_ns{backend=...}`) here. Like spans, these
+    /// never enter [`ExecutionReport`] equality.
+    pub metrics: Option<MetricsRegistry>,
+}
+
 /// A complete lock-step execution: actors, their correctness mask, the
-/// topology routing them, a round budget, and optional transport faults and
-/// tracing. Consumed by [`Substrate::execute`].
+/// topology routing them, a round budget, and the [`ExecOptions`].
+/// Consumed by [`Substrate::execute`].
 pub struct Job<M, O> {
     /// One actor per process, in topology index order.
     pub actors: Vec<Box<dyn Actor<Msg = M, Output = O>>>,
@@ -22,28 +47,13 @@ pub struct Job<M, O> {
     pub topology: Topology,
     /// Maximum number of rounds to execute.
     pub max_rounds: u32,
-    /// Transport-level faults applied below the actors.
-    pub faults: FaultPlan,
-    /// When `Some(cap)`, record up to `cap` delivery events.
-    pub trace_capacity: Option<usize>,
-    /// What a full trace buffer sacrifices (oldest vs. newest events).
-    pub trace_mode: TraceMode,
-    /// When `Some(cap)`, sends wider than `cap` bits are rejected and
-    /// recorded as malformed instead of delivered.
-    pub payload_cap: Option<u64>,
-    /// When attached, backends record per-round wall-clock spans here.
-    /// Wall timings are *not* part of the deterministic contract — they
-    /// never appear in [`ExecutionReport`] equality checks.
-    pub spans: Option<SharedSpanLog>,
-    /// When attached, backends record per-round wall-clock timing
-    /// histograms (`opr_round_ns{backend=...}`) and a round counter here.
-    /// Like spans, these never enter [`ExecutionReport`] equality.
-    pub metrics: Option<MetricsRegistry>,
+    /// Transport faults, payload cap, tracing and wall-plane attachments.
+    pub opts: ExecOptions,
 }
 
 impl<M, O> Job<M, O> {
-    /// A job in which every actor is correct, with no transport faults and
-    /// no tracing.
+    /// A job in which every actor is correct, with default [`ExecOptions`]
+    /// (no transport faults, no tracing, nothing attached).
     ///
     /// # Panics
     ///
@@ -79,50 +89,13 @@ impl<M, O> Job<M, O> {
             correct,
             topology,
             max_rounds,
-            faults: FaultPlan::default(),
-            trace_capacity: None,
-            trace_mode: TraceMode::KeepFirst,
-            payload_cap: None,
-            spans: None,
-            metrics: None,
+            opts: ExecOptions::default(),
         }
     }
 
-    /// Attaches a transport-level fault plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Enables delivery tracing with the given event capacity.
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
-        self
-    }
-
-    /// Selects which events a full trace buffer keeps.
-    pub fn trace_mode(mut self, mode: TraceMode) -> Self {
-        self.trace_mode = mode;
-        self
-    }
-
-    /// Attaches a wall-clock span log; backends record one span per round.
-    pub fn spans(mut self, spans: SharedSpanLog) -> Self {
-        self.spans = Some(spans);
-        self
-    }
-
-    /// Attaches a metrics registry; backends record per-round wall-clock
-    /// histograms into it (wall plane only — never golden-pinned).
-    pub fn metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Caps message payloads at `cap` wire bits; wider sends are recorded
-    /// as [`MalformedSend`]s and dropped instead of delivered.
-    pub fn payload_cap(mut self, cap: u64) -> Self {
-        self.payload_cap = Some(cap);
+    /// Replaces the job's [`ExecOptions`].
+    pub fn opts(mut self, opts: ExecOptions) -> Self {
+        self.opts = opts;
         self
     }
 }

@@ -35,6 +35,20 @@ pub enum Regime {
 impl Regime {
     /// All regimes, strongest resilience first.
     pub const ALL: [Regime; 3] = [Regime::LogTime, Regime::ConstantTime, Regime::TwoStep];
+
+    /// A short stable label — the spelling every repro file format uses.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Regime::LogTime => "log-time",
+            Regime::ConstantTime => "constant-time",
+            Regime::TwoStep => "two-step",
+        }
+    }
+
+    /// Parses a [`Regime::label`].
+    pub fn parse(label: &str) -> Option<Regime> {
+        Regime::ALL.into_iter().find(|r| r.label() == label)
+    }
 }
 
 impl fmt::Display for Regime {

@@ -29,7 +29,6 @@ fn violating_runs(n: usize, t: usize, validation: bool, seeds: u64) -> (u32, u32
             |env| AdversarySpec::PairSqueeze.build_alg1(env),
             Alg1Options {
                 seed,
-                allow_regime_violation: false,
                 tweaks: Alg1Tweaks {
                     disable_validation: !validation,
                     ..Alg1Tweaks::default()

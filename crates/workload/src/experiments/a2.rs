@@ -10,8 +10,8 @@
 use crate::id_dist::IdDistribution;
 use crate::table::ExperimentTable;
 use opr_adversary::AdversarySpec;
-use opr_core::runner::run_two_step_clamped;
-use opr_core::TwoStepProbe;
+use opr_core::runner::{run_two_step, TwoStepOptions};
+use opr_core::{TwoStepProbe, TwoStepTweaks};
 use opr_types::{OriginalId, SystemConfig};
 use std::collections::BTreeSet;
 
@@ -24,13 +24,18 @@ fn measure(n: usize, t: usize, clamp: bool, seeds: u64) -> (u32, u32, i64) {
         let ids = IdDistribution::EvenSpaced.generate(n - t, seed + 1);
         let correct: BTreeSet<OriginalId> = ids.iter().copied().collect();
         runs += 1;
-        let result = run_two_step_clamped(
+        let result = run_two_step(
             cfg,
             &ids,
             t,
             |env| AdversarySpec::HalfEcho.build_two_step(env),
-            seed,
-            clamp,
+            TwoStepOptions {
+                seed,
+                tweaks: TwoStepTweaks {
+                    disable_clamp: !clamp,
+                },
+                ..TwoStepOptions::default()
+            },
         )
         .expect("legal regime");
         if !result.outcome.verify((n * n) as u64).is_empty() {

@@ -30,7 +30,6 @@ fn violations_at(cfg: SystemConfig, steps: u32, seeds: u64) -> (u32, u32, f64) {
             |env| AdversarySpec::PairSqueeze.build_alg1(env),
             Alg1Options {
                 seed,
-                allow_regime_violation: false,
                 tweaks: Alg1Tweaks {
                     voting_steps_override: Some(steps),
                     ..Alg1Tweaks::default()

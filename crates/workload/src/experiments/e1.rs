@@ -53,7 +53,6 @@ pub fn run() -> ExperimentTable {
             |env| spec.build_alg1(env),
             Alg1Options {
                 seed: 5,
-                allow_regime_violation: false,
                 tweaks: Alg1Tweaks {
                     early_output: true,
                     ..Alg1Tweaks::default()

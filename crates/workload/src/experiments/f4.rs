@@ -5,7 +5,7 @@
 use crate::id_dist::IdDistribution;
 use crate::table::ExperimentTable;
 use opr_adversary::AdversarySpec;
-use opr_core::runner::run_two_step;
+use opr_core::runner::{run_two_step, TwoStepOptions};
 use opr_types::{OriginalId, SystemConfig};
 use std::collections::BTreeSet;
 
@@ -34,8 +34,17 @@ pub fn run() -> ExperimentTable {
             for seed in 0..4u64 {
                 let ids = IdDistribution::EvenSpaced.generate(n - t, seed + 11);
                 let correct: BTreeSet<OriginalId> = ids.iter().copied().collect();
-                let result = run_two_step(cfg, &ids, t, |env| spec.build_two_step(env), seed)
-                    .expect("legal regime");
+                let result = run_two_step(
+                    cfg,
+                    &ids,
+                    t,
+                    |env| spec.build_two_step(env),
+                    TwoStepOptions {
+                        seed,
+                        ..TwoStepOptions::default()
+                    },
+                )
+                .expect("legal regime");
                 assert!(
                     result.outcome.verify((n * n) as u64).is_empty(),
                     "{spec} t={t} seed={seed}"

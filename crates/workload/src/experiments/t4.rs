@@ -4,7 +4,7 @@
 use crate::id_dist::IdDistribution;
 use crate::table::ExperimentTable;
 use opr_adversary::AdversarySpec;
-use opr_core::runner::{run_alg1, run_two_step, Alg1Options};
+use opr_core::runner::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
 use opr_types::{OriginalId, Regime, SystemConfig};
 use std::collections::BTreeSet;
 
@@ -145,8 +145,17 @@ pub fn run() -> ExperimentTable {
         for seed in 0..3u64 {
             let ids = IdDistribution::EvenSpaced.generate(9, seed + 3);
             let correct: BTreeSet<OriginalId> = ids.iter().copied().collect();
-            let result = run_two_step(cfg, &ids, 2, |env| spec.build_two_step(env), seed)
-                .expect("legal regime");
+            let result = run_two_step(
+                cfg,
+                &ids,
+                2,
+                |env| spec.build_two_step(env),
+                TwoStepOptions {
+                    seed,
+                    ..TwoStepOptions::default()
+                },
+            )
+            .expect("legal regime");
             assert_eq!(result.outcome.verify(121).len(), 0);
             max_delta = max_delta.max(result.probe.max_discrepancy(&correct));
             min_gap = min_gap.min(result.probe.min_correct_gap(&correct));

@@ -5,6 +5,7 @@ use crate::id_dist::IdDistribution;
 use crate::table::ExperimentTable;
 use opr_adversary::AdversarySpec;
 use opr_core::runner::{run_alg1, Alg1Options};
+use opr_core::Alg1Tweaks;
 use opr_types::{Regime, RenamingError, SystemConfig};
 
 /// Aggressive strategies for the boundary probe.
@@ -31,7 +32,10 @@ fn violation_runs(n: usize, t: usize, seeds: u64) -> (u32, u32) {
                 |env| spec.build_alg1(env),
                 Alg1Options {
                     seed,
-                    allow_regime_violation: true,
+                    tweaks: Alg1Tweaks {
+                        allow_regime_violation: true,
+                        ..Alg1Tweaks::default()
+                    },
                     ..Alg1Options::default()
                 },
             );

@@ -44,6 +44,13 @@ impl IdDistribution {
         }
     }
 
+    /// Parses an [`IdDistribution::label`].
+    pub fn parse(label: &str) -> Option<IdDistribution> {
+        IdDistribution::ALL
+            .into_iter()
+            .find(|dist| dist.label() == label)
+    }
+
     /// Generates `count` distinct ids.
     pub fn generate(&self, count: usize, seed: u64) -> Vec<OriginalId> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6964_6469_7374);

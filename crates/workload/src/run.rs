@@ -2,14 +2,11 @@
 
 use opr_adversary::AdversarySpec;
 use opr_baselines::{ChtRenaming, ConsensusRenaming, CrashAaRenaming, TranslatedRenaming};
-use opr_core::runner::{
-    run_alg1, run_alg1_observed, run_two_step_observed, run_two_step_with, Alg1Options,
-    TwoStepOptions,
-};
-use opr_core::{Alg1Probe, TwoStepProbe};
+use opr_core::runner::{run_alg1_observed, run_two_step_observed, Alg1Options, ObservedRun};
+use opr_core::{Alg1Probe, TwoStepProbe, TwoStepTweaks};
 use opr_metrics::{labeled, MetricsRegistry, MetricsSnapshot};
 use opr_obs::{ProtocolEvent, RunLog, SharedSpanLog};
-use opr_sim::{Actor, Inbox, Outbox, RunMetrics, Topology, Trace, TraceMode, WireSize};
+use opr_sim::{Actor, Inbox, Outbox, RunMetrics, Topology, Trace, WireSize};
 use opr_transport::{BackendKind, FaultPlan, Job};
 use opr_types::{
     DegradedOutcome, MalformedSend, NewName, OriginalId, Regime, RenamingError, RenamingOutcome,
@@ -60,6 +57,11 @@ impl Algorithm {
             Algorithm::Cht => "b3-cht",
             Algorithm::Translated => "b4-translated",
         }
+    }
+
+    /// Parses an [`Algorithm::label`].
+    pub fn parse(label: &str) -> Option<Algorithm> {
+        Algorithm::ALL.into_iter().find(|a| a.label() == label)
     }
 
     /// The smallest `N` this implementation supports for a given `t`.
@@ -157,66 +159,23 @@ impl Algorithm {
         adversary: AdversarySpec,
         seed: u64,
     ) -> Result<RunStats, RenamingError> {
-        let bound = self.namespace_bound(cfg.n(), cfg.t());
+        let paper = |regime| {
+            RenamingRun::builder(cfg, regime)
+                .correct_ids(correct_ids.iter().copied())
+                .adversary(adversary, faulty)
+                .seed(seed)
+                .backend(backend)
+                .run()
+                .map(|output| output.stats)
+        };
         match self {
-            Algorithm::Alg1LogTime | Algorithm::Alg1ConstantTime => {
-                let regime = if *self == Algorithm::Alg1LogTime {
-                    Regime::LogTime
-                } else {
-                    Regime::ConstantTime
-                };
-                let result = run_alg1(
-                    cfg,
-                    regime,
-                    correct_ids,
-                    faulty,
-                    |env| adversary.build_alg1(env),
-                    Alg1Options {
-                        seed,
-                        backend,
-                        ..Alg1Options::default()
-                    },
-                )?;
-                Ok(RunStats::collect(
-                    *self,
-                    cfg,
-                    adversary.label(),
-                    &result.outcome,
-                    result.rounds,
-                    &result.metrics,
-                    bound,
-                ))
-            }
-            Algorithm::TwoStep => {
-                let result = run_two_step_with(
-                    cfg,
-                    correct_ids,
-                    faulty,
-                    |env| adversary.build_two_step(env),
-                    TwoStepOptions {
-                        seed,
-                        backend,
-                        ..TwoStepOptions::default()
-                    },
-                )?;
-                Ok(RunStats::collect(
-                    *self,
-                    cfg,
-                    adversary.label(),
-                    &result.outcome,
-                    result.rounds,
-                    &result.metrics,
-                    bound,
-                ))
-            }
-            Algorithm::CrashAa => self.run_crash_aa(backend, cfg, correct_ids, faulty, seed, bound),
-            Algorithm::Consensus => {
-                self.run_consensus(backend, cfg, correct_ids, faulty, seed, bound)
-            }
-            Algorithm::Cht => self.run_cht(backend, cfg, correct_ids, faulty, seed, bound),
-            Algorithm::Translated => {
-                self.run_translated(backend, cfg, correct_ids, faulty, seed, bound)
-            }
+            Algorithm::Alg1LogTime => paper(Regime::LogTime),
+            Algorithm::Alg1ConstantTime => paper(Regime::ConstantTime),
+            Algorithm::TwoStep => paper(Regime::TwoStep),
+            Algorithm::CrashAa => self.run_crash_aa(backend, cfg, correct_ids, faulty, seed),
+            Algorithm::Consensus => self.run_consensus(backend, cfg, correct_ids, faulty, seed),
+            Algorithm::Cht => self.run_cht(backend, cfg, correct_ids, faulty, seed),
+            Algorithm::Translated => self.run_translated(backend, cfg, correct_ids, faulty, seed),
         }
     }
 
@@ -227,8 +186,8 @@ impl Algorithm {
         correct_ids: &[OriginalId],
         faulty: usize,
         seed: u64,
-        bound: u64,
     ) -> Result<RunStats, RenamingError> {
+        check_baseline_counts(cfg, correct_ids.len(), faulty)?;
         let rounds = CrashAaRenaming::total_rounds(cfg.t());
         let fake_base = correct_ids.iter().map(|i| i.raw()).max().unwrap_or(0) + 1000;
         type B1Actor = Box<dyn Actor<Msg = opr_baselines::crash_aa::CrashMsg, Output = NewName>>;
@@ -243,18 +202,8 @@ impl Algorithm {
         for &id in correct_ids {
             actors.push(Box::new(CrashAaRenaming::new(cfg, id)));
         }
-        run_baseline(
-            *self,
-            backend,
-            cfg,
-            "crash",
-            correct_ids,
-            faulty,
-            actors,
-            rounds,
-            seed,
-            bound,
-        )
+        let topology = Topology::seeded(cfg.n(), seed);
+        run_baseline(*self, backend, cfg, "crash", correct_ids, actors, topology)
     }
 
     fn run_consensus(
@@ -264,9 +213,8 @@ impl Algorithm {
         correct_ids: &[OriginalId],
         faulty: usize,
         seed: u64,
-        bound: u64,
     ) -> Result<RunStats, RenamingError> {
-        let rounds = ConsensusRenaming::total_rounds(cfg.t());
+        check_baseline_counts(cfg, correct_ids.len(), faulty)?;
         let topo = Topology::seeded(cfg.n(), seed);
         type B2Actor =
             Box<dyn Actor<Msg = opr_baselines::consensus_renaming::B2Msg, Output = NewName>>;
@@ -283,18 +231,7 @@ impl Algorithm {
                 opr_consensus::king_links_for(&topo, index),
             )));
         }
-        run_baseline_with_topology(
-            *self,
-            backend,
-            cfg,
-            "silent",
-            correct_ids,
-            faulty,
-            actors,
-            rounds,
-            topo,
-            bound,
-        )
+        run_baseline(*self, backend, cfg, "silent", correct_ids, actors, topo)
     }
 
     fn run_cht(
@@ -304,9 +241,8 @@ impl Algorithm {
         correct_ids: &[OriginalId],
         faulty: usize,
         seed: u64,
-        bound: u64,
     ) -> Result<RunStats, RenamingError> {
-        let rounds = ChtRenaming::total_rounds(cfg.n());
+        check_baseline_counts(cfg, correct_ids.len(), faulty)?;
         type B3Actor = Box<dyn Actor<Msg = opr_baselines::cht::ChtMsg, Output = NewName>>;
         let mut actors: Vec<B3Actor> = Vec::new();
         for _ in 0..faulty {
@@ -315,17 +251,15 @@ impl Algorithm {
         for &id in correct_ids {
             actors.push(Box::new(ChtRenaming::new(cfg.n(), id)));
         }
+        let topology = Topology::seeded(cfg.n(), seed);
         run_baseline(
             *self,
             backend,
             cfg,
             "crash-at-start",
             correct_ids,
-            faulty,
             actors,
-            rounds,
-            seed,
-            bound,
+            topology,
         )
     }
 
@@ -336,9 +270,8 @@ impl Algorithm {
         correct_ids: &[OriginalId],
         faulty: usize,
         seed: u64,
-        bound: u64,
     ) -> Result<RunStats, RenamingError> {
-        let rounds = TranslatedRenaming::total_rounds(cfg.n());
+        check_baseline_counts(cfg, correct_ids.len(), faulty)?;
         // Canonical adversary: forge interleaved fake ids consistently.
         let fakes: Vec<u64> = correct_ids
             .windows(2)
@@ -363,17 +296,15 @@ impl Algorithm {
         for &id in correct_ids {
             actors.push(Box::new(TranslatedRenaming::new(cfg, id)));
         }
+        let topology = Topology::seeded(cfg.n(), seed);
         run_baseline(
             *self,
             backend,
             cfg,
             "consistent-forge",
             correct_ids,
-            faulty,
             actors,
-            rounds,
-            seed,
-            bound,
+            topology,
         )
     }
 }
@@ -402,53 +333,42 @@ impl Actor for Forger {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The baselines' setup check, made before any of them builds `faulty`
+/// actors and before `n - faulty` can wrap.
+fn check_baseline_counts(
+    cfg: SystemConfig,
+    correct: usize,
+    faulty: usize,
+) -> Result<(), RenamingError> {
+    if faulty > cfg.n() {
+        return Err(RenamingError::TooManyFaultyActors {
+            got: faulty,
+            bound: cfg.n(),
+        });
+    }
+    if correct + faulty != cfg.n() {
+        return Err(RenamingError::WrongIdCount {
+            got: correct,
+            expected: cfg.n() - faulty,
+        });
+    }
+    Ok(())
+}
+
+/// Executes a baseline system for its fixed round count. `actors` is the
+/// faulty actors followed by one correct actor per id, counts already
+/// checked by [`check_baseline_counts`].
 fn run_baseline<M: Clone + Debug + WireSize + Send + Sync + 'static>(
     algorithm: Algorithm,
     backend: BackendKind,
     cfg: SystemConfig,
     adversary_label: &str,
     correct_ids: &[OriginalId],
-    faulty: usize,
     actors: Vec<Box<dyn Actor<Msg = M, Output = NewName>>>,
-    rounds: u32,
-    seed: u64,
-    bound: u64,
-) -> Result<RunStats, RenamingError> {
-    let topo = Topology::seeded(cfg.n(), seed);
-    run_baseline_with_topology(
-        algorithm,
-        backend,
-        cfg,
-        adversary_label,
-        correct_ids,
-        faulty,
-        actors,
-        rounds,
-        topo,
-        bound,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_baseline_with_topology<M: Clone + Debug + WireSize + Send + Sync + 'static>(
-    algorithm: Algorithm,
-    backend: BackendKind,
-    cfg: SystemConfig,
-    adversary_label: &str,
-    correct_ids: &[OriginalId],
-    faulty: usize,
-    actors: Vec<Box<dyn Actor<Msg = M, Output = NewName>>>,
-    rounds: u32,
     topology: Topology,
-    bound: u64,
 ) -> Result<RunStats, RenamingError> {
-    if correct_ids.len() + faulty != cfg.n() {
-        return Err(RenamingError::WrongIdCount {
-            got: correct_ids.len(),
-            expected: cfg.n() - faulty,
-        });
-    }
+    let faulty = actors.len() - correct_ids.len();
+    let rounds = algorithm.rounds(cfg.n(), cfg.t());
     let mut correct_mask = vec![false; faulty];
     correct_mask.extend(vec![true; correct_ids.len()]);
     let report = backend.execute(Job::with_faulty(actors, correct_mask, topology, rounds));
@@ -468,7 +388,7 @@ fn run_baseline_with_topology<M: Clone + Debug + WireSize + Send + Sync + 'stati
         &outcome,
         report.rounds_executed,
         &report.metrics,
-        bound,
+        algorithm.namespace_bound(cfg.n(), cfg.t()),
     ))
 }
 
@@ -547,17 +467,16 @@ pub struct RenamingRun {
     ids: Vec<OriginalId>,
     adversary: AdversarySpec,
     faulty: usize,
-    seed: u64,
-    extra_voting_steps: u32,
-    backend: BackendKind,
-    faults: FaultPlan,
-    allow_fault_overrun: bool,
-    payload_cap: Option<u64>,
-    trace_capacity: Option<usize>,
-    trace_mode: TraceMode,
-    record_events: bool,
-    spans: Option<SharedSpanLog>,
-    metrics: Option<MetricsRegistry>,
+    /// The runner's own options value, written by the builder setters and
+    /// moved into the run whole. Algorithm 1's is the superset: a two-step
+    /// run keeps everything in it but the tweaks.
+    opts: Alg1Options,
+}
+
+/// Either family's observation, as the one shared run path returns it.
+enum Observed {
+    Alg1(ObservedRun<Alg1Probe>),
+    TwoStep(ObservedRun<TwoStepProbe>),
 }
 
 /// The structured result of [`RenamingRun::run_diagnosed`]: what happened,
@@ -687,17 +606,7 @@ impl RenamingRun {
             ids: Vec::new(),
             adversary: AdversarySpec::Silent,
             faulty: 0,
-            seed: 0,
-            extra_voting_steps: 0,
-            backend: BackendKind::default(),
-            faults: FaultPlan::default(),
-            allow_fault_overrun: false,
-            payload_cap: None,
-            trace_capacity: None,
-            trace_mode: TraceMode::KeepFirst,
-            record_events: false,
-            spans: None,
-            metrics: None,
+            opts: Alg1Options::default(),
         }
     }
 
@@ -720,13 +629,14 @@ impl RenamingRun {
     /// Sets the run seed (topology labels, fault placement, randomized
     /// strategies).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.opts.seed = seed;
         self
     }
 
-    /// Adds voting steps beyond the paper's schedule (margin studies).
+    /// Adds voting steps beyond the paper's schedule (margin studies;
+    /// Algorithm 1 only).
     pub fn extra_voting_steps(mut self, extra: u32) -> Self {
-        self.extra_voting_steps = extra;
+        self.opts.tweaks.extra_voting_steps = extra;
         self
     }
 
@@ -734,14 +644,14 @@ impl RenamingRun {
     /// simulator; `BackendKind::Pooled` steps processes as tasks on a worker
     /// pool with identical observable results).
     pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
+        self.opts.backend = backend;
         self
     }
 
     /// Attaches a transport-level fault plan (drops, link silences,
     /// crash-style process silences) applied below the adversary layer.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.opts.exec.faults = faults;
         self
     }
 
@@ -750,35 +660,28 @@ impl RenamingRun {
     /// the strict [`RenamingRun::run`] will then typically report a missed
     /// termination.
     pub fn allow_fault_overrun(mut self) -> Self {
-        self.allow_fault_overrun = true;
+        self.opts.allow_fault_overrun = true;
         self
     }
 
     /// Caps message payloads at `cap` wire bits; wider sends are recorded
     /// as malformed and dropped at the transport.
     pub fn payload_cap(mut self, cap: u64) -> Self {
-        self.payload_cap = Some(cap);
+        self.opts.exec.payload_cap = Some(cap);
         self
     }
 
-    /// Records up to `capacity` delivery events, returned in
+    /// Records the first `capacity` delivery events, returned in
     /// [`DiagnosedRun::trace`] (only `run_diagnosed` surfaces them).
     pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
-        self
-    }
-
-    /// Selects which events a full trace buffer keeps (default: the oldest;
-    /// [`TraceMode::KeepLast`] keeps a ring of the newest for forensics).
-    pub fn trace_mode(mut self, mode: TraceMode) -> Self {
-        self.trace_mode = mode;
+        self.opts.exec.trace_capacity = Some(capacity);
         self
     }
 
     /// Attaches a deterministic protocol-event recorder to every correct
     /// actor; [`DiagnosedRun::events`] then carries the per-process streams.
     pub fn record_events(mut self) -> Self {
-        self.record_events = true;
+        self.opts.record_events = true;
         self
     }
 
@@ -786,7 +689,7 @@ impl RenamingRun {
     /// executed round (observability only, never part of the deterministic
     /// result).
     pub fn spans(mut self, spans: SharedSpanLog) -> Self {
-        self.spans = Some(spans);
+        self.opts.exec.spans = Some(spans);
         self
     }
 
@@ -794,8 +697,33 @@ impl RenamingRun {
     /// wall-clock histograms into it. Wall plane only — for the
     /// deterministic aggregates, use [`DiagnosedRun::metrics_snapshot`].
     pub fn metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = Some(metrics);
+        self.opts.exec.metrics = Some(metrics);
         self
+    }
+
+    /// The one path both entry points execute through: every option the
+    /// builder collected moves into the runner whole, so no entry point can
+    /// forget one. Hands the ids back for the diagnosis to walk.
+    fn observe(self) -> Result<(Observed, Vec<OriginalId>), RenamingError> {
+        let spec = self.adversary;
+        let observed = match self.regime {
+            Regime::LogTime | Regime::ConstantTime => Observed::Alg1(run_alg1_observed(
+                self.cfg,
+                self.regime,
+                &self.ids,
+                self.faulty,
+                |env| spec.build_alg1(env),
+                self.opts,
+            )?),
+            Regime::TwoStep => Observed::TwoStep(run_two_step_observed(
+                self.cfg,
+                &self.ids,
+                self.faulty,
+                |env| spec.build_two_step(env),
+                self.opts.with_tweaks(TwoStepTweaks::default()),
+            )?),
+        };
+        Ok((observed, self.ids))
     }
 
     /// Executes the run.
@@ -805,88 +733,36 @@ impl RenamingRun {
     /// Returns [`RenamingError`] on invalid configuration or if a correct
     /// process misses its termination deadline.
     pub fn run(self) -> Result<RunOutput, RenamingError> {
-        match self.regime {
-            Regime::LogTime | Regime::ConstantTime => {
-                let spec = self.adversary;
-                let result = run_alg1(
-                    self.cfg,
-                    self.regime,
-                    &self.ids,
-                    self.faulty,
-                    |env| spec.build_alg1(env),
-                    Alg1Options {
-                        seed: self.seed,
-                        allow_regime_violation: false,
-                        tweaks: opr_core::Alg1Tweaks {
-                            extra_voting_steps: self.extra_voting_steps,
-                            ..opr_core::Alg1Tweaks::default()
-                        },
-                        backend: self.backend,
-                        faults: self.faults.clone(),
-                        allow_fault_overrun: self.allow_fault_overrun,
-                        payload_cap: self.payload_cap,
-                        trace_capacity: None,
-                        spans: self.spans.clone(),
-                        metrics: self.metrics.clone(),
-                        ..Alg1Options::default()
-                    },
-                )?;
-                let algorithm = if self.regime == Regime::LogTime {
+        let (cfg, regime, adversary) = (self.cfg, self.regime, self.adversary.label());
+        let stats = |algorithm, outcome: &RenamingOutcome, rounds, metrics: &RunMetrics| {
+            let bound = cfg.namespace_bound(regime);
+            RunStats::collect(algorithm, cfg, adversary, outcome, rounds, metrics, bound)
+        };
+        Ok(match self.observe()?.0 {
+            Observed::Alg1(observed) => {
+                let o = observed.strict()?;
+                let algorithm = if regime == Regime::LogTime {
                     Algorithm::Alg1LogTime
                 } else {
                     Algorithm::Alg1ConstantTime
                 };
-                let stats = RunStats::collect(
-                    algorithm,
-                    self.cfg,
-                    spec.label(),
-                    &result.outcome,
-                    result.rounds,
-                    &result.metrics,
-                    self.cfg.namespace_bound(self.regime),
-                );
-                Ok(RunOutput {
-                    outcome: result.outcome,
-                    stats,
-                    alg1_probe: Some(result.probe),
+                RunOutput {
+                    stats: stats(algorithm, &o.outcome, o.rounds, &o.metrics),
+                    outcome: o.outcome,
+                    alg1_probe: Some(o.probe),
                     two_step_probe: None,
-                })
+                }
             }
-            Regime::TwoStep => {
-                let spec = self.adversary;
-                let result = run_two_step_with(
-                    self.cfg,
-                    &self.ids,
-                    self.faulty,
-                    |env| spec.build_two_step(env),
-                    TwoStepOptions {
-                        seed: self.seed,
-                        backend: self.backend,
-                        faults: self.faults.clone(),
-                        allow_fault_overrun: self.allow_fault_overrun,
-                        payload_cap: self.payload_cap,
-                        spans: self.spans.clone(),
-                        metrics: self.metrics.clone(),
-                        ..TwoStepOptions::default()
-                    },
-                )?;
-                let stats = RunStats::collect(
-                    Algorithm::TwoStep,
-                    self.cfg,
-                    spec.label(),
-                    &result.outcome,
-                    result.rounds,
-                    &result.metrics,
-                    self.cfg.namespace_bound(Regime::TwoStep),
-                );
-                Ok(RunOutput {
-                    outcome: result.outcome,
-                    stats,
+            Observed::TwoStep(observed) => {
+                let o = observed.strict()?;
+                RunOutput {
+                    stats: stats(Algorithm::TwoStep, &o.outcome, o.rounds, &o.metrics),
+                    outcome: o.outcome,
                     alg1_probe: None,
-                    two_step_probe: Some(result.probe),
-                })
+                    two_step_probe: Some(o.probe),
+                }
             }
-        }
+        })
     }
 
     /// Executes the run and *diagnoses* it instead of judging it: missed
@@ -905,132 +781,64 @@ impl RenamingRun {
     /// actors.
     pub fn run_diagnosed(self) -> Result<DiagnosedRun, RenamingError> {
         let bound = self.cfg.namespace_bound(self.regime);
-        let expected_rounds = self.cfg.total_steps(self.regime) + self.extra_voting_steps;
-        let spec = self.adversary;
-        // Erase the probe type so both algorithm families share the
-        // diagnosis below.
-        let (
-            outcome,
-            metrics,
-            rounds,
-            step_budget,
-            malformed,
-            faulty_mask,
-            trace,
-            events,
-            correct_malformed,
-        ) = match self.regime {
-            Regime::LogTime | Regime::ConstantTime => {
-                let o = run_alg1_observed(
-                    self.cfg,
-                    self.regime,
-                    &self.ids,
-                    self.faulty,
-                    |env| spec.build_alg1(env),
-                    Alg1Options {
-                        seed: self.seed,
-                        allow_regime_violation: false,
-                        tweaks: opr_core::Alg1Tweaks {
-                            extra_voting_steps: self.extra_voting_steps,
-                            ..opr_core::Alg1Tweaks::default()
-                        },
-                        backend: self.backend,
-                        faults: self.faults.clone(),
-                        allow_fault_overrun: self.allow_fault_overrun,
-                        payload_cap: self.payload_cap,
-                        trace_capacity: self.trace_capacity,
-                        trace_mode: self.trace_mode,
-                        record_events: self.record_events,
-                        spans: self.spans.clone(),
-                        metrics: self.metrics.clone(),
-                    },
-                )?;
-                let cm = o.correct_malformed();
-                (
-                    o.outcome,
-                    o.metrics,
-                    o.rounds,
-                    o.step_budget,
-                    o.malformed,
-                    o.faulty_mask,
-                    o.trace,
-                    o.events,
-                    cm,
-                )
-            }
-            Regime::TwoStep => {
-                let o = run_two_step_observed(
-                    self.cfg,
-                    &self.ids,
-                    self.faulty,
-                    |env| spec.build_two_step(env),
-                    TwoStepOptions {
-                        seed: self.seed,
-                        backend: self.backend,
-                        faults: self.faults.clone(),
-                        allow_fault_overrun: self.allow_fault_overrun,
-                        payload_cap: self.payload_cap,
-                        trace_capacity: self.trace_capacity,
-                        trace_mode: self.trace_mode,
-                        record_events: self.record_events,
-                        spans: self.spans.clone(),
-                        metrics: self.metrics.clone(),
-                        ..TwoStepOptions::default()
-                    },
-                )?;
-                let cm = o.correct_malformed();
-                (
-                    o.outcome,
-                    o.metrics,
-                    o.rounds,
-                    o.step_budget,
-                    o.malformed,
-                    o.faulty_mask,
-                    o.trace,
-                    o.events,
-                    cm,
-                )
-            }
-        };
-        // Judged set: correct actors without transport faults on their
-        // outgoing links. Ids were assigned to non-Byzantine indices in
-        // caller order, so walk the mask to recover index → id.
-        let disturbed = self.faults.disturbed_senders();
-        let mut id_iter = self.ids.iter().copied();
-        let mut excluded = Vec::new();
-        let mut judged: Vec<(OriginalId, Option<NewName>)> = Vec::new();
-        for (index, &is_faulty) in faulty_mask.iter().enumerate() {
-            if is_faulty {
-                continue;
-            }
-            let id = id_iter.next().expect("id count checked by the runner");
-            if disturbed.contains(&index) {
-                excluded.push(id);
-            } else {
-                judged.push((id, outcome.name_of(id)));
-            }
-        }
-        let judged_completed = judged.iter().all(|(_, name)| name.is_some());
-        let degraded = DegradedOutcome::diagnose(
-            RenamingOutcome::new(judged),
-            rounds,
-            judged_completed,
-            step_budget,
-            expected_rounds,
-            bound,
-            &correct_malformed,
-        );
-        Ok(DiagnosedRun {
-            degraded,
-            full_outcome: outcome,
-            metrics,
-            rounds,
-            malformed,
-            faulty_mask,
-            excluded,
-            trace,
-            events,
+        let expected_rounds =
+            self.cfg.total_steps(self.regime) + self.opts.tweaks.extra_voting_steps;
+        let disturbed = self.opts.exec.faults.disturbed_senders();
+        Ok(match self.observe()? {
+            (Observed::Alg1(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
+            (Observed::TwoStep(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
         })
+    }
+}
+
+/// Judges an observation of either family over the healthy correct
+/// processes: `ids` in the caller's order, minus those at `disturbed`
+/// indices.
+fn diagnose<P>(
+    o: ObservedRun<P>,
+    ids: &[OriginalId],
+    disturbed: &std::collections::BTreeSet<usize>,
+    expected_rounds: u32,
+    bound: u64,
+) -> DiagnosedRun {
+    let correct_malformed = o.correct_malformed();
+    // Judged set: correct actors without transport faults on their
+    // outgoing links. Ids were assigned to non-Byzantine indices in
+    // caller order, so walk the mask to recover index → id.
+    let mut id_iter = ids.iter().copied();
+    let mut excluded = Vec::new();
+    let mut judged: Vec<(OriginalId, Option<NewName>)> = Vec::new();
+    for (index, &is_faulty) in o.faulty_mask.iter().enumerate() {
+        if is_faulty {
+            continue;
+        }
+        let id = id_iter.next().expect("id count checked by the runner");
+        if disturbed.contains(&index) {
+            excluded.push(id);
+        } else {
+            judged.push((id, o.outcome.name_of(id)));
+        }
+    }
+    let judged_completed = judged.iter().all(|(_, name)| name.is_some());
+    let degraded = DegradedOutcome::diagnose(
+        RenamingOutcome::new(judged),
+        o.rounds,
+        judged_completed,
+        o.step_budget,
+        expected_rounds,
+        bound,
+        &correct_malformed,
+    );
+    DiagnosedRun {
+        degraded,
+        full_outcome: o.outcome,
+        metrics: o.metrics,
+        rounds: o.rounds,
+        malformed: o.malformed,
+        faulty_mask: o.faulty_mask,
+        excluded,
+        trace: o.trace,
+        events: o.events,
     }
 }
 

@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             |env| spec.build_alg1(env),
             Alg1Options {
                 seed: 3,
-                allow_regime_violation: false,
                 tweaks: Alg1Tweaks {
                     early_output: true,
                     ..Alg1Tweaks::default()

@@ -1,7 +1,7 @@
 # Development commands. `just ci` is the full gate; individual recipes below.
 
 # Everything CI runs, in order.
-ci: fmt-check lint build test bench-quick
+ci: fmt-check lint surface build test bench-quick
 
 # Formatting gate.
 fmt-check:
@@ -16,6 +16,11 @@ fmt:
 # honest about stray payload copies.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
+
+# Declared-once lint of the run surface: no run knob may be declared twice
+# under crates/{transport,core,workload}/src; prints the public-item count.
+surface:
+    tools/surface.sh
 
 # Tier-1 build.
 build:

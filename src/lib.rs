@@ -11,9 +11,10 @@
 //!   standalone Byzantine/crash AA protocols).
 //! * [`rbcast`] — Echo/Ready flooding substrate (the id-selection core).
 //! * [`consensus`] — phase-king Byzantine consensus (baseline substrate).
-//! * [`transport`] — pluggable lock-step execution substrates (the
-//!   deterministic simulator backend and the thread-per-process backend)
-//!   plus transport-level fault injection.
+//! * [`transport`] — pluggable lock-step execution substrates (`SimBackend`,
+//!   the deterministic single-threaded reference, and `PooledBackend`, the
+//!   worker-pool real-threads engine), the [`ExecOptions`] every layer above
+//!   embeds, and transport-level fault injection.
 //! * [`core`] — the paper's algorithms: Algorithm 1 (log-time and
 //!   constant-time schedules) and Algorithm 4 (2-step).
 //! * [`adversary`] — the Byzantine strategy library.
@@ -39,6 +40,7 @@
 //!   cross-epoch uniqueness ledger, and its own oracle/repro layer.
 //!
 //! [`RunPool`]: exec::RunPool
+//! [`ExecOptions`]: transport::ExecOptions
 //! [`MetricsRegistry`]: metrics::MetricsRegistry
 //!
 //! # Quickstart

@@ -1,8 +1,8 @@
 //! Integration tests for the ablation knobs and the early-output extension
 //! through the public facade.
 
-use opr::core::runner::{run_alg1, run_two_step_clamped, Alg1Options};
-use opr::core::Alg1Tweaks;
+use opr::core::runner::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
+use opr::core::{Alg1Tweaks, TwoStepTweaks};
 use opr::prelude::*;
 
 /// Early output must be *outcome-equivalent* to the full schedule: the
@@ -30,7 +30,6 @@ fn early_output_is_outcome_equivalent_to_full_schedule() {
                     |env| spec.build_alg1(env),
                     Alg1Options {
                         seed,
-                        allow_regime_violation: false,
                         tweaks: Alg1Tweaks {
                             early_output: early,
                             ..Alg1Tweaks::default()
@@ -65,7 +64,6 @@ fn early_output_fires_at_first_voting_step_without_active_faults() {
         |_| None, // silent Byzantine
         Alg1Options {
             seed: 9,
-            allow_regime_violation: false,
             tweaks: Alg1Tweaks {
                 early_output: true,
                 ..Alg1Tweaks::default()
@@ -116,7 +114,6 @@ fn safe_voting_steps_meet_the_paper_spread_target() {
             |env| AdversarySpec::PairSqueeze.build_alg1(env),
             Alg1Options {
                 seed: 6,
-                allow_regime_violation: false,
                 tweaks: Alg1Tweaks {
                     extra_voting_steps: extra,
                     ..Alg1Tweaks::default()
@@ -139,25 +136,23 @@ fn safe_voting_steps_meet_the_paper_spread_target() {
 fn clamp_toggles_half_echo_between_harmless_and_lethal() {
     let cfg = SystemConfig::new(11, 2).unwrap();
     let ids = IdDistribution::EvenSpaced.generate(9, 8);
-    let clamped = run_two_step_clamped(
-        cfg,
-        &ids,
-        2,
-        |env| AdversarySpec::HalfEcho.build_two_step(env),
-        1,
-        true,
-    )
-    .unwrap();
+    let run = |disable_clamp| {
+        run_two_step(
+            cfg,
+            &ids,
+            2,
+            |env| AdversarySpec::HalfEcho.build_two_step(env),
+            TwoStepOptions {
+                seed: 1,
+                tweaks: TwoStepTweaks { disable_clamp },
+                ..TwoStepOptions::default()
+            },
+        )
+        .unwrap()
+    };
+    let clamped = run(false);
     assert!(clamped.outcome.verify(121).is_empty());
-    let unclamped = run_two_step_clamped(
-        cfg,
-        &ids,
-        2,
-        |env| AdversarySpec::HalfEcho.build_two_step(env),
-        1,
-        false,
-    )
-    .unwrap();
+    let unclamped = run(true);
     assert!(
         !unclamped.outcome.verify(121).is_empty(),
         "without the clamp the half-echo adversary must break renaming"

@@ -106,7 +106,7 @@ fn committed_worst_seeds_replay_green_with_exact_fitness() {
         for reference in BackendKind::ALL {
             let run = repro
                 .schedule
-                .run_observed(reference, None)
+                .run_observed(reference)
                 .expect("seed replays");
             let got = evaluate(record.kind, &repro.schedule, &run, reference).0;
             assert_eq!(

@@ -115,7 +115,8 @@ proptest! {
         let capacity = 1usize << 16;
         let run = |backend: BackendKind| {
             schedule
-                .run_traced(backend, capacity)
+                .to_run(backend)
+                .and_then(|run| run.trace(capacity).run_diagnosed())
                 .expect("chaos schedules are legal by construction")
         };
         let sim = run(BackendKind::Sim);
@@ -154,7 +155,7 @@ proptest! {
         let schedule = opr::chaos::generate_schedule(seed, budget);
         let run = |backend: BackendKind| {
             schedule
-                .run_observed(backend, None)
+                .run_observed(backend)
                 .expect("chaos schedules are legal by construction")
         };
         let sim = run(BackendKind::Sim);
@@ -214,13 +215,13 @@ proptest! {
         let schedule = opr::chaos::generate_schedule(seed, budget);
         let tag = schedule.describe();
         let reference = schedule
-            .run_observed(BackendKind::Sim, None)
+            .run_observed(BackendKind::Sim)
             .expect("chaos schedules are legal by construction")
             .metrics_snapshot();
         prop_assert!(!reference.is_empty(), "snapshot never empty: {}", tag);
         let backend = BackendKind::Pooled;
         let other = schedule
-            .run_observed(backend, None)
+            .run_observed(backend)
             .expect("chaos schedules are legal by construction")
             .metrics_snapshot();
         prop_assert_eq!(&reference, &other, "snapshot on {}: {}", backend, tag);
@@ -285,7 +286,12 @@ fn probe_deliveries(
             }) as Box<dyn opr::sim::Actor<Msg = OriginalId, Output = Vec<Vec<usize>>>>
         })
         .collect();
-    let report = backend.execute(opr::transport::Job::new(actors, topology, rounds).faults(plan));
+    let report = backend.execute(opr::transport::Job::new(actors, topology, rounds).opts(
+        opr::transport::ExecOptions {
+            faults: plan,
+            ..Default::default()
+        },
+    ));
     assert!(report.completed, "probe run must complete");
     report
         .outputs

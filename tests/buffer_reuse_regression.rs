@@ -72,7 +72,8 @@ fn replay_rendering() -> String {
     for backend in BackendKind::ALL {
         let run = repro
             .schedule
-            .run_traced(backend, TRACE_CAPACITY)
+            .to_run(backend)
+            .and_then(|run| run.trace(TRACE_CAPACITY).run_diagnosed())
             .expect("stored repro must replay");
         out.push_str(&render(backend, &run));
     }
@@ -123,7 +124,8 @@ fn tracing_does_not_perturb_the_replay() {
     let (reference, _) = repro.backend.backends();
     let traced = repro
         .schedule
-        .run_traced(reference, TRACE_CAPACITY)
+        .to_run(reference)
+        .and_then(|run| run.trace(TRACE_CAPACITY).run_diagnosed())
         .expect("replay");
     let untraced = repro.schedule.run_on(reference).expect("replay");
     assert!(untraced.trace.is_none());

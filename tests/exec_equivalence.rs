@@ -115,7 +115,7 @@ proptest! {
                     let schedule = schedule.clone();
                     move || {
                         schedule
-                            .run_observed(BackendKind::Sim, None)
+                            .run_observed(BackendKind::Sim)
                             .expect("chaos schedules are legal by construction")
                             .events
                             .expect("recorder attached")
@@ -152,7 +152,7 @@ proptest! {
         let run = |workers: usize| {
             PooledBackend::set_process_default_workers(workers);
             let observed = schedule
-                .run_observed(BackendKind::Pooled, None)
+                .run_observed(BackendKind::Pooled)
                 .expect("chaos schedules are legal by construction");
             PooledBackend::set_process_default_workers(0);
             observed

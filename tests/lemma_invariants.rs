@@ -1,7 +1,7 @@
 //! Cross-crate lemma checks via the invariant probes — the structural
 //! guarantees behind the headline theorems, observed on live runs.
 
-use opr::core::runner::{run_alg1, run_two_step, Alg1Options};
+use opr::core::runner::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
 use opr::prelude::*;
 use std::collections::BTreeSet;
 
@@ -146,8 +146,17 @@ fn two_step_discrepancy_vs_gap_mechanism() {
     let correct: BTreeSet<OriginalId> = raw.iter().map(|&x| OriginalId::new(x)).collect();
     for spec in AdversarySpec::TWO_STEP {
         for seed in 0..4u64 {
-            let result =
-                run_two_step(cfg, &ids_of(&raw), 2, |env| spec.build_two_step(env), seed).unwrap();
+            let result = run_two_step(
+                cfg,
+                &ids_of(&raw),
+                2,
+                |env| spec.build_two_step(env),
+                TwoStepOptions {
+                    seed,
+                    ..TwoStepOptions::default()
+                },
+            )
+            .unwrap();
             let delta = result.probe.max_discrepancy(&correct);
             let gap = result.probe.min_correct_gap(&correct);
             assert!(delta <= 8, "{spec}: Δ={delta} > 2t²");

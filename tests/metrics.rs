@@ -98,26 +98,32 @@ fn sharded_cells_merge_losslessly_across_threads() {
 fn run_snapshot_is_backend_invariant() {
     let schedule = opr::chaos::generate_schedule(11, opr::chaos::BudgetRegime::InBudget);
     let reference = schedule
-        .run_observed(BackendKind::Sim, None)
+        .run_observed(BackendKind::Sim)
         .expect("legal schedule")
         .metrics_snapshot();
     assert!(!reference.is_empty());
     assert!(reference.counter("opr_rounds_total") > 0);
     let pooled = schedule
-        .run_observed(BackendKind::Pooled, None)
+        .run_observed(BackendKind::Pooled)
         .expect("legal schedule")
         .metrics_snapshot();
     assert_eq!(reference, pooled, "snapshot on pooled");
     let registry = MetricsRegistry::new();
     let instrumented = schedule
-        .run_instrumented(BackendKind::Sim, None, Some(registry.clone()))
+        .to_run(BackendKind::Sim)
+        .and_then(|run| {
+            run.record_events()
+                .metrics(registry.clone())
+                .run_diagnosed()
+        })
         .expect("legal schedule")
         .metrics_snapshot();
     assert_eq!(
         reference, instrumented,
         "live registry must be unobservable"
     );
-    // ... and the fold mirrored the deterministic plane into the registry.
+    // Folding the deterministic plane into the same registry mirrors it.
+    registry.fold(&instrumented);
     let live = registry.snapshot();
     assert_eq!(
         live.counter("opr_rounds_total"),
@@ -175,7 +181,7 @@ fn check_golden(path: &str, rendered: &str) {
 fn prometheus_rendering_matches_the_run_golden() {
     let schedule = opr::chaos::generate_schedule(11, opr::chaos::BudgetRegime::InBudget);
     let snap = schedule
-        .run_observed(BackendKind::Sim, None)
+        .run_observed(BackendKind::Sim)
         .expect("legal schedule")
         .metrics_snapshot();
     let rendered = render_prometheus(&snap);

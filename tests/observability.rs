@@ -10,8 +10,8 @@
 //!   JSON reader.
 //! * Wall-clock spans stay out of every deterministic artifact.
 
-use opr::chaos::json::Json;
 use opr::chaos::{explain_repro, render_waterfall, Repro};
+use opr::obs::json::Json;
 use opr::obs::{render_jsonl, render_trace_json, shared_span_log, RunLog};
 use opr::transport::BackendKind;
 
@@ -26,7 +26,7 @@ fn committed_repro() -> Repro {
 fn observed_log() -> RunLog {
     committed_repro()
         .schedule
-        .run_observed(BackendKind::Sim, None)
+        .run_observed(BackendKind::Sim)
         .expect("committed repro replays")
         .events
         .expect("recorder attached")
@@ -56,7 +56,7 @@ fn explain_waterfall_matches_the_committed_golden() {
 fn explain_waterfall_is_replay_invariant() {
     let repro = committed_repro();
     let render = |backend: BackendKind| {
-        let run = repro.schedule.run_observed(backend, None).unwrap();
+        let run = repro.schedule.run_observed(backend).unwrap();
         render_waterfall(&repro, &run)
     };
     // The header names the reference backend, so compare each backend's
@@ -148,34 +148,57 @@ fn deterministic_exports_are_stable_across_replays() {
     );
 }
 
-/// `.spans(log)` is honoured by the plain `run()` path exactly as by
-/// `run_diagnosed()`: one wall span per executed round on both, in both
-/// runner arms (Alg1 and the 2-step algorithm), with the outcome untouched.
+/// Every entry point honours every attachment: `.spans(log)` and
+/// `.metrics(registry)` record one wall span and one `opr_round_ns` sample
+/// per executed round on the plain `run()` path exactly as on
+/// `run_diagnosed()`, in both runner arms (Alg1 and the 2-step algorithm)
+/// and through `ChaosSchedule::to_run`, with the outcome untouched.
 #[test]
 fn plain_and_diagnosed_runs_record_the_same_round_spans() {
     use opr::prelude::*;
+    let check = |what: &str, build: &dyn Fn() -> RenamingRun| {
+        let attached = || {
+            let (log, registry) = (shared_span_log(), MetricsRegistry::new());
+            let run = build().spans(log.clone()).metrics(registry.clone());
+            (run, log, registry)
+        };
+        let recorded = |log: &opr::obs::SharedSpanLog, registry: &MetricsRegistry| {
+            let log = log.lock().unwrap();
+            let spans = log.spans().iter().filter(|s| s.name == "round").count();
+            let samples = registry
+                .snapshot()
+                .histogram("opr_round_ns{backend=\"sim\"}")
+                .map_or(0, |hist| hist.count);
+            (spans, samples as usize)
+        };
+        let (run, log, registry) = attached();
+        let plain = run.run().unwrap();
+        let rounds = plain.stats.rounds as usize;
+        assert_eq!(recorded(&log, &registry), (rounds, rounds), "{what}: run");
+        let (run, log, registry) = attached();
+        let diagnosed = run.run_diagnosed().unwrap();
+        assert_eq!(plain.outcome, diagnosed.full_outcome, "{what}");
+        assert_eq!(
+            recorded(&log, &registry),
+            (rounds, rounds),
+            "{what}: run_diagnosed"
+        );
+    };
     for (regime, cfg) in [
         (Regime::LogTime, SystemConfig::new(7, 2).unwrap()),
         (Regime::TwoStep, SystemConfig::new(11, 2).unwrap()),
     ] {
         let ids = IdDistribution::SparseRandom.generate(cfg.n() - 2, 5);
-        let builder = |log| {
+        check(&format!("{regime:?}"), &|| {
             RenamingRun::builder(cfg, regime)
                 .correct_ids(ids.clone())
                 .adversary(AdversarySpec::Silent, 2)
                 .seed(5)
-                .spans(log)
-        };
-        let round_spans = |log: &opr::obs::SharedSpanLog| {
-            let log = log.lock().unwrap();
-            log.spans().iter().filter(|s| s.name == "round").count()
-        };
-        let plain_log = shared_span_log();
-        let plain = builder(plain_log.clone()).run().unwrap();
-        let diagnosed_log = shared_span_log();
-        let diagnosed = builder(diagnosed_log.clone()).run_diagnosed().unwrap();
-        assert_eq!(plain.outcome, diagnosed.full_outcome, "{regime:?}");
-        assert_eq!(round_spans(&plain_log), plain.stats.rounds as usize);
-        assert_eq!(round_spans(&plain_log), round_spans(&diagnosed_log));
+                .backend(BackendKind::Sim)
+        });
     }
+    let schedule = opr::chaos::generate_schedule(11, opr::chaos::BudgetRegime::InBudget);
+    check("chaos schedule", &|| {
+        schedule.to_run(BackendKind::Sim).expect("legal schedule")
+    });
 }
