@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! Approximate-agreement building blocks and standalone protocols.
+//! Approximate-agreement building blocks.
 //!
 //! In *approximate agreement* (AA) processes start with arbitrary real
 //! values and must output values within a bounded distance of each other,
@@ -13,14 +13,8 @@
 //! * [`OrderedMultiset`] — the sorted multiset with the `trim`/`select`
 //!   operations all AA variants reduce votes with ([`multiset`]).
 //! * [`reduce`] — the full DLPSW reduction `avg(select_t(trim_t(votes)))`
-//!   plus its guaranteed contraction rate `σ_t` ([`select`]).
-//! * [`ByzantineAa`] — standalone synchronous Byzantine AA on a single value
-//!   ([`byzantine`]); used both as a reference implementation (its
-//!   convergence is checked against `σ_t` in tests and experiment F1) and by
-//!   the crash baseline.
-//! * [`CrashAa`] — crash-tolerant averaging AA ([`crash`]), the primitive
-//!   behind the Okun-style baseline B1.
-//! * [`spread`] and convergence prediction helpers ([`convergence`]).
+//!   ([`select`]); its guaranteed contraction rate `σ_t` is
+//!   `SystemConfig::sigma` in `opr-types`.
 //!
 //! # Example: one DLPSW reduction step
 //!
@@ -36,14 +30,8 @@
 //! # fn ordered_float(x: f64) -> Rank { Rank::new(x) }
 //! ```
 
-pub mod byzantine;
-pub mod convergence;
-pub mod crash;
 pub mod multiset;
 pub mod select;
 
-pub use byzantine::ByzantineAa;
-pub use convergence::{predicted_rounds, spread};
-pub use crash::CrashAa;
 pub use multiset::OrderedMultiset;
-pub use select::{reduce, select_indices, sigma};
+pub use select::{reduce, select_indices};

@@ -14,17 +14,6 @@ pub fn select_indices(len: usize, t: usize) -> Vec<usize> {
     (0..len).step_by(t).collect()
 }
 
-/// The guaranteed contraction rate of one reduction step:
-/// `σ_t = ⌊(N − 2t)/t⌋ + 1` (Lemma IV.8). Returns `usize::MAX` for `t = 0`
-/// ("infinite" contraction: with no faults all correct multisets agree after
-/// one exchange).
-pub fn sigma(n: usize, t: usize) -> usize {
-    match n.saturating_sub(2 * t).checked_div(t) {
-        Some(q) => q + 1,
-        None => usize::MAX,
-    }
-}
-
 /// Applies the full reduction to a vote multiset: discard the `t` smallest
 /// and `t` largest, select the smallest remaining value and every `t`-th
 /// after it, and average the selection (Algorithm 3, lines 12–16).
@@ -72,20 +61,12 @@ mod tests {
         // holds for either, and we follow the select definition).
         for (n, t) in [(4usize, 1usize), (7, 2), (10, 3), (13, 4), (16, 3)] {
             let count = select_indices(n - 2 * t, t).len();
-            let sig = sigma(n, t);
+            let sig = opr_types::SystemConfig::new(n, t).unwrap().sigma();
             assert!(
                 count == sig || count + 1 == sig,
                 "N={n} t={t}: {count} vs σ={sig}"
             );
         }
-    }
-
-    #[test]
-    fn sigma_examples() {
-        assert_eq!(sigma(4, 1), 3); // ⌊2/1⌋+1
-        assert_eq!(sigma(10, 3), 2); // ⌊4/3⌋+1
-        assert_eq!(sigma(16, 3), 4); // ⌊10/3⌋+1
-        assert_eq!(sigma(5, 0), usize::MAX);
     }
 
     #[test]
@@ -132,26 +113,26 @@ mod tests {
         }
 
         /// Pairwise contraction (the heart of Lemma IV.8): two vote
-        /// multisets that share all but t elements reduce to values within
-        /// spread/σ of each other.
+        /// multisets that share all but t arbitrary elements reduce to
+        /// values within spread/σ of each other — one DLPSW step contracts
+        /// the correct values' spread whatever the ≤ t Byzantine votes are.
         #[test]
         fn reduce_contracts_pairwise(
             common in proptest::collection::vec(-1e3f64..1e3, 5..30),
-            byz_a in -1e6f64..1e6,
-            byz_b in -1e6f64..1e6,
+            byz_a in proptest::collection::vec(-1e6f64..1e6, 3..4),
+            byz_b in proptest::collection::vec(-1e6f64..1e6, 3..4),
+            t in 1usize..4,
         ) {
-            let t = 1usize;
             let n = common.len() + t;
             prop_assume!(n > 3 * t);
-            let mut a: OrderedMultiset<Rank> = common.iter().map(|&v| Rank::new(v)).collect();
-            let mut b = a.clone();
-            a.insert(Rank::new(byz_a));
-            b.insert(Rank::new(byz_b));
+            let correct: OrderedMultiset<Rank> = common.iter().map(|&v| Rank::new(v)).collect();
+            let (mut a, mut b) = (correct.clone(), correct.clone());
+            for (&va, &vb) in byz_a.iter().zip(&byz_b).take(t) {
+                a.insert(Rank::new(va));
+                b.insert(Rank::new(vb));
+            }
             let (ra, rb) = (reduce(&a, t), reduce(&b, t));
-            let correct_spread = {
-                let ms: OrderedMultiset<Rank> = common.iter().map(|&v| Rank::new(v)).collect();
-                ms.max().unwrap().value() - ms.min().unwrap().value()
-            };
+            let correct_spread = correct.max().unwrap().value() - correct.min().unwrap().value();
             // The divisor in the proof of Lemma IV.8 is the number of
             // selected elements c = |select_t(trimmed)|.
             let c = select_indices(n - 2 * t, t).len() as f64;

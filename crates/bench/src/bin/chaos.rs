@@ -43,6 +43,7 @@ use opr_chaos::SearchConfig;
 use opr_exec::RunPool;
 use opr_obs::{render_jsonl, render_trace_json};
 use opr_sim::RunMetrics;
+use opr_types::math::mix64;
 
 fn usage() -> ! {
     eprintln!(
@@ -615,11 +616,8 @@ fn service_spec_for(seed: u64) -> opr_service::ServiceSpec {
 
 /// splitmix64: the deterministic seed-mixing step the service search uses
 /// to derive child seeds (no RNG dependency in the binary).
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+fn splitmix(x: u64) -> u64 {
+    mix64(x.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Guided search over service-spec seed space: hill-climb toward the spec

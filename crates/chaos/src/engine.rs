@@ -25,6 +25,7 @@ use crate::schedule::{BudgetRegime, ChaosSchedule};
 use opr_exec::RunPool;
 use opr_sim::RunMetrics;
 use opr_transport::BackendKind;
+use opr_types::math::mix64;
 use opr_types::{RenamingError, Violation};
 use opr_workload::DiagnosedRun;
 use std::collections::HashMap;
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 pub enum BackendChoice {
     /// The single-threaded reference simulator only.
     Sim,
-    /// The task-scheduled worker-pool backend only.
+    /// The pooled (real worker threads) backend only.
     Pooled,
     /// The sim reference cross-checked against the pooled backend, with the
     /// cross-backend oracle comparing them run by run.
@@ -285,12 +286,11 @@ impl fmt::Display for CampaignReport {
 /// The seed run `index` of a campaign generates its schedule from
 /// (splitmix64 of the pair, so neighbouring indices decorrelate).
 pub fn per_run_seed(campaign_seed: u64, index: usize) -> u64 {
-    let mut z = campaign_seed
-        .wrapping_add((index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(
+        campaign_seed
+            .wrapping_add((index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .wrapping_add(0x9e37_79b9_7f4a_7c15),
+    )
 }
 
 /// The executed-but-not-yet-judged form of one schedule: the diagnosed

@@ -25,6 +25,7 @@ use crate::schedule::{BudgetRegime, ChaosSchedule};
 use opr_adversary::AdversarySpec;
 use opr_core::fault_placement;
 use opr_transport::{FaultEvent, FaultPlan};
+use opr_types::math::mix64;
 use opr_types::Regime;
 use opr_workload::IdDistribution;
 use rand::rngs::StdRng;
@@ -32,14 +33,13 @@ use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 use std::collections::BTreeSet;
 
-/// splitmix64's finalizer: the workspace's standard bit mixer.
+/// Folds `value` into the running digest `state`.
 fn mix(state: u64, value: u64) -> u64 {
-    let mut z = state
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(value.wrapping_mul(0xff51_afd7_ed55_8ccd));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(
+        state
+            .wrapping_add(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(value.wrapping_mul(0xff51_afd7_ed55_8ccd)),
+    )
 }
 
 fn regime_index(regime: Regime) -> u64 {

@@ -136,7 +136,6 @@ pub struct OrderPreservingRenaming {
 ///   correct process — the eventual decision is already determined. The
 ///   process keeps broadcasting until the schedule ends (so it never starves
 ///   others of votes); only its *output* happens early.
-/// * `delta_override` — ablation on the stretch factor δ.
 /// * `allow_regime_violation` — the boundary experiment (T5) deliberately
 ///   runs the algorithm outside its regime to observe the failure mode.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -152,8 +151,6 @@ pub struct Alg1Tweaks {
     pub disable_validation: bool,
     /// Output as soon as the decision is provably frozen (see above).
     pub early_output: bool,
-    /// Replace the stretch factor `δ = 1 + 1/(3(N+t))`.
-    pub delta_override: Option<f64>,
     /// Skip the runner's resilience precondition check (experiment T5).
     pub allow_regime_violation: bool,
 }
@@ -238,7 +235,7 @@ impl OrderPreservingRenaming {
             cfg,
             my_id,
             total_steps: 4 + voting,
-            delta: tweaks.delta_override.unwrap_or_else(|| cfg.delta()),
+            delta: cfg.delta(),
             tweaks,
             flood: EchoReadyFlood::new(cfg.n(), cfg.t(), Some(my_id)),
             timely: BTreeSet::new(),

@@ -13,6 +13,7 @@ use opr_obs::{shared_recorder, ProcessLog, RunLog, SharedRecorder};
 use opr_rbcast::IdInterner;
 use opr_sim::{Actor, Inbox, Outbox, RunMetrics, Topology, Trace, WireSize};
 use opr_transport::{BackendKind, ExecOptions, Job};
+use opr_types::math::mix64;
 use opr_types::{
     MalformedSend, NewName, OriginalId, Regime, RenamingError, RenamingOutcome, Round, SystemConfig,
 };
@@ -253,15 +254,12 @@ fn validate(
 /// which indices a given `(n, faulty_count, seed)` run treats as Byzantine
 /// and aim transport faults at known-correct processes.
 pub fn fault_placement(n: usize, faulty_count: usize, seed: u64) -> Vec<bool> {
-    // splitmix64-style mixing; self-contained so placement is stable across
-    // rand versions.
+    // splitmix64; self-contained so placement is stable across rand
+    // versions.
     let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
     let mut next = move || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix64(state)
     };
     let mut indices: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {

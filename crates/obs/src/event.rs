@@ -44,6 +44,50 @@ impl ValidityViolation {
             ValidityViolation::InsufficientSpacing { .. } => "insufficient-spacing",
         }
     }
+
+    /// Calls `field(name, value)` for each field of the violation besides
+    /// its [`kind`](Self::kind), in export order.
+    pub fn for_each_field(&self, mut field: impl FnMut(&'static str, FieldValue<'_>)) {
+        use FieldValue::{Rank, Spacing, Uint};
+        match *self {
+            ValidityViolation::MissingTimelyId { id } => field("id", Uint(id.raw())),
+            ValidityViolation::MalformedVector => {}
+            ValidityViolation::InsufficientSpacing {
+                prev,
+                prev_rank,
+                id,
+                rank,
+                spacing,
+            } => {
+                field("prev", Uint(prev.raw()));
+                field("prev_rank", Rank(prev_rank));
+                field("id", Uint(id.raw()));
+                field("rank", Rank(rank));
+                field("spacing", Spacing(spacing));
+            }
+        }
+    }
+}
+
+/// The value of one exported event field — what
+/// [`ProtocolEvent::for_each_field`] hands the exporters.
+#[derive(Clone, Copy, Debug)]
+pub enum FieldValue<'a> {
+    /// An id, link label, count or threshold.
+    Uint(u64),
+    /// A new name.
+    Int(i64),
+    /// Which way a comparison went.
+    Bool(bool),
+    /// A rank.
+    Rank(Rank),
+    /// The spacing δ a vector had to keep.
+    Spacing(f64),
+    /// The ids a vote vector ranks, ascending.
+    Ids(&'a [OriginalId]),
+    /// The constraint a rejected vector violated; its own fields come from
+    /// [`ValidityViolation::for_each_field`].
+    Violation(&'a ValidityViolation),
 }
 
 /// One protocol decision point, recorded by the process that made it.
@@ -235,6 +279,120 @@ impl ProtocolEvent {
             ProtocolEvent::NameOffset { .. } => "name-offset",
             ProtocolEvent::KingRound { .. } => "king-round",
             ProtocolEvent::Decided { .. } => "decided",
+        }
+    }
+
+    /// Calls `field(name, value)` for each field of the event besides its
+    /// [`step`](Self::step), in export order — the one table of what an
+    /// exported event carries, shared by the JSONL and Perfetto writers.
+    pub fn for_each_field(&self, mut field: impl FnMut(&'static str, FieldValue<'_>)) {
+        use FieldValue::{Bool, Ids, Int, Rank, Uint, Violation};
+        let count = |n: usize| Uint(n as u64);
+        let label = |link: LinkId| count(link.label());
+        match *self {
+            ProtocolEvent::IdSeen { link, id, .. } => {
+                field("link", label(link));
+                field("id", Uint(id.raw()));
+            }
+            ProtocolEvent::EchoThreshold {
+                id,
+                echoes,
+                quorum,
+                kept,
+                ..
+            } => {
+                field("id", Uint(id.raw()));
+                field("echoes", count(echoes));
+                field("quorum", count(quorum));
+                field("kept", Bool(kept));
+            }
+            ProtocolEvent::ReadyThreshold {
+                id,
+                readies,
+                quorum,
+                weak_quorum,
+                timely,
+                relayed,
+                ..
+            } => {
+                field("id", Uint(id.raw()));
+                field("readies", count(readies));
+                field("quorum", count(quorum));
+                field("weak_quorum", count(weak_quorum));
+                field("timely", Bool(timely));
+                field("relayed", Bool(relayed));
+            }
+            ProtocolEvent::AcceptThreshold {
+                id,
+                readies,
+                quorum,
+                accepted,
+                ..
+            } => {
+                field("id", Uint(id.raw()));
+                field("readies", count(readies));
+                field("quorum", count(quorum));
+                field("accepted", Bool(accepted));
+            }
+            ProtocolEvent::VoteVectorSent { ref ids, .. } => field("ids", Ids(ids)),
+            ProtocolEvent::VoteAccepted { link, entries, .. } => {
+                field("link", label(link));
+                field("entries", count(entries));
+            }
+            ProtocolEvent::VoteRejected {
+                link,
+                ref violation,
+                ..
+            } => {
+                field("link", label(link));
+                field("violation", Violation(violation));
+            }
+            ProtocolEvent::IdDropped {
+                id, votes, needed, ..
+            } => {
+                field("id", Uint(id.raw()));
+                field("votes", count(votes));
+                field("needed", count(needed));
+            }
+            ProtocolEvent::TrimmedMean {
+                id, votes, rank, ..
+            } => {
+                field("id", Uint(id.raw()));
+                field("votes", count(votes));
+                field("rank", Rank(rank));
+            }
+            ProtocolEvent::EchoCounted {
+                link, ids, valid, ..
+            } => {
+                field("link", label(link));
+                field("ids", count(ids));
+                field("valid", Bool(valid));
+            }
+            ProtocolEvent::NameOffset {
+                id,
+                echoes,
+                clamped,
+                name,
+                ..
+            } => {
+                field("id", Uint(id.raw()));
+                field("echoes", count(echoes));
+                field("clamped", count(clamped));
+                field("name", Int(name.raw()));
+            }
+            ProtocolEvent::KingRound {
+                phase,
+                king,
+                king_heard,
+                adopted,
+                ..
+            } => {
+                field("phase", Uint(u64::from(phase)));
+                field("king", label(king));
+                field("king_heard", Bool(king_heard));
+                field("adopted", count(adopted));
+            }
+            ProtocolEvent::Decided { name, .. } => field("name", Int(name.raw())),
         }
     }
 }

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use opr_types::Rank;
 
-use crate::event::{ProtocolEvent, ValidityViolation};
+use crate::event::FieldValue;
 use crate::log::RunLog;
 
 /// Renders a rank for export: fixed 9-decimal string, quoted.
@@ -18,82 +18,25 @@ pub fn rank_field(rank: Rank) -> String {
     format!("\"{:.9}\"", rank.value())
 }
 
-fn push_violation(out: &mut String, violation: &ValidityViolation) {
-    match violation {
-        ValidityViolation::MissingTimelyId { id } => {
-            let _ = write!(out, "{{\"kind\":\"missing-timely\",\"id\":{}}}", id.raw());
+/// Appends one field value as JSON. A violation is a nested object here;
+/// the Perfetto writer flattens it instead.
+pub(crate) fn push_value(out: &mut String, value: FieldValue<'_>) {
+    match value {
+        FieldValue::Uint(n) => {
+            let _ = write!(out, "{n}");
         }
-        ValidityViolation::MalformedVector => {
-            out.push_str("{\"kind\":\"malformed-vector\"}");
+        FieldValue::Int(n) => {
+            let _ = write!(out, "{n}");
         }
-        ValidityViolation::InsufficientSpacing {
-            prev,
-            prev_rank,
-            id,
-            rank,
-            spacing,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"insufficient-spacing\",\"prev\":{},\"prev_rank\":{},\"id\":{},\"rank\":{},\"spacing\":\"{:.9}\"}}",
-                prev.raw(),
-                rank_field(*prev_rank),
-                id.raw(),
-                rank_field(*rank),
-                spacing
-            );
+        FieldValue::Bool(b) => {
+            let _ = write!(out, "{b}");
         }
-    }
-}
-
-fn push_event_fields(out: &mut String, event: &ProtocolEvent) {
-    match event {
-        ProtocolEvent::IdSeen { link, id, .. } => {
-            let _ = write!(out, ",\"link\":{},\"id\":{}", link.label(), id.raw());
+        FieldValue::Rank(rank) => out.push_str(&rank_field(rank)),
+        FieldValue::Spacing(spacing) => {
+            let _ = write!(out, "\"{spacing:.9}\"");
         }
-        ProtocolEvent::EchoThreshold {
-            id,
-            echoes,
-            quorum,
-            kept,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"id\":{},\"echoes\":{echoes},\"quorum\":{quorum},\"kept\":{kept}",
-                id.raw()
-            );
-        }
-        ProtocolEvent::ReadyThreshold {
-            id,
-            readies,
-            quorum,
-            weak_quorum,
-            timely,
-            relayed,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"id\":{},\"readies\":{readies},\"quorum\":{quorum},\"weak_quorum\":{weak_quorum},\"timely\":{timely},\"relayed\":{relayed}",
-                id.raw()
-            );
-        }
-        ProtocolEvent::AcceptThreshold {
-            id,
-            readies,
-            quorum,
-            accepted,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"id\":{},\"readies\":{readies},\"quorum\":{quorum},\"accepted\":{accepted}",
-                id.raw()
-            );
-        }
-        ProtocolEvent::VoteVectorSent { ids, .. } => {
-            out.push_str(",\"ids\":[");
+        FieldValue::Ids(ids) => {
+            out.push('[');
             for (i, id) in ids.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -102,74 +45,18 @@ fn push_event_fields(out: &mut String, event: &ProtocolEvent) {
             }
             out.push(']');
         }
-        ProtocolEvent::VoteAccepted { link, entries, .. } => {
-            let _ = write!(out, ",\"link\":{},\"entries\":{entries}", link.label());
-        }
-        ProtocolEvent::VoteRejected {
-            link, violation, ..
-        } => {
-            let _ = write!(out, ",\"link\":{},\"violation\":", link.label());
-            push_violation(out, violation);
-        }
-        ProtocolEvent::IdDropped {
-            id, votes, needed, ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"id\":{},\"votes\":{votes},\"needed\":{needed}",
-                id.raw()
-            );
-        }
-        ProtocolEvent::TrimmedMean {
-            id, votes, rank, ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"id\":{},\"votes\":{votes},\"rank\":{}",
-                id.raw(),
-                rank_field(*rank)
-            );
-        }
-        ProtocolEvent::EchoCounted {
-            link, ids, valid, ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"link\":{},\"ids\":{ids},\"valid\":{valid}",
-                link.label()
-            );
-        }
-        ProtocolEvent::NameOffset {
-            id,
-            echoes,
-            clamped,
-            name,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"id\":{},\"echoes\":{echoes},\"clamped\":{clamped},\"name\":{}",
-                id.raw(),
-                name.raw()
-            );
-        }
-        ProtocolEvent::KingRound {
-            phase,
-            king,
-            king_heard,
-            adopted,
-            ..
-        } => {
-            let _ = write!(
-                out,
-                ",\"phase\":{phase},\"king\":{},\"king_heard\":{king_heard},\"adopted\":{adopted}",
-                king.label()
-            );
-        }
-        ProtocolEvent::Decided { name, .. } => {
-            let _ = write!(out, ",\"name\":{}", name.raw());
+        FieldValue::Violation(violation) => {
+            let _ = write!(out, "{{\"kind\":\"{}\"", violation.kind());
+            violation.for_each_field(|name, value| push_field(out, name, value));
+            out.push('}');
         }
     }
+}
+
+/// Appends `,"name":value`.
+pub(crate) fn push_field(out: &mut String, name: &str, value: FieldValue<'_>) {
+    let _ = write!(out, ",\"{name}\":");
+    push_value(out, value);
 }
 
 /// Renders the merged event stream as JSONL: one object per line, ordered
@@ -186,7 +73,8 @@ pub fn render_jsonl(log: &RunLog) -> String {
             m.seq,
             m.event.kind()
         );
-        push_event_fields(&mut out, &m.event);
+        m.event
+            .for_each_field(|name, value| push_field(&mut out, name, value));
         out.push_str("}\n");
     }
     out
@@ -195,6 +83,7 @@ pub fn render_jsonl(log: &RunLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ProtocolEvent;
     use crate::log::ProcessLog;
     use opr_types::{LinkId, NewName, OriginalId};
 

@@ -2,7 +2,7 @@
 //!
 //! Two strictly separated layers:
 //!
-//! 1. **Protocol events** ([`ProtocolEvent`], [`Recorder`], [`RunLog`]) — a
+//! 1. **Protocol events** ([`ProtocolEvent`], [`MemoryRecorder`], [`RunLog`]) — a
 //!    per-process stream of decision points (threshold crossings, vote
 //!    validation, trimmed means, king adoptions, name assignments). The
 //!    stream is a pure function of the messages a process receives, so for
@@ -33,11 +33,9 @@ mod perfetto;
 mod recorder;
 mod span;
 
-pub use event::{ProtocolEvent, ValidityViolation};
+pub use event::{FieldValue, ProtocolEvent, ValidityViolation};
 pub use jsonl::{rank_field, render_jsonl};
 pub use log::{MergedEvent, ProcessLog, RunLog};
 pub use perfetto::render_trace_json;
-pub use recorder::{
-    record_if, shared_recorder, MemoryRecorder, NoopRecorder, Recorder, SharedRecorder,
-};
+pub use recorder::{record_if, shared_recorder, MemoryRecorder, SharedRecorder};
 pub use span::{shared_span_log, SharedSpanLog, Span, SpanLog};

@@ -11,152 +11,29 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{ProtocolEvent, ValidityViolation};
+use crate::event::{FieldValue, ProtocolEvent};
 use crate::json::write_escaped;
-use crate::jsonl::rank_field;
+use crate::jsonl::{push_field, push_value};
 use crate::log::RunLog;
 use crate::span::Span;
 
 fn event_args(event: &ProtocolEvent) -> String {
     let mut args = String::from("{");
     let mut sep = "";
-    let field = |args: &mut String, sep: &mut &str, name: &str, value: String| {
-        let _ = write!(args, "{}\"{}\":{}", sep, name, value);
-        *sep = ",";
-    };
-    match event {
-        ProtocolEvent::IdSeen { link, id, .. } => {
-            field(&mut args, &mut sep, "link", link.label().to_string());
-            field(&mut args, &mut sep, "id", id.raw().to_string());
-        }
-        ProtocolEvent::EchoThreshold {
-            id,
-            echoes,
-            quorum,
-            kept,
-            ..
-        } => {
-            field(&mut args, &mut sep, "id", id.raw().to_string());
-            field(&mut args, &mut sep, "echoes", echoes.to_string());
-            field(&mut args, &mut sep, "quorum", quorum.to_string());
-            field(&mut args, &mut sep, "kept", kept.to_string());
-        }
-        ProtocolEvent::ReadyThreshold {
-            id,
-            readies,
-            quorum,
-            weak_quorum,
-            timely,
-            relayed,
-            ..
-        } => {
-            field(&mut args, &mut sep, "id", id.raw().to_string());
-            field(&mut args, &mut sep, "readies", readies.to_string());
-            field(&mut args, &mut sep, "quorum", quorum.to_string());
-            field(&mut args, &mut sep, "weak_quorum", weak_quorum.to_string());
-            field(&mut args, &mut sep, "timely", timely.to_string());
-            field(&mut args, &mut sep, "relayed", relayed.to_string());
-        }
-        ProtocolEvent::AcceptThreshold {
-            id,
-            readies,
-            quorum,
-            accepted,
-            ..
-        } => {
-            field(&mut args, &mut sep, "id", id.raw().to_string());
-            field(&mut args, &mut sep, "readies", readies.to_string());
-            field(&mut args, &mut sep, "quorum", quorum.to_string());
-            field(&mut args, &mut sep, "accepted", accepted.to_string());
-        }
-        ProtocolEvent::VoteVectorSent { ids, .. } => {
-            let list = ids
-                .iter()
-                .map(|id| id.raw().to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            field(&mut args, &mut sep, "ids", format!("[{list}]"));
-        }
-        ProtocolEvent::VoteAccepted { link, entries, .. } => {
-            field(&mut args, &mut sep, "link", link.label().to_string());
-            field(&mut args, &mut sep, "entries", entries.to_string());
-        }
-        ProtocolEvent::VoteRejected {
-            link, violation, ..
-        } => {
-            field(&mut args, &mut sep, "link", link.label().to_string());
-            field(
-                &mut args,
-                &mut sep,
-                "violation",
-                format!("\"{}\"", violation.kind()),
-            );
-            if let ValidityViolation::InsufficientSpacing {
-                prev,
-                prev_rank,
-                id,
-                rank,
-                spacing,
-            } = violation
-            {
-                field(&mut args, &mut sep, "prev", prev.raw().to_string());
-                field(&mut args, &mut sep, "prev_rank", rank_field(*prev_rank));
-                field(&mut args, &mut sep, "id", id.raw().to_string());
-                field(&mut args, &mut sep, "rank", rank_field(*rank));
-                field(&mut args, &mut sep, "spacing", format!("\"{spacing:.9}\""));
-            } else if let ValidityViolation::MissingTimelyId { id } = violation {
-                field(&mut args, &mut sep, "id", id.raw().to_string());
+    let mut field = |name: &str, value: FieldValue<'_>| {
+        let _ = write!(args, "{sep}\"{name}\":");
+        sep = ",";
+        match value {
+            // Flattened: the kind as a string, then the violation's own
+            // fields beside it.
+            FieldValue::Violation(violation) => {
+                let _ = write!(args, "\"{}\"", violation.kind());
+                violation.for_each_field(|name, value| push_field(&mut args, name, value));
             }
+            value => push_value(&mut args, value),
         }
-        ProtocolEvent::IdDropped {
-            id, votes, needed, ..
-        } => {
-            field(&mut args, &mut sep, "id", id.raw().to_string());
-            field(&mut args, &mut sep, "votes", votes.to_string());
-            field(&mut args, &mut sep, "needed", needed.to_string());
-        }
-        ProtocolEvent::TrimmedMean {
-            id, votes, rank, ..
-        } => {
-            field(&mut args, &mut sep, "id", id.raw().to_string());
-            field(&mut args, &mut sep, "votes", votes.to_string());
-            field(&mut args, &mut sep, "rank", rank_field(*rank));
-        }
-        ProtocolEvent::EchoCounted {
-            link, ids, valid, ..
-        } => {
-            field(&mut args, &mut sep, "link", link.label().to_string());
-            field(&mut args, &mut sep, "ids", ids.to_string());
-            field(&mut args, &mut sep, "valid", valid.to_string());
-        }
-        ProtocolEvent::NameOffset {
-            id,
-            echoes,
-            clamped,
-            name,
-            ..
-        } => {
-            field(&mut args, &mut sep, "id", id.raw().to_string());
-            field(&mut args, &mut sep, "echoes", echoes.to_string());
-            field(&mut args, &mut sep, "clamped", clamped.to_string());
-            field(&mut args, &mut sep, "name", name.raw().to_string());
-        }
-        ProtocolEvent::KingRound {
-            phase,
-            king,
-            king_heard,
-            adopted,
-            ..
-        } => {
-            field(&mut args, &mut sep, "phase", phase.to_string());
-            field(&mut args, &mut sep, "king", king.label().to_string());
-            field(&mut args, &mut sep, "king_heard", king_heard.to_string());
-            field(&mut args, &mut sep, "adopted", adopted.to_string());
-        }
-        ProtocolEvent::Decided { name, .. } => {
-            field(&mut args, &mut sep, "name", name.raw().to_string());
-        }
-    }
+    };
+    event.for_each_field(&mut field);
     args.push('}');
     args
 }
@@ -246,5 +123,35 @@ mod tests {
         assert!(rendered.contains("\"ts\":1000"));
         assert!(rendered.contains("\"ph\":\"X\""));
         assert!(rendered.contains("\"dur\":250"));
+    }
+
+    #[test]
+    fn a_violation_is_nested_in_jsonl_and_flattened_here() {
+        use crate::event::ValidityViolation;
+        use opr_types::Rank;
+        let log = RunLog {
+            processes: vec![ProcessLog {
+                id: OriginalId::new(5),
+                events: vec![ProtocolEvent::VoteRejected {
+                    step: 5,
+                    link: LinkId::new(4),
+                    violation: ValidityViolation::InsufficientSpacing {
+                        prev: OriginalId::new(3),
+                        prev_rank: Rank::new(1.25),
+                        id: OriginalId::new(9),
+                        rank: Rank::new(2.5),
+                        spacing: 1.0 + 1.0 / 27.0,
+                    },
+                }],
+            }],
+        };
+        let fields = "\"prev\":3,\"prev_rank\":\"1.250000000\",\"id\":9,\
+                      \"rank\":\"2.500000000\",\"spacing\":\"1.037037037\"";
+        assert!(crate::jsonl::render_jsonl(&log).contains(&format!(
+            "\"link\":4,\"violation\":{{\"kind\":\"insufficient-spacing\",{fields}}}}}\n"
+        )));
+        assert!(render_trace_json(&log, None).contains(&format!(
+            "\"args\":{{\"link\":4,\"violation\":\"insufficient-spacing\",{fields}}}}}"
+        )));
     }
 }

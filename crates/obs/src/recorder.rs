@@ -1,39 +1,15 @@
-//! Recorder sinks for [`ProtocolEvent`]s.
+//! The recorder sink for [`ProtocolEvent`]s.
 //!
-//! The default recorder is a zero-sized no-op: actors hold an
-//! `Option<SharedRecorder>` that is `None` unless the run explicitly asks
-//! for telemetry, and every emission site goes through [`record_if`], whose
-//! event-constructing closure is *never invoked* when no recorder is
-//! attached. Disabled runs therefore pay one branch per decision point and
-//! zero allocations — `tests/alloc_gates.rs` pins this with a counting allocator.
+//! Actors hold an `Option<SharedRecorder>` that is `None` unless the run
+//! explicitly asks for telemetry, and every emission site goes through
+//! [`record_if`], whose event-constructing closure is *never invoked* when
+//! no recorder is attached. Disabled runs therefore pay one branch per
+//! decision point and zero allocations — `tests/alloc_gates.rs` pins this
+//! with a counting allocator.
 
 use std::sync::{Arc, Mutex};
 
 use crate::event::ProtocolEvent;
-
-/// A sink for protocol decision events.
-pub trait Recorder {
-    /// Whether this recorder keeps events at all. Callers may skip
-    /// constructing expensive events when this is `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Record one event.
-    fn record(&mut self, event: ProtocolEvent);
-}
-
-/// The zero-cost default: discards everything.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: ProtocolEvent) {}
-}
 
 /// An in-memory recorder that keeps every event in emission order.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -56,10 +32,9 @@ impl MemoryRecorder {
     pub fn into_events(self) -> Vec<ProtocolEvent> {
         self.events
     }
-}
 
-impl Recorder for MemoryRecorder {
-    fn record(&mut self, event: ProtocolEvent) {
+    /// Records one event.
+    pub fn record(&mut self, event: ProtocolEvent) {
         self.events.push(event);
     }
 }
@@ -103,17 +78,9 @@ mod tests {
         let mut rec = MemoryRecorder::new();
         rec.record(decided(1));
         rec.record(decided(2));
-        assert!(rec.enabled());
         assert_eq!(rec.events().len(), 2);
         assert_eq!(rec.events()[0].step(), 1);
         assert_eq!(rec.into_events()[1].step(), 2);
-    }
-
-    #[test]
-    fn noop_recorder_reports_disabled() {
-        let mut noop = NoopRecorder;
-        assert!(!noop.enabled());
-        noop.record(decided(1));
     }
 
     #[test]

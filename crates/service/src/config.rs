@@ -4,6 +4,7 @@
 
 use opr_adversary::AdversarySpec;
 use opr_transport::BackendKind;
+use opr_types::math::mix64;
 use opr_types::{ConfigError, Regime, RenamingError, SystemConfig};
 use opr_workload::ClientId;
 use std::fmt;
@@ -158,16 +159,13 @@ pub fn epoch_seed(service_seed: u64, epoch: u64, shard: usize) -> u64 {
     mix(mix(service_seed, epoch), shard as u64)
 }
 
-/// splitmix64-style mixing, self-contained for stability (same construction
-/// as `opr_core::fault_placement`).
+/// Stream `stream` of `seed`, independent of any RNG crate.
 fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(stream)
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(
+        seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(stream)
+            .wrapping_add(0x9e37_79b9_7f4a_7c15),
+    )
 }
 
 #[cfg(test)]

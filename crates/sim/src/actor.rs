@@ -175,9 +175,10 @@ impl<M> FromIterator<(LinkId, Sealed<M>)> for Inbox<M> {
 /// the model requires. [`Actor::output`] is polled after each round; a run
 /// completes once every *correct* actor reports `Some`.
 ///
-/// Actors are `Send` so execution substrates may step processes on worker
-/// threads (`opr-transport`'s pooled backend); the deterministic simulator
-/// does not otherwise rely on it.
+/// Actors are `Send` so [`Network::step_on`](crate::Network::step_on) may
+/// run the send and deliver phases on worker threads (`opr-transport`'s
+/// pooled backend); [`Network::step`](crate::Network::step) does not rely
+/// on it.
 pub trait Actor: Send {
     /// Message vocabulary of the protocol.
     type Msg;

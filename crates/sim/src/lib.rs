@@ -23,7 +23,10 @@
 //!
 //! * [`Actor`] — the protocol interface: `send` then `deliver` per round.
 //! * [`Topology`] — per-process link labelling over the full mesh.
-//! * [`Network`] — the lock-step engine with metrics.
+//! * [`Network`] — the lock-step engine with metrics: one definition of a
+//!   round (send, route, deliver), stepped on the calling thread
+//!   ([`Network::step`]) or with its per-process phases on scoped worker
+//!   threads ([`Network::step_on`]).
 //! * [`Sealed`] — shared, immutable message payloads: broadcasts are sealed
 //!   once and fanned out as refcount bumps, never per-link deep copies.
 //! * [`RunMetrics`] — rounds, message and bit counters per round, used by the

@@ -1,4 +1,15 @@
 //! The lock-step round engine.
+//!
+//! A round is three phases. **Send** and **deliver** touch one process
+//! each — its actor, its outbox, its inbox: a `Seat` — so they may run on
+//! any thread, in any order. **Route**, between them, is the only phase that
+//! touches shared state (counters, trace, malformed list, other seats'
+//! inboxes) and always runs serially in process-index order. There is one
+//! definition of the round and two *schedules* for it: [`Network::step`]
+//! applies the per-seat phases on the calling thread, [`Network::step_on`]
+//! applies the same two closures to contiguous seat blocks on scoped
+//! threads. Seat blocks are disjoint and routing is serial, so what a run
+//! observes cannot depend on the schedule.
 
 use crate::actor::{Actor, Inbox, Outbox};
 use crate::metrics::{RoundMetrics, RunMetrics};
@@ -6,7 +17,7 @@ use crate::sealed::Sealed;
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEvent};
 use crate::wire::WireSize;
-use opr_types::{MalformedKind, MalformedSend, ProcessIndex, Round};
+use opr_types::{LinkId, MalformedKind, MalformedSend, ProcessIndex, Round};
 use std::fmt::Debug;
 
 /// Result of [`Network::run`].
@@ -18,13 +29,27 @@ pub struct RunReport {
     pub completed: bool,
 }
 
+/// Everything only process `i` touches in the send and deliver phases.
+struct Seat<M, O> {
+    actor: Box<dyn Actor<Msg = M, Output = O>>,
+    /// What the actor sent this round; `Silent` outside send → route.
+    outbox: Outbox<M>,
+    /// What routing delivered this round; empty outside route → deliver.
+    /// `Inbox` consumes the `Vec` by contract, so it is reserved afresh
+    /// (one allocation per receiver per round) rather than reused.
+    inbox: Vec<(LinkId, Sealed<M>)>,
+}
+
+/// One per-seat phase of a round, shared by both schedules.
+type Phase<'a, M, O> = &'a (dyn Fn(&mut Seat<M, O>) + Sync);
+
 /// A synchronous network executing a set of [`Actor`]s in lock-step rounds.
 ///
-/// The engine is deliberately single-threaded and deterministic: given the
-/// same actors (including adversary seeds) and topology, a run is exactly
-/// reproducible — runs *are* the experiments in this workspace.
+/// The engine is deterministic: given the same actors (including adversary
+/// seeds) and topology, a run is exactly reproducible on either schedule —
+/// runs *are* the experiments in this workspace.
 pub struct Network<M, O> {
-    actors: Vec<Box<dyn Actor<Msg = M, Output = O>>>,
+    seats: Vec<Seat<M, O>>,
     correct: Vec<bool>,
     topology: Topology,
     metrics: RunMetrics,
@@ -33,13 +58,7 @@ pub struct Network<M, O> {
     delivery_filter: Option<DeliveryFilter>,
     payload_cap: Option<u64>,
     malformed: Vec<MalformedSend>,
-    // Per-round arenas, keyed to the process count and reused across
-    // rounds instead of reallocated: the outbox collection, the outer
-    // inbox spine, and the multicast duplicate-link bitmap. The inner
-    // inbox `Vec`s are *not* reusable — `Inbox::new` consumes them by
-    // contract — so only the outer buffers live here.
-    outbox_arena: Vec<Outbox<M>>,
-    inbox_arena: Vec<Vec<(opr_types::LinkId, Sealed<M>)>>,
+    /// The multicast duplicate-link bitmap, reused across senders and rounds.
     seen_arena: Vec<bool>,
 }
 
@@ -48,7 +67,7 @@ pub struct Network<M, O> {
 /// message traverses the link. Returning `false` models a transport fault
 /// (drop, or delay past the round boundary — equivalent to silence in the
 /// synchronous model): the message is never routed, counted or traced.
-pub type DeliveryFilter = Box<dyn FnMut(Round, ProcessIndex, opr_types::LinkId) -> bool + Send>;
+pub type DeliveryFilter = Box<dyn FnMut(Round, ProcessIndex, LinkId) -> bool + Send>;
 
 impl<M, O> Network<M, O>
 where
@@ -83,8 +102,16 @@ where
         );
         assert_eq!(actors.len(), correct.len(), "mask must cover every actor");
         let n = actors.len();
+        let seats = actors
+            .into_iter()
+            .map(|actor| Seat {
+                actor,
+                outbox: Outbox::Silent,
+                inbox: Vec::new(),
+            })
+            .collect();
         Network {
-            actors,
+            seats,
             correct,
             topology,
             metrics: RunMetrics::new(),
@@ -93,8 +120,6 @@ where
             delivery_filter: None,
             payload_cap: None,
             malformed: Vec::new(),
-            outbox_arena: Vec::with_capacity(n),
-            inbox_arena: (0..n).map(|_| Vec::new()).collect(),
             seen_arena: vec![false; n],
         }
     }
@@ -132,77 +157,78 @@ where
         self.trace.as_ref()
     }
 
-    /// Executes one synchronous round: all sends, then all deliveries.
+    /// Executes one synchronous round on the calling thread: all sends,
+    /// routing, then all deliveries.
     pub fn step(&mut self) {
+        self.round(|seats, phase| seats.iter_mut().for_each(phase));
+    }
+
+    /// Executes the same round as [`step`](Network::step) with the send and
+    /// deliver phases applied to contiguous seat blocks on at most
+    /// `min(workers, n)` scoped threads, the caller's included (`workers ≤ 1`
+    /// spawns none). Routing stays serial, so outputs, metrics, trace and
+    /// malformed sends are those of `step` at any worker count. An actor
+    /// panic is re-raised on the caller's thread once the phase has joined —
+    /// the lowest-index one if several seats panic.
+    pub fn step_on(&mut self, workers: usize)
+    where
+        M: Send + Sync,
+    {
+        self.round(|seats, phase| {
+            // A topology has n ≥ 1 processes, so there is a first block.
+            let threads = workers.clamp(1, seats.len());
+            let mut blocks = seats.chunks_mut(seats.len().div_ceil(threads));
+            let mine = blocks.next();
+            std::thread::scope(|scope| {
+                let spawned: Vec<_> = blocks
+                    .map(|block| scope.spawn(move || block.iter_mut().for_each(phase)))
+                    .collect();
+                // A panic here unwinds out of `scope`, which joins the
+                // spawned blocks first and then re-raises this payload.
+                mine.into_iter().flatten().for_each(phase);
+                for handle in spawned {
+                    if let Err(payload) = handle.join() {
+                        std::panic::resume_unwind(payload);
+                    }
+                }
+            });
+        });
+    }
+
+    /// The one definition of a round; `apply` is the schedule.
+    fn round(&mut self, apply: impl Fn(&mut [Seat<M, O>], Phase<'_, M, O>)) {
         let round = self.next_round;
-        let n = self.actors.len();
+        apply(&mut self.seats, &|seat| {
+            seat.outbox = seat.actor.send(round)
+        });
+        self.route(round);
+        apply(&mut self.seats, &|seat| {
+            // Sort by label for determinism. Payloads stay sealed — shared
+            // broadcast allocations are handed over, not copied.
+            let mut entries = std::mem::take(&mut seat.inbox);
+            entries.sort_by_key(|(l, _)| *l);
+            seat.actor.deliver(round, Inbox::from_sealed(entries));
+        });
+        self.next_round = round.next();
+    }
 
-        // Phase 1: collect every actor's outbox into the reusable arena.
-        // The arenas are taken out of `self` for the duration of the round
-        // so the routing closure below can still borrow `self` mutably.
-        let mut outboxes = std::mem::take(&mut self.outbox_arena);
-        debug_assert!(outboxes.is_empty(), "arena returned dirty last round");
-        for actor in &mut self.actors {
-            outboxes.push(actor.send(round));
+    /// Moves every outbox of the round into the receivers' inboxes, in
+    /// process-index order: multicast validation, then [`Self::route_one`]
+    /// per link.
+    fn route(&mut self, round: Round) {
+        let n = self.seats.len();
+        // Worst case one message per sender: one allocation per receiver
+        // per round instead of a growth-doubling series. Reserved here, all
+        // together after every send, not seat by seat in the send phase:
+        // interleaving them with the actors' message allocations measured
+        // 1–2 % slower end to end (`svc-n32-forge-par`).
+        for seat in &mut self.seats {
+            seat.inbox.reserve(n);
         }
-
-        // Phase 2: route. `inboxes[r]` accumulates (label, message) pairs.
-        // The inner `Vec`s were consumed by `Inbox` last round, so reserve
-        // the worst case (one message per sender) up front: one allocation
-        // per receiver per round instead of a growth-doubling series.
-        let mut inboxes = std::mem::take(&mut self.inbox_arena);
-        debug_assert_eq!(inboxes.len(), n, "inbox spine sized to process count");
-        for slot in &mut inboxes {
-            slot.reserve(n);
-        }
-        let mut round_metrics = RoundMetrics::default();
-        for (s, outbox) in outboxes.drain(..).enumerate() {
+        let mut tally = RoundMetrics::default();
+        for s in 0..n {
             let sender = ProcessIndex::new(s);
-            let is_correct = self.correct[s];
-            let mut deliver_one = |link: opr_types::LinkId, msg: Sealed<M>, net: &mut Self| {
-                // Computed once per payload and cached inside the seal: the
-                // cap check, metrics and trace below all reuse this value,
-                // and the other N−1 links of a broadcast get it for free.
-                let bits = msg.wire_bits();
-                if let Some(cap) = net.payload_cap {
-                    if bits > cap {
-                        net.malformed.push(MalformedSend {
-                            sender,
-                            round,
-                            kind: MalformedKind::OversizedPayload { bits, cap },
-                        });
-                        return;
-                    }
-                }
-                if let Some(filter) = net.delivery_filter.as_mut() {
-                    if !filter(round, sender, link) {
-                        return;
-                    }
-                }
-                let receiver = net.topology.peer(sender, link);
-                let in_label = net.topology.incoming_label(receiver, sender);
-                let self_loop = receiver == sender;
-                if is_correct {
-                    if !self_loop {
-                        round_metrics.messages_correct += 1;
-                        round_metrics.bits_correct += bits;
-                    }
-                    round_metrics.max_message_bits = round_metrics.max_message_bits.max(bits);
-                } else if !self_loop {
-                    round_metrics.messages_faulty += 1;
-                }
-                if let Some(trace) = &mut net.trace {
-                    trace.record(TraceEvent {
-                        round,
-                        sender,
-                        receiver,
-                        link: in_label,
-                        message: msg.rendered().to_owned(),
-                    });
-                }
-                inboxes[receiver.index()].push((in_label, msg));
-            };
-            match outbox {
+            match std::mem::replace(&mut self.seats[s].outbox, Outbox::Silent) {
                 Outbox::Silent => {}
                 Outbox::Broadcast(msg) => {
                     // Seal once; every link's inbox slot shares the same
@@ -210,7 +236,7 @@ where
                     // copies.
                     let sealed = Sealed::new(msg);
                     for l in 1..=n {
-                        deliver_one(opr_types::LinkId::new(l), sealed.clone(), self);
+                        self.route_one(round, sender, LinkId::new(l), sealed.clone(), &mut tally);
                     }
                 }
                 Outbox::Multicast(entries) => {
@@ -218,57 +244,98 @@ where
                     seen.clear();
                     seen.resize(n, false);
                     for (link, msg) in entries {
-                        if link.label() > n {
+                        let label = link.label();
+                        if label > n {
                             self.malformed.push(MalformedSend {
                                 sender,
                                 round,
-                                kind: MalformedKind::LinkOutOfRange {
-                                    label: link.label(),
-                                    n,
-                                },
+                                kind: MalformedKind::LinkOutOfRange { label, n },
                             });
-                            continue;
-                        }
-                        if std::mem::replace(&mut seen[link.index()], true) {
+                        } else if std::mem::replace(&mut seen[link.index()], true) {
                             self.malformed.push(MalformedSend {
                                 sender,
                                 round,
-                                kind: MalformedKind::DuplicateLink {
-                                    label: link.label(),
-                                },
+                                kind: MalformedKind::DuplicateLink { label },
                             });
-                            continue;
+                        } else {
+                            // Equivocation stays per-link owned: each entry
+                            // is its own payload, sealed individually.
+                            self.route_one(round, sender, link, Sealed::new(msg), &mut tally);
                         }
-                        // Equivocation stays per-link owned: each entry is
-                        // its own payload, sealed individually.
-                        deliver_one(link, Sealed::new(msg), self);
                     }
                     self.seen_arena = seen;
                 }
             }
         }
-        self.metrics.push_round(round_metrics);
+        self.metrics.push_round(tally);
+    }
 
-        // Phase 3: deliver. Sort by label for determinism. The inbox
-        // consumes each inner `Vec` (payloads stay sealed — shared
-        // broadcast allocations are handed over, not copied), so
-        // `mem::take` leaves a fresh (non-allocating) empty slot.
-        for (r, slot) in inboxes.iter_mut().enumerate() {
-            let mut entries = std::mem::take(slot);
-            entries.sort_by_key(|(l, _)| *l);
-            self.actors[r].deliver(round, Inbox::from_sealed(entries));
+    /// One message on one link: payload cap, fault filter, topology
+    /// resolution, accounting, trace, inbox.
+    fn route_one(
+        &mut self,
+        round: Round,
+        sender: ProcessIndex,
+        link: LinkId,
+        msg: Sealed<M>,
+        tally: &mut RoundMetrics,
+    ) {
+        // Computed once per payload and cached inside the seal: the cap
+        // check, metrics and trace below all reuse this value, and the
+        // other N−1 links of a broadcast get it for free.
+        let bits = msg.wire_bits();
+        if let Some(cap) = self.payload_cap {
+            if bits > cap {
+                self.malformed.push(MalformedSend {
+                    sender,
+                    round,
+                    kind: MalformedKind::OversizedPayload { bits, cap },
+                });
+                return;
+            }
         }
-        self.outbox_arena = outboxes;
-        self.inbox_arena = inboxes;
-        self.next_round = round.next();
+        if let Some(filter) = self.delivery_filter.as_mut() {
+            if !filter(round, sender, link) {
+                return;
+            }
+        }
+        let receiver = self.topology.peer(sender, link);
+        let in_label = self.topology.incoming_label(receiver, sender);
+        let self_loop = receiver == sender;
+        if self.correct[sender.index()] {
+            if !self_loop {
+                tally.messages_correct += 1;
+                tally.bits_correct += bits;
+            }
+            tally.max_message_bits = tally.max_message_bits.max(bits);
+        } else if !self_loop {
+            tally.messages_faulty += 1;
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.record_with(|| TraceEvent {
+                round,
+                sender,
+                receiver,
+                link: in_label,
+                message: msg.rendered().to_owned(),
+            });
+        }
+        self.seats[receiver.index()].inbox.push((in_label, msg));
     }
 
     /// Runs until every correct actor has an output, or `max_rounds` rounds
     /// have executed.
     pub fn run(&mut self, max_rounds: u32) -> RunReport {
+        self.run_with(max_rounds, Self::step)
+    }
+
+    /// [`run`](Network::run) with the round supplied by the caller — a
+    /// schedule ([`step`](Network::step), [`step_on`](Network::step_on)),
+    /// possibly wrapped in a clock. `step` must execute exactly one round.
+    pub fn run_with(&mut self, max_rounds: u32, mut step: impl FnMut(&mut Self)) -> RunReport {
         let mut executed = self.metrics.rounds_executed();
         while executed < max_rounds && !self.all_correct_decided() {
-            self.step();
+            step(self);
             executed = self.metrics.rounds_executed();
         }
         RunReport {
@@ -278,26 +345,32 @@ where
     }
 
     fn all_correct_decided(&self) -> bool {
-        self.actors
+        self.seats
             .iter()
             .zip(&self.correct)
             .filter(|(_, &c)| c)
-            .all(|(a, _)| a.output().is_some())
+            .all(|(seat, _)| seat.actor.output().is_some())
     }
 
     /// The output of actor `index`, if decided.
     pub fn output_of(&self, index: usize) -> Option<O> {
-        self.actors[index].output()
+        self.seats[index].actor.output()
     }
 
     /// Outputs of all actors (faulty included), in index order.
     pub fn outputs(&self) -> Vec<Option<O>> {
-        self.actors.iter().map(|a| a.output()).collect()
+        self.seats.iter().map(|seat| seat.actor.output()).collect()
     }
 
     /// Accumulated metrics.
     pub fn metrics(&self) -> &RunMetrics {
         &self.metrics
+    }
+
+    /// Ends the run, moving out what it accumulated: the metrics, the
+    /// trace (if enabled) and the malformed sends.
+    pub fn into_artifacts(self) -> (RunMetrics, Option<Trace>, Vec<MalformedSend>) {
+        (self.metrics, self.trace, self.malformed)
     }
 
     /// The correctness mask supplied at construction.
@@ -572,5 +645,110 @@ mod tests {
             (net.outputs(), net.metrics().clone())
         };
         assert_eq!(run(42), run(42));
+    }
+
+    /// Sends one duplicate and one out-of-range link label every round.
+    struct Sloppy;
+    impl Actor for Sloppy {
+        type Msg = Num;
+        type Output = u64;
+        fn send(&mut self, _round: Round) -> Outbox<Num> {
+            Outbox::Multicast(vec![
+                (LinkId::new(1), Num(1)),
+                (LinkId::new(1), Num(2)),
+                (LinkId::new(99), Num(3)),
+            ])
+        }
+        fn deliver(&mut self, _round: Round, _inbox: Inbox<Num>) {}
+        fn output(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    #[test]
+    fn step_on_equals_step_at_any_worker_count() {
+        // n = 5: three summers, the equivocator and the multicast abuser;
+        // n = 1: a lone self-loop. Traced past capacity, with and without a
+        // cap that rejects every message.
+        for n in [1usize, 5] {
+            for cap in [None, Some(32)] {
+                let run = |workers: Option<usize>| {
+                    let mut actors = summers(&[10, 20, 30][..n.min(3)]);
+                    let mut correct = vec![true; actors.len()];
+                    if n == 5 {
+                        actors.push(Box::new(Equivocator));
+                        actors.push(Box::new(Sloppy));
+                        correct.extend([false, false]);
+                    }
+                    let mut net = Network::with_faults(actors, correct, Topology::seeded(n, 7));
+                    net.set_payload_cap(cap);
+                    net.enable_trace(7);
+                    for _ in 0..3 {
+                        match workers {
+                            None => net.step(),
+                            Some(w) => net.step_on(w),
+                        }
+                    }
+                    (
+                        net.outputs(),
+                        net.metrics().clone(),
+                        net.trace().cloned(),
+                        net.malformed_sends().to_vec(),
+                    )
+                };
+                let reference = run(None);
+                assert_eq!(reference.3.is_empty(), n == 1 && cap.is_none());
+                for workers in [0, 1, 2, 3, n, n + 5] {
+                    assert_eq!(
+                        run(Some(workers)),
+                        reference,
+                        "n={n} cap={cap:?} workers={workers}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Panics with its seat number in the chosen phase.
+    struct Bomb {
+        seat: usize,
+        in_send: bool,
+    }
+    impl Actor for Bomb {
+        type Msg = Num;
+        type Output = u64;
+        fn send(&mut self, _round: Round) -> Outbox<Num> {
+            assert!(!self.in_send, "send bomb in seat {}", self.seat);
+            Outbox::Silent
+        }
+        fn deliver(&mut self, _round: Round, _inbox: Inbox<Num>) {
+            panic!("deliver bomb in seat {}", self.seat);
+        }
+        fn output(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    fn with_bombs(in_send: bool, seats: &[usize]) -> Network<Num, u64> {
+        let mut actors = summers(&[1, 2, 3, 4]);
+        for &seat in seats {
+            actors[seat] = Box::new(Bomb { seat, in_send });
+        }
+        Network::new(actors, Topology::canonical(4))
+    }
+
+    // Two workers over four seats: seats 0–1 run on the caller's thread,
+    // seats 2–3 on a spawned one.
+
+    #[test]
+    #[should_panic(expected = "send bomb in seat 1")]
+    fn step_on_reraises_the_lowest_send_phase_panic() {
+        with_bombs(true, &[1, 3]).step_on(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliver bomb in seat 3")]
+    fn step_on_reraises_a_spawned_deliver_phase_panic() {
+        with_bombs(false, &[3]).step_on(2);
     }
 }

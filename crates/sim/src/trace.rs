@@ -2,7 +2,8 @@
 //!
 //! Tracing is opt-in (see [`Network::enable_trace`](crate::Network)); when
 //! enabled, every delivery is recorded as a formatted [`TraceEvent`]. The
-//! buffer is capacity-bounded so pathological runs cannot exhaust memory.
+//! buffer is capacity-bounded so pathological runs cannot exhaust memory,
+//! and events past the bound are counted without being rendered.
 
 use opr_types::{LinkId, ProcessIndex, Round};
 use std::fmt;
@@ -53,8 +54,15 @@ impl Trace {
 
     /// Records an event, or counts it as dropped when the buffer is full.
     pub fn record(&mut self, event: TraceEvent) {
+        self.record_with(|| event);
+    }
+
+    /// [`record`](Trace::record) for an event that costs something to
+    /// build: `make` runs only when there is room, so a full buffer bounds
+    /// the work of tracing as well as its memory.
+    pub fn record_with(&mut self, make: impl FnOnce() -> TraceEvent) {
         if self.events.len() < self.capacity {
-            self.events.push(event);
+            self.events.push(make());
         } else {
             self.dropped += 1;
         }
@@ -101,8 +109,9 @@ mod tests {
         t.record(event(1, 0, 1));
         t.record(event(1, 1, 0));
         t.record(event(2, 0, 1));
+        t.record_with(|| panic!("built an event there was no room for"));
         assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 1);
+        assert_eq!(t.dropped(), 2);
     }
 
     #[test]

@@ -6,16 +6,14 @@
 //! synchronous round at a time. This crate makes *where that contract
 //! executes* a first-class choice:
 //!
-//! * [`SimBackend`] — the deterministic single-threaded engine
-//!   ([`opr_sim::Network`]) the experiments were born on. Zero concurrency,
-//!   bit-for-bit reproducible, the reference semantics.
-//! * [`PooledBackend`] — the real-threads engine: a fixed worker pool
-//!   executing actor round-steps as tasks over a flat slab of inbox slots,
-//!   with two phase fences per round. Real parallelism across processes
-//!   within a round, while inboxes are read in canonical link-id order so a
-//!   given seed produces **identical** outcomes, traces and
-//!   [`RunMetrics`](opr_sim::RunMetrics) on both backends, at any worker
-//!   count.
+//! * [`SimBackend`] — [`opr_sim::Network`] stepped on the calling thread.
+//!   Zero concurrency, bit-for-bit reproducible, the reference semantics.
+//! * [`PooledBackend`] — the real-threads engine: the *same* `Network`,
+//!   with each round's per-process send and deliver phases on at most
+//!   `workers` scoped threads and routing kept serial. One definition of a
+//!   round, two schedules for it, so a given seed produces **identical**
+//!   outcomes, traces and [`RunMetrics`](opr_sim::RunMetrics) on both
+//!   backends, at any worker count, by construction.
 //!
 //! The substrate boundary is also where the model's link-anonymity lives:
 //! receivers observe *link labels*, never sender identities, on every

@@ -1,12 +1,12 @@
-//! The reference substrate: an adapter over the deterministic
-//! single-threaded [`opr_sim::Network`].
+//! The reference substrate: [`opr_sim::Network`] stepped on the calling
+//! thread.
 
-use crate::substrate::{ExecOptions, ExecutionReport, Job, Substrate};
+use crate::substrate::{run_job, BackendKind, ExecutionReport, Job, Substrate};
 use opr_sim::{Network, WireSize};
 use std::fmt::Debug;
 
-/// Executes jobs on [`opr_sim::Network`] — single-threaded, bit-for-bit
-/// reproducible, the semantics every other backend must match.
+/// Executes jobs with [`Network::step`] — single-threaded, bit-for-bit
+/// reproducible, the schedule every other one is compared against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimBackend;
 
@@ -15,74 +15,14 @@ where
     M: Clone + Debug + WireSize,
 {
     fn execute(&self, job: Job<M, O>) -> ExecutionReport<O> {
-        let Job {
-            actors,
-            correct,
-            topology,
-            max_rounds,
-            opts:
-                ExecOptions {
-                    faults,
-                    payload_cap,
-                    trace_capacity,
-                    spans,
-                    metrics,
-                },
-        } = job;
-        let mut net = Network::with_faults(actors, correct, topology);
-        if let Some(capacity) = trace_capacity {
-            net.enable_trace(capacity);
-        }
-        net.set_payload_cap(payload_cap);
-        if !faults.is_empty() {
-            net.set_delivery_filter(Box::new(move |round, sender, link| {
-                faults.delivers(round, sender, link)
-            }));
-        }
-        let round_hist = metrics
-            .as_ref()
-            .map(|m| m.histogram(&opr_metrics::labeled("opr_round_ns", &[("backend", "sim")])));
-        let report = if spans.is_none() && round_hist.is_none() {
-            net.run(max_rounds)
-        } else {
-            // Network::run is cumulative, so raising the budget by one
-            // round at a time yields per-round timings without touching
-            // the engine's semantics.
-            let mut report = net.run(0);
-            for budget in 1..=max_rounds {
-                let start = std::time::Instant::now();
-                report = net.run(budget);
-                if report.rounds_executed == budget {
-                    if let Some(hist) = &round_hist {
-                        hist.record(start.elapsed().as_nanos() as u64);
-                    }
-                    if let Some(log) = &spans {
-                        log.lock()
-                            .unwrap()
-                            .record_indexed("round", u64::from(budget), start);
-                    }
-                }
-                if report.completed {
-                    break;
-                }
-            }
-            report
-        };
-        ExecutionReport {
-            rounds_executed: report.rounds_executed,
-            completed: report.completed,
-            outputs: net.outputs(),
-            metrics: net.metrics().clone(),
-            trace: net.trace().cloned(),
-            malformed: net.malformed_sends().to_vec(),
-        }
+        run_job(job, BackendKind::Sim, Network::step)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultPlan;
+    use crate::{ExecOptions, FaultPlan};
     use opr_sim::{Actor, Inbox, Outbox, Topology};
     use opr_types::{LinkId, Round};
 

@@ -4,7 +4,7 @@ use crate::faults::FaultPlan;
 use crate::{PooledBackend, SimBackend};
 use opr_metrics::MetricsRegistry;
 use opr_obs::SharedSpanLog;
-use opr_sim::{Actor, RunMetrics, Topology, Trace, WireSize};
+use opr_sim::{Actor, Network, RunMetrics, Topology, Trace, WireSize};
 use opr_types::MalformedSend;
 use std::fmt;
 use std::fmt::Debug;
@@ -12,7 +12,7 @@ use std::fmt::Debug;
 /// Everything a [`Job`] carries besides its actors, mask, topology and
 /// round budget — the run surface's one declaration of the transport-level
 /// knobs. The runner and workload layers embed this value and hand it down
-/// whole; both backends destructure it once.
+/// whole; `run_job` destructures it once, for both backends.
 #[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Transport-level faults applied below the actors (drops and
@@ -121,17 +121,82 @@ pub struct ExecutionReport<O> {
 }
 
 /// A lock-step execution substrate: consumes a [`Job`], runs it round by
-/// round (all sends, then all deliveries, in lock-step), and reports what
-/// happened.
+/// round (all sends, routing, then all deliveries, in lock-step), and
+/// reports what happened.
 ///
 /// Implementations must be *observationally deterministic*: for a fixed job
 /// (same actors, topology, budget, faults), the report — outcomes, rounds,
-/// metrics, trace — must not depend on scheduling. The cross-backend
-/// equivalence tests hold every backend to [`SimBackend`]'s reference
-/// semantics.
+/// metrics, trace — must not depend on scheduling. Both backends here step
+/// the same [`opr_sim::Network`], so that holds by construction; the
+/// cross-backend equivalence tests keep holding [`PooledBackend`] to
+/// [`SimBackend`]'s report all the same, because actors share per-run state
+/// the engine cannot see.
 pub trait Substrate<M, O> {
     /// Executes the job to completion or round-budget exhaustion.
     fn execute(&self, job: Job<M, O>) -> ExecutionReport<O>;
+}
+
+/// The one way a [`Job`] becomes an [`ExecutionReport`]: applies the
+/// [`ExecOptions`] to an [`opr_sim::Network`], runs `step` — the backend's
+/// schedule for one round — until termination or budget, times each round
+/// when a span log or registry is attached, and moves what the network
+/// accumulated into the report. Backends differ only in the `step` they
+/// pass.
+pub(crate) fn run_job<M, O>(
+    job: Job<M, O>,
+    kind: BackendKind,
+    mut step: impl FnMut(&mut Network<M, O>),
+) -> ExecutionReport<O>
+where
+    M: Clone + Debug + WireSize,
+{
+    let ExecOptions {
+        faults,
+        payload_cap,
+        trace_capacity,
+        spans,
+        metrics,
+    } = job.opts;
+    let mut net = Network::with_faults(job.actors, job.correct, job.topology);
+    if let Some(capacity) = trace_capacity {
+        net.enable_trace(capacity);
+    }
+    net.set_payload_cap(payload_cap);
+    if !faults.is_empty() {
+        net.set_delivery_filter(Box::new(move |round, sender, link| {
+            faults.delivers(round, sender, link)
+        }));
+    }
+    let round_hist = metrics.map(|m| {
+        m.histogram(&opr_metrics::labeled(
+            "opr_round_ns",
+            &[("backend", kind.label())],
+        ))
+    });
+    let timed = spans.is_some() || round_hist.is_some();
+    let report = net.run_with(job.max_rounds, |net| {
+        let start = timed.then(std::time::Instant::now);
+        step(net);
+        if let Some(start) = start {
+            if let Some(hist) = &round_hist {
+                hist.record(start.elapsed().as_nanos() as u64);
+            }
+            if let Some(log) = &spans {
+                let round = u64::from(net.metrics().rounds_executed());
+                log.lock().unwrap().record_indexed("round", round, start);
+            }
+        }
+    });
+    let outputs = net.outputs();
+    let (metrics, trace, malformed) = net.into_artifacts();
+    ExecutionReport {
+        rounds_executed: report.rounds_executed,
+        completed: report.completed,
+        outputs,
+        metrics,
+        trace,
+        malformed,
+    }
 }
 
 /// Backend selection, e.g. from a `--backend` CLI flag.
@@ -139,8 +204,8 @@ pub trait Substrate<M, O> {
 pub enum BackendKind {
     /// Single-threaded deterministic simulator (the reference).
     Sim,
-    /// Fixed worker pool executing round-steps as tasks over a flat inbox
-    /// slab — the real-threads equivalence witness and the large-N soak
+    /// The same round engine with its per-process phases on scoped worker
+    /// threads — the real-threads equivalence witness and the large-N soak
     /// engine, not a speed path (DESIGN.md §2).
     Pooled,
 }

@@ -33,6 +33,24 @@ pub fn div_ceil(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
+/// The splitmix64 finalizer — the workspace's one bit mixer. Every seed
+/// derivation (fault placement, per-run and per-epoch seeds, client
+/// hashing, genome digests) applies its own pre-mix and then this, so
+/// derived values are stable across rand versions.
+///
+/// # Example
+///
+/// ```
+/// use opr_types::math::mix64;
+/// assert_eq!(mix64(0), 0);
+/// assert_eq!(mix64(0x9e37_79b9_7f4a_7c15), 0xe220_a839_7b1d_cdaf);
+/// ```
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,7 +46,7 @@ pub fn run() -> ExperimentTable {
                 alg.label().to_owned(),
                 t.to_string(),
                 max_name.to_string(),
-                alg.namespace_bound(N, t).to_string(),
+                alg.namespace_bound(cfg).to_string(),
             ]);
         }
     }

@@ -44,7 +44,7 @@ pub fn run() -> ExperimentTable {
                 alg.label().to_owned(),
                 n.to_string(),
                 stats.rounds.to_string(),
-                alg.rounds(n, t).to_string(),
+                alg.rounds(cfg).to_string(),
             ]);
         }
     }

@@ -42,7 +42,7 @@ pub fn run() -> ExperimentTable {
     for alg in Algorithm::ALL {
         let (n, t) = config_for(alg);
         let cfg = SystemConfig::new(n, t).expect("valid config");
-        let bound = alg.namespace_bound(n, t);
+        let bound = alg.namespace_bound(cfg);
         let mut max_name = 0i64;
         for dist in [IdDistribution::EvenSpaced, IdDistribution::SparseRandom] {
             for spec in suite_for(alg) {

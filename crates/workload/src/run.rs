@@ -67,9 +67,9 @@ impl Algorithm {
     /// The smallest `N` this implementation supports for a given `t`.
     pub fn minimal_n(&self, t: usize) -> usize {
         match self {
-            Algorithm::Alg1LogTime => 3 * t + 1,
-            Algorithm::Alg1ConstantTime => t * t + 2 * t + 1,
-            Algorithm::TwoStep => 2 * t * t + t + 1,
+            Algorithm::Alg1LogTime => SystemConfig::minimal_n(t, Regime::LogTime),
+            Algorithm::Alg1ConstantTime => SystemConfig::minimal_n(t, Regime::ConstantTime),
+            Algorithm::TwoStep => SystemConfig::minimal_n(t, Regime::TwoStep),
             Algorithm::CrashAa | Algorithm::Cht => (3 * t + 1).max(2),
             Algorithm::Consensus => 4 * t + 2,
             Algorithm::Translated => 3 * t + 1,
@@ -77,30 +77,30 @@ impl Algorithm {
     }
 
     /// The target namespace bound `M` this implementation guarantees.
-    pub fn namespace_bound(&self, n: usize, t: usize) -> u64 {
-        let (n64, t64) = (n as u64, t as u64);
+    pub fn namespace_bound(&self, cfg: SystemConfig) -> u64 {
+        let (n, t) = (cfg.n() as u64, cfg.t() as u64);
         match self {
-            Algorithm::Alg1LogTime => n64 + t64.saturating_sub(1),
-            Algorithm::Alg1ConstantTime => n64,
-            Algorithm::TwoStep => n64 * n64,
+            Algorithm::Alg1LogTime => cfg.namespace_bound(Regime::LogTime),
+            Algorithm::Alg1ConstantTime => cfg.namespace_bound(Regime::ConstantTime),
+            Algorithm::TwoStep => cfg.namespace_bound(Regime::TwoStep),
             // B1: names are rounded rank/2 over at most N visible ids.
-            Algorithm::CrashAa => n64,
-            Algorithm::Consensus => n64 + t64.saturating_sub(1),
-            Algorithm::Cht => n64,
-            Algorithm::Translated => 2 * n64,
+            Algorithm::CrashAa => n,
+            Algorithm::Consensus => n + t.saturating_sub(1),
+            Algorithm::Cht => n,
+            Algorithm::Translated => 2 * n,
         }
     }
 
     /// The exact number of communication steps this implementation takes.
-    pub fn rounds(&self, n: usize, t: usize) -> u32 {
+    pub fn rounds(&self, cfg: SystemConfig) -> u32 {
         match self {
-            Algorithm::Alg1LogTime => 3 * opr_types::math::ceil_log2(t) + 7,
-            Algorithm::Alg1ConstantTime => 8,
-            Algorithm::TwoStep => 2,
-            Algorithm::CrashAa => CrashAaRenaming::total_rounds(t),
-            Algorithm::Consensus => ConsensusRenaming::total_rounds(t),
-            Algorithm::Cht => ChtRenaming::total_rounds(n),
-            Algorithm::Translated => TranslatedRenaming::total_rounds(n),
+            Algorithm::Alg1LogTime => cfg.total_steps(Regime::LogTime),
+            Algorithm::Alg1ConstantTime => cfg.total_steps(Regime::ConstantTime),
+            Algorithm::TwoStep => cfg.total_steps(Regime::TwoStep),
+            Algorithm::CrashAa => CrashAaRenaming::total_rounds(cfg.t()),
+            Algorithm::Consensus => ConsensusRenaming::total_rounds(cfg.t()),
+            Algorithm::Cht => ChtRenaming::total_rounds(cfg.n()),
+            Algorithm::Translated => TranslatedRenaming::total_rounds(cfg.n()),
         }
     }
 
@@ -368,7 +368,7 @@ fn run_baseline<M: Clone + Debug + WireSize + Send + Sync + 'static>(
     topology: Topology,
 ) -> Result<RunStats, RenamingError> {
     let faulty = actors.len() - correct_ids.len();
-    let rounds = algorithm.rounds(cfg.n(), cfg.t());
+    let rounds = algorithm.rounds(cfg);
     let mut correct_mask = vec![false; faulty];
     correct_mask.extend(vec![true; correct_ids.len()]);
     let report = backend.execute(Job::with_faulty(actors, correct_mask, topology, rounds));
@@ -388,7 +388,7 @@ fn run_baseline<M: Clone + Debug + WireSize + Send + Sync + 'static>(
         &outcome,
         report.rounds_executed,
         &report.metrics,
-        algorithm.namespace_bound(cfg.n(), cfg.t()),
+        algorithm.namespace_bound(cfg),
     ))
 }
 
@@ -916,7 +916,7 @@ mod tests {
                 .run(cfg, &ids, t, AdversarySpec::Silent, 5)
                 .unwrap_or_else(|e| panic!("{alg}: {e}"));
             assert_eq!(stats.violations, 0, "{alg}");
-            assert_eq!(stats.rounds, alg.rounds(n, t), "{alg}");
+            assert_eq!(stats.rounds, alg.rounds(cfg), "{alg}");
             assert!(stats.max_name.is_some(), "{alg}");
             assert!(stats.messages > 0, "{alg}");
         }
@@ -966,7 +966,7 @@ mod tests {
             let cfg = SystemConfig::new(n, t).unwrap();
             let ids = IdDistribution::Dense.generate(n - t, 2);
             let stats = alg.run(cfg, &ids, t, AdversarySpec::Silent, 3).unwrap();
-            assert_eq!(stats.rounds, alg.rounds(n, t), "{alg}");
+            assert_eq!(stats.rounds, alg.rounds(cfg), "{alg}");
         }
     }
 

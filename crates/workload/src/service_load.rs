@@ -17,6 +17,7 @@
 //! release-before-grant and duplicate-acquire traffic naturally, which is
 //! exactly the admission-edge behaviour the service tests exercise).
 
+use opr_types::math::mix64;
 use opr_types::OriginalId;
 use std::fmt;
 
@@ -42,16 +43,14 @@ impl fmt::Display for ClientId {
     }
 }
 
-/// splitmix64 — the same self-contained mixer `fault_placement` uses, so
-/// workload generation is stable across rand-shim versions.
+/// Stream `stream` of `seed`, independent of any RNG crate so workload
+/// generation is stable across rand-shim versions.
 fn mix(seed: u64, stream: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(stream)
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(
+        seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(stream)
+            .wrapping_add(0x9e37_79b9_7f4a_7c15),
+    )
 }
 
 /// One acquire arrival: a client asking the service for a name, presenting

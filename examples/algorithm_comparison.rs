@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stats.messages,
             stats.bits as f64 / 1000.0,
             stats.max_name.unwrap_or(0),
-            alg.namespace_bound(n, t),
+            alg.namespace_bound(cfg),
         );
     }
 

@@ -17,8 +17,10 @@ fmt:
 lint:
     cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
 
-# Declared-once lint of the run surface: no run knob may be declared twice
-# under crates/{transport,core,workload}/src; prints the public-item count.
+# Declared-once lints: no run knob declared twice under
+# crates/{transport,core,workload}/src, no second copy of routing / trace
+# emission / the round clock, no [dependencies] edge a crate's src/ never
+# uses; prints the public-item count.
 surface:
     tools/surface.sh
 
@@ -46,9 +48,10 @@ chaos:
 chaos-soak SEED="1" RUNS="20000" JOBS="4":
     cargo run --release -p opr-bench --bin chaos -- --seed {{SEED}} --runs {{RUNS}} --budget mixed --backend both --jobs {{JOBS}}
 
-# Large-N soak: full Alg1 at N=1024, t=300 on the pooled backend under a
-# wall-clock ceiling, bit-identical to the simulator, plus the N=512
-# sim-vs-pooled cross-check over adversaries and worker counts.
+# Large-N soak of the pooled schedule (Network::step_on): full Alg1 at
+# N=1024, t=300 under a wall-clock ceiling, bit-identical to the simulator,
+# plus the N=512 sim-vs-pooled cross-check over adversaries and worker
+# counts.
 pool-soak:
     cargo test --release -q --test large_n -- --ignored --nocapture
 

@@ -9,6 +9,8 @@
 
 use opr::obs::SpanLog;
 use opr::prelude::*;
+use opr::sim::Trace;
+use opr::transport::PooledBackend;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Instant;
@@ -53,15 +55,21 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
-/// One full Algorithm 1 run (`N = 16`, `t = 3`, echo-split adversary) with
-/// the protocol recorder off or on: `(allocations, events recorded)`.
-fn diagnosed_run(record: bool) -> (u64, usize) {
+/// The gated run: full Algorithm 1 at `N = 16`, `t = 3` under the
+/// echo-split adversary.
+fn gate_run() -> RenamingRun {
     let cfg = SystemConfig::new(16, 3).expect("legal config");
     let ids = IdDistribution::SparseRandom.generate(13, 7);
-    let mut run = RenamingRun::builder(cfg, Regime::LogTime)
+    RenamingRun::builder(cfg, Regime::LogTime)
         .correct_ids(ids)
         .adversary(AdversarySpec::EchoSplit, 3)
-        .seed(9);
+        .seed(9)
+}
+
+/// One [`gate_run`] with the protocol recorder off or on:
+/// `(allocations, events recorded)`.
+fn diagnosed_run(record: bool) -> (u64, usize) {
+    let mut run = gate_run();
     if record {
         run = run.record_events();
     }
@@ -82,6 +90,43 @@ fn recorder_off_runs_allocate_identically_around_a_recorded_run() {
     assert_eq!(off_before, off_after);
     assert!(events > 0, "a recorded run emits events");
     assert!(on >= off_before, "recording allocated {on} < {off_before}");
+}
+
+/// One [`gate_run`] on `backend` with the delivery trace off or bounded at
+/// `capacity`: `(allocations, events kept, events dropped)`.
+fn traced_run(backend: BackendKind, capacity: Option<usize>) -> (u64, usize, u64) {
+    let mut run = gate_run().backend(backend);
+    if let Some(capacity) = capacity {
+        run = run.trace(capacity);
+    }
+    let (allocs, out) = allocs_in(|| run.run_diagnosed().expect("run starts"));
+    let trace = out.trace.as_ref();
+    (
+        allocs,
+        trace.map_or(0, |t| t.events().len()),
+        trace.map_or(0, Trace::dropped),
+    )
+}
+
+#[test]
+fn a_full_trace_bounds_the_work_of_tracing_on_both_backends() {
+    // One worker: the pooled schedule then runs on this (counting) thread.
+    PooledBackend::set_process_default_workers(1);
+    for backend in BackendKind::ALL {
+        traced_run(backend, None); // warm-up, as above
+        let (untraced, ..) = traced_run(backend, None);
+        let (bounded, kept, dropped) = traced_run(backend, Some(4));
+        let (_, all, none_dropped) = traced_run(backend, Some(1_000_000));
+        assert_eq!((kept, none_dropped), (4, 0), "{backend}");
+        assert_eq!(kept as u64 + dropped, all as u64, "{backend}");
+        assert_eq!(dropped, 3180, "{backend}");
+        // Four rendered events and the trace itself — not one `String` per
+        // delivery, and no run-long buffer of them.
+        assert!(
+            bounded <= untraced + 64,
+            "{backend}: capacity-4 trace allocated {bounded} against {untraced} untraced"
+        );
+    }
 }
 
 #[test]

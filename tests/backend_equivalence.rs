@@ -1,5 +1,5 @@
-//! Cross-backend equivalence: the task-scheduled worker-pool substrate —
-//! the one real-threads engine — must be observationally
+//! Cross-backend equivalence: the pooled substrate — the round engine's
+//! real-threads schedule — must be observationally
 //! indistinguishable from the single-threaded reference simulator. For any
 //! legal `(N, t, seed, adversary, id distribution)`, both backends
 //! must produce identical renaming outcomes, round counts and message/bit

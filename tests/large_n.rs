@@ -1,6 +1,8 @@
-//! Large-N soak tests for the task-scheduled `PooledBackend`.
+//! Large-N soak tests for `PooledBackend`, the round engine's real-threads
+//! schedule (`Network::step_on`: per-process phases on ≤ `workers` scoped
+//! threads, routing serial).
 //!
-//! The pooled engine exists so the harness can execute the paper's
+//! The pooled schedule exists so the harness can execute the paper's
 //! protocols at four-digit N on a fixed number of OS threads.
 //! These tests pin that promise: a full Algorithm 1 run at `N = 1024,
 //! t = 300` must complete on the pooled backend and produce a `DiagnosedRun`
@@ -8,13 +10,14 @@
 //! equivalence must hold across adversaries and worker counts.
 //!
 //! Wall-clock at this scale is dominated by protocol compute, not the
-//! round engine (the `pool` bench pins the engine itself at ~65 ms/round
-//! for N = 1024 traffic): Alg1 at `N = 1024, t = 300` runs 34 rounds of
-//! ~10⁶ multiset-bearing deliveries, which takes minutes of CPU on one
-//! core and parallelizes across pooled workers on real hardware. The
-//! perf gate is therefore *relative* — the pooled run must stay within
-//! `POOLED_SLOWDOWN_CAP` of the simulator measured in the same process —
-//! plus an absolute runaway ceiling, both env-overridable.
+//! round engine (DESIGN.md §12 prices the engine itself): Alg1 at
+//! `N = 1024, t = 300` runs 34 rounds of ~10⁶ multiset-bearing
+//! deliveries, which takes minutes of CPU on one core and — voting being
+//! independent per receiver — parallelizes across pooled workers in the
+//! deliver phase. The perf gate is therefore *relative* — the pooled run
+//! must stay within `POOLED_SLOWDOWN_CAP` of the simulator measured in
+//! the same process — plus an absolute runaway ceiling, both
+//! env-overridable.
 //!
 //! The soak tests are `#[ignore]`d because the tier-1 suite runs a debug
 //! build. CI runs them in release via a dedicated step (`just
@@ -35,10 +38,11 @@ use opr::workload::{DiagnosedRun, RenamingRun};
 use std::time::{Duration, Instant};
 
 /// The pooled run may not take longer than this multiple of the sim run
-/// measured in the same process. On one core the pooled engine's fences
-/// are nearly free (serial fallback); on many cores it should win — a
-/// regression to thread-per-process-like scheduling overhead blows this
-/// immediately, on any hardware.
+/// measured in the same process. With one worker the pooled schedule *is*
+/// the simulator's (no thread is spawned); with several it pays two
+/// spawns per worker per round and should win them back in the deliver
+/// phase — a regression to thread-per-process-like scheduling overhead
+/// blows this immediately, on any hardware.
 const POOLED_SLOWDOWN_CAP: f64 = 2.0;
 
 fn env_dim(key: &str, default: usize) -> usize {

@@ -156,7 +156,8 @@ fn deterministic_exports_are_stable_across_replays() {
 #[test]
 fn plain_and_diagnosed_runs_record_the_same_round_spans() {
     use opr::prelude::*;
-    let check = |what: &str, build: &dyn Fn() -> RenamingRun| {
+    let check = |what: &str, backend: BackendKind, build: &dyn Fn() -> RenamingRun| {
+        let what = format!("{what} on {backend}");
         let attached = || {
             let (log, registry) = (shared_span_log(), MetricsRegistry::new());
             let run = build().spans(log.clone()).metrics(registry.clone());
@@ -167,7 +168,7 @@ fn plain_and_diagnosed_runs_record_the_same_round_spans() {
             let spans = log.spans().iter().filter(|s| s.name == "round").count();
             let samples = registry
                 .snapshot()
-                .histogram("opr_round_ns{backend=\"sim\"}")
+                .histogram(&format!("opr_round_ns{{backend=\"{backend}\"}}"))
                 .map_or(0, |hist| hist.count);
             (spans, samples as usize)
         };
@@ -184,21 +185,24 @@ fn plain_and_diagnosed_runs_record_the_same_round_spans() {
             "{what}: run_diagnosed"
         );
     };
-    for (regime, cfg) in [
-        (Regime::LogTime, SystemConfig::new(7, 2).unwrap()),
-        (Regime::TwoStep, SystemConfig::new(11, 2).unwrap()),
-    ] {
-        let ids = IdDistribution::SparseRandom.generate(cfg.n() - 2, 5);
-        check(&format!("{regime:?}"), &|| {
-            RenamingRun::builder(cfg, regime)
-                .correct_ids(ids.clone())
-                .adversary(AdversarySpec::Silent, 2)
-                .seed(5)
-                .backend(BackendKind::Sim)
+    // Both labels: the round clock is one site shared by the two backends.
+    for backend in BackendKind::ALL {
+        for (regime, cfg) in [
+            (Regime::LogTime, SystemConfig::new(7, 2).unwrap()),
+            (Regime::TwoStep, SystemConfig::new(11, 2).unwrap()),
+        ] {
+            let ids = IdDistribution::SparseRandom.generate(cfg.n() - 2, 5);
+            check(&format!("{regime:?}"), backend, &|| {
+                RenamingRun::builder(cfg, regime)
+                    .correct_ids(ids.clone())
+                    .adversary(AdversarySpec::Silent, 2)
+                    .seed(5)
+                    .backend(backend)
+            });
+        }
+        let schedule = opr::chaos::generate_schedule(11, opr::chaos::BudgetRegime::InBudget);
+        check("chaos schedule", backend, &|| {
+            schedule.to_run(backend).expect("legal schedule")
         });
     }
-    let schedule = opr::chaos::generate_schedule(11, opr::chaos::BudgetRegime::InBudget);
-    check("chaos schedule", &|| {
-        schedule.to_run(BackendKind::Sim).expect("legal schedule")
-    });
 }

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# The declared-once lint of the run surface (DESIGN.md §2, "Run surface"):
-# fails if any run knob is declared on a line of its own — as a struct
-# field is — more than once under crates/{transport,core,workload}/src,
-# then prints the workspace's public-item count. `just surface` and CI run
+# The declared-once lints (DESIGN.md §2). Fails if
+#  * a run knob is declared on a line of its own — as a struct field is —
+#    more than once under crates/{transport,core,workload}/src;
+#  * routing, trace emission or the round clock grows a second copy
+#    ("routed once": one round engine, two schedules);
+#  * a crate's [dependencies] names an opr-* crate its src/ never uses.
+# Then prints the workspace's public-item count. `just surface` and CI run
 # it.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -25,7 +28,37 @@ for knob in \
     fi
 done
 
+# Routed once: at most `max` lines under the given paths may contain the
+# literal — the malformed-send constructions of the one routing loop, the
+# one trace emission site, the one round-clock histogram name.
+routed_once() {
+    local max=$1 literal=$2
+    shift 2
+    local hits
+    hits=$(grep -rnF -- "$literal" "$@" || true)
+    if [ "$(printf '%s' "$hits" | grep -c . || true)" -gt "$max" ]; then
+        echo "surface: '$literal' appears more than $max time(s) (route through opr_sim::Network / run_job instead):" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+}
+routed_once 3 'kind: MalformedKind::' crates/sim/src crates/transport/src
+routed_once 1 'rendered().to_owned()' crates
+routed_once 1 '"opr_round_ns"' crates
+
+# No stale edges: every opr-x under a crate's [dependencies] is named as
+# opr_x somewhere in that crate's src/.
+for manifest in crates/*/Cargo.toml; do
+    deps=$(awk '/^\[dependencies\]/ { on = 1; next } /^\[/ { on = 0 } on && /^opr-/ { print $1 }' "$manifest")
+    for dep in $deps; do
+        if ! grep -rqw -- "${dep//-/_}" "$(dirname "$manifest")/src"; then
+            echo "surface: $manifest depends on $dep but its src/ never names ${dep//-/_}" >&2
+            status=1
+        fi
+    done
+done
+
 items=$(grep -rEn "^\s*pub (fn|struct|enum|trait|type|const|static|mod) " crates --include='*.rs' | wc -l)
-[ "$status" -eq 0 ] && echo "surface: every run knob is declared at most once"
+[ "$status" -eq 0 ] && echo "surface: every run knob is declared at most once, routing is in one place, no stale dependency edges"
 echo "surface: $items public items under crates/"
 exit $status
