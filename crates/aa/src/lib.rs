@@ -13,8 +13,10 @@
 //! * [`OrderedMultiset`] — the sorted multiset with the `trim`/`select`
 //!   operations all AA variants reduce votes with ([`multiset`]).
 //! * [`reduce`] — the full DLPSW reduction `avg(select_t(trim_t(votes)))`
-//!   ([`select`]); its guaranteed contraction rate `σ_t` is
-//!   `SystemConfig::sigma` in `opr-types`.
+//!   ([`select`]), and [`reduce_sorted`], the same reduction read in place
+//!   from an ascending slice (what `opr-core`'s voting step calls); its
+//!   guaranteed contraction rate `σ_t` is `SystemConfig::sigma` in
+//!   `opr-types`.
 //!
 //! # Example: one DLPSW reduction step
 //!
@@ -34,4 +36,4 @@ pub mod multiset;
 pub mod select;
 
 pub use multiset::OrderedMultiset;
-pub use select::{reduce, select_indices};
+pub use select::{reduce, reduce_sorted};

@@ -3,17 +3,6 @@
 use crate::multiset::OrderedMultiset;
 use opr_types::Rank;
 
-/// Indices chosen by `select_t` on an ordered multiset of `len` elements:
-/// the smallest element and every `t`-th element after it — `0, t, 2t, …`
-/// (Section IV-B). With `t = 0` there is nothing to defend against and every
-/// index is selected.
-pub fn select_indices(len: usize, t: usize) -> Vec<usize> {
-    if t == 0 {
-        return (0..len).collect();
-    }
-    (0..len).step_by(t).collect()
-}
-
 /// Applies the full reduction to a vote multiset: discard the `t` smallest
 /// and `t` largest, select the smallest remaining value and every `t`-th
 /// after it, and average the selection (Algorithm 3, lines 12–16).
@@ -24,25 +13,58 @@ pub fn select_indices(len: usize, t: usize) -> Vec<usize> {
 /// guarantees `≥ N − t ≥ 2t + 1` votes for any id it reduces, so fewer
 /// indicates a harness bug.
 pub fn reduce(votes: &OrderedMultiset<Rank>, t: usize) -> Rank {
+    reduce_sorted(votes.as_slice(), t)
+}
+
+/// [`reduce`] on votes already in ascending order, read in place: trimming
+/// `t` per side and `select_t` (Section IV-B: the smallest survivor and
+/// every `t`-th after it; every survivor when `t = 0`) come to positions
+/// `t, 2t, … < len − t` of `sorted`, summed in ascending order.
+///
+/// # Panics
+///
+/// As [`reduce`]; sortedness is the caller's contract (debug-asserted).
+pub fn reduce_sorted(sorted: &[Rank], t: usize) -> Rank {
     assert!(
-        votes.len() > 2 * t,
+        sorted.len() > 2 * t,
         "reduce needs more than 2t votes (got {} with t={t})",
-        votes.len()
+        sorted.len()
     );
-    let mut trimmed = votes.clone();
-    trimmed.trim(t);
-    let slice = trimmed.as_slice();
-    let selected: Vec<Rank> = select_indices(slice.len(), t)
-        .into_iter()
-        .map(|i| slice[i])
-        .collect();
-    Rank::mean(&selected)
+    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+    let selected = sorted[t..sorted.len() - t].iter().step_by(t.max(1));
+    let count = selected.len();
+    let sum: f64 = selected.map(|rank| rank.value()).sum();
+    Rank::new(sum / count as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `select_t` as the paper defines it, on an already-trimmed multiset of
+    /// `len` elements: indices `0, t, 2t, …` (every index when `t = 0`) —
+    /// the reference [`reduce_sorted`]'s index arithmetic is checked against.
+    fn select_indices(len: usize, t: usize) -> Vec<usize> {
+        if t == 0 {
+            return (0..len).collect();
+        }
+        (0..len).step_by(t).collect()
+    }
+
+    /// The reduction spelled out operation by operation (what `reduce` did
+    /// before it read positions in place): trim a copy, select, collect,
+    /// average.
+    fn reduce_by_definition(votes: &OrderedMultiset<Rank>, t: usize) -> Rank {
+        let mut trimmed = votes.clone();
+        trimmed.trim(t);
+        let slice = trimmed.as_slice();
+        let selected: Vec<Rank> = select_indices(slice.len(), t)
+            .into_iter()
+            .map(|i| slice[i])
+            .collect();
+        Rank::mean(&selected)
+    }
 
     #[test]
     fn select_indices_pattern() {
@@ -95,6 +117,21 @@ mod tests {
     }
 
     proptest! {
+        /// Reading positions `t, 2t, … < len − t` in place is the
+        /// trim/select/mean definition bit for bit, `t = 0` and the
+        /// `len = 2t + 1` single-survivor edge included.
+        #[test]
+        fn reduce_sorted_is_the_definition_bit_for_bit(
+            values in proptest::collection::vec(-1e6f64..1e6, 1..70),
+            t in 0usize..24,
+        ) {
+            prop_assume!(values.len() > 2 * t);
+            let votes: OrderedMultiset<Rank> = values.iter().map(|&v| Rank::new(v)).collect();
+            let expected = reduce_by_definition(&votes, t).value().to_bits();
+            prop_assert_eq!(reduce_sorted(votes.as_slice(), t).value().to_bits(), expected);
+            prop_assert_eq!(reduce(&votes, t).value().to_bits(), expected);
+        }
+
         /// The reduction must always land inside the range of the values
         /// that survive trimming — hence inside the correct values' range
         /// whenever at most t votes per side are faulty.

@@ -20,10 +20,12 @@ pub struct VotingSnapshot {
     pub step: u32,
     /// The process's rank vector.
     pub ranks: RankVector,
-    /// The process's `timely` set (constant after step 4).
-    pub timely: BTreeSet<OriginalId>,
-    /// The process's `accepted` set (may shrink during voting).
-    pub accepted: BTreeSet<OriginalId>,
+    /// The process's `timely` set (constant after step 4, so every
+    /// snapshot of a process shares one).
+    pub timely: Arc<BTreeSet<OriginalId>>,
+    /// The process's `accepted` set (may shrink during voting; shared
+    /// between snapshots until it does).
+    pub accepted: Arc<BTreeSet<OriginalId>>,
 }
 
 /// Sink one correct Algorithm 1 process writes into.
@@ -245,8 +247,8 @@ mod tests {
                 .iter()
                 .map(|&(id, r)| (OriginalId::new(id), Rank::new(r)))
                 .collect(),
-            timely: timely.iter().map(|&x| OriginalId::new(x)).collect(),
-            accepted: accepted.iter().map(|&x| OriginalId::new(x)).collect(),
+            timely: Arc::new(timely.iter().map(|&x| OriginalId::new(x)).collect()),
+            accepted: Arc::new(accepted.iter().map(|&x| OriginalId::new(x)).collect()),
         }
     }
 

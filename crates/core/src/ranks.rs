@@ -1,13 +1,19 @@
 //! Rank vectors, the `isValid` filter (Algorithm 2) and the per-step
 //! approximation (Algorithm 3).
+//!
+//! Votes are read as strictly-ascending `(id, rank)` slices — the
+//! *canonical form* — so both algorithms are merge-walks of sorted
+//! sequences and a received vector is never rebuilt (DESIGN.md §15, "Vote
+//! path").
 
-use opr_aa::{reduce, OrderedMultiset};
+use opr_aa::reduce_sorted;
 use opr_obs::ValidityViolation;
 use opr_types::{OriginalId, Rank};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 /// A process's current rank for every id it tracks — the paper's `ranks`
-/// sparse array. Iteration is always in ascending id order.
+/// sparse array, held as `(id, rank)` pairs in strictly ascending id order.
 ///
 /// # Example
 ///
@@ -26,7 +32,64 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct RankVector {
-    entries: BTreeMap<OriginalId, Rank>,
+    entries: Vec<(OriginalId, Rank)>,
+}
+
+fn strictly_ascending(entries: &[(OriginalId, Rank)]) -> bool {
+    entries.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
+/// The canonical form of a received vote vector: the entries in strictly
+/// ascending id order — borrowed as sent when they already are (every
+/// correct sender's), a sorted copy otherwise. `None` if an id occurs twice:
+/// such a message is malformed and treated as invalid. An unsorted vector
+/// without duplicates names the same id → rank map as its sorted self, so
+/// it is read as that.
+pub(crate) fn canonical(wire: &[(OriginalId, Rank)]) -> Option<Cow<'_, [(OriginalId, Rank)]>> {
+    if strictly_ascending(wire) {
+        return Some(Cow::Borrowed(wire));
+    }
+    let mut sorted = wire.to_vec();
+    sorted.sort_unstable_by_key(|&(id, _)| id);
+    strictly_ascending(&sorted).then_some(Cow::Owned(sorted))
+}
+
+/// One step of a merge-walk: advances `rest` (ascending ids) to `id` and
+/// returns its rank, `None` if `id` is not there. A miss also consumes the
+/// entry that proved it, so callers stop walking at their first miss.
+fn seek(rest: &mut std::slice::Iter<'_, (OriginalId, Rank)>, id: OriginalId) -> Option<Rank> {
+    match rest.find(|entry| entry.0 >= id) {
+        Some(&(found, rank)) if found == id => Some(rank),
+        _ => None,
+    }
+}
+
+/// The `isValid` check (Algorithm 2) on a canonical vote: one merge-walk of
+/// `entries` against the receiver's `timely` ids, both ascending. Reports
+/// the first violated constraint in id order.
+pub(crate) fn check_valid(
+    entries: &[(OriginalId, Rank)],
+    timely: impl IntoIterator<Item = OriginalId>,
+    spacing: f64,
+) -> Result<(), ValidityViolation> {
+    let mut rest = entries.iter();
+    let mut prev: Option<(OriginalId, Rank)> = None;
+    for id in timely {
+        let rank = seek(&mut rest, id).ok_or(ValidityViolation::MissingTimelyId { id })?;
+        if let Some((prev_id, prev_rank)) = prev {
+            if !prev_rank.spaced_at_least(rank, spacing) {
+                return Err(ValidityViolation::InsufficientSpacing {
+                    prev: prev_id,
+                    prev_rank,
+                    id,
+                    rank,
+                    spacing,
+                });
+            }
+        }
+        prev = Some((id, rank));
+    }
+    Ok(())
 }
 
 impl RankVector {
@@ -48,17 +111,15 @@ impl RankVector {
 
     /// The rank of `id`, if tracked.
     pub fn get(&self, id: OriginalId) -> Option<Rank> {
-        self.entries.get(&id).copied()
-    }
-
-    /// Sets the rank of `id`.
-    pub fn insert(&mut self, id: OriginalId, rank: Rank) {
-        self.entries.insert(id, rank);
+        self.entries
+            .binary_search_by_key(&id, |&(entry, _)| entry)
+            .ok()
+            .map(|at| self.entries[at].1)
     }
 
     /// Whether `id` is tracked.
     pub fn contains(&self, id: OriginalId) -> bool {
-        self.entries.contains_key(&id)
+        self.get(id).is_some()
     }
 
     /// Number of tracked ids.
@@ -73,24 +134,26 @@ impl RankVector {
 
     /// `(id, rank)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (OriginalId, Rank)> + '_ {
-        self.entries.iter().map(|(&id, &r)| (id, r))
+        self.entries.iter().copied()
+    }
+
+    /// The tracked ids in ascending order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = OriginalId> + '_ {
+        self.entries.iter().map(|&(id, _)| id)
     }
 
     /// Serializes for the wire (ascending id order).
     pub fn to_wire(&self) -> Vec<(OriginalId, Rank)> {
-        self.iter().collect()
+        self.entries.clone()
     }
 
-    /// Parses a received vote vector. Returns `None` if the sender supplied
-    /// duplicate ids — such a message is malformed and treated as invalid.
+    /// Parses a received vote vector into an owned copy of its canonical
+    /// form. Returns `None` if the sender supplied duplicate ids — such a
+    /// message is malformed and treated as invalid.
     pub fn from_wire(entries: &[(OriginalId, Rank)]) -> Option<Self> {
-        let mut map = BTreeMap::new();
-        for &(id, rank) in entries {
-            if map.insert(id, rank).is_some() {
-                return None;
-            }
-        }
-        Some(RankVector { entries: map })
+        canonical(entries).map(|entries| RankVector {
+            entries: entries.into_owned(),
+        })
     }
 
     /// The `isValid` check (Algorithm 2): this vector is an acceptable vote
@@ -114,53 +177,162 @@ impl RankVector {
         timely: &BTreeSet<OriginalId>,
         spacing: f64,
     ) -> Result<(), ValidityViolation> {
-        let mut prev: Option<(OriginalId, Rank)> = None;
-        for &id in timely {
-            let Some(rank) = self.get(id) else {
-                return Err(ValidityViolation::MissingTimelyId { id });
-            };
-            if let Some((prev_id, prev_rank)) = prev {
-                if !prev_rank.spaced_at_least(rank, spacing) {
-                    return Err(ValidityViolation::InsufficientSpacing {
-                        prev: prev_id,
-                        prev_rank,
-                        id,
-                        rank,
-                        spacing,
-                    });
-                }
-            }
-            prev = Some((id, rank));
-        }
-        Ok(())
-    }
-
-    /// The largest rank tracked, if any.
-    pub fn max_rank(&self) -> Option<Rank> {
-        self.entries.values().max().copied()
+        check_valid(&self.entries, timely.iter().copied(), spacing)
     }
 }
 
+impl AsRef<[(OriginalId, Rank)]> for RankVector {
+    fn as_ref(&self) -> &[(OriginalId, Rank)] {
+        &self.entries
+    }
+}
+
+/// Collects in any order; of two entries for one id the later wins, as in a
+/// map.
 impl FromIterator<(OriginalId, Rank)> for RankVector {
     fn from_iter<I: IntoIterator<Item = (OriginalId, Rank)>>(iter: I) -> Self {
-        RankVector {
-            entries: iter.into_iter().collect(),
+        let mut entries: Vec<(OriginalId, Rank)> = iter.into_iter().collect();
+        entries.sort_by_key(|&(id, _)| id);
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        RankVector { entries }
+    }
+}
+
+/// Ranks of gathered vote columns resident at once: 128 KiB, so a tile stays
+/// in a core's L2 whatever `N` is. One `N × |accepted|` matrix per process
+/// instead is `N²` ranks per process and `N³` resident over a run's actors
+/// (4.9 GB at `N = 1024`).
+const TILE_RANKS: usize = 128 * 1024 / std::mem::size_of::<Rank>();
+
+/// One cache line of ranks between columns, so that a power-of-two column
+/// length (`N = 1024`) does not map every column onto the same cache sets.
+const STRIDE_PAD: usize = 64 / std::mem::size_of::<Rank>();
+
+/// Reusable working memory of [`approximate`](VoteScratch::approximate):
+/// the accepted ids, one cursor per vote and one tile of vote columns. A
+/// process keeps one across its voting steps, so a step allocates nothing
+/// here once the first has sized it.
+#[derive(Clone, Debug)]
+pub struct VoteScratch {
+    /// [`TILE_RANKS`], except in the unit test that forces many tiles.
+    tile_ranks: usize,
+    ids: Vec<OriginalId>,
+    /// Per vote, the first entry not yet walked past — carried from tile to
+    /// tile, so every vote is walked once per step.
+    cursors: Vec<usize>,
+    /// Column-major tile: column `c` starts at `c * stride`.
+    columns: Vec<Rank>,
+    /// Votes gathered so far into each column of the tile.
+    filled: Vec<usize>,
+}
+
+impl Default for VoteScratch {
+    fn default() -> Self {
+        VoteScratch {
+            tile_ranks: TILE_RANKS,
+            ids: Vec::new(),
+            cursors: Vec::new(),
+            columns: Vec::new(),
+            filled: Vec::new(),
         }
     }
 }
 
-/// One voting step (Algorithm 3, `approximate`): for each accepted id,
-/// gather the validated votes, drop ids with fewer than `N − t` votes, pad
-/// each multiset to `N` votes with our own rank, trim `t` per side, select
-/// and average.
+impl VoteScratch {
+    /// One voting step (Algorithm 3, `approximate`): for each accepted id,
+    /// gather the validated votes, drop ids with fewer than `N − t` votes,
+    /// pad each multiset to `N` votes with our own rank, trim `t` per side,
+    /// select and average.
+    ///
+    /// `valid_votes` are in canonical form (strictly ascending ids — what
+    /// [`RankVector`] holds). Returns the new rank vector; its ids are the
+    /// surviving accepted set. Each id's fate goes to `observe`, in id
+    /// order: the number of valid votes that ranked it, and `Some(rank)`
+    /// with the trimmed mean if it survived the `N − t` vote threshold,
+    /// `None` if it was discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `my_ranks` is missing an accepted id that survives the
+    /// vote threshold — an internal-invariant breach (correct processes
+    /// always rank their whole accepted set).
+    pub fn approximate<V: AsRef<[(OriginalId, Rank)]>>(
+        &mut self,
+        my_ranks: &RankVector,
+        accepted: &BTreeSet<OriginalId>,
+        valid_votes: &[V],
+        n: usize,
+        t: usize,
+        mut observe: impl FnMut(OriginalId, usize, Option<Rank>),
+    ) -> RankVector {
+        debug_assert!(valid_votes.iter().all(|v| strictly_ascending(v.as_ref())));
+        self.ids.clear();
+        self.ids.extend(accepted);
+        self.cursors.clear();
+        self.cursors.resize(valid_votes.len(), 0);
+        // A column holds one rank per vote, padded to N with the own rank.
+        let stride = valid_votes.len().max(n) + STRIDE_PAD;
+        let width = (self.tile_ranks / stride).clamp(1, self.ids.len().max(1));
+        if self.columns.len() < width * stride {
+            self.columns.resize(width * stride, Rank::default());
+        }
+        let mut own = my_ranks.entries.iter();
+        let mut new_ranks = Vec::with_capacity(self.ids.len());
+        for tile in self.ids.chunks(width) {
+            self.filled.clear();
+            self.filled.resize(tile.len(), 0);
+            for (vote, cursor) in valid_votes.iter().zip(&mut self.cursors) {
+                let vote = &vote.as_ref()[*cursor..];
+                let mut at = 0;
+                for (col, &id) in tile.iter().enumerate() {
+                    while at < vote.len() && vote[at].0 < id {
+                        at += 1;
+                    }
+                    match vote.get(at) {
+                        None => break,
+                        Some(&(found, rank)) if found == id => {
+                            self.columns[col * stride + self.filled[col]] = rank;
+                            self.filled[col] += 1;
+                            at += 1;
+                        }
+                        Some(_) => {}
+                    }
+                }
+                *cursor += at;
+            }
+            for (col, (&id, &votes)) in tile.iter().zip(&self.filled).enumerate() {
+                if votes < n - t {
+                    observe(id, votes, None);
+                    continue; // discard this id (Algorithm 3, line 08)
+                }
+                let own_rank =
+                    seek(&mut own, id).expect("correct process must rank every accepted id");
+                let column = &mut self.columns[col * stride..][..votes.max(n)];
+                column[votes..].fill(own_rank);
+                column.sort_unstable();
+                let rank = reduce_sorted(column, t);
+                observe(id, votes, Some(rank));
+                new_ranks.push((id, rank));
+            }
+        }
+        RankVector { entries: new_ranks }
+    }
+}
+
+/// One voting step (Algorithm 3) on owned vectors with a one-off
+/// [`VoteScratch`]; see [`VoteScratch::approximate`].
 ///
 /// Returns the new rank vector together with the surviving accepted set.
 ///
 /// # Panics
 ///
-/// Panics if `my_ranks` is missing an accepted id that survives the vote
-/// threshold — an internal-invariant breach (correct processes always rank
-/// their whole accepted set).
+/// As [`VoteScratch::approximate`].
 pub fn approximate(
     my_ranks: &RankVector,
     accepted: &BTreeSet<OriginalId>,
@@ -168,60 +340,18 @@ pub fn approximate(
     n: usize,
     t: usize,
 ) -> (RankVector, BTreeSet<OriginalId>) {
-    approximate_observed(my_ranks, accepted, valid_votes, n, t, |_, _, _| {})
-}
-
-/// [`approximate`], reporting each id's fate to `observe`: the number of
-/// valid votes that ranked it, and `Some(rank)` with the trimmed mean if it
-/// survived the `N − t` vote threshold, `None` if it was discarded.
-pub fn approximate_observed(
-    my_ranks: &RankVector,
-    accepted: &BTreeSet<OriginalId>,
-    valid_votes: &[RankVector],
-    n: usize,
-    t: usize,
-    mut observe: impl FnMut(OriginalId, usize, Option<Rank>),
-) -> (RankVector, BTreeSet<OriginalId>) {
-    // Bucket every vote's entries onto the accepted ids in one sorted merge
-    // per vote (both sides iterate in ascending id order), instead of one
-    // B-tree probe per (id, vote) pair.
-    let accepted_ids: Vec<OriginalId> = accepted.iter().copied().collect();
-    let mut buckets: Vec<Vec<Rank>> =
-        vec![Vec::with_capacity(valid_votes.len()); accepted_ids.len()];
-    for vote in valid_votes {
-        let mut idx = 0usize;
-        for (id, rank) in vote.iter() {
-            while idx < accepted_ids.len() && accepted_ids[idx] < id {
-                idx += 1;
-            }
-            if idx == accepted_ids.len() {
-                break;
-            }
-            if accepted_ids[idx] == id {
-                buckets[idx].push(rank);
-            }
-        }
-    }
-    let mut new_ranks = RankVector::new();
-    let mut new_accepted = BTreeSet::new();
-    for (id, bucket) in accepted_ids.into_iter().zip(buckets) {
-        let raw_votes = bucket.len();
-        if raw_votes < n - t {
-            observe(id, raw_votes, None);
-            continue; // discard this id (Algorithm 3, line 08)
-        }
-        let own = my_ranks
-            .get(id)
-            .expect("correct process must rank every accepted id");
-        let mut votes = OrderedMultiset::from_vec(bucket);
-        votes.fill_to(n, own);
-        let rank = reduce(&votes, t);
-        observe(id, raw_votes, Some(rank));
-        new_ranks.insert(id, rank);
-        new_accepted.insert(id);
-    }
+    let new_ranks =
+        VoteScratch::default().approximate(my_ranks, accepted, valid_votes, n, t, |_, _, _| {});
+    let new_accepted = new_ranks.ids().collect();
     (new_ranks, new_accepted)
 }
+
+/// The `BTreeMap` oracle shared with `tests/vote_equiv.rs` (which also uses
+/// its Algorithm 2 half).
+#[cfg(test)]
+#[path = "../tests/vote_model/mod.rs"]
+#[allow(dead_code)]
+mod vote_model;
 
 #[cfg(test)]
 mod tests {
@@ -308,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn approximate_observed_reports_vote_counts_and_fates() {
+    fn approximate_reports_vote_counts_and_fates() {
         let (n, t) = (4usize, 1usize);
         let accepted = ids(&[1, 2]);
         let mine = vector(&[(1, 1.0), (2, 2.0)]);
@@ -319,12 +449,92 @@ mod tests {
             vector(&[(1, 1.0)]),
         ];
         let mut seen = Vec::new();
-        let (_, new_accepted) =
-            approximate_observed(&mine, &accepted, &votes, n, t, |id, count, rank| {
+        let new_ranks = VoteScratch::default().approximate(
+            &mine,
+            &accepted,
+            &votes,
+            n,
+            t,
+            |id, count, rank| {
                 seen.push((id.raw(), count, rank.is_some()));
-            });
+            },
+        );
         assert_eq!(seen, vec![(1, 4, true), (2, 2, false)]);
-        assert_eq!(new_accepted.len(), 1);
+        assert_eq!(new_ranks.len(), 1);
+    }
+
+    /// Forty accepted ids through tiles of 1, 2, 3 and 7 columns (and one
+    /// tile, for reference) on one reused scratch: votes that skip ids, rank
+    /// ids outside `accepted` between tiles, stop early or start late must
+    /// come out as the per-id `BTreeMap` lookups of the model do, because
+    /// each vote's cursor is carried across tile boundaries.
+    #[test]
+    fn approximate_is_the_model_across_tile_boundaries() {
+        let (n, t) = (10usize, 3usize);
+        let accepted = ids(&(0..40).map(|i| 10 + 3 * i).collect::<Vec<u64>>());
+        let mine = RankVector::from_accepted(&accepted, 1.01);
+        let vote = |k: u64| -> RankVector {
+            (0..140u64)
+                // Vote k skips every (k+5)-th id, votes 7.. stop at id 100
+                // and votes ..2 start at id 40; two thirds of what is left
+                // is outside `accepted`.
+                .filter(|id| id % (k + 5) != 0 && (k < 7 || *id < 100) && (k > 1 || *id >= 40))
+                .map(|id| (OriginalId::new(id), Rank::new(id as f64 + k as f64 / 16.0)))
+                .collect()
+        };
+        let votes: Vec<RankVector> = (0..n as u64).map(vote).collect();
+        let model_votes: Vec<vote_model::Model> =
+            votes.iter().map(|v| v.iter().collect()).collect();
+        let (expected_ranks, expected_fates) =
+            vote_model::approximate(&mine.iter().collect(), &accepted, &model_votes, n, t);
+        assert!(expected_fates.iter().any(|fate| fate.2.is_none()));
+        assert!(expected_fates.iter().any(|fate| fate.2.is_some()));
+
+        let stride = n + STRIDE_PAD;
+        let mut scratch = VoteScratch::default();
+        for columns_per_tile in [1, 2, 3, 7, 40] {
+            scratch.tile_ranks = columns_per_tile * stride;
+            let mut fates = Vec::new();
+            let new_ranks =
+                scratch.approximate(&mine, &accepted, &votes, n, t, |id, votes, rank| {
+                    fates.push((id, votes, rank));
+                });
+            assert_eq!(fates, expected_fates, "{columns_per_tile} columns per tile");
+            assert_eq!(
+                new_ranks.iter().collect::<vote_model::Model>(),
+                expected_ranks,
+                "{columns_per_tile} columns per tile"
+            );
+            assert!(scratch.columns.len() <= 40 * stride);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must rank every accepted id")]
+    fn approximate_panics_on_an_unranked_surviving_id() {
+        let accepted = ids(&[1, 2]);
+        let votes = vec![vector(&[(1, 1.0), (2, 2.0)]); 4];
+        let _ = approximate(&vector(&[(1, 1.0)]), &accepted, &votes, 4, 1);
+    }
+
+    #[test]
+    fn from_wire_reads_an_unsorted_vector_as_its_sorted_self() {
+        let sorted = vector(&[(1, 1.0), (5, 2.0), (9, 3.0)]);
+        let wire = sorted.to_wire();
+        assert!(matches!(canonical(&wire), Some(Cow::Borrowed(_))));
+        let descending: Vec<_> = wire.iter().rev().copied().collect();
+        assert!(matches!(canonical(&descending), Some(Cow::Owned(_))));
+        assert_eq!(RankVector::from_wire(&descending), Some(sorted));
+        // A duplicate is malformed wherever it sits.
+        let mut dup = descending;
+        dup.push(wire[1]);
+        assert_eq!(RankVector::from_wire(&dup), None);
+    }
+
+    #[test]
+    fn collecting_keeps_the_later_of_two_entries_for_one_id() {
+        let v = vector(&[(3, 1.0), (1, 2.0), (3, 4.0), (3, 5.0)]);
+        assert_eq!(v.to_wire(), vector(&[(1, 2.0), (3, 5.0)]).to_wire());
     }
 
     #[test]

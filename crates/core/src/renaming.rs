@@ -2,12 +2,13 @@
 
 use crate::messages::Alg1Msg;
 use crate::probe::{SharedProcessProbe, VotingSnapshot};
-use crate::ranks::{approximate_observed, RankVector};
+use crate::ranks::{self, RankVector, VoteScratch};
 use opr_obs::{record_if, ProtocolEvent, SharedRecorder, ValidityViolation};
 use opr_rbcast::{EchoReadyFlood, FloodObserver, IdInterner};
 use opr_sim::{Actor, Inbox, Outbox};
 use opr_types::{LinkId, NewName, OriginalId, Regime, Round, SystemConfig};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Maps flood threshold decisions onto recorder events (ids only — the
 /// flood itself is value-generic and knows nothing about telemetry).
@@ -105,9 +106,15 @@ pub struct OrderPreservingRenaming {
     delta: f64,
     tweaks: Alg1Tweaks,
     flood: EchoReadyFlood<OriginalId>,
-    timely: BTreeSet<OriginalId>,
-    accepted: BTreeSet<OriginalId>,
+    /// Shared with every [`VotingSnapshot`]: constant after step 4.
+    timely: Arc<BTreeSet<OriginalId>>,
+    /// `timely` as the sorted slice `isValid` merge-walks once per vote.
+    timely_ids: Vec<OriginalId>,
+    /// Shared with the snapshots; replaced only by a step that drops an id.
+    /// Always the ids of `ranks`.
+    accepted: Arc<BTreeSet<OriginalId>>,
     ranks: RankVector,
+    scratch: VoteScratch,
     decided: Option<NewName>,
     probe: Option<SharedProcessProbe>,
     recorder: Option<SharedRecorder>,
@@ -238,9 +245,11 @@ impl OrderPreservingRenaming {
             delta: cfg.delta(),
             tweaks,
             flood: EchoReadyFlood::new(cfg.n(), cfg.t(), Some(my_id)),
-            timely: BTreeSet::new(),
-            accepted: BTreeSet::new(),
+            timely: Arc::default(),
+            timely_ids: Vec::new(),
+            accepted: Arc::default(),
             ranks: RankVector::new(),
+            scratch: VoteScratch::default(),
             decided: None,
             probe: None,
             recorder: None,
@@ -284,8 +293,8 @@ impl OrderPreservingRenaming {
             probe.lock().unwrap().snapshots.push(VotingSnapshot {
                 step,
                 ranks: self.ranks.clone(),
-                timely: self.timely.clone(),
-                accepted: self.accepted.clone(),
+                timely: Arc::clone(&self.timely),
+                accepted: Arc::clone(&self.accepted),
             });
         }
     }
@@ -305,7 +314,7 @@ impl Actor for OrderPreservingRenaming {
         } else if r <= self.total_steps {
             record_if(self.recorder.as_ref(), || ProtocolEvent::VoteVectorSent {
                 step: r,
-                ids: self.ranks.iter().map(|(id, _)| id).collect(),
+                ids: self.ranks.ids().collect(),
             });
             Outbox::Broadcast(Alg1Msg::Votes(self.ranks.to_wire()))
         } else {
@@ -337,43 +346,44 @@ impl Actor for OrderPreservingRenaming {
                     .result()
                     .expect("flood finishes at step 4")
                     .clone();
-                self.timely = result.timely;
-                self.accepted = result.accepted;
+                self.timely_ids = result.timely.iter().copied().collect();
+                self.timely = Arc::new(result.timely);
+                self.accepted = Arc::new(result.accepted);
                 self.ranks = RankVector::from_accepted(&self.accepted, self.delta);
                 self.record_snapshot(4);
             }
         } else if r <= self.total_steps {
-            // Voting step: validate, approximate.
+            // Voting step: validate, approximate. Votes stay where they
+            // arrived — a canonical vote borrows from the shared payload.
             let spacing = self.delta;
-            let mut valid_votes: Vec<RankVector> = Vec::new();
+            let mut valid_votes = Vec::with_capacity(inbox.len());
             let mut rejected = 0u64;
             for (link, msg) in inbox.messages() {
-                if let Alg1Msg::Votes(wire) = msg {
-                    let verdict = match RankVector::from_wire(wire) {
-                        Some(rv) if self.tweaks.disable_validation => Ok(rv),
-                        Some(rv) => rv
-                            .check_valid(&self.timely, spacing)
-                            .map(|()| rv)
-                            .map_err(Some),
-                        None => Err(None),
-                    };
-                    match verdict {
-                        Ok(rv) => {
-                            record_if(self.recorder.as_ref(), || ProtocolEvent::VoteAccepted {
-                                step: r,
-                                link,
-                                entries: rv.len(),
-                            });
-                            valid_votes.push(rv);
-                        }
-                        Err(violation) => {
-                            record_if(self.recorder.as_ref(), || ProtocolEvent::VoteRejected {
-                                step: r,
-                                link,
-                                violation: violation.unwrap_or(ValidityViolation::MalformedVector),
-                            });
-                            rejected += 1;
-                        }
+                let Alg1Msg::Votes(wire) = msg else { continue };
+                let verdict = match ranks::canonical(wire) {
+                    None => Err(ValidityViolation::MalformedVector),
+                    Some(vote) if self.tweaks.disable_validation => Ok(vote),
+                    Some(vote) => {
+                        ranks::check_valid(&vote, self.timely_ids.iter().copied(), spacing)
+                            .map(|()| vote)
+                    }
+                };
+                match verdict {
+                    Ok(vote) => {
+                        record_if(self.recorder.as_ref(), || ProtocolEvent::VoteAccepted {
+                            step: r,
+                            link,
+                            entries: vote.len(),
+                        });
+                        valid_votes.push(vote);
+                    }
+                    Err(violation) => {
+                        record_if(self.recorder.as_ref(), || ProtocolEvent::VoteRejected {
+                            step: r,
+                            link,
+                            violation,
+                        });
+                        rejected += 1;
                     }
                 }
             }
@@ -386,10 +396,10 @@ impl Actor for OrderPreservingRenaming {
             let frozen = self.tweaks.early_output
                 && self.decided.is_none()
                 && valid_votes.len() >= self.cfg.quorum()
-                && valid_votes.iter().all(|v| *v == self.ranks);
+                && valid_votes.iter().all(|v| **v == *self.ranks.as_ref());
             let recorder = self.recorder.as_ref();
             let needed = self.cfg.quorum();
-            let (new_ranks, new_accepted) = approximate_observed(
+            self.ranks = self.scratch.approximate(
                 &self.ranks,
                 &self.accepted,
                 &valid_votes,
@@ -410,8 +420,9 @@ impl Actor for OrderPreservingRenaming {
                     }),
                 },
             );
-            self.ranks = new_ranks;
-            self.accepted = new_accepted;
+            if self.ranks.len() < self.accepted.len() {
+                self.accepted = Arc::new(self.ranks.ids().collect());
+            }
             self.record_snapshot(r);
             if frozen || r == self.total_steps {
                 // Corollary IV.5 guarantees the own id survives voting in
@@ -579,6 +590,87 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// Four correct processes hand-driven through id selection and the
+    /// first voting step; `tamper` rewrites, per link, the vote vector
+    /// process 0 receives at step 5. Returns process 0's step-5 events and
+    /// its probe.
+    fn first_voting_step(
+        tamper: impl Fn(LinkId, &mut Vec<(OriginalId, opr_types::Rank)>),
+    ) -> (Vec<ProtocolEvent>, crate::probe::ProcessProbe) {
+        let cfg = SystemConfig::new(4, 1).unwrap();
+        let (recorder, probe) = (opr_obs::shared_recorder(), shared_probe());
+        let mut actors: Vec<OrderPreservingRenaming> = [5u64, 6, 7, 8]
+            .iter()
+            .map(|&id| {
+                OrderPreservingRenaming::new(cfg, Regime::LogTime, OriginalId::new(id)).unwrap()
+            })
+            .collect();
+        actors[0].attach_recorder(recorder.clone());
+        actors[0].attach_probe(probe.clone());
+        let mut round = Round::FIRST;
+        for step in 1..=5 {
+            let sent: Vec<Alg1Msg> = actors
+                .iter_mut()
+                .map(|a| match a.send(round) {
+                    Outbox::Broadcast(msg) => msg,
+                    other => panic!("correct processes broadcast, got {other:?}"),
+                })
+                .collect();
+            for (receiver, actor) in actors.iter_mut().enumerate() {
+                let inbox = sent.iter().enumerate().map(|(sender, msg)| {
+                    let link = LinkId::new(sender + 1);
+                    let mut msg = msg.clone();
+                    if let (5, 0, Alg1Msg::Votes(wire)) = (step, receiver, &mut msg) {
+                        tamper(link, wire);
+                    }
+                    (link, msg)
+                });
+                actor.deliver(round, inbox.collect());
+            }
+            round = round.next();
+        }
+        let mut events = recorder.lock().unwrap().clone().into_events();
+        events.retain(|e| e.step() == 5);
+        let probe = probe.lock().unwrap().clone();
+        (events, probe)
+    }
+
+    #[test]
+    fn a_descending_vector_is_read_as_its_sorted_self_and_a_duplicate_rejected() {
+        let (descending, duplicated) = (LinkId::new(2), LinkId::new(3));
+        let duplicate = |link, wire: &mut Vec<_>| {
+            if link == duplicated {
+                wire.push(wire[0]);
+            }
+        };
+        // The twin differs only in the order of one valid vector.
+        let (twin_events, twin_probe) = first_voting_step(duplicate);
+        let (events, probe) = first_voting_step(|link, wire| {
+            duplicate(link, wire);
+            if link == descending {
+                wire.reverse();
+                assert!(wire.windows(2).all(|w| w[0].0 > w[1].0));
+            }
+        });
+        assert!(events.contains(&ProtocolEvent::VoteAccepted {
+            step: 5,
+            link: descending,
+            entries: 4,
+        }));
+        assert!(events.contains(&ProtocolEvent::VoteRejected {
+            step: 5,
+            link: duplicated,
+            violation: ValidityViolation::MalformedVector,
+        }));
+        assert_eq!(probe.rejected_votes, 1);
+        // Same events, same resulting ranks: the sorted copy is
+        // indistinguishable from the vector sent in order.
+        assert_eq!(events, twin_events);
+        assert_eq!(probe.snapshots.last().unwrap().step, 5);
+        assert_eq!(probe.snapshots, twin_probe.snapshots);
+        assert_eq!(probe.snapshots.last().unwrap().ranks.len(), 4);
     }
 
     #[test]

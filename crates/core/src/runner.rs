@@ -292,7 +292,7 @@ fn generic_run<M, T, S, P>(
 ) -> Result<ObservedRun<P>, RenamingError>
 where
     M: Clone + Debug + WireSize + Send + Sync + 'static,
-    S: Clone,
+    S: Default,
     P: From<Vec<S>>,
 {
     let n = cfg.n();
@@ -381,7 +381,7 @@ where
         probe: P::from(
             sinks
                 .iter()
-                .map(|sink| sink.lock().unwrap().clone())
+                .map(|sink| std::mem::take(&mut *sink.lock().unwrap()))
                 .collect(),
         ),
     })

@@ -1,0 +1,232 @@
+//! Differential properties of the vote path: the sorted-slice
+//! implementation of Algorithms 2–3 (`RankVector::{from_wire, check_valid}`,
+//! `VoteScratch::approximate`, `ranks::approximate`) against the `BTreeMap`
+//! model it replaced, on hostile-shaped inputs — same verdict and same
+//! `ValidityViolation`, same per-id observation sequence, same new ranks bit
+//! for bit, same surviving accepted set. (Tile boundaries are crossed by the
+//! unit test in `src/ranks.rs`, against the same model.)
+
+mod vote_model;
+
+use opr_core::ranks::{approximate, VoteScratch};
+use opr_core::RankVector;
+use opr_obs::ValidityViolation;
+use opr_types::{OriginalId, Rank};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+
+type Wire = Vec<(OriginalId, Rank)>;
+
+/// One receiver's view of one voting step.
+struct Step {
+    n: usize,
+    t: usize,
+    delta: f64,
+    timely: BTreeSet<OriginalId>,
+    accepted: BTreeSet<OriginalId>,
+    wires: Vec<Wire>,
+}
+
+/// `timely ⊆ accepted ⊂` a small id universe, and between `N − t − 1` and
+/// `N + 3` vote vectors: half of them what a correct process would send
+/// (δ-spaced ranks for `accepted` plus a few foreign ids, ascending), the
+/// rest damaged in one to three of the ways a Byzantine sender can.
+fn step(seed: u64, n: usize, t: usize) -> Step {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let delta = 1.0 + 1.0 / (3.0 * (n + t) as f64);
+    let universe: Vec<OriginalId> = (0..2 * n as u64 + 4)
+        .map(|x| OriginalId::new(7 * x))
+        .collect();
+    let injected = rng.gen_range(0..=t);
+    let accepted: BTreeSet<OriginalId> = universe
+        .choose_multiple(&mut rng, n + injected)
+        .into_iter()
+        .copied()
+        .collect();
+    let timely = accepted
+        .iter()
+        .copied()
+        .filter(|_| rng.gen_bool(0.7))
+        .collect();
+    let votes = rng.gen_range((n - t).saturating_sub(1)..=n + 3);
+    let wires = (0..votes)
+        .map(|_| {
+            let jitter = rng.gen_range(-0.2..0.2);
+            let mut wire: Wire = universe
+                .iter()
+                .filter(|id| accepted.contains(id) || rng.gen_bool(0.2))
+                .enumerate()
+                .map(|(i, &id)| (id, Rank::new((i + 1) as f64 * delta + jitter)))
+                .collect();
+            let damages = if rng.gen_bool(0.5) {
+                0
+            } else {
+                rng.gen_range(1..=3)
+            };
+            for _ in 0..damages {
+                damage(&mut wire, delta, &mut rng);
+            }
+            wire
+        })
+        .collect();
+    Step {
+        n,
+        t,
+        delta,
+        timely,
+        accepted,
+        wires,
+    }
+}
+
+fn damage(wire: &mut Wire, delta: f64, rng: &mut StdRng) {
+    if wire.len() < 2 {
+        return;
+    }
+    let at = rng.gen_range(0..wire.len() - 1);
+    match rng.gen_range(0..7) {
+        0 => wire.reverse(),
+        1 => wire.shuffle(rng),
+        // A duplicated id, adjacent or far from its twin.
+        2 => wire.insert(rng.gen_range(0..=wire.len()), wire[at]),
+        // Ids go missing: timely ones fail `isValid`, the others starve an
+        // id of its `N − t` votes.
+        3 => wire.retain(|_| rng.gen_bool(0.8)),
+        4 => wire.truncate(at + 1),
+        // Sub-δ and inverted spacing.
+        5 => wire[at + 1].1 = Rank::new(wire[at].1.value() + delta / 2.0),
+        _ => {
+            let (a, b) = (wire[at].1, wire[at + 1].1);
+            wire[at].1 = b;
+            wire[at + 1].1 = a;
+        }
+    }
+}
+
+fn bits(ranks: impl IntoIterator<Item = (OriginalId, Rank)>) -> Vec<(OriginalId, u64)> {
+    ranks
+        .into_iter()
+        .map(|(id, rank)| (id, rank.value().to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sorted_slices_agree_with_the_btreemap_model(
+        seed in 0u64..u64::MAX,
+        t in 0usize..4,
+        slack in 1usize..8,
+    ) {
+        let Step { n, t, delta, timely, accepted, wires } = step(seed, 3 * t + slack, t);
+
+        // Algorithm 2: which vectors are read at all, as what, and what
+        // `isValid` says about them.
+        let mut votes: Vec<RankVector> = Vec::new();
+        let mut model_votes: Vec<vote_model::Model> = Vec::new();
+        for wire in &wires {
+            let (vote, model) = (RankVector::from_wire(wire), vote_model::from_wire(wire));
+            prop_assert_eq!(vote.is_some(), model.is_some(), "seed {}: {:?}", seed, wire);
+            let (Some(vote), Some(model)) = (vote, model) else { continue };
+            prop_assert_eq!(bits(vote.iter()), bits(model.clone()), "seed {}", seed);
+            let verdict: Result<(), ValidityViolation> = vote.check_valid(&timely, delta);
+            prop_assert_eq!(
+                &verdict,
+                &vote_model::check_valid(&model, &timely, delta),
+                "seed {}: {:?} against {:?}", seed, wire, timely
+            );
+            prop_assert_eq!(vote.is_valid(&timely, delta), verdict.is_ok());
+            // Every well-formed vector goes on to Algorithm 3, valid or not
+            // (the `disable_validation` ablation does exactly that), so
+            // foreign ids and starved ids reach it.
+            votes.push(vote);
+            model_votes.push(model);
+        }
+
+        // Algorithm 3.
+        let mine = RankVector::from_accepted(&accepted, delta);
+        let (expected_ranks, expected_fates) =
+            vote_model::approximate(&mine.iter().collect(), &accepted, &model_votes, n, t);
+        let mut fates = Vec::new();
+        let new_ranks = VoteScratch::default()
+            .approximate(&mine, &accepted, &votes, n, t, |id, votes, rank| {
+                fates.push((id, votes, rank.map(|r| r.value().to_bits())));
+            });
+        let expected_fates: Vec<_> = expected_fates
+            .into_iter()
+            .map(|(id, votes, rank)| (id, votes, rank.map(|r| r.value().to_bits())))
+            .collect();
+        prop_assert_eq!(fates, expected_fates, "seed {}", seed);
+        prop_assert_eq!(bits(new_ranks.iter()), bits(expected_ranks.clone()), "seed {}", seed);
+        // The public wrapper: same ranks, and the survivors as a set.
+        let (wrapped, survivors) = approximate(&mine, &accepted, &votes, n, t);
+        prop_assert_eq!(&wrapped, &new_ranks);
+        prop_assert_eq!(survivors, expected_ranks.keys().copied().collect::<BTreeSet<_>>());
+    }
+}
+
+/// The generator reaches every shape the property is about; a generator
+/// that quietly stopped producing one of them would leave the property
+/// vacuous there.
+#[test]
+fn the_generator_covers_the_hostile_shapes() {
+    const SHAPES: [&str; 11] = [
+        "t = 0",
+        "more than N votes",
+        "duplicate id",
+        "descending",
+        "shuffled",
+        "id outside accepted",
+        "missing timely id",
+        "inverted spacing",
+        "sub-δ spacing",
+        "id below N − t votes",
+        "id kept",
+    ];
+    let mut seen = [false; SHAPES.len()];
+    for seed in 0..400u64 {
+        let t = (seed % 4) as usize;
+        let step = step(seed, 3 * t + 1 + (seed % 7) as usize, t);
+        seen[0] |= t == 0;
+        seen[1] |= step.wires.len() > step.n;
+        let mut well_formed = Vec::new();
+        for wire in &step.wires {
+            let ascending = wire.windows(2).all(|w| w[0].0 < w[1].0);
+            let Some(vote) = vote_model::from_wire(wire) else {
+                seen[2] = true;
+                continue;
+            };
+            seen[3] |= !ascending && wire.windows(2).all(|w| w[0].0 > w[1].0);
+            seen[4] |= !ascending && wire.windows(2).any(|w| w[0].0 < w[1].0);
+            seen[5] |= vote.keys().any(|id| !step.accepted.contains(id));
+            match vote_model::check_valid(&vote, &step.timely, step.delta) {
+                Err(ValidityViolation::MissingTimelyId { .. }) => seen[6] = true,
+                Err(ValidityViolation::InsufficientSpacing {
+                    prev_rank, rank, ..
+                }) => seen[if rank < prev_rank { 7 } else { 8 }] = true,
+                _ => {}
+            }
+            well_formed.push(vote);
+        }
+        let mine = RankVector::from_accepted(&step.accepted, step.delta);
+        let (_, fates) = vote_model::approximate(
+            &mine.iter().collect(),
+            &step.accepted,
+            &well_formed,
+            step.n,
+            step.t,
+        );
+        seen[9] |= fates.iter().any(|fate| fate.2.is_none());
+        seen[10] |= fates.iter().any(|fate| fate.2.is_some());
+    }
+    let missing: Vec<&str> = SHAPES
+        .iter()
+        .zip(seen)
+        .filter_map(|(shape, seen)| (!seen).then_some(*shape))
+        .collect();
+    assert!(missing.is_empty(), "never generated: {missing:?}");
+}

@@ -1,5 +1,6 @@
 //! Allocation gates: the "free when off" and "allocation-free hot path"
-//! claims of the observability layers, as exact allocation counts.
+//! claims of the observability layers, and the voting step's "no allocation
+//! per vote or per id", as exact allocation counts.
 //!
 //! This is the one counting `#[global_allocator]` of the root workspace.
 //! It counts per thread, so libtest's own threads and the other tests of
@@ -180,4 +181,35 @@ fn registry_off_runs_allocate_identically() {
     };
     run(); // warm-up, as above
     assert_eq!(run(), run());
+}
+
+/// Processes of the fault-free run [`voting_run`] counts.
+const VOTERS: u64 = 16;
+
+/// Allocations of one fault-free Algorithm 1 run at `N = 16`, `t = 5` on
+/// the simulator, with `extra` voting steps beyond the schedule.
+fn voting_run(extra: u32) -> u64 {
+    let cfg = SystemConfig::new(VOTERS as usize, 5).expect("legal config");
+    let run = RenamingRun::builder(cfg, Regime::LogTime)
+        .correct_ids(IdDistribution::SparseRandom.generate(VOTERS as usize, 7))
+        .extra_voting_steps(extra)
+        .seed(9);
+    allocs_in(|| run.run().expect("fault-free run is clean")).0
+}
+
+#[test]
+fn a_voting_step_allocates_a_small_constant_per_process() {
+    voting_run(0); // warm-up, as above
+
+    // Two runs that differ only in their number of voting steps: the
+    // difference is what voting steps cost, engine and probe included.
+    let per_step = (voting_run(8) - voting_run(0)) / 8;
+    // Measured 6.13 per process: the broadcast vector, its `Sealed` cell and
+    // the receiver's inbox (engine), the list of valid votes, the new rank
+    // vector and the snapshot's copy of it, plus the snapshot list's
+    // amortised growth. One allocation per vote or per id would read ≥ 22.
+    assert!(
+        per_step <= 8 * VOTERS,
+        "{per_step} allocations per voting step of {VOTERS} processes"
+    );
 }
