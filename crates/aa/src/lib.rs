@@ -10,10 +10,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`OrderedMultiset`] — the sorted multiset with the `trim`/`select`
-//!   operations all AA variants reduce votes with ([`multiset`]).
-//! * [`reduce`] — the full DLPSW reduction `avg(select_t(trim_t(votes)))`
-//!   ([`select`]), and [`reduce_sorted`], the same reduction read in place
+//! * [`OrderedMultiset`] — a sorted multiset of votes, padded with one's
+//!   own vote by [`OrderedMultiset::fill_to`] (Algorithm 3, lines 10–11).
+//! * [`reduce`] — the full DLPSW reduction `avg(select_t(trim_t(votes)))`,
+//!   and [`reduce_sorted`], the same reduction read in place
 //!   from an ascending slice (what `opr-core`'s voting step calls); its
 //!   guaranteed contraction rate `σ_t` is `SystemConfig::sigma` in
 //!   `opr-types`.
@@ -32,8 +32,8 @@
 //! # fn ordered_float(x: f64) -> Rank { Rank::new(x) }
 //! ```
 
-pub mod multiset;
-pub mod select;
+pub(crate) mod multiset;
+pub(crate) mod select;
 
 pub use multiset::OrderedMultiset;
 pub use select::{reduce, reduce_sorted};

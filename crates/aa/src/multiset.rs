@@ -1,4 +1,4 @@
-//! A sorted multiset with the trim/fill operations used by every AA variant.
+//! A sorted multiset of votes with the fill operation of Algorithm 3.
 
 use std::fmt::Debug;
 
@@ -11,10 +11,9 @@ use std::fmt::Debug;
 ///
 /// ```
 /// use opr_aa::OrderedMultiset;
-/// let mut ms: OrderedMultiset<i32> = [5, 1, 5, 3].into_iter().collect();
-/// assert_eq!(ms.as_slice(), &[1, 3, 5, 5]);
-/// ms.trim(1); // drop 1 smallest and 1 largest
-/// assert_eq!(ms.as_slice(), &[3, 5]);
+/// let mut ms = OrderedMultiset::from_vec(vec![5, 1, 5, 3]);
+/// ms.fill_to(6, 4); // two missing votes, filled with one's own (4)
+/// assert_eq!(ms, [1, 3, 4, 4, 5, 5].into_iter().collect());
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct OrderedMultiset<T> {
@@ -22,11 +21,6 @@ pub struct OrderedMultiset<T> {
 }
 
 impl<T: Ord + Copy> OrderedMultiset<T> {
-    /// An empty multiset.
-    pub fn new() -> Self {
-        OrderedMultiset { items: Vec::new() }
-    }
-
     /// Builds from an owned vector, sorting in place — the zero-copy
     /// hand-off for callers that already bucketed their votes (e.g. the
     /// per-id aggregation over flooded sets in `opr-core`).
@@ -35,46 +29,9 @@ impl<T: Ord + Copy> OrderedMultiset<T> {
         OrderedMultiset { items }
     }
 
-    /// Inserts a value, keeping the multiset sorted.
-    pub fn insert(&mut self, value: T) {
-        let pos = self.items.partition_point(|x| *x <= value);
-        self.items.insert(pos, value);
-    }
-
-    /// Number of elements (with multiplicity).
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the multiset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// The sorted contents.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         &self.items
-    }
-
-    /// Smallest element, if any.
-    pub fn min(&self) -> Option<T> {
-        self.items.first().copied()
-    }
-
-    /// Largest element, if any.
-    pub fn max(&self) -> Option<T> {
-        self.items.last().copied()
-    }
-
-    /// Removes the `t` smallest and `t` largest elements (Algorithm 3,
-    /// lines 12–14). Clears the multiset if it has `≤ 2t` elements.
-    pub fn trim(&mut self, t: usize) {
-        if self.items.len() <= 2 * t {
-            self.items.clear();
-        } else {
-            self.items.truncate(self.items.len() - t);
-            self.items.drain(..t);
-        }
     }
 
     /// Appends copies of `value` until the multiset has `n` elements
@@ -93,26 +50,6 @@ impl<T: Ord + Copy> OrderedMultiset<T> {
         self.items
             .splice(pos..pos, std::iter::repeat_n(value, missing));
     }
-
-    /// How many elements of `self` are *not* in `other`, counting
-    /// multiplicity — the multiset difference size `|self − other|` used in
-    /// the proof of Lemma IV.8.
-    pub fn difference_size(&self, other: &OrderedMultiset<T>) -> usize {
-        let mut count = 0usize;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.items.len() {
-            if j >= other.items.len() || self.items[i] < other.items[j] {
-                count += 1;
-                i += 1;
-            } else if self.items[i] == other.items[j] {
-                i += 1;
-                j += 1;
-            } else {
-                j += 1;
-            }
-        }
-        count
-    }
 }
 
 impl<T: Ord + Copy> FromIterator<T> for OrderedMultiset<T> {
@@ -123,49 +60,40 @@ impl<T: Ord + Copy> FromIterator<T> for OrderedMultiset<T> {
     }
 }
 
-impl<T: Ord + Copy> Extend<T> for OrderedMultiset<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        self.items.extend(iter);
-        self.items.sort_unstable();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn insert_keeps_sorted_with_duplicates() {
-        let mut ms = OrderedMultiset::new();
-        for v in [4, 2, 4, 1, 3, 4] {
-            ms.insert(v);
+    /// Test-only operations: the reduction tests in `select` build their
+    /// reference trim and their contraction inputs from these.
+    impl<T: Ord + Copy> OrderedMultiset<T> {
+        /// Inserts a value, keeping the multiset sorted.
+        pub(crate) fn insert(&mut self, value: T) {
+            let pos = self.items.partition_point(|x| *x <= value);
+            self.items.insert(pos, value);
         }
-        assert_eq!(ms.as_slice(), &[1, 2, 3, 4, 4, 4]);
-        assert_eq!(ms.len(), 6);
-        assert_eq!(ms.min(), Some(1));
-        assert_eq!(ms.max(), Some(4));
-    }
 
-    #[test]
-    fn trim_removes_extremes() {
-        let mut ms: OrderedMultiset<i32> = (1..=10).collect();
-        ms.trim(3);
-        assert_eq!(ms.as_slice(), &[4, 5, 6, 7]);
-    }
+        /// Smallest element, if any.
+        pub(crate) fn min(&self) -> Option<T> {
+            self.items.first().copied()
+        }
 
-    #[test]
-    fn trim_zero_is_identity() {
-        let mut ms: OrderedMultiset<i32> = (1..=5).collect();
-        ms.trim(0);
-        assert_eq!(ms.len(), 5);
-    }
+        /// Largest element, if any.
+        pub(crate) fn max(&self) -> Option<T> {
+            self.items.last().copied()
+        }
 
-    #[test]
-    fn trim_clears_small_multisets() {
-        let mut ms: OrderedMultiset<i32> = (1..=4).collect();
-        ms.trim(2);
-        assert!(ms.is_empty());
+        /// Removes the `t` smallest and `t` largest elements (Algorithm 3,
+        /// lines 12–14). Clears the multiset if it has `≤ 2t` elements.
+        pub(crate) fn trim(&mut self, t: usize) {
+            if self.items.len() <= 2 * t {
+                self.items.clear();
+            } else {
+                self.items.truncate(self.items.len() - t);
+                self.items.drain(..t);
+            }
+        }
     }
 
     #[test]
@@ -175,18 +103,7 @@ mod tests {
         assert_eq!(ms.as_slice(), &[1, 3, 3, 3, 5]);
         // Already long enough: no-op.
         ms.fill_to(2, 9);
-        assert_eq!(ms.len(), 5);
-    }
-
-    #[test]
-    fn difference_size_counts_multiplicity() {
-        let a: OrderedMultiset<i32> = [1, 2, 2, 3].into_iter().collect();
-        let b: OrderedMultiset<i32> = [2, 3, 4].into_iter().collect();
-        // a − b = {1, 2}.
-        assert_eq!(a.difference_size(&b), 2);
-        // b − a = {4}.
-        assert_eq!(b.difference_size(&a), 1);
-        assert_eq!(a.difference_size(&a), 0);
+        assert_eq!(ms.as_slice().len(), 5);
     }
 
     proptest! {
@@ -194,21 +111,7 @@ mod tests {
         fn from_iterator_is_sorted(values in proptest::collection::vec(-1000i32..1000, 0..100)) {
             let ms: OrderedMultiset<i32> = values.iter().copied().collect();
             prop_assert!(ms.as_slice().windows(2).all(|w| w[0] <= w[1]));
-            prop_assert_eq!(ms.len(), values.len());
-        }
-
-        #[test]
-        fn trim_is_within_original_bounds(
-            values in proptest::collection::vec(-1000i32..1000, 1..60),
-            t in 0usize..10,
-        ) {
-            let mut ms: OrderedMultiset<i32> = values.iter().copied().collect();
-            let (lo, hi) = (ms.min().unwrap(), ms.max().unwrap());
-            ms.trim(t);
-            for &v in ms.as_slice() {
-                prop_assert!(v >= lo && v <= hi);
-            }
-            prop_assert_eq!(ms.len(), values.len().saturating_sub(2 * t));
+            prop_assert_eq!(ms.as_slice().len(), values.len());
         }
 
         #[test]
@@ -221,23 +124,10 @@ mod tests {
             spliced.fill_to(n, value);
             // The previous implementation, kept as the semantic reference.
             let mut looped: OrderedMultiset<i32> = values.iter().copied().collect();
-            while looped.len() < n {
+            while looped.as_slice().len() < n {
                 looped.insert(value);
             }
             prop_assert_eq!(spliced, looped);
-        }
-
-        #[test]
-        fn difference_size_triangle(
-            a in proptest::collection::vec(0i32..20, 0..30),
-            b in proptest::collection::vec(0i32..20, 0..30),
-        ) {
-            let ma: OrderedMultiset<i32> = a.iter().copied().collect();
-            let mb: OrderedMultiset<i32> = b.iter().copied().collect();
-            // |A| = |A∩B| + |A−B| ⇒ |A−B| ≥ |A| − |B|.
-            let d = ma.difference_size(&mb);
-            prop_assert!(d >= ma.len().saturating_sub(mb.len()));
-            prop_assert!(d <= ma.len());
         }
     }
 }

@@ -33,7 +33,7 @@ fn shifted_votes(ids: &BTreeSet<OriginalId>, delta: f64, shift: f64) -> Vec<(Ori
 /// This is the attack Lemma IV.3 bounds: no matter how many fakes are
 /// announced, at most `t + ⌊t²/(N−2t)⌋` can reach any `accepted` set,
 /// because each fake needs `N − 2t` *correct* echoers (Lemma A.1).
-pub struct IdForger {
+pub(crate) struct IdForger {
     n: usize,
     delta: f64,
     per_link_fakes: Vec<OriginalId>,
@@ -43,7 +43,7 @@ pub struct IdForger {
 
 impl IdForger {
     /// Creates the forger from the adversary environment.
-    pub fn new(env: &AdversaryEnv<'_>) -> Self {
+    pub(crate) fn new(env: &AdversaryEnv<'_>) -> Self {
         let n = env.cfg.n();
         // One distinct fake per link; different slots use different fakes.
         let all = fake_ids(env, n * env.faulty_count.max(1));
@@ -115,7 +115,7 @@ impl Actor for IdForger {
 /// maximal initial rank discrepancy Δ₅ the voting phase must repair
 /// (Lemma IV.7); during voting it keeps pulling with valid opposite-shift
 /// votes per half.
-pub struct EchoSplitter {
+pub(crate) struct EchoSplitter {
     delta: f64,
     plan: crate::divergence::DivergencePlan,
     known: BTreeSet<OriginalId>,
@@ -123,7 +123,7 @@ pub struct EchoSplitter {
 
 impl EchoSplitter {
     /// Creates the splitter from the adversary environment.
-    pub fn new(env: &AdversaryEnv<'_>) -> Self {
+    pub(crate) fn new(env: &AdversaryEnv<'_>) -> Self {
         let fake = fake_ids(env, 1)[0];
         let known: BTreeSet<OriginalId> = env.correct_ids.iter().copied().collect();
         EchoSplitter {
@@ -199,7 +199,7 @@ impl Actor for EchoSplitter {
 /// `isValid`; the trim-`t` + `select_t` reduction (Lemma IV.8) is the only
 /// defence. This is the designated worst case for the convergence
 /// experiment (F1).
-pub struct RankSkewer {
+pub(crate) struct RankSkewer {
     n: usize,
     t: usize,
     delta: f64,
@@ -210,7 +210,7 @@ pub struct RankSkewer {
 
 impl RankSkewer {
     /// Creates the skewer from the adversary environment.
-    pub fn new(env: &AdversaryEnv<'_>) -> Self {
+    pub(crate) fn new(env: &AdversaryEnv<'_>) -> Self {
         let fakes = fake_ids(env, env.faulty_count.max(1));
         let mut known: BTreeSet<OriginalId> = env.correct_ids.iter().copied().collect();
         let fake = fakes[env.slot.min(fakes.len() - 1)];
@@ -284,7 +284,7 @@ impl Actor for RankSkewer {
 /// ranks of adjacent ids, under-space them, or omit timely ids entirely.
 /// All of these must be rejected by `isValid` (Algorithm 2); the test-suite
 /// asserts the rejections are observed and order preservation survives.
-pub struct OrderInverter {
+pub(crate) struct OrderInverter {
     fake: OriginalId,
     known: BTreeSet<OriginalId>,
     delta: f64,
@@ -293,7 +293,7 @@ pub struct OrderInverter {
 
 impl OrderInverter {
     /// Creates the inverter from the adversary environment.
-    pub fn new(env: &AdversaryEnv<'_>) -> Self {
+    pub(crate) fn new(env: &AdversaryEnv<'_>) -> Self {
         let fakes = fake_ids(env, 1);
         let mut known: BTreeSet<OriginalId> = env.correct_ids.iter().copied().collect();
         known.insert(fakes[0]);
@@ -369,7 +369,7 @@ impl Actor for OrderInverter {
 /// approximate agreements converge to a *common* value for both victims,
 /// destroying uniqueness/order (demonstrated by experiment A1; needs
 /// `t ≥ 2` for a non-degenerate overlap).
-pub struct PairSqueezer {
+pub(crate) struct PairSqueezer {
     delta: f64,
     slot: usize,
     plans: Vec<crate::divergence::DivergencePlan>,
@@ -381,7 +381,7 @@ pub struct PairSqueezer {
 
 impl PairSqueezer {
     /// Creates the squeezer from the adversary environment.
-    pub fn new(env: &AdversaryEnv<'_>) -> Self {
+    pub(crate) fn new(env: &AdversaryEnv<'_>) -> Self {
         let t = env.cfg.t().max(1);
         let correct: Vec<OriginalId> = env.correct_ids.to_vec();
         let c = correct.len();

@@ -33,7 +33,7 @@ use std::collections::BTreeSet;
 
 /// Per-step link targeting for one fake id (see the module docs).
 #[derive(Clone, Debug)]
-pub struct DivergencePlan {
+pub(crate) struct DivergencePlan {
     /// The fake id being driven through the crack.
     pub fake: OriginalId,
     /// `S₁`: step-1 announcement targets (`N − 2t` correct links).
@@ -55,7 +55,7 @@ impl DivergencePlan {
     /// Builds the plan with the favoured half as acceptance targets. All
     /// colluding actors derive identical target sets (links are ordered by
     /// the correct processes' ids, which every slot sees identically).
-    pub fn new(env: &AdversaryEnv<'_>, fake: OriginalId) -> Self {
+    pub(crate) fn new(env: &AdversaryEnv<'_>, fake: OriginalId) -> Self {
         let c = env.links_to_correct().len();
         Self::with_favoured(env, fake, c.div_ceil(2))
     }
@@ -63,7 +63,7 @@ impl DivergencePlan {
     /// Builds the plan with an explicit number of favoured (fake-accepting)
     /// correct processes — the multi-fake squeezer staggers this count per
     /// fake to create a position *gradient* across processes.
-    pub fn with_favoured(env: &AdversaryEnv<'_>, fake: OriginalId, favoured: usize) -> Self {
+    pub(crate) fn with_favoured(env: &AdversaryEnv<'_>, fake: OriginalId, favoured: usize) -> Self {
         let n = env.cfg.n();
         let t = env.cfg.t();
         let links = env.links_to_correct();
@@ -83,7 +83,7 @@ impl DivergencePlan {
     }
 
     /// Whether `link` is in the favoured (fake-accepting) half.
-    pub fn favours(&self, link: LinkId) -> bool {
+    pub(crate) fn favours(&self, link: LinkId) -> bool {
         self.ready4_links.contains(&link)
     }
 
@@ -94,7 +94,7 @@ impl DivergencePlan {
     /// # Panics
     ///
     /// Panics for steps outside `1..=4`.
-    pub fn flood_outbox(&self, step: u32, base: &BTreeSet<OriginalId>) -> Outbox<Alg1Msg> {
+    pub(crate) fn flood_outbox(&self, step: u32, base: &BTreeSet<OriginalId>) -> Outbox<Alg1Msg> {
         let plain = IdSlotSet::from_values(&self.interner, base.iter().copied());
         let spiked = {
             let mut s = plain.clone();

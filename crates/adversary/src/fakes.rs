@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 ///
 /// The result is deterministic in the environment (not the slot), so all
 /// colluding actors compute the same fake set.
-pub fn fake_ids(env: &AdversaryEnv<'_>, count: usize) -> Vec<OriginalId> {
+pub(crate) fn fake_ids(env: &AdversaryEnv<'_>, count: usize) -> Vec<OriginalId> {
     let correct: Vec<u64> = env.correct_ids.iter().map(|id| id.raw()).collect();
     let mut fakes = Vec::with_capacity(count);
     let mut used: BTreeSet<u64> = correct.iter().copied().collect();

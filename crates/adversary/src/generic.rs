@@ -58,7 +58,7 @@ impl<A: Actor> Actor for CrashAfter<A> {
 /// Replay keeps messages *syntactically perfect* — every byte once came from
 /// a correct process — which probes whether protocols are confused by stale
 /// or cross-delivered content.
-pub struct Replay<M, O> {
+pub(crate) struct Replay<M, O> {
     n: usize,
     pool: Vec<M>,
     rng: StdRng,
@@ -67,7 +67,7 @@ pub struct Replay<M, O> {
 
 impl<M, O> Replay<M, O> {
     /// Creates a replayer for a system of `n` processes.
-    pub fn new(n: usize, seed: u64) -> Self {
+    pub(crate) fn new(n: usize, seed: u64) -> Self {
         Replay {
             n,
             pool: Vec::new(),
@@ -112,7 +112,7 @@ impl<M: Clone + Send, O: Send> Actor for Replay<M, O> {
 
 /// Sends messages produced by a caller-supplied sampler, equivocating per
 /// link — the chassis for protocol-specific random-noise strategies.
-pub struct Noise<M, O, F> {
+pub(crate) struct Noise<M, O, F> {
     n: usize,
     sampler: F,
     rng: StdRng,
@@ -125,7 +125,7 @@ where
 {
     /// Creates a noise generator; `sampler` is invoked once per link per
     /// round and may return `None` for silence on that link.
-    pub fn new(n: usize, seed: u64, sampler: F) -> Self {
+    pub(crate) fn new(n: usize, seed: u64, sampler: F) -> Self {
         Noise {
             n,
             sampler,

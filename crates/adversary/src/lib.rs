@@ -10,14 +10,14 @@
 //!
 //! | Strategy | Attacks | Defended by |
 //! |---|---|---|
-//! | [`alg1::IdForger`] | floods fake ids, equivocating one per link | Echo threshold `N−t` (Lemma IV.3) |
-//! | [`alg1::EchoSplitter`] | delivers fakes to exactly `N−2t` correct processes, echoes asymmetrically | `Ready` amplification + `accepted ⊇ timely` (Lemmas IV.1/A.1) |
-//! | [`alg1::RankSkewer`] | sends *valid* but extremal vote vectors, different per link | trim-`t` + `select_t` (Lemma IV.8) |
-//! | [`alg1::OrderInverter`] | votes with inverted/missing ranks | `isValid` (Algorithm 2, Lemma IV.4) |
-//! | [`two_step::FakeFlooder`] | per-receiver echo sets with `2t` fakes each, sized to pass `isValid` | offset clamp `min(counter, N−t)` (Lemma VI.1) |
-//! | [`two_step::EchoWithholder`] | echoes fakes to asymmetric halves | discrepancy bound `Δ ≤ 2t²` (Lemma VI.1) |
+//! | `IdForger` | floods fake ids, equivocating one per link | Echo threshold `N−t` (Lemma IV.3) |
+//! | `EchoSplitter` | delivers fakes to exactly `N−2t` correct processes, echoes asymmetrically | `Ready` amplification + `accepted ⊇ timely` (Lemmas IV.1/A.1) |
+//! | `RankSkewer` | sends *valid* but extremal vote vectors, different per link | trim-`t` + `select_t` (Lemma IV.8) |
+//! | `OrderInverter` | votes with inverted/missing ranks | `isValid` (Algorithm 2, Lemma IV.4) |
+//! | `FakeFlooder` | per-receiver echo sets with `2t` fakes each, sized to pass `isValid` | offset clamp `min(counter, N−t)` (Lemma VI.1) |
+//! | `EchoWithholder` | echoes fakes to asymmetric halves | discrepancy bound `Δ ≤ 2t²` (Lemma VI.1) |
 //! | [`generic::CrashAfter`] | correct-then-silent (crash) behaviour | all (crash ⊂ Byzantine) |
-//! | [`generic::Replay`] | replays observed messages on random links | typed thresholds |
+//! | `Replay` | replays observed messages on random links | typed thresholds |
 //! | random noise (via [`AdversarySpec::RandomNoise`]) | fuzzing with well-formed garbage | everything |
 //!
 //! [`AdversarySpec`] is the serializable face of the suite: experiments
@@ -31,12 +31,11 @@
 //! from the shared [`AdversaryEnv`](opr_core::AdversaryEnv) (seed, slot
 //! count, correct ids, topology), so no side channel is needed.
 
-pub mod alg1;
-pub mod divergence;
-pub mod fakes;
+pub(crate) mod alg1;
+pub(crate) mod divergence;
+pub(crate) mod fakes;
 pub mod generic;
-pub mod spec;
-pub mod two_step;
+pub(crate) mod spec;
+pub(crate) mod two_step;
 
-pub use fakes::fake_ids;
 pub use spec::AdversarySpec;

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Byzantine ids that still passes `isValid` — `t` fakes the receiver
 /// already knows (announced to it in step 1) plus `t` brand-new fakes — with
 /// correct ids dropped as needed to stay within the `N`-id size limit.
-pub struct FakeFlooder {
+pub(crate) struct FakeFlooder {
     n: usize,
     t: usize,
     /// Per correct-process link: the fake announced to that link in step 1.
@@ -25,7 +25,7 @@ pub struct FakeFlooder {
 
 impl FakeFlooder {
     /// Creates the flooder from the adversary environment.
-    pub fn new(env: &AdversaryEnv<'_>) -> Self {
+    pub(crate) fn new(env: &AdversaryEnv<'_>) -> Self {
         let n = env.cfg.n();
         let t = env.cfg.t();
         let correct_links = env.links_to_correct();
@@ -123,7 +123,7 @@ impl Actor for FakeFlooder {
 /// counters (and hence cumulative offsets) diverge — the discrepancy attack
 /// that the `min(counter, N−t)` clamp and the `N > 2t² + t` bound absorb
 /// (Lemmas VI.1, VI.2).
-pub struct EchoWithholder {
+pub(crate) struct EchoWithholder {
     fake: OriginalId,
     correct_ids: Vec<OriginalId>,
     favoured: Vec<LinkId>,
@@ -133,7 +133,7 @@ pub struct EchoWithholder {
 
 impl EchoWithholder {
     /// Creates the withholder from the adversary environment.
-    pub fn new(env: &AdversaryEnv<'_>) -> Self {
+    pub(crate) fn new(env: &AdversaryEnv<'_>) -> Self {
         // All slots share the same fake (coordinated), so its counter gets
         // t echoes at favoured receivers and 0 elsewhere.
         let fake = fake_ids(env, 1)[0];
@@ -202,7 +202,7 @@ impl Actor for EchoWithholder {
 /// two halves; with the clamp both sides floor at `N − t` and nothing
 /// happens, but without it the per-id error accumulates linearly along the
 /// sorted id sequence and eventually inverts names across processes.
-pub struct HalfEcho {
+pub(crate) struct HalfEcho {
     fake: OriginalId,
     correct_ids: Vec<OriginalId>,
     favoured: Vec<LinkId>,
@@ -211,7 +211,7 @@ pub struct HalfEcho {
 
 impl HalfEcho {
     /// Creates the half-echoer from the adversary environment.
-    pub fn new(env: &AdversaryEnv<'_>) -> Self {
+    pub(crate) fn new(env: &AdversaryEnv<'_>) -> Self {
         let links = env.links_to_correct();
         let half = links.len() / 2;
         HalfEcho {

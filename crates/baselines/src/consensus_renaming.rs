@@ -1,7 +1,7 @@
 //! B2: renaming via consensus — the Ω(t)-round route the paper argues
 //! against.
 
-use opr_consensus::{ConsensusMsg, VectorPhaseKing};
+use crate::phase_king::{ConsensusMsg, VectorPhaseKing};
 use opr_rbcast::{EchoReadyFlood, FloodMsg};
 use opr_sim::{Actor, Inbox, Outbox, WireSize, TAG_BITS};
 use opr_types::{LinkId, NewName, OriginalId, Round, SystemConfig};
@@ -46,7 +46,7 @@ pub struct ConsensusRenaming {
 
 impl ConsensusRenaming {
     /// Creates a correct process. `my_index`/`king_links` encode the granted
-    /// global numbering (see [`opr_consensus::king_links_for`]).
+    /// global numbering (see [`king_links_for`](crate::phase_king::king_links_for)).
     ///
     /// # Panics
     ///
@@ -170,7 +170,7 @@ impl Actor for ConsensusRenaming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opr_consensus::king_links_for;
+    use crate::phase_king::king_links_for;
     use opr_sim::{Network, Topology};
     use opr_types::RenamingOutcome;
 

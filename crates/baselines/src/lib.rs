@@ -17,7 +17,9 @@
 //!   complexity, which is what the comparisons use.
 //! * B2 is granted globally consistent numbering (impossible in the paper's
 //!   model, where it would make renaming trivial); it is a *cost* baseline.
-//!   The simple two-round phase king also needs `N ≥ 4t + 2`.
+//!   The simple two-round phase king also needs `N ≥ 4t + 2`; its substrate,
+//!   phase-king consensus over a vector of binary instances, is
+//!   [`phase_king`].
 //! * B3/B4: full CHT and the full Bazzi–Neiger translation are large
 //!   systems; B3 implements interval-splitting CHT faithfully enough for
 //!   crash-free and crash-at-start runs, and B4 wraps each B3 step in an
@@ -31,6 +33,7 @@
 pub mod cht;
 pub mod consensus_renaming;
 pub mod crash_aa;
+pub mod phase_king;
 pub mod translated;
 
 pub use cht::ChtRenaming;

@@ -8,7 +8,7 @@ use opr_types::{NewName, OriginalId, Round, SystemConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A namespace claim: `(id, lo, hi)`.
-pub type Claim = (OriginalId, i64, i64);
+pub(crate) type Claim = (OriginalId, i64, i64);
 
 /// Bits per claim on the wire.
 const CLAIM_BITS: u64 = ID_BITS + 64;

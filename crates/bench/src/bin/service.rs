@@ -103,6 +103,15 @@ fn parse_args() -> Args {
             _ => flags.unknown(&flag),
         }
     }
+    // Every non-replay mode runs the soak spec these flags shape: refuse one
+    // the engine could never run before any run, dump or repro file.
+    if args.repro.is_none() {
+        let spec = soak_spec(args.seed, args.epochs, args.shards, BackendKind::Sim, 1);
+        if let Err(e) = spec.service.validate() {
+            eprintln!("service: {e}");
+            std::process::exit(2);
+        }
+    }
     args
 }
 

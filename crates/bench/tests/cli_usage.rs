@@ -45,8 +45,25 @@ fn unhonourable_arguments_say_why_and_exit_2() {
         .replace("\"byzantine\": 3", "\"byzantine\": 12");
     let hostile_path = concat!(env!("CARGO_TARGET_TMPDIR"), "/byzantine-exceeds-n.json");
     std::fs::write(hostile_path, hostile).expect("tmpdir is writable");
+    // A service repro whose spec has no shards: replaying it used to fail
+    // as a protocol run (exit 1) instead of being refused at load time.
+    let zero_shards_path = concat!(env!("CARGO_TARGET_TMPDIR"), "/zero-shards.json");
+    std::fs::write(
+        zero_shards_path,
+        r#"{"version": 1, "campaign_seed": 0, "run_index": 0, "jobs": 1,
+            "service": {"shards": 0, "n": 7, "t": 2, "regime": "log-time",
+                        "byzantine": 2, "adversary": "silent", "backend": "sim",
+                        "queue_capacity": 64, "shard_span": 64, "seed": 1},
+            "workload": {"clients": 40, "epochs": 3, "arrivals_per_epoch": 4,
+                         "max_hold": 3, "seed": 7}}"#,
+    )
+    .expect("tmpdir is writable");
+    // Where a failing service run would write its repro; a refused spec
+    // must leave nothing behind.
+    let repro_out = concat!(env!("CARGO_TARGET_TMPDIR"), "/refused-service-repro.json");
+    let _ = std::fs::remove_file(repro_out);
 
-    let cases: [(&str, &[&str], &str); 5] = [
+    let cases: [(&str, &[&str], &str); 9] = [
         // An unknown adversary label used to run the default adversary.
         (
             env!("CARGO_BIN_EXE_sweep"),
@@ -71,10 +88,42 @@ fn unhonourable_arguments_say_why_and_exit_2() {
             &["--repro", hostile_path],
             "byzantine exceeds n (12 > 9)",
         ),
+        // A service spec that fails `ServiceConfig::validate` is a usage
+        // error, not a protocol failure: no flight dump, no repro file.
+        (
+            env!("CARGO_BIN_EXE_service"),
+            &["--shards", "0", "--epochs", "3", "--repro-out", repro_out],
+            "service needs at least one shard",
+        ),
+        (
+            env!("CARGO_BIN_EXE_service"),
+            &["--soak", "--shards", "0", "--repro-out", repro_out],
+            "service needs at least one shard",
+        ),
+        (
+            env!("CARGO_BIN_EXE_service"),
+            &["--repro", zero_shards_path, "--repro-out", repro_out],
+            "service needs at least one shard",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos"),
+            &[
+                "--service",
+                "--repro",
+                zero_shards_path,
+                "--repro-out",
+                repro_out,
+            ],
+            "service needs at least one shard",
+        ),
     ];
     for (bin, args, needle) in cases {
         let (code, stderr) = exit_status(bin, args);
         assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
         assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+        assert!(
+            !std::path::Path::new(repro_out).exists(),
+            "{bin} {args:?} wrote a repro for a spec it refused"
+        );
     }
 }

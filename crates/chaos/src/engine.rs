@@ -4,7 +4,7 @@
 //! A campaign is deterministic in its seed: run `i` executes
 //! `generate_schedule(per_run_seed(seed, i), budget_i)` where `budget_i` is
 //! the configured regime (or cycles in/at/over when mixed). Execution fans
-//! out over a [`RunPool`](opr_exec::RunPool) when [`CampaignConfig::jobs`]
+//! out over a [`RunPool`] when [`CampaignConfig::jobs`]
 //! exceeds 1 — schedules are generated in index order, executed on workers,
 //! reassembled in submission order and judged serially, so the report is a
 //! pure function of the configuration at any worker count (the contract
@@ -47,14 +47,14 @@ pub enum BackendChoice {
 
 impl BackendChoice {
     /// All choices.
-    pub const ALL: [BackendChoice; 3] = [
+    pub(crate) const ALL: [BackendChoice; 3] = [
         BackendChoice::Sim,
         BackendChoice::Pooled,
         BackendChoice::Both,
     ];
 
     /// A short stable label (`"sim"`, `"pooled"`, `"both"`).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             BackendChoice::Sim => "sim",
             BackendChoice::Pooled => "pooled",
@@ -62,7 +62,7 @@ impl BackendChoice {
         }
     }
 
-    /// Parses a [`BackendChoice::label`].
+    /// Parses a backend label (`sim`, `pooled`, `both`).
     pub fn parse(label: &str) -> Option<BackendChoice> {
         BackendChoice::ALL
             .iter()
@@ -209,7 +209,7 @@ pub struct CampaignMetrics {
 
 impl CampaignMetrics {
     /// Folds one executed run's counters into the campaign totals.
-    pub fn absorb(&mut self, metrics: &RunMetrics) {
+    pub(crate) fn absorb(&mut self, metrics: &RunMetrics) {
         self.runs_measured += 1;
         self.rounds_executed += u64::from(metrics.rounds_executed());
         self.messages_correct += metrics.messages_correct();
@@ -424,7 +424,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// deterministic, so the per-input results are indistinguishable from
 /// executing every slot — minus the wasted work. Returns the results in
 /// input order plus the number of evaluations saved.
-pub fn execute_deduped_on(
+pub(crate) fn execute_deduped_on(
     pool: &RunPool,
     backend: BackendChoice,
     schedules: &[ChaosSchedule],
@@ -481,7 +481,10 @@ pub fn execute_deduped_on(
 /// serially in index order and deduplicated by genome before execution, so
 /// the returned sequence — provenance, schedule and executed runs alike —
 /// is identical at any worker count.
-pub fn execute_campaign_on(pool: &RunPool, config: &CampaignConfig) -> Vec<ExecutedSchedule> {
+pub(crate) fn execute_campaign_on(
+    pool: &RunPool,
+    config: &CampaignConfig,
+) -> Vec<ExecutedSchedule> {
     let prepared: Vec<(usize, u64, BudgetRegime, ChaosSchedule)> = (0..config.runs)
         .map(|index| {
             let budget = config
@@ -508,7 +511,7 @@ pub fn execute_campaign_on(pool: &RunPool, config: &CampaignConfig) -> Vec<Execu
         .collect()
 }
 
-/// [`execute_campaign_on`] with a pool sized by [`CampaignConfig::jobs`].
+/// Executes a campaign on a pool sized by [`CampaignConfig::jobs`].
 pub fn execute_campaign(config: &CampaignConfig) -> Vec<ExecutedSchedule> {
     execute_campaign_on(&RunPool::new(config.jobs), config)
 }
@@ -523,7 +526,7 @@ pub fn run_campaign(config: &CampaignConfig, oracles: &[Box<dyn Oracle>]) -> Cam
 }
 
 /// [`run_campaign`] on a caller-owned pool (reused across campaigns).
-pub fn run_campaign_on(
+pub(crate) fn run_campaign_on(
     pool: &RunPool,
     config: &CampaignConfig,
     oracles: &[Box<dyn Oracle>],

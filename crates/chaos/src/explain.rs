@@ -177,7 +177,7 @@ fn describe_violation(violation: &ValidityViolation) -> String {
 
 /// One human line per event: the counts, the threshold they were compared
 /// against, and which way the decision went.
-pub fn describe_event(event: &ProtocolEvent) -> String {
+pub(crate) fn describe_event(event: &ProtocolEvent) -> String {
     match event {
         ProtocolEvent::IdSeen { link, id, .. } => {
             format!("id {} arrived on link {}", id.raw(), link.label())
@@ -271,17 +271,6 @@ pub fn describe_event(event: &ProtocolEvent) -> String {
             "id {}: {echoes} echoes, clamped offset {clamped} -> name {}",
             id.raw(),
             name.raw()
-        ),
-        ProtocolEvent::KingRound {
-            phase,
-            king,
-            king_heard,
-            adopted,
-            ..
-        } => format!(
-            "phase {phase}: king on link {} {}, {adopted} keys adopted its bit",
-            king.label(),
-            if *king_heard { "heard" } else { "silent" }
         ),
         ProtocolEvent::Decided { name, .. } => format!("name {}", name.raw()),
     }

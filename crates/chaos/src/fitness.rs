@@ -2,7 +2,7 @@
 //!
 //! A fitness score is an `i64`; *higher is more adversarial*. Every signal
 //! is a pure, deterministic function of a schedule and its observed run
-//! (the [`ProtocolEvent`](opr_obs::ProtocolEvent) stream plus the
+//! (the [`ProtocolEvent`] stream plus the
 //! diagnosis), so the same schedule always scores the same on both
 //! backends and at any `--jobs` — the bedrock of the search's
 //! bit-determinism contract.
@@ -17,8 +17,8 @@
 //! * [`FitnessKind::Drops`] — admission damage: quorum rejections,
 //!   `isValid` vote rejects and AA id drops;
 //! * [`FitnessKind::Margin`] — the key signal: how close the run came to
-//!   a violation, from oracle slack ([`suite_margins`]) and quorum
-//!   flip distances ([`quorum_pressure`]). Minimizing slack = maximizing
+//!   a violation, from oracle slack ([`Oracle::margin`](crate::Oracle::margin)) and quorum
+//!   flip distances. Minimizing slack = maximizing
 //!   fitness.
 
 use crate::oracle::{quorum_pressure, suite_margins};
@@ -46,7 +46,7 @@ pub enum FitnessKind {
 
 impl FitnessKind {
     /// Every kind, in reporting order.
-    pub const ALL: [FitnessKind; 5] = [
+    pub(crate) const ALL: [FitnessKind; 5] = [
         FitnessKind::Rounds,
         FitnessKind::Namespace,
         FitnessKind::Spread,
@@ -55,7 +55,7 @@ impl FitnessKind {
     ];
 
     /// The stable CLI/JSON label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FitnessKind::Rounds => "rounds",
             FitnessKind::Namespace => "namespace",
@@ -65,7 +65,7 @@ impl FitnessKind {
         }
     }
 
-    /// Parses a [`FitnessKind::label`].
+    /// Parses a fitness label, as `--fitness` spells it.
     pub fn parse(s: &str) -> Option<FitnessKind> {
         FitnessKind::ALL.into_iter().find(|k| k.label() == s)
     }

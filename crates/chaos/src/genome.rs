@@ -61,7 +61,7 @@ fn dist_index(dist: IdDistribution) -> u64 {
 /// exactly when every behavioural field agrees (regime, shape, workload,
 /// adversary, Byzantine count, seeds, canonical fault events, payload
 /// cap), so a key-deduped campaign never re-evaluates an identical attack.
-pub fn genome_key(schedule: &ChaosSchedule) -> u64 {
+pub(crate) fn genome_key(schedule: &ChaosSchedule) -> u64 {
     let mut h = 0x6765_6e6f_6d65_2d6bu64; // "genome-k"
     h = mix(h, regime_index(schedule.regime));
     h = mix(h, schedule.n as u64);
@@ -227,7 +227,11 @@ fn repair(mut schedule: ChaosSchedule, budget: BudgetRegime, rng: &mut StdRng) -
 /// one or two of the mutation operators (onset jiggle, fault add/remove/
 /// retarget, adversary swap, Byzantine count shift, seed and workload
 /// perturbations, payload-cap toggle), then repairs and canonicalizes.
-pub fn mutate(schedule: &ChaosSchedule, budget: BudgetRegime, rng: &mut StdRng) -> ChaosSchedule {
+pub(crate) fn mutate(
+    schedule: &ChaosSchedule,
+    budget: BudgetRegime,
+    rng: &mut StdRng,
+) -> ChaosSchedule {
     let mut child = schedule.clone();
     let ops = rng.gen_range(1..=2usize);
     for _ in 0..ops {
@@ -338,7 +342,7 @@ fn apply_random_op(schedule: &mut ChaosSchedule, rng: &mut StdRng) {
 /// jointly from one parent (so the child is always a legal system), every
 /// other gene is drawn per-field, and the fault events are a subset-merge
 /// of both parents' plans — then repaired into `budget`.
-pub fn crossover(
+pub(crate) fn crossover(
     a: &ChaosSchedule,
     b: &ChaosSchedule,
     budget: BudgetRegime,

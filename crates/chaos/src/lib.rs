@@ -30,7 +30,7 @@
 //!    *degraded but diagnosed* (harness-level breaches — a correct process
 //!    sending malformed traffic, backends diverging, a panic — fail in
 //!    every regime).
-//! 5. [`shrink`] minimizes a failing schedule: delta debugging over the
+//! 5. [`shrink()`] minimizes a failing schedule: delta debugging over the
 //!    fault events, then Byzantine-count reduction, then onset weakening.
 //! 6. [`repro`] round-trips the result through a `chaos-repro.json` file
 //!    (hand-rolled [`opr_obs::json`], no external dependencies) so the failure can
@@ -38,8 +38,8 @@
 //! 7. [`explain`] replays a repro with the protocol event recorder attached
 //!    ([`opr_obs`]) and renders every correct process's decision waterfall
 //!    — which thresholds crossed, which votes were rejected and why.
-//! 8. [`search`] closes the loop into an optimizer: [`genome`] mutates and
-//!    recombines schedules inside a budget regime, [`fitness`] scores each
+//! 8. [`search`] closes the loop into an optimizer: genome operators mutate
+//!    and recombine schedules inside a budget regime, [`fitness`] scores each
 //!    observed run (rounds, namespace pressure, AA spread, admission
 //!    drops, near-violation margin from [`Oracle::margin`]), and a seeded
 //!    beam search climbs toward the most adversarial attacks — emitting
@@ -49,7 +49,7 @@ pub mod engine;
 pub mod explain;
 pub mod fitness;
 pub mod generator;
-pub mod genome;
+pub(crate) mod genome;
 pub mod oracle;
 pub mod repro;
 pub mod schedule;
@@ -63,12 +63,11 @@ pub use engine::{
 pub use explain::{explain_repro, render_waterfall, Explained};
 pub use fitness::{evaluate, Fitness, FitnessKind, FitnessRecord};
 pub use generator::generate_schedule;
-pub use genome::{crossover, genome_key, mutate};
-pub use oracle::{standard_suite, suite_margins, Oracle, OracleInput};
+pub use oracle::{standard_suite, Oracle, OracleInput};
 pub use repro::Repro;
 pub use schedule::{BudgetRegime, ChaosSchedule};
 pub use search::{
-    random_search_on, render_search_json, repro_for, run_search, run_search_on, GenerationStat,
-    ScoredSchedule, SearchConfig, SearchOutcome, SearchReport,
+    random_search_on, render_search_json, repro_for, run_search_on, GenerationStat, ScoredSchedule,
+    SearchConfig, SearchOutcome, SearchReport,
 };
 pub use shrink::{shrink, ShrinkResult};

@@ -50,7 +50,7 @@ pub trait Oracle {
 
 /// The stable kind tag of a violation (matching
 /// [`DegradedOutcome::digest`](opr_types::DegradedOutcome::digest)).
-pub fn violation_kind(v: &Violation) -> &'static str {
+pub(crate) fn violation_kind(v: &Violation) -> &'static str {
     match v {
         Violation::Property(PropertyViolation::Validity { .. }) => "validity",
         Violation::Property(PropertyViolation::Termination { .. }) => "termination",
@@ -77,7 +77,7 @@ fn project(input: &OracleInput<'_>, kinds: &[&str]) -> Vec<Violation> {
 }
 
 /// No two healthy correct processes decide the same name.
-pub struct UniquenessOracle;
+pub(crate) struct UniquenessOracle;
 
 impl Oracle for UniquenessOracle {
     fn name(&self) -> &'static str {
@@ -89,7 +89,7 @@ impl Oracle for UniquenessOracle {
 }
 
 /// Names of healthy correct processes are ordered like their original ids.
-pub struct OrderPreservationOracle;
+pub(crate) struct OrderPreservationOracle;
 
 impl Oracle for OrderPreservationOracle {
     fn name(&self) -> &'static str {
@@ -103,7 +103,7 @@ impl Oracle for OrderPreservationOracle {
 /// Every decided name lies in the algorithm's namespace (`N + t − 1`, `N`
 /// or `N²`); validity breaches ride along (a name outside the permitted
 /// range is the same contract).
-pub struct NamespaceOracle;
+pub(crate) struct NamespaceOracle;
 
 impl Oracle for NamespaceOracle {
     fn name(&self) -> &'static str {
@@ -126,7 +126,7 @@ impl Oracle for NamespaceOracle {
 }
 
 /// The run took the algorithm's exact step count.
-pub struct StepCountOracle;
+pub(crate) struct StepCountOracle;
 
 impl Oracle for StepCountOracle {
     fn name(&self) -> &'static str {
@@ -153,7 +153,7 @@ impl Oracle for StepCountOracle {
 }
 
 /// Every healthy correct process decided within the round budget.
-pub struct TerminationOracle;
+pub(crate) struct TerminationOracle;
 
 impl Oracle for TerminationOracle {
     fn name(&self) -> &'static str {
@@ -195,7 +195,7 @@ impl Oracle for TerminationOracle {
 /// No *correct* process produced a transport-rejected send (Byzantine
 /// processes may; a correct one doing so is a protocol or harness bug in
 /// any budget regime).
-pub struct MalformedOracle;
+pub(crate) struct MalformedOracle;
 
 impl Oracle for MalformedOracle {
     fn name(&self) -> &'static str {
@@ -209,7 +209,7 @@ impl Oracle for MalformedOracle {
 /// Every compared backend produced observables bit-equal to the reference:
 /// outcome, rounds, message/bit metrics, the malformed-send ledger and the
 /// diagnosis itself.
-pub struct CrossBackendOracle;
+pub(crate) struct CrossBackendOracle;
 
 impl Oracle for CrossBackendOracle {
     fn name(&self) -> &'static str {
@@ -277,7 +277,7 @@ fn flip_distance(count: usize, quorum: usize, passed: bool) -> i64 {
 
 /// The flip distance of one event's quorum comparison, for the variants
 /// that carry one (ECHO/READY/ACCEPT thresholds and AA vote admission).
-pub fn event_flip_distance(event: &ProtocolEvent) -> Option<i64> {
+pub(crate) fn event_flip_distance(event: &ProtocolEvent) -> Option<i64> {
     match *event {
         ProtocolEvent::EchoThreshold {
             echoes,
@@ -305,7 +305,7 @@ pub fn event_flip_distance(event: &ProtocolEvent) -> Option<i64> {
 /// The quorum landscape of one recorded run: the minimum flip distance
 /// across every threshold decision, and how many decisions sat exactly on
 /// the edge. `None` when the run carries no events or no threshold events.
-pub fn quorum_pressure(run: &DiagnosedRun) -> Option<(i64, usize)> {
+pub(crate) fn quorum_pressure(run: &DiagnosedRun) -> Option<(i64, usize)> {
     let log = run.events.as_ref()?;
     let mut min: Option<i64> = None;
     let mut edges = 0usize;
@@ -326,7 +326,7 @@ pub fn quorum_pressure(run: &DiagnosedRun) -> Option<(i64, usize)> {
 /// invariant of its own (a quorum exactly met is legal); exists for its
 /// [`Oracle::margin`]: the minimum flip distance over all recorded
 /// threshold decisions.
-pub struct QuorumEdgeOracle;
+pub(crate) struct QuorumEdgeOracle;
 
 impl Oracle for QuorumEdgeOracle {
     fn name(&self) -> &'static str {
@@ -358,7 +358,7 @@ pub fn standard_suite() -> Vec<Box<dyn Oracle>> {
 
 /// Every oracle's margin for one single-backend execution, in suite order,
 /// skipping oracles with no numeric slack on this run.
-pub fn suite_margins(
+pub(crate) fn suite_margins(
     schedule: &ChaosSchedule,
     run: &DiagnosedRun,
     backend: BackendKind,

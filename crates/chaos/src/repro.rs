@@ -18,7 +18,7 @@ use opr_workload::IdDistribution;
 use std::fmt;
 
 /// Format version written into every file (bump on breaking changes).
-pub const REPRO_VERSION: u64 = 1;
+pub(crate) const REPRO_VERSION: u64 = 1;
 
 /// A replayable failure record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -164,7 +164,7 @@ fn field_usize(doc: &Json, key: &str) -> Result<usize, ReproError> {
 
 /// Encodes a schedule as a JSON object (used by the repro format and the
 /// chaos binary's failure dumps).
-pub fn schedule_to_json(schedule: &ChaosSchedule) -> Json {
+pub(crate) fn schedule_to_json(schedule: &ChaosSchedule) -> Json {
     Json::Obj(vec![
         ("regime".into(), Json::Str(schedule.regime.label().into())),
         ("n".into(), Json::UInt(schedule.n as u64)),
@@ -197,7 +197,7 @@ pub fn schedule_to_json(schedule: &ChaosSchedule) -> Json {
 ///
 /// Returns [`ReproError`] on missing fields, unknown labels, or more
 /// Byzantine processes than processes.
-pub fn schedule_from_json(doc: &Json) -> Result<ChaosSchedule, ReproError> {
+pub(crate) fn schedule_from_json(doc: &Json) -> Result<ChaosSchedule, ReproError> {
     let events = doc
         .get("events")
         .and_then(Json::as_array)
@@ -232,7 +232,7 @@ pub fn schedule_from_json(doc: &Json) -> Result<ChaosSchedule, ReproError> {
 }
 
 /// Encodes run metrics as an array of per-round counter objects.
-pub fn metrics_to_json(metrics: &RunMetrics) -> Json {
+pub(crate) fn metrics_to_json(metrics: &RunMetrics) -> Json {
     Json::Arr(
         metrics
             .per_round()
@@ -261,7 +261,7 @@ pub fn metrics_to_json(metrics: &RunMetrics) -> Json {
 ///
 /// Returns [`ReproError`] when the value is not an array of per-round
 /// counter objects.
-pub fn metrics_from_json(doc: &Json) -> Result<RunMetrics, ReproError> {
+pub(crate) fn metrics_from_json(doc: &Json) -> Result<RunMetrics, ReproError> {
     let rounds = doc
         .as_array()
         .ok_or_else(|| bad("metrics is not an array"))?;

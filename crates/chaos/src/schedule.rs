@@ -93,25 +93,25 @@ impl ChaosSchedule {
     /// # Errors
     ///
     /// Returns [`RenamingError::Config`] for an invalid `(n, t)` pair.
-    pub fn cfg(&self) -> Result<SystemConfig, RenamingError> {
+    pub(crate) fn cfg(&self) -> Result<SystemConfig, RenamingError> {
         Ok(SystemConfig::new(self.n, self.t)?)
     }
 
     /// The transport fault plan assembled from [`ChaosSchedule::events`].
-    pub fn fault_plan(&self) -> FaultPlan {
+    pub(crate) fn fault_plan(&self) -> FaultPlan {
         FaultPlan::from_events(self.events.iter().copied())
     }
 
     /// The Byzantine placement mask this schedule's run will use
     /// (`true` = faulty index).
-    pub fn placement(&self) -> Vec<bool> {
+    pub(crate) fn placement(&self) -> Vec<bool> {
         fault_placement(self.n, self.byzantine, self.run_seed)
     }
 
     /// The effective fault load: Byzantine actors plus *correct* processes
     /// whose outgoing links the fault plan disturbs. Fault events aimed at
     /// Byzantine indices do not count twice.
-    pub fn effective_faults(&self) -> usize {
+    pub(crate) fn effective_faults(&self) -> usize {
         let mask = self.placement();
         let disturbed_correct = self
             .fault_plan()
@@ -124,7 +124,7 @@ impl ChaosSchedule {
 
     /// Which budget regime the schedule actually lands in (the generator
     /// aims for one, but shrinking can move a schedule downward).
-    pub fn budget_regime(&self) -> BudgetRegime {
+    pub(crate) fn budget_regime(&self) -> BudgetRegime {
         let effective = self.effective_faults();
         if effective < self.t {
             BudgetRegime::InBudget

@@ -4,7 +4,7 @@
 //! paper's theorems are worst-case claims. This module closes the loop:
 //! starting from the *same* seeded schedule stream a random campaign would
 //! draw, it scores every observed run with a [`FitnessKind`] signal and
-//! climbs — beam selection, [`mutate`]/[`crossover`] children, elitist
+//! climbs — beam selection, mutated and crossed-over children, elitist
 //! survival — toward the most adversarial schedules the budget regime
 //! admits. The worst finds are emitted as replayable repro files and
 //! committed as regression seeds (`tests/data/worst-*.json`).
@@ -68,28 +68,10 @@ pub struct SearchConfig {
     pub jobs: usize,
 }
 
-impl SearchConfig {
-    /// A small smoke-sized configuration (CI and tests override fields).
-    pub fn smoke(seed: u64) -> SearchConfig {
-        SearchConfig {
-            seed,
-            budget: BudgetRegime::AtBudget,
-            backend: BackendChoice::Sim,
-            fitness: FitnessKind::Margin,
-            beam: 4,
-            generations: 4,
-            evals: 64,
-            init: 16,
-            top_k: 3,
-            jobs: 1,
-        }
-    }
-}
-
 /// One evaluated candidate, ranked.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScoredSchedule {
-    /// The genome fingerprint ([`genome_key`]); the deterministic
+    /// The genome fingerprint; the deterministic
     /// tiebreaker.
     pub key: u64,
     /// The schedule itself.
@@ -372,11 +354,6 @@ pub fn run_search_on(pool: &RunPool, config: &SearchConfig) -> SearchReport {
     }
 }
 
-/// [`run_search_on`] with a pool sized by [`SearchConfig::jobs`].
-pub fn run_search(config: &SearchConfig) -> SearchReport {
-    run_search_on(&RunPool::new(config.jobs), config)
-}
-
 /// The unguided baseline at the same evaluation budget: scores the first
 /// `evals` distinct schedules of the identical seeded stream, no
 /// selection, no mutation. The comparison partner for the in-test
@@ -512,14 +489,23 @@ pub fn render_search_json(report: &SearchReport, random: Option<&SearchReport>) 
 mod tests {
     use super::*;
 
+    /// [`run_search_on`] with a pool sized by [`SearchConfig::jobs`].
+    fn run_search(config: &SearchConfig) -> SearchReport {
+        run_search_on(&RunPool::new(config.jobs), config)
+    }
+
     fn tiny(seed: u64) -> SearchConfig {
         SearchConfig {
+            seed,
+            budget: BudgetRegime::AtBudget,
+            backend: BackendChoice::Sim,
+            fitness: FitnessKind::Margin,
             beam: 2,
             generations: 2,
             evals: 14,
             init: 6,
             top_k: 3,
-            ..SearchConfig::smoke(seed)
+            jobs: 1,
         }
     }
 

@@ -47,12 +47,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod messages;
+pub(crate) mod messages;
 pub mod probe;
 pub mod ranks;
-pub mod renaming;
+pub(crate) mod renaming;
 pub mod runner;
-pub mod two_step;
+pub(crate) mod two_step;
 
 pub use messages::{Alg1Msg, TwoStepMsg};
 pub use probe::{Alg1Probe, TwoStepProbe, VotingSnapshot};

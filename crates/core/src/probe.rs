@@ -4,7 +4,7 @@
 //! to see *inside* correct processes: their `timely`/`accepted` sets and the
 //! evolution of their rank vectors per voting step. Correct actors write
 //! snapshots into a shared, simulator-thread-local sink
-//! ([`SharedProcessProbe`]); the runner aggregates the sinks into
+//! (`SharedProcessProbe`); the runner aggregates the sinks into
 //! [`Alg1Probe`] / [`TwoStepProbe`] after the run.
 
 use crate::ranks::RankVector;
@@ -43,7 +43,7 @@ pub struct ProcessProbe {
 /// Shared handle to a [`ProcessProbe`]. `Arc<Mutex<…>>` so actors stay
 /// `Send` and probes work on the pooled substrate; on the sim backend the
 /// lock is uncontended and effectively free.
-pub type SharedProcessProbe = Arc<Mutex<ProcessProbe>>;
+pub(crate) type SharedProcessProbe = Arc<Mutex<ProcessProbe>>;
 
 /// Creates a fresh shared probe.
 pub fn shared_probe() -> SharedProcessProbe {
@@ -172,10 +172,10 @@ pub struct TwoStepProcessProbe {
 }
 
 /// Shared handle for a [`TwoStepProcessProbe`].
-pub type SharedTwoStepProbe = Arc<Mutex<TwoStepProcessProbe>>;
+pub(crate) type SharedTwoStepProbe = Arc<Mutex<TwoStepProcessProbe>>;
 
 /// Creates a fresh shared two-step probe.
-pub fn shared_two_step_probe() -> SharedTwoStepProbe {
+pub(crate) fn shared_two_step_probe() -> SharedTwoStepProbe {
     Arc::new(Mutex::new(TwoStepProcessProbe::default()))
 }
 

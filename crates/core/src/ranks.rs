@@ -94,7 +94,7 @@ pub(crate) fn check_valid(
 
 impl RankVector {
     /// An empty vector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -117,19 +117,9 @@ impl RankVector {
             .map(|at| self.entries[at].1)
     }
 
-    /// Whether `id` is tracked.
-    pub fn contains(&self, id: OriginalId) -> bool {
-        self.get(id).is_some()
-    }
-
     /// Number of tracked ids.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether no ids are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// `(id, rank)` pairs in ascending id order.
@@ -598,7 +588,7 @@ mod tests {
         let (new_ranks, new_accepted) = approximate(&mine, &accepted, &votes, n, t);
         assert!(new_accepted.contains(&OriginalId::new(1)));
         assert!(!new_accepted.contains(&OriginalId::new(2)));
-        assert!(!new_ranks.contains(OriginalId::new(2)));
+        assert!(new_ranks.get(OriginalId::new(2)).is_none());
     }
 
     #[test]

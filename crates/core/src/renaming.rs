@@ -186,7 +186,7 @@ impl OrderPreservingRenaming {
     /// used by the experiments that study the convergence margin at regime
     /// boundaries (the paper's Lemma IV.9 / V.2 constants are loose for
     /// small `t`; see EXPERIMENTS.md).
-    pub fn with_extra_steps(
+    pub(crate) fn with_extra_steps(
         cfg: SystemConfig,
         regime: Regime,
         my_id: OriginalId,
@@ -204,27 +204,11 @@ impl OrderPreservingRenaming {
         ))
     }
 
-    /// Full-control constructor with [`Alg1Tweaks`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`opr_types::ConfigError::RegimeViolated`] if the
-    /// configuration does not satisfy the regime's resilience precondition.
-    pub fn with_tweaks(
-        cfg: SystemConfig,
-        regime: Regime,
-        my_id: OriginalId,
-        tweaks: Alg1Tweaks,
-    ) -> Result<Self, opr_types::ConfigError> {
-        cfg.require(regime)?;
-        Ok(Self::new_unchecked(cfg, regime, my_id, tweaks))
-    }
-
-    /// Like [`with_tweaks`](Self::with_tweaks) but skips the resilience
-    /// precondition — used by the resilience-boundary experiment (T5) to
+    /// Full-control constructor with [`Alg1Tweaks`] that skips the
+    /// resilience precondition — used by the resilience-boundary experiment (T5) to
     /// observe *how* the algorithm fails when `N ≤ 3t`. Never use this in a
     /// deployment.
-    pub fn new_unchecked(
+    pub(crate) fn new_unchecked(
         cfg: SystemConfig,
         regime: Regime,
         my_id: OriginalId,
@@ -274,18 +258,13 @@ impl OrderPreservingRenaming {
     /// Attaches a telemetry recorder capturing every decision point (see
     /// [`opr_obs::ProtocolEvent`]). Unattached processes pay one branch per
     /// decision and zero allocations.
-    pub fn attach_recorder(&mut self, recorder: SharedRecorder) {
+    pub(crate) fn attach_recorder(&mut self, recorder: SharedRecorder) {
         self.recorder = Some(recorder);
     }
 
     /// The process's original id.
     pub fn my_id(&self) -> OriginalId {
         self.my_id
-    }
-
-    /// Total communication steps this process will run.
-    pub fn total_steps(&self) -> u32 {
-        self.total_steps
     }
 
     fn record_snapshot(&self, step: u32) {
@@ -510,7 +489,7 @@ mod tests {
             let cfg = SystemConfig::new(n, t).unwrap();
             let p = OrderPreservingRenaming::new(cfg, Regime::LogTime, OriginalId::new(1)).unwrap();
             assert_eq!(
-                p.total_steps(),
+                p.total_steps,
                 3 * opr_types::math::ceil_log2(t) + 7,
                 "N={n} t={t}"
             );

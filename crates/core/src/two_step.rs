@@ -40,8 +40,8 @@ pub struct TwoStepRenaming {
 /// Experimental knobs on Algorithm 4; the default is the paper's algorithm.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TwoStepTweaks {
-    /// Skip the `[0, N − t]` offset clamp (ablation A2 — see
-    /// [`TwoStepRenaming::with_clamp`]). Never use outside experiments.
+    /// Skip the `[0, N − t]` offset clamp (ablation A2). Never use outside
+    /// experiments.
     pub disable_clamp: bool,
 }
 
@@ -67,7 +67,7 @@ impl TwoStepRenaming {
     ///
     /// Returns [`opr_types::ConfigError::RegimeViolated`] unless
     /// `N > 2t² + t`.
-    pub fn with_clamp(
+    pub(crate) fn with_clamp(
         cfg: SystemConfig,
         my_id: OriginalId,
         clamp_offsets: bool,
@@ -88,7 +88,7 @@ impl TwoStepRenaming {
     }
 
     /// Attaches a probe sink recording the final name table.
-    pub fn attach_probe(&mut self, probe: SharedTwoStepProbe) {
+    pub(crate) fn attach_probe(&mut self, probe: SharedTwoStepProbe) {
         self.probe = Some(probe);
     }
 
@@ -96,25 +96,20 @@ impl TwoStepRenaming {
     /// `MultiEcho` bitsets arrive pre-interned and validate/count through
     /// word operations. Call before round 1 (the runner does); unshared
     /// processes interoperate bit-identically through the decode fallback.
-    pub fn share_interner(&mut self, interner: IdInterner<OriginalId>) {
+    pub(crate) fn share_interner(&mut self, interner: IdInterner<OriginalId>) {
         self.timely_set = IdSlotSet::new(&interner);
     }
 
     /// The interner this process's echo bitsets are relative to.
-    pub fn interner(&self) -> &IdInterner<OriginalId> {
+    pub(crate) fn interner(&self) -> &IdInterner<OriginalId> {
         self.timely_set.interner()
     }
 
     /// Attaches a telemetry recorder capturing id announcements, echo
     /// validation verdicts and the name-offset table (see
     /// [`opr_obs::ProtocolEvent`]).
-    pub fn attach_recorder(&mut self, recorder: SharedRecorder) {
+    pub(crate) fn attach_recorder(&mut self, recorder: SharedRecorder) {
         self.recorder = Some(recorder);
-    }
-
-    /// The process's original id.
-    pub fn my_id(&self) -> OriginalId {
-        self.my_id
     }
 
     /// The `isValid` check of Algorithm 4 for an incoming `MultiEcho`: the

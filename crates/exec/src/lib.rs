@@ -15,7 +15,7 @@
 //! The pool is deliberately boring: fixed worker threads and an `mpsc` job
 //! queue, built on `std::sync` alone (the build environment has no crates.io
 //! access — same constraint that produced `shims/`). Panics inside a task
-//! are contained per task ([`TaskResult`]), never poisoning the pool or
+//! are contained per task (`Err(TaskPanic)`), never poisoning the pool or
 //! hanging the batch, and dropping the pool joins every worker.
 
 use opr_metrics::{Counter, Histogram, MetricsRegistry};
@@ -55,7 +55,7 @@ impl std::fmt::Display for TaskPanic {
 impl std::error::Error for TaskPanic {}
 
 /// What one batched task produced: its value, or the panic that ended it.
-pub type TaskResult<T> = Result<T, TaskPanic>;
+pub(crate) type TaskResult<T> = Result<T, TaskPanic>;
 
 type BoxedJob = Box<dyn FnOnce() + Send>;
 
@@ -145,11 +145,6 @@ impl RunPool {
     /// `--jobs` flag defaults to 1.
     pub fn serial() -> Self {
         RunPool::new(1)
-    }
-
-    /// The effective parallelism: worker count, or 1 for a serial pool.
-    pub fn jobs(&self) -> usize {
-        self.workers.len().max(1)
     }
 
     /// Executes every task and returns their results **in submission
@@ -340,7 +335,7 @@ mod tests {
     fn degenerate_pools_execute_inline() {
         for jobs in [0, 1] {
             let pool = RunPool::new(jobs);
-            assert_eq!(pool.jobs(), 1, "jobs={jobs}");
+            assert!(pool.workers.is_empty(), "jobs={jobs}");
             let caller = std::thread::current().id();
             let results = pool.run_batch(vec![move || std::thread::current().id() == caller]);
             assert_eq!(values(results), vec![true], "jobs={jobs}");

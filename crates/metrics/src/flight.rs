@@ -30,16 +30,12 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             ring: VecDeque::with_capacity(capacity.max(1)),
             dropped: 0,
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     pub fn push(&mut self, summary: EpochSummary) {

@@ -6,7 +6,7 @@
 //! enough for the hot path.
 
 /// Number of buckets: upper bounds `2^0 ..= 2^63` plus one overflow bucket.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// Index of the overflow bucket (`le = +Inf`).
 pub const OVERFLOW_BUCKET: usize = BUCKETS - 1;
@@ -26,7 +26,7 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// Upper bound of bucket `k` as a label string (`"+Inf"` for the overflow bucket).
-pub fn bucket_bound_label(k: usize) -> String {
+pub(crate) fn bucket_bound_label(k: usize) -> String {
     if k >= OVERFLOW_BUCKET {
         "+Inf".to_string()
     } else {
@@ -53,28 +53,19 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one observation (used to build deterministic snapshots directly).
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[bucket_index(value)] += 1;
         self.count += 1;
         self.sum = self.sum.wrapping_add(value);
     }
 
-    /// Fold another snapshot into this one (bucket-wise addition).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
-
     /// Approximate quantile: upper bound of the bucket holding rank `q * count`.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -94,7 +85,7 @@ impl HistogramSnapshot {
     }
 
     /// Index of the highest non-empty bucket, if any observation was recorded.
-    pub fn max_bucket(&self) -> Option<usize> {
+    pub(crate) fn max_bucket(&self) -> Option<usize> {
         self.buckets.iter().rposition(|&c| c > 0)
     }
 }
@@ -121,16 +112,11 @@ mod tests {
     }
 
     #[test]
-    fn record_and_merge_agree_with_direct_counts() {
+    fn record_agrees_with_direct_counts() {
         let mut a = HistogramSnapshot::new();
-        let mut b = HistogramSnapshot::new();
-        for v in [0, 1, 2, 3, 100, 5000] {
+        for v in [0, 1, 2, 3, 100, 5000, 7, 7, 7] {
             a.record(v);
         }
-        for v in [7, 7, 7] {
-            b.record(v);
-        }
-        a.merge(&b);
         assert_eq!(a.count, 9);
         assert_eq!(a.sum, 1 + 2 + 3 + 100 + 5000 + 21);
         assert_eq!(a.buckets[3], 3); // (4, 8] holds 7, 7, 7

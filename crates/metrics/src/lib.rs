@@ -27,7 +27,7 @@ mod snapshot;
 
 pub use dashboard::render_dashboard;
 pub use flight::{shared_flight_recorder, EpochSummary, FlightRecorder, SharedFlightRecorder};
-pub use hist::{bucket_bound_label, bucket_index, HistogramSnapshot, BUCKETS, OVERFLOW_BUCKET};
+pub use hist::{bucket_index, HistogramSnapshot, OVERFLOW_BUCKET};
 pub use prometheus::{render_prometheus, validate_prometheus};
-pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, SHARDS};
-pub use snapshot::{labeled, split_labels, MetricsSnapshot};
+pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use snapshot::{labeled, MetricsSnapshot};

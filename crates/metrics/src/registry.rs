@@ -16,7 +16,7 @@ use crate::snapshot::MetricsSnapshot;
 
 /// Number of shards per metric. Power of two; eight covers the worker counts
 /// the `RunPool` actually spawns while keeping snapshot merges trivial.
-pub const SHARDS: usize = 8;
+pub(crate) const SHARDS: usize = 8;
 
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
@@ -74,14 +74,9 @@ impl Counter {
     pub fn inc(&self) {
         self.add(1);
     }
-
-    /// Merged value across shards (snapshot-consistency only per-shard).
-    pub fn value(&self) -> u64 {
-        self.cells.total()
-    }
 }
 
-/// Instantaneous gauge handle: one atomic cell, `set`/`add` semantics.
+/// Instantaneous gauge handle: one atomic cell, `set` semantics.
 #[derive(Clone)]
 pub struct Gauge {
     cell: Arc<AtomicI64>,
@@ -91,15 +86,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, value: i64) {
         self.cell.store(value, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.cell.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    pub fn value(&self) -> i64 {
-        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -160,7 +146,7 @@ impl Histogram {
 
     /// Fold a pre-aggregated snapshot in (used when deterministic folds are
     /// mirrored into a live registry).
-    pub fn merge(&self, snap: &HistogramSnapshot) {
+    pub(crate) fn merge(&self, snap: &HistogramSnapshot) {
         let s = &self.cells.shards[shard()];
         for (k, &c) in snap.buckets.iter().enumerate() {
             if c > 0 {
@@ -168,10 +154,6 @@ impl Histogram {
             }
         }
         s.sum.fetch_add(snap.sum, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.cells.snapshot()
     }
 }
 
@@ -309,7 +291,8 @@ mod tests {
         for t in handles {
             t.join().unwrap();
         }
-        let snap = h.snapshot();
+        let snap = reg.snapshot();
+        let snap = snap.histogram("h").unwrap();
         assert_eq!(snap.count, 4000);
         assert_eq!(snap.sum, (0..4000u64).sum::<u64>());
     }

@@ -44,20 +44,6 @@ impl MetricsSnapshot {
             .record(value);
     }
 
-    /// Fold another snapshot into this one: counters and histogram buckets
-    /// add, gauges take the other side's value (last write wins).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            self.gauges.insert(name.clone(), *v);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
-        }
-    }
-
     /// Left-biased union: entries absent from `self` are copied from
     /// `other`; entries `self` already has are kept untouched. Used to
     /// overlay the deterministic plane under a live wall-plane snapshot —
@@ -117,7 +103,7 @@ pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
 
 /// Split a full metric name into `(base, label_block)` where `label_block`
 /// includes the braces (empty when the name carries no labels).
-pub fn split_labels(name: &str) -> (&str, &str) {
+pub(crate) fn split_labels(name: &str) -> (&str, &str) {
     match name.find('{') {
         Some(i) => (&name[..i], &name[i..]),
         None => (name, ""),
@@ -151,21 +137,5 @@ mod tests {
         assert_eq!(live.counter("shared_total"), 7, "not doubled");
         assert_eq!(live.counter("det_only_total"), 3);
         assert_eq!(live.histogram("det_hist").unwrap().count, 1);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_buckets() {
-        let mut a = MetricsSnapshot::new();
-        a.add_counter("c", 2);
-        a.set_gauge("g", 5);
-        a.record("h", 3);
-        let mut b = MetricsSnapshot::new();
-        b.add_counter("c", 3);
-        b.set_gauge("g", -1);
-        b.record("h", 3);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 5);
-        assert_eq!(a.gauge("g"), Some(-1));
-        assert_eq!(a.histogram("h").unwrap().count, 2);
     }
 }

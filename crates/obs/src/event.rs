@@ -37,7 +37,7 @@ pub enum ValidityViolation {
 impl ValidityViolation {
     /// A short stable label for exports (`"missing-timely"`,
     /// `"malformed-vector"`, `"insufficient-spacing"`).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             ValidityViolation::MissingTimelyId { .. } => "missing-timely",
             ValidityViolation::MalformedVector => "malformed-vector",
@@ -47,7 +47,7 @@ impl ValidityViolation {
 
     /// Calls `field(name, value)` for each field of the violation besides
     /// its [`kind`](Self::kind), in export order.
-    pub fn for_each_field(&self, mut field: impl FnMut(&'static str, FieldValue<'_>)) {
+    pub(crate) fn for_each_field(&self, mut field: impl FnMut(&'static str, FieldValue<'_>)) {
         use FieldValue::{Rank, Spacing, Uint};
         match *self {
             ValidityViolation::MissingTimelyId { id } => field("id", Uint(id.raw())),
@@ -72,7 +72,7 @@ impl ValidityViolation {
 /// The value of one exported event field — what
 /// [`ProtocolEvent::for_each_field`] hands the exporters.
 #[derive(Clone, Copy, Debug)]
-pub enum FieldValue<'a> {
+pub(crate) enum FieldValue<'a> {
     /// An id, link label, count or threshold.
     Uint(u64),
     /// A new name.
@@ -221,19 +221,6 @@ pub enum ProtocolEvent {
         /// The name this row assigns.
         name: NewName,
     },
-    /// A phase-king round's outcome at this process.
-    KingRound {
-        /// The communication step.
-        step: u32,
-        /// The 1-based phase number.
-        phase: u32,
-        /// The link the expected king speaks on.
-        king: LinkId,
-        /// Whether the king's message arrived.
-        king_heard: bool,
-        /// How many keys adopted the king's bit (unsupported locally).
-        adopted: usize,
-    },
     /// This process decided its new name.
     Decided {
         /// The communication step.
@@ -258,7 +245,6 @@ impl ProtocolEvent {
             | ProtocolEvent::TrimmedMean { step, .. }
             | ProtocolEvent::EchoCounted { step, .. }
             | ProtocolEvent::NameOffset { step, .. }
-            | ProtocolEvent::KingRound { step, .. }
             | ProtocolEvent::Decided { step, .. } => step,
         }
     }
@@ -277,7 +263,6 @@ impl ProtocolEvent {
             ProtocolEvent::TrimmedMean { .. } => "trimmed-mean",
             ProtocolEvent::EchoCounted { .. } => "echo-counted",
             ProtocolEvent::NameOffset { .. } => "name-offset",
-            ProtocolEvent::KingRound { .. } => "king-round",
             ProtocolEvent::Decided { .. } => "decided",
         }
     }
@@ -285,7 +270,7 @@ impl ProtocolEvent {
     /// Calls `field(name, value)` for each field of the event besides its
     /// [`step`](Self::step), in export order — the one table of what an
     /// exported event carries, shared by the JSONL and Perfetto writers.
-    pub fn for_each_field(&self, mut field: impl FnMut(&'static str, FieldValue<'_>)) {
+    pub(crate) fn for_each_field(&self, mut field: impl FnMut(&'static str, FieldValue<'_>)) {
         use FieldValue::{Bool, Ids, Int, Rank, Uint, Violation};
         let count = |n: usize| Uint(n as u64);
         let label = |link: LinkId| count(link.label());
@@ -379,18 +364,6 @@ impl ProtocolEvent {
                 field("echoes", count(echoes));
                 field("clamped", count(clamped));
                 field("name", Int(name.raw()));
-            }
-            ProtocolEvent::KingRound {
-                phase,
-                king,
-                king_heard,
-                adopted,
-                ..
-            } => {
-                field("phase", Uint(u64::from(phase)));
-                field("king", label(king));
-                field("king_heard", Bool(king_heard));
-                field("adopted", count(adopted));
             }
             ProtocolEvent::Decided { name, .. } => field("name", Int(name.raw())),
         }

@@ -87,14 +87,6 @@ impl Json {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Json::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {

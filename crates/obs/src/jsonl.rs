@@ -14,7 +14,7 @@ use crate::event::FieldValue;
 use crate::log::RunLog;
 
 /// Renders a rank for export: fixed 9-decimal string, quoted.
-pub fn rank_field(rank: Rank) -> String {
+pub(crate) fn rank_field(rank: Rank) -> String {
     format!("\"{:.9}\"", rank.value())
 }
 

@@ -33,9 +33,9 @@ mod perfetto;
 mod recorder;
 mod span;
 
-pub use event::{FieldValue, ProtocolEvent, ValidityViolation};
-pub use jsonl::{rank_field, render_jsonl};
-pub use log::{MergedEvent, ProcessLog, RunLog};
+pub use event::{ProtocolEvent, ValidityViolation};
+pub use jsonl::render_jsonl;
+pub use log::{ProcessLog, RunLog};
 pub use perfetto::render_trace_json;
 pub use recorder::{record_if, shared_recorder, MemoryRecorder, SharedRecorder};
 pub use span::{shared_span_log, SharedSpanLog, Span, SpanLog};

@@ -16,7 +16,7 @@ pub struct ProcessLog {
 
 /// One event of the merged run view, tagged with its owner.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MergedEvent {
+pub(crate) struct MergedEvent {
     /// Zero-based position of the owning process in the run's correct-actor
     /// order (a stable presentation index, not a protocol identity).
     pub process: usize,
@@ -52,7 +52,7 @@ impl RunLog {
 
     /// A merged, deterministically-ordered view: by step, then process
     /// position, then per-process emission order.
-    pub fn merged(&self) -> Vec<MergedEvent> {
+    pub(crate) fn merged(&self) -> Vec<MergedEvent> {
         let mut merged: Vec<MergedEvent> = Vec::with_capacity(self.len());
         for (process, log) in self.processes.iter().enumerate() {
             for (seq, event) in log.events.iter().enumerate() {

@@ -19,7 +19,7 @@ pub struct MemoryRecorder {
 
 impl MemoryRecorder {
     /// A fresh, empty recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MemoryRecorder::default()
     }
 
@@ -34,7 +34,7 @@ impl MemoryRecorder {
     }
 
     /// Records one event.
-    pub fn record(&mut self, event: ProtocolEvent) {
+    pub(crate) fn record(&mut self, event: ProtocolEvent) {
         self.events.push(event);
     }
 }

@@ -54,7 +54,7 @@ pub struct SpanLog {
 
 impl SpanLog {
     /// A fresh log whose epoch is now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SpanLog {
             epoch: Instant::now(),
             spans: Vec::new(),
@@ -115,11 +115,6 @@ impl SpanLog {
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
-
-    /// Consumes the log, yielding its spans.
-    pub fn into_spans(self) -> Vec<Span> {
-        self.spans
-    }
 }
 
 impl Default for SpanLog {
@@ -177,10 +172,10 @@ mod tests {
         writer.lock().unwrap().record_since("task", start);
         drop(writer);
         assert_eq!(shared.lock().unwrap().spans().len(), 1);
-        let spans = Arc::try_unwrap(shared)
-            .map(|m| m.into_inner().unwrap().into_spans())
+        let log = Arc::try_unwrap(shared)
+            .map(|m| m.into_inner().unwrap())
             .unwrap_or_default();
-        assert!(!spans.is_empty());
+        assert!(!log.spans().is_empty());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! the value type), counting word-parallel over interned id slots.
 
 use crate::slots::{for_each_slot, IdInterner, IdSlotSet, WORD_BITS};
-use opr_sim::{Actor, Inbox, Outbox, WireSize, COUNT_BITS, TAG_BITS};
-use opr_types::{LinkId, Round};
+use opr_sim::{WireSize, COUNT_BITS, TAG_BITS};
+use opr_types::LinkId;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 
@@ -88,11 +88,11 @@ impl<V> Default for FloodResult<V> {
 /// Every callback fires at a decision point of
 /// [`deliver_observed`](EchoReadyFlood::deliver_observed) with the exact
 /// counts the decision compared. Default bodies are empty, so observers
-/// override only what they need and [`NoopFloodObserver`] costs nothing.
+/// override only what they need and a no-op observer costs nothing.
 pub trait FloodObserver<V> {
     /// Whether this observer wants callbacks at all. The flood's hot path
     /// decodes slots back to `Ord`-sorted values only to feed observers;
-    /// returning `false` (as [`NoopFloodObserver`] does, and recorder-backed
+    /// returning `false` (as the no-op observer does, and recorder-backed
     /// observers do when no recorder is attached) skips that work entirely.
     fn is_enabled(&self) -> bool {
         true
@@ -143,7 +143,7 @@ pub trait FloodObserver<V> {
 /// The do-nothing observer plain [`deliver`](EchoReadyFlood::deliver)
 /// delegates through.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoopFloodObserver;
+pub(crate) struct NoopFloodObserver;
 
 impl<V> FloodObserver<V> for NoopFloodObserver {
     fn is_enabled(&self) -> bool {
@@ -466,66 +466,57 @@ fn words_where(counts: &[u16], keep: impl Fn(u16) -> bool) -> Vec<u64> {
     words
 }
 
-/// Standalone [`Actor`] wrapper around [`EchoReadyFlood`]: runs the four
-/// steps starting at round 1 and outputs the [`FloodResult`].
-#[derive(Clone, Debug)]
-pub struct FloodActor<V> {
-    flood: EchoReadyFlood<V>,
-}
-
-impl<V: Ord + Clone + Debug> FloodActor<V> {
-    /// Creates the actor; see [`EchoReadyFlood::new`].
-    pub fn new(n: usize, t: usize, initial: Option<V>) -> Self {
-        FloodActor {
-            flood: EchoReadyFlood::new(n, t, initial),
-        }
-    }
-
-    /// Creates the actor over a shared per-run interner; see
-    /// [`EchoReadyFlood::with_interner`].
-    pub fn with_interner(n: usize, t: usize, initial: Option<V>, interner: IdInterner<V>) -> Self {
-        FloodActor {
-            flood: EchoReadyFlood::with_interner(n, t, initial, interner),
-        }
-    }
-}
-
-impl<V: Ord + Clone + Debug + WireSize + Send + Sync> Actor for FloodActor<V> {
-    type Msg = FloodMsg<V>;
-    type Output = FloodResult<V>;
-
-    fn send(&mut self, round: Round) -> Outbox<FloodMsg<V>> {
-        if round.number() <= 4 {
-            match self.flood.send(round.number()) {
-                Some(msg) => Outbox::Broadcast(msg),
-                None => Outbox::Silent,
-            }
-        } else {
-            Outbox::Silent
-        }
-    }
-
-    fn deliver(&mut self, round: Round, inbox: Inbox<FloodMsg<V>>) {
-        if round.number() <= 4 {
-            self.flood.deliver(round.number(), inbox.messages());
-        }
-    }
-
-    fn output(&self) -> Option<FloodResult<V>> {
-        self.flood.result().cloned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opr_sim::{Network, Topology, ID_BITS};
+    use opr_sim::{Actor, Inbox, Network, Outbox, Topology, ID_BITS};
+    use opr_types::Round;
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
     struct Val(u64);
     impl WireSize for Val {
         fn wire_bits(&self) -> u64 {
             ID_BITS
+        }
+    }
+
+    /// Standalone [`Actor`] wrapper around [`EchoReadyFlood`]: runs the
+    /// four steps starting at round 1 and outputs the [`FloodResult`].
+    struct FloodActor<V> {
+        flood: EchoReadyFlood<V>,
+    }
+
+    impl<V: Ord + Clone + Debug> FloodActor<V> {
+        fn new(n: usize, t: usize, initial: Option<V>) -> Self {
+            FloodActor {
+                flood: EchoReadyFlood::new(n, t, initial),
+            }
+        }
+    }
+
+    impl<V: Ord + Clone + Debug + WireSize + Send + Sync> Actor for FloodActor<V> {
+        type Msg = FloodMsg<V>;
+        type Output = FloodResult<V>;
+
+        fn send(&mut self, round: Round) -> Outbox<FloodMsg<V>> {
+            if round.number() <= 4 {
+                match self.flood.send(round.number()) {
+                    Some(msg) => Outbox::Broadcast(msg),
+                    None => Outbox::Silent,
+                }
+            } else {
+                Outbox::Silent
+            }
+        }
+
+        fn deliver(&mut self, round: Round, inbox: Inbox<FloodMsg<V>>) {
+            if round.number() <= 4 {
+                self.flood.deliver(round.number(), inbox.messages());
+            }
+        }
+
+        fn output(&self) -> Option<FloodResult<V>> {
+            self.flood.result().cloned()
         }
     }
 

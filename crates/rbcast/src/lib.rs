@@ -19,13 +19,10 @@
 //!
 //! [`EchoReadyFlood`] implements the four steps over any ordered value type;
 //! `opr-core` instantiates it with original ids, and the test-suite uses it
-//! directly to validate the three properties above. [`FloodActor`] wraps it
-//! as a standalone [`Actor`](opr_sim::Actor) for tests and demos.
+//! directly to validate the three properties above.
 
-pub mod flood;
-pub mod slots;
+pub(crate) mod flood;
+pub(crate) mod slots;
 
-pub use flood::{
-    EchoReadyFlood, FloodActor, FloodMsg, FloodObserver, FloodResult, NoopFloodObserver,
-};
+pub use flood::{EchoReadyFlood, FloodMsg, FloodObserver, FloodResult};
 pub use slots::{for_each_slot, IdInterner, IdSlotSet, SlotWords, WORD_BITS};

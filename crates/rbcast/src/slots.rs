@@ -122,7 +122,7 @@ impl<V: Ord + Clone> IdInterner<V> {
 
     /// Whether `self` and `other` are the *same* registry (not merely equal
     /// content) — the precondition for comparing raw words across sets.
-    pub fn same_as(&self, other: &Self) -> bool {
+    pub(crate) fn same_as(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.state, &other.state)
     }
 
@@ -189,7 +189,7 @@ impl<V: Ord + Clone> IdSlotSet<V> {
 
     /// Wraps raw slot words already relative to `interner` — the flood's
     /// zero-decode path from its accumulated state to an outgoing message.
-    pub fn from_words(interner: &IdInterner<V>, words: Vec<u64>) -> Self {
+    pub(crate) fn from_words(interner: &IdInterner<V>, words: Vec<u64>) -> Self {
         IdSlotSet {
             words,
             interner: interner.clone(),
@@ -204,19 +204,6 @@ impl<V: Ord + Clone> IdSlotSet<V> {
             self.words.resize(word + 1, 0);
         }
         self.words[word] |= 1u64 << (slot % WORD_BITS);
-    }
-
-    /// Whether `value` is in the set.
-    pub fn contains(&self, value: &V) -> bool {
-        match self.interner.lookup(value) {
-            Some(slot) => {
-                let slot = slot as usize;
-                self.words
-                    .get(slot / WORD_BITS)
-                    .is_some_and(|w| w & (1u64 << (slot % WORD_BITS)) != 0)
-            }
-            None => false,
-        }
     }
 
     /// Number of values in the set.
@@ -409,8 +396,5 @@ mod tests {
         for_each_slot(set.words(), |s| slots.push(s));
         assert_eq!(slots, vec![0, 63, 64, 129]);
         assert_eq!(set.len(), 4);
-        assert!(set.contains(&129));
-        assert!(!set.contains(&1));
-        assert!(!set.contains(&500), "never-interned value is absent");
     }
 }

@@ -16,7 +16,7 @@ use std::fmt::Debug;
 
 /// The seed flood state machine: per-value ordered-tree accumulation.
 #[derive(Clone, Debug)]
-pub struct SetFlood<V> {
+pub(crate) struct SetFlood<V> {
     n: usize,
     t: usize,
     initial: Option<V>,
@@ -30,7 +30,7 @@ pub struct SetFlood<V> {
 impl<V: Ord + Clone + Debug> SetFlood<V> {
     /// Creates a flood participant announcing `initial`; see
     /// [`EchoReadyFlood::new`](opr_rbcast::EchoReadyFlood::new).
-    pub fn new(n: usize, t: usize, initial: Option<V>) -> Self {
+    pub(crate) fn new(n: usize, t: usize, initial: Option<V>) -> Self {
         SetFlood {
             n,
             t,
@@ -57,7 +57,7 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
     /// # Panics
     ///
     /// Panics on steps outside `1..=4`.
-    pub fn send_values(&mut self, step: u32) -> Vec<V> {
+    pub(crate) fn send_values(&mut self, step: u32) -> Vec<V> {
         match step {
             1 => self.initial.clone().into_iter().collect(),
             2 => std::mem::take(&mut self.working).into_iter().collect(),
@@ -78,7 +78,7 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
     /// # Panics
     ///
     /// Panics on steps outside `1..=4`.
-    pub fn deliver_observed<'a, I, O>(&mut self, step: u32, inbox: I, observer: &mut O)
+    pub(crate) fn deliver_observed<'a, I, O>(&mut self, step: u32, inbox: I, observer: &mut O)
     where
         V: 'a,
         I: IntoIterator<Item = (LinkId, &'a FloodMsg<V>)>,
@@ -180,7 +180,7 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
     }
 
     /// The result, once step 4 has been delivered.
-    pub fn result(&self) -> Option<&FloodResult<V>> {
+    pub(crate) fn result(&self) -> Option<&FloodResult<V>> {
         self.finished.then_some(&self.result)
     }
 }

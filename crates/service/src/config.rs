@@ -135,19 +135,19 @@ impl ServiceConfig {
 
     /// How many client requests one epoch instance can carry per shard:
     /// the correct slots of the protocol instance.
-    pub fn epoch_capacity(&self) -> usize {
+    pub(crate) fn epoch_capacity(&self) -> usize {
         self.epoch_cfg.n() - self.byzantine
     }
 
     /// The inclusive name range shard `s` owns.
-    pub fn shard_range(&self, shard: usize) -> (u64, u64) {
+    pub(crate) fn shard_range(&self, shard: usize) -> (u64, u64) {
         let base = shard as u64 * self.shard_span;
         (base + 1, base + self.shard_span)
     }
 
     /// Which shard serves `client` — a stable hash, independent of the
     /// service seed so a client's shard never moves.
-    pub fn shard_of(&self, client: ClientId) -> usize {
+    pub(crate) fn shard_of(&self, client: ClientId) -> usize {
         (mix(0x0073_6861_7264, client.raw()) % self.shards as u64) as usize
     }
 }

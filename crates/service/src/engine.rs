@@ -41,7 +41,7 @@ pub enum ServiceOp {
 
 impl ServiceOp {
     /// The client behind the operation.
-    pub fn client(&self) -> ClientId {
+    pub(crate) fn client(&self) -> ClientId {
         match *self {
             ServiceOp::Acquire { client, .. } | ServiceOp::Release { client } => client,
         }
@@ -276,7 +276,7 @@ impl ServiceEngine {
 
     /// Attaches a flight recorder; the engine pushes one [`EpochSummary`]
     /// per epoch so a later oracle violation or panic can dump the run-up.
-    pub fn with_flight(mut self, flight: SharedFlightRecorder) -> Self {
+    pub(crate) fn with_flight(mut self, flight: SharedFlightRecorder) -> Self {
         self.flight = Some(flight);
         self
     }
@@ -624,22 +624,17 @@ impl ServiceEngine {
     }
 
     /// Epochs executed so far.
-    pub fn epochs_run(&self) -> u64 {
+    pub(crate) fn epochs_run(&self) -> u64 {
         self.epoch
     }
 
     /// Currently live grants across all shards.
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.shards.iter().map(|s| s.live.len()).sum()
     }
 
-    /// Currently free names in `shard`'s pool.
-    pub fn free_count(&self, shard: usize) -> usize {
-        self.shards[shard].free.len()
-    }
-
     /// Requests admitted but not yet granted, across all shards.
-    pub fn backlog_len(&self) -> usize {
+    pub(crate) fn backlog_len(&self) -> usize {
         self.shards.iter().map(|s| s.backlog.len()).sum()
     }
 }

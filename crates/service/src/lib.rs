@@ -26,29 +26,26 @@
 //!   name → k-th smallest free name).
 //! * **Name recycling** — released names return to the free pool and serve
 //!   later clients; the chronological [`LedgerEvent`] stream is judged by
-//!   the [`oracle`] suite, including cross-epoch uniqueness (no name live
+//!   the ledger oracle suite ([`judge_ledger`]), including cross-epoch uniqueness (no name live
 //!   twice, ever).
 //!
 //! Everything is deterministic: a [`ServiceSpec`] (configuration +
 //! [`ServiceWorkload`](opr_workload::ServiceWorkload) + jobs) replays to a
 //! bit-identical [`ServiceReport`] across `--jobs` counts and backends,
-//! which is what the soak and chaos gates compare. [`repro`] round-trips a
+//! which is what the soak and chaos gates compare. [`ServiceRepro`] round-trips a
 //! spec through `service-repro.json` for replayable failures.
 
-pub mod config;
-pub mod driver;
-pub mod engine;
-pub mod oracle;
-pub mod repro;
+pub(crate) mod config;
+pub(crate) mod driver;
+pub(crate) mod engine;
+pub(crate) mod oracle;
+pub(crate) mod repro;
 
 pub use config::{epoch_seed, ServiceConfig, ServiceError};
 pub use driver::{ServiceObs, ServiceReport, ServiceSpec};
 pub use engine::{AdmissionStats, EpochStats, Grant, LedgerEvent, ServiceEngine, ServiceOp};
-pub use oracle::{
-    judge_ledger, ledger_margin, service_suite, CrossEpochUniqueness, EpochOrder, EpochUniqueness,
-    ServiceOracle, ServiceViolation, ShardRange,
-};
-pub use repro::{ServiceRepro, ServiceReproError, SERVICE_REPRO_VERSION};
+pub use oracle::{judge_ledger, ledger_margin, ServiceViolation};
+pub use repro::{ServiceRepro, ServiceReproError};
 
 #[cfg(test)]
 mod tests {

@@ -111,7 +111,7 @@ impl fmt::Display for ServiceViolation {
 }
 
 /// A ledger-level oracle: a named check over the full chronological ledger.
-pub trait ServiceOracle {
+pub(crate) trait ServiceOracle {
     /// A short stable name for reports.
     fn name(&self) -> &'static str;
     /// Judges the ledger; an empty vector means the guarantee held.
@@ -133,7 +133,7 @@ fn grants_by_cell(ledger: &[LedgerEvent]) -> BTreeMap<(u64, usize), Vec<&Grant>>
 }
 
 /// Within one epoch and shard, every granted name is unique.
-pub struct EpochUniqueness;
+pub(crate) struct EpochUniqueness;
 
 impl ServiceOracle for EpochUniqueness {
     fn name(&self) -> &'static str {
@@ -161,7 +161,7 @@ impl ServiceOracle for EpochUniqueness {
 /// Within one epoch and shard, service names (and the protocol names under
 /// them) are ordered like the original ids — the paper's order preservation
 /// survives pool compaction.
-pub struct EpochOrder;
+pub(crate) struct EpochOrder;
 
 impl ServiceOracle for EpochOrder {
     fn name(&self) -> &'static str {
@@ -190,7 +190,7 @@ impl ServiceOracle for EpochOrder {
 }
 
 /// Every grant's name lies inside its shard's disjoint range.
-pub struct ShardRange;
+pub(crate) struct ShardRange;
 
 impl ServiceOracle for ShardRange {
     fn name(&self) -> &'static str {
@@ -218,7 +218,7 @@ impl ServiceOracle for ShardRange {
 /// Across the whole run, no name is ever live twice: a chronological sweep
 /// of the ledger in which every grant must target a non-live name and every
 /// release must target a live one — the recycling guarantee.
-pub struct CrossEpochUniqueness;
+pub(crate) struct CrossEpochUniqueness;
 
 impl ServiceOracle for CrossEpochUniqueness {
     fn name(&self) -> &'static str {
@@ -256,7 +256,7 @@ impl ServiceOracle for CrossEpochUniqueness {
 }
 
 /// The full service oracle suite.
-pub fn service_suite() -> Vec<Box<dyn ServiceOracle>> {
+pub(crate) fn service_suite() -> Vec<Box<dyn ServiceOracle>> {
     vec![
         Box::new(EpochUniqueness),
         Box::new(EpochOrder),
@@ -268,7 +268,7 @@ pub fn service_suite() -> Vec<Box<dyn ServiceOracle>> {
 /// How close the ledger came to exhausting a shard's namespace: the
 /// minimum, over all shards that ever granted, of `shard span − peak live
 /// names in that shard`. Zero means some shard was completely full at its
-/// peak; negative is impossible while [`CrossEpochUniqueness`] holds.
+/// peak; negative is impossible while cross-epoch uniqueness holds.
 /// Returns `None` for a ledger with no grants (nothing was exercised).
 ///
 /// This is the service-layer analogue of the protocol oracles' margin:
@@ -299,7 +299,7 @@ pub fn ledger_margin(cfg: &ServiceConfig, ledger: &[LedgerEvent]) -> Option<i64>
         .min()
 }
 
-/// Runs every oracle in [`service_suite`] and collects all violations,
+/// Runs every ledger oracle and collects all violations,
 /// tagged with the oracle that raised them.
 pub fn judge_ledger(
     cfg: &ServiceConfig,

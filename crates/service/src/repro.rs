@@ -17,7 +17,7 @@ use opr_workload::ServiceWorkload;
 use std::fmt;
 
 /// Format version written into every file (bump on breaking changes).
-pub const SERVICE_REPRO_VERSION: u64 = 1;
+pub(crate) const SERVICE_REPRO_VERSION: u64 = 1;
 
 /// A replayable service failure record.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -113,7 +113,8 @@ impl ServiceRepro {
     /// # Errors
     ///
     /// Returns [`ServiceReproError`] on malformed JSON, an unknown version,
-    /// or unknown labels.
+    /// unknown labels, or a spec [`ServiceConfig::validate`] rejects — a
+    /// file no run can be built from is refused here, not replayed.
     pub fn from_json(text: &str) -> Result<ServiceRepro, ServiceReproError> {
         let doc = Json::parse(text).map_err(|e| bad(e.to_string()))?;
         let version = field_u64(&doc, "version")?;
@@ -140,6 +141,7 @@ impl ServiceRepro {
             shard_span: field_u64(s, "shard_span")?,
             seed: field_u64(s, "seed")?,
         };
+        service.validate().map_err(|e| bad(e.to_string()))?;
         let workload = ServiceWorkload {
             clients: field_u64(w, "clients")?,
             epochs: field_u64(w, "epochs")?,
@@ -242,6 +244,13 @@ mod tests {
             let err = ServiceRepro::from_json(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
+        // A well-formed spec the engine could never run (no shards) is
+        // refused at load time with the configuration error as the reason.
+        let text = sample().to_json();
+        let zero = text.replace(r#""shards": 2"#, r#""shards": 0"#);
+        assert_ne!(zero, text);
+        let err = ServiceRepro::from_json(&zero).unwrap_err();
+        assert!(err.to_string().contains("at least one shard"), "{err}");
         // An otherwise valid file naming a retired backend label is a typed
         // error, not a panic or a silent alias.
         let text = sample().to_json();

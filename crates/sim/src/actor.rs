@@ -38,14 +38,8 @@ impl<M> Outbox<M> {
 ///
 /// Payloads are stored [`Sealed`]: a broadcast delivers the *same*
 /// allocation to every receiver, so holding an inbox costs refcounts, not
-/// copies. The borrowing accessors ([`messages`](Inbox::messages),
-/// [`from_link`](Inbox::from_link),
-/// [`count_links_where`](Inbox::count_links_where)) hand out `&M` straight
-/// from the shared payload; [`into_messages`](Inbox::into_messages) clones
-/// owned copies out only when a consumer really needs ownership.
-///
-/// `Inbox` provides the counting idioms the paper's pseudo-code uses
-/// ("received from at least `N − t` distinct links").
+/// copies. [`messages`](Inbox::messages) hands out `&M` straight from the
+/// shared payload.
 #[derive(Clone, Debug)]
 pub struct Inbox<M> {
     entries: Vec<(LinkId, Sealed<M>)>,
@@ -94,34 +88,10 @@ impl<M> Inbox<M> {
         Inbox { entries }
     }
 
-    /// An empty inbox.
-    pub fn empty() -> Self {
-        Inbox {
-            entries: Vec::new(),
-        }
-    }
-
     /// Iterates over `(link, message)` pairs, borrowing payloads from the
     /// shared allocations.
     pub fn messages(&self) -> impl Iterator<Item = (LinkId, &M)> {
         self.entries.iter().map(|(l, m)| (*l, m.get()))
-    }
-
-    /// Iterates over the sealed `(link, payload)` pairs — for consumers
-    /// that want to keep sharing the allocation (a refcount bump per kept
-    /// message instead of a clone).
-    pub fn sealed_messages(&self) -> impl Iterator<Item = (LinkId, &Sealed<M>)> {
-        self.entries.iter().map(|(l, m)| (*l, m))
-    }
-
-    /// Consumes the inbox, yielding owned `(link, message)` pairs. Payloads
-    /// still shared with other receivers (broadcasts) are cloned out;
-    /// prefer [`messages`](Inbox::messages) and cloning only what you keep.
-    pub fn into_messages(self) -> impl Iterator<Item = (LinkId, M)>
-    where
-        M: Clone,
-    {
-        self.entries.into_iter().map(|(l, m)| (l, m.into_inner()))
     }
 
     /// The number of links that delivered anything.
@@ -132,24 +102,6 @@ impl<M> Inbox<M> {
     /// Whether nothing arrived.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Counts distinct links whose message satisfies `pred` — the paper's
-    /// "received ⟨X⟩ from at least k distinct links" idiom. Links are unique
-    /// per round by construction, so this is a plain filter-count.
-    pub fn count_links_where<F>(&self, mut pred: F) -> usize
-    where
-        F: FnMut(&M) -> bool,
-    {
-        self.entries.iter().filter(|(_, m)| pred(m)).count()
-    }
-
-    /// The message delivered on `link`, if any.
-    pub fn from_link(&self, link: LinkId) -> Option<&M> {
-        self.entries
-            .iter()
-            .find(|(l, _)| *l == link)
-            .map(|(_, m)| m.get())
     }
 }
 
@@ -217,23 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn inbox_counting_idiom() {
-        let inbox = Inbox::new(vec![(lnk(1), 10), (lnk(2), 10), (lnk(3), 20)]);
-        assert_eq!(inbox.count_links_where(|m| *m == 10), 2);
-        assert_eq!(inbox.count_links_where(|m| *m == 20), 1);
-        assert_eq!(inbox.count_links_where(|m| *m == 99), 0);
-        assert_eq!(inbox.len(), 3);
-        assert!(!inbox.is_empty());
-    }
-
-    #[test]
-    fn inbox_from_link_lookup() {
-        let inbox = Inbox::new(vec![(lnk(2), 7u32)]);
-        assert_eq!(inbox.from_link(lnk(2)), Some(&7));
-        assert_eq!(inbox.from_link(lnk(1)), None);
-    }
-
-    #[test]
     #[should_panic(expected = "more than one message")]
     #[cfg(debug_assertions)]
     fn inbox_rejects_duplicate_links() {
@@ -251,26 +186,17 @@ mod tests {
     fn sealed_inbox_shares_broadcast_payloads() {
         let payload = Sealed::new(42u64);
         let inbox = Inbox::from_sealed(vec![(lnk(1), payload.clone()), (lnk(2), payload.clone())]);
-        let borrowed: Vec<&u64> = inbox.sealed_messages().map(|(_, s)| s.get()).collect();
+        let borrowed: Vec<&u64> = inbox.messages().map(|(_, m)| m).collect();
         // Both entries borrow the same allocation — the broadcast fan-out
         // really is zero-copy end to end.
         assert!(std::ptr::eq(borrowed[0], borrowed[1]));
         assert!(std::ptr::eq(borrowed[0], payload.get()));
-        assert_eq!(inbox.from_link(lnk(2)), Some(&42));
     }
 
     #[test]
     fn inbox_collects_from_iterator() {
         let inbox: Inbox<u8> = vec![(lnk(1), 1u8), (lnk(2), 2u8)].into_iter().collect();
         assert_eq!(inbox.len(), 2);
-        let owned: Vec<(LinkId, u8)> = inbox.into_messages().collect();
-        assert_eq!(owned.len(), 2);
-    }
-
-    #[test]
-    fn empty_inbox() {
-        let inbox = Inbox::<u8>::empty();
-        assert!(inbox.is_empty());
-        assert_eq!(inbox.len(), 0);
+        assert!(!inbox.is_empty());
     }
 }

@@ -72,17 +72,17 @@
 //! assert_eq!(net.output_of(0), Some(vec![10, 20, 30]));
 //! ```
 
-pub mod actor;
-pub mod metrics;
-pub mod network;
-pub mod sealed;
-pub mod topology;
-pub mod trace;
-pub mod wire;
+pub(crate) mod actor;
+pub(crate) mod metrics;
+pub(crate) mod network;
+pub(crate) mod sealed;
+pub(crate) mod topology;
+pub(crate) mod trace;
+pub(crate) mod wire;
 
 pub use actor::{Actor, Inbox, Outbox};
 pub use metrics::{RoundMetrics, RunMetrics};
-pub use network::{DeliveryFilter, Network, RunReport};
+pub use network::{Network, RunReport};
 pub use sealed::Sealed;
 pub use topology::Topology;
 pub use trace::{Trace, TraceEvent};

@@ -20,7 +20,7 @@ pub struct RoundMetrics {
 
 impl RoundMetrics {
     /// Total messages from all processes.
-    pub fn messages_total(&self) -> u64 {
+    pub(crate) fn messages_total(&self) -> u64 {
         self.messages_correct + self.messages_faulty
     }
 }

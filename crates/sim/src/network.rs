@@ -67,7 +67,7 @@ pub struct Network<M, O> {
 /// message traverses the link. Returning `false` models a transport fault
 /// (drop, or delay past the round boundary — equivalent to silence in the
 /// synchronous model): the message is never routed, counted or traced.
-pub type DeliveryFilter = Box<dyn FnMut(Round, ProcessIndex, LinkId) -> bool + Send>;
+pub(crate) type DeliveryFilter = Box<dyn FnMut(Round, ProcessIndex, LinkId) -> bool + Send>;
 
 impl<M, O> Network<M, O>
 where
@@ -130,17 +130,7 @@ where
         self.payload_cap = cap;
     }
 
-    /// Every send the transport rejected so far (out-of-range or duplicate
-    /// link labels, oversized payloads), in `(round, sender, occurrence)`
-    /// order. Rejection is not an engine failure: the message is dropped —
-    /// indistinguishable from a link fault to the receiver — and the caller
-    /// decides whether the sender was within its rights (Byzantine) or
-    /// buggy (correct).
-    pub fn malformed_sends(&self) -> &[MalformedSend] {
-        &self.malformed
-    }
-
-    /// Installs a transport-level [`DeliveryFilter`]. Messages the filter
+    /// Installs a transport-level delivery filter. Messages the filter
     /// rejects are dropped before routing, metrics and tracing — exactly as
     /// if the link had failed for that round.
     pub fn set_delivery_filter(&mut self, filter: DeliveryFilter) {
@@ -150,11 +140,6 @@ where
     /// Starts recording deliveries into a bounded [`Trace`].
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(Trace::with_capacity(capacity));
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Executes one synchronous round on the calling thread: all sends,
@@ -372,22 +357,26 @@ where
     pub fn into_artifacts(self) -> (RunMetrics, Option<Trace>, Vec<MalformedSend>) {
         (self.metrics, self.trace, self.malformed)
     }
-
-    /// The correctness mask supplied at construction.
-    pub fn correct_mask(&self) -> &[bool] {
-        &self.correct
-    }
-
-    /// The topology the network routes over.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use opr_types::LinkId;
+
+    impl<M: Clone + Debug + WireSize, O> Network<M, O> {
+        /// Every send the transport rejected so far (out-of-range or
+        /// duplicate link labels, oversized payloads), in `(round, sender,
+        /// occurrence)` order.
+        fn malformed_sends(&self) -> &[MalformedSend] {
+            &self.malformed
+        }
+
+        /// The recorded trace, if tracing was enabled.
+        fn trace(&self) -> Option<&Trace> {
+            self.trace.as_ref()
+        }
+    }
 
     #[derive(Clone, Debug)]
     struct Num(u64);

@@ -14,8 +14,7 @@
 //! out `&M` only, never `&mut M`. Mutation ends where sealing begins: an
 //! actor owns its message exclusively until it returns it from
 //! [`Actor::send`](crate::Actor::send); the engine seals it during routing;
-//! consumers borrow from the shared allocation (or clone an owned copy out
-//! via [`Sealed::into_inner`] for the rare value they keep).
+//! consumers borrow from the shared allocation.
 //!
 //! Alongside the payload, `Sealed` caches the two derived values the
 //! delivery pipeline used to recompute per link:
@@ -60,25 +59,13 @@ impl<M> Sealed<M> {
     }
 
     /// Borrows the payload.
-    pub fn get(&self) -> &M {
+    pub(crate) fn get(&self) -> &M {
         &self.inner.msg
-    }
-
-    /// Recovers an owned payload: moves it out if this is the last handle,
-    /// clones from the shared allocation otherwise.
-    pub fn into_inner(self) -> M
-    where
-        M: Clone,
-    {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => inner.msg,
-            Err(shared) => shared.msg.clone(),
-        }
     }
 
     /// The cached `Debug` rendering, computed on first use and shared by
     /// every handle — what the delivery trace records per link.
-    pub fn rendered(&self) -> &str
+    pub(crate) fn rendered(&self) -> &str
     where
         M: Debug,
     {
@@ -173,16 +160,6 @@ mod tests {
         assert_eq!(format!("{sealed:?}"), format!("{payload:?}"));
         assert_eq!(format!("{sealed:#?}"), format!("{payload:#?}"));
         assert_eq!(sealed.rendered(), format!("{payload:?}"));
-    }
-
-    #[test]
-    fn into_inner_moves_when_unique_and_clones_when_shared() {
-        let unique = Sealed::new(Counted(vec![1]));
-        assert_eq!(unique.into_inner(), Counted(vec![1]));
-        let shared = Sealed::new(Counted(vec![2]));
-        let copy = shared.clone();
-        assert_eq!(shared.into_inner(), Counted(vec![2]));
-        assert_eq!(copy.into_inner(), Counted(vec![2]));
     }
 
     #[test]

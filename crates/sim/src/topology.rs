@@ -91,18 +91,6 @@ impl Topology {
     pub fn incoming_label(&self, receiver: ProcessIndex, sender: ProcessIndex) -> LinkId {
         self.label_of[receiver.index()][sender.index()]
     }
-
-    /// All `(link, peer)` pairs for `sender`, in label order — what a
-    /// broadcast fans out to.
-    pub fn links_of(
-        &self,
-        sender: ProcessIndex,
-    ) -> impl Iterator<Item = (LinkId, ProcessIndex)> + '_ {
-        self.peer_of[sender.index()]
-            .iter()
-            .enumerate()
-            .map(|(idx, peer)| (LinkId::new(idx + 1), *peer))
-    }
 }
 
 #[cfg(test)]
@@ -189,15 +177,6 @@ mod tests {
             })
         });
         assert!(asymmetric);
-    }
-
-    #[test]
-    fn links_of_enumerates_all_labels() {
-        let topo = Topology::canonical(5);
-        let links: Vec<_> = topo.links_of(ProcessIndex::new(2)).collect();
-        assert_eq!(links.len(), 5);
-        assert_eq!(links[4].0, LinkId::new(5));
-        assert_eq!(links[4].1, ProcessIndex::new(2));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct Trace {
 impl Trace {
     /// Creates a trace retaining at most `capacity` events (oldest first;
     /// once full, further events are counted but not stored).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Trace {
             events: Vec::new(),
             capacity,
@@ -52,15 +52,10 @@ impl Trace {
         }
     }
 
-    /// Records an event, or counts it as dropped when the buffer is full.
-    pub fn record(&mut self, event: TraceEvent) {
-        self.record_with(|| event);
-    }
-
-    /// [`record`](Trace::record) for an event that costs something to
-    /// build: `make` runs only when there is room, so a full buffer bounds
-    /// the work of tracing as well as its memory.
-    pub fn record_with(&mut self, make: impl FnOnce() -> TraceEvent) {
+    /// Records the event `make` builds, or counts it as dropped when the
+    /// buffer is full: `make` runs only when there is room, so a full
+    /// buffer bounds the work of tracing as well as its memory.
+    pub(crate) fn record_with(&mut self, make: impl FnOnce() -> TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(make());
         } else {
@@ -76,16 +71,6 @@ impl Trace {
     /// How many events did not fit in the buffer.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Events delivered to a given receiver.
-    pub fn deliveries_to(&self, receiver: ProcessIndex) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.receiver == receiver)
-    }
-
-    /// Events belonging to a given round.
-    pub fn in_round(&self, round: Round) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.round == round)
     }
 }
 
@@ -106,22 +91,12 @@ mod tests {
     #[test]
     fn records_until_capacity_then_counts_drops() {
         let mut t = Trace::with_capacity(2);
-        t.record(event(1, 0, 1));
-        t.record(event(1, 1, 0));
-        t.record(event(2, 0, 1));
+        t.record_with(|| event(1, 0, 1));
+        t.record_with(|| event(1, 1, 0));
+        t.record_with(|| event(2, 0, 1));
         t.record_with(|| panic!("built an event there was no room for"));
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 2);
-    }
-
-    #[test]
-    fn filters_by_receiver_and_round() {
-        let mut t = Trace::with_capacity(10);
-        t.record(event(1, 0, 1));
-        t.record(event(1, 2, 1));
-        t.record(event(2, 0, 2));
-        assert_eq!(t.deliveries_to(ProcessIndex::new(1)).count(), 2);
-        assert_eq!(t.in_round(Round::new(2)).count(), 1);
     }
 
     #[test]

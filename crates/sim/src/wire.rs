@@ -71,31 +71,9 @@ impl<T: WireSize> WireSize for Vec<T> {
     }
 }
 
-/// Size of a set of `k` original ids: tag + count + `k` ids.
-pub fn id_set_bits(k: usize) -> u64 {
-    TAG_BITS + COUNT_BITS + k as u64 * ID_BITS
-}
-
-/// Size of a vector of `k` `(id, rank)` entries: tag + count + `k` pairs.
-pub fn rank_vector_bits(k: usize) -> u64 {
-    TAG_BITS + COUNT_BITS + k as u64 * (ID_BITS + RANK_BITS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn id_set_scales_linearly() {
-        let base = id_set_bits(0);
-        assert_eq!(id_set_bits(10) - base, 10 * ID_BITS);
-    }
-
-    #[test]
-    fn rank_vector_charges_both_fields() {
-        let one = rank_vector_bits(1) - rank_vector_bits(0);
-        assert_eq!(one, ID_BITS + RANK_BITS);
-    }
 
     #[test]
     fn option_and_vec_impls() {
@@ -104,18 +82,5 @@ mod tests {
         assert_eq!(None::<()>.wire_bits(), 1);
         let v = vec![(), (), ()];
         assert_eq!(v.wire_bits(), COUNT_BITS + 3 * TAG_BITS);
-    }
-
-    #[test]
-    fn paper_message_size_bound_alg1() {
-        // Alg.1 messages carry at most N+t−1 (id, rank) pairs; the paper
-        // bounds this by O((N+t−1)(log Nmax + log N)). Our accounting is
-        // within a constant factor of that.
-        let (n, t) = (100u64, 33u64);
-        let entries = (n + t - 1) as usize;
-        let bits = rank_vector_bits(entries);
-        let paper_order = (n + t - 1) * (ID_BITS + RANK_BITS);
-        assert!(bits >= paper_order);
-        assert!(bits <= paper_order + TAG_BITS + COUNT_BITS);
     }
 }

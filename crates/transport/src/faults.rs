@@ -110,7 +110,7 @@ impl FaultPlan {
     }
 
     /// Whether the plan schedules no faults at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.drops.is_empty() && self.link_silences.is_empty() && self.process_silences.is_empty()
     }
 
@@ -169,7 +169,7 @@ impl FaultPlan {
 
     /// Whether a message sent by `sender` on `link` in `round` traverses
     /// the transport.
-    pub fn delivers(&self, round: Round, sender: ProcessIndex, link: LinkId) -> bool {
+    pub(crate) fn delivers(&self, round: Round, sender: ProcessIndex, link: LinkId) -> bool {
         let (s, l, r) = (sender.index(), link.label(), round.number());
         if self.drops.contains(&(s, l, r)) {
             return false;

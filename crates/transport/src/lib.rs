@@ -6,7 +6,7 @@
 //! synchronous round at a time. This crate makes *where that contract
 //! executes* a first-class choice:
 //!
-//! * [`SimBackend`] — [`opr_sim::Network`] stepped on the calling thread.
+//! * `SimBackend` — [`opr_sim::Network`] stepped on the calling thread.
 //!   Zero concurrency, bit-for-bit reproducible, the reference semantics.
 //! * [`PooledBackend`] — the real-threads engine: the *same* `Network`,
 //!   with each round's per-process send and deliver phases on at most
@@ -57,12 +57,12 @@
 //! assert_eq!(sim.metrics, pooled.metrics);
 //! ```
 
-pub mod faults;
-pub mod pooled;
-pub mod sim_backend;
-pub mod substrate;
+pub(crate) mod faults;
+pub(crate) mod pooled;
+pub(crate) mod sim_backend;
+pub(crate) mod substrate;
 
 pub use faults::{FaultEvent, FaultPlan};
 pub use pooled::PooledBackend;
-pub use sim_backend::SimBackend;
+pub(crate) use sim_backend::SimBackend;
 pub use substrate::{BackendKind, ExecOptions, ExecutionReport, Job, Substrate};

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Executes jobs with the per-process phases of every round on worker
-/// threads, reproducing [`SimBackend`](crate::SimBackend)'s observable
+/// threads, reproducing `SimBackend`'s observable
 /// behaviour exactly at any worker count.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PooledBackend {
@@ -54,7 +54,7 @@ impl PooledBackend {
     /// The worker count this instance will actually use: its own if set,
     /// else the process default, else the machine's available parallelism
     /// (capped at 8 — round phases are memory-bound well before that).
-    pub fn effective_workers(&self) -> usize {
+    pub(crate) fn effective_workers(&self) -> usize {
         let configured = if self.workers != 0 {
             self.workers
         } else {

@@ -8,7 +8,7 @@ use std::fmt::Debug;
 /// Executes jobs with [`Network::step`] — single-threaded, bit-for-bit
 /// reproducible, the schedule every other one is compared against.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SimBackend;
+pub(crate) struct SimBackend;
 
 impl<M, O> Substrate<M, O> for SimBackend
 where

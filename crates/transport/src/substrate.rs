@@ -129,7 +129,7 @@ pub struct ExecutionReport<O> {
 /// metrics, trace — must not depend on scheduling. Both backends here step
 /// the same [`opr_sim::Network`], so that holds by construction; the
 /// cross-backend equivalence tests keep holding [`PooledBackend`] to
-/// [`SimBackend`]'s report all the same, because actors share per-run state
+/// `SimBackend`'s report all the same, because actors share per-run state
 /// the engine cannot see.
 pub trait Substrate<M, O> {
     /// Executes the job to completion or round-budget exhaustion.

@@ -73,7 +73,6 @@ impl fmt::Display for Regime {
 ///
 /// let cfg = SystemConfig::new(16, 3)?;
 /// assert_eq!(cfg.quorum(), 13);        // N − t
-/// assert_eq!(cfg.weak_quorum(), 10);   // N − 2t
 /// assert!(cfg.supports(Regime::LogTime));
 /// assert!(cfg.supports(Regime::ConstantTime)); // 16 > 9 + 6
 /// assert!(!cfg.supports(Regime::TwoStep));     // 16 ≤ 18 + 3
@@ -88,11 +87,11 @@ pub struct SystemConfig {
 
 /// Default size of the original namespace when none is given: a "huge"
 /// namespace (`2⁴⁸`) so that `N_max ≫ N` holds for every realistic `N`.
-pub const DEFAULT_NMAX: u64 = 1 << 48;
+pub(crate) const DEFAULT_NMAX: u64 = 1 << 48;
 
 impl SystemConfig {
     /// Creates a configuration with the default original namespace
-    /// [`DEFAULT_NMAX`].
+    /// `N_max = 2⁴⁸`.
     ///
     /// # Errors
     ///
@@ -108,7 +107,7 @@ impl SystemConfig {
     ///
     /// Returns [`ConfigError`] if `n == 0`, `t ≥ n`, or `nmax < n as u64`
     /// (there must be room for `N` distinct original ids).
-    pub fn with_nmax(n: usize, t: usize, nmax: u64) -> Result<Self, ConfigError> {
+    pub(crate) fn with_nmax(n: usize, t: usize, nmax: u64) -> Result<Self, ConfigError> {
         if n == 0 {
             return Err(ConfigError::ZeroProcesses);
         }
@@ -131,21 +130,10 @@ impl SystemConfig {
         self.t
     }
 
-    /// Size of the original namespace `N_max`.
-    pub const fn nmax(&self) -> u64 {
-        self.nmax
-    }
-
     /// The quorum threshold `N − t`: messages seen on this many distinct
     /// links are backed by at least `N − 2t` correct processes.
     pub const fn quorum(&self) -> usize {
         self.n - self.t
-    }
-
-    /// The weak threshold `N − 2t`: a message seen on this many distinct
-    /// links is backed by at least one correct process (when `N > 3t`).
-    pub const fn weak_quorum(&self) -> usize {
-        self.n - 2 * self.t
     }
 
     /// The stretch factor `δ = 1 + 1/(3(N + t))` applied to initial ranks
@@ -226,7 +214,7 @@ impl SystemConfig {
     /// Maximum number of Byzantine-introduced ids that can enter any correct
     /// process's `accepted` set: `t + ⌊t²/(N − 2t)⌋` (Lemma IV.3 together
     /// with Lemma A.1). Requires `N > 2t`.
-    pub fn byzantine_id_bound(&self) -> usize {
+    pub(crate) fn byzantine_id_bound(&self) -> usize {
         if self.t == 0 {
             return 0;
         }
@@ -259,17 +247,11 @@ impl SystemConfig {
 
     /// Upper bound on the initial rank discrepancy entering the voting phase:
     /// `Δ₅ ≤ (t + ⌊t²/(N−2t)⌋) · δ ≤ (2t − 1) · δ` (Lemma IV.7). The paren
-    /// is exactly [`byzantine_id_bound`](Self::byzantine_id_bound): two
+    /// is exactly `byzantine_id_bound`: two
     /// correct processes' accepted sets differ only in Byzantine ids, so a
     /// common id's position can shift by at most that many entries.
     pub fn initial_spread_bound(&self) -> f64 {
         self.byzantine_id_bound() as f64 * self.delta()
-    }
-
-    /// The spacing every correct vote vector must exhibit between
-    /// consecutive timely ids — exactly `δ` (Algorithm 2, line 03).
-    pub fn spacing(&self) -> f64 {
-        self.delta()
     }
 
     /// The number of voting steps that *provably* drives the worst-case
@@ -341,7 +323,6 @@ mod tests {
     fn thresholds() {
         let cfg = SystemConfig::new(10, 3).unwrap();
         assert_eq!(cfg.quorum(), 7);
-        assert_eq!(cfg.weak_quorum(), 4);
         let d = cfg.delta();
         assert!((d - (1.0 + 1.0 / 39.0)).abs() < 1e-12);
     }

@@ -85,7 +85,7 @@ impl NewName {
     }
 
     /// Whether the name lies in the target namespace `[1 ⋯ bound]`.
-    pub fn in_namespace(self, bound: u64) -> bool {
+    pub(crate) fn in_namespace(self, bound: u64) -> bool {
         self.0 >= 1 && (self.0 as u128) <= (bound as u128)
     }
 }
@@ -136,11 +136,6 @@ impl LinkId {
     /// Zero-based index, convenient for vector indexing.
     pub const fn index(self) -> usize {
         self.0 - 1
-    }
-
-    /// Whether this is the self-loop for a system of `n` processes.
-    pub fn is_self_loop(self, n: usize) -> bool {
-        self.0 == n
     }
 }
 
@@ -256,14 +251,6 @@ mod tests {
         assert!(!NewName::new(8).in_namespace(7));
         assert!(!NewName::new(0).in_namespace(7));
         assert!(!NewName::new(-3).in_namespace(7));
-    }
-
-    #[test]
-    fn link_id_self_loop_detection() {
-        let n = 5;
-        assert!(LinkId::new(5).is_self_loop(n));
-        assert!(!LinkId::new(4).is_self_loop(n));
-        assert_eq!(LinkId::new(3).index(), 2);
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //! Systems with Byzantine Faults* (ICDCS 2013):
 //!
 //! * [`OriginalId`], [`NewName`], [`ProcessIndex`], [`LinkId`], [`Round`] —
-//!   strongly-typed identifiers ([`ids`]).
+//!   strongly-typed identifiers.
 //! * [`SystemConfig`] — the `(N, t, N_max)` triple together with the paper's
 //!   thresholds (`N−t`, `N−2t`), the stretch factor `δ = 1 + 1/(3(N+t))`, the
-//!   resilience [`Regime`]s of the three algorithms, and their round budgets
-//!   ([`config`]).
+//!   resilience [`Regime`]s of the three algorithms, and their round budgets.
 //! * [`Rank`] — the totally-ordered finite value that approximate agreement
-//!   iterates on ([`rank`]).
+//!   iterates on.
 //! * [`RenamingOutcome`] — the map from old ids to new names produced by a
 //!   run, plus the checkers for the problem's four properties: validity,
-//!   termination, uniqueness and order preservation ([`outcome`]).
+//!   termination, uniqueness and order preservation.
 //!
 //! # Example
 //!
@@ -30,13 +29,13 @@
 //! # Ok::<(), opr_types::ConfigError>(())
 //! ```
 
-pub mod config;
-pub mod degraded;
-pub mod error;
-pub mod ids;
+pub(crate) mod config;
+pub(crate) mod degraded;
+pub(crate) mod error;
+pub(crate) mod ids;
 pub mod math;
-pub mod outcome;
-pub mod rank;
+pub(crate) mod outcome;
+pub(crate) mod rank;
 
 pub use config::{Regime, SystemConfig};
 pub use degraded::{DegradedOutcome, MalformedKind, MalformedSend, Violation};

@@ -23,16 +23,6 @@ pub fn ceil_log2(x: usize) -> u32 {
     }
 }
 
-/// Integer ceiling division `⌈a / b⌉` for positive `b`.
-///
-/// # Panics
-///
-/// Panics if `b == 0`.
-pub fn div_ceil(a: usize, b: usize) -> usize {
-    assert!(b != 0, "division by zero");
-    a.div_ceil(b)
-}
-
 /// The splitmix64 finalizer — the workspace's one bit mixer. Every seed
 /// derivation (fault placement, per-run and per-epoch seeds, client
 /// hashing, genome digests) applies its own pre-mix and then this, so
@@ -68,18 +58,5 @@ mod tests {
         assert_eq!(ceil_log2(0), 0);
         assert_eq!(ceil_log2(1), 0);
         assert_eq!(ceil_log2(2), 1);
-    }
-
-    #[test]
-    fn div_ceil_basic() {
-        assert_eq!(div_ceil(10, 3), 4);
-        assert_eq!(div_ceil(9, 3), 3);
-        assert_eq!(div_ceil(0, 5), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn div_ceil_zero_divisor() {
-        let _ = div_ceil(1, 0);
     }
 }

@@ -39,7 +39,7 @@ pub struct Rank(f64);
 impl Rank {
     /// Absolute comparison tolerance used by protocol validation. Far above
     /// accumulated `f64` noise, far below every protocol margin.
-    pub const EPS: f64 = 1e-9;
+    pub(crate) const EPS: f64 = 1e-9;
 
     /// Wraps a raw value.
     ///
@@ -68,7 +68,7 @@ impl Rank {
         NewName::new(self.0.round() as i64)
     }
 
-    /// Whether `later − self ≥ spacing` holds, with [`Rank::EPS`] tolerance.
+    /// Whether `later − self ≥ spacing` holds, with `Rank::EPS` tolerance.
     ///
     /// This is the comparison Algorithm 2 (`isValid`) performs between the
     /// ranks of consecutive timely ids. The tolerance ensures Lemma IV.4

@@ -7,7 +7,7 @@ use opr_adversary::AdversarySpec;
 use opr_types::SystemConfig;
 
 /// The fixed system size.
-pub const N: usize = 31;
+pub(crate) const N: usize = 31;
 
 /// Runs the experiment: `t` sweeps as far as each regime allows at `N = 31`.
 pub fn run() -> ExperimentTable {

@@ -19,32 +19,33 @@ pub mod t3;
 pub mod t4;
 pub mod t5;
 
-use crate::table::ExperimentTable;
-
-/// Runs every experiment, in the order they appear in DESIGN.md.
-pub fn all() -> Vec<ExperimentTable> {
-    vec![
-        t1::run(),
-        t2::run(),
-        t3::run(),
-        t4::run(),
-        t5::run(),
-        f1::run(),
-        f2::run(),
-        f3::run(),
-        f4::run(),
-        a1::run(),
-        a2::run(),
-        a3::run(),
-        e1::run(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::table::ExperimentTable;
+
+    /// Runs every experiment, in the order they appear in DESIGN.md.
+    fn all() -> Vec<ExperimentTable> {
+        vec![
+            t1::run(),
+            t2::run(),
+            t3::run(),
+            t4::run(),
+            t5::run(),
+            f1::run(),
+            f2::run(),
+            f3::run(),
+            f4::run(),
+            a1::run(),
+            a2::run(),
+            a3::run(),
+            e1::run(),
+        ]
+    }
+
     #[test]
     fn every_experiment_produces_rows() {
-        for table in super::all() {
+        for table in all() {
             assert!(!table.rows.is_empty(), "{} has no rows", table.id);
             assert!(!table.columns.is_empty(), "{} has no columns", table.id);
         }

@@ -29,10 +29,10 @@
 //! and [`ExperimentTable`] renders markdown/CSV.
 
 pub mod experiments;
-pub mod id_dist;
-pub mod run;
-pub mod service_load;
-pub mod table;
+pub(crate) mod id_dist;
+pub(crate) mod run;
+pub(crate) mod service_load;
+pub(crate) mod table;
 
 pub use id_dist::IdDistribution;
 pub use run::{run_grid, Algorithm, DiagnosedRun, GridPoint, RenamingRun, RunOutput, RunStats};

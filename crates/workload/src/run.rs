@@ -92,7 +92,7 @@ impl Algorithm {
     }
 
     /// The exact number of communication steps this implementation takes.
-    pub fn rounds(&self, cfg: SystemConfig) -> u32 {
+    pub(crate) fn rounds(&self, cfg: SystemConfig) -> u32 {
         match self {
             Algorithm::Alg1LogTime => cfg.total_steps(Regime::LogTime),
             Algorithm::Alg1ConstantTime => cfg.total_steps(Regime::ConstantTime),
@@ -228,7 +228,7 @@ impl Algorithm {
                 cfg,
                 id,
                 index,
-                opr_consensus::king_links_for(&topo, index),
+                opr_baselines::phase_king::king_links_for(&topo, index),
             )));
         }
         run_baseline(*self, backend, cfg, "silent", correct_ids, actors, topo)
@@ -869,7 +869,7 @@ impl GridPoint {
     /// # Errors
     ///
     /// Propagates [`RenamingError`] from the underlying runner.
-    pub fn run(&self) -> Result<RunStats, RenamingError> {
+    pub(crate) fn run(&self) -> Result<RunStats, RenamingError> {
         self.algorithm.run_on(
             self.backend,
             self.cfg,
@@ -882,7 +882,7 @@ impl GridPoint {
 }
 
 /// Executes an experiment grid on `pool`, returning results in grid order —
-/// exactly the sequence a serial loop over [`GridPoint::run`] would produce
+/// exactly the sequence a serial loop running each point would produce
 /// (cells are independent deterministic runs, and the pool reassembles in
 /// submission order). A cell that panics re-panics here, matching serial
 /// semantics.

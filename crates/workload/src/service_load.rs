@@ -106,7 +106,7 @@ impl ServiceWorkload {
     /// The original id `client` presents — stable per client, drawn from
     /// `[1, 2⁴⁷]` so the service keeps headroom above every real id for its
     /// per-epoch filler ids.
-    pub fn original_id(&self, client: ClientId) -> OriginalId {
+    pub(crate) fn original_id(&self, client: ClientId) -> OriginalId {
         OriginalId::new(1 + mix(self.seed ^ 0x6f72_6967, client.raw()) % (1 << 47))
     }
 
@@ -114,11 +114,6 @@ impl ServiceWorkload {
     /// (`1 ⋯ max_hold`, deterministic per client).
     pub fn hold_epochs(&self, client: ClientId) -> u64 {
         1 + mix(self.seed ^ 0x686f_6c64, client.raw()) % self.max_hold.max(1)
-    }
-
-    /// Total acquire arrivals over the whole schedule.
-    pub fn total_arrivals(&self) -> u64 {
-        self.epochs * self.arrivals_per_epoch as u64
     }
 }
 
@@ -143,7 +138,6 @@ mod tests {
         for epoch in 0..w.epochs {
             assert_eq!(w.arrivals(epoch).len(), w.arrivals_per_epoch);
         }
-        assert_eq!(w.total_arrivals(), 80);
     }
 
     #[test]

@@ -8,9 +8,13 @@ use std::fmt;
 ///
 /// ```
 /// use opr_workload::ExperimentTable;
-/// let mut table = ExperimentTable::new("T0", "demo", vec!["x".into(), "y".into()]);
-/// table.push_row(vec!["1".into(), "2".into()]);
-/// table.add_note("numbers are illustrative");
+/// let table = ExperimentTable {
+///     id: "T0".into(),
+///     title: "demo".into(),
+///     columns: vec!["x".into(), "y".into()],
+///     rows: vec![vec!["1".into(), "2".into()]],
+///     notes: vec!["numbers are illustrative".into()],
+/// };
 /// assert!(table.to_markdown().contains("| 1 | 2 |"));
 /// assert_eq!(table.to_csv().lines().count(), 2);
 /// ```
@@ -30,7 +34,7 @@ pub struct ExperimentTable {
 
 impl ExperimentTable {
     /// Creates an empty table.
-    pub fn new(id: &str, title: &str, columns: Vec<String>) -> Self {
+    pub(crate) fn new(id: &str, title: &str, columns: Vec<String>) -> Self {
         ExperimentTable {
             id: id.to_owned(),
             title: title.to_owned(),
@@ -45,7 +49,7 @@ impl ExperimentTable {
     /// # Panics
     ///
     /// Panics if the row length does not match the column count.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(
             row.len(),
             self.columns.len(),
@@ -55,26 +59,8 @@ impl ExperimentTable {
     }
 
     /// Appends a footnote.
-    pub fn add_note(&mut self, note: &str) {
+    pub(crate) fn add_note(&mut self, note: &str) {
         self.notes.push(note.to_owned());
-    }
-
-    /// Finds the column index by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no such column exists.
-    pub fn column_index(&self, name: &str) -> usize {
-        self.columns
-            .iter()
-            .position(|c| c == name)
-            .unwrap_or_else(|| panic!("no column named {name:?}"))
-    }
-
-    /// All values of one column.
-    pub fn column(&self, name: &str) -> Vec<&str> {
-        let idx = self.column_index(name);
-        self.rows.iter().map(|r| r[idx].as_str()).collect()
     }
 
     /// Renders GitHub-flavoured markdown.
@@ -126,6 +112,24 @@ impl fmt::Display for ExperimentTable {
 mod tests {
     use super::*;
 
+    /// Test-only lookup: the experiment modules' tests read their tables
+    /// back through it.
+    impl ExperimentTable {
+        /// All values of the column named `name`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if no such column exists.
+        pub(crate) fn column(&self, name: &str) -> Vec<&str> {
+            let idx = self
+                .columns
+                .iter()
+                .position(|c| c == name)
+                .unwrap_or_else(|| panic!("no column named {name:?}"));
+            self.rows.iter().map(|r| r[idx].as_str()).collect()
+        }
+    }
+
     fn sample() -> ExperimentTable {
         let mut t = ExperimentTable::new("T9", "sample", vec!["a".into(), "b".into(), "c".into()]);
         t.push_row(vec!["1".into(), "x,y".into(), "z\"q".into()]);
@@ -157,7 +161,7 @@ mod tests {
     fn column_lookup() {
         let t = sample();
         assert_eq!(t.column("a"), vec!["1", "2"]);
-        assert_eq!(t.column_index("c"), 2);
+        assert_eq!(t.column("c"), vec!["z\"q", "n"]);
     }
 
     #[test]
@@ -170,6 +174,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "no column")]
     fn rejects_unknown_column() {
-        let _ = sample().column_index("zz");
+        let _ = sample().column("zz");
     }
 }

@@ -1,7 +1,7 @@
 # Development commands. `just ci` is the full gate; individual recipes below.
 
 # Everything CI runs, in order.
-ci: fmt-check lint surface build test bench-quick
+ci: fmt-check lint doc surface build test bench-quick
 
 # Formatting gate.
 fmt-check:
@@ -11,11 +11,18 @@ fmt-check:
 fmt:
     cargo fmt --all
 
-# Lint gate: warnings are errors, across every target. `redundant_clone` is
-# opted in (it is off by default) to keep the zero-copy delivery pipeline
-# honest about stray payload copies.
+# Lint gate: warnings are errors, across every target — the workspace's
+# `unreachable_pub` (Cargo.toml) included, so `pub` stays on what another
+# crate can name and `dead_code` sees the rest. `redundant_clone` is opted
+# in (it is off by default) to keep the zero-copy delivery pipeline honest
+# about stray payload copies.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
+
+# Rustdoc gate: every intra-doc link resolves and no public documentation
+# links to a private item.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Declared-once lints: no run knob declared twice under
 # crates/{transport,core,workload}/src, no second copy of routing / trace

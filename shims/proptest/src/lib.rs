@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so this crate provides the
 //! subset of proptest's API the workspace uses: the [`proptest!`] macro,
-//! [`Strategy`] with `prop_map`/`prop_flat_map`, numeric range strategies,
+//! [`Strategy`](strategy::Strategy) with `prop_map`/`prop_flat_map`, numeric range strategies,
 //! `collection::{vec, btree_set}`, `sample::select`, `prop_assert*` and
 //! `prop_assume!`.
 //!

@@ -7,10 +7,9 @@
 //!
 //! * [`types`] — ids, configuration, ranks, outcome checkers.
 //! * [`sim`] — the synchronous full-mesh network simulator.
-//! * [`aa`] — approximate-agreement building blocks (multisets, `select_t`,
-//!   standalone Byzantine/crash AA protocols).
+//! * [`aa`] — approximate-agreement building blocks (the vote multiset and
+//!   the DLPSW `select_t` reduction).
 //! * [`rbcast`] — Echo/Ready flooding substrate (the id-selection core).
-//! * [`consensus`] — phase-king Byzantine consensus (baseline substrate).
 //! * [`transport`] — pluggable lock-step execution substrates (`SimBackend`,
 //!   the deterministic single-threaded reference, and `PooledBackend`, the
 //!   worker-pool real-threads engine), the [`ExecOptions`] every layer above
@@ -69,7 +68,6 @@ pub use opr_aa as aa;
 pub use opr_adversary as adversary;
 pub use opr_baselines as baselines;
 pub use opr_chaos as chaos;
-pub use opr_consensus as consensus;
 pub use opr_core as core;
 pub use opr_exec as exec;
 pub use opr_metrics as metrics;

@@ -4,11 +4,17 @@
 #    more than once under crates/{transport,core,workload}/src;
 #  * routing, trace emission or the round clock grows a second copy
 #    ("routed once": one round engine, two schedules);
-#  * a crate's [dependencies] names an opr-* crate its src/ never uses.
-# Then prints the workspace's public-item count. `just surface` and CI run
-# it.
+#  * a crate's [dependencies] names an opr-* crate its src/ never uses;
+#  * the public-item count under crates/ exceeds MAX_PUBLIC_ITEMS, or
+#    crates/ holds more than MAX_CRATES packages — `pub` hides an item from
+#    `dead_code`, so the surface only shrinks unless a PR raises the
+#    ceiling on purpose.
+# Prints both counts. `just surface` and CI run it.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+MAX_PUBLIC_ITEMS=539
+MAX_CRATES=15
 
 status=0
 for knob in \
@@ -58,7 +64,17 @@ for manifest in crates/*/Cargo.toml; do
     done
 done
 
-items=$(grep -rEn "^\s*pub (fn|struct|enum|trait|type|const|static|mod) " crates --include='*.rs' | wc -l)
 [ "$status" -eq 0 ] && echo "surface: every run knob is declared at most once, routing is in one place, no stale dependency edges"
-echo "surface: $items public items under crates/"
+
+items=$(grep -rEn "^\s*pub (fn|struct|enum|trait|type|const|static|mod) " crates --include='*.rs' | wc -l)
+crates=$(ls crates/*/Cargo.toml | wc -l)
+echo "surface: $items public items under crates/ (ceiling $MAX_PUBLIC_ITEMS), $crates crates (ceiling $MAX_CRATES)"
+if [ "$items" -gt "$MAX_PUBLIC_ITEMS" ]; then
+    echo "surface: $items public items exceed the ceiling of $MAX_PUBLIC_ITEMS (make what no other crate names pub(crate))" >&2
+    status=1
+fi
+if [ "$crates" -gt "$MAX_CRATES" ]; then
+    echo "surface: $crates packages under crates/ exceed the ceiling of $MAX_CRATES" >&2
+    status=1
+fi
 exit $status
