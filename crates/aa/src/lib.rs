@@ -13,10 +13,10 @@
 //! * [`OrderedMultiset`] — a sorted multiset of votes, padded with one's
 //!   own vote by [`OrderedMultiset::fill_to`] (Algorithm 3, lines 10–11).
 //! * [`reduce`] — the full DLPSW reduction `avg(select_t(trim_t(votes)))`,
-//!   and [`reduce_sorted`], the same reduction read in place
-//!   from an ascending slice (what `opr-core`'s voting step calls); its
-//!   guaranteed contraction rate `σ_t` is `SystemConfig::sigma` in
-//!   `opr-types`.
+//!   and [`reduce_runs`], the same reduction read from ascending
+//!   `(value, copies)` runs (what `opr-core`'s voting step calls: one run
+//!   per distinct vote); its guaranteed contraction rate `σ_t` is
+//!   `SystemConfig::sigma` in `opr-types`.
 //!
 //! # Example: one DLPSW reduction step
 //!
@@ -36,4 +36,4 @@ pub(crate) mod multiset;
 pub(crate) mod select;
 
 pub use multiset::OrderedMultiset;
-pub use select::{reduce, reduce_sorted};
+pub use select::{reduce, reduce_runs};

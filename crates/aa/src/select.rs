@@ -13,27 +13,44 @@ use opr_types::Rank;
 /// guarantees `≥ N − t ≥ 2t + 1` votes for any id it reduces, so fewer
 /// indicates a harness bug.
 pub fn reduce(votes: &OrderedMultiset<Rank>, t: usize) -> Rank {
-    reduce_sorted(votes.as_slice(), t)
+    reduce_runs(votes.as_slice().iter().map(|&rank| (rank, 1)), t)
 }
 
-/// [`reduce`] on votes already in ascending order, read in place: trimming
-/// `t` per side and `select_t` (Section IV-B: the smallest survivor and
-/// every `t`-th after it; every survivor when `t = 0`) come to positions
-/// `t, 2t, … < len − t` of `sorted`, summed in ascending order.
+/// [`reduce`] on votes already in ascending order, given as runs
+/// `(value, copies)` — a multiset needs each distinct value once with its
+/// multiplicity. Trimming `t` per side and `select_t` (Section IV-B: the
+/// smallest survivor and every `t`-th after it; every survivor when
+/// `t = 0`) come to positions `t, 2t, … < len − t` of the expanded
+/// sequence (`len` = total copies), found by walking cumulative copies and
+/// summed one by one in ascending order — so the result is bit for bit the
+/// reduction of the expanded votes. [`reduce`] is this with every count 1.
 ///
 /// # Panics
 ///
-/// As [`reduce`]; sortedness is the caller's contract (debug-asserted).
-pub fn reduce_sorted(sorted: &[Rank], t: usize) -> Rank {
+/// As [`reduce`]; ascending order is the caller's contract (debug-asserted).
+pub fn reduce_runs<I>(runs: I, t: usize) -> Rank
+where
+    I: IntoIterator<Item = (Rank, usize)>,
+    I::IntoIter: Clone,
+{
+    let mut runs = runs.into_iter();
+    let len: usize = runs.clone().map(|(_, copies)| copies).sum();
     assert!(
-        sorted.len() > 2 * t,
-        "reduce needs more than 2t votes (got {} with t={t})",
-        sorted.len()
+        len > 2 * t,
+        "reduce needs more than 2t votes (got {len} with t={t})"
     );
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-    let selected = sorted[t..sorted.len() - t].iter().step_by(t.max(1));
+    debug_assert!(runs.clone().map(|(rank, _)| rank).is_sorted());
+    // The run under the cursor and the position just past it.
+    let (mut value, mut end) = (Rank::default(), 0);
+    let selected = (t..len - t).step_by(t.max(1)).map(|at| {
+        while end <= at {
+            let (rank, copies) = runs.next().expect("a position below len is in a run");
+            (value, end) = (rank, end + copies);
+        }
+        value.value()
+    });
     let count = selected.len();
-    let sum: f64 = selected.map(|rank| rank.value()).sum();
+    let sum: f64 = selected.sum();
     Rank::new(sum / count as f64)
 }
 
@@ -44,7 +61,7 @@ mod tests {
 
     /// `select_t` as the paper defines it, on an already-trimmed multiset of
     /// `len` elements: indices `0, t, 2t, …` (every index when `t = 0`) —
-    /// the reference [`reduce_sorted`]'s index arithmetic is checked against.
+    /// the reference [`reduce_runs`]'s position walk is checked against.
     fn select_indices(len: usize, t: usize) -> Vec<usize> {
         if t == 0 {
             return (0..len).collect();
@@ -117,19 +134,32 @@ mod tests {
     }
 
     proptest! {
-        /// Reading positions `t, 2t, … < len − t` in place is the
-        /// trim/select/mean definition bit for bit, `t = 0` and the
-        /// `len = 2t + 1` single-survivor edge included.
+        /// Walking runs to positions `t, 2t, … < len − t` is the
+        /// trim/select/mean definition of the expanded multiset bit for
+        /// bit, `t = 0` and the `len = 2t + 1` single-survivor edge
+        /// included — whether equal values come as one run, several
+        /// adjacent runs or runs of one, and across empty runs.
         #[test]
-        fn reduce_sorted_is_the_definition_bit_for_bit(
-            values in proptest::collection::vec(-1e6f64..1e6, 1..70),
+        fn reduce_runs_is_the_definition_bit_for_bit(
+            mut runs in proptest::collection::vec((-1e6f64..1e6, 0usize..5), 1..40),
+            repeats in 0usize..4,
             t in 0usize..24,
         ) {
-            prop_assume!(values.len() > 2 * t);
-            let votes: OrderedMultiset<Rank> = values.iter().map(|&v| Rank::new(v)).collect();
-            let expected = reduce_by_definition(&votes, t).value().to_bits();
-            prop_assert_eq!(reduce_sorted(votes.as_slice(), t).value().to_bits(), expected);
-            prop_assert_eq!(reduce(&votes, t).value().to_bits(), expected);
+            // Some values recur, so equal values meet in adjacent runs.
+            for at in 0..repeats.min(runs.len() - 1) {
+                runs[at + 1].0 = runs[at].0;
+            }
+            let mut runs: Vec<(Rank, usize)> =
+                runs.into_iter().map(|(v, copies)| (Rank::new(v), copies)).collect();
+            runs.sort_by_key(|&(rank, _)| rank);
+            let expanded: OrderedMultiset<Rank> = runs
+                .iter()
+                .flat_map(|&(rank, copies)| std::iter::repeat_n(rank, copies))
+                .collect();
+            prop_assume!(expanded.as_slice().len() > 2 * t);
+            let expected = reduce_by_definition(&expanded, t).value().to_bits();
+            prop_assert_eq!(reduce_runs(runs.iter().copied(), t).value().to_bits(), expected);
+            prop_assert_eq!(reduce(&expanded, t).value().to_bits(), expected);
         }
 
         /// The reduction must always land inside the range of the values

@@ -4,9 +4,12 @@
 //! Votes are read as strictly-ascending `(id, rank)` slices — the
 //! *canonical form* — so both algorithms are merge-walks of sorted
 //! sequences and a received vector is never rebuilt (DESIGN.md §15, "Vote
-//! path").
+//! path"). A vote bit-identical to the one read before it is not read
+//! again: it joins that vote's entry as one more copy (`Ballot`), and
+//! Algorithm 3 works on distinct votes with copy counts (DESIGN.md §15,
+//! "Distinct votes").
 
-use opr_aa::reduce_sorted;
+use opr_aa::reduce_runs;
 use opr_obs::ValidityViolation;
 use opr_types::{OriginalId, Rank};
 use std::borrow::Cow;
@@ -52,6 +55,79 @@ pub(crate) fn canonical(wire: &[(OriginalId, Rank)]) -> Option<Cow<'_, [(Origina
     let mut sorted = wire.to_vec();
     sorted.sort_unstable_by_key(|&(id, _)| id);
     strictly_ascending(&sorted).then_some(Cow::Owned(sorted))
+}
+
+/// Whether two wires are the same bits: the same ids and the same
+/// `f64::to_bits` of every rank. Not `==`, which equates `-0.0` and `0.0` —
+/// values the trimmed mean's sort and sum tell apart.
+fn same_bits(a: &[(OriginalId, Rank)], b: &[(OriginalId, Rank)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1.value().to_bits() == y.1.value().to_bits())
+}
+
+/// One voting step's received votes, folded: each distinct accepted vote
+/// once, in canonical form, with the number of links that sent it. A wire
+/// bit-identical to the previous one cast is not read again — it takes that
+/// wire's verdict and, if accepted, adds one copy to its entry. (Every copy
+/// of a fault-free step's vote is such a wire.)
+#[derive(Debug)]
+pub(crate) struct Ballot<'a> {
+    votes: Vec<(Vote<'a>, usize)>,
+    /// The previous wire cast and its verdict.
+    last: Option<(&'a [(OriginalId, Rank)], Verdict)>,
+}
+
+/// A vote in canonical form: the wire itself, or its sorted copy.
+type Vote<'a> = Cow<'a, [(OriginalId, Rank)]>;
+
+/// What `isValid` (or `canonical`, for a malformed vector) says of a vote.
+type Verdict = Result<(), ValidityViolation>;
+
+impl<'a> Ballot<'a> {
+    /// An empty ballot with room for one distinct vote per link.
+    pub(crate) fn with_capacity(links: usize) -> Self {
+        Ballot {
+            votes: Vec::with_capacity(links),
+            last: None,
+        }
+    }
+
+    /// Reads one link's wire and returns its verdict. A wire that is not
+    /// the previous one's bits is put in canonical form — `MalformedVector`
+    /// if an id repeats — and judged by `judge` (`isValid`, or nothing in
+    /// the ablation that skips it).
+    pub(crate) fn cast(
+        &mut self,
+        wire: &'a [(OriginalId, Rank)],
+        judge: impl FnOnce(&[(OriginalId, Rank)]) -> Verdict,
+    ) -> Verdict {
+        if let Some((previous, verdict)) = &self.last {
+            if same_bits(previous, wire) {
+                if let (Ok(()), Some((_, copies))) = (verdict, self.votes.last_mut()) {
+                    *copies += 1;
+                }
+                return verdict.clone();
+            }
+        }
+        let verdict = match canonical(wire) {
+            None => Err(ValidityViolation::MalformedVector),
+            Some(vote) => judge(&vote).map(|()| self.votes.push((vote, 1))),
+        };
+        self.last = Some((wire, verdict.clone()));
+        verdict
+    }
+
+    /// The accepted distinct votes, each with its number of copies.
+    pub(crate) fn votes(&self) -> &[(Vote<'a>, usize)] {
+        &self.votes
+    }
+
+    /// Accepted votes counted in copies.
+    pub(crate) fn copies(&self) -> usize {
+        self.votes.iter().map(|&(_, copies)| copies).sum()
+    }
 }
 
 /// One step of a merge-walk: advances `rest` (ascending ids) to `id` and
@@ -194,38 +270,42 @@ impl FromIterator<(OriginalId, Rank)> for RankVector {
     }
 }
 
-/// Ranks of gathered vote columns resident at once: 128 KiB, so a tile stays
+/// A gathered vote: one distinct vote's rank for one id, and its copies.
+type Run = (Rank, usize);
+
+/// Runs of gathered vote columns resident at once: 128 KiB, so a tile stays
 /// in a core's L2 whatever `N` is. One `N × |accepted|` matrix per process
 /// instead is `N²` ranks per process and `N³` resident over a run's actors
 /// (4.9 GB at `N = 1024`).
-const TILE_RANKS: usize = 128 * 1024 / std::mem::size_of::<Rank>();
+const TILE_RUNS: usize = 128 * 1024 / std::mem::size_of::<Run>();
 
-/// One cache line of ranks between columns, so that a power-of-two column
+/// One cache line of runs between columns, so that a power-of-two column
 /// length (`N = 1024`) does not map every column onto the same cache sets.
-const STRIDE_PAD: usize = 64 / std::mem::size_of::<Rank>();
+const STRIDE_PAD: usize = 64 / std::mem::size_of::<Run>();
 
 /// Reusable working memory of [`approximate`](VoteScratch::approximate):
-/// the accepted ids, one cursor per vote and one tile of vote columns. A
-/// process keeps one across its voting steps, so a step allocates nothing
-/// here once the first has sized it.
+/// the accepted ids, one cursor per distinct vote and one tile of vote
+/// columns. A process keeps one across its voting steps, so a step
+/// allocates nothing here once the first has sized it.
 #[derive(Clone, Debug)]
 pub struct VoteScratch {
-    /// [`TILE_RANKS`], except in the unit test that forces many tiles.
-    tile_ranks: usize,
+    /// [`TILE_RUNS`], except in the unit test that forces many tiles.
+    tile_runs: usize,
     ids: Vec<OriginalId>,
     /// Per vote, the first entry not yet walked past — carried from tile to
     /// tile, so every vote is walked once per step.
     cursors: Vec<usize>,
-    /// Column-major tile: column `c` starts at `c * stride`.
-    columns: Vec<Rank>,
-    /// Votes gathered so far into each column of the tile.
-    filled: Vec<usize>,
+    /// Column-major tile of runs: column `c` starts at `c * stride`.
+    columns: Vec<Run>,
+    /// Per column of the tile, the runs gathered so far and the copies
+    /// they hold.
+    filled: Vec<(usize, usize)>,
 }
 
 impl Default for VoteScratch {
     fn default() -> Self {
         VoteScratch {
-            tile_ranks: TILE_RANKS,
+            tile_runs: TILE_RUNS,
             ids: Vec::new(),
             cursors: Vec::new(),
             columns: Vec::new(),
@@ -240,12 +320,16 @@ impl VoteScratch {
     /// pad each multiset to `N` votes with our own rank, trim `t` per side,
     /// select and average.
     ///
-    /// `valid_votes` are in canonical form (strictly ascending ids — what
-    /// [`RankVector`] holds). Returns the new rank vector; its ids are the
-    /// surviving accepted set. Each id's fate goes to `observe`, in id
-    /// order: the number of valid votes that ranked it, and `Some(rank)`
-    /// with the trimmed mean if it survived the `N − t` vote threshold,
-    /// `None` if it was discarded.
+    /// `valid_votes` are distinct votes in canonical form (strictly
+    /// ascending ids — what [`RankVector`] holds), each with its number of
+    /// copies; each copy counts as one vote. A column gathers one `(rank, copies)`
+    /// run per distinct vote, the padding is one run of the own rank, and
+    /// the sorted runs are reduced by [`opr_aa::reduce_runs`] — the ranks
+    /// are bit for bit those of the expanded votes. Returns the new rank
+    /// vector; its ids are the surviving accepted set. Each id's fate goes
+    /// to `observe`, in id order: the number of valid votes (copies) that
+    /// ranked it, and `Some(rank)` with the trimmed mean if it survived the
+    /// `N − t` vote threshold, `None` if it was discarded.
     ///
     /// # Panics
     ///
@@ -256,28 +340,30 @@ impl VoteScratch {
         &mut self,
         my_ranks: &RankVector,
         accepted: &BTreeSet<OriginalId>,
-        valid_votes: &[V],
+        valid_votes: &[(V, usize)],
         n: usize,
         t: usize,
         mut observe: impl FnMut(OriginalId, usize, Option<Rank>),
     ) -> RankVector {
-        debug_assert!(valid_votes.iter().all(|v| strictly_ascending(v.as_ref())));
+        debug_assert!(valid_votes
+            .iter()
+            .all(|(v, _)| strictly_ascending(v.as_ref())));
         self.ids.clear();
         self.ids.extend(accepted);
         self.cursors.clear();
         self.cursors.resize(valid_votes.len(), 0);
-        // A column holds one rank per vote, padded to N with the own rank.
-        let stride = valid_votes.len().max(n) + STRIDE_PAD;
-        let width = (self.tile_ranks / stride).clamp(1, self.ids.len().max(1));
+        // A column holds one run per distinct vote and one of the own rank.
+        let stride = valid_votes.len() + 1 + STRIDE_PAD;
+        let width = (self.tile_runs / stride).clamp(1, self.ids.len().max(1));
         if self.columns.len() < width * stride {
-            self.columns.resize(width * stride, Rank::default());
+            self.columns.resize(width * stride, (Rank::default(), 0));
         }
         let mut own = my_ranks.entries.iter();
         let mut new_ranks = Vec::with_capacity(self.ids.len());
         for tile in self.ids.chunks(width) {
             self.filled.clear();
-            self.filled.resize(tile.len(), 0);
-            for (vote, cursor) in valid_votes.iter().zip(&mut self.cursors) {
+            self.filled.resize(tile.len(), (0, 0));
+            for ((vote, copies), cursor) in valid_votes.iter().zip(&mut self.cursors) {
                 let vote = &vote.as_ref()[*cursor..];
                 let mut at = 0;
                 for (col, &id) in tile.iter().enumerate() {
@@ -287,8 +373,10 @@ impl VoteScratch {
                     match vote.get(at) {
                         None => break,
                         Some(&(found, rank)) if found == id => {
-                            self.columns[col * stride + self.filled[col]] = rank;
-                            self.filled[col] += 1;
+                            let (runs, votes) = &mut self.filled[col];
+                            self.columns[col * stride + *runs] = (rank, *copies);
+                            *runs += 1;
+                            *votes += copies;
                             at += 1;
                         }
                         Some(_) => {}
@@ -296,17 +384,18 @@ impl VoteScratch {
                 }
                 *cursor += at;
             }
-            for (col, (&id, &votes)) in tile.iter().zip(&self.filled).enumerate() {
+            for (col, (&id, &(runs, votes))) in tile.iter().zip(&self.filled).enumerate() {
                 if votes < n - t {
                     observe(id, votes, None);
                     continue; // discard this id (Algorithm 3, line 08)
                 }
                 let own_rank =
                     seek(&mut own, id).expect("correct process must rank every accepted id");
-                let column = &mut self.columns[col * stride..][..votes.max(n)];
-                column[votes..].fill(own_rank);
-                column.sort_unstable();
-                let rank = reduce_sorted(column, t);
+                // The padding run is empty once N copies ranked the id.
+                let column = &mut self.columns[col * stride..][..=runs];
+                column[runs] = (own_rank, n.saturating_sub(votes));
+                column.sort_unstable_by_key(|&(rank, _)| rank);
+                let rank = reduce_runs(column.iter().copied(), t);
                 observe(id, votes, Some(rank));
                 new_ranks.push((id, rank));
             }
@@ -316,7 +405,8 @@ impl VoteScratch {
 }
 
 /// One voting step (Algorithm 3) on owned vectors with a one-off
-/// [`VoteScratch`]; see [`VoteScratch::approximate`].
+/// [`VoteScratch`]; see [`VoteScratch::approximate`]. Consecutive
+/// bit-identical votes are folded into one entry, as a receiver folds them.
 ///
 /// Returns the new rank vector together with the surviving accepted set.
 ///
@@ -330,8 +420,13 @@ pub fn approximate(
     n: usize,
     t: usize,
 ) -> (RankVector, BTreeSet<OriginalId>) {
+    let mut ballot = Ballot::with_capacity(valid_votes.len());
+    for vote in valid_votes {
+        // Already canonical and, by this function's contract, valid.
+        let _ = ballot.cast(vote.as_ref(), |_| Ok(()));
+    }
     let new_ranks =
-        VoteScratch::default().approximate(my_ranks, accepted, valid_votes, n, t, |_, _, _| {});
+        VoteScratch::default().approximate(my_ranks, accepted, ballot.votes(), n, t, |_, _, _| {});
     let new_accepted = new_ranks.ids().collect();
     (new_ranks, new_accepted)
 }
@@ -432,11 +527,11 @@ mod tests {
         let (n, t) = (4usize, 1usize);
         let accepted = ids(&[1, 2]);
         let mine = vector(&[(1, 1.0), (2, 2.0)]);
-        let votes = vec![
-            vector(&[(1, 1.0), (2, 2.0)]),
-            vector(&[(1, 1.1), (2, 2.1)]),
-            vector(&[(1, 0.9)]),
-            vector(&[(1, 1.0)]),
+        // Counts are copies: four votes rank id 1, two rank id 2.
+        let votes = [
+            (vector(&[(1, 1.0), (2, 2.0)]), 1),
+            (vector(&[(1, 1.1), (2, 2.1)]), 1),
+            (vector(&[(1, 0.9)]), 2),
         ];
         let mut seen = Vec::new();
         let new_ranks = VoteScratch::default().approximate(
@@ -457,7 +552,10 @@ mod tests {
     /// tile, for reference) on one reused scratch: votes that skip ids, rank
     /// ids outside `accepted` between tiles, stop early or start late must
     /// come out as the per-id `BTreeMap` lookups of the model do, because
-    /// each vote's cursor is carried across tile boundaries.
+    /// each vote's cursor is carried across tile boundaries. Votes arrive
+    /// in runs of one to three bit-identical copies, folded by [`Ballot`]
+    /// into one entry each — a run's copies cross every tile boundary
+    /// together.
     #[test]
     fn approximate_is_the_model_across_tile_boundaries() {
         let (n, t) = (10usize, 3usize);
@@ -465,14 +563,16 @@ mod tests {
         let mine = RankVector::from_accepted(&accepted, 1.01);
         let vote = |k: u64| -> RankVector {
             (0..140u64)
-                // Vote k skips every (k+5)-th id, votes 7.. stop at id 100
+                // Vote k skips every (k+5)-th id, votes 5.. stop at id 100
                 // and votes ..2 start at id 40; two thirds of what is left
                 // is outside `accepted`.
-                .filter(|id| id % (k + 5) != 0 && (k < 7 || *id < 100) && (k > 1 || *id >= 40))
+                .filter(|id| id % (k + 5) != 0 && (k < 5 || *id < 100) && (k > 1 || *id >= 40))
                 .map(|id| (OriginalId::new(id), Rank::new(id as f64 + k as f64 / 16.0)))
                 .collect()
         };
-        let votes: Vec<RankVector> = (0..n as u64).map(vote).collect();
+        let votes: Vec<RankVector> = (0..n as u64)
+            .flat_map(|k| std::iter::repeat_n(vote(k), 1 + k as usize % 3))
+            .collect();
         let model_votes: Vec<vote_model::Model> =
             votes.iter().map(|v| v.iter().collect()).collect();
         let (expected_ranks, expected_fates) =
@@ -480,13 +580,18 @@ mod tests {
         assert!(expected_fates.iter().any(|fate| fate.2.is_none()));
         assert!(expected_fates.iter().any(|fate| fate.2.is_some()));
 
-        let stride = n + STRIDE_PAD;
+        let mut ballot = Ballot::with_capacity(votes.len());
+        for vote in &votes {
+            assert_eq!(ballot.cast(vote.as_ref(), |_| Ok(())), Ok(()));
+        }
+        assert_eq!((ballot.votes().len(), ballot.copies()), (n, votes.len()));
+        let stride = n + 1 + STRIDE_PAD;
         let mut scratch = VoteScratch::default();
         for columns_per_tile in [1, 2, 3, 7, 40] {
-            scratch.tile_ranks = columns_per_tile * stride;
+            scratch.tile_runs = columns_per_tile * stride;
             let mut fates = Vec::new();
             let new_ranks =
-                scratch.approximate(&mine, &accepted, &votes, n, t, |id, votes, rank| {
+                scratch.approximate(&mine, &accepted, ballot.votes(), n, t, |id, votes, rank| {
                     fates.push((id, votes, rank));
                 });
             assert_eq!(fates, expected_fates, "{columns_per_tile} columns per tile");
@@ -497,6 +602,56 @@ mod tests {
             );
             assert!(scratch.columns.len() <= 40 * stride);
         }
+    }
+
+    /// Bit-identical consecutive wires share an entry and a verdict; an
+    /// equal-but-not-identical one (`-0.0` after `0.0`), a non-consecutive
+    /// repeat and a wire after a different one do not.
+    #[test]
+    fn a_ballot_folds_only_consecutive_bit_identical_wires() {
+        let a = vector(&[(1, 0.0), (2, 2.0)]).to_wire();
+        let signed = vector(&[(1, -0.0), (2, 2.0)]).to_wire();
+        let b = vector(&[(1, 1.0), (2, 3.0)]).to_wire();
+        let malformed = vec![a[0], a[0]];
+        let mut judged = 0;
+        let mut ballot = Ballot::with_capacity(8);
+        for wire in [&a, &a, &signed, &b, &a, &malformed, &malformed, &a] {
+            let _ = ballot.cast(wire, |_| {
+                judged += 1;
+                Ok(())
+            });
+        }
+        let folded: Vec<(Vec<(u64, u64)>, usize)> = ballot
+            .votes()
+            .iter()
+            .map(|(vote, copies)| {
+                let bits = vote.iter().map(|(id, r)| (id.raw(), r.value().to_bits()));
+                (bits.collect(), *copies)
+            })
+            .collect();
+        let bits = |wire: &[(OriginalId, Rank)]| {
+            wire.iter()
+                .map(|(id, r)| (id.raw(), r.value().to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            folded,
+            vec![
+                (bits(&a), 2),
+                (bits(&signed), 1),
+                (bits(&b), 1),
+                (bits(&a), 1),
+                (bits(&a), 1),
+            ]
+        );
+        // Judged: the first `a`, `signed`, `b` and the two later `a`s. The
+        // malformed wire is rejected by `canonical`, its repeat by folding.
+        assert_eq!(judged, 5);
+        assert_eq!(ballot.copies(), 6);
+        assert_eq!(
+            ballot.cast(&malformed, |_| Ok(())),
+            Err(ValidityViolation::MalformedVector)
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use crate::messages::Alg1Msg;
 use crate::probe::{SharedProcessProbe, VotingSnapshot};
-use crate::ranks::{self, RankVector, VoteScratch};
-use opr_obs::{record_if, ProtocolEvent, SharedRecorder, ValidityViolation};
+use crate::ranks::{self, Ballot, RankVector, VoteScratch};
+use opr_obs::{record_if, ProtocolEvent, SharedRecorder};
 use opr_rbcast::{EchoReadyFlood, FloodObserver, IdInterner};
 use opr_sim::{Actor, Inbox, Outbox};
 use opr_types::{LinkId, NewName, OriginalId, Regime, Round, SystemConfig};
@@ -135,14 +135,19 @@ pub struct OrderPreservingRenaming {
 ///   empirically demonstrating the paper's central design point.
 /// * `early_output` — a safe early-deciding extension (in the spirit of
 ///   Alistarh et al. \[1\]): a process outputs as soon as one voting step
-///   delivers *unanimous* valid votes equal to its own rank vector. At that
-///   point at least `N − 2t ≥ t + 1` correct processes hold exactly this
-///   vector, so every correct vote multiset for every id contains at least
-///   `N − t` copies of the common value; the `t`-per-side trim removes every
-///   divergent vote, making the common vector a fixed point at *every*
-///   correct process — the eventual decision is already determined. The
-///   process keeps broadcasting until the schedule ends (so it never starves
-///   others of votes); only its *output* happens early.
+///   delivers at least `N − t` valid votes, counted in copies, *every one*
+///   equal to its own rank vector. Every correct process's vote reaches
+///   every correct process and is valid there (Lemma IV.4), so at that
+///   point *every* correct process holds exactly this vector. At every
+///   correct receiver each id's multiset is then at least `N − t` copies
+///   of the common value (the correct votes, and the own-rank padding is
+///   the same value) and at most `t` others, all of which the `t`-per-side
+///   trim removes: every correct process computes the same vector, at this
+///   step and at every later one — the common vector is a fixed point up to
+///   the rounding of a mean of equal values, and the eventual decision is
+///   already determined. The process keeps broadcasting until the schedule
+///   ends (so it never starves others of votes); only its *output* happens
+///   early.
 /// * `allow_regime_violation` — the boundary experiment (T5) deliberately
 ///   runs the algorithm outside its regime to observe the failure mode.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -333,28 +338,27 @@ impl Actor for OrderPreservingRenaming {
             }
         } else if r <= self.total_steps {
             // Voting step: validate, approximate. Votes stay where they
-            // arrived — a canonical vote borrows from the shared payload.
+            // arrived — a canonical vote borrows from the shared payload —
+            // and a vote bit-identical to the previous link's is read once.
             let spacing = self.delta;
-            let mut valid_votes = Vec::with_capacity(inbox.len());
+            let mut ballot = Ballot::with_capacity(inbox.len());
             let mut rejected = 0u64;
             for (link, msg) in inbox.messages() {
                 let Alg1Msg::Votes(wire) = msg else { continue };
-                let verdict = match ranks::canonical(wire) {
-                    None => Err(ValidityViolation::MalformedVector),
-                    Some(vote) if self.tweaks.disable_validation => Ok(vote),
-                    Some(vote) => {
-                        ranks::check_valid(&vote, self.timely_ids.iter().copied(), spacing)
-                            .map(|()| vote)
+                let verdict = ballot.cast(wire, |vote| {
+                    if self.tweaks.disable_validation {
+                        Ok(())
+                    } else {
+                        ranks::check_valid(vote, self.timely_ids.iter().copied(), spacing)
                     }
-                };
+                });
                 match verdict {
-                    Ok(vote) => {
+                    Ok(()) => {
                         record_if(self.recorder.as_ref(), || ProtocolEvent::VoteAccepted {
                             step: r,
                             link,
-                            entries: vote.len(),
+                            entries: wire.len(),
                         });
-                        valid_votes.push(vote);
                     }
                     Err(violation) => {
                         record_if(self.recorder.as_ref(), || ProtocolEvent::VoteRejected {
@@ -369,19 +373,22 @@ impl Actor for OrderPreservingRenaming {
             if let Some(probe) = &self.probe {
                 probe.lock().unwrap().rejected_votes += rejected;
             }
-            // Early-output rule (see Alg1Tweaks::early_output): a unanimous
-            // valid quorum equal to our own vector freezes the decision at
-            // every correct process.
+            // Early-output rule (see Alg1Tweaks::early_output): at least
+            // N − t valid copies, every one equal to our own vector, freeze
+            // the decision at every correct process.
             let frozen = self.tweaks.early_output
                 && self.decided.is_none()
-                && valid_votes.len() >= self.cfg.quorum()
-                && valid_votes.iter().all(|v| **v == *self.ranks.as_ref());
+                && ballot.copies() >= self.cfg.quorum()
+                && ballot
+                    .votes()
+                    .iter()
+                    .all(|(vote, _)| **vote == *self.ranks.as_ref());
             let recorder = self.recorder.as_ref();
             let needed = self.cfg.quorum();
             self.ranks = self.scratch.approximate(
                 &self.ranks,
                 &self.accepted,
-                &valid_votes,
+                ballot.votes(),
                 self.cfg.n(),
                 self.cfg.t(),
                 |id, votes, rank| match rank {
@@ -432,6 +439,7 @@ impl Actor for OrderPreservingRenaming {
 mod tests {
     use super::*;
     use crate::probe::shared_probe;
+    use opr_obs::ValidityViolation;
     use opr_sim::{Network, Topology};
     use opr_types::RenamingOutcome;
 
@@ -571,18 +579,18 @@ mod tests {
         )));
     }
 
-    /// Four correct processes hand-driven through id selection and the
-    /// first voting step; `tamper` rewrites, per link, the vote vector
-    /// process 0 receives at step 5. Returns process 0's step-5 events and
-    /// its probe.
+    /// `n` correct processes (ids 5, 6, …) hand-driven through id selection
+    /// and the first voting step; `tamper` rewrites, per link, the vote
+    /// vector process 0 receives at step 5. Returns process 0's step-5
+    /// events and its probe.
     fn first_voting_step(
+        (n, t): (usize, usize),
         tamper: impl Fn(LinkId, &mut Vec<(OriginalId, opr_types::Rank)>),
     ) -> (Vec<ProtocolEvent>, crate::probe::ProcessProbe) {
-        let cfg = SystemConfig::new(4, 1).unwrap();
+        let cfg = SystemConfig::new(n, t).unwrap();
         let (recorder, probe) = (opr_obs::shared_recorder(), shared_probe());
-        let mut actors: Vec<OrderPreservingRenaming> = [5u64, 6, 7, 8]
-            .iter()
-            .map(|&id| {
+        let mut actors: Vec<OrderPreservingRenaming> = (5..5 + n as u64)
+            .map(|id| {
                 OrderPreservingRenaming::new(cfg, Regime::LogTime, OriginalId::new(id)).unwrap()
             })
             .collect();
@@ -625,8 +633,8 @@ mod tests {
             }
         };
         // The twin differs only in the order of one valid vector.
-        let (twin_events, twin_probe) = first_voting_step(duplicate);
-        let (events, probe) = first_voting_step(|link, wire| {
+        let (twin_events, twin_probe) = first_voting_step((4, 1), duplicate);
+        let (events, probe) = first_voting_step((4, 1), |link, wire| {
             duplicate(link, wire);
             if link == descending {
                 wire.reverse();
@@ -650,6 +658,55 @@ mod tests {
         assert_eq!(probe.snapshots.last().unwrap().step, 5);
         assert_eq!(probe.snapshots, twin_probe.snapshots);
         assert_eq!(probe.snapshots.last().unwrap().ranks.len(), 4);
+    }
+
+    /// Folding is invisible per link. At (7, 2) every correct vector is the
+    /// same bits; links 3 and 4 carry one duplicate-id vector instead, so
+    /// the common vector arrives as a run of two and a run of three. Each
+    /// link still gets its own `VoteAccepted` / `VoteRejected` (the second
+    /// malformed link by folding), `rejected_votes` counts links, and
+    /// `TrimmedMean.votes` counts the five accepted copies.
+    #[test]
+    fn folded_votes_keep_one_verdict_event_per_link() {
+        let (n, t) = (7, 2);
+        let malformed = [LinkId::new(3), LinkId::new(4)];
+        let (events, probe) = first_voting_step((n, t), |link, wire| {
+            if malformed.contains(&link) {
+                wire[1] = wire[0];
+            }
+        });
+        let verdicts: Vec<&ProtocolEvent> = events
+            .iter()
+            .filter(|e| matches!(e.kind(), "vote-accepted" | "vote-rejected"))
+            .collect();
+        let expected: Vec<ProtocolEvent> = (1..=n)
+            .map(LinkId::new)
+            .map(|link| {
+                if malformed.contains(&link) {
+                    ProtocolEvent::VoteRejected {
+                        step: 5,
+                        link,
+                        violation: ValidityViolation::MalformedVector,
+                    }
+                } else {
+                    ProtocolEvent::VoteAccepted {
+                        step: 5,
+                        link,
+                        entries: n,
+                    }
+                }
+            })
+            .collect();
+        assert_eq!(verdicts, expected.iter().collect::<Vec<_>>());
+        assert_eq!(probe.rejected_votes, 2);
+        let means: Vec<usize> = events
+            .iter()
+            .filter_map(|e| match e {
+                ProtocolEvent::TrimmedMean { votes, .. } => Some(*votes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(means, vec![n - 2; n]);
     }
 
     #[test]

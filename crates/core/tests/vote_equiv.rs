@@ -3,8 +3,10 @@
 //! `VoteScratch::approximate`, `ranks::approximate`) against the `BTreeMap`
 //! model it replaced, on hostile-shaped inputs — same verdict and same
 //! `ValidityViolation`, same per-id observation sequence, same new ranks bit
-//! for bit, same surviving accepted set. (Tile boundaries are crossed by the
-//! unit test in `src/ranks.rs`, against the same model.)
+//! for bit, same surviving accepted set — with every vote its own entry,
+//! and folded into distinct votes by the receiver's own grouping (through
+//! the public wrapper). (Tile boundaries are crossed by the unit test in
+//! `src/ranks.rs`, against the same model.)
 
 mod vote_model;
 
@@ -31,9 +33,19 @@ struct Step {
 }
 
 /// `timely ⊆ accepted ⊂` a small id universe, and between `N − t − 1` and
-/// `N + 3` vote vectors: half of them what a correct process would send
-/// (δ-spaced ranks for `accepted` plus a few foreign ids, ascending), the
-/// rest damaged in one to three of the ways a Byzantine sender can.
+/// `N + 3` vote vectors (one per link, in link order) in one of three
+/// inboxes:
+/// * independent wires — half of them what a correct process would send
+///   (δ-spaced ranks for `accepted` plus a few foreign ids, ascending), the
+///   rest damaged in one to three of the ways a Byzantine sender can — of
+///   which a fifth repeat the previous link's wire bit for bit, damaged or
+///   not;
+/// * the fault-free inbox: one correct wire on most links, in runs broken
+///   by the odd independent wire;
+/// * signed zeros: one correct wire on every link, whose rank for one
+///   accepted id is `-0.0` — except on the first link, where it is `0.0`.
+///   Equal under `==`, so a receiver that folded by `==` would average
+///   `0.0`s where the model averages `-0.0`s.
 fn step(seed: u64, n: usize, t: usize) -> Step {
     let mut rng = StdRng::seed_from_u64(seed);
     let delta = 1.0 + 1.0 / (3.0 * (n + t) as f64);
@@ -52,26 +64,60 @@ fn step(seed: u64, n: usize, t: usize) -> Step {
         .filter(|_| rng.gen_bool(0.7))
         .collect();
     let votes = rng.gen_range((n - t).saturating_sub(1)..=n + 3);
-    let wires = (0..votes)
-        .map(|_| {
-            let jitter = rng.gen_range(-0.2..0.2);
-            let mut wire: Wire = universe
-                .iter()
-                .filter(|id| accepted.contains(id) || rng.gen_bool(0.2))
-                .enumerate()
-                .map(|(i, &id)| (id, Rank::new((i + 1) as f64 * delta + jitter)))
-                .collect();
-            let damages = if rng.gen_bool(0.5) {
-                0
-            } else {
-                rng.gen_range(1..=3)
-            };
-            for _ in 0..damages {
-                damage(&mut wire, delta, &mut rng);
+    let correct = |rng: &mut StdRng| -> Wire {
+        let jitter = rng.gen_range(-0.2..0.2);
+        universe
+            .iter()
+            .filter(|id| accepted.contains(id) || rng.gen_bool(0.2))
+            .enumerate()
+            .map(|(i, &id)| (id, Rank::new((i + 1) as f64 * delta + jitter)))
+            .collect()
+    };
+    let independent = |rng: &mut StdRng| -> Wire {
+        let mut wire = correct(rng);
+        let damages = if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(1..=3)
+        };
+        for _ in 0..damages {
+            damage(&mut wire, delta, rng);
+        }
+        wire
+    };
+    let mut wires: Vec<Wire> = Vec::with_capacity(votes);
+    match rng.gen_range(0..4) {
+        0 => {
+            let common = correct(&mut rng);
+            for _ in 0..votes {
+                wires.push(if rng.gen_bool(0.8) {
+                    common.clone()
+                } else {
+                    independent(&mut rng)
+                });
             }
-            wire
-        })
-        .collect();
+        }
+        1 if votes > 0 => {
+            let mut common = correct(&mut rng);
+            let zero = common
+                .iter()
+                .position(|(id, _)| accepted.contains(id))
+                .expect("a correct wire ranks every accepted id");
+            common[zero].1 = Rank::new(0.0);
+            wires.push(common.clone());
+            common[zero].1 = Rank::new(-0.0);
+            wires.extend(std::iter::repeat_n(common, votes - 1));
+        }
+        _ => {
+            for _ in 0..votes {
+                let wire = match wires.last() {
+                    Some(previous) if rng.gen_bool(0.2) => previous.clone(),
+                    _ => independent(&mut rng),
+                };
+                wires.push(wire);
+            }
+        }
+    }
     Step {
         n,
         t,
@@ -147,13 +193,14 @@ proptest! {
             model_votes.push(model);
         }
 
-        // Algorithm 3.
+        // Algorithm 3, every vote its own entry of one copy.
         let mine = RankVector::from_accepted(&accepted, delta);
         let (expected_ranks, expected_fates) =
             vote_model::approximate(&mine.iter().collect(), &accepted, &model_votes, n, t);
         let mut fates = Vec::new();
+        let single: Vec<(&RankVector, usize)> = votes.iter().map(|vote| (vote, 1)).collect();
         let new_ranks = VoteScratch::default()
-            .approximate(&mine, &accepted, &votes, n, t, |id, votes, rank| {
+            .approximate(&mine, &accepted, &single, n, t, |id, votes, rank| {
                 fates.push((id, votes, rank.map(|r| r.value().to_bits())));
             });
         let expected_fates: Vec<_> = expected_fates
@@ -162,9 +209,10 @@ proptest! {
             .collect();
         prop_assert_eq!(fates, expected_fates, "seed {}", seed);
         prop_assert_eq!(bits(new_ranks.iter()), bits(expected_ranks.clone()), "seed {}", seed);
-        // The public wrapper: same ranks, and the survivors as a set.
+        // The public wrapper folds consecutive bit-identical votes as a
+        // receiver does: same ranks bit for bit, and the survivors as a set.
         let (wrapped, survivors) = approximate(&mine, &accepted, &votes, n, t);
-        prop_assert_eq!(&wrapped, &new_ranks);
+        prop_assert_eq!(bits(wrapped.iter()), bits(expected_ranks.clone()), "seed {}", seed);
         prop_assert_eq!(survivors, expected_ranks.keys().copied().collect::<BTreeSet<_>>());
     }
 }
@@ -174,7 +222,7 @@ proptest! {
 /// vacuous there.
 #[test]
 fn the_generator_covers_the_hostile_shapes() {
-    const SHAPES: [&str; 11] = [
+    const SHAPES: [&str; 15] = [
         "t = 0",
         "more than N votes",
         "duplicate id",
@@ -186,6 +234,10 @@ fn the_generator_covers_the_hostile_shapes() {
         "sub-δ spacing",
         "id below N − t votes",
         "id kept",
+        "run of bit-identical wires",
+        "run broken by one different wire",
+        "repeated malformed or invalid wire",
+        "0.0 and -0.0 pair",
     ];
     let mut seen = [false; SHAPES.len()];
     for seed in 0..400u64 {
@@ -211,6 +263,18 @@ fn the_generator_covers_the_hostile_shapes() {
                 _ => {}
             }
             well_formed.push(vote);
+        }
+        let same = |a: &Wire, b: &Wire| bits(a.iter().copied()) == bits(b.iter().copied());
+        for w in step.wires.windows(3) {
+            seen[11] |= same(&w[0], &w[1]) && same(&w[1], &w[2]);
+            seen[12] |= same(&w[0], &w[2]) && !same(&w[0], &w[1]);
+        }
+        for w in step.wires.windows(2) {
+            let rejected = vote_model::from_wire(&w[0]).is_none_or(|vote| {
+                vote_model::check_valid(&vote, &step.timely, step.delta).is_err()
+            });
+            seen[13] |= same(&w[0], &w[1]) && rejected;
+            seen[14] |= w[0] == w[1] && !same(&w[0], &w[1]);
         }
         let mine = RankVector::from_accepted(&step.accepted, step.delta);
         let (_, fates) = vote_model::approximate(

@@ -113,6 +113,11 @@ bench-quick:
 bench-full:
     benchmark/run.sh --sets 5
 
+# Interleaved pairs of the declared benchmark command, a revision against
+# the index (`just bench-pairs HEAD run-n64-alg1 --pairs 10 --seed 7`).
+bench-pairs REV WORKLOAD *ARGS:
+    tools/bench-pairs.sh {{REV}} {{WORKLOAD}} {{ARGS}}
+
 # Compare a result against the committed baseline (or any two result files).
 bench-compare BASE="benchmark/baseline.json" NEW="benchmark/out/result.json":
     benchmark/run.sh --compare {{BASE}} {{NEW}}

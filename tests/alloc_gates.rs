@@ -205,7 +205,7 @@ fn a_voting_step_allocates_a_small_constant_per_process() {
     // difference is what voting steps cost, engine and probe included.
     let per_step = (voting_run(8) - voting_run(0)) / 8;
     // Measured 6.13 per process: the broadcast vector, its `Sealed` cell and
-    // the receiver's inbox (engine), the list of valid votes, the new rank
+    // the receiver's inbox (engine), the ballot of distinct votes, the new rank
     // vector and the snapshot's copy of it, plus the snapshot list's
     // amortised growth. One allocation per vote or per id would read ≥ 22.
     assert!(

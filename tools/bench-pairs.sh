@@ -1,0 +1,106 @@
+#!/usr/bin/env bash
+# Interleaved benchmark pairs: a git revision against the index.
+#
+#   tools/bench-pairs.sh REV WORKLOAD [--pairs 10] [--seed 42]
+#
+# Exports REV (`git archive`) and the index (`git checkout-index`, so staged
+# changes count and `benchmark/run.sh` cannot rewrite the working tree's
+# `benchmark/Cargo.lock`) into a temporary directory, builds each with its
+# own CARGO_TARGET_DIR, then runs
+#
+#   benchmark/run.sh --workload WORKLOAD --seed S --seconds 20 --trace 0
+#
+# once per side per pair, the side that goes first alternating. Prints every
+# run's six end-to-end metrics, each side's median [quartiles] per metric
+# (Python's exclusive quartiles, the benchmark's own spread rule) and in how
+# many pairs the index beats REV on names_per_sec. Writes nothing inside the
+# repository; the temporary directory is removed on exit. Needs jq.
+set -euo pipefail
+
+usage() {
+    echo "usage: tools/bench-pairs.sh REV WORKLOAD [--pairs N] [--seed S]" >&2
+    exit 2
+}
+
+[ $# -ge 2 ] || usage
+rev=$1 workload=$2
+shift 2
+pairs=10 seed=42
+while [ $# -gt 0 ]; do
+    case $1 in
+        --pairs) [ $# -ge 2 ] || usage; pairs=$2; shift 2 ;;
+        --seed) [ $# -ge 2 ] || usage; seed=$2; shift 2 ;;
+        *) usage ;;
+    esac
+done
+case $pairs in '' | *[!0-9]* | 0) usage ;; esac
+case $seed in '' | *[!0-9]*) usage ;; esac
+command -v jq >/dev/null || { echo "bench-pairs: jq not found" >&2; exit 2; }
+
+repo=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
+commit=$(git -C "$repo" rev-parse --verify --quiet "$rev^{commit}") ||
+    { echo "bench-pairs: $rev is not a commit" >&2; exit 2; }
+metrics=$(jq -r '.end_to_end[].name' "$repo/BENCHMARK.json")
+jq -e --arg w "$workload" 'any(.workloads[]; .name == $w)' "$repo/BENCHMARK.json" >/dev/null ||
+    { echo "bench-pairs: unknown workload $workload" >&2; exit 2; }
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base" "$work/change"
+git -C "$repo" archive "$commit" | tar -x -C "$work/base"
+git -C "$repo" checkout-index -a --prefix="$work/change/"
+
+build() {
+    echo "bench-pairs: building $1" >&2
+    (cd "$work/$1" && CARGO_TARGET_DIR="$work/$1-target" \
+        cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+}
+build base
+build change
+
+# One timed pass; appends its contract line (the last line of stdout) to
+# $work/<side>.jsonl.
+run() {
+    local side=$1 line
+    # A pass that fails its checks exits 1 but still prints its line.
+    line=$(cd "$work/$side" && CARGO_TARGET_DIR="$work/$side-target" \
+        bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 20 --trace 0 |
+        tail -n 1) || true
+    echo "$line" | jq -e .metrics >/dev/null 2>&1 ||
+        { echo "bench-pairs: the $side run printed no result" >&2; exit 1; }
+    echo "$line" >>"$work/$side.jsonl"
+    local label=$side
+    [ "$side" = base ] && label="${commit:0:7}"
+    printf 'pair %2d %-7s %s\n' "$pair" "$label" "$(echo "$line" | jq -r --arg m "$metrics" '
+        [($m | split("\n"))[] as $k | "\($k)=\(.metrics[$k].value)"]
+        + ["failed=\(.failed)/\(.attempted)", "correct=\(.correct)"] | join("  ")')"
+}
+
+echo "bench-pairs: $workload, seed $seed, $pairs pairs, ${commit:0:7} (base) against the index (change)"
+for pair in $(seq 1 "$pairs"); do
+    if [ $((pair % 2)) -eq 1 ]; then
+        run base
+        run change
+    else
+        run change
+        run base
+    fi
+done
+
+jq -rn --slurpfile base "$work/base.jsonl" --slurpfile change "$work/change.jsonl" \
+    --arg m "$metrics" '
+    def median: sort as $v | ($v | length) as $n
+        | ($v[(($n - 1) / 2 | floor)] + $v[(($n - 1) / 2 | ceil)]) / 2;
+    def quartile($i): sort as $v | ($v | length) as $n
+        | ([([($i * ($n + 1) / 4 | floor), 1] | max), $n - 1] | min) as $j
+        | ($i * ($n + 1) - $j * 4) as $d
+        | ($v[$j - 1] * (4 - $d) + $v[$j] * $d) / 4;
+    def summary: if length >= 2
+        then "\(median) [\(quartile(1)), \(quartile(3))]"
+        else "\(median)" end;
+    ($m | split("\n"))[] as $k
+    | "\($k): base \([$base[].metrics[$k].value] | summary)  change \([$change[].metrics[$k].value] | summary)"'
+jq -rn --slurpfile base "$work/base.jsonl" --slurpfile change "$work/change.jsonl" '
+    [range($base | length) | select($change[.].metrics.names_per_sec.value
+        > $base[.].metrics.names_per_sec.value)] | length
+    | "names_per_sec: change ahead in \(.) / \($base | length) pairs"'
