@@ -13,7 +13,7 @@
 //! # grant publication per epoch) as Chrome trace-event JSON for Perfetto:
 //! cargo run --release -p opr-bench --bin service -- --perfetto service-trace.json
 //!
-//! # Replay a service repro captured by a failing soak or chaos smoke:
+//! # Replay a service repro captured by a failing soak:
 //! cargo run --release -p opr-bench --bin service -- --repro service-repro.json
 //!
 //! # Prometheus exposition of the run's metrics (wall + deterministic):
@@ -28,7 +28,9 @@
 //! violation or failed run, so the run-up to a failure is visible without
 //! re-running under instrumentation.
 //!
-//! Exit status: 0 on pass, 1 on gate failure, 2 on usage errors.
+//! Exit status: 0 on pass, 1 on gate failure, 2 on usage errors or a
+//! refused repro file; `--repro` exits 0 when the failure reproduces and 1
+//! when it does not, as `chaos --repro` does.
 
 use opr_adversary::AdversarySpec;
 use opr_bench::Flags;
@@ -47,12 +49,13 @@ const WATCH_EVERY: u64 = 5;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: service [--seed S] [--epochs E] [--shards K] [--backend sim|pooled]\n\
+        "usage: service [--seed S] [--epochs E] [--shards K]\n\
          \x20       service --soak [--seed S] [--epochs E] [--shards K] [--repro-out <file>]\n\
          \x20                                 oracle + determinism gate across jobs {{1,4}}\n\
          \x20                                 and every backend (exit 1 on failure)\n\
          \x20       service --perfetto <file> export service-level spans as a Perfetto trace\n\
-         \x20       service --repro <file>    replay a captured service failure\n\
+         \x20       service --repro <file>    replay a captured service failure: exit 0 if it\n\
+         \x20                                 reproduces, 1 if the replay is clean\n\
          \x20       service --metrics <file>  write a Prometheus exposition of the run's metrics\n\
          \x20       service --watch           print the ANSI metrics dashboard every few epochs\n\
          \x20       service --flight <K>      flight-recorder ring size (default 32)"
@@ -92,7 +95,6 @@ fn parse_args() -> Args {
             "--seed" => args.seed = flags.value(&flag),
             "--epochs" => args.epochs = flags.value(&flag),
             "--shards" => args.shards = flags.value(&flag),
-            "--backend" => BackendKind::set_process_default(flags.label(&flag, BackendKind::parse)),
             "--soak" => args.soak = true,
             "--perfetto" => args.perfetto = Some(flags.value(&flag)),
             "--repro" => args.repro = Some(flags.value(&flag)),
@@ -148,7 +150,7 @@ fn soak_spec(
     }
 }
 
-fn summarize(label: &str, spec: &ServiceSpec, report: &ServiceReport) {
+fn summarize(label: &str, report: &ServiceReport) {
     let a = report.admission;
     eprintln!(
         "service: {label}: {} epochs, {} grants, {} releases, {} recycled, backlog-rejects {} \
@@ -162,7 +164,6 @@ fn summarize(label: &str, spec: &ServiceSpec, report: &ServiceReport) {
         a.rejected_unknown_release,
         a.cancelled_pending,
     );
-    let _ = spec;
 }
 
 fn write_repro(spec: &ServiceSpec, args: &Args) {
@@ -270,7 +271,7 @@ fn soak(args: &Args) -> i32 {
     let Ok(reference) = run_judged(&reference_spec, "sim/jobs1", args, registry.as_ref()) else {
         return 1;
     };
-    summarize("sim/jobs1", &reference_spec, &reference);
+    summarize("sim/jobs1", &reference);
     if let Some(registry) = &registry {
         if write_metrics(args, registry, &reference) != 0 {
             return 1;
@@ -327,7 +328,7 @@ fn perfetto(args: &Args, path: &str) -> i32 {
             return 1;
         }
     };
-    summarize("perfetto", &spec, &report);
+    summarize("perfetto", &report);
     let spans = spans.lock().expect("span log poisoned").spans().to_vec();
     eprintln!("service: {} spans recorded", spans.len());
     // No protocol event stream here — the trace carries the wall lane only.
@@ -374,31 +375,33 @@ fn replay(path: &str) -> i32 {
         repro.campaign_seed,
         repro.run_index,
     );
-    match repro.replay() {
-        Ok((report, violations)) => {
-            eprintln!(
-                "service: replay: {} grants, {} releases, {} recycled, {} violation(s)",
-                report.grants,
-                report.releases,
-                report.recycled,
-                violations.len()
-            );
-            for (oracle, violation) in violations.iter().take(10) {
-                eprintln!("service: replay: [{oracle}] {violation}");
-            }
-            if violations.is_empty() {
-                eprintln!("service: replay clean (fixed, or captured for determinism only)");
-                0
-            } else {
-                eprintln!("service: failure reproduced");
-                0
-            }
-        }
+    let replay = match repro.replay() {
+        Ok(replay) => replay,
         Err(e) => {
-            eprintln!("service: replay failed to run: {e}");
-            1
+            eprintln!("service: failure reproduced: the replay failed to run: {e}");
+            return 0;
         }
+    };
+    let report = &replay.report;
+    eprintln!(
+        "service: replay: {} grants, {} releases, {} recycled, {} violation(s)",
+        report.grants,
+        report.releases,
+        report.recycled,
+        replay.violations.len()
+    );
+    for (oracle, violation) in replay.violations.iter().take(10) {
+        eprintln!("service: replay: [{oracle}] {violation}");
     }
+    if replay.diverged {
+        eprintln!("service: replay: report differs from the same spec at jobs=1 on sim");
+    }
+    if replay.violations.is_empty() && !replay.diverged {
+        eprintln!("service: failure did NOT reproduce (replay clean)");
+        return 1;
+    }
+    eprintln!("service: failure reproduced");
+    0
 }
 
 /// The quickstart: one small seeded run, summarized and judged.
@@ -407,13 +410,13 @@ fn demo(args: &Args) -> i32 {
         args.seed,
         args.epochs.clamp(1, 50),
         args.shards,
-        BackendKind::default(),
+        BackendKind::Sim,
         2,
     );
     let registry = metrics_registry(args);
     match run_judged(&spec, "demo", args, registry.as_ref()) {
         Ok(report) => {
-            summarize("demo", &spec, &report);
+            summarize("demo", &report);
             eprintln!("service: oracle-clean");
             if let Some(registry) = &registry {
                 if write_metrics(args, registry, &report) != 0 {

@@ -63,7 +63,7 @@ fn unhonourable_arguments_say_why_and_exit_2() {
     let repro_out = concat!(env!("CARGO_TARGET_TMPDIR"), "/refused-service-repro.json");
     let _ = std::fs::remove_file(repro_out);
 
-    let cases: [(&str, &[&str], &str); 9] = [
+    let cases: [(&str, &[&str], &str); 12] = [
         // An unknown adversary label used to run the default adversary.
         (
             env!("CARGO_BIN_EXE_sweep"),
@@ -78,9 +78,24 @@ fn unhonourable_arguments_say_why_and_exit_2() {
             &["--bench", "x.json"],
             "usage:",
         ),
+        // Retired modes: `service` is the one service driver, and the
+        // shrink→repro self-test lives in `tests/chaos_campaign.rs`.
+        (env!("CARGO_BIN_EXE_chaos"), &["--service"], "usage:"),
+        (
+            env!("CARGO_BIN_EXE_chaos"),
+            &["--service", "--repro", zero_shards_path],
+            "usage:",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos"),
+            &["--search", "--service"],
+            "usage:",
+        ),
+        (env!("CARGO_BIN_EXE_chaos"), &["--self-test"], "usage:"),
+        // Every `service` mode fixes its own backend, so the flag is gone.
         (
             env!("CARGO_BIN_EXE_service"),
-            &["--backend", "auto"],
+            &["--backend", "pooled"],
             "usage:",
         ),
         (
@@ -105,17 +120,6 @@ fn unhonourable_arguments_say_why_and_exit_2() {
             &["--repro", zero_shards_path, "--repro-out", repro_out],
             "service needs at least one shard",
         ),
-        (
-            env!("CARGO_BIN_EXE_chaos"),
-            &[
-                "--service",
-                "--repro",
-                zero_shards_path,
-                "--repro-out",
-                repro_out,
-            ],
-            "service needs at least one shard",
-        ),
     ];
     for (bin, args, needle) in cases {
         let (code, stderr) = exit_status(bin, args);
@@ -126,4 +130,25 @@ fn unhonourable_arguments_say_why_and_exit_2() {
             "{bin} {args:?} wrote a repro for a spec it refused"
         );
     }
+}
+
+/// `service --repro` judges what the replay shows, as `chaos --repro` does:
+/// a spec that runs oracle-clean and matches its `jobs = 1` sim twin is not
+/// a reproduced failure, so the replay exits 1.
+#[test]
+fn service_repro_of_a_clean_spec_exits_1() {
+    let clean_path = concat!(env!("CARGO_TARGET_TMPDIR"), "/clean-service-repro.json");
+    std::fs::write(
+        clean_path,
+        r#"{"version": 1, "campaign_seed": 0, "run_index": 0, "jobs": 2,
+            "service": {"shards": 2, "n": 7, "t": 2, "regime": "log-time",
+                        "byzantine": 2, "adversary": "silent", "backend": "pooled",
+                        "queue_capacity": 64, "shard_span": 64, "seed": 1},
+            "workload": {"clients": 40, "epochs": 3, "arrivals_per_epoch": 4,
+                         "max_hold": 3, "seed": 7}}"#,
+    )
+    .expect("tmpdir is writable");
+    let (code, stderr) = exit_status(env!("CARGO_BIN_EXE_service"), &["--repro", clean_path]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("did NOT reproduce"), "{stderr}");
 }

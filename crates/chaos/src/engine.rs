@@ -21,7 +21,9 @@
 use crate::generator::generate_schedule;
 use crate::genome::genome_key;
 use crate::oracle::{violation_kind, Oracle, OracleInput};
+use crate::repro::Repro;
 use crate::schedule::{BudgetRegime, ChaosSchedule};
+use crate::shrink::{shrink, ShrinkResult};
 use opr_exec::RunPool;
 use opr_sim::RunMetrics;
 use opr_transport::BackendKind;
@@ -162,6 +164,13 @@ impl RunVerdict {
     }
 }
 
+/// Two verdict digests name the same failure when they share at least one
+/// violation kind — the rule campaign shrinking keeps a candidate by and a
+/// replay reproduces a recorded failure by.
+pub fn digests_overlap(a: &str, b: &str) -> bool {
+    a.split('+').any(|kind| b.split('+').any(|k| k == kind))
+}
+
 /// Whether `v` is a legitimate consequence of exceeding the fault budget
 /// (the paper's theorems no longer apply) rather than a harness bug.
 fn tolerable_over_budget(v: &Violation) -> bool {
@@ -184,6 +193,40 @@ pub struct Failure {
     pub schedule: ChaosSchedule,
     /// The verdict.
     pub verdict: RunVerdict,
+}
+
+impl Failure {
+    /// Shrinks the failing schedule — a candidate survives while it still
+    /// fails under this run's budget with a digest overlapping the
+    /// original's — and packages the result as a [`Repro`] of campaign
+    /// `campaign_seed` carrying the reference run's metrics (none when the
+    /// shrunk schedule panics or is refused).
+    pub fn shrink_to_repro(
+        &self,
+        campaign_seed: u64,
+        backend: BackendChoice,
+        oracles: &[Box<dyn Oracle>],
+    ) -> (Repro, ShrinkResult) {
+        let digest = self.verdict.digest();
+        let result = shrink(&self.schedule, |candidate| {
+            let verdict = judge_schedule(candidate, backend, oracles);
+            verdict.is_failure(self.budget) && digests_overlap(&verdict.digest(), &digest)
+        });
+        let metrics = execute_schedule(&result.schedule, backend)
+            .ok()
+            .map(|run| run.reference.metrics);
+        let repro = Repro {
+            campaign_seed,
+            run_index: self.index,
+            budget: self.budget,
+            backend,
+            digest,
+            schedule: result.schedule.clone(),
+            metrics,
+            fitness: None,
+        };
+        (repro, result)
+    }
 }
 
 /// Network metrics summed over every run a campaign actually executed
@@ -330,7 +373,7 @@ pub struct ExecutedSchedule {
 ///
 /// `Err` carries the verdict that pre-empted execution:
 /// [`RunVerdict::Panicked`] or [`RunVerdict::SetupError`].
-pub fn execute_schedule(
+pub(crate) fn execute_schedule(
     schedule: &ChaosSchedule,
     backend: BackendChoice,
 ) -> Result<ExecutedRun, RunVerdict> {
@@ -371,7 +414,7 @@ pub(crate) fn execute_with(
 }
 
 /// Runs the oracle suite over an executed schedule.
-pub fn judge_executed(
+pub(crate) fn judge_executed(
     schedule: &ChaosSchedule,
     backend: BackendChoice,
     run: &ExecutedRun,

@@ -35,6 +35,9 @@
 //! 6. [`repro`] round-trips the result through a `chaos-repro.json` file
 //!    (hand-rolled [`opr_obs::json`], no external dependencies) so the failure can
 //!    be replayed deterministically from the file alone.
+//!    [`Failure::shrink_to_repro`] runs 5 and 6 on a campaign failure;
+//!    [`engine::digests_overlap`] is the "same failure" rule both the
+//!    shrink predicate and a replay judge by.
 //! 7. [`explain`] replays a repro with the protocol event recorder attached
 //!    ([`opr_obs`]) and renders every correct process's decision waterfall
 //!    — which thresholds crossed, which votes were rejected and why.

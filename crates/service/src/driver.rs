@@ -5,7 +5,7 @@
 //! The driver is the replayability boundary: a [`ServiceSpec`] is a pure
 //! value, and `run()` is a deterministic function of it — same spec, same
 //! report, bit for bit, across `jobs` counts and backends. Everything the
-//! soak/reduction/chaos gates compare is in the report; wall-clock spans are
+//! soak/reduction/smoke gates compare is in the report; wall-clock spans are
 //! deliberately outside it.
 
 use crate::config::{ServiceConfig, ServiceError};

@@ -32,8 +32,10 @@
 //! Everything is deterministic: a [`ServiceSpec`] (configuration +
 //! [`ServiceWorkload`](opr_workload::ServiceWorkload) + jobs) replays to a
 //! bit-identical [`ServiceReport`] across `--jobs` counts and backends,
-//! which is what the soak and chaos gates compare. [`ServiceRepro`] round-trips a
-//! spec through `service-repro.json` for replayable failures.
+//! which is what the `service --soak` gate and `tests/service_soak.rs`
+//! compare. [`ServiceRepro`] round-trips a spec through
+//! `service-repro.json`; `service --repro` replays it, judging the ledger
+//! and the report against the spec at `jobs = 1` on the simulator.
 
 pub(crate) mod config;
 pub(crate) mod driver;
@@ -44,8 +46,8 @@ pub(crate) mod repro;
 pub use config::{epoch_seed, ServiceConfig, ServiceError};
 pub use driver::{ServiceObs, ServiceReport, ServiceSpec};
 pub use engine::{AdmissionStats, EpochStats, Grant, LedgerEvent, ServiceEngine, ServiceOp};
-pub use oracle::{judge_ledger, ledger_margin, ServiceViolation};
-pub use repro::{ServiceRepro, ServiceReproError};
+pub use oracle::{judge_ledger, ServiceViolation};
+pub use repro::{ServiceReplay, ServiceRepro, ServiceReproError};
 
 #[cfg(test)]
 mod tests {
@@ -274,42 +276,6 @@ mod tests {
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[1].recycled, 1);
         assert_eq!(summaries[1].live_names, 2);
-    }
-
-    #[test]
-    fn ledger_margin_tracks_peak_shard_pressure() {
-        use opr_types::NewName;
-        let cfg = small_cfg(); // one shard, span 8 → names 1..=8
-        assert_eq!(ledger_margin(&cfg, &[]), None, "no grants, no margin");
-        let grant = |epoch, original: u64, name| {
-            LedgerEvent::Grant(Grant {
-                epoch,
-                shard: 0,
-                client: ClientId::new(original),
-                original: OriginalId::new(original),
-                protocol_name: NewName::new(original as i64),
-                name,
-            })
-        };
-        let release = |epoch, client: u64, name| LedgerEvent::Release {
-            epoch,
-            shard: 0,
-            client: ClientId::new(client),
-            name,
-        };
-        // Peak of 3 live names against a span of 8 → margin 5, and the
-        // margin tracks the *peak*, not the final live count.
-        let ledger = vec![
-            grant(0, 1, 1),
-            grant(0, 2, 2),
-            grant(0, 3, 3),
-            release(1, 1, 1),
-            release(1, 2, 2),
-        ];
-        assert_eq!(ledger_margin(&cfg, &ledger), Some(5));
-        // A completely full shard sits exactly on the edge.
-        let full: Vec<LedgerEvent> = (1..=8).map(|i| grant(0, i, i)).collect();
-        assert_eq!(ledger_margin(&cfg, &full), Some(0));
     }
 
     #[test]

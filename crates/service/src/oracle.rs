@@ -265,40 +265,6 @@ pub(crate) fn service_suite() -> Vec<Box<dyn ServiceOracle>> {
     ]
 }
 
-/// How close the ledger came to exhausting a shard's namespace: the
-/// minimum, over all shards that ever granted, of `shard span − peak live
-/// names in that shard`. Zero means some shard was completely full at its
-/// peak; negative is impossible while cross-epoch uniqueness holds.
-/// Returns `None` for a ledger with no grants (nothing was exercised).
-///
-/// This is the service-layer analogue of the protocol oracles' margin:
-/// a distance-to-violation number the adversary search can minimize.
-pub fn ledger_margin(cfg: &ServiceConfig, ledger: &[LedgerEvent]) -> Option<i64> {
-    let mut live: BTreeMap<usize, i64> = BTreeMap::new();
-    let mut peak: BTreeMap<usize, i64> = BTreeMap::new();
-    for event in ledger {
-        match *event {
-            LedgerEvent::Grant(grant) => {
-                let count = live.entry(grant.shard).or_insert(0);
-                *count += 1;
-                let best = peak.entry(grant.shard).or_insert(0);
-                *best = (*best).max(*count);
-            }
-            LedgerEvent::Release { shard, .. } => {
-                if let Some(count) = live.get_mut(&shard) {
-                    *count -= 1;
-                }
-            }
-        }
-    }
-    peak.iter()
-        .map(|(&shard, &max_live)| {
-            let (lo, hi) = cfg.shard_range(shard);
-            (hi - lo + 1) as i64 - max_live
-        })
-        .min()
-}
-
 /// Runs every ledger oracle and collects all violations,
 /// tagged with the oracle that raised them.
 pub fn judge_ledger(

@@ -2,9 +2,11 @@
 //!
 //! A service failure is fully determined by its [`ServiceSpec`] — the
 //! engine configuration, the workload schedule and the dispatch
-//! parallelism — so the repro file is just the spec plus the verdict digest
-//! observed at capture time. Replaying re-runs the spec and re-judges the
-//! ledger with the service oracle suite; the digest must reproduce.
+//! parallelism — so the repro file is just the spec plus where it was
+//! drawn. Replaying re-runs the spec, re-judges the ledger with the service
+//! oracle suite and compares the report with the spec's reference twin
+//! (`jobs = 1` on the simulator), so a captured jobs/backend divergence
+//! replays as a failure too.
 
 use crate::config::{ServiceConfig, ServiceError};
 use crate::driver::{ServiceReport, ServiceSpec};
@@ -29,6 +31,20 @@ pub struct ServiceRepro {
     pub campaign_seed: u64,
     /// The index of the failing spec within that campaign.
     pub run_index: usize,
+}
+
+/// What replaying a [`ServiceRepro`] showed. The replay shows a failure
+/// when `violations` is non-empty or `diverged` is set (or when the spec
+/// fails to run at all, which [`ServiceRepro::replay`] returns as `Err`).
+#[derive(Clone, Debug)]
+pub struct ServiceReplay {
+    /// The replayed spec's report.
+    pub report: ServiceReport,
+    /// Ledger-oracle violations of `report`, tagged with their oracle.
+    pub violations: Vec<(&'static str, ServiceViolation)>,
+    /// Whether `report` differs from the same spec run at `jobs = 1` on
+    /// the simulator.
+    pub diverged: bool,
 }
 
 /// Why a service repro file could not be decoded.
@@ -160,20 +176,44 @@ impl ServiceRepro {
         })
     }
 
-    /// Re-runs the spec and re-judges the ledger with the service oracle
-    /// suite. Deterministic: the same file always yields the same report
-    /// and violations.
+    /// Re-runs the spec, re-judges the ledger with the service oracle suite
+    /// and compares the report with the spec's reference twin.
+    /// Deterministic: the same file always yields the same replay.
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError`] when the spec itself fails to run.
-    #[allow(clippy::type_complexity)]
-    pub fn replay(
-        &self,
-    ) -> Result<(ServiceReport, Vec<(&'static str, ServiceViolation)>), ServiceError> {
+    /// Returns [`ServiceError`] when the spec or its twin fails to run.
+    pub fn replay(&self) -> Result<ServiceReplay, ServiceError> {
         let report = self.spec.run()?;
         let violations = judge_ledger(&self.spec.service, &report.ledger);
-        Ok((report, violations))
+        let diverged = self.diverges_from_twin(&report)?;
+        Ok(ServiceReplay {
+            report,
+            violations,
+            diverged,
+        })
+    }
+
+    /// The spec's reference twin: the same spec at `jobs = 1` on the
+    /// simulator, whose report every other execution strategy must
+    /// reproduce bit for bit.
+    fn twin(&self) -> ServiceSpec {
+        let service = ServiceConfig {
+            backend: BackendKind::Sim,
+            ..self.spec.service
+        };
+        ServiceSpec {
+            service,
+            jobs: 1,
+            ..self.spec
+        }
+    }
+
+    /// Whether `report` differs from the twin's report. A spec that is its
+    /// own twin is not run twice and never diverges.
+    fn diverges_from_twin(&self, report: &ServiceReport) -> Result<bool, ServiceError> {
+        let twin = self.twin();
+        Ok(twin != self.spec && twin.run()? != *report)
     }
 }
 
@@ -219,11 +259,30 @@ mod tests {
     #[test]
     fn replay_is_deterministic_and_clean_on_a_healthy_spec() {
         let repro = sample();
-        let (first, violations) = repro.replay().unwrap();
-        let (second, _) = repro.replay().unwrap();
-        assert_eq!(first, second);
-        assert!(violations.is_empty(), "{violations:?}");
-        assert!(first.grants > 0);
+        let first = repro.replay().unwrap();
+        let second = repro.replay().unwrap();
+        assert_eq!(first.report, second.report);
+        assert!(first.violations.is_empty(), "{:?}", first.violations);
+        assert!(
+            !first.diverged,
+            "pooled/jobs4 must match its sim/jobs1 twin"
+        );
+        assert!(first.report.grants > 0);
+    }
+
+    #[test]
+    fn replay_flags_a_report_that_differs_from_the_serial_sim_twin() {
+        let repro = sample();
+        let mut tampered = repro.spec.run().unwrap();
+        assert!(!repro.diverges_from_twin(&tampered).unwrap());
+        tampered.recycled += 1;
+        assert!(repro.diverges_from_twin(&tampered).unwrap());
+        // The reference spec is its own twin: nothing to compare against.
+        let reference = ServiceRepro {
+            spec: repro.twin(),
+            ..repro
+        };
+        assert!(!reference.diverges_from_twin(&tampered).unwrap());
     }
 
     #[test]

@@ -77,21 +77,11 @@ service:
 service-soak EPOCHS="1000":
     cargo run --release -p opr-bench --bin service -- --soak --epochs {{EPOCHS}}
 
-# Service-layer chaos smoke: seeded epoch-engine specs judged by the ledger
-# oracles, with a jobs-determinism cross-check per spec.
-chaos-service RUNS="40":
-    cargo run --release -p opr-bench --bin chaos -- --service --seed 42 --runs {{RUNS}}
-
 # Guided adversary search: beam-search the attack-schedule space for the
 # configured fitness signal, emit the top-K finds as replayable repro files
 # (`just search FITNESS=rounds EVALS=256`).
 search SEED="42" FITNESS="margin" EVALS="96" JOBS="4":
     cargo run --release -p opr-bench --bin chaos -- --search --seed {{SEED}} --budget at --backend both --jobs {{JOBS}} --fitness {{FITNESS}} --evals {{EVALS}} --baseline
-
-# Guided search over service-spec space, judged by ledger shard-pressure
-# margins.
-search-service SEED="42" EVALS="48":
-    cargo run --release -p opr-bench --bin chaos -- --search --service --seed {{SEED}} --evals {{EVALS}}
 
 # Metrics demo: a short instrumented service run writing a Prometheus
 # exposition (wall plane overlaid on the deterministic fold) and printing

@@ -1,8 +1,8 @@
 //! Pins that sim-network round-buffer reuse changes zero observable
 //! behaviour.
 //!
-//! `tests/data/chaos-repro.json` is a stored chaos reproducer (captured via
-//! `chaos --self-test`), and `tests/data/chaos-repro.trace` is the full
+//! `tests/data/chaos-repro.json` is a stored chaos reproducer (an injected
+//! failure shrunk as `tests/chaos_campaign.rs` does), and `tests/data/chaos-repro.trace` is the full
 //! rendering of its replay — every delivery event the network performed,
 //! plus the diagnosis, metrics and verdict digest — recorded *before* the
 //! network started reusing its per-round inbox/outbox buffers. Replaying
@@ -14,7 +14,7 @@
 //! delivery order, metrics definition), run with `BLESS_TRACE=1` and commit
 //! the regenerated golden file.
 
-use opr::chaos::engine::{execute_schedule, judge_executed};
+use opr::chaos::engine::digests_overlap;
 use opr::chaos::{standard_suite, Repro};
 use opr::transport::BackendKind;
 use opr::workload::DiagnosedRun;
@@ -101,16 +101,9 @@ fn replayed_repro_trace_matches_the_pre_reuse_golden_file() {
 #[test]
 fn replayed_repro_keeps_its_recorded_digest() {
     let repro = Repro::from_json(REPRO).expect("stored repro must parse");
-    let oracles = standard_suite();
-    let verdict = match execute_schedule(&repro.schedule, repro.backend) {
-        Ok(run) => judge_executed(&repro.schedule, repro.backend, &run, &oracles),
-        Err(verdict) => verdict,
-    };
-    let digest = verdict.digest();
+    let digest = repro.replay(&standard_suite()).digest();
     assert!(
-        digest
-            .split('+')
-            .any(|kind| repro.digest.split('+').any(|k| k == kind)),
+        digests_overlap(&digest, &repro.digest),
         "replay digest '{digest}' shares no kind with recorded '{}'",
         repro.digest
     );

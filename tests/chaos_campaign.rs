@@ -7,15 +7,10 @@
 //! * a failing schedule shrinks to a minimal reproducer that round-trips
 //!   through `chaos-repro.json` and replays deterministically.
 
-use opr::chaos::engine::{judge_schedule, per_run_seed, run_campaign};
+use opr::chaos::engine::{digests_overlap, judge_schedule, per_run_seed, run_campaign};
 use opr::chaos::{
-    generate_schedule, standard_suite, BackendChoice, BudgetRegime, CampaignConfig, Repro,
+    generate_schedule, standard_suite, BackendChoice, BudgetRegime, CampaignConfig, Failure, Repro,
 };
-
-/// Two digests name the same failure when they share a violation kind.
-fn digests_overlap(a: &str, b: &str) -> bool {
-    a.split('+').any(|kind| b.split('+').any(|k| k == kind))
-}
 
 /// The headline guarantee: a large seeded campaign of schedules whose
 /// effective fault load stays within the algorithm's bound `t` produces
@@ -76,47 +71,54 @@ fn over_budget_campaign_degrades_without_panicking() {
 }
 
 /// The full failure pipeline on an injected violation: an over-budget
-/// schedule judged under at-budget rules fails legitimately; the shrinker
-/// must minimize it, the repro format must round-trip it bit-exactly, and
-/// the replay must reproduce the digest.
+/// schedule judged under at-budget rules fails legitimately; the campaign's
+/// shrink→repro step must minimize it and capture the shrunk run's metrics,
+/// the repro format must round-trip it bit-exactly, and the replay must
+/// reproduce the digest.
 #[test]
 fn injected_failure_shrinks_and_round_trips_through_repro() {
     let oracles = standard_suite();
     let backend = BackendChoice::Sim;
-    let injected_budget = BudgetRegime::AtBudget;
     let campaign_seed = 11u64;
-    let (index, schedule, digest) = (0..500usize)
+    let failure = (0..500usize)
         .find_map(|index| {
-            let schedule =
-                generate_schedule(per_run_seed(campaign_seed, index), BudgetRegime::OverBudget);
+            let seed = per_run_seed(campaign_seed, index);
+            let schedule = generate_schedule(seed, BudgetRegime::OverBudget);
             let verdict = judge_schedule(&schedule, backend, &oracles);
             verdict
-                .is_failure(injected_budget)
-                .then(|| (index, schedule, verdict.digest()))
+                .is_failure(BudgetRegime::AtBudget)
+                .then_some(Failure {
+                    index,
+                    seed,
+                    budget: BudgetRegime::AtBudget,
+                    schedule,
+                    verdict,
+                })
         })
         .expect("over-budget schedules must violate at-budget expectations");
 
-    let result = opr::chaos::shrink(&schedule, |candidate| {
-        let verdict = judge_schedule(candidate, backend, &oracles);
-        verdict.is_failure(injected_budget) && digests_overlap(&verdict.digest(), &digest)
-    });
+    let (repro, result) = failure.shrink_to_repro(campaign_seed, backend, &oracles);
     assert!(result.events <= result.original_events);
+    assert_eq!(repro.schedule, result.schedule);
+    assert_eq!(repro.digest, failure.verdict.digest());
+    assert_eq!(
+        (repro.campaign_seed, repro.run_index),
+        (campaign_seed, failure.index)
+    );
     // The shrunk schedule still fails with the same digest...
-    let shrunk_verdict = judge_schedule(&result.schedule, backend, &oracles);
-    assert!(shrunk_verdict.is_failure(injected_budget));
-    assert!(digests_overlap(&shrunk_verdict.digest(), &digest));
+    let shrunk_verdict = judge_schedule(&repro.schedule, backend, &oracles);
+    assert!(shrunk_verdict.is_failure(repro.budget));
+    assert!(digests_overlap(&shrunk_verdict.digest(), &repro.digest));
+
+    // ...the repro carries the shrunk run's metrics...
+    let (reference, _) = backend.backends();
+    let run = repro
+        .schedule
+        .run_on(reference)
+        .expect("shrunk schedule runs");
+    assert_eq!(repro.metrics.as_ref(), Some(&run.metrics));
 
     // ...round-trips through the repro file format unchanged...
-    let repro = Repro {
-        campaign_seed,
-        run_index: index,
-        budget: injected_budget,
-        backend,
-        digest,
-        schedule: result.schedule,
-        metrics: None,
-        fitness: None,
-    };
     let text = repro.to_json();
     let reread = Repro::from_json(&text).expect("repro must parse back");
     assert_eq!(reread, repro, "round-trip must be exact:\n{text}");

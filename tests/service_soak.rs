@@ -1,6 +1,7 @@
 //! The service soak gate: a seeded 1000-epoch run with recycling across 4
 //! shards must complete oracle-clean and be bit-identical across worker
-//! counts and execution backends.
+//! counts and execution backends. Beside it, the service smoke sweeps 40
+//! small seeded specs over every regime and adversary the soak spec fixes.
 //!
 //! This is the acceptance gate for the service layer: within-epoch
 //! uniqueness/order/namespace discipline plus cross-epoch uniqueness over
@@ -9,6 +10,7 @@
 //! strategy (the `ServiceReport` — ledger included — is compared with
 //! `==`).
 
+use opr::chaos::engine::per_run_seed;
 use opr::prelude::*;
 use opr::service::{judge_ledger, ServiceConfig, ServiceSpec};
 use opr::types::Regime;
@@ -88,4 +90,72 @@ fn soak_report_is_bit_identical_across_jobs_and_backends() {
             "backend {backend:?} jobs {jobs} diverged from the sim reference"
         );
     }
+}
+
+/// The smoke spec drawn from one run seed: 1–4 shards, every regime at
+/// `t = 1`, 0–1 Byzantine actors under any adversary of the regime's suite,
+/// both backends, a 20-client universe (clients wrap around, producing
+/// duplicate-acquire and re-acquire traffic) and holds short enough to
+/// recycle names within the 10-epoch schedule.
+fn smoke_spec(seed: u64) -> ServiceSpec {
+    let regime = Regime::ALL[(seed % 3) as usize];
+    let suite = AdversarySpec::suite(regime);
+    let shards = 1 + (seed % 4) as usize;
+    ServiceSpec {
+        service: ServiceConfig {
+            shards,
+            // 4..=6 processes: legal for every regime at t = 1.
+            epoch_cfg: SystemConfig::new(4 + ((seed >> 8) % 3) as usize, 1).unwrap(),
+            regime,
+            byzantine: ((seed >> 16) % 2) as usize,
+            adversary: suite[((seed >> 24) as usize) % suite.len()],
+            backend: BackendKind::ALL[((seed >> 32) % 2) as usize],
+            queue_capacity: 64,
+            shard_span: 16,
+            seed,
+        },
+        workload: ServiceWorkload {
+            clients: 20,
+            epochs: 10,
+            arrivals_per_epoch: 2 * shards + 1,
+            max_hold: 1 + ((seed >> 40) % 3),
+            seed: seed ^ 0x0073_6d6f_6b65,
+        },
+        jobs: 1,
+    }
+}
+
+/// The service smoke: 40 specs drawn from `per_run_seed(42, i)`, each
+/// oracle-clean and bit-identical at `jobs = 1` and `jobs = 4`. It is the
+/// one service check covering constant-time and 2-step instances and
+/// non-silent adversaries over many epochs.
+#[test]
+fn seeded_smoke_specs_are_oracle_clean_and_jobs_invariant() {
+    let specs: Vec<ServiceSpec> = (0..40).map(|i| smoke_spec(per_run_seed(42, i))).collect();
+    let run = |spec: ServiceSpec| spec.run().unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+    let mut recycled = 0;
+    for (index, &spec) in specs.iter().enumerate() {
+        let serial = run(spec);
+        let violations = judge_ledger(&spec.service, &serial.ledger);
+        assert!(violations.is_empty(), "spec #{index}: {violations:?}");
+        let parallel = run(ServiceSpec { jobs: 4, ..spec });
+        assert!(serial == parallel, "spec #{index}: jobs=4 diverged");
+        recycled += serial.recycled;
+    }
+    assert!(recycled > 0, "no spec ever recycled a name");
+    // The draw covers what the soak spec holds fixed.
+    let covers = |pred: &dyn Fn(&ServiceConfig) -> bool| specs.iter().any(|s| pred(&s.service));
+    for regime in Regime::ALL {
+        assert!(covers(&|c| c.regime == regime), "{regime:?} never drawn");
+    }
+    for backend in BackendKind::ALL {
+        assert!(covers(&|c| c.backend == backend), "{backend:?} never drawn");
+    }
+    for shards in 1..=4 {
+        assert!(covers(&|c| c.shards == shards), "{shards} shards");
+    }
+    assert!(
+        covers(&|c| c.byzantine > 0 && c.adversary != AdversarySpec::Silent),
+        "no active non-silent adversary drawn"
+    );
 }
