@@ -12,30 +12,23 @@
 //! # process's decision waterfall (optionally exporting the event stream):
 //! cargo run --release -p opr-bench --bin chaos -- explain chaos-repro.json \
 //!     --events events.jsonl --perfetto trace.json
-//!
-//! # Guided adversary search: emit the top-K attacks as repro files:
-//! cargo run --release -p opr-bench --bin chaos -- --search --seed 42 --budget at
 //! ```
 //!
 //! Service specs are driven by the `service` binary; the shrink→repro
 //! pipeline on an injected failure is pinned by `tests/chaos_campaign.rs`.
 //!
-//! Exit status: 0 when the campaign (or search) passes or a replay
-//! reproduces its failure, 1 otherwise, 2 on usage errors.
+//! Exit status: 0 when the campaign passes or a replay reproduces its
+//! failure, 1 otherwise, 2 on usage errors and refused repro files.
 
 use opr_bench::Flags;
 use opr_chaos::engine::{
     digests_overlap, per_run_seed, run_campaign, BackendChoice, CampaignConfig,
 };
 use opr_chaos::explain::explain_repro;
-use opr_chaos::fitness::{evaluate, FitnessKind};
 use opr_chaos::generator::generate_schedule;
 use opr_chaos::oracle::standard_suite;
 use opr_chaos::repro::Repro;
 use opr_chaos::schedule::BudgetRegime;
-use opr_chaos::search::{random_search_on, render_search_json, repro_for, run_search_on};
-use opr_chaos::SearchConfig;
-use opr_exec::RunPool;
 use opr_obs::{render_jsonl, render_trace_json};
 
 fn usage() -> ! {
@@ -46,14 +39,7 @@ fn usage() -> ! {
          \x20      chaos explain <file> [--events <file>] [--perfetto <file>]\n\
          \x20                                replay a repro with the recorder attached and\n\
          \x20                                print the per-process decision waterfall\n\
-         \x20      chaos --repro <file>      replay a captured failure\n\
-         \x20      chaos --search [--seed S] [--budget in|at|over]\n\
-         \x20                     [--backend sim|pooled|both]\n\
-         \x20                     [--jobs N] [--fitness margin|rounds|namespace|spread|drops]\n\
-         \x20                     [--beam B] [--generations G] [--evals E] [--init I] [--top-k K]\n\
-         \x20                     [--out-dir DIR] [--search-report <file>] [--baseline]\n\
-         \x20                                guided adversary search: optimize attack schedules,\n\
-         \x20                                emit the top-K as replayable repro files"
+         \x20      chaos --repro <file>      replay a captured failure"
     );
     std::process::exit(2);
 }
@@ -67,16 +53,6 @@ struct Args {
     repro: Option<String>,
     repro_out: String,
     events_out: Option<String>,
-    search: bool,
-    fitness: FitnessKind,
-    beam: usize,
-    generations: usize,
-    evals: usize,
-    init: usize,
-    top_k: usize,
-    out_dir: String,
-    search_report: Option<String>,
-    baseline: bool,
 }
 
 /// `chaos explain <file> [--events <file>] [--perfetto <file>]`.
@@ -117,16 +93,6 @@ fn parse_args(raw: Vec<String>) -> Args {
         repro: None,
         repro_out: "chaos-repro.json".to_string(),
         events_out: None,
-        search: false,
-        fitness: FitnessKind::Margin,
-        beam: 4,
-        generations: 6,
-        evals: 96,
-        init: 24,
-        top_k: 3,
-        out_dir: ".".to_string(),
-        search_report: None,
-        baseline: false,
     };
     let mut flags = Flags::new(raw, usage);
     while let Some(flag) = flags.next_arg() {
@@ -144,16 +110,6 @@ fn parse_args(raw: Vec<String>) -> Args {
             "--repro" => args.repro = Some(flags.value(&flag)),
             "--repro-out" => args.repro_out = flags.value(&flag),
             "--events" => args.events_out = Some(flags.value(&flag)),
-            "--search" => args.search = true,
-            "--fitness" => args.fitness = flags.label(&flag, FitnessKind::parse),
-            "--beam" => args.beam = flags.value(&flag),
-            "--generations" => args.generations = flags.value(&flag),
-            "--evals" => args.evals = flags.value(&flag),
-            "--init" => args.init = flags.value(&flag),
-            "--top-k" => args.top_k = flags.value(&flag),
-            "--out-dir" => args.out_dir = flags.value(&flag),
-            "--search-report" => args.search_report = Some(flags.value(&flag)),
-            "--baseline" => args.baseline = true,
             _ => flags.unknown(&flag),
         }
     }
@@ -169,8 +125,6 @@ fn main() {
     let oracles = standard_suite();
     let exit = if let Some(path) = &args.repro {
         replay(path, &oracles)
-    } else if args.search {
-        search_cmd(&args)
     } else {
         campaign(&args, &oracles)
     };
@@ -324,117 +278,6 @@ fn replay(path: &str, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
         eprintln!("chaos: failure did NOT reproduce (fixed, or environment drift)");
         return 1;
     }
-    // Search-found repros also record a fitness score; the replay must
-    // reproduce it exactly (the regression contract of worst-*.json seeds).
-    if let Some(record) = &repro.fitness {
-        let (reference, _) = repro.backend.backends();
-        match repro.schedule.run_observed(reference) {
-            Ok(run) => {
-                let got = evaluate(record.kind, &repro.schedule, &run, reference).0;
-                if got != record.score {
-                    eprintln!(
-                        "chaos: recorded fitness {}={} but replay scored {got}",
-                        record.kind, record.score
-                    );
-                    return 1;
-                }
-                eprintln!("chaos: fitness {}={} reproduced", record.kind, record.score);
-            }
-            Err(e) => {
-                eprintln!("chaos: could not re-observe for fitness check: {e}");
-                return 1;
-            }
-        }
-    }
     eprintln!("chaos: recorded digest reproduced");
-    0
-}
-
-/// Guided adversary search over protocol schedule space: beam-search the
-/// configured fitness signal, print per-generation progress, emit the
-/// top-K finds as replayable repro files and (optionally) the report JSON.
-/// Exit 1 when the search surfaces a genuine budget-respecting failure.
-fn search_cmd(args: &Args) -> i32 {
-    let config = SearchConfig {
-        seed: args.seed,
-        budget: args.budget.unwrap_or(BudgetRegime::AtBudget),
-        backend: args.backend,
-        fitness: args.fitness,
-        beam: args.beam,
-        generations: args.generations,
-        evals: args.evals,
-        init: args.init,
-        top_k: args.top_k,
-        jobs: args.jobs,
-    };
-    eprintln!(
-        "chaos: search: seed={} budget={} backend={} fitness={} beam={} generations={} evals={} jobs={}",
-        config.seed,
-        config.budget,
-        config.backend,
-        config.fitness,
-        config.beam,
-        config.generations,
-        config.evals,
-        config.jobs
-    );
-    let pool = RunPool::new(args.jobs);
-    let report = run_search_on(&pool, &config);
-    for g in &report.outcome.generations {
-        eprintln!(
-            "chaos: gen {:>2}: best {:>12} after {:>4} evals ({} duplicates skipped)",
-            g.generation, g.best, g.evaluated, g.deduped
-        );
-    }
-    let random = if args.baseline {
-        let baseline = random_search_on(&pool, &config);
-        let best = baseline.best().map_or(i64::MIN, |s| s.fitness.0);
-        let guided = report.best().map_or(i64::MIN, |s| s.fitness.0);
-        eprintln!(
-            "chaos: random baseline best {best} vs guided {guided} at {} evals",
-            baseline.outcome.evaluated
-        );
-        if guided < best {
-            eprintln!("chaos: guided search lost to random at equal budget — selection bug");
-            return 1;
-        }
-        Some(baseline)
-    } else {
-        None
-    };
-    for (rank, scored) in report.outcome.top.iter().enumerate() {
-        let repro = repro_for(&config, rank, scored);
-        let path = format!("{}/chaos-search-top-{rank}.json", args.out_dir);
-        match std::fs::write(&path, repro.to_json()) {
-            Ok(()) => eprintln!(
-                "chaos: wrote {path} (fitness {}, digest '{}')",
-                scored.fitness.0, scored.digest
-            ),
-            Err(e) => {
-                eprintln!("chaos: could not write {path}: {e}");
-                return 1;
-            }
-        }
-    }
-    if let Some(path) = &args.search_report {
-        let payload = render_search_json(&report, random.as_ref());
-        match std::fs::write(path, payload) {
-            Ok(()) => eprintln!("chaos: wrote {path}"),
-            Err(e) => {
-                eprintln!("chaos: could not write {path}: {e}");
-                return 1;
-            }
-        }
-    }
-    eprintln!(
-        "chaos: search done: {} evaluated, {} deduped, {:.1} evals/sec",
-        report.outcome.evaluated,
-        report.outcome.deduped,
-        report.evals_per_sec()
-    );
-    if report.found_failure() {
-        eprintln!("chaos: search surfaced a genuine failure — inspect the top repro files");
-        return 1;
-    }
     0
 }

@@ -40,11 +40,45 @@ fn unhonourable_arguments_say_why_and_exit_2() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/data/chaos-repro.json"
     );
-    let hostile = std::fs::read_to_string(repro)
-        .expect("committed repro file")
-        .replace("\"byzantine\": 3", "\"byzantine\": 12");
-    let hostile_path = concat!(env!("CARGO_TARGET_TMPDIR"), "/byzantine-exceeds-n.json");
-    std::fs::write(hostile_path, hostile).expect("tmpdir is writable");
+    let committed = std::fs::read_to_string(repro).expect("committed repro file");
+    let edited = |name: &str, from: &str, to: &str| {
+        let text = committed.replace(from, to);
+        assert_ne!(text, committed, "{from} is in the committed repro");
+        let path = format!("{}/{name}.json", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&path, text).expect("tmpdir is writable");
+        path
+    };
+    let hostile_path = &edited(
+        "byzantine-exceeds-n",
+        "\"byzantine\": 3",
+        "\"byzantine\": 12",
+    );
+    // Schedules no run can replay: a round-0 crash used to panic (exit
+    // 101), an out-of-range sender was silently ignored and the replay
+    // "reproduced", and n = 3·10⁹ aborted on a 24 GB allocation.
+    let no_events = "\"events\": []";
+    let hostile_schedules = [
+        (
+            edited(
+                "round-zero",
+                no_events,
+                r#""events": [{"kind": "crash", "sender": 0, "from": 0}]"#,
+            ),
+            "event 0: field 'from' is not a 1-based round",
+        ),
+        (
+            edited(
+                "sender-out-of-range",
+                no_events,
+                r#""events": [{"kind": "crash", "sender": 999, "from": 1}]"#,
+            ),
+            "event 0: field 'sender' is 999, not below n = 9",
+        ),
+        (
+            edited("huge-n", "\"n\": 9,", "\"n\": 3000000000,"),
+            "field 'n' exceeds 1024 (3000000000)",
+        ),
+    ];
     // A service repro whose spec has no shards: replaying it used to fail
     // as a protocol run (exit 1) instead of being refused at load time.
     let zero_shards_path = concat!(env!("CARGO_TARGET_TMPDIR"), "/zero-shards.json");
@@ -63,7 +97,7 @@ fn unhonourable_arguments_say_why_and_exit_2() {
     let repro_out = concat!(env!("CARGO_TARGET_TMPDIR"), "/refused-service-repro.json");
     let _ = std::fs::remove_file(repro_out);
 
-    let cases: [(&str, &[&str], &str); 12] = [
+    let cases: [(&str, &[&str], &str); 14] = [
         // An unknown adversary label used to run the default adversary.
         (
             env!("CARGO_BIN_EXE_sweep"),
@@ -86,12 +120,15 @@ fn unhonourable_arguments_say_why_and_exit_2() {
             &["--service", "--repro", zero_shards_path],
             "usage:",
         ),
+        (env!("CARGO_BIN_EXE_chaos"), &["--self-test"], "usage:"),
+        // The guided adversary search is gone; so are its flags.
+        (env!("CARGO_BIN_EXE_chaos"), &["--search"], "usage:"),
         (
             env!("CARGO_BIN_EXE_chaos"),
-            &["--search", "--service"],
+            &["--fitness", "margin"],
             "usage:",
         ),
-        (env!("CARGO_BIN_EXE_chaos"), &["--self-test"], "usage:"),
+        (env!("CARGO_BIN_EXE_chaos"), &["--baseline"], "usage:"),
         // Every `service` mode fixes its own backend, so the flag is gone.
         (
             env!("CARGO_BIN_EXE_service"),
@@ -121,7 +158,7 @@ fn unhonourable_arguments_say_why_and_exit_2() {
             "service needs at least one shard",
         ),
     ];
-    for (bin, args, needle) in cases {
+    let refused = |bin: &str, args: &[&str], needle: &str| {
         let (code, stderr) = exit_status(bin, args);
         assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
         assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
@@ -129,6 +166,15 @@ fn unhonourable_arguments_say_why_and_exit_2() {
             !std::path::Path::new(repro_out).exists(),
             "{bin} {args:?} wrote a repro for a spec it refused"
         );
+    };
+    for (bin, args, needle) in cases {
+        refused(bin, args, needle);
+    }
+    // Both loaders of protocol repros refuse the hostile schedules.
+    for (path, needle) in &hostile_schedules {
+        for mode in ["--repro", "explain"] {
+            refused(env!("CARGO_BIN_EXE_chaos"), &[mode, path], needle);
+        }
     }
 }
 

@@ -19,7 +19,6 @@
 //!   fail in every regime.
 
 use crate::generator::generate_schedule;
-use crate::genome::genome_key;
 use crate::oracle::{violation_kind, Oracle, OracleInput};
 use crate::repro::Repro;
 use crate::schedule::{BudgetRegime, ChaosSchedule};
@@ -28,9 +27,8 @@ use opr_exec::RunPool;
 use opr_sim::RunMetrics;
 use opr_transport::BackendKind;
 use opr_types::math::mix64;
-use opr_types::{RenamingError, Violation};
+use opr_types::Violation;
 use opr_workload::DiagnosedRun;
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -223,7 +221,6 @@ impl Failure {
             digest,
             schedule: result.schedule.clone(),
             metrics,
-            fitness: None,
         };
         (repro, result)
     }
@@ -377,20 +374,8 @@ pub(crate) fn execute_schedule(
     schedule: &ChaosSchedule,
     backend: BackendChoice,
 ) -> Result<ExecutedRun, RunVerdict> {
-    execute_with(schedule, backend, ChaosSchedule::run_on)
-}
-
-/// [`execute_schedule`] over any runner: `run` executes on the reference
-/// backend and, for [`BackendChoice::Both`], on the cross-check backend,
-/// each call with panics contained. Campaigns pass `run_on`; the search
-/// passes `run_observed`, whose event stream its fitness signals need.
-pub(crate) fn execute_with(
-    schedule: &ChaosSchedule,
-    backend: BackendChoice,
-    run: impl Fn(&ChaosSchedule, BackendKind) -> Result<DiagnosedRun, RenamingError>,
-) -> Result<ExecutedRun, RunVerdict> {
     let contained = |kind: BackendKind| {
-        let outcome = catch_unwind(AssertUnwindSafe(|| run(schedule, kind)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| schedule.run_on(kind)));
         match outcome {
             Ok(Ok(run)) => Ok(run),
             Ok(Err(e)) => Err(RunVerdict::SetupError {
@@ -461,69 +446,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Executes `schedules` on `pool`, evaluating each *distinct genome*
-/// ([`genome_key`], confirmed by full equality) exactly once; duplicate
-/// schedules reuse the first occurrence's result. Identical schedules are
-/// deterministic, so the per-input results are indistinguishable from
-/// executing every slot — minus the wasted work. Returns the results in
-/// input order plus the number of evaluations saved.
-pub(crate) fn execute_deduped_on(
-    pool: &RunPool,
-    backend: BackendChoice,
-    schedules: &[ChaosSchedule],
-) -> (Vec<Result<ExecutedRun, RunVerdict>>, usize) {
-    let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut distinct: Vec<&ChaosSchedule> = Vec::new();
-    let mut slot_of: Vec<usize> = Vec::with_capacity(schedules.len());
-    for schedule in schedules {
-        let candidates = by_key.entry(genome_key(schedule)).or_default();
-        // Equality check guards against (astronomically unlikely) key
-        // collisions silently sharing a result.
-        let slot = candidates
-            .iter()
-            .copied()
-            .find(|&slot| distinct[slot] == schedule)
-            .unwrap_or_else(|| {
-                distinct.push(schedule);
-                let slot = distinct.len() - 1;
-                candidates.push(slot);
-                slot
-            });
-        slot_of.push(slot);
-    }
-    let tasks: Vec<_> = distinct
-        .iter()
-        .map(|schedule| {
-            let schedule = (*schedule).clone();
-            move || execute_schedule(&schedule, backend)
-        })
-        .collect();
-    // execute_schedule contains panics itself; a pool-level panic would be
-    // a harness bug, recorded as such rather than unwound.
-    let executed: Vec<Result<ExecutedRun, RunVerdict>> = pool
-        .run_batch(tasks)
-        .into_iter()
-        .map(|result| {
-            result.unwrap_or_else(|panic| {
-                Err(RunVerdict::Panicked {
-                    message: panic.message,
-                })
-            })
-        })
-        .collect();
-    let saved = schedules.len() - distinct.len();
-    let results = slot_of
-        .into_iter()
-        .map(|slot| executed[slot].clone())
-        .collect();
-    (results, saved)
-}
-
 /// Generates and executes every schedule of a campaign, fanning execution
 /// out over `pool` and reassembling in index order. Schedules are generated
-/// serially in index order and deduplicated by genome before execution, so
-/// the returned sequence — provenance, schedule and executed runs alike —
-/// is identical at any worker count.
+/// serially in index order, so the returned sequence — provenance, schedule
+/// and executed runs alike — is identical at any worker count.
 pub(crate) fn execute_campaign_on(
     pool: &RunPool,
     config: &CampaignConfig,
@@ -537,8 +463,23 @@ pub(crate) fn execute_campaign_on(
             (index, seed, budget, generate_schedule(seed, budget))
         })
         .collect();
-    let schedules: Vec<ChaosSchedule> = prepared.iter().map(|(_, _, _, s)| s.clone()).collect();
-    let (results, _saved) = execute_deduped_on(pool, config.backend, &schedules);
+    let backend = config.backend;
+    let tasks: Vec<_> = prepared
+        .iter()
+        .map(|(_, _, _, schedule)| {
+            let schedule = schedule.clone();
+            move || execute_schedule(&schedule, backend)
+        })
+        .collect();
+    // execute_schedule contains panics itself; a pool-level panic would be
+    // a harness bug, recorded as such rather than unwound.
+    let results = pool.run_batch(tasks).into_iter().map(|result| {
+        result.unwrap_or_else(|panic| {
+            Err(RunVerdict::Panicked {
+                message: panic.message,
+            })
+        })
+    });
     prepared
         .into_iter()
         .zip(results)
@@ -737,23 +678,6 @@ mod tests {
         assert_eq!(a.degraded, b.degraded);
         assert_eq!(a.failures, b.failures);
         assert_eq!(a.metrics, b.metrics);
-    }
-
-    #[test]
-    fn duplicate_schedules_execute_once_and_share_results() {
-        let pool = RunPool::new(1);
-        let a = generate_schedule(11, BudgetRegime::AtBudget);
-        let b = generate_schedule(12, BudgetRegime::AtBudget);
-        let batch = vec![a.clone(), b.clone(), a.clone(), a, b];
-        let (results, saved) = execute_deduped_on(&pool, BackendChoice::Sim, &batch);
-        assert_eq!(saved, 3, "three of five slots are repeats");
-        assert_eq!(results.len(), 5);
-        assert_eq!(results[0], results[2]);
-        assert_eq!(results[0], results[3]);
-        assert_eq!(results[1], results[4]);
-        // And the shared results match a fresh independent execution.
-        let fresh = execute_schedule(&batch[0], BackendChoice::Sim);
-        assert_eq!(results[0], fresh);
     }
 
     #[test]

@@ -292,7 +292,6 @@ mod tests {
             digest: "clean".into(),
             schedule: generate_schedule(per_seed(), BudgetRegime::InBudget),
             metrics: None,
-            fitness: None,
         }
     }
 

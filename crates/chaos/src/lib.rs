@@ -30,8 +30,9 @@
 //!    *degraded but diagnosed* (harness-level breaches — a correct process
 //!    sending malformed traffic, backends diverging, a panic — fail in
 //!    every regime).
-//! 5. [`shrink()`] minimizes a failing schedule: delta debugging over the
-//!    fault events, then Byzantine-count reduction, then onset weakening.
+//! 5. [`shrink`](mod@shrink) minimizes a failing schedule: delta debugging
+//!    over the fault events, then Byzantine-count reduction, then onset
+//!    weakening.
 //! 6. [`repro`] round-trips the result through a `chaos-repro.json` file
 //!    (hand-rolled [`opr_obs::json`], no external dependencies) so the failure can
 //!    be replayed deterministically from the file alone.
@@ -40,23 +41,16 @@
 //!    shrink predicate and a replay judge by.
 //! 7. [`explain`] replays a repro with the protocol event recorder attached
 //!    ([`opr_obs`]) and renders every correct process's decision waterfall
-//!    — which thresholds crossed, which votes were rejected and why.
-//! 8. [`search`] closes the loop into an optimizer: genome operators mutate
-//!    and recombine schedules inside a budget regime, [`fitness`] scores each
-//!    observed run (rounds, namespace pressure, AA spread, admission
-//!    drops, near-violation margin from [`Oracle::margin`]), and a seeded
-//!    beam search climbs toward the most adversarial attacks — emitting
-//!    the worst as replayable repro files and regression seeds.
+//!    — which thresholds crossed, which votes were rejected and why — plus
+//!    how close the run came to breaking each invariant
+//!    ([`Oracle::margin`]).
 
 pub mod engine;
 pub mod explain;
-pub mod fitness;
 pub mod generator;
-pub(crate) mod genome;
 pub mod oracle;
 pub mod repro;
 pub mod schedule;
-pub mod search;
 pub mod shrink;
 
 pub use engine::{
@@ -64,13 +58,8 @@ pub use engine::{
     Failure, RunVerdict,
 };
 pub use explain::{explain_repro, render_waterfall, Explained};
-pub use fitness::{evaluate, Fitness, FitnessKind, FitnessRecord};
 pub use generator::generate_schedule;
 pub use oracle::{standard_suite, Oracle, OracleInput};
 pub use repro::Repro;
 pub use schedule::{BudgetRegime, ChaosSchedule};
-pub use search::{
-    random_search_on, render_search_json, repro_for, run_search_on, GenerationStat, ScoredSchedule,
-    SearchConfig, SearchOutcome, SearchReport,
-};
-pub use shrink::{shrink, ShrinkResult};
+pub use shrink::ShrinkResult;

@@ -11,8 +11,8 @@
 //! Beyond the boolean verdict, oracles with a numeric notion of slack
 //! expose [`Oracle::margin`] — the distance to violation. A margin of `0`
 //! means "on the edge" (one name, round or message from breaking), negative
-//! means "violated by that much". The guided adversary search
-//! ([`crate::search`]) maximizes pressure by *minimizing* these margins.
+//! means "violated by that much". `chaos explain` prints every margin
+//! beside the decision waterfall.
 
 use crate::schedule::ChaosSchedule;
 use opr_obs::ProtocolEvent;
@@ -277,7 +277,7 @@ fn flip_distance(count: usize, quorum: usize, passed: bool) -> i64 {
 
 /// The flip distance of one event's quorum comparison, for the variants
 /// that carry one (ECHO/READY/ACCEPT thresholds and AA vote admission).
-pub(crate) fn event_flip_distance(event: &ProtocolEvent) -> Option<i64> {
+fn event_flip_distance(event: &ProtocolEvent) -> Option<i64> {
     match *event {
         ProtocolEvent::EchoThreshold {
             echoes,
@@ -303,23 +303,16 @@ pub(crate) fn event_flip_distance(event: &ProtocolEvent) -> Option<i64> {
 }
 
 /// The quorum landscape of one recorded run: the minimum flip distance
-/// across every threshold decision, and how many decisions sat exactly on
-/// the edge. `None` when the run carries no events or no threshold events.
-pub(crate) fn quorum_pressure(run: &DiagnosedRun) -> Option<(i64, usize)> {
-    let log = run.events.as_ref()?;
-    let mut min: Option<i64> = None;
-    let mut edges = 0usize;
-    for process in &log.processes {
-        for event in &process.events {
-            if let Some(d) = event_flip_distance(event) {
-                if d == 0 {
-                    edges += 1;
-                }
-                min = Some(min.map_or(d, |m: i64| m.min(d)));
-            }
-        }
-    }
-    min.map(|m| (m, edges))
+/// across every threshold decision. `None` when the run carries no events
+/// or no threshold events.
+fn quorum_pressure(run: &DiagnosedRun) -> Option<i64> {
+    run.events
+        .as_ref()?
+        .processes
+        .iter()
+        .flat_map(|process| &process.events)
+        .filter_map(event_flip_distance)
+        .min()
 }
 
 /// Every quorum comparison held with room to spare — or didn't. No boolean
@@ -336,7 +329,7 @@ impl Oracle for QuorumEdgeOracle {
         Vec::new()
     }
     fn margin(&self, input: &OracleInput<'_>) -> Option<i64> {
-        quorum_pressure(input.reference).map(|(min, _)| min)
+        quorum_pressure(input.reference)
     }
 }
 

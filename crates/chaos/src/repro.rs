@@ -6,19 +6,23 @@
 //! re-judges it with the same oracle suite — the digest must reproduce.
 
 use crate::engine::{judge_schedule, BackendChoice, RunVerdict};
-use crate::fitness::{FitnessKind, FitnessRecord};
 use crate::oracle::Oracle;
 use crate::schedule::{BudgetRegime, ChaosSchedule};
 use opr_adversary::AdversarySpec;
 use opr_obs::json::Json;
 use opr_sim::{RoundMetrics, RunMetrics};
 use opr_transport::FaultEvent;
-use opr_types::Regime;
+use opr_types::{Regime, SystemConfig};
 use opr_workload::IdDistribution;
 use std::fmt;
 
 /// Format version written into every file (bump on breaking changes).
 pub(crate) const REPRO_VERSION: u64 = 1;
+
+/// The largest system size a repro file may ask for: the largest `N` any
+/// test runs (`tests/large_n.rs`). A larger `n` is refused before anything
+/// sized by it is allocated.
+pub(crate) const MAX_REPRO_N: usize = 1024;
 
 /// A replayable failure record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,12 +45,6 @@ pub struct Repro {
     /// its own — but lets a repro file document how much traffic the
     /// failure took. Absent in files written by older builds.
     pub metrics: Option<RunMetrics>,
-    /// The fitness the guided adversary search recorded for the schedule,
-    /// when the file came from a search rather than a random campaign.
-    /// Replay recomputes the score and must reproduce it — the regression
-    /// contract of `tests/data/worst-*.json`. Absent in campaign repros and
-    /// files written by older builds.
-    pub fitness: Option<FitnessRecord>,
 }
 
 /// Why a repro file could not be decoded.
@@ -81,15 +79,6 @@ impl Repro {
         if let Some(metrics) = &self.metrics {
             fields.push(("metrics".into(), metrics_to_json(metrics)));
         }
-        if let Some(fitness) = &self.fitness {
-            fields.push((
-                "fitness".into(),
-                Json::Obj(vec![
-                    ("kind".into(), Json::Str(fitness.kind.label().into())),
-                    ("score".into(), Json::Int(fitness.score)),
-                ]),
-            ));
-        }
         Json::Obj(fields).render()
     }
 
@@ -97,8 +86,11 @@ impl Repro {
     ///
     /// # Errors
     ///
-    /// Returns [`ReproError`] on malformed JSON, an unknown version, or
-    /// unknown labels.
+    /// Returns [`ReproError`] on malformed JSON, an unknown version,
+    /// unknown labels, or a schedule no run can replay: `n` above 1 024, an
+    /// `(n, t)` pair no system has, more Byzantine processes than
+    /// processes, or a fault event naming a sender, link or round the
+    /// system does not have.
     pub fn from_json(text: &str) -> Result<Repro, ReproError> {
         let doc = Json::parse(text).map_err(|e| bad(e.to_string()))?;
         let version = field_u64(&doc, "version")?;
@@ -121,17 +113,6 @@ impl Repro {
             metrics: match doc.get("metrics") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(metrics_from_json(v)?),
-            },
-            fitness: match doc.get("fitness") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(FitnessRecord {
-                    kind: FitnessKind::parse(field_str(v, "kind")?)
-                        .ok_or_else(|| bad("unknown fitness kind"))?,
-                    score: v
-                        .get("score")
-                        .and_then(Json::as_i64)
-                        .ok_or_else(|| bad("missing or non-integer fitness score"))?,
-                }),
             },
         })
     }
@@ -191,25 +172,36 @@ pub(crate) fn schedule_to_json(schedule: &ChaosSchedule) -> Json {
     ])
 }
 
-/// Decodes a schedule object.
+/// Decodes a schedule object, refusing any schedule no run can replay, so
+/// that a hostile or hand-edited file is a typed error rather than a panic,
+/// an abort or a silently ignored event.
 ///
 /// # Errors
 ///
-/// Returns [`ReproError`] on missing fields, unknown labels, or more
-/// Byzantine processes than processes.
+/// Returns [`ReproError`] on missing fields or unknown labels; on `n` above
+/// [`MAX_REPRO_N`], an `(n, t)` pair [`SystemConfig::new`] rejects, or more
+/// Byzantine processes than processes; and on an event whose `sender` is
+/// not below `n`, whose `link` label is outside `1..=n`, or whose round is
+/// not 1-based.
 pub(crate) fn schedule_from_json(doc: &Json) -> Result<ChaosSchedule, ReproError> {
+    let n = field_usize(doc, "n")?;
+    if n > MAX_REPRO_N {
+        return Err(bad(format!("field 'n' exceeds {MAX_REPRO_N} ({n})")));
+    }
+    let t = field_usize(doc, "t")?;
+    SystemConfig::new(n, t).map_err(|e| bad(format!("fields 'n', 't': {e}")))?;
     let events = doc
         .get("events")
         .and_then(Json::as_array)
         .ok_or_else(|| bad("missing events array"))?
         .iter()
-        .map(event_from_json)
+        .enumerate()
+        .map(|(i, event)| event_from_json(event, n).map_err(|e| bad(format!("event {i}: {}", e.0))))
         .collect::<Result<Vec<FaultEvent>, ReproError>>()?;
     let payload_cap = match doc.get("payload_cap") {
         None | Some(Json::Null) => None,
         Some(v) => Some(v.as_u64().ok_or_else(|| bad("non-integer payload_cap"))?),
     };
-    let n = field_usize(doc, "n")?;
     let byzantine = field_usize(doc, "byzantine")?;
     if byzantine > n {
         return Err(bad(format!("byzantine exceeds n ({byzantine} > {n})")));
@@ -218,7 +210,7 @@ pub(crate) fn schedule_from_json(doc: &Json) -> Result<ChaosSchedule, ReproError
         regime: Regime::parse(field_str(doc, "regime")?)
             .ok_or_else(|| bad("unknown regime label"))?,
         n,
-        t: field_usize(doc, "t")?,
+        t,
         id_dist: IdDistribution::parse(field_str(doc, "id_dist")?)
             .ok_or_else(|| bad("unknown id_dist label"))?,
         id_seed: field_u64(doc, "id_seed")?,
@@ -303,23 +295,45 @@ fn event_to_json(event: &FaultEvent) -> Json {
     }
 }
 
-fn event_from_json(doc: &Json) -> Result<FaultEvent, ReproError> {
+/// Decodes one fault event of an `n`-process schedule.
+fn event_from_json(doc: &Json, n: usize) -> Result<FaultEvent, ReproError> {
     let round_field = |key: &str| -> Result<u32, ReproError> {
-        u32::try_from(field_u64(doc, key)?).map_err(|_| bad(format!("field '{key}' out of range")))
+        match u32::try_from(field_u64(doc, key)?) {
+            Ok(round) if round >= 1 => Ok(round),
+            _ => Err(bad(format!("field '{key}' is not a 1-based round"))),
+        }
+    };
+    let sender = || -> Result<usize, ReproError> {
+        let sender = field_usize(doc, "sender")?;
+        if sender < n {
+            Ok(sender)
+        } else {
+            Err(bad(format!(
+                "field 'sender' is {sender}, not below n = {n}"
+            )))
+        }
+    };
+    let link = || -> Result<usize, ReproError> {
+        let link = field_usize(doc, "link")?;
+        if (1..=n).contains(&link) {
+            Ok(link)
+        } else {
+            Err(bad(format!("field 'link' is {link}, not in 1..={n}")))
+        }
     };
     match field_str(doc, "kind")? {
         "drop" => Ok(FaultEvent::Drop {
-            sender: field_usize(doc, "sender")?,
-            link: field_usize(doc, "link")?,
+            sender: sender()?,
+            link: link()?,
             round: round_field("round")?,
         }),
         "silence-link" => Ok(FaultEvent::SilenceLink {
-            sender: field_usize(doc, "sender")?,
-            link: field_usize(doc, "link")?,
+            sender: sender()?,
+            link: link()?,
             from: round_field("from")?,
         }),
         "crash" => Ok(FaultEvent::Crash {
-            sender: field_usize(doc, "sender")?,
+            sender: sender()?,
             from: round_field("from")?,
         }),
         other => Err(bad(format!("unknown event kind '{other}'"))),
@@ -341,7 +355,6 @@ mod tests {
             digest: "missed-termination".into(),
             schedule: generate_schedule(seed, BudgetRegime::OverBudget),
             metrics: None,
-            fitness: None,
         }
     }
 
@@ -376,31 +389,6 @@ mod tests {
         // Files from builds that predate the field still parse.
         let without = sample_repro(3).to_json();
         assert_eq!(Repro::from_json(&without).unwrap().metrics, None);
-    }
-
-    #[test]
-    fn fitness_round_trips_and_stays_optional() {
-        // Negative scores (e.g. a namespace signal that never decided)
-        // must survive the integer-only JSON dialect.
-        for score in [i64::MIN, -7, 0, 42, i64::MAX] {
-            let repro = Repro {
-                fitness: Some(FitnessRecord {
-                    kind: FitnessKind::Margin,
-                    score,
-                }),
-                ..sample_repro(5)
-            };
-            let reread = Repro::from_json(&repro.to_json()).unwrap();
-            assert_eq!(reread, repro);
-        }
-        let without = sample_repro(5).to_json();
-        assert_eq!(Repro::from_json(&without).unwrap().fitness, None);
-        // An unknown fitness kind is rejected, not silently dropped.
-        let forged = sample_repro(5).to_json().replace(
-            "\"digest\"",
-            "\"fitness\": {\"kind\": \"luck\", \"score\": 1}, \"digest\"",
-        );
-        assert!(Repro::from_json(&forged).is_err());
     }
 
     #[test]
@@ -443,12 +431,83 @@ mod tests {
             let err = Repro::from_json(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
-        // More Byzantine processes than processes is rejected at the file
-        // boundary (replaying it would ask for `n - byzantine` correct ids).
+        // Schedules no run can replay are rejected at the file boundary,
+        // each with the field that makes them so: more Byzantine processes
+        // than processes (the run would ask for `n - byzantine` correct
+        // ids), a system too large to allocate or with no correct process,
+        // and fault events naming a sender, link or round that does not
+        // exist (which used to panic or be silently ignored).
         let mut hostile = sample_repro(23);
         hostile.schedule.byzantine = hostile.schedule.n + 1;
         let err = Repro::from_json(&hostile.to_json()).unwrap_err();
         assert!(err.to_string().contains("byzantine exceeds n"), "{err}");
+        type Edit = fn(&mut ChaosSchedule);
+        let base = generate_schedule(1, BudgetRegime::AtBudget);
+        let n = base.n;
+        let cases: [(Edit, String); 8] = [
+            (
+                |s| s.n = 3_000_000_000,
+                "field 'n' exceeds 1024 (3000000000)".to_string(),
+            ),
+            (|s| s.n = 0, "fields 'n', 't'".to_string()),
+            (|s| s.t = s.n, "fields 'n', 't'".to_string()),
+            (
+                |s| s.events = vec![FaultEvent::Crash { sender: 0, from: 0 }],
+                "event 0: field 'from' is not a 1-based round".to_string(),
+            ),
+            (
+                |s| {
+                    s.events = vec![FaultEvent::Drop {
+                        sender: 0,
+                        link: 1,
+                        round: 0,
+                    }]
+                },
+                "event 0: field 'round' is not a 1-based round".to_string(),
+            ),
+            (
+                |s| {
+                    s.events = vec![FaultEvent::Crash {
+                        sender: 999,
+                        from: 1,
+                    }]
+                },
+                format!("event 0: field 'sender' is 999, not below n = {n}"),
+            ),
+            (
+                |s| {
+                    s.events = vec![
+                        FaultEvent::Crash { sender: 0, from: 1 },
+                        FaultEvent::SilenceLink {
+                            sender: 0,
+                            link: 999,
+                            from: 1,
+                        },
+                    ]
+                },
+                format!("event 1: field 'link' is 999, not in 1..={n}"),
+            ),
+            (
+                |s| {
+                    s.events = vec![FaultEvent::Drop {
+                        sender: 0,
+                        link: 0,
+                        round: 1,
+                    }]
+                },
+                format!("event 0: field 'link' is 0, not in 1..={n}"),
+            ),
+        ];
+        for (edit, needle) in cases {
+            let mut schedule = base.clone();
+            edit(&mut schedule);
+            let err = schedule_from_json(&schedule_to_json(&schedule)).unwrap_err();
+            assert!(err.to_string().contains(&needle), "{err} lacks {needle}");
+        }
+        // The largest system any test runs is still accepted.
+        let mut largest = base;
+        (largest.n, largest.t) = (MAX_REPRO_N, 300);
+        assert_eq!(schedule_from_json(&schedule_to_json(&largest)), Ok(largest));
         // An otherwise valid file carrying a retired backend label is a typed
         // error, not a panic or alias.
         let text = sample_repro(23).to_json();

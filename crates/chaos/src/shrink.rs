@@ -34,7 +34,7 @@ pub struct ShrinkResult {
 /// Minimizes `original` under `still_fails`. The predicate must return
 /// `true` for `original` itself (shrinking something that does not fail is
 /// a caller bug; the original is returned untouched in that case).
-pub fn shrink<F>(original: &ChaosSchedule, mut still_fails: F) -> ShrinkResult
+pub(crate) fn shrink<F>(original: &ChaosSchedule, mut still_fails: F) -> ShrinkResult
 where
     F: FnMut(&ChaosSchedule) -> bool,
 {

@@ -76,17 +76,6 @@ impl Json {
         self.as_u64().and_then(|u| usize::try_from(u).ok())
     }
 
-    /// The value as `i64`, if it is an integer that fits (the parser
-    /// yields [`Json::UInt`] for non-negative literals, so signed readers
-    /// must accept both variants).
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::Int(i) => Some(i),
-            Json::UInt(u) => i64::try_from(u).ok(),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
@@ -404,14 +393,13 @@ mod tests {
     }
 
     #[test]
-    fn signed_reads_accept_both_integer_variants() {
-        for value in [i64::MIN, -1, 0, 1, i64::MAX] {
+    fn negative_integers_survive_exactly() {
+        for value in [i64::MIN, -1] {
             let text = Json::Int(value).render();
-            assert_eq!(Json::parse(&text).unwrap().as_i64(), Some(value), "{text}");
+            assert_eq!(Json::parse(&text).unwrap(), Json::Int(value), "{text}");
         }
-        // Beyond i64 the signed view refuses rather than wrapping.
-        assert_eq!(Json::UInt(u64::MAX).as_i64(), None);
-        assert_eq!(Json::Str("7".into()).as_i64(), None);
+        // A negative value is never read as a count.
+        assert_eq!(Json::Int(-1).as_u64(), None);
     }
 
     #[test]

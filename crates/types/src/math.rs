@@ -25,7 +25,7 @@ pub fn ceil_log2(x: usize) -> u32 {
 
 /// The splitmix64 finalizer — the workspace's one bit mixer. Every seed
 /// derivation (fault placement, per-run and per-epoch seeds, client
-/// hashing, genome digests) applies its own pre-mix and then this, so
+/// hashing) applies its own pre-mix and then this, so
 /// derived values are stable across rand versions.
 ///
 /// # Example

@@ -77,12 +77,6 @@ service:
 service-soak EPOCHS="1000":
     cargo run --release -p opr-bench --bin service -- --soak --epochs {{EPOCHS}}
 
-# Guided adversary search: beam-search the attack-schedule space for the
-# configured fitness signal, emit the top-K finds as replayable repro files
-# (`just search FITNESS=rounds EVALS=256`).
-search SEED="42" FITNESS="margin" EVALS="96" JOBS="4":
-    cargo run --release -p opr-bench --bin chaos -- --search --seed {{SEED}} --budget at --backend both --jobs {{JOBS}} --fitness {{FITNESS}} --evals {{EVALS}} --baseline
-
 # Metrics demo: a short instrumented service run writing a Prometheus
 # exposition (wall plane overlaid on the deterministic fold) and printing
 # the ANSI dashboard.

@@ -5,12 +5,82 @@
 //! * over-budget schedules degrade gracefully — structured diagnoses, no
 //!   panics, never an undiagnosed wrong answer,
 //! * a failing schedule shrinks to a minimal reproducer that round-trips
-//!   through `chaos-repro.json` and replays deterministically.
+//!   through `chaos-repro.json` and replays deterministically,
+//! * every committed repro file is canonical, and the `worst-*.json`
+//!   regression seeds replay green with their recorded digest.
 
 use opr::chaos::engine::{digests_overlap, judge_schedule, per_run_seed, run_campaign};
 use opr::chaos::{
     generate_schedule, standard_suite, BackendChoice, BudgetRegime, CampaignConfig, Failure, Repro,
 };
+
+/// Every committed `tests/data/*.json` repro, as `(file name, text)`.
+fn committed_repros() -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = std::fs::read_dir("tests/data")
+        .expect("tests/data exists")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let text = std::fs::read_to_string(&path).expect("readable repro");
+            (name, text)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A committed repro is exactly what the writer would emit for it, so no
+/// stale or unknown key can linger in it unnoticed (the loader ignores
+/// keys it does not know).
+#[test]
+fn committed_repros_round_trip_byte_for_byte() {
+    let files = committed_repros();
+    assert!(files.len() >= 4, "expected ≥ 4 committed repros");
+    for (name, text) in files {
+        let repro = Repro::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            repro.to_json().trim_end(),
+            text.trim_end(),
+            "{name} is not canonical"
+        );
+    }
+}
+
+/// The committed worst-case seeds pin near-misses, not failures: each
+/// reproduces its recorded digest and replays green on every backend and
+/// cross-checked across both.
+#[test]
+fn committed_worst_seeds_replay_green_on_every_backend() {
+    let oracles = standard_suite();
+    let worst: Vec<_> = committed_repros()
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("worst-"))
+        .collect();
+    assert!(
+        worst.len() >= 3,
+        "expected ≥ 3 committed worst-*.json seeds"
+    );
+    for (name, text) in worst {
+        let recorded = Repro::from_json(&text).expect("seed parses");
+        for backend in [
+            BackendChoice::Sim,
+            BackendChoice::Pooled,
+            BackendChoice::Both,
+        ] {
+            let verdict = Repro {
+                backend,
+                ..recorded.clone()
+            }
+            .replay(&oracles);
+            assert_eq!(verdict.digest(), recorded.digest, "{name} on {backend}");
+            assert!(
+                !verdict.is_failure(recorded.budget),
+                "{name}: a committed worst seed must replay green on {backend}"
+            );
+        }
+    }
+}
 
 /// The headline guarantee: a large seeded campaign of schedules whose
 /// effective fault load stays within the algorithm's bound `t` produces

@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-MAX_PUBLIC_ITEMS=539
+MAX_PUBLIC_ITEMS=518
 MAX_CRATES=15
 
 status=0
