@@ -7,8 +7,9 @@ use opr_sim::{Actor, Inbox, Outbox};
 use opr_types::{LinkId, NewName, OriginalId, Rank, Round};
 use std::collections::BTreeSet;
 
-/// Interns `ids` into a bitset payload against the run interner — how every
-/// strategy here ships its Echo/Ready sets.
+/// Interns `ids` into a bitset payload against the run interner — how the
+/// strategies here that keep their ids in a `BTreeSet` ship their
+/// Echo/Ready sets.
 fn slot_set(
     interner: &IdInterner<OriginalId>,
     ids: &BTreeSet<OriginalId>,
@@ -19,8 +20,12 @@ fn slot_set(
 /// Builds a δ-spaced (hence always `isValid`) vote vector over `ids` with a
 /// constant `shift` added to every rank — the adversary's only lever that
 /// survives validation.
-fn shifted_votes(ids: &BTreeSet<OriginalId>, delta: f64, shift: f64) -> Vec<(OriginalId, Rank)> {
-    ids.iter()
+fn shifted_votes<'i>(
+    ids: impl IntoIterator<Item = &'i OriginalId>,
+    delta: f64,
+    shift: f64,
+) -> Vec<(OriginalId, Rank)> {
+    ids.into_iter()
         .enumerate()
         .map(|(i, &id)| (id, Rank::new((i + 1) as f64 * delta + shift)))
         .collect()
@@ -33,12 +38,17 @@ fn shifted_votes(ids: &BTreeSet<OriginalId>, delta: f64, shift: f64) -> Vec<(Ori
 /// This is the attack Lemma IV.3 bounds: no matter how many fakes are
 /// announced, at most `t + ⌊t²/(N−2t)⌋` can reach any `accepted` set,
 /// because each fake needs `N − 2t` *correct* echoers (Lemma A.1).
+///
+/// The id set is a bitset over the run's interner: a received `Echo` or
+/// `Ready` is ORed in word by word and the set itself is what steps 2–4
+/// broadcast. It is frozen when id selection ends, so the vote vector is
+/// decoded once, at the first voting step.
 pub(crate) struct IdForger {
     n: usize,
     delta: f64,
     per_link_fakes: Vec<OriginalId>,
-    known: BTreeSet<OriginalId>,
-    interner: IdInterner<OriginalId>,
+    known: IdSlotSet<OriginalId>,
+    votes: Option<Vec<(OriginalId, Rank)>>,
 }
 
 impl IdForger {
@@ -49,14 +59,16 @@ impl IdForger {
         let all = fake_ids(env, n * env.faulty_count.max(1));
         let per_link_fakes: Vec<OriginalId> =
             all.iter().skip(env.slot * n).take(n).copied().collect();
-        let mut known: BTreeSet<OriginalId> = env.correct_ids.iter().copied().collect();
-        known.extend(per_link_fakes.iter().copied());
+        let known = IdSlotSet::from_values(
+            &env.interner,
+            env.correct_ids.iter().chain(&per_link_fakes).copied(),
+        );
         IdForger {
             n,
             delta: env.cfg.delta(),
             per_link_fakes,
             known,
-            interner: env.interner.clone(),
+            votes: None,
         }
     }
 }
@@ -77,26 +89,26 @@ impl Actor for IdForger {
                     })
                     .collect(),
             ),
-            2 => Outbox::Broadcast(Alg1Msg::Flood(FloodMsg::Echo(slot_set(
-                &self.interner,
-                &self.known,
-            )))),
-            3 | 4 => Outbox::Broadcast(Alg1Msg::Flood(FloodMsg::Ready(slot_set(
-                &self.interner,
-                &self.known,
-            )))),
-            _ => Outbox::Broadcast(Alg1Msg::Votes(shifted_votes(&self.known, self.delta, 0.0))),
+            2 => Outbox::Broadcast(Alg1Msg::Flood(FloodMsg::Echo(self.known.clone()))),
+            3 | 4 => Outbox::Broadcast(Alg1Msg::Flood(FloodMsg::Ready(self.known.clone()))),
+            _ => {
+                let votes = self.votes.get_or_insert_with(|| {
+                    shifted_votes(&self.known.values_sorted(), self.delta, 0.0)
+                });
+                Outbox::Broadcast(Alg1Msg::Votes(votes.clone()))
+            }
         }
     }
 
-    fn deliver(&mut self, _round: Round, inbox: Inbox<Alg1Msg>) {
+    fn deliver(&mut self, round: Round, inbox: Inbox<Alg1Msg>) {
+        if round.number() > 4 {
+            return; // id selection is over: `known` is frozen
+        }
         for (_, msg) in inbox.messages() {
             match msg {
-                Alg1Msg::Flood(FloodMsg::Init(id)) => {
-                    self.known.insert(*id);
-                }
+                Alg1Msg::Flood(FloodMsg::Init(id)) => self.known.insert(id),
                 Alg1Msg::Flood(FloodMsg::Echo(set)) | Alg1Msg::Flood(FloodMsg::Ready(set)) => {
-                    self.known.extend(set.values_sorted());
+                    self.known |= set;
                 }
                 Alg1Msg::Votes(_) => {}
             }

@@ -24,11 +24,7 @@ use opr_bench::Flags;
 use opr_chaos::engine::{
     digests_overlap, per_run_seed, run_campaign, BackendChoice, CampaignConfig,
 };
-use opr_chaos::explain::explain_repro;
-use opr_chaos::generator::generate_schedule;
-use opr_chaos::oracle::standard_suite;
-use opr_chaos::repro::Repro;
-use opr_chaos::schedule::BudgetRegime;
+use opr_chaos::{explain_repro, generate_schedule, standard_suite, BudgetRegime, Repro};
 use opr_obs::{render_jsonl, render_trace_json};
 
 fn usage() -> ! {

@@ -12,15 +12,15 @@
 //!
 //! # Pipeline
 //!
-//! 1. [`generator`] draws a random [`ChaosSchedule`] from a seed: a system
+//! 1. [`generate_schedule`] draws a random [`ChaosSchedule`] from a seed: a system
 //!    size, an id layout, a Byzantine adversary placement and a transport
 //!    [`FaultPlan`](opr_transport::FaultPlan), aimed at one of three fault
 //!    *budget regimes* (strictly under `t`, exactly `t`, deliberately over).
-//! 2. [`schedule`] executes the schedule on the simulator and/or the
+//! 2. [`ChaosSchedule::run_on`] executes the schedule on the simulator and/or the
 //!    pooled backend via the diagnosing runner
 //!    ([`opr_workload::RenamingRun::run_diagnosed`]) — over-budget runs
 //!    *degrade* into structured reports instead of panicking.
-//! 3. [`oracle`] holds the pluggable invariant suite: uniqueness, order
+//! 3. [`standard_suite`] holds the pluggable [`Oracle`]s: uniqueness, order
 //!    preservation over healthy correct processes, the per-algorithm
 //!    namespace bound, the exact step count, and bit-equality across
 //!    backends.
@@ -30,28 +30,28 @@
 //!    *degraded but diagnosed* (harness-level breaches — a correct process
 //!    sending malformed traffic, backends diverging, a panic — fail in
 //!    every regime).
-//! 5. [`shrink`](mod@shrink) minimizes a failing schedule: delta debugging
+//! 5. Shrinking ([`ShrinkResult`]) minimizes a failing schedule: delta debugging
 //!    over the fault events, then Byzantine-count reduction, then onset
 //!    weakening.
-//! 6. [`repro`] round-trips the result through a `chaos-repro.json` file
+//! 6. [`Repro`] round-trips the result through a `chaos-repro.json` file
 //!    (hand-rolled [`opr_obs::json`], no external dependencies) so the failure can
 //!    be replayed deterministically from the file alone.
 //!    [`Failure::shrink_to_repro`] runs 5 and 6 on a campaign failure;
 //!    [`engine::digests_overlap`] is the "same failure" rule both the
 //!    shrink predicate and a replay judge by.
-//! 7. [`explain`] replays a repro with the protocol event recorder attached
+//! 7. [`explain_repro`] replays a repro with the protocol event recorder attached
 //!    ([`opr_obs`]) and renders every correct process's decision waterfall
 //!    — which thresholds crossed, which votes were rejected and why — plus
 //!    how close the run came to breaking each invariant
 //!    ([`Oracle::margin`]).
 
 pub mod engine;
-pub mod explain;
-pub mod generator;
-pub mod oracle;
-pub mod repro;
-pub mod schedule;
-pub mod shrink;
+mod explain;
+mod generator;
+mod oracle;
+mod repro;
+mod schedule;
+mod shrink;
 
 pub use engine::{
     BackendChoice, CampaignConfig, CampaignMetrics, CampaignReport, ExecutedRun, ExecutedSchedule,
@@ -60,6 +60,6 @@ pub use engine::{
 pub use explain::{explain_repro, render_waterfall, Explained};
 pub use generator::generate_schedule;
 pub use oracle::{standard_suite, Oracle, OracleInput};
-pub use repro::Repro;
+pub use repro::{Repro, ReproError};
 pub use schedule::{BudgetRegime, ChaosSchedule};
 pub use shrink::ShrinkResult;

@@ -61,7 +61,7 @@ impl fmt::Display for BudgetRegime {
 /// Everything needed to reproduce one chaos run bit-for-bit: the system
 /// shape, the workload, the Byzantine adversary, the transport fault
 /// schedule and the seed. Schedules serialize to `chaos-repro.json` (see
-/// [`crate::repro`]) and are the unit the shrinker minimizes.
+/// [`Repro`](crate::Repro)) and are the unit the shrinker minimizes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaosSchedule {
     /// Which algorithm/regime runs.

@@ -4,8 +4,8 @@
 //! Votes are read as strictly-ascending `(id, rank)` slices — the
 //! *canonical form* — so both algorithms are merge-walks of sorted
 //! sequences and a received vector is never rebuilt (DESIGN.md §15, "Vote
-//! path"). A vote bit-identical to the one read before it is not read
-//! again: it joins that vote's entry as one more copy (`Ballot`), and
+//! path"). A vote bit-identical to one already read in the step is not
+//! read again: it joins that vote's entry as one more copy ([`Ballot`]), and
 //! Algorithm 3 works on distinct votes with copy counts (DESIGN.md §15,
 //! "Distinct votes").
 
@@ -61,22 +61,56 @@ pub(crate) fn canonical(wire: &[(OriginalId, Rank)]) -> Option<Cow<'_, [(Origina
 /// `f64::to_bits` of every rank. Not `==`, which equates `-0.0` and `0.0` —
 /// values the trimmed mean's sort and sum tell apart.
 fn same_bits(a: &[(OriginalId, Rank)], b: &[(OriginalId, Rank)]) -> bool {
+    // OR of XORs over blocks of entries: no branch inside a block, so the
+    // compiler vectorises it; the first differing block ends the walk.
     a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.0 == y.0 && x.1.value().to_bits() == y.1.value().to_bits())
+        && a.chunks(64).zip(b.chunks(64)).all(|(x, y)| {
+            let (mut ids, mut ranks) = (0, 0);
+            for (p, q) in x.iter().zip(y) {
+                ids |= p.0.raw() ^ q.0.raw();
+                ranks |= p.1.value().to_bits() ^ q.1.value().to_bits();
+            }
+            ids | ranks == 0
+        })
+}
+
+/// Entries a [`fingerprint`] reads, spread evenly over the wire.
+const FINGERPRINT_SAMPLES: usize = 16;
+
+/// A 64-bit fingerprint of a wire: its length and the bits (id and
+/// `f64::to_bits` of the rank) of up to [`FINGERPRINT_SAMPLES`] entries
+/// spread evenly over it, so its cost does not grow with the wire.
+/// Bit-identical wires have equal fingerprints. Two different wires that
+/// collide cost [`Ballot::cast`] one comparison, never a wrong fold.
+fn fingerprint(wire: &[(OriginalId, Rank)]) -> u64 {
+    let stride = wire.len().div_ceil(FINGERPRINT_SAMPLES).max(1);
+    wire.iter()
+        .step_by(stride)
+        .fold(wire.len() as u64, |hash, &(id, rank)| {
+            let mixed = (hash ^ id.raw()).rotate_left(23) ^ rank.value().to_bits();
+            mixed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        })
 }
 
 /// One voting step's received votes, folded: each distinct accepted vote
 /// once, in canonical form, with the number of links that sent it. A wire
-/// bit-identical to the previous one cast is not read again — it takes that
-/// wire's verdict and, if accepted, adds one copy to its entry. (Every copy
-/// of a fault-free step's vote is such a wire.)
+/// bit-identical to one already cast this step is not read again — it
+/// takes that wire's verdict and, if accepted, adds one copy to its entry.
+///
+/// The previous link's wire is compared first, so a fault-free step — one
+/// vote on every link — costs one comparison per link and no more. Only a
+/// wire that differs from it is fingerprinted and looked up among the
+/// step's earlier distinct wires, accepted and rejected; the table of
+/// those is allocated on the step's second distinct wire. Nothing outlives
+/// the step or is shared with another receiver (DESIGN.md §15, "Distinct
+/// votes").
 #[derive(Debug)]
-pub(crate) struct Ballot<'a> {
+pub struct Ballot<'a> {
     votes: Vec<(Vote<'a>, usize)>,
-    /// The previous wire cast and its verdict.
-    last: Option<(&'a [(OriginalId, Rank)], Verdict)>,
+    /// The previous wire cast and its fate.
+    last: Option<(&'a [(OriginalId, Rank)], Fate)>,
+    /// Every distinct wire cast this step, once a second one arrived.
+    seen: Vec<Seen<'a>>,
 }
 
 /// A vote in canonical form: the wire itself, or its sorted copy.
@@ -85,47 +119,112 @@ type Vote<'a> = Cow<'a, [(OriginalId, Rank)]>;
 /// What `isValid` (or `canonical`, for a malformed vector) says of a vote.
 type Verdict = Result<(), ValidityViolation>;
 
+/// Where a distinct wire went: the index of its entry in `votes`, or why
+/// it was rejected.
+type Fate = Result<usize, ValidityViolation>;
+
+/// A distinct wire of the step, keyed by its bits as sent — so a repeated
+/// unsorted wire is matched, and sorted, once.
+#[derive(Debug)]
+struct Seen<'a> {
+    fingerprint: u64,
+    wire: &'a [(OriginalId, Rank)],
+    fate: Fate,
+}
+
 impl<'a> Ballot<'a> {
     /// An empty ballot with room for one distinct vote per link.
-    pub(crate) fn with_capacity(links: usize) -> Self {
+    pub fn with_capacity(links: usize) -> Self {
         Ballot {
             votes: Vec::with_capacity(links),
             last: None,
+            seen: Vec::new(),
         }
     }
 
-    /// Reads one link's wire and returns its verdict. A wire that is not
-    /// the previous one's bits is put in canonical form — `MalformedVector`
-    /// if an id repeats — and judged by `judge` (`isValid`, or nothing in
-    /// the ablation that skips it).
-    pub(crate) fn cast(
+    /// Reads one link's wire and returns its verdict. A wire bit-identical
+    /// to one cast earlier this step takes that wire's verdict. Any other
+    /// is put in canonical form — `MalformedVector` if an id repeats — and
+    /// judged by `judge` (`isValid`, or nothing in the ablation that skips
+    /// it).
+    pub fn cast(
         &mut self,
         wire: &'a [(OriginalId, Rank)],
         judge: impl FnOnce(&[(OriginalId, Rank)]) -> Verdict,
     ) -> Verdict {
-        if let Some((previous, verdict)) = &self.last {
-            if same_bits(previous, wire) {
-                if let (Ok(()), Some((_, copies))) = (verdict, self.votes.last_mut()) {
-                    *copies += 1;
-                }
-                return verdict.clone();
-            }
-        }
-        let verdict = match canonical(wire) {
-            None => Err(ValidityViolation::MalformedVector),
-            Some(vote) => judge(&vote).map(|()| self.votes.push((vote, 1))),
+        let fate = match &self.last {
+            Some((previous, fate)) if same_bits(previous, wire) => fate.clone(),
+            _ => self.look_up_or_judge(wire, judge),
         };
-        self.last = Some((wire, verdict.clone()));
+        let verdict = match &fate {
+            Ok(entry) => {
+                self.votes[*entry].1 += 1;
+                Ok(())
+            }
+            Err(violation) => Err(violation.clone()),
+        };
+        self.last = Some((wire, fate));
         verdict
     }
 
+    /// The fate of a wire that is not the previous one's bits: that of an
+    /// earlier distinct wire with the same bits, or a new entry or
+    /// rejection (an accepted new entry starts at no copies; `cast` counts
+    /// it).
+    fn look_up_or_judge(
+        &mut self,
+        wire: &'a [(OriginalId, Rank)],
+        judge: impl FnOnce(&[(OriginalId, Rank)]) -> Verdict,
+    ) -> Fate {
+        let mut key = None;
+        if let Some((first, fate)) = &self.last {
+            // The step's second distinct wire: until now every link sent the
+            // first one, so the table starts with it.
+            if self.seen.is_empty() {
+                self.seen.reserve(self.votes.capacity());
+                self.seen.push(Seen {
+                    fingerprint: fingerprint(first),
+                    wire: first,
+                    fate: fate.clone(),
+                });
+            }
+            let fingerprint = fingerprint(wire);
+            let earlier = self
+                .seen
+                .iter()
+                .find(|seen| seen.fingerprint == fingerprint && seen.wire.len() == wire.len());
+            // Only the first fingerprint match is compared: a collision
+            // makes the wire a new entry, which changes no output (folding
+            // is optional) and caps a crafted collision at one comparison.
+            if let Some(seen) = earlier.filter(|seen| same_bits(seen.wire, wire)) {
+                return seen.fate.clone();
+            }
+            key = Some(fingerprint);
+        }
+        let fate = match canonical(wire) {
+            None => Err(ValidityViolation::MalformedVector),
+            Some(vote) => judge(&vote).map(|()| {
+                self.votes.push((vote, 0));
+                self.votes.len() - 1
+            }),
+        };
+        if let Some(fingerprint) = key {
+            self.seen.push(Seen {
+                fingerprint,
+                wire,
+                fate: fate.clone(),
+            });
+        }
+        fate
+    }
+
     /// The accepted distinct votes, each with its number of copies.
-    pub(crate) fn votes(&self) -> &[(Vote<'a>, usize)] {
+    pub fn votes(&self) -> &[(Vote<'a>, usize)] {
         &self.votes
     }
 
     /// Accepted votes counted in copies.
-    pub(crate) fn copies(&self) -> usize {
+    pub fn copies(&self) -> usize {
         self.votes.iter().map(|&(_, copies)| copies).sum()
     }
 }
@@ -405,8 +504,8 @@ impl VoteScratch {
 }
 
 /// One voting step (Algorithm 3) on owned vectors with a one-off
-/// [`VoteScratch`]; see [`VoteScratch::approximate`]. Consecutive
-/// bit-identical votes are folded into one entry, as a receiver folds them.
+/// [`VoteScratch`]; see [`VoteScratch::approximate`]. Bit-identical votes
+/// are folded into one entry by a [`Ballot`], as a receiver folds them.
 ///
 /// Returns the new rank vector together with the surviving accepted set.
 ///
@@ -604,11 +703,26 @@ mod tests {
         }
     }
 
-    /// Bit-identical consecutive wires share an entry and a verdict; an
-    /// equal-but-not-identical one (`-0.0` after `0.0`), a non-consecutive
-    /// repeat and a wire after a different one do not.
+    /// The bits of each entry of `ballot`, with its copies.
+    fn folded(ballot: &Ballot<'_>) -> Vec<(Vec<(u64, u64)>, usize)> {
+        ballot
+            .votes()
+            .iter()
+            .map(|(vote, copies)| (bits(vote), *copies))
+            .collect()
+    }
+
+    fn bits(wire: &[(OriginalId, Rank)]) -> Vec<(u64, u64)> {
+        wire.iter()
+            .map(|(id, r)| (id.raw(), r.value().to_bits()))
+            .collect()
+    }
+
+    /// Every bit-identical wire of a step shares an entry and a verdict,
+    /// whatever links lie between its copies; an equal-but-not-identical one
+    /// (`-0.0` after `0.0`) does not.
     #[test]
-    fn a_ballot_folds_only_consecutive_bit_identical_wires() {
+    fn a_ballot_folds_every_bit_identical_wire() {
         let a = vector(&[(1, 0.0), (2, 2.0)]).to_wire();
         let signed = vector(&[(1, -0.0), (2, 2.0)]).to_wire();
         let b = vector(&[(1, 1.0), (2, 3.0)]).to_wire();
@@ -621,37 +735,89 @@ mod tests {
                 Ok(())
             });
         }
-        let folded: Vec<(Vec<(u64, u64)>, usize)> = ballot
-            .votes()
-            .iter()
-            .map(|(vote, copies)| {
-                let bits = vote.iter().map(|(id, r)| (id.raw(), r.value().to_bits()));
-                (bits.collect(), *copies)
-            })
-            .collect();
-        let bits = |wire: &[(OriginalId, Rank)]| {
-            wire.iter()
-                .map(|(id, r)| (id.raw(), r.value().to_bits()))
-                .collect::<Vec<_>>()
-        };
         assert_eq!(
-            folded,
-            vec![
-                (bits(&a), 2),
-                (bits(&signed), 1),
-                (bits(&b), 1),
-                (bits(&a), 1),
-                (bits(&a), 1),
-            ]
+            folded(&ballot),
+            vec![(bits(&a), 4), (bits(&signed), 1), (bits(&b), 1)]
         );
-        // Judged: the first `a`, `signed`, `b` and the two later `a`s. The
-        // malformed wire is rejected by `canonical`, its repeat by folding.
-        assert_eq!(judged, 5);
+        // Judged: the first `a`, `signed` and `b`. The malformed wire is
+        // rejected by `canonical`, its repeat by folding, and the later `a`s
+        // fold into the first.
+        assert_eq!(judged, 3);
         assert_eq!(ballot.copies(), 6);
         assert_eq!(
-            ballot.cast(&malformed, |_| Ok(())),
+            ballot.cast(&malformed, |_| panic!("a folded wire is not judged")),
             Err(ValidityViolation::MalformedVector)
         );
+        assert_eq!(
+            ballot.cast(&b, |_| panic!("a folded wire is not judged")),
+            Ok(())
+        );
+        assert_eq!(ballot.copies(), 7);
+    }
+
+    /// A rejected wire keeps its violation for every later copy, however far
+    /// apart, without being judged again.
+    #[test]
+    fn a_rejected_wire_is_judged_once_per_step() {
+        let good = vector(&[(1, 1.0), (2, 2.0)]).to_wire();
+        let bad = vector(&[(1, 1.0), (2, 1.5)]).to_wire();
+        let spaced = |vote: &[(OriginalId, Rank)]| check_valid(vote, ids(&[1, 2]), 1.0);
+        let mut judged = 0;
+        let mut ballot = Ballot::with_capacity(6);
+        let verdicts: Vec<Verdict> = [&bad, &good, &bad, &good, &good, &bad]
+            .into_iter()
+            .map(|wire| {
+                ballot.cast(wire, |vote| {
+                    judged += 1;
+                    spaced(vote)
+                })
+            })
+            .collect();
+        assert_eq!(judged, 2);
+        let violation = spaced(&bad).unwrap_err();
+        assert_eq!(
+            verdicts,
+            [0, 1, 0, 1, 1, 0].map(|ok| if ok == 1 {
+                Ok(())
+            } else {
+                Err(violation.clone())
+            })
+        );
+        assert_eq!(folded(&ballot), vec![(bits(&good), 3)]);
+    }
+
+    /// `t` links carrying one descending wire — between correct votes — cost
+    /// one sorted copy per receiver-step, not one per copy: the ballot holds
+    /// a single owned entry with `t` copies.
+    #[test]
+    fn an_unsorted_wire_is_sorted_once() {
+        let t = 5;
+        let correct = vector(&[(1, 1.0), (2, 2.0), (3, 3.0)]).to_wire();
+        let descending: Vec<_> = vector(&[(1, 1.5), (2, 2.5), (3, 3.5)])
+            .to_wire()
+            .into_iter()
+            .rev()
+            .collect();
+        // `canonical` sorts right before `judge` sees the sorted copy.
+        let mut sorted = 0;
+        let mut ballot = Ballot::with_capacity(2 * t);
+        for _ in 0..t {
+            for wire in [&correct, &descending] {
+                let _ = ballot.cast(wire, |vote| {
+                    sorted += usize::from(vote.as_ptr() != wire.as_ptr());
+                    Ok(())
+                });
+            }
+        }
+        assert_eq!(sorted, 1);
+        let owned: Vec<usize> = ballot
+            .votes()
+            .iter()
+            .filter(|(vote, _)| matches!(vote, Cow::Owned(_)))
+            .map(|&(_, copies)| copies)
+            .collect();
+        assert_eq!(owned, vec![t]);
+        assert_eq!(ballot.votes().len(), 2);
     }
 
     #[test]

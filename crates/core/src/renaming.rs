@@ -339,7 +339,7 @@ impl Actor for OrderPreservingRenaming {
         } else if r <= self.total_steps {
             // Voting step: validate, approximate. Votes stay where they
             // arrived — a canonical vote borrows from the shared payload —
-            // and a vote bit-identical to the previous link's is read once.
+            // and each distinct vote of the step is read once.
             let spacing = self.delta;
             let mut ballot = Ballot::with_capacity(inbox.len());
             let mut rejected = 0u64;

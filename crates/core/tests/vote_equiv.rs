@@ -5,12 +5,15 @@
 //! `ValidityViolation`, same per-id observation sequence, same new ranks bit
 //! for bit, same surviving accepted set — with every vote its own entry,
 //! and folded into distinct votes by the receiver's own grouping (through
-//! the public wrapper). (Tile boundaries are crossed by the unit test in
-//! `src/ranks.rs`, against the same model.)
+//! the public wrapper). A receiver's fold ([`Ballot`]) is checked on its own
+//! too: every order of one inbox's links gives the same verdict per link,
+//! the same copies and the same ranks and fates, bit for bit. (Tile
+//! boundaries are crossed by the unit test in `src/ranks.rs`, against the
+//! same model.)
 
 mod vote_model;
 
-use opr_core::ranks::{approximate, VoteScratch};
+use opr_core::ranks::{approximate, Ballot, VoteScratch};
 use opr_core::RankVector;
 use opr_obs::ValidityViolation;
 use opr_types::{OriginalId, Rank};
@@ -214,6 +217,122 @@ proptest! {
         let (wrapped, survivors) = approximate(&mine, &accepted, &votes, n, t);
         prop_assert_eq!(bits(wrapped.iter()), bits(expected_ranks.clone()), "seed {}", seed);
         prop_assert_eq!(survivors, expected_ranks.keys().copied().collect::<BTreeSet<_>>());
+    }
+}
+
+/// One receiver's inbox in which every shape a fold could get wrong recurs
+/// on links scattered at random: the step's own hostile-shaped wires, a
+/// correct wire and its twin that differs only in one rank's sign of zero
+/// (`0.0` against `-0.0`), a malformed copy with a duplicated id, a
+/// descending copy and an invalid copy with two ranks swapped. Each occurs
+/// at least once, then the inbox is topped up with random repeats.
+fn mixed_inbox(step: &Step, rng: &mut StdRng) -> Vec<Wire> {
+    let correct = RankVector::from_accepted(&step.accepted, step.delta).to_wire();
+    let mut pool: Vec<Wire> = step.wires.iter().take(4).cloned().collect();
+    if let Some(&(id, _)) = correct.first() {
+        let mut zero = correct.clone();
+        zero[0] = (id, Rank::new(0.0));
+        let mut signed = zero.clone();
+        signed[0] = (id, Rank::new(-0.0));
+        let mut malformed = correct.clone();
+        malformed.push(correct[0]);
+        let descending: Wire = zero.iter().rev().copied().collect();
+        let mut inverted = correct.clone();
+        if inverted.len() >= 2 {
+            let (a, b) = (inverted[0].1, inverted[1].1);
+            (inverted[0].1, inverted[1].1) = (b, a);
+        }
+        pool.extend([correct, zero, signed, malformed, descending, inverted]);
+    }
+    let links = rng.gen_range(pool.len()..=pool.len() + step.n + 3);
+    let mut inbox = pool.clone();
+    inbox.extend((pool.len()..links).map(|_| pool.choose(rng).expect("never empty").clone()));
+    inbox.shuffle(rng);
+    inbox
+}
+
+/// What a receiver makes of `inbox` read in `order`: each link's verdict
+/// (indexed by link, not by reading position), the accepted copies, and the
+/// per-id fates and new ranks of Algorithm 3, bit for bit.
+type Read = (
+    Vec<Result<(), ValidityViolation>>,
+    usize,
+    Vec<(OriginalId, usize, Option<u64>)>,
+    Vec<(OriginalId, u64)>,
+);
+
+fn read_in_order(step: &Step, inbox: &[Wire], order: &[usize]) -> Read {
+    let mut verdicts = vec![Ok(()); inbox.len()];
+    let mut ballot = Ballot::with_capacity(inbox.len());
+    for &link in order {
+        verdicts[link] = ballot.cast(&inbox[link], |vote| {
+            RankVector::from_wire(vote)
+                .expect("a vote reaches the judge in canonical form")
+                .check_valid(&step.timely, step.delta)
+        });
+    }
+    let mine = RankVector::from_accepted(&step.accepted, step.delta);
+    let mut fates = Vec::new();
+    let new_ranks = VoteScratch::default().approximate(
+        &mine,
+        &step.accepted,
+        ballot.votes(),
+        step.n,
+        step.t,
+        |id, votes, rank| fates.push((id, votes, rank.map(|r| r.value().to_bits()))),
+    );
+    (verdicts, ballot.copies(), fates, bits(new_ranks.iter()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Link order does not matter: the fold reads a step's multiset of
+    /// wires, and so does the `BTreeMap` model it is checked against.
+    #[test]
+    fn every_link_order_folds_to_the_model(
+        seed in 0u64..u64::MAX,
+        t in 0usize..4,
+        slack in 1usize..8,
+    ) {
+        let step = step(seed, 3 * t + slack, t);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let inbox = mixed_inbox(&step, &mut rng);
+
+        // The model: every link judged on its own, every valid link one vote.
+        let mut expected_verdicts = Vec::new();
+        let mut valid: Vec<vote_model::Model> = Vec::new();
+        for wire in &inbox {
+            let verdict = match vote_model::from_wire(wire) {
+                None => Err(ValidityViolation::MalformedVector),
+                Some(model) => vote_model::check_valid(&model, &step.timely, step.delta)
+                    .map(|()| valid.push(model)),
+            };
+            expected_verdicts.push(verdict);
+        }
+        let mine = RankVector::from_accepted(&step.accepted, step.delta);
+        let (expected_ranks, expected_fates) =
+            vote_model::approximate(&mine.iter().collect(), &step.accepted, &valid, step.n, step.t);
+        let expected: Read = (
+            expected_verdicts,
+            valid.len(),
+            expected_fates
+                .into_iter()
+                .map(|(id, votes, rank)| (id, votes, rank.map(|r| r.value().to_bits())))
+                .collect(),
+            bits(expected_ranks),
+        );
+
+        let mut order: Vec<usize> = (0..inbox.len()).collect();
+        for shuffle in 0..8 {
+            match shuffle {
+                0 => {}
+                1 => order.reverse(),
+                _ => order.shuffle(&mut rng),
+            }
+            let read = read_in_order(&step, &inbox, &order);
+            prop_assert_eq!(&read, &expected, "seed {}, order {:?}", seed, order);
+        }
     }
 }
 

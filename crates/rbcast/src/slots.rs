@@ -253,6 +253,20 @@ impl<V: Ord + Clone> IdSlotSet<V> {
     }
 }
 
+/// Union: ORs `other`'s slots into `self` word by word — rebased first if
+/// `other` was built against a different interner.
+impl<V: Ord + Clone> std::ops::BitOrAssign<&IdSlotSet<V>> for IdSlotSet<V> {
+    fn bitor_assign(&mut self, other: &IdSlotSet<V>) {
+        let words = other.words_in(&self.interner);
+        if words.len() > self.words.len() {
+            self.words.resize(words.len(), 0);
+        }
+        for (mine, theirs) in self.words.iter_mut().zip(words.iter()) {
+            *mine |= theirs;
+        }
+    }
+}
+
 /// Bitset words either borrowed from a same-interner set or rebased into a
 /// fresh allocation (see [`IdSlotSet::words_in`]).
 pub enum SlotWords<'a> {
@@ -380,6 +394,21 @@ mod tests {
         for_each_slot(&rebased, |s| slots.push(s));
         assert_eq!(slots, vec![0, 1], "6 then 5 in foreign slot order");
         assert_eq!(foreign.value_of(1), 5);
+    }
+
+    #[test]
+    fn union_is_the_value_union_on_shared_and_foreign_interners() {
+        let shared = IdInterner::new();
+        let mut set = IdSlotSet::from_values(&shared, [1u64, 2]);
+        set |= &IdSlotSet::from_values(&shared, (2..100).chain([1000]));
+        let expected: Vec<u64> = (1..100).chain([1000]).collect();
+        assert_eq!(set.values_sorted(), expected);
+
+        let foreign = IdInterner::new();
+        foreign.intern(&7); // different slot order
+        set |= &IdSlotSet::from_values(&foreign, [7u64, 5000]);
+        let expected: Vec<u64> = (1..100).chain([1000, 5000]).collect();
+        assert_eq!(set.values_sorted(), expected);
     }
 
     #[test]

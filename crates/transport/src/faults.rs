@@ -52,7 +52,7 @@ pub enum FaultEvent {
 
 impl FaultEvent {
     /// The process whose outgoing traffic this event disturbs.
-    pub fn sender(&self) -> usize {
+    pub(crate) fn sender(&self) -> usize {
         match *self {
             FaultEvent::Drop { sender, .. }
             | FaultEvent::SilenceLink { sender, .. }
