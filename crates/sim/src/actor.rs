@@ -1,7 +1,9 @@
 //! The protocol interface: what a process does each synchronous round.
 
+use crate::network::{Payload, NO_PAYLOAD};
 use crate::sealed::Sealed;
 use opr_types::{LinkId, Round};
+use std::fmt::{self, Debug};
 
 /// What a process emits in one round.
 ///
@@ -34,22 +36,37 @@ impl<M> Outbox<M> {
 }
 
 /// The messages delivered to a process at the end of one round, each tagged
-/// with the local label of the link it arrived on.
+/// with the local label of the link it arrived on, in ascending label order.
 ///
-/// Payloads are stored [`Sealed`]: a broadcast delivers the *same*
-/// allocation to every receiver, so holding an inbox costs refcounts, not
-/// copies. [`messages`](Inbox::messages) hands out `&M` straight from the
-/// shared payload.
-#[derive(Clone, Debug)]
-pub struct Inbox<M> {
-    entries: Vec<(LinkId, Sealed<M>)>,
+/// An inbox the engine delivers borrows the round: the receiver's row of
+/// the network's `(receiver, incoming label)` table and the round's payload
+/// table, for the length of [`Actor::deliver`]. A broadcast is one payload
+/// that every receiver's row points at, so
+/// [`messages`](Inbox::messages) hands out the *same* `&M` to all of them
+/// and nothing is copied or refcounted per link. Hand-built inboxes
+/// ([`new`](Inbox::new), [`from_sealed`](Inbox::from_sealed), `collect`)
+/// own their entries instead.
+#[derive(Clone)]
+pub struct Inbox<'a, M> {
+    entries: Entries<'a, M>,
 }
 
-impl<M> Inbox<M> {
+#[derive(Clone)]
+enum Entries<'a, M> {
+    /// Built by hand, label-sorted.
+    Owned(Vec<(LinkId, Sealed<M>)>),
+    /// Delivered by the engine: `row[l - 1]` is the payload that arrived on
+    /// label `l`, or [`NO_PAYLOAD`]; `len` of them are set.
+    Routed {
+        row: &'a [u32],
+        len: usize,
+        payloads: &'a [Payload<M>],
+    },
+}
+
+impl<'a, M> Inbox<'a, M> {
     /// Builds an inbox from owned `(link, message)` pairs, sealing each
-    /// payload individually. The engines use
-    /// [`from_sealed`](Inbox::from_sealed) instead so broadcast payloads
-    /// stay shared; this constructor is for tests and hand-built inboxes.
+    /// payload individually — for tests and hand-built inboxes.
     ///
     /// # Panics
     ///
@@ -64,16 +81,18 @@ impl<M> Inbox<M> {
             "a link delivered more than one message in a round"
         );
         Inbox {
-            entries: entries
-                .into_iter()
-                .map(|(l, m)| (l, Sealed::new(m)))
-                .collect(),
+            entries: Entries::Owned(
+                entries
+                    .into_iter()
+                    .map(|(l, m)| (l, Sealed::new(m)))
+                    .collect(),
+            ),
         }
     }
 
     /// Builds an inbox from already-sealed pairs in **ascending label
-    /// order** — the zero-copy path the engines use after their canonical
-    /// per-round sort. Shared broadcast payloads stay shared.
+    /// order**, so a hand-built broadcast can share one payload across
+    /// receivers.
     ///
     /// # Panics
     ///
@@ -85,33 +104,109 @@ impl<M> Inbox<M> {
             "a link delivered more than one message in a round \
              (or entries were not label-sorted)"
         );
-        Inbox { entries }
+        Inbox {
+            entries: Entries::Owned(entries),
+        }
     }
 
-    /// Iterates over `(link, message)` pairs, borrowing payloads from the
-    /// shared allocations.
+    /// The inbox the engine delivers: `len` set slots of `row`, each an
+    /// index into `payloads`.
+    pub(crate) fn routed(row: &'a [u32], len: usize, payloads: &'a [Payload<M>]) -> Self {
+        Inbox {
+            entries: Entries::Routed { row, len, payloads },
+        }
+    }
+
+    /// Iterates over `(link, message)` pairs in ascending label order,
+    /// borrowing the payloads.
     pub fn messages(&self) -> impl Iterator<Item = (LinkId, &M)> {
-        self.entries.iter().map(|(l, m)| (*l, m.get()))
+        match &self.entries {
+            Entries::Owned(entries) => Messages::Owned(entries.iter()),
+            Entries::Routed { row, len, payloads } => Messages::Routed {
+                row: row.iter().enumerate(),
+                left: *len,
+                payloads,
+            },
+        }
     }
 
     /// The number of links that delivered anything.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        match &self.entries {
+            Entries::Owned(entries) => entries.len(),
+            Entries::Routed { len, .. } => *len,
+        }
     }
 
     /// Whether nothing arrived.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
-impl<M> FromIterator<(LinkId, M)> for Inbox<M> {
+/// The iterator behind [`Inbox::messages`].
+enum Messages<'b, M> {
+    Owned(std::slice::Iter<'b, (LinkId, Sealed<M>)>),
+    Routed {
+        row: std::iter::Enumerate<std::slice::Iter<'b, u32>>,
+        /// Set slots not yet reached: the exact size hint, and the stop.
+        left: usize,
+        payloads: &'b [Payload<M>],
+    },
+}
+
+impl<'b, M> Iterator for Messages<'b, M> {
+    type Item = (LinkId, &'b M);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            Messages::Owned(entries) => entries.next().map(|(l, m)| (*l, &**m)),
+            Messages::Routed {
+                row,
+                left,
+                payloads,
+            } => {
+                if *left == 0 {
+                    return None;
+                }
+                let (slot, &payload) = row.find(|(_, &p)| p != NO_PAYLOAD)?;
+                *left -= 1;
+                Some((LinkId::new(slot + 1), &payloads[payload as usize].msg))
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Messages::Owned(entries) => entries.size_hint(),
+            Messages::Routed { left, .. } => (*left, Some(*left)),
+        }
+    }
+}
+
+impl<M: Debug> Debug for Inbox<'_, M> {
+    /// Renders `Inbox { entries: [(link, message), …] }` on both
+    /// representations.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Listed<'i, 'a, M>(&'i Inbox<'a, M>);
+        impl<M: Debug> Debug for Listed<'_, '_, M> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.messages()).finish()
+            }
+        }
+        f.debug_struct("Inbox")
+            .field("entries", &Listed(self))
+            .finish()
+    }
+}
+
+impl<M> FromIterator<(LinkId, M)> for Inbox<'_, M> {
     fn from_iter<I: IntoIterator<Item = (LinkId, M)>>(iter: I) -> Self {
         Inbox::new(iter.into_iter().collect())
     }
 }
 
-impl<M> FromIterator<(LinkId, Sealed<M>)> for Inbox<M> {
+impl<M> FromIterator<(LinkId, Sealed<M>)> for Inbox<'_, M> {
     fn from_iter<I: IntoIterator<Item = (LinkId, Sealed<M>)>>(iter: I) -> Self {
         let mut entries: Vec<(LinkId, Sealed<M>)> = iter.into_iter().collect();
         entries.sort_by_key(|(l, _)| *l);
@@ -143,7 +238,7 @@ pub trait Actor: Send {
 
     /// Consume this round's inbox. Called exactly once per round, after all
     /// sends of that round.
-    fn deliver(&mut self, round: Round, inbox: Inbox<Self::Msg>);
+    fn deliver(&mut self, round: Round, inbox: Inbox<'_, Self::Msg>);
 
     /// The decided value, once available. Must be stable: after returning
     /// `Some(v)`, keep returning `Some(v)`.
@@ -187,10 +282,9 @@ mod tests {
         let payload = Sealed::new(42u64);
         let inbox = Inbox::from_sealed(vec![(lnk(1), payload.clone()), (lnk(2), payload.clone())]);
         let borrowed: Vec<&u64> = inbox.messages().map(|(_, m)| m).collect();
-        // Both entries borrow the same allocation — the broadcast fan-out
-        // really is zero-copy end to end.
+        // Both entries borrow the same allocation.
         assert!(std::ptr::eq(borrowed[0], borrowed[1]));
-        assert!(std::ptr::eq(borrowed[0], payload.get()));
+        assert!(std::ptr::eq(borrowed[0], &*payload));
     }
 
     #[test]

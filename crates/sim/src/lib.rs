@@ -27,8 +27,12 @@
 //!   round (send, route, deliver), stepped on the calling thread
 //!   ([`Network::step`]) or with its per-process phases on scoped worker
 //!   threads ([`Network::step_on`]).
-//! * [`Sealed`] — shared, immutable message payloads: broadcasts are sealed
-//!   once and fanned out as refcount bumps, never per-link deep copies.
+//! * [`Inbox`] — what a process reads each round, in label order. The
+//!   engine's inboxes borrow the round's payload table (each broadcast
+//!   stored once, never copied per link) through the receiver's row of a
+//!   `(receiver, incoming label)` table, so nothing is sorted or cloned.
+//! * [`Sealed`] — a shared, immutable payload for inboxes built by hand
+//!   ([`Inbox::from_sealed`]).
 //! * [`RunMetrics`] — rounds, message and bit counters per round, used by the
 //!   message-complexity experiment (T3).
 //! * [`WireSize`] — model-level message size accounting in bits.

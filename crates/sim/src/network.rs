@@ -1,20 +1,20 @@
 //! The lock-step round engine.
 //!
 //! A round is three phases. **Send** and **deliver** touch one process
-//! each — its actor, its outbox, its inbox: a `Seat` — so they may run on
-//! any thread, in any order. **Route**, between them, is the only phase that
-//! touches shared state (counters, trace, malformed list, other seats'
-//! inboxes) and always runs serially in process-index order. There is one
-//! definition of the round and two *schedules* for it: [`Network::step`]
-//! applies the per-seat phases on the calling thread, [`Network::step_on`]
-//! applies the same two closures to contiguous seat blocks on scoped
-//! threads. Seat blocks are disjoint and routing is serial, so what a run
-//! observes cannot depend on the schedule.
+//! each — its actor and its outbox: a `Seat` — so they may run on any
+//! thread, in any order. **Route**, between them, is the only phase that
+//! writes shared state (counters, trace, malformed list, the round's
+//! payload and row tables) and always runs serially in process-index
+//! order. There is one definition of the round and two *schedules* for it:
+//! [`Network::step`] applies the per-seat phases on the calling thread,
+//! [`Network::step_on`] applies the same two closures to contiguous seat
+//! blocks on scoped threads. Seat blocks are disjoint, routing is serial
+//! and delivery only reads the tables, so what a run observes cannot
+//! depend on the schedule.
 
 use crate::actor::{Actor, Inbox, Outbox};
 use crate::metrics::{RoundMetrics, RunMetrics};
-use crate::sealed::Sealed;
-use crate::topology::Topology;
+use crate::topology::{Slot, Topology};
 use crate::trace::{Trace, TraceEvent};
 use crate::wire::WireSize;
 use opr_types::{LinkId, MalformedKind, MalformedSend, ProcessIndex, Round};
@@ -29,19 +29,36 @@ pub struct RunReport {
     pub completed: bool,
 }
 
-/// Everything only process `i` touches in the send and deliver phases.
+/// Everything only process `index` touches in the send and deliver phases.
+/// Its inbox is not here: deliver reads row `index` of the network's row
+/// table, which route filled, through a borrowed [`Inbox`].
 struct Seat<M, O> {
     actor: Box<dyn Actor<Msg = M, Output = O>>,
     /// What the actor sent this round; `Silent` outside send → route.
     outbox: Outbox<M>,
-    /// What routing delivered this round; empty outside route → deliver.
-    /// `Inbox` consumes the `Vec` by contract, so it is reserved afresh
-    /// (one allocation per receiver per round) rather than reused.
-    inbox: Vec<(LinkId, Sealed<M>)>,
+    /// The process index: which row of the row table is this seat's inbox.
+    index: usize,
+    /// How many slots of that row route set this round; 0 outside
+    /// route → deliver.
+    received: usize,
 }
 
 /// One per-seat phase of a round, shared by both schedules.
 type Phase<'a, M, O> = &'a (dyn Fn(&mut Seat<M, O>) + Sync);
+
+/// One entry of the round's payload table: a broadcast, or one multicast
+/// entry. Every link the payload is routed on points at it by index.
+pub(crate) struct Payload<M> {
+    pub(crate) msg: M,
+    /// `msg.wire_bits()`, computed once when the payload enters the table.
+    bits: u64,
+    /// The `Debug` rendering, made the first time the trace records one of
+    /// the payload's deliveries and cloned for the others.
+    rendered: Option<String>,
+}
+
+/// An empty slot of the row table.
+pub(crate) const NO_PAYLOAD: u32 = u32::MAX;
 
 /// A synchronous network executing a set of [`Actor`]s in lock-step rounds.
 ///
@@ -52,6 +69,12 @@ pub struct Network<M, O> {
     seats: Vec<Seat<M, O>>,
     correct: Vec<bool>,
     topology: Topology,
+    /// This round's payloads, in routing order; cleared after deliver.
+    payloads: Vec<Payload<M>>,
+    /// The `N × N` row table: `rows[r * n + l - 1]` indexes the payload
+    /// receiver `r` got on its label `l` this round, or is [`NO_PAYLOAD`].
+    /// Reset after deliver.
+    rows: Vec<u32>,
     metrics: RunMetrics,
     next_round: Round,
     trace: Option<Trace>,
@@ -71,7 +94,7 @@ pub(crate) type DeliveryFilter = Box<dyn FnMut(Round, ProcessIndex, LinkId) -> b
 
 impl<M, O> Network<M, O>
 where
-    M: Clone + Debug + WireSize,
+    M: Clone + Debug + WireSize + Sync,
 {
     /// Creates a network in which every actor is counted as correct.
     ///
@@ -104,23 +127,29 @@ where
         let n = actors.len();
         let seats = actors
             .into_iter()
-            .map(|actor| Seat {
+            .enumerate()
+            .map(|(index, actor)| Seat {
                 actor,
                 outbox: Outbox::Silent,
-                inbox: Vec::new(),
+                index,
+                received: 0,
             })
             .collect();
         Network {
             seats,
             correct,
             topology,
+            // One broadcast per process is the common round.
+            payloads: Vec::with_capacity(n),
+            rows: vec![NO_PAYLOAD; n * n],
             metrics: RunMetrics::new(),
             next_round: Round::FIRST,
             trace: None,
             delivery_filter: None,
             payload_cap: None,
             malformed: Vec::new(),
-            seen_arena: vec![false; n],
+            // Sized by the first multicast: fault-free runs never need it.
+            seen_arena: Vec::new(),
         }
     }
 
@@ -157,7 +186,7 @@ where
     /// the lowest-index one if several seats panic.
     pub fn step_on(&mut self, workers: usize)
     where
-        M: Send + Sync,
+        M: Send,
     {
         self.round(|seats, phase| {
             // A topology has n ≥ 1 processes, so there is a first block.
@@ -187,41 +216,35 @@ where
             seat.outbox = seat.actor.send(round)
         });
         self.route(round);
+        let n = self.seats.len();
+        let (rows, payloads) = (&self.rows, &self.payloads);
         apply(&mut self.seats, &|seat| {
-            // Sort by label for determinism. Payloads stay sealed — shared
-            // broadcast allocations are handed over, not copied.
-            let mut entries = std::mem::take(&mut seat.inbox);
-            entries.sort_by_key(|(l, _)| *l);
-            seat.actor.deliver(round, Inbox::from_sealed(entries));
+            // The row is in label order by construction: nothing to sort.
+            let row = &rows[seat.index * n..][..n];
+            let received = std::mem::take(&mut seat.received);
+            seat.actor
+                .deliver(round, Inbox::routed(row, received, payloads));
         });
+        self.rows.fill(NO_PAYLOAD);
+        self.payloads.clear();
         self.next_round = round.next();
     }
 
-    /// Moves every outbox of the round into the receivers' inboxes, in
+    /// Moves every outbox of the round into the payload table, in
     /// process-index order: multicast validation, then [`Self::route_one`]
     /// per link.
     fn route(&mut self, round: Round) {
         let n = self.seats.len();
-        // Worst case one message per sender: one allocation per receiver
-        // per round instead of a growth-doubling series. Reserved here, all
-        // together after every send, not seat by seat in the send phase:
-        // interleaving them with the actors' message allocations measured
-        // 1–2 % slower end to end (`svc-n32-forge-par`).
-        for seat in &mut self.seats {
-            seat.inbox.reserve(n);
-        }
         let mut tally = RoundMetrics::default();
         for s in 0..n {
             let sender = ProcessIndex::new(s);
             match std::mem::replace(&mut self.seats[s].outbox, Outbox::Silent) {
                 Outbox::Silent => {}
                 Outbox::Broadcast(msg) => {
-                    // Seal once; every link's inbox slot shares the same
-                    // allocation — fan-out is N refcount bumps, not N deep
-                    // copies.
-                    let sealed = Sealed::new(msg);
+                    // One payload; every link's row slot points at it.
+                    let payload = self.push_payload(msg);
                     for l in 1..=n {
-                        self.route_one(round, sender, LinkId::new(l), sealed.clone(), &mut tally);
+                        self.route_one(round, sender, LinkId::new(l), payload, &mut tally);
                     }
                 }
                 Outbox::Multicast(entries) => {
@@ -243,9 +266,9 @@ where
                                 kind: MalformedKind::DuplicateLink { label },
                             });
                         } else {
-                            // Equivocation stays per-link owned: each entry
-                            // is its own payload, sealed individually.
-                            self.route_one(round, sender, link, Sealed::new(msg), &mut tally);
+                            // Equivocation: each entry is its own payload.
+                            let payload = self.push_payload(msg);
+                            self.route_one(round, sender, link, payload, &mut tally);
                         }
                     }
                     self.seen_arena = seen;
@@ -255,20 +278,35 @@ where
         self.metrics.push_round(tally);
     }
 
-    /// One message on one link: payload cap, fault filter, topology
-    /// resolution, accounting, trace, inbox.
+    /// Adds `msg` to the round's payload table, sizing it once for the
+    /// payload cap, metrics and trace of every link it is routed on.
+    fn push_payload(&mut self, msg: M) -> u32 {
+        // At most N payloads per sender: N² of them stay below the empty
+        // slot's marker for any N up to 65 535.
+        assert!(
+            self.payloads.len() < NO_PAYLOAD as usize,
+            "a round holds fewer payloads than the empty-slot marker"
+        );
+        let index = self.payloads.len() as u32;
+        self.payloads.push(Payload {
+            bits: msg.wire_bits(),
+            msg,
+            rendered: None,
+        });
+        index
+    }
+
+    /// One payload on one link: payload cap, fault filter, slot lookup,
+    /// accounting, trace, row.
     fn route_one(
         &mut self,
         round: Round,
         sender: ProcessIndex,
         link: LinkId,
-        msg: Sealed<M>,
+        payload: u32,
         tally: &mut RoundMetrics,
     ) {
-        // Computed once per payload and cached inside the seal: the cap
-        // check, metrics and trace below all reuse this value, and the
-        // other N−1 links of a broadcast get it for free.
-        let bits = msg.wire_bits();
+        let bits = self.payloads[payload as usize].bits;
         if let Some(cap) = self.payload_cap {
             if bits > cap {
                 self.malformed.push(MalformedSend {
@@ -284,9 +322,9 @@ where
                 return;
             }
         }
-        let receiver = self.topology.peer(sender, link);
-        let in_label = self.topology.incoming_label(receiver, sender);
-        let self_loop = receiver == sender;
+        let Slot { receiver, label } = self.topology.slot(sender, link);
+        let (receiver, label) = (receiver as usize, label as usize);
+        let self_loop = receiver == sender.index();
         if self.correct[sender.index()] {
             if !self_loop {
                 tally.messages_correct += 1;
@@ -297,15 +335,19 @@ where
             tally.messages_faulty += 1;
         }
         if let Some(trace) = &mut self.trace {
+            let Payload { msg, rendered, .. } = &mut self.payloads[payload as usize];
             trace.record_with(|| TraceEvent {
                 round,
                 sender,
-                receiver,
-                link: in_label,
-                message: msg.rendered().to_owned(),
+                receiver: ProcessIndex::new(receiver),
+                link: LinkId::new(label + 1),
+                message: rendered.get_or_insert_with(|| format!("{msg:?}")).clone(),
             });
         }
-        self.seats[receiver.index()].inbox.push((in_label, msg));
+        let cell = &mut self.rows[receiver * self.seats.len() + label];
+        debug_assert_eq!(*cell, NO_PAYLOAD, "a label delivered twice in a round");
+        *cell = payload;
+        self.seats[receiver].received += 1;
     }
 
     /// Runs until every correct actor has an output, or `max_rounds` rounds
@@ -364,7 +406,7 @@ mod tests {
     use super::*;
     use opr_types::LinkId;
 
-    impl<M: Clone + Debug + WireSize, O> Network<M, O> {
+    impl<M: Clone + Debug + WireSize + Sync, O> Network<M, O> {
         /// Every send the transport rejected so far (out-of-range or
         /// duplicate link labels, oversized payloads), in `(round, sender,
         /// occurrence)` order.
@@ -696,6 +738,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `wire_bits` calls across the whole test binary; only
+    /// [`wire_bits_is_computed_once_per_payload_per_round`] sends `Metered`.
+    static SIZINGS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    #[derive(Clone, Debug)]
+    struct Metered;
+    impl WireSize for Metered {
+        fn wire_bits(&self) -> u64 {
+            SIZINGS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            64
+        }
+    }
+
+    /// Broadcasts, or multicasts one valid, one duplicate and one
+    /// out-of-range entry.
+    struct Sizer {
+        sloppy: bool,
+    }
+    impl Actor for Sizer {
+        type Msg = Metered;
+        type Output = ();
+        fn send(&mut self, _round: Round) -> Outbox<Metered> {
+            if self.sloppy {
+                Outbox::Multicast(vec![
+                    (LinkId::new(1), Metered),
+                    (LinkId::new(1), Metered),
+                    (LinkId::new(99), Metered),
+                ])
+            } else {
+                Outbox::Broadcast(Metered)
+            }
+        }
+        fn deliver(&mut self, _round: Round, _inbox: Inbox<Metered>) {}
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    #[test]
+    fn wire_bits_is_computed_once_per_payload_per_round() {
+        // Three broadcasters and one multicaster at n = 4: four routed
+        // payloads a round, on 13 links. The cap, the metrics and the trace
+        // all read every link's size, and must reuse the payload's.
+        let actors: Vec<Box<dyn Actor<Msg = Metered, Output = ()>>> = (0..4)
+            .map(|i| Box::new(Sizer { sloppy: i == 2 }) as _)
+            .collect();
+        let mut net = Network::new(actors, Topology::seeded(4, 3));
+        net.set_payload_cap(Some(64));
+        net.enable_trace(1000);
+        let before = SIZINGS.load(std::sync::atomic::Ordering::SeqCst);
+        for _ in 0..3 {
+            net.step();
+        }
+        let sizings = SIZINGS.load(std::sync::atomic::Ordering::SeqCst) - before;
+        assert_eq!(sizings, 3 * 4);
+        assert_eq!(net.trace().unwrap().events().len(), 3 * 13);
+        assert_eq!(net.metrics().bits_correct(), 3 * (3 * 3 + 1) * 64);
     }
 
     /// Panics with its seat number in the chosen phase.

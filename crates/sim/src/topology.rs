@@ -16,11 +16,20 @@ use rand::SeedableRng;
 #[derive(Clone, Debug)]
 pub struct Topology {
     n: usize,
-    /// `peer_of[p][l-1]` = process reached from `p` via link label `l`.
-    peer_of: Vec<Vec<ProcessIndex>>,
-    /// `label_of[receiver][sender]` = label the receiver's side gives to the
-    /// link from `sender`.
-    label_of: Vec<Vec<LinkId>>,
+    /// `slots[p * n + l - 1]`: where process `p`'s link `l` lands.
+    slots: Vec<Slot>,
+    /// `label_of[r * n + s]` = label the receiver `r`'s side gives to the
+    /// link from `s`.
+    label_of: Vec<LinkId>,
+}
+
+/// Where one link lands: the process at its far end and the 0-based index
+/// of that process's own label for the link — the engine's `(sender, link)
+/// → row slot` lookup.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slot {
+    pub(crate) receiver: u32,
+    pub(crate) label: u32,
 }
 
 impl Topology {
@@ -29,52 +38,57 @@ impl Topology {
     pub fn seeded(n: usize, seed: u64) -> Self {
         assert!(n >= 1, "topology needs at least one process");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x746f_706f_6c6f_6779);
-        let mut peer_of = Vec::with_capacity(n);
+        let mut peer_of = Vec::with_capacity(n * n);
         for p in 0..n {
-            let mut peers: Vec<ProcessIndex> =
-                (0..n).filter(|&q| q != p).map(ProcessIndex::new).collect();
-            peers.shuffle(&mut rng);
-            peers.push(ProcessIndex::new(p)); // label N: self-loop
-            peer_of.push(peers);
+            peer_of.extend((0..n).filter(|&q| q != p));
+            peer_of[p * n..].shuffle(&mut rng);
+            peer_of.push(p); // label N: self-loop
         }
-        Self::from_peer_table(n, peer_of)
+        Self::from_peer_table(n, &peer_of)
     }
 
     /// A topology where process `p`'s label for peer `q` follows a fixed
     /// arithmetic pattern — convenient for hand-written unit tests.
     pub fn canonical(n: usize) -> Self {
         assert!(n >= 1, "topology needs at least one process");
-        let mut peer_of = Vec::with_capacity(n);
-        for p in 0..n {
-            let mut peers: Vec<ProcessIndex> =
-                (1..n).map(|off| ProcessIndex::new((p + off) % n)).collect();
-            peers.push(ProcessIndex::new(p));
-            peer_of.push(peers);
-        }
-        Self::from_peer_table(n, peer_of)
+        let peer_of: Vec<usize> = (0..n)
+            .flat_map(|p| (1..=n).map(move |off| (p + off) % n))
+            .collect();
+        Self::from_peer_table(n, &peer_of)
     }
 
-    fn from_peer_table(n: usize, peer_of: Vec<Vec<ProcessIndex>>) -> Self {
-        let mut label_of = vec![vec![LinkId::new(1); n]; n];
-        for (r, peers) in peer_of.iter().enumerate() {
-            debug_assert_eq!(peers.len(), n);
-            debug_assert_eq!(peers[n - 1].index(), r, "label N must be the self-loop");
-            for (idx, peer) in peers.iter().enumerate() {
-                // Receiver r sees messages from `peer` on r's link idx+1:
-                // the incoming label is defined by the receiver's own table.
-                label_of[r][peer.index()] = LinkId::new(idx + 1);
+    /// `peer_of[p * n + l - 1]` is the process `p` reaches via label `l`.
+    fn from_peer_table(n: usize, peer_of: &[usize]) -> Self {
+        debug_assert_eq!(peer_of.len(), n * n);
+        let mut label_of = vec![LinkId::new(1); n * n];
+        for (p, peers) in peer_of.chunks(n).enumerate() {
+            debug_assert_eq!(peers[n - 1], p, "label N must be the self-loop");
+            for (idx, &peer) in peers.iter().enumerate() {
+                // `p`'s link idx+1 joins it to `peer`, so messages from
+                // `peer` arrive at `p` on that label: the incoming label is
+                // defined by the receiver's own table.
+                label_of[p * n + peer] = LinkId::new(idx + 1);
             }
         }
-        Topology {
-            n,
-            peer_of,
-            label_of,
-        }
+        let slots = peer_of
+            .iter()
+            .enumerate()
+            .map(|(i, &receiver)| Slot {
+                receiver: receiver as u32,
+                label: label_of[receiver * n + i / n].index() as u32,
+            })
+            .collect();
+        Topology { n, slots, label_of }
     }
 
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Where `sender`'s link `link` lands.
+    pub(crate) fn slot(&self, sender: ProcessIndex, link: LinkId) -> Slot {
+        self.slots[sender.index() * self.n + link.index()]
     }
 
     /// The process reached from `sender` via local link label `link`.
@@ -83,13 +97,15 @@ impl Topology {
     ///
     /// Panics if `link.label() > N` or `sender` is out of range.
     pub fn peer(&self, sender: ProcessIndex, link: LinkId) -> ProcessIndex {
-        self.peer_of[sender.index()][link.index()]
+        assert!(link.label() <= self.n, "link label out of range");
+        ProcessIndex::new(self.slot(sender, link).receiver as usize)
     }
 
     /// The label `receiver` gives to its link from `sender` (the label the
     /// receiver observes when `sender`'s message arrives).
     pub fn incoming_label(&self, receiver: ProcessIndex, sender: ProcessIndex) -> LinkId {
-        self.label_of[receiver.index()][sender.index()]
+        assert!(sender.index() < self.n, "sender out of range");
+        self.label_of[receiver.index() * self.n + sender.index()]
     }
 }
 

@@ -12,7 +12,7 @@ pub(crate) struct SimBackend;
 
 impl<M, O> Substrate<M, O> for SimBackend
 where
-    M: Clone + Debug + WireSize,
+    M: Clone + Debug + WireSize + Sync,
 {
     fn execute(&self, job: Job<M, O>) -> ExecutionReport<O> {
         run_job(job, BackendKind::Sim, Network::step)

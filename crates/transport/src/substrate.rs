@@ -148,7 +148,7 @@ pub(crate) fn run_job<M, O>(
     mut step: impl FnMut(&mut Network<M, O>),
 ) -> ExecutionReport<O>
 where
-    M: Clone + Debug + WireSize,
+    M: Clone + Debug + WireSize + Sync,
 {
     let ExecOptions {
         faults,

@@ -96,13 +96,14 @@ proptest! {
     }
 }
 
-// Sealed-broadcast pin for the zero-copy fan-out: shared payloads must be
-// observationally invisible. For arbitrary chaos schedules — Byzantine
-// placements, transport faults, payload caps — both backends must produce
-// bit-identical diagnosed runs *and* byte-identical rendered delivery
-// traces. The trace comparison is what exercises `Sealed`'s cached `Debug`
-// rendering on every delivery event; the `DiagnosedRun` comparison covers
-// outcomes, metrics, rounds, malformed sends, masks and exclusions.
+// Pin for the zero-copy fan-out: payloads shared by every link of a
+// broadcast must be observationally invisible. For arbitrary chaos
+// schedules — Byzantine placements, transport faults, payload caps — both
+// backends must produce bit-identical diagnosed runs *and* byte-identical
+// rendered delivery traces. The trace comparison is what exercises the
+// engine's once-per-payload `Debug` rendering, reused by every delivery
+// event of that payload; the `DiagnosedRun` comparison covers outcomes,
+// metrics, rounds, malformed sends, masks and exclusions.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -15,6 +15,13 @@
 # (Python's exclusive quartiles, the benchmark's own spread rule) and in how
 # many pairs the index beats REV on names_per_sec. Writes nothing inside the
 # repository; the temporary directory is removed on exit. Needs jq.
+#
+# The sides are named `parent` and `change`: names of equal length, so both
+# binaries run by paths (argv[0]) of equal length. That length shifts the
+# allocator's heap layout, and with it svc-n7-churn's `peak_rss_mb`, between
+# fixed levels (the same binary read 45.3 MiB run by a long path and
+# 53.6 MiB by a short one); unequal names would compare path lengths, not
+# code.
 set -euo pipefail
 
 usage() {
@@ -46,8 +53,8 @@ jq -e --arg w "$workload" 'any(.workloads[]; .name == $w)' "$repo/BENCHMARK.json
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/base" "$work/change"
-git -C "$repo" archive "$commit" | tar -x -C "$work/base"
+mkdir "$work/parent" "$work/change"
+git -C "$repo" archive "$commit" | tar -x -C "$work/parent"
 git -C "$repo" checkout-index -a --prefix="$work/change/"
 
 build() {
@@ -55,7 +62,7 @@ build() {
     (cd "$work/$1" && CARGO_TARGET_DIR="$work/$1-target" \
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 }
-build base
+build parent
 build change
 
 # One timed pass; appends its contract line (the last line of stdout) to
@@ -70,24 +77,24 @@ run() {
         { echo "bench-pairs: the $side run printed no result" >&2; exit 1; }
     echo "$line" >>"$work/$side.jsonl"
     local label=$side
-    [ "$side" = base ] && label="${commit:0:7}"
+    [ "$side" = parent ] && label="${commit:0:7}"
     printf 'pair %2d %-7s %s\n' "$pair" "$label" "$(echo "$line" | jq -r --arg m "$metrics" '
         [($m | split("\n"))[] as $k | "\($k)=\(.metrics[$k].value)"]
         + ["failed=\(.failed)/\(.attempted)", "correct=\(.correct)"] | join("  ")')"
 }
 
-echo "bench-pairs: $workload, seed $seed, $pairs pairs, ${commit:0:7} (base) against the index (change)"
+echo "bench-pairs: $workload, seed $seed, $pairs pairs, ${commit:0:7} (parent) against the index (change)"
 for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then
-        run base
+        run parent
         run change
     else
         run change
-        run base
+        run parent
     fi
 done
 
-jq -rn --slurpfile base "$work/base.jsonl" --slurpfile change "$work/change.jsonl" \
+jq -rn --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.jsonl" \
     --arg m "$metrics" '
     def median: sort as $v | ($v | length) as $n
         | ($v[(($n - 1) / 2 | floor)] + $v[(($n - 1) / 2 | ceil)]) / 2;
@@ -99,8 +106,8 @@ jq -rn --slurpfile base "$work/base.jsonl" --slurpfile change "$work/change.json
         then "\(median) [\(quartile(1)), \(quartile(3))]"
         else "\(median)" end;
     ($m | split("\n"))[] as $k
-    | "\($k): base \([$base[].metrics[$k].value] | summary)  change \([$change[].metrics[$k].value] | summary)"'
-jq -rn --slurpfile base "$work/base.jsonl" --slurpfile change "$work/change.jsonl" '
-    [range($base | length) | select($change[.].metrics.names_per_sec.value
-        > $base[.].metrics.names_per_sec.value)] | length
-    | "names_per_sec: change ahead in \(.) / \($base | length) pairs"'
+    | "\($k): parent \([$parent[].metrics[$k].value] | summary)  change \([$change[].metrics[$k].value] | summary)"'
+jq -rn --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.jsonl" '
+    [range($parent | length) | select($change[.].metrics.names_per_sec.value
+        > $parent[.].metrics.names_per_sec.value)] | length
+    | "names_per_sec: change ahead in \(.) / \($parent | length) pairs"'
