@@ -6,6 +6,7 @@ use opr_rbcast::{FloodMsg, IdInterner, IdSlotSet};
 use opr_sim::{Actor, Inbox, Outbox};
 use opr_types::{LinkId, NewName, OriginalId, Rank, Round};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Interns `ids` into a bitset payload against the run interner — how the
 /// strategies here that keep their ids in a `BTreeSet` ship their
@@ -42,13 +43,14 @@ fn shifted_votes<'i>(
 /// The id set is a bitset over the run's interner: a received `Echo` or
 /// `Ready` is ORed in word by word and the set itself is what steps 2–4
 /// broadcast. It is frozen when id selection ends, so the vote vector is
-/// decoded once, at the first voting step.
+/// decoded once, at the first voting step, and every later step broadcasts
+/// that one shared slice.
 pub(crate) struct IdForger {
     n: usize,
     delta: f64,
     per_link_fakes: Vec<OriginalId>,
     known: IdSlotSet<OriginalId>,
-    votes: Option<Vec<(OriginalId, Rank)>>,
+    votes: Option<Arc<[(OriginalId, Rank)]>>,
 }
 
 impl IdForger {
@@ -93,9 +95,9 @@ impl Actor for IdForger {
             3 | 4 => Outbox::Broadcast(Alg1Msg::Flood(FloodMsg::Ready(self.known.clone()))),
             _ => {
                 let votes = self.votes.get_or_insert_with(|| {
-                    shifted_votes(&self.known.values_sorted(), self.delta, 0.0)
+                    shifted_votes(&self.known.values_sorted(), self.delta, 0.0).into()
                 });
-                Outbox::Broadcast(Alg1Msg::Votes(votes.clone()))
+                Outbox::Broadcast(Alg1Msg::Votes(Arc::clone(votes)))
             }
         }
     }
@@ -167,8 +169,8 @@ impl Actor for EchoSplitter {
             // pulling ranks apart without being filtered.
             let mut full = self.known.clone();
             full.insert(self.plan.fake);
-            let low = Alg1Msg::Votes(shifted_votes(&full, self.delta, -1.0));
-            let high = Alg1Msg::Votes(shifted_votes(&full, self.delta, 1.0));
+            let low = Alg1Msg::Votes(shifted_votes(&full, self.delta, -1.0).into());
+            let high = Alg1Msg::Votes(shifted_votes(&full, self.delta, 1.0).into());
             Outbox::Multicast(
                 self.plan
                     .all_correct_links
@@ -255,8 +257,8 @@ impl Actor for RankSkewer {
             )))),
             _ => {
                 let amplitude = (self.t as f64 + 1.0) * self.delta;
-                let low = Alg1Msg::Votes(shifted_votes(&self.known, self.delta, -amplitude));
-                let high = Alg1Msg::Votes(shifted_votes(&self.known, self.delta, amplitude));
+                let low = Alg1Msg::Votes(shifted_votes(&self.known, self.delta, -amplitude).into());
+                let high = Alg1Msg::Votes(shifted_votes(&self.known, self.delta, amplitude).into());
                 Outbox::Multicast(
                     (1..=self.n)
                         .map(|l| {
@@ -353,7 +355,7 @@ impl Actor for OrderInverter {
                         }
                     }
                 }
-                Outbox::Broadcast(Alg1Msg::Votes(votes))
+                Outbox::Broadcast(Alg1Msg::Votes(votes.into()))
             }
         }
     }
@@ -541,7 +543,7 @@ impl Actor for PairSqueezer {
                     Outbox::Multicast(entries)
                 }
             }
-            _ => Outbox::Broadcast(Alg1Msg::Votes(self.squeeze_votes())),
+            _ => Outbox::Broadcast(Alg1Msg::Votes(self.squeeze_votes().into())),
         }
     }
 

@@ -128,8 +128,7 @@ impl Actor for ConsensusRenaming {
                     .flood
                     .result()
                     .expect("flood finishes at step 4")
-                    .accepted
-                    .clone();
+                    .accepted;
                 self.consensus = Some(VectorPhaseKing::new(
                     self.cfg.n(),
                     self.cfg.t(),

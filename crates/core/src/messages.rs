@@ -3,6 +3,7 @@
 use opr_rbcast::{FloodMsg, IdSlotSet};
 use opr_sim::{WireSize, COUNT_BITS, ID_BITS, RANK_BITS, TAG_BITS};
 use opr_types::{OriginalId, Rank};
+use std::sync::Arc;
 
 /// Messages of Algorithm 1.
 #[derive(Clone, Debug, PartialEq)]
@@ -10,8 +11,10 @@ pub enum Alg1Msg {
     /// Steps 1–4: the id-selection flood (`Id` / `Echo` / `Ready`).
     Flood(FloodMsg<OriginalId>),
     /// Steps 5 and later: an `⟨AA, ranks⟩` vote — the sender's current rank
-    /// for every id it still tracks, in ascending id order.
-    Votes(Vec<(OriginalId, Rank)>),
+    /// for every id it still tracks, in ascending id order. Shared, so a
+    /// broadcast, a multicast of one vector to many links and a receiver's
+    /// ballot all hold the sender's one slice.
+    Votes(Arc<[(OriginalId, Rank)]>),
 }
 
 impl WireSize for Alg1Msg {
@@ -56,7 +59,7 @@ mod tests {
         let entries: Vec<(OriginalId, Rank)> = (0..12)
             .map(|i| (OriginalId::new(i), Rank::new(i as f64)))
             .collect();
-        let msg = Alg1Msg::Votes(entries);
+        let msg = Alg1Msg::Votes(entries.into());
         assert_eq!(
             msg.wire_bits(),
             TAG_BITS + COUNT_BITS + 12 * (ID_BITS + RANK_BITS)

@@ -4,19 +4,25 @@
 //! Votes are read as strictly-ascending `(id, rank)` slices — the
 //! *canonical form* — so both algorithms are merge-walks of sorted
 //! sequences and a received vector is never rebuilt (DESIGN.md §15, "Vote
-//! path"). A vote bit-identical to one already read in the step is not
-//! read again: it joins that vote's entry as one more copy ([`Ballot`]), and
-//! Algorithm 3 works on distinct votes with copy counts (DESIGN.md §15,
-//! "Distinct votes").
+//! path"). A vector is one shared `Arc<[(OriginalId, Rank)]>` from the
+//! step that computes it to every link, snapshot and ballot that holds it.
+//! A vote bit-identical to one already read in the step is not read again:
+//! it joins that vote's entry as one more copy ([`Ballot`]), and Algorithm 3
+//! works on distinct votes with copy counts (DESIGN.md §15, "Distinct
+//! votes").
 
 use opr_aa::reduce_runs;
 use opr_obs::ValidityViolation;
 use opr_types::{OriginalId, Rank};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A process's current rank for every id it tracks — the paper's `ranks`
 /// sparse array, held as `(id, rank)` pairs in strictly ascending id order.
+/// The pairs are one shared slice: a clone, the broadcast
+/// ([`to_wire`](RankVector::to_wire)) and a probe snapshot cost a reference
+/// count, not a copy.
 ///
 /// # Example
 ///
@@ -35,7 +41,7 @@ use std::collections::BTreeSet;
 /// ```
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct RankVector {
-    entries: Vec<(OriginalId, Rank)>,
+    entries: Arc<[(OriginalId, Rank)]>,
 }
 
 fn strictly_ascending(entries: &[(OriginalId, Rank)]) -> bool {
@@ -61,17 +67,25 @@ pub(crate) fn canonical(wire: &[(OriginalId, Rank)]) -> Option<Cow<'_, [(Origina
 /// `f64::to_bits` of every rank. Not `==`, which equates `-0.0` and `0.0` —
 /// values the trimmed mean's sort and sum tell apart.
 fn same_bits(a: &[(OriginalId, Rank)], b: &[(OriginalId, Rank)]) -> bool {
-    // OR of XORs over blocks of entries: no branch inside a block, so the
-    // compiler vectorises it; the first differing block ends the walk.
-    a.len() == b.len()
-        && a.chunks(64).zip(b.chunks(64)).all(|(x, y)| {
-            let (mut ids, mut ranks) = (0, 0);
-            for (p, q) in x.iter().zip(y) {
-                ids |= p.0.raw() ^ q.0.raw();
-                ranks |= p.1.value().to_bits() ^ q.1.value().to_bits();
-            }
-            ids | ranks == 0
-        })
+    if a.len() != b.len() {
+        return false;
+    }
+    // Eight entries per early exit, one OR of XORs per field: the block has
+    // no branch and no id/rank shuffle, so the compiler keeps it in
+    // straight-line registers.
+    let (a8, b8) = (a.chunks_exact(8), b.chunks_exact(8));
+    let (a_tail, b_tail) = (a8.remainder(), b8.remainder());
+    a8.zip(b8).all(|(x, y)| {
+        let (mut ids, mut ranks) = (0, 0);
+        for (p, q) in x.iter().zip(y) {
+            ids |= p.0.raw() ^ q.0.raw();
+            ranks |= p.1.value().to_bits() ^ q.1.value().to_bits();
+        }
+        ids | ranks == 0
+    }) && a_tail
+        .iter()
+        .zip(b_tail)
+        .all(|(p, q)| p.0 == q.0 && p.1.value().to_bits() == q.1.value().to_bits())
 }
 
 /// Entries a [`fingerprint`] reads, spread evenly over the wire.
@@ -101,20 +115,24 @@ fn fingerprint(wire: &[(OriginalId, Rank)]) -> u64 {
 /// vote on every link — costs one comparison per link and no more. Only a
 /// wire that differs from it is fingerprinted and looked up among the
 /// step's earlier distinct wires, accepted and rejected; the table of
-/// those is allocated on the step's second distinct wire. Nothing outlives
-/// the step or is shared with another receiver (DESIGN.md §15, "Distinct
-/// votes").
-#[derive(Debug)]
-pub struct Ballot<'a> {
-    votes: Vec<(Vote<'a>, usize)>,
+/// those is filled from the step's second distinct wire on.
+///
+/// A process keeps one ballot across its voting steps and clears it at
+/// the end of each. Entries are shared handles on the wires as delivered
+/// (a sorted copy for a wire sent out of order), so only the tables'
+/// capacity outlives the step: no wire outlives its round and nothing is
+/// shared with another receiver (DESIGN.md §15, "Distinct votes").
+#[derive(Clone, Debug)]
+pub struct Ballot {
+    votes: Vec<(Vote, usize)>,
     /// The previous wire cast and its fate.
-    last: Option<(&'a [(OriginalId, Rank)], Fate)>,
+    last: Option<(Vote, Fate)>,
     /// Every distinct wire cast this step, once a second one arrived.
-    seen: Vec<Seen<'a>>,
+    seen: Vec<Seen>,
 }
 
-/// A vote in canonical form: the wire itself, or its sorted copy.
-type Vote<'a> = Cow<'a, [(OriginalId, Rank)]>;
+/// A wire or a vote in canonical form: the wire itself, or its sorted copy.
+type Vote = Arc<[(OriginalId, Rank)]>;
 
 /// What `isValid` (or `canonical`, for a malformed vector) says of a vote.
 type Verdict = Result<(), ValidityViolation>;
@@ -125,14 +143,14 @@ type Fate = Result<usize, ValidityViolation>;
 
 /// A distinct wire of the step, keyed by its bits as sent — so a repeated
 /// unsorted wire is matched, and sorted, once.
-#[derive(Debug)]
-struct Seen<'a> {
+#[derive(Clone, Debug)]
+struct Seen {
     fingerprint: u64,
-    wire: &'a [(OriginalId, Rank)],
+    wire: Vote,
     fate: Fate,
 }
 
-impl<'a> Ballot<'a> {
+impl Ballot {
     /// An empty ballot with room for one distinct vote per link.
     pub fn with_capacity(links: usize) -> Self {
         Ballot {
@@ -149,22 +167,25 @@ impl<'a> Ballot<'a> {
     /// it).
     pub fn cast(
         &mut self,
-        wire: &'a [(OriginalId, Rank)],
+        wire: &Vote,
         judge: impl FnOnce(&[(OriginalId, Rank)]) -> Verdict,
     ) -> Verdict {
         let fate = match &self.last {
+            // A repeat keeps the previous wire as `last`: same bits, same fate.
             Some((previous, fate)) if same_bits(previous, wire) => fate.clone(),
-            _ => self.look_up_or_judge(wire, judge),
+            _ => {
+                let fate = self.look_up_or_judge(wire, judge);
+                self.last = Some((Arc::clone(wire), fate.clone()));
+                fate
+            }
         };
-        let verdict = match &fate {
+        match fate {
             Ok(entry) => {
-                self.votes[*entry].1 += 1;
+                self.votes[entry].1 += 1;
                 Ok(())
             }
-            Err(violation) => Err(violation.clone()),
-        };
-        self.last = Some((wire, fate));
-        verdict
+            Err(violation) => Err(violation),
+        }
     }
 
     /// The fate of a wire that is not the previous one's bits: that of an
@@ -173,7 +194,7 @@ impl<'a> Ballot<'a> {
     /// it).
     fn look_up_or_judge(
         &mut self,
-        wire: &'a [(OriginalId, Rank)],
+        wire: &Vote,
         judge: impl FnOnce(&[(OriginalId, Rank)]) -> Verdict,
     ) -> Fate {
         let mut key = None;
@@ -184,7 +205,7 @@ impl<'a> Ballot<'a> {
                 self.seen.reserve(self.votes.capacity());
                 self.seen.push(Seen {
                     fingerprint: fingerprint(first),
-                    wire: first,
+                    wire: Arc::clone(first),
                     fate: fate.clone(),
                 });
             }
@@ -196,7 +217,7 @@ impl<'a> Ballot<'a> {
             // Only the first fingerprint match is compared: a collision
             // makes the wire a new entry, which changes no output (folding
             // is optional) and caps a crafted collision at one comparison.
-            if let Some(seen) = earlier.filter(|seen| same_bits(seen.wire, wire)) {
+            if let Some(seen) = earlier.filter(|seen| same_bits(&seen.wire, wire)) {
                 return seen.fate.clone();
             }
             key = Some(fingerprint);
@@ -204,6 +225,10 @@ impl<'a> Ballot<'a> {
         let fate = match canonical(wire) {
             None => Err(ValidityViolation::MalformedVector),
             Some(vote) => judge(&vote).map(|()| {
+                let vote = match vote {
+                    Cow::Borrowed(_) => Arc::clone(wire),
+                    Cow::Owned(sorted) => sorted.into(),
+                };
                 self.votes.push((vote, 0));
                 self.votes.len() - 1
             }),
@@ -211,7 +236,7 @@ impl<'a> Ballot<'a> {
         if let Some(fingerprint) = key {
             self.seen.push(Seen {
                 fingerprint,
-                wire,
+                wire: Arc::clone(wire),
                 fate: fate.clone(),
             });
         }
@@ -219,13 +244,20 @@ impl<'a> Ballot<'a> {
     }
 
     /// The accepted distinct votes, each with its number of copies.
-    pub fn votes(&self) -> &[(Vote<'a>, usize)] {
+    pub fn votes(&self) -> &[(Vote, usize)] {
         &self.votes
     }
 
     /// Accepted votes counted in copies.
     pub fn copies(&self) -> usize {
         self.votes.iter().map(|&(_, copies)| copies).sum()
+    }
+
+    /// Ends the step: drops every wire and verdict, keeps the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.votes.clear();
+        self.last = None;
+        self.seen.clear();
     }
 }
 
@@ -307,9 +339,10 @@ impl RankVector {
         self.entries.iter().map(|&(id, _)| id)
     }
 
-    /// Serializes for the wire (ascending id order).
-    pub fn to_wire(&self) -> Vec<(OriginalId, Rank)> {
-        self.entries.clone()
+    /// The vector for the wire (ascending id order): the shared slice
+    /// itself, not a copy.
+    pub fn to_wire(&self) -> Arc<[(OriginalId, Rank)]> {
+        Arc::clone(&self.entries)
     }
 
     /// Parses a received vote vector into an owned copy of its canonical
@@ -317,7 +350,7 @@ impl RankVector {
     /// message is malformed and treated as invalid.
     pub fn from_wire(entries: &[(OriginalId, Rank)]) -> Option<Self> {
         canonical(entries).map(|entries| RankVector {
-            entries: entries.into_owned(),
+            entries: entries.into(),
         })
     }
 
@@ -365,7 +398,9 @@ impl FromIterator<(OriginalId, Rank)> for RankVector {
             }
             same
         });
-        RankVector { entries }
+        RankVector {
+            entries: entries.into(),
+        }
     }
 }
 
@@ -383,9 +418,10 @@ const TILE_RUNS: usize = 128 * 1024 / std::mem::size_of::<Run>();
 const STRIDE_PAD: usize = 64 / std::mem::size_of::<Run>();
 
 /// Reusable working memory of [`approximate`](VoteScratch::approximate):
-/// the accepted ids, one cursor per distinct vote and one tile of vote
-/// columns. A process keeps one across its voting steps, so a step
-/// allocates nothing here once the first has sized it.
+/// the accepted ids, one cursor per distinct vote, one tile of vote columns
+/// and the new vector's entries. A process keeps one across its voting
+/// steps, so once the first step has sized it a step allocates here only
+/// the new vector's shared slice.
 #[derive(Clone, Debug)]
 pub struct VoteScratch {
     /// [`TILE_RUNS`], except in the unit test that forces many tiles.
@@ -399,6 +435,8 @@ pub struct VoteScratch {
     /// Per column of the tile, the runs gathered so far and the copies
     /// they hold.
     filled: Vec<(usize, usize)>,
+    /// The new vector's entries, copied into its shared slice at the end.
+    ranks: Vec<(OriginalId, Rank)>,
 }
 
 impl Default for VoteScratch {
@@ -409,6 +447,7 @@ impl Default for VoteScratch {
             cursors: Vec::new(),
             columns: Vec::new(),
             filled: Vec::new(),
+            ranks: Vec::new(),
         }
     }
 }
@@ -458,7 +497,7 @@ impl VoteScratch {
             self.columns.resize(width * stride, (Rank::default(), 0));
         }
         let mut own = my_ranks.entries.iter();
-        let mut new_ranks = Vec::with_capacity(self.ids.len());
+        self.ranks.clear();
         for tile in self.ids.chunks(width) {
             self.filled.clear();
             self.filled.resize(tile.len(), (0, 0));
@@ -496,10 +535,12 @@ impl VoteScratch {
                 column.sort_unstable_by_key(|&(rank, _)| rank);
                 let rank = reduce_runs(column.iter().copied(), t);
                 observe(id, votes, Some(rank));
-                new_ranks.push((id, rank));
+                self.ranks.push((id, rank));
             }
         }
-        RankVector { entries: new_ranks }
+        RankVector {
+            entries: self.ranks.as_slice().into(),
+        }
     }
 }
 
@@ -522,7 +563,7 @@ pub fn approximate(
     let mut ballot = Ballot::with_capacity(valid_votes.len());
     for vote in valid_votes {
         // Already canonical and, by this function's contract, valid.
-        let _ = ballot.cast(vote.as_ref(), |_| Ok(()));
+        let _ = ballot.cast(&vote.entries, |_| Ok(()));
     }
     let new_ranks =
         VoteScratch::default().approximate(my_ranks, accepted, ballot.votes(), n, t, |_, _, _| {});
@@ -681,7 +722,7 @@ mod tests {
 
         let mut ballot = Ballot::with_capacity(votes.len());
         for vote in &votes {
-            assert_eq!(ballot.cast(vote.as_ref(), |_| Ok(())), Ok(()));
+            assert_eq!(ballot.cast(&vote.to_wire(), |_| Ok(())), Ok(()));
         }
         assert_eq!((ballot.votes().len(), ballot.copies()), (n, votes.len()));
         let stride = n + 1 + STRIDE_PAD;
@@ -704,7 +745,7 @@ mod tests {
     }
 
     /// The bits of each entry of `ballot`, with its copies.
-    fn folded(ballot: &Ballot<'_>) -> Vec<(Vec<(u64, u64)>, usize)> {
+    fn folded(ballot: &Ballot) -> Vec<(Vec<(u64, u64)>, usize)> {
         ballot
             .votes()
             .iter()
@@ -726,7 +767,7 @@ mod tests {
         let a = vector(&[(1, 0.0), (2, 2.0)]).to_wire();
         let signed = vector(&[(1, -0.0), (2, 2.0)]).to_wire();
         let b = vector(&[(1, 1.0), (2, 3.0)]).to_wire();
-        let malformed = vec![a[0], a[0]];
+        let malformed = Arc::from([a[0], a[0]]);
         let mut judged = 0;
         let mut ballot = Ballot::with_capacity(8);
         for wire in [&a, &a, &signed, &b, &a, &malformed, &malformed, &a] {
@@ -753,6 +794,34 @@ mod tests {
             Ok(())
         );
         assert_eq!(ballot.copies(), 7);
+    }
+
+    /// Across the eight-entry blocks and the tail: one differing id, one
+    /// differing rank or one zero of the other sign, at any position, makes
+    /// two wires different; equal bits and nothing else make them equal.
+    #[test]
+    fn same_bits_sees_one_changed_entry_anywhere() {
+        for len in 0..=20u64 {
+            let wire: Vec<_> = (0..len)
+                .map(|i| {
+                    (
+                        OriginalId::new(3 * i),
+                        Rank::new(if i == 0 { 0.0 } else { i as f64 }),
+                    )
+                })
+                .collect();
+            assert!(same_bits(&wire, &wire.clone()));
+            assert!(!same_bits(&wire, &wire[..wire.len().saturating_sub(1)]) || len == 0);
+            for at in 0..wire.len() {
+                let (id, rank) = wire[at];
+                let mut other = wire.clone();
+                other[at].0 = OriginalId::new(id.raw() + 1);
+                assert!(!same_bits(&wire, &other), "id at {at} of {len}");
+                let mut other = wire.clone();
+                other[at].1 = Rank::new(-rank.value());
+                assert!(!same_bits(&wire, &other), "rank sign at {at} of {len}");
+            }
+        }
     }
 
     /// A rejected wire keeps its violation for every later copy, however far
@@ -793,10 +862,11 @@ mod tests {
     fn an_unsorted_wire_is_sorted_once() {
         let t = 5;
         let correct = vector(&[(1, 1.0), (2, 2.0), (3, 3.0)]).to_wire();
-        let descending: Vec<_> = vector(&[(1, 1.5), (2, 2.5), (3, 3.5)])
+        let descending: Arc<[_]> = vector(&[(1, 1.5), (2, 2.5), (3, 3.5)])
             .to_wire()
-            .into_iter()
+            .iter()
             .rev()
+            .copied()
             .collect();
         // `canonical` sorts right before `judge` sees the sorted copy.
         let mut sorted = 0;
@@ -813,7 +883,7 @@ mod tests {
         let owned: Vec<usize> = ballot
             .votes()
             .iter()
-            .filter(|(vote, _)| matches!(vote, Cow::Owned(_)))
+            .filter(|(vote, _)| !Arc::ptr_eq(vote, &correct) && !Arc::ptr_eq(vote, &descending))
             .map(|&(_, copies)| copies)
             .collect();
         assert_eq!(owned, vec![t]);

@@ -114,6 +114,8 @@ pub struct OrderPreservingRenaming {
     /// Always the ids of `ranks`.
     accepted: Arc<BTreeSet<OriginalId>>,
     ranks: RankVector,
+    /// The voting steps' fold of received votes, cleared after each step.
+    ballot: Ballot,
     scratch: VoteScratch,
     decided: Option<NewName>,
     probe: Option<SharedProcessProbe>,
@@ -238,6 +240,7 @@ impl OrderPreservingRenaming {
             timely_ids: Vec::new(),
             accepted: Arc::default(),
             ranks: RankVector::new(),
+            ballot: Ballot::with_capacity(cfg.n()),
             scratch: VoteScratch::default(),
             decided: None,
             probe: None,
@@ -325,27 +328,27 @@ impl Actor for OrderPreservingRenaming {
                 &mut observer,
             );
             if r == 4 {
-                let result = self
-                    .flood
-                    .result()
-                    .expect("flood finishes at step 4")
-                    .clone();
+                let result = self.flood.result().expect("flood finishes at step 4");
                 self.timely_ids = result.timely.iter().copied().collect();
                 self.timely = Arc::new(result.timely);
                 self.accepted = Arc::new(result.accepted);
                 self.ranks = RankVector::from_accepted(&self.accepted, self.delta);
+                if let Some(probe) = &self.probe {
+                    // One snapshot now and one per voting step.
+                    let steps = (self.total_steps - 3) as usize;
+                    probe.lock().unwrap().snapshots.reserve(steps);
+                }
                 self.record_snapshot(4);
             }
         } else if r <= self.total_steps {
             // Voting step: validate, approximate. Votes stay where they
-            // arrived — a canonical vote borrows from the shared payload —
-            // and each distinct vote of the step is read once.
+            // arrived — the ballot holds the shared payload itself — and
+            // each distinct vote of the step is read once.
             let spacing = self.delta;
-            let mut ballot = Ballot::with_capacity(inbox.len());
             let mut rejected = 0u64;
             for (link, msg) in inbox.messages() {
                 let Alg1Msg::Votes(wire) = msg else { continue };
-                let verdict = ballot.cast(wire, |vote| {
+                let verdict = self.ballot.cast(wire, |vote| {
                     if self.tweaks.disable_validation {
                         Ok(())
                     } else {
@@ -378,8 +381,9 @@ impl Actor for OrderPreservingRenaming {
             // the decision at every correct process.
             let frozen = self.tweaks.early_output
                 && self.decided.is_none()
-                && ballot.copies() >= self.cfg.quorum()
-                && ballot
+                && self.ballot.copies() >= self.cfg.quorum()
+                && self
+                    .ballot
                     .votes()
                     .iter()
                     .all(|(vote, _)| **vote == *self.ranks.as_ref());
@@ -388,7 +392,7 @@ impl Actor for OrderPreservingRenaming {
             self.ranks = self.scratch.approximate(
                 &self.ranks,
                 &self.accepted,
-                ballot.votes(),
+                self.ballot.votes(),
                 self.cfg.n(),
                 self.cfg.t(),
                 |id, votes, rank| match rank {
@@ -406,6 +410,7 @@ impl Actor for OrderPreservingRenaming {
                     }),
                 },
             );
+            self.ballot.clear();
             if self.ranks.len() < self.accepted.len() {
                 self.accepted = Arc::new(self.ranks.ids().collect());
             }
@@ -610,7 +615,9 @@ mod tests {
                     let link = LinkId::new(sender + 1);
                     let mut msg = msg.clone();
                     if let (5, 0, Alg1Msg::Votes(wire)) = (step, receiver, &mut msg) {
-                        tamper(link, wire);
+                        let mut tampered = wire.to_vec();
+                        tamper(link, &mut tampered);
+                        *wire = tampered.into();
                     }
                     (link, msg)
                 });

@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 type Wire = Vec<(OriginalId, Rank)>;
 
@@ -227,7 +228,9 @@ proptest! {
 /// descending copy and an invalid copy with two ranks swapped. Each occurs
 /// at least once, then the inbox is topped up with random repeats.
 fn mixed_inbox(step: &Step, rng: &mut StdRng) -> Vec<Wire> {
-    let correct = RankVector::from_accepted(&step.accepted, step.delta).to_wire();
+    let correct = RankVector::from_accepted(&step.accepted, step.delta)
+        .to_wire()
+        .to_vec();
     let mut pool: Vec<Wire> = step.wires.iter().take(4).cloned().collect();
     if let Some(&(id, _)) = correct.first() {
         let mut zero = correct.clone();
@@ -263,9 +266,10 @@ type Read = (
 
 fn read_in_order(step: &Step, inbox: &[Wire], order: &[usize]) -> Read {
     let mut verdicts = vec![Ok(()); inbox.len()];
+    let wires: Vec<Arc<[(OriginalId, Rank)]>> = inbox.iter().map(|w| w.as_slice().into()).collect();
     let mut ballot = Ballot::with_capacity(inbox.len());
     for &link in order {
-        verdicts[link] = ballot.cast(&inbox[link], |vote| {
+        verdicts[link] = ballot.cast(&wires[link], |vote| {
             RankVector::from_wire(vote)
                 .expect("a vote reaches the judge in canonical form")
                 .check_valid(&step.timely, step.delta)

@@ -153,15 +153,15 @@ impl<V> FloodObserver<V> for NoopFloodObserver {
 
 /// State machine for the 4-step flood, meant to be *embedded*: the owner
 /// forwards [`send`](EchoReadyFlood::send) and
-/// [`deliver`](EchoReadyFlood::deliver) for relative steps `1 ⋯ 4` and reads
+/// [`deliver`](EchoReadyFlood::deliver) for relative steps `1 ⋯ 4` and takes
 /// the [`FloodResult`] afterwards.
 ///
 /// All per-value state is kept as slot-indexed words and flat counters over
 /// the instance's [`IdInterner`]: receiving a same-interner `Echo`/`Ready`
 /// costs O(slots/64) word operations plus one counter bump per *distinct*
 /// member, instead of per-value ordered-tree inserts. Values only get
-/// decoded (and `Ord`-sorted) at the edges: the [`FloodResult`] sets and
-/// enabled-observer callbacks.
+/// decoded at the edges: the [`FloodResult`] sets, read straight off the
+/// counters, and enabled-observer callbacks.
 #[derive(Clone, Debug)]
 pub struct EchoReadyFlood<V> {
     n: usize,
@@ -174,14 +174,18 @@ pub struct EchoReadyFlood<V> {
     /// Slots we have already sent `Ready` for (step 3), so step 4 only
     /// relays new ones.
     ready_sent: Vec<u64>,
-    /// Distinct links per slot across `Ready` messages of steps 3 and 4.
+    /// Distinct links per slot across `Ready` messages of steps 3 and 4
+    /// (and, in step 2, the echoes per slot — the vector is free until
+    /// step 3).
     ready_counts: Vec<u16>,
-    /// Per-link slots already counted into `ready_counts` (indexed by
+    /// Per-link slots already counted into `ready_counts` (row
     /// `LinkId::index`), deduplicating a link that `Ready`s the same value
     /// in both step 3 and step 4.
-    ready_seen: Vec<Vec<u64>>,
-    result: FloodResult<V>,
-    finished: bool,
+    ready_seen: LinkBitsets,
+    /// Step 3's `timely` set, until step 4 moves it into the result.
+    timely: BTreeSet<V>,
+    /// Set by step 4, moved out by [`result`](EchoReadyFlood::result).
+    result: Option<FloodResult<V>>,
 }
 
 impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
@@ -205,9 +209,9 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
             working: Vec::new(),
             ready_sent: Vec::new(),
             ready_counts: Vec::new(),
-            ready_seen: Vec::new(),
-            result: FloodResult::default(),
-            finished: false,
+            ready_seen: LinkBitsets::default(),
+            timely: BTreeSet::new(),
+            result: None,
         }
     }
 
@@ -299,31 +303,32 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
             2 => {
                 // Values echoed on ≥ N−t distinct links survive. One echo
                 // message per link, so no per-link dedup is needed: each
-                // message bumps each member slot once.
-                let mut echo_counts: Vec<u16> = Vec::new();
+                // message bumps each member slot once. The counts borrow
+                // `ready_counts`, emptied (capacity kept) for step 3.
+                let echo_counts = &mut self.ready_counts;
                 for (_, msg) in inbox {
                     if let FloodMsg::Echo(set) = msg {
                         let words = set.words_in(&self.interner);
-                        grow_counts(&mut echo_counts, words.len());
+                        grow_counts(echo_counts, words.len());
                         for_each_slot(&words, |slot| {
                             echo_counts[slot] += 1;
                         });
                     }
                 }
                 let quorum = self.quorum();
-                self.working = words_where(&echo_counts, |c| c as usize >= quorum);
+                self.working = words_where(&self.ready_counts, |c| c as usize >= quorum);
                 if observer.is_enabled() {
-                    for (v, count) in self.decoded_counts(&echo_counts) {
+                    for (v, count) in self.decoded_counts(&self.ready_counts) {
                         observer.echo_threshold(step, &v, count, quorum, count >= quorum);
                     }
                 }
+                self.ready_counts.clear();
             }
             3 => {
                 self.accumulate_ready(inbox);
                 // Timely: Ready on ≥ N−t links already in step 3.
                 let quorum = self.quorum();
-                let timely_words = words_where(&self.ready_counts, |c| c as usize >= quorum);
-                self.result.timely = self.decode_words(&timely_words);
+                self.timely = self.values_where(|c| c as usize >= quorum);
                 // Relay in step 4: Ready on ≥ N−2t links, not yet sent by us.
                 let weak = self.weak_quorum();
                 let mut working = words_where(&self.ready_counts, |c| c as usize >= weak);
@@ -339,7 +344,7 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
                             count,
                             quorum,
                             weak,
-                            self.result.timely.contains(&v),
+                            self.timely.contains(&v),
                             count >= weak && !self.result_slot_in(&self.ready_sent, &v),
                         );
                     }
@@ -348,20 +353,16 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
             4 => {
                 self.accumulate_ready(inbox);
                 let quorum = self.quorum();
-                let accepted_words = words_where(&self.ready_counts, |c| c as usize >= quorum);
-                self.result.accepted = self.decode_words(&accepted_words);
+                let accepted = self.values_where(|c| c as usize >= quorum);
                 if observer.is_enabled() {
                     for (v, count) in self.decoded_counts(&self.ready_counts) {
-                        observer.accept_threshold(
-                            step,
-                            &v,
-                            count,
-                            quorum,
-                            self.result.accepted.contains(&v),
-                        );
+                        observer.accept_threshold(step, &v, count, quorum, accepted.contains(&v));
                     }
                 }
-                self.finished = true;
+                self.result = Some(FloodResult {
+                    timely: std::mem::take(&mut self.timely),
+                    accepted,
+                });
             }
             _ => panic!("flood has exactly 4 steps, got step {step}"),
         }
@@ -370,7 +371,8 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
     /// Folds `Ready` messages into the per-slot distinct-link counters:
     /// `new = incoming & !seen[link]` masks out slots this link already
     /// `Ready`ed (across steps 3 and 4), then a `trailing_zeros` walk over
-    /// `new` bumps each newly-covered slot once.
+    /// `new` bumps each newly-covered slot once. The `seen` rows share one
+    /// block, sized for `N` links by the first `Ready`.
     fn accumulate_ready<'a, I>(&mut self, inbox: I)
     where
         V: 'a,
@@ -380,13 +382,7 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
             if let FloodMsg::Ready(set) = msg {
                 let words = set.words_in(&self.interner);
                 grow_counts(&mut self.ready_counts, words.len());
-                if self.ready_seen.len() <= link.index() {
-                    self.ready_seen.resize(link.index() + 1, Vec::new());
-                }
-                let seen = &mut self.ready_seen[link.index()];
-                if seen.len() < words.len() {
-                    seen.resize(words.len(), 0);
-                }
+                let seen = self.ready_seen.row(link.index(), words.len(), self.n);
                 for (i, &word) in words.iter().enumerate() {
                     let mut new = word & !seen[i];
                     seen[i] |= new;
@@ -400,12 +396,19 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
         }
     }
 
-    /// Decodes a word bitset into the value-ordered set the results expose.
-    fn decode_words(&self, words: &[u64]) -> BTreeSet<V> {
-        IdSlotSet::from_words(&self.interner, words.to_vec())
-            .values_sorted()
-            .into_iter()
-            .collect()
+    /// The values whose `ready_counts` entry is nonzero and satisfies
+    /// `keep` — a result set, read off the counters under one interner
+    /// lock.
+    fn values_where(&self, keep: impl Fn(u16) -> bool) -> BTreeSet<V> {
+        self.interner.with_values(|values| {
+            let mut set = BTreeSet::new();
+            for (&count, value) in self.ready_counts.iter().zip(values) {
+                if count > 0 && keep(count) {
+                    set.insert(value.clone());
+                }
+            }
+            set
+        })
     }
 
     /// The `(value, count)` pairs for every slot with a nonzero count, in
@@ -432,9 +435,46 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
         })
     }
 
-    /// The result, once step 4 has been delivered.
-    pub fn result(&self) -> Option<&FloodResult<V>> {
-        self.finished.then_some(&self.result)
+    /// Moves the result out: `Some` on the first call after step 4 has
+    /// been delivered, `None` before that and on every later call. The
+    /// embedding protocol takes it once and keeps what it needs, so no set
+    /// is copied.
+    pub fn result(&mut self) -> Option<FloodResult<V>> {
+        self.result.take()
+    }
+}
+
+/// One slot bitset per link in one flat block: row `l` is
+/// `words[l * stride..][..stride]`. A bitset wider than the stride
+/// re-strides the block in place, so a flood keeps one allocation for all
+/// its links.
+#[derive(Clone, Debug, Default)]
+struct LinkBitsets {
+    words: Vec<u64>,
+    stride: usize,
+}
+
+impl LinkBitsets {
+    /// Row `link`, at least `width` words wide, in a block of at least
+    /// `links` rows.
+    fn row(&mut self, link: usize, width: usize, links: usize) -> &mut [u64] {
+        let rows = self.words.len().checked_div(self.stride).unwrap_or(0);
+        if width > self.stride {
+            let old = self.stride;
+            self.words.resize(rows * width, 0);
+            // Back to front: row r moves to r·width ≥ r·old, past every
+            // row not yet moved.
+            for r in (0..rows).rev() {
+                self.words.copy_within(r * old..(r + 1) * old, r * width);
+                self.words[r * width + old..(r + 1) * width].fill(0);
+            }
+            self.stride = width;
+        }
+        let needed = links.max(link + 1);
+        if rows < needed {
+            self.words.resize(needed * self.stride, 0);
+        }
+        &mut self.words[link * self.stride..][..self.stride]
     }
 }
 
@@ -484,12 +524,14 @@ mod tests {
     /// four steps starting at round 1 and outputs the [`FloodResult`].
     struct FloodActor<V> {
         flood: EchoReadyFlood<V>,
+        result: Option<FloodResult<V>>,
     }
 
     impl<V: Ord + Clone + Debug> FloodActor<V> {
         fn new(n: usize, t: usize, initial: Option<V>) -> Self {
             FloodActor {
                 flood: EchoReadyFlood::new(n, t, initial),
+                result: None,
             }
         }
     }
@@ -512,11 +554,14 @@ mod tests {
         fn deliver(&mut self, round: Round, inbox: Inbox<FloodMsg<V>>) {
             if round.number() <= 4 {
                 self.flood.deliver(round.number(), inbox.messages());
+                if round.number() == 4 {
+                    self.result = self.flood.result();
+                }
             }
         }
 
         fn output(&self) -> Option<FloodResult<V>> {
-            self.flood.result().cloned()
+            self.result.clone()
         }
     }
 
@@ -639,7 +684,7 @@ mod tests {
 
     #[test]
     fn result_unavailable_before_step_4() {
-        let flood: EchoReadyFlood<Val> = EchoReadyFlood::new(4, 1, Some(Val(1)));
+        let mut flood: EchoReadyFlood<Val> = EchoReadyFlood::new(4, 1, Some(Val(1)));
         assert!(flood.result().is_none());
     }
 
@@ -732,6 +777,23 @@ mod tests {
         assert_eq!(result.timely.len(), 4);
     }
 
+    /// Rows keep their words when a wider bitset re-strides the block, the
+    /// words it adds read zero, and a link past the sized rows adds rows.
+    #[test]
+    fn link_bitsets_keep_every_row_across_a_restride() {
+        let mut seen = LinkBitsets::default();
+        for link in 0..3 {
+            seen.row(link, 1, 3)[0] = 10 + link as u64;
+        }
+        assert_eq!(seen.words.len(), 3);
+        seen.row(1, 3, 3)[2] = 7;
+        assert_eq!(seen.stride, 3);
+        assert_eq!(seen.words, [10, 0, 0, 11, 0, 7, 12, 0, 0]);
+        assert_eq!(seen.row(4, 2, 3), [0, 0, 0]);
+        assert_eq!(seen.words.len(), 15);
+        assert_eq!(seen.row(2, 1, 3), [12, 0, 0]);
+    }
+
     #[test]
     fn message_sizes_scale_with_set_size() {
         let interner = IdInterner::new();
@@ -768,8 +830,8 @@ mod tests {
                 }
             }
             floods
-                .iter()
-                .map(|f| f.result().unwrap().clone())
+                .iter_mut()
+                .map(|f| f.result().unwrap())
                 .collect::<Vec<_>>()
         };
         let shared = IdInterner::new();

@@ -126,6 +126,11 @@ impl<V: Ord + Clone> IdInterner<V> {
         Arc::ptr_eq(&self.state, &other.state)
     }
 
+    /// Calls `f` with the slot → value table, under one read lock.
+    pub(crate) fn with_values<R>(&self, f: impl FnOnce(&[V]) -> R) -> R {
+        f(&read_lock(&self.state).slots)
+    }
+
     /// Decodes the set slots of `words` into values, sorted by `Ord`.
     fn decode_sorted(&self, words: &[u64]) -> Vec<V> {
         let state = read_lock(&self.state);
@@ -312,11 +317,14 @@ impl<V: Ord + Clone> Eq for IdSlotSet<V> {}
 impl<V: Ord + Clone + WireSize> WireSize for IdSlotSet<V> {
     /// The sum of the member values' wire sizes — the same per-id accounting
     /// the `BTreeSet` payload reported, so caps and metrics stay bit-stable.
+    /// A sum needs no order: the set bits are walked under one interner
+    /// lock, nothing is decoded into a list or sorted.
     fn wire_bits(&self) -> u64 {
-        self.values_sorted()
-            .iter()
-            .map(WireSize::wire_bits)
-            .sum::<u64>()
+        self.interner.with_values(|values| {
+            let mut bits = 0;
+            for_each_slot(&self.words, |slot| bits += values[slot].wire_bits());
+            bits
+        })
     }
 }
 

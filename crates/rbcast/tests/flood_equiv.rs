@@ -71,24 +71,47 @@ struct RawMsg {
     shared: bool,
 }
 
-fn raw_msg(n: usize) -> impl Strategy<Value = RawMsg> {
+/// Values of steps 1–3 lie in `0..LATE`, so by step 4 a receiver has
+/// interned up to `LATE` of them — sets of two 64-slot words. Every step-4
+/// message adds values of `LATE..DOMAIN`, first seen there: they take
+/// slots past the ones interned so far, up into a third word, so a link's
+/// step-4 `Ready` can be wider than its step-3 one (about a quarter of the
+/// cases have such a link), on the shared path and through a foreign
+/// interner's rebase alike.
+const LATE: u32 = 128;
+const DOMAIN: u32 = 200;
+
+fn raw_msg(n: usize, late: bool) -> impl Strategy<Value = RawMsg> {
     (
         0..n,
         0u8..3,
-        proptest::collection::vec(0u32..12, 0..6),
+        proptest::collection::vec(0u32..LATE, 0..40),
+        proptest::collection::vec(LATE..DOMAIN, 1..16),
         0u8..2,
     )
-        .prop_map(|(link, kind, values, shared)| RawMsg {
-            link,
-            kind,
-            values,
-            shared: shared == 1,
+        .prop_map(move |(link, kind, mut values, fresh, shared)| {
+            if late {
+                values.extend(fresh);
+            }
+            RawMsg {
+                link,
+                kind,
+                values,
+                shared: shared == 1,
+            }
         })
 }
 
 /// A full 4-step inbox schedule.
 fn schedule(n: usize) -> impl Strategy<Value = Vec<Vec<RawMsg>>> {
-    proptest::collection::vec(proptest::collection::vec(raw_msg(n), 0..12), 4..5)
+    (
+        proptest::collection::vec(proptest::collection::vec(raw_msg(n, false), 0..12), 3..4),
+        proptest::collection::vec(raw_msg(n, true), 0..12),
+    )
+        .prop_map(|(mut steps, last)| {
+            steps.push(last);
+            steps
+        })
 }
 
 fn materialize(raw: &RawMsg, receiver: &IdInterner<Val>) -> (LinkId, FloodMsg<Val>) {
@@ -107,18 +130,20 @@ fn materialize(raw: &RawMsg, receiver: &IdInterner<Val>) -> (LinkId, FloodMsg<Va
 proptest! {
     /// The tentpole's semantic contract: for any adversarial Echo/Ready
     /// payload schedule — wrong-step message kinds, duplicate values,
-    /// values the receiver has never interned, foreign-interner encodings —
+    /// values the receiver has never interned, foreign-interner encodings,
+    /// sets spanning several words and a step-4 `Ready` wider than the same
+    /// link's step-3 one —
     /// the bitset flood and the seed set flood produce the same outgoing
     /// value sets, the same observer event sequence, and the same final
     /// `FloodResult`.
     #[test]
     fn bitset_flood_matches_set_flood(
         (n, t) in (4usize..9).prop_flat_map(|n| (Just(n), 1usize..=(n - 1) / 3)),
-        initial in 0u32..13,
+        initial in 0u32..LATE + 1,
         steps in schedule(8),
     ) {
-        // 12 is outside the value domain: treat it as "no announcement".
-        let initial = (initial < 12).then_some(Val(initial));
+        // `LATE` stands for "no announcement".
+        let initial = (initial < LATE).then_some(Val(initial));
         let mut fast = EchoReadyFlood::new(n, t, initial);
         let mut slow = SetFlood::new(n, t, initial);
         let mut fast_obs = Recorder::default();
@@ -141,8 +166,10 @@ proptest! {
             slow.deliver_observed(step, inbox.iter().map(|(l, m)| (*l, m)), &mut slow_obs);
             prop_assert_eq!(&fast_obs.0, &slow_obs.0, "diverged at step {}", step);
         }
-        prop_assert_eq!(fast.result(), slow.result());
-        prop_assert!(fast.result().is_some());
+        let result = fast.result();
+        prop_assert!(result.is_some());
+        prop_assert_eq!(result.as_ref(), slow.result());
+        prop_assert!(fast.result().is_none(), "the result moves out once");
     }
 
     /// Wire-accounting invariant: a bitset `FloodMsg` reports exactly the

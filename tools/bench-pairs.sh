@@ -12,8 +12,15 @@
 #
 # once per side per pair, the side that goes first alternating. Prints every
 # run's six end-to-end metrics, each side's median [quartiles] per metric
-# (Python's exclusive quartiles, the benchmark's own spread rule) and in how
-# many pairs the index beats REV on names_per_sec. Writes nothing inside the
+# (Python's exclusive quartiles, the benchmark's own spread rule), then one
+# verdict line per end-to-end metric of BENCHMARK.json, read the way the
+# metric's `better` direction and `bound` say:
+#   * in how many pairs the change beats REV (a tie counts for neither);
+#   * whether the medians differ by more than REV's interquartile spread;
+#   * how much better or worse the change's median is, as a share of REV's,
+#     and `WORSE THAN BOUND` when it is worse by more than the bound.
+# A claimed gain and the no-regression rule are read off these lines. The
+# exit status does not depend on them. Writes nothing inside the
 # repository; the temporary directory is removed on exit. Needs jq.
 #
 # The sides are named `parent` and `change`: names of equal length, so both
@@ -95,7 +102,7 @@ for pair in $(seq 1 "$pairs"); do
 done
 
 jq -rn --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.jsonl" \
-    --arg m "$metrics" '
+    --slurpfile spec "$repo/BENCHMARK.json" '
     def median: sort as $v | ($v | length) as $n
         | ($v[(($n - 1) / 2 | floor)] + $v[(($n - 1) / 2 | ceil)]) / 2;
     def quartile($i): sort as $v | ($v | length) as $n
@@ -105,9 +112,24 @@ jq -rn --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.
     def summary: if length >= 2
         then "\(median) [\(quartile(1)), \(quartile(3))]"
         else "\(median)" end;
-    ($m | split("\n"))[] as $k
-    | "\($k): parent \([$parent[].metrics[$k].value] | summary)  change \([$change[].metrics[$k].value] | summary)"'
-jq -rn --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.jsonl" '
-    [range($parent | length) | select($change[.].metrics.names_per_sec.value
-        > $parent[.].metrics.names_per_sec.value)] | length
-    | "names_per_sec: change ahead in \(.) / \($parent | length) pairs"'
+    def pct: . * 1000 | round / 10;
+    def magnitude: if . < 0 then -. else . end;
+    $spec[0].end_to_end as $metrics
+    | ($metrics[].name as $k
+        | "\($k): parent \([$parent[].metrics[$k].value] | summary)  change \([$change[].metrics[$k].value] | summary)"),
+      ($metrics[] as $m
+        | [$parent[].metrics[$m.name].value] as $p
+        | [$change[].metrics[$m.name].value] as $c
+        # +1 when higher is better: (change - parent) * $up > 0 is a win.
+        | (if $m.better == "higher" then 1 else -1 end) as $up
+        | ([range($p | length) | select(($c[.] - $p[.]) * $up > 0)] | length) as $wins
+        | ($p | median) as $pm | ($c | median) as $cm
+        | (if ($p | length) >= 2 then ($p | quartile(3)) - ($p | quartile(1)) else 0 end) as $iqr
+        | (if $pm == 0 then 0 else ($pm - $cm) * $up / $pm end) as $worse
+        | "verdict \($m.name) (\($m.better) is better, bound \($m.bound | pct) %):"
+          + " change ahead in \($wins) / \($p | length) pairs;"
+          + " medians \($pm) -> \($cm), "
+          + (if ($cm - $pm | magnitude) > $iqr then "beyond" else "within" end)
+          + " the parent IQR \($iqr);"
+          + (if $worse > 0 then " \($worse | pct) % worse" else " \(-$worse | pct) % better" end)
+          + (if $worse > $m.bound then "  WORSE THAN BOUND" else "" end))'
