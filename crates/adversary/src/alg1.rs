@@ -133,6 +133,9 @@ pub(crate) struct EchoSplitter {
     delta: f64,
     plan: crate::divergence::DivergencePlan,
     known: BTreeSet<OriginalId>,
+    /// The low and high votes over `known` and the fake, built when first
+    /// sent and dropped when a flood message grows `known`.
+    votes: Option<(Alg1Msg, Alg1Msg)>,
 }
 
 impl EchoSplitter {
@@ -144,6 +147,7 @@ impl EchoSplitter {
             delta: env.cfg.delta(),
             plan: crate::divergence::DivergencePlan::new(env, fake),
             known,
+            votes: None,
         }
     }
 }
@@ -167,10 +171,15 @@ impl Actor for EchoSplitter {
         } else {
             // Valid superset votes with opposite shifts per half, to keep
             // pulling ranks apart without being filtered.
-            let mut full = self.known.clone();
-            full.insert(self.plan.fake);
-            let low = Alg1Msg::Votes(shifted_votes(&full, self.delta, -1.0).into());
-            let high = Alg1Msg::Votes(shifted_votes(&full, self.delta, 1.0).into());
+            let (known, fake, delta) = (&self.known, self.plan.fake, self.delta);
+            let (low, high) = self.votes.get_or_insert_with(|| {
+                let mut full = known.clone();
+                full.insert(fake);
+                (
+                    Alg1Msg::Votes(shifted_votes(&full, delta, -1.0).into()),
+                    Alg1Msg::Votes(shifted_votes(&full, delta, 1.0).into()),
+                )
+            });
             Outbox::Multicast(
                 self.plan
                     .all_correct_links
@@ -193,9 +202,11 @@ impl Actor for EchoSplitter {
             match msg {
                 Alg1Msg::Flood(FloodMsg::Init(id)) => {
                     self.known.insert(*id);
+                    self.votes = None;
                 }
                 Alg1Msg::Flood(FloodMsg::Echo(set)) | Alg1Msg::Flood(FloodMsg::Ready(set)) => {
                     self.known.extend(set.values_sorted());
+                    self.votes = None;
                 }
                 Alg1Msg::Votes(_) => {}
             }
@@ -569,7 +580,7 @@ impl Actor for PairSqueezer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opr_core::runner::{run_alg1, Alg1Options};
+    use opr_core::{run_alg1, Alg1Options};
     use opr_types::{Regime, SystemConfig};
 
     fn ids(raw: &[u64]) -> Vec<OriginalId> {

@@ -16,7 +16,7 @@
 //! | `OrderInverter` | votes with inverted/missing ranks | `isValid` (Algorithm 2, Lemma IV.4) |
 //! | `FakeFlooder` | per-receiver echo sets with `2t` fakes each, sized to pass `isValid` | offset clamp `min(counter, N−t)` (Lemma VI.1) |
 //! | `EchoWithholder` | echoes fakes to asymmetric halves | discrepancy bound `Δ ≤ 2t²` (Lemma VI.1) |
-//! | [`generic::CrashAfter`] | correct-then-silent (crash) behaviour | all (crash ⊂ Byzantine) |
+//! | [`CrashAfter`] | correct-then-silent (crash) behaviour | all (crash ⊂ Byzantine) |
 //! | `Replay` | replays observed messages on random links | typed thresholds |
 //! | random noise (via [`AdversarySpec::RandomNoise`]) | fuzzing with well-formed garbage | everything |
 //!
@@ -34,8 +34,9 @@
 pub(crate) mod alg1;
 pub(crate) mod divergence;
 pub(crate) mod fakes;
-pub mod generic;
+pub(crate) mod generic;
 pub(crate) mod spec;
 pub(crate) mod two_step;
 
+pub use generic::CrashAfter;
 pub use spec::AdversarySpec;

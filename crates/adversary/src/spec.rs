@@ -252,7 +252,7 @@ impl fmt::Display for AdversarySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opr_core::runner::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
+    use opr_core::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
     use opr_types::SystemConfig;
 
     fn ids(raw: &[u64]) -> Vec<OriginalId> {

@@ -257,7 +257,7 @@ impl Actor for HalfEcho {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opr_core::runner::{run_two_step, TwoStepOptions};
+    use opr_core::{run_two_step, TwoStepOptions};
     use opr_types::SystemConfig;
 
     fn ids(raw: &[u64]) -> Vec<OriginalId> {

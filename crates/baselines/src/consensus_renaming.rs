@@ -2,7 +2,7 @@
 //! against.
 
 use crate::phase_king::{ConsensusMsg, VectorPhaseKing};
-use opr_rbcast::{EchoReadyFlood, FloodMsg};
+use opr_rbcast::{EchoReadyFlood, FloodMsg, IdInterner};
 use opr_sim::{Actor, Inbox, Outbox, WireSize, TAG_BITS};
 use opr_types::{LinkId, NewName, OriginalId, Round, SystemConfig};
 use std::collections::BTreeSet;
@@ -64,7 +64,7 @@ impl ConsensusRenaming {
         ConsensusRenaming {
             cfg,
             my_id,
-            flood: EchoReadyFlood::new(cfg.n(), cfg.t(), Some(my_id)),
+            flood: EchoReadyFlood::with_interner(cfg.n(), cfg.t(), Some(my_id), IdInterner::new()),
             consensus: None,
             my_index,
             king_links,

@@ -89,7 +89,7 @@ pub fn generate_schedule(seed: u64, budget: BudgetRegime) -> ChaosSchedule {
         .copied()
         .collect();
 
-    let mut plan = FaultPlan::new();
+    let mut plan = FaultPlan::default();
     for &victim in &victims {
         plan = match *["crash", "silence", "drops"]
             .choose_weighted(&mut rng, |k| if *k == "crash" { 0.8 } else { 1.1 })

@@ -34,7 +34,7 @@
 //!    over the fault events, then Byzantine-count reduction, then onset
 //!    weakening.
 //! 6. [`Repro`] round-trips the result through a `chaos-repro.json` file
-//!    (hand-rolled [`opr_obs::json`], no external dependencies) so the failure can
+//!    (hand-rolled [`opr_obs::Json`], no external dependencies) so the failure can
 //!    be replayed deterministically from the file alone.
 //!    [`Failure::shrink_to_repro`] runs 5 and 6 on a campaign failure;
 //!    [`engine::digests_overlap`] is the "same failure" rule both the

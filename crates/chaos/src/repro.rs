@@ -9,7 +9,7 @@ use crate::engine::{judge_schedule, BackendChoice, RunVerdict};
 use crate::oracle::Oracle;
 use crate::schedule::{BudgetRegime, ChaosSchedule};
 use opr_adversary::AdversarySpec;
-use opr_obs::json::Json;
+use opr_obs::Json;
 use opr_sim::{RoundMetrics, RunMetrics};
 use opr_transport::FaultEvent;
 use opr_types::{Regime, SystemConfig};
@@ -257,7 +257,7 @@ pub(crate) fn metrics_from_json(doc: &Json) -> Result<RunMetrics, ReproError> {
     let rounds = doc
         .as_array()
         .ok_or_else(|| bad("metrics is not an array"))?;
-    let mut metrics = RunMetrics::new();
+    let mut metrics = RunMetrics::default();
     for round in rounds {
         metrics.push_round(RoundMetrics {
             messages_correct: field_u64(round, "messages_correct")?,
@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn metrics_round_trip_and_stay_optional() {
-        let mut metrics = RunMetrics::new();
+        let mut metrics = RunMetrics::default();
         metrics.push_round(RoundMetrics {
             messages_correct: 42,
             messages_faulty: 6,
@@ -394,7 +394,7 @@ mod tests {
     #[test]
     fn schedules_with_every_event_kind_round_trip() {
         let mut schedule = generate_schedule(1, BudgetRegime::AtBudget);
-        schedule.events = opr_transport::FaultPlan::new()
+        schedule.events = opr_transport::FaultPlan::default()
             .drop_message(0, opr_types::LinkId::new(2), opr_types::Round::new(3))
             .silence_link_from(1, opr_types::LinkId::new(1), opr_types::Round::new(2))
             .crash_from(2, opr_types::Round::new(1))

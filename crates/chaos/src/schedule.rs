@@ -240,7 +240,9 @@ mod tests {
         // Disturb one correct process: at budget.
         let mask = s.placement();
         let victim = mask.iter().position(|&f| !f).unwrap();
-        s.events = FaultPlan::new().crash_from(victim, Round::FIRST).events();
+        s.events = FaultPlan::default()
+            .crash_from(victim, Round::FIRST)
+            .events();
         assert_eq!(s.effective_faults(), 2);
         assert_eq!(s.budget_regime(), BudgetRegime::AtBudget);
 

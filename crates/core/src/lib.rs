@@ -28,14 +28,16 @@
 //!
 //! # Running a protocol
 //!
-//! The [`runner`] module executes a full system (correct actors plus
-//! caller-supplied Byzantine actors) on the simulator and returns the
+//! [`run_alg1`] and [`run_two_step`] execute a full system (correct actors
+//! plus caller-supplied Byzantine actors) on the simulator and return the
 //! [`RenamingOutcome`](opr_types::RenamingOutcome), the network metrics and
-//! the invariant probes the experiments consume. Most users go through the
-//! higher-level `opr-workload` harness instead.
+//! the invariant probes the experiments consume; [`run_alg1_in`] and
+//! [`run_two_step_in`] do so in a [`RunArena`] that keeps what one run
+//! builds for the next. Most users go through the higher-level
+//! `opr-workload` harness instead.
 //!
 //! ```
-//! use opr_core::runner::{run_alg1, Alg1Options};
+//! use opr_core::{run_alg1, Alg1Options};
 //! use opr_types::{OriginalId, Regime, SystemConfig};
 //!
 //! let cfg = SystemConfig::new(4, 1)?;
@@ -51,7 +53,7 @@ pub(crate) mod messages;
 pub mod probe;
 pub mod ranks;
 pub(crate) mod renaming;
-pub mod runner;
+pub(crate) mod runner;
 pub(crate) mod two_step;
 
 pub use messages::{Alg1Msg, TwoStepMsg};
@@ -59,7 +61,8 @@ pub use probe::{Alg1Probe, TwoStepProbe, VotingSnapshot};
 pub use ranks::RankVector;
 pub use renaming::{Alg1Tweaks, OrderPreservingRenaming};
 pub use runner::{
-    fault_placement, run_alg1, run_alg1_observed, run_two_step, run_two_step_observed,
-    AdversaryEnv, Alg1Options, ObservedRun, RunOptions, TwoStepOptions,
+    fault_placement, run_alg1, run_alg1_in, run_alg1_observed, run_two_step, run_two_step_in,
+    run_two_step_observed, AdversaryEnv, Alg1Options, ObservedRun, Probes, RunArena, RunOptions,
+    SilentActor, TwoStepOptions,
 };
 pub use two_step::{TwoStepRenaming, TwoStepTweaks};

@@ -174,11 +174,6 @@ pub struct TwoStepProcessProbe {
 /// Shared handle for a [`TwoStepProcessProbe`].
 pub(crate) type SharedTwoStepProbe = Arc<Mutex<TwoStepProcessProbe>>;
 
-/// Creates a fresh shared two-step probe.
-pub(crate) fn shared_two_step_probe() -> SharedTwoStepProbe {
-    Arc::new(Mutex::new(TwoStepProcessProbe::default()))
-}
-
 /// Aggregated observations of one Algorithm 4 run.
 #[derive(Clone, Debug, Default)]
 pub struct TwoStepProbe {

@@ -308,12 +308,7 @@ impl RankVector {
     /// Initial ranks after id selection (Algorithm 1, lines 26–28): the
     /// 1-based position of each accepted id, stretched by `delta`.
     pub fn from_accepted(accepted: &BTreeSet<OriginalId>, delta: f64) -> Self {
-        let entries = accepted
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, Rank::from_position(i + 1, delta)))
-            .collect();
-        RankVector { entries }
+        VoteScratch::default().first_vector(accepted, delta)
     }
 
     /// The rank of `id`, if tracked.
@@ -420,8 +415,9 @@ const STRIDE_PAD: usize = 64 / std::mem::size_of::<Run>();
 /// Reusable working memory of [`approximate`](VoteScratch::approximate):
 /// the accepted ids, one cursor per distinct vote, one tile of vote columns
 /// and the new vector's entries. A process keeps one across its voting
-/// steps, so once the first step has sized it a step allocates here only
-/// the new vector's shared slice.
+/// steps (and across the instances of a run arena), so once the first step
+/// has sized it a step allocates here only the new vector's shared slice —
+/// and not even that when the step changed no rank.
 #[derive(Clone, Debug)]
 pub struct VoteScratch {
     /// [`TILE_RUNS`], except in the unit test that forces many tiles.
@@ -453,6 +449,25 @@ impl Default for VoteScratch {
 }
 
 impl VoteScratch {
+    /// [`RankVector::from_accepted`], gathered in the reused entry buffer
+    /// and copied into the vector's slice once.
+    pub(crate) fn first_vector(
+        &mut self,
+        accepted: &BTreeSet<OriginalId>,
+        delta: f64,
+    ) -> RankVector {
+        self.ranks.clear();
+        self.ranks.extend(
+            accepted
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| (id, Rank::from_position(i + 1, delta))),
+        );
+        RankVector {
+            entries: self.ranks.as_slice().into(),
+        }
+    }
+
     /// One voting step (Algorithm 3, `approximate`): for each accepted id,
     /// gather the validated votes, drop ids with fewer than `N − t` votes,
     /// pad each multiset to `N` votes with our own rank, trim `t` per side,
@@ -464,8 +479,11 @@ impl VoteScratch {
     /// run per distinct vote, the padding is one run of the own rank, and
     /// the sorted runs are reduced by [`opr_aa::reduce_runs`] — the ranks
     /// are bit for bit those of the expanded votes. Returns the new rank
-    /// vector; its ids are the surviving accepted set. Each id's fate goes
-    /// to `observe`, in id order: the number of valid votes (copies) that
+    /// vector; its ids are the surviving accepted set. When its entries are
+    /// bit-identical to `my_ranks` (the same ids and the same `f64::to_bits`
+    /// of every rank, so `-0.0` is not `0.0`), it is `my_ranks`' own shared
+    /// slice. Each id's fate goes to `observe`, in id order: the number of
+    /// valid votes (copies) that
     /// ranked it, and `Some(rank)` with the trimmed mean if it survived the
     /// `N − t` vote threshold, `None` if it was discarded.
     ///
@@ -537,6 +555,11 @@ impl VoteScratch {
                 observe(id, votes, Some(rank));
                 self.ranks.push((id, rank));
             }
+        }
+        // A converged step — every rank bit-identical to the last — keeps
+        // the last step's slice instead of copying the same entries.
+        if same_bits(&self.ranks, &my_ranks.entries) {
+            return my_ranks.clone();
         }
         RankVector {
             entries: self.ranks.as_slice().into(),
@@ -962,6 +985,33 @@ mod tests {
         for (id, rank) in new_ranks.iter() {
             assert!(rank.distance(mine.get(id).unwrap()) < 1e-12);
         }
+    }
+
+    /// A step whose entries are bit-identical to the own vector returns the
+    /// own slice; one rank moved by one ulp gets a fresh slice.
+    #[test]
+    fn a_converged_step_keeps_its_slice() {
+        let (n, t) = (4usize, 1usize);
+        let accepted = ids(&[1, 2, 3]);
+        let mine = vector(&[(1, 1.0), (2, 2.0), (3, 3.0)]);
+        let step = |votes: &[RankVector]| {
+            let mut ballot = Ballot::with_capacity(n);
+            for vote in votes {
+                let _ = ballot.cast(&vote.entries, |_| Ok(()));
+            }
+            VoteScratch::default().approximate(&mine, &accepted, ballot.votes(), n, t, |_, _, _| {})
+        };
+        let converged = step(&[mine.clone(), mine.clone(), mine.clone(), mine.clone()]);
+        assert!(Arc::ptr_eq(&converged.entries, &mine.entries));
+
+        let nudged = Rank::new(f64::from_bits(2.0f64.to_bits() + 1));
+        let moved: RankVector = mine
+            .iter()
+            .map(|(id, rank)| (id, if id.raw() == 2 { nudged } else { rank }))
+            .collect();
+        let fresh = step(&[moved.clone(), moved.clone(), moved.clone(), moved.clone()]);
+        assert!(!Arc::ptr_eq(&fresh.entries, &mine.entries));
+        assert_eq!(bits(&fresh.entries), bits(&moved.entries));
     }
 
     #[test]

@@ -106,13 +106,13 @@ pub struct OrderPreservingRenaming {
     delta: f64,
     tweaks: Alg1Tweaks,
     flood: EchoReadyFlood<OriginalId>,
-    /// Shared with every [`VotingSnapshot`]: constant after step 4.
-    timely: Arc<BTreeSet<OriginalId>>,
+    /// Shared with every [`VotingSnapshot`]: set at step 4, constant after.
+    timely: Option<Arc<BTreeSet<OriginalId>>>,
     /// `timely` as the sorted slice `isValid` merge-walks once per vote.
     timely_ids: Vec<OriginalId>,
-    /// Shared with the snapshots; replaced only by a step that drops an id.
-    /// Always the ids of `ranks`.
-    accepted: Arc<BTreeSet<OriginalId>>,
+    /// Shared with the snapshots; set at step 4, replaced only by a step
+    /// that drops an id. Always the ids of `ranks`.
+    accepted: Option<Arc<BTreeSet<OriginalId>>>,
     ranks: RankVector,
     /// The voting steps' fold of received votes, cleared after each step.
     ballot: Ballot,
@@ -208,19 +208,56 @@ impl OrderPreservingRenaming {
                 extra_voting_steps: extra,
                 ..Alg1Tweaks::default()
             },
+            &IdInterner::new(),
         ))
     }
 
     /// Full-control constructor with [`Alg1Tweaks`] that skips the
     /// resilience precondition — used by the resilience-boundary experiment (T5) to
     /// observe *how* the algorithm fails when `N ≤ 3t`. Never use this in a
-    /// deployment.
+    /// deployment. The flood's bitsets are relative to `interner` (the
+    /// run's, when the runner builds the process).
     pub(crate) fn new_unchecked(
         cfg: SystemConfig,
         regime: Regime,
         my_id: OriginalId,
         tweaks: Alg1Tweaks,
+        interner: &IdInterner<OriginalId>,
     ) -> Self {
+        let mut process = OrderPreservingRenaming {
+            cfg,
+            my_id,
+            total_steps: 0,
+            delta: 0.0,
+            tweaks,
+            flood: EchoReadyFlood::with_interner(cfg.n(), cfg.t(), None, interner.clone()),
+            timely: None,
+            timely_ids: Vec::new(),
+            accepted: None,
+            ranks: RankVector::new(),
+            ballot: Ballot::with_capacity(cfg.n()),
+            scratch: VoteScratch::default(),
+            decided: None,
+            probe: None,
+            recorder: None,
+        };
+        process.reset(cfg, regime, my_id, tweaks);
+        process
+    }
+
+    /// Makes this process a new one: what
+    /// [`new_unchecked`](Self::new_unchecked) builds on this process's
+    /// interner, with nothing attached — but keeping the capacity of the
+    /// flood's words and counters, the ballot, the vote scratch and the
+    /// timely ids. The interner must have been cleared since the last
+    /// instance's flood.
+    pub(crate) fn reset(
+        &mut self,
+        cfg: SystemConfig,
+        regime: Regime,
+        my_id: OriginalId,
+        tweaks: Alg1Tweaks,
+    ) {
         assert!(
             regime != Regime::TwoStep,
             "use TwoStepRenaming for the 2-step algorithm"
@@ -229,23 +266,20 @@ impl OrderPreservingRenaming {
             .voting_steps_override
             .unwrap_or_else(|| cfg.voting_steps(regime))
             + tweaks.extra_voting_steps;
-        OrderPreservingRenaming {
-            cfg,
-            my_id,
-            total_steps: 4 + voting,
-            delta: cfg.delta(),
-            tweaks,
-            flood: EchoReadyFlood::new(cfg.n(), cfg.t(), Some(my_id)),
-            timely: Arc::default(),
-            timely_ids: Vec::new(),
-            accepted: Arc::default(),
-            ranks: RankVector::new(),
-            ballot: Ballot::with_capacity(cfg.n()),
-            scratch: VoteScratch::default(),
-            decided: None,
-            probe: None,
-            recorder: None,
-        }
+        self.cfg = cfg;
+        self.my_id = my_id;
+        self.total_steps = 4 + voting;
+        self.delta = cfg.delta();
+        self.tweaks = tweaks;
+        self.flood.restart(cfg.n(), cfg.t(), Some(my_id));
+        self.timely = None;
+        self.timely_ids.clear();
+        self.accepted = None;
+        self.ranks = RankVector::new();
+        self.ballot.clear();
+        self.decided = None;
+        self.probe = None;
+        self.recorder = None;
     }
 
     /// Attaches a probe sink recording per-step snapshots.
@@ -255,9 +289,10 @@ impl OrderPreservingRenaming {
 
     /// Rebases the id-selection flood onto a shared per-run [`IdInterner`],
     /// so co-participants' `Echo`/`Ready` bitsets arrive pre-interned and
-    /// accumulate without decoding. Call before round 1 (the runner does,
-    /// right after construction); sharing is purely a fast path — unshared
-    /// processes interoperate bit-identically.
+    /// accumulate without decoding. Call before round 1, when driving
+    /// processes by hand (the runner builds its processes on the run's
+    /// interner); sharing is purely a fast path — unshared processes
+    /// interoperate bit-identically.
     pub fn share_interner(&mut self, interner: IdInterner<OriginalId>) {
         self.flood =
             EchoReadyFlood::with_interner(self.cfg.n(), self.cfg.t(), Some(self.my_id), interner);
@@ -277,11 +312,12 @@ impl OrderPreservingRenaming {
 
     fn record_snapshot(&self, step: u32) {
         if let Some(probe) = &self.probe {
+            let shared = |set: &Option<Arc<_>>| Arc::clone(set.as_ref().expect("set at step 4"));
             probe.lock().unwrap().snapshots.push(VotingSnapshot {
                 step,
                 ranks: self.ranks.clone(),
-                timely: Arc::clone(&self.timely),
-                accepted: Arc::clone(&self.accepted),
+                timely: shared(&self.timely),
+                accepted: shared(&self.accepted),
             });
         }
     }
@@ -329,10 +365,10 @@ impl Actor for OrderPreservingRenaming {
             );
             if r == 4 {
                 let result = self.flood.result().expect("flood finishes at step 4");
-                self.timely_ids = result.timely.iter().copied().collect();
-                self.timely = Arc::new(result.timely);
-                self.accepted = Arc::new(result.accepted);
-                self.ranks = RankVector::from_accepted(&self.accepted, self.delta);
+                self.timely_ids.extend(&result.timely);
+                self.timely = Some(Arc::new(result.timely));
+                self.ranks = self.scratch.first_vector(&result.accepted, self.delta);
+                self.accepted = Some(Arc::new(result.accepted));
                 if let Some(probe) = &self.probe {
                     // One snapshot now and one per voting step.
                     let steps = (self.total_steps - 3) as usize;
@@ -389,9 +425,10 @@ impl Actor for OrderPreservingRenaming {
                     .all(|(vote, _)| **vote == *self.ranks.as_ref());
             let recorder = self.recorder.as_ref();
             let needed = self.cfg.quorum();
+            let accepted = self.accepted.as_mut().expect("set at step 4");
             self.ranks = self.scratch.approximate(
                 &self.ranks,
-                &self.accepted,
+                accepted,
                 self.ballot.votes(),
                 self.cfg.n(),
                 self.cfg.t(),
@@ -411,8 +448,8 @@ impl Actor for OrderPreservingRenaming {
                 },
             );
             self.ballot.clear();
-            if self.ranks.len() < self.accepted.len() {
-                self.accepted = Arc::new(self.ranks.ids().collect());
+            if self.ranks.len() < accepted.len() {
+                *accepted = Arc::new(self.ranks.ids().collect());
             }
             self.record_snapshot(r);
             if frozen || r == self.total_steps {

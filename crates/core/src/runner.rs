@@ -1,23 +1,24 @@
-//! One-shot execution of a full renaming system on the simulator.
+//! Execution of a full renaming system on the simulator.
 //!
 //! The runner assembles correct actors from the supplied original ids,
 //! places caller-provided Byzantine actors at seeded positions, executes the
 //! exact number of communication steps the algorithm specifies, and returns
-//! the outcome plus metrics and invariant probes.
+//! the outcome plus metrics and invariant probes. Every run executes in a
+//! [`RunArena`], new for a one-off run or kept across the instances of a
+//! service shard, whose network and correct processes it resets in place.
 
 use crate::messages::{Alg1Msg, TwoStepMsg};
-use crate::probe::{shared_probe, shared_two_step_probe, Alg1Probe, TwoStepProbe};
+use crate::probe::{Alg1Probe, ProcessProbe, TwoStepProbe, TwoStepProcessProbe};
 use crate::renaming::{Alg1Tweaks, OrderPreservingRenaming};
 use crate::two_step::{TwoStepRenaming, TwoStepTweaks};
 use opr_obs::{shared_recorder, ProcessLog, RunLog, SharedRecorder};
 use opr_rbcast::IdInterner;
-use opr_sim::{Actor, Inbox, Outbox, RunMetrics, Topology, Trace, WireSize};
-use opr_transport::{BackendKind, ExecOptions, Job};
+use opr_sim::{Actor, Inbox, Network, Outbox, RunMetrics, Topology, Trace, WireSize};
+use opr_transport::{BackendKind, ExecOptions};
 use opr_types::math::mix64;
 use opr_types::{
     MalformedSend, NewName, OriginalId, Regime, RenamingError, RenamingOutcome, Round, SystemConfig,
 };
-use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
@@ -197,16 +198,9 @@ impl<P> ObservedRun<P> {
 /// indistinguishable from a crashed one).
 pub struct SilentActor<M, O>(PhantomData<fn() -> (M, O)>);
 
-impl<M, O> SilentActor<M, O> {
-    /// Creates a silent actor.
-    pub fn new() -> Self {
-        SilentActor(PhantomData)
-    }
-}
-
 impl<M, O> Default for SilentActor<M, O> {
     fn default() -> Self {
-        Self::new()
+        SilentActor(PhantomData)
     }
 }
 
@@ -224,9 +218,11 @@ impl<M, O> Actor for SilentActor<M, O> {
 
 /// `fault_bound` is `t`, or `N` when overrun is allowed: more faulty actors
 /// than processes is never a system, and `n - faulty_count` must not wrap.
+/// `sorted_ids` is the correct ids, ascending: a repeated id is an adjacent
+/// pair.
 fn validate(
     cfg: SystemConfig,
-    correct_ids: &[OriginalId],
+    sorted_ids: &[OriginalId],
     faulty_count: usize,
     fault_bound: usize,
 ) -> Result<(), RenamingError> {
@@ -236,14 +232,13 @@ fn validate(
             bound: fault_bound,
         });
     }
-    if correct_ids.len() + faulty_count != cfg.n() {
+    if sorted_ids.len() + faulty_count != cfg.n() {
         return Err(RenamingError::WrongIdCount {
-            got: correct_ids.len(),
+            got: sorted_ids.len(),
             expected: cfg.n() - faulty_count,
         });
     }
-    let distinct: BTreeSet<OriginalId> = correct_ids.iter().copied().collect();
-    if distinct.len() != correct_ids.len() {
+    if sorted_ids.windows(2).any(|pair| pair[0] == pair[1]) {
         return Err(RenamingError::DuplicateOriginalIds);
     }
     Ok(())
@@ -254,6 +249,20 @@ fn validate(
 /// which indices a given `(n, faulty_count, seed)` run treats as Byzantine
 /// and aim transport faults at known-correct processes.
 pub fn fault_placement(n: usize, faulty_count: usize, seed: u64) -> Vec<bool> {
+    let mut faulty = Vec::new();
+    place_faults(n, faulty_count, seed, &mut Vec::new(), &mut faulty);
+    faulty
+}
+
+/// [`fault_placement`] into `faulty`, shuffling in `indices`; both keep
+/// their storage.
+fn place_faults(
+    n: usize,
+    faulty_count: usize,
+    seed: u64,
+    indices: &mut Vec<usize>,
+    faulty: &mut Vec<bool>,
+) {
     // splitmix64; self-contained so placement is stable across rand
     // versions.
     let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
@@ -261,103 +270,258 @@ pub fn fault_placement(n: usize, faulty_count: usize, seed: u64) -> Vec<bool> {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         mix64(state)
     };
-    let mut indices: Vec<usize> = (0..n).collect();
+    indices.clear();
+    indices.extend(0..n);
     for i in (1..n).rev() {
         let j = (next() % (i as u64 + 1)) as usize;
         indices.swap(i, j);
     }
-    let mut faulty = vec![false; n];
+    faulty.clear();
+    faulty.resize(n, false);
     for &idx in indices.iter().take(faulty_count) {
         faulty[idx] = true;
     }
-    faulty
 }
 
-/// Assembles and executes one system. `make_correct` builds a correct
-/// actor around the run's shared id interner and, when events are recorded,
-/// its recorder, and hands back the actor with its probe sink; the sinks
-/// fold into the family's probe type `P` after the run.
-fn generic_run<M, T, S, P>(
+/// The probes a run collects from its correct processes, named by the type
+/// the caller asks [`ObservedRun`] for: a family's probe ([`Alg1Probe`],
+/// [`TwoStepProbe`]) attaches a sink to every correct process and folds the
+/// sinks after the run; `()` attaches none, for a caller that reads only
+/// the outcome.
+pub trait Probes<S>: Sized {
+    /// Whether the run attaches a sink to each correct process.
+    const ATTACHED: bool;
+
+    /// The probe, from the sinks in the order of the correct ids (none
+    /// when not [`ATTACHED`](Probes::ATTACHED)).
+    fn from_sinks(sinks: Vec<S>) -> Self;
+}
+
+impl Probes<ProcessProbe> for Alg1Probe {
+    const ATTACHED: bool = true;
+    fn from_sinks(sinks: Vec<ProcessProbe>) -> Self {
+        sinks.into()
+    }
+}
+
+impl Probes<TwoStepProcessProbe> for TwoStepProbe {
+    const ATTACHED: bool = true;
+    fn from_sinks(sinks: Vec<TwoStepProcessProbe>) -> Self {
+        sinks.into()
+    }
+}
+
+impl<S> Probes<S> for () {
+    const ATTACHED: bool = false;
+    fn from_sinks(_: Vec<S>) -> Self {}
+}
+
+/// What runs leave behind for the next run to reuse: per protocol family,
+/// the network (topology, payload, row and per-round metric tables) with
+/// its correct processes in their seats, and the run's id interner and
+/// placement buffers.
+///
+/// Every run executes in an arena. The one-off entry points
+/// ([`run_alg1_observed`], [`run_two_step_observed`]) pass a new one; a
+/// caller running instance after instance — a service shard, one epoch
+/// after another — keeps one and passes it to [`run_alg1_in`] /
+/// [`run_two_step_in`] each time. A run in a used arena resets every
+/// correct process, the interner and the network in place and is
+/// indistinguishable from a run in a new one: ids, seeds, topology,
+/// adversaries and the system size may all change between runs (a new
+/// size rebuilds the network). Adversaries are built per run. An arena a
+/// run panicked in is dropped, never reused.
+#[derive(Default)]
+pub struct RunArena {
+    run: RunBuffers,
+    alg1: Option<Seats<OrderPreservingRenaming>>,
+    two_step: Option<Seats<TwoStepRenaming>>,
+}
+
+/// The run-level part of an arena, whatever the family.
+#[derive(Default)]
+struct RunBuffers {
+    /// The run's shared id-slot registry, cleared at the start of each run.
+    interner: IdInterner<OriginalId>,
+    faulty: Vec<bool>,
+    shuffled: Vec<usize>,
+    sorted_ids: Vec<OriginalId>,
+    positions: Vec<(usize, OriginalId)>,
+}
+
+/// One family's network of `n` seats, and the correct processes of earlier
+/// runs whose seats went to adversaries, kept for later runs.
+struct Seats<C: Actor> {
+    n: usize,
+    net: Network<C::Msg, NewName, Member<C>>,
+    spare: Vec<C>,
+}
+
+/// A seat's occupant: a correct process of the family, held by value so a
+/// later run can reset it, or whatever the adversary built.
+enum Member<C: Actor> {
+    Correct(C),
+    Byzantine(Box<dyn Actor<Msg = C::Msg, Output = C::Output>>),
+}
+
+impl<C: Actor + 'static> Member<C> {
+    /// The occupant of a seat between runs: silent, and free to build (a
+    /// box of a zero-sized actor does not allocate).
+    fn vacant() -> Self {
+        Member::Byzantine(Box::new(SilentActor::default()))
+    }
+}
+
+impl<C: Actor> Actor for Member<C> {
+    type Msg = C::Msg;
+    type Output = C::Output;
+
+    fn send(&mut self, round: Round) -> Outbox<Self::Msg> {
+        match self {
+            Member::Correct(process) => process.send(round),
+            Member::Byzantine(actor) => actor.send(round),
+        }
+    }
+
+    fn deliver(&mut self, round: Round, inbox: Inbox<'_, Self::Msg>) {
+        match self {
+            Member::Correct(process) => process.deliver(round, inbox),
+            Member::Byzantine(actor) => actor.deliver(round, inbox),
+        }
+    }
+
+    fn output(&self) -> Option<Self::Output> {
+        match self {
+            Member::Correct(process) => process.output(),
+            Member::Byzantine(actor) => actor.output(),
+        }
+    }
+}
+
+/// Assembles and executes one system in `seats`, the arena's network for
+/// the family. `prepare` readies a correct process — the one that sat in
+/// the seat (or a spare) reset, or a new one on the run's interner when
+/// there is none — with its probe sink and recorder attached; the sinks
+/// fold into `P` after the run.
+#[allow(clippy::too_many_arguments)]
+fn generic_run<C, T, S, P>(
+    run: &mut RunBuffers,
+    seats: &mut Option<Seats<C>>,
     cfg: SystemConfig,
     correct_ids: &[OriginalId],
     faulty_count: usize,
     total_steps: u32,
     opts: RunOptions<T>,
-    mut make_adversary: impl FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = M, Output = NewName>>>,
-    mut make_correct: impl FnMut(
+    mut make_adversary: impl FnMut(
+        &AdversaryEnv,
+    ) -> Option<Box<dyn Actor<Msg = C::Msg, Output = NewName>>>,
+    mut prepare: impl FnMut(
+        Option<C>,
         OriginalId,
         &IdInterner<OriginalId>,
+        Option<Arc<Mutex<S>>>,
         Option<SharedRecorder>,
-    ) -> (Box<dyn Actor<Msg = M, Output = NewName>>, Arc<Mutex<S>>),
+    ) -> C,
 ) -> Result<ObservedRun<P>, RenamingError>
 where
-    M: Clone + Debug + WireSize + Send + Sync + 'static,
+    C: Actor<Output = NewName> + 'static,
+    C::Msg: Clone + Debug + WireSize + Send + Sync + 'static,
     S: Default,
-    P: From<Vec<S>>,
+    P: Probes<S>,
 {
     let n = cfg.n();
     let fault_bound = if opts.allow_fault_overrun { n } else { cfg.t() };
-    validate(cfg, correct_ids, faulty_count, fault_bound)?;
+    let RunBuffers {
+        interner,
+        faulty,
+        shuffled,
+        sorted_ids,
+        positions,
+    } = run;
+    sorted_ids.clear();
+    sorted_ids.extend_from_slice(correct_ids);
+    sorted_ids.sort_unstable();
+    validate(cfg, sorted_ids, faulty_count, fault_bound)?;
     let seed = opts.seed;
-    let faulty_mask = fault_placement(n, faulty_count, seed);
-    let topology = Topology::seeded(n, seed);
+    place_faults(n, faulty_count, seed, shuffled, faulty);
     // The run's shared id-slot registry: every correct actor's bitset
     // payloads are relative to it, and every adversary's [`AdversaryEnv`]
-    // carries it so forged payloads encode against the same slots.
-    let interner = IdInterner::new();
+    // carries it so forged payloads encode against the same slots. Cleared
+    // first, so slots are numbered as in a new registry.
+    interner.clear();
     // Pre-compute the correct placements so adversaries can aim.
-    let mut sorted_ids: Vec<OriginalId> = correct_ids.to_vec();
-    sorted_ids.sort_unstable();
-    let correct_positions: Vec<(usize, OriginalId)> = {
-        let mut id_iter = correct_ids.iter().copied();
-        faulty_mask
+    positions.clear();
+    positions.extend(
+        faulty
             .iter()
             .enumerate()
             .filter(|(_, &f)| !f)
-            .map(|(index, _)| (index, id_iter.next().expect("count checked by validate")))
-            .collect()
-    };
-    let mut actors: Vec<Box<dyn Actor<Msg = M, Output = NewName>>> = Vec::with_capacity(n);
-    let mut correct_mask = Vec::with_capacity(n);
-    let mut sinks = Vec::with_capacity(correct_ids.len());
+            .map(|(index, _)| index)
+            .zip(correct_ids.iter().copied()),
+    );
+    if seats.as_ref().is_none_or(|seats| seats.n != n) {
+        *seats = Some(Seats {
+            n,
+            net: Network::new(
+                (0..n).map(|_| Member::vacant()).collect(),
+                Topology::canonical(n),
+            ),
+            spare: Vec::new(),
+        });
+    }
+    let Seats { net, spare, .. } = seats.as_mut().expect("built above");
+    let (faulty, sorted_ids, positions): (&[bool], &[OriginalId], &[(usize, OriginalId)]) =
+        (faulty, sorted_ids, positions);
+    let mut sinks = Vec::new();
     // Disabled runs never construct recorders.
     let mut recorders: Vec<(OriginalId, SharedRecorder)> = Vec::new();
-    let mut position_iter = correct_positions.iter();
+    let mut position_iter = positions.iter();
     let mut slot = 0usize;
-    for (index, &is_faulty) in faulty_mask.iter().enumerate() {
-        if is_faulty {
+    net.rewind(seed, |topology, index, member| {
+        if faulty[index] {
             let env = AdversaryEnv {
                 cfg,
                 slot,
                 faulty_count,
                 index,
-                correct_ids: &sorted_ids,
-                correct_assignments: &correct_positions,
-                topology: &topology,
+                correct_ids: sorted_ids,
+                correct_assignments: positions,
+                topology,
                 seed,
                 interner: interner.clone(),
             };
             slot += 1;
-            actors.push(make_adversary(&env).unwrap_or_else(|| Box::new(SilentActor::new())));
-            correct_mask.push(false);
+            let adversary =
+                make_adversary(&env).unwrap_or_else(|| Box::new(SilentActor::default()));
+            if let Member::Correct(process) =
+                std::mem::replace(member, Member::Byzantine(adversary))
+            {
+                spare.push(process);
+            }
+            false
         } else {
             let &(_, id) = position_iter.next().expect("mask and positions agree");
             let recorder = opts.record_events.then(shared_recorder);
             if let Some(rec) = &recorder {
                 recorders.push((id, rec.clone()));
             }
-            let (actor, sink) = make_correct(id, &interner, recorder);
-            actors.push(actor);
-            sinks.push(sink);
-            correct_mask.push(true);
+            let sink = P::ATTACHED.then(|| Arc::new(Mutex::new(S::default())));
+            if let Some(sink) = &sink {
+                sinks.push(sink.clone());
+            }
+            let previous = match std::mem::replace(member, Member::vacant()) {
+                Member::Correct(process) => Some(process),
+                Member::Byzantine(_) => spare.pop(),
+            };
+            *member = Member::Correct(prepare(previous, id, interner, sink, recorder));
+            true
         }
-    }
-    let job = Job::with_faulty(actors, correct_mask, topology, total_steps).opts(opts.exec);
-    let report = opts.backend.execute(job);
+    });
+    let report = opts.backend.run(net, opts.exec, total_steps);
     let outcome = RenamingOutcome::new(
-        correct_positions
+        positions
             .iter()
-            .map(|&(index, id)| (id, report.outputs[index])),
+            .map(|&(index, id)| (id, net.output_of(index))),
     );
     let events = opts.record_events.then(|| RunLog {
         processes: recorders
@@ -368,17 +532,18 @@ where
             })
             .collect(),
     });
+    let (metrics, trace, malformed) = net.take_artifacts();
     Ok(ObservedRun {
         outcome,
-        metrics: report.metrics,
+        metrics,
         rounds: report.rounds_executed,
         step_budget: total_steps,
         completed: report.completed,
-        malformed: report.malformed,
-        faulty_mask,
-        trace: report.trace,
+        malformed,
+        faulty_mask: faulty.to_vec(),
+        trace,
         events,
-        probe: P::from(
+        probe: P::from_sinks(
             sinks
                 .iter()
                 .map(|sink| std::mem::take(&mut *sink.lock().unwrap()))
@@ -432,6 +597,37 @@ pub fn run_alg1_observed<F>(
 where
     F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = Alg1Msg, Output = NewName>>>,
 {
+    run_alg1_in(
+        &mut RunArena::default(),
+        cfg,
+        regime,
+        correct_ids,
+        faulty_count,
+        adversary,
+        opts,
+    )
+}
+
+/// [`run_alg1_observed`] in `arena`, reusing what its earlier runs built;
+/// the observation is that of a run in a new arena. `P` names the probes
+/// collected: [`Alg1Probe`], or `()` for none.
+///
+/// # Errors
+///
+/// As [`run_alg1_observed`].
+pub fn run_alg1_in<F, P>(
+    arena: &mut RunArena,
+    cfg: SystemConfig,
+    regime: Regime,
+    correct_ids: &[OriginalId],
+    faulty_count: usize,
+    adversary: F,
+    opts: Alg1Options,
+) -> Result<ObservedRun<P>, RenamingError>
+where
+    F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = Alg1Msg, Output = NewName>>>,
+    P: Probes<ProcessProbe>,
+{
     let tweaks = opts.tweaks;
     if !tweaks.allow_regime_violation {
         cfg.require(regime)?;
@@ -441,21 +637,29 @@ where
         .unwrap_or_else(|| cfg.voting_steps(regime))
         + tweaks.extra_voting_steps;
     generic_run(
+        &mut arena.run,
+        &mut arena.alg1,
         cfg,
         correct_ids,
         faulty_count,
         4 + voting,
         opts,
         adversary,
-        |id, interner, recorder| {
-            let mut actor = OrderPreservingRenaming::new_unchecked(cfg, regime, id, tweaks);
-            actor.share_interner(interner.clone());
-            let sink = shared_probe();
-            actor.attach_probe(sink.clone());
-            if let Some(rec) = recorder {
-                actor.attach_recorder(rec);
+        |previous, id, interner, sink, recorder| {
+            let mut process = match previous {
+                Some(mut process) => {
+                    process.reset(cfg, regime, id, tweaks);
+                    process
+                }
+                None => OrderPreservingRenaming::new_unchecked(cfg, regime, id, tweaks, interner),
+            };
+            if let Some(sink) = sink {
+                process.attach_probe(sink);
             }
-            (Box::new(actor), sink)
+            if let Some(rec) = recorder {
+                process.attach_recorder(rec);
+            }
+            process
         },
     )
 }
@@ -496,25 +700,61 @@ pub fn run_two_step_observed<F>(
 where
     F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = TwoStepMsg, Output = NewName>>>,
 {
+    run_two_step_in(
+        &mut RunArena::default(),
+        cfg,
+        correct_ids,
+        faulty_count,
+        adversary,
+        opts,
+    )
+}
+
+/// [`run_two_step_observed`] in `arena`; see [`run_alg1_in`]. `P` names
+/// the probes collected: [`TwoStepProbe`], or `()` for none.
+///
+/// # Errors
+///
+/// As [`run_two_step_observed`].
+pub fn run_two_step_in<F, P>(
+    arena: &mut RunArena,
+    cfg: SystemConfig,
+    correct_ids: &[OriginalId],
+    faulty_count: usize,
+    adversary: F,
+    opts: TwoStepOptions,
+) -> Result<ObservedRun<P>, RenamingError>
+where
+    F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = TwoStepMsg, Output = NewName>>>,
+    P: Probes<TwoStepProcessProbe>,
+{
     cfg.require(Regime::TwoStep)?;
     let clamp_offsets = !opts.tweaks.disable_clamp;
     generic_run(
+        &mut arena.run,
+        &mut arena.two_step,
         cfg,
         correct_ids,
         faulty_count,
         2,
         opts,
         adversary,
-        |id, interner, recorder| {
-            let mut actor =
-                TwoStepRenaming::with_clamp(cfg, id, clamp_offsets).expect("regime checked above");
-            actor.share_interner(interner.clone());
-            let sink = shared_two_step_probe();
-            actor.attach_probe(sink.clone());
-            if let Some(rec) = recorder {
-                actor.attach_recorder(rec);
+        |previous, id, interner, sink, recorder| {
+            let mut process = match previous {
+                Some(mut process) => {
+                    process.reset(cfg, id, clamp_offsets);
+                    process
+                }
+                None => TwoStepRenaming::with_clamp(cfg, id, clamp_offsets, interner)
+                    .expect("regime checked above"),
+            };
+            if let Some(sink) = sink {
+                process.attach_probe(sink);
             }
-            (Box::new(actor), sink)
+            if let Some(rec) = recorder {
+                process.attach_recorder(rec);
+            }
+            process
         },
     )
 }
@@ -634,7 +874,7 @@ mod tests {
         // observed path reports.
         let cfg = SystemConfig::new(7, 2).unwrap();
         let correct = ids(&[1, 2, 3, 4, 5]);
-        let mut faults = FaultPlan::new();
+        let mut faults = FaultPlan::default();
         for p in 0..7 {
             faults = faults.crash_from(p, Round::FIRST);
         }

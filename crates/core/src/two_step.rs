@@ -6,7 +6,7 @@ use opr_obs::{record_if, ProtocolEvent, SharedRecorder};
 use opr_rbcast::{for_each_slot, IdInterner, IdSlotSet};
 use opr_sim::{Actor, Inbox, Outbox};
 use opr_types::{LinkId, NewName, OriginalId, Regime, Round, SystemConfig};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A correct process running Algorithm 4.
 ///
@@ -24,14 +24,18 @@ pub struct TwoStepRenaming {
     cfg: SystemConfig,
     my_id: OriginalId,
     clamp_offsets: bool,
-    /// `linkid[lnk]` — the id announced on each link in step 1 (the paper's
-    /// `linkid` array; `None` is the paper's `⊥`).
-    link_id: BTreeMap<LinkId, OriginalId>,
-    timely: BTreeSet<OriginalId>,
-    /// `timely` as a slot bitset over [`TwoStepRenaming::interner`]: what
-    /// step 2 broadcasts, and the word-AND side of the `isValid` overlap
-    /// check.
+    /// `linkid[lnk]` — the id announced on each link in step 1, at
+    /// [`LinkId::index`] (the paper's `linkid` array; `None` is the paper's
+    /// `⊥`).
+    link_id: Vec<Option<OriginalId>>,
+    /// The `timely` set as a slot bitset over
+    /// [`TwoStepRenaming::interner`]: what step 2 broadcasts, and the
+    /// word-AND side of the `isValid` overlap check.
     timely_set: IdSlotSet<OriginalId>,
+    /// Step 2's valid echoes per slot.
+    counts: Vec<u16>,
+    /// Step 2's echoed ids with their counts, in id order.
+    accepted: Vec<(OriginalId, usize)>,
     decided: Option<NewName>,
     probe: Option<SharedTwoStepProbe>,
     recorder: Option<SharedRecorder>,
@@ -53,7 +57,7 @@ impl TwoStepRenaming {
     /// Returns [`opr_types::ConfigError::RegimeViolated`] unless
     /// `N > 2t² + t`.
     pub fn new(cfg: SystemConfig, my_id: OriginalId) -> Result<Self, opr_types::ConfigError> {
-        Self::with_clamp(cfg, my_id, true)
+        Self::with_clamp(cfg, my_id, true, &IdInterner::new())
     }
 
     /// Like [`new`](Self::new) but with the `min(counter, N − t)` offset
@@ -61,7 +65,8 @@ impl TwoStepRenaming {
     /// processes from skewing *correct* ids' offsets by echoing them to only
     /// some receivers (Lemma VI.2's discussion); disabling it lets the
     /// half-echo adversary break order preservation. Never disable outside
-    /// experiments.
+    /// experiments. Echo bitsets are relative to `interner` (the run's,
+    /// when the runner builds the process).
     ///
     /// # Errors
     ///
@@ -71,33 +76,42 @@ impl TwoStepRenaming {
         cfg: SystemConfig,
         my_id: OriginalId,
         clamp_offsets: bool,
+        interner: &IdInterner<OriginalId>,
     ) -> Result<Self, opr_types::ConfigError> {
         cfg.require(Regime::TwoStep)?;
-        let interner = IdInterner::new();
         Ok(TwoStepRenaming {
             cfg,
             my_id,
             clamp_offsets,
-            link_id: BTreeMap::new(),
-            timely: BTreeSet::new(),
-            timely_set: IdSlotSet::new(&interner),
+            link_id: Vec::new(),
+            timely_set: IdSlotSet::new(interner),
+            counts: Vec::new(),
+            accepted: Vec::new(),
             decided: None,
             probe: None,
             recorder: None,
         })
     }
 
+    /// Makes this process a new one: what [`with_clamp`](Self::with_clamp)
+    /// builds on this process's interner, with nothing attached — but
+    /// keeping the capacity of the link table, the step-2 counts and the
+    /// accepted buffer. The interner must have been cleared since the last
+    /// instance.
+    pub(crate) fn reset(&mut self, cfg: SystemConfig, my_id: OriginalId, clamp_offsets: bool) {
+        self.cfg = cfg;
+        self.my_id = my_id;
+        self.clamp_offsets = clamp_offsets;
+        self.link_id.clear();
+        self.timely_set = IdSlotSet::new(self.timely_set.interner());
+        self.decided = None;
+        self.probe = None;
+        self.recorder = None;
+    }
+
     /// Attaches a probe sink recording the final name table.
     pub(crate) fn attach_probe(&mut self, probe: SharedTwoStepProbe) {
         self.probe = Some(probe);
-    }
-
-    /// Rebases onto a shared per-run [`IdInterner`], so co-participants'
-    /// `MultiEcho` bitsets arrive pre-interned and validate/count through
-    /// word operations. Call before round 1 (the runner does); unshared
-    /// processes interoperate bit-identically through the decode fallback.
-    pub(crate) fn share_interner(&mut self, interner: IdInterner<OriginalId>) {
-        self.timely_set = IdSlotSet::new(&interner);
     }
 
     /// The interner this process's echo bitsets are relative to.
@@ -115,8 +129,18 @@ impl TwoStepRenaming {
     /// The `isValid` check of Algorithm 4 for an incoming `MultiEcho`: the
     /// timely-overlap condition is a word-parallel AND + popcount against
     /// this process's own timely bitset.
+    /// Step 1: `link` announced `id`.
+    fn announce(&mut self, link: LinkId, id: OriginalId) {
+        if self.link_id.len() <= link.index() {
+            self.link_id.resize(link.index() + 1, None);
+        }
+        self.link_id[link.index()] = Some(id);
+        self.timely_set.insert(&id);
+    }
+
     fn echo_is_valid(&self, link: LinkId, ids: &IdSlotSet<OriginalId>) -> bool {
-        if !self.link_id.contains_key(&link) || ids.len() > self.cfg.n() {
+        let announced = self.link_id.get(link.index()).is_some_and(Option::is_some);
+        if !announced || ids.len() > self.cfg.n() {
             return false;
         }
         let words = ids.words_in(self.interner());
@@ -151,16 +175,14 @@ impl Actor for TwoStepRenaming {
                             link,
                             id: *id,
                         });
-                        self.link_id.insert(link, *id);
-                        self.timely.insert(*id);
-                        self.timely_set.insert(id);
+                        self.announce(link, *id);
                     }
                 }
             }
             2 => {
                 // Valid echoes bump flat per-slot counters via word walks;
                 // ids only decode (and sort) once, for the name table.
-                let mut counts: Vec<u16> = Vec::new();
+                self.counts.clear();
                 let mut rejected = 0u64;
                 for (link, msg) in inbox.messages() {
                     if let TwoStepMsg::MultiEcho(ids) = msg {
@@ -172,7 +194,8 @@ impl Actor for TwoStepRenaming {
                             valid,
                         });
                         if valid {
-                            let words = ids.words_in(self.interner());
+                            let words = ids.words_in(self.timely_set.interner());
+                            let counts = &mut self.counts;
                             if counts.len() < words.len() * opr_rbcast::WORD_BITS {
                                 counts.resize(words.len() * opr_rbcast::WORD_BITS, 0);
                             }
@@ -184,44 +207,52 @@ impl Actor for TwoStepRenaming {
                 }
                 // Compute new names: cumulative clamped offsets over the
                 // sorted accepted set (Algorithm 4, lines 18–22).
-                let interner = self.interner();
-                let mut accepted: Vec<(OriginalId, usize)> = counts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(slot, &c)| (interner.value_of(slot as u32), c as usize))
-                    .collect();
-                accepted.sort_by_key(|&(id, _)| id);
+                let interner = self.timely_set.interner();
+                self.accepted.clear();
+                self.accepted.extend(
+                    self.counts
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &c)| c > 0)
+                        .map(|(slot, &c)| (interner.value_of(slot as u32), c as usize)),
+                );
+                self.accepted.sort_by_key(|&(id, _)| id);
                 let clamp = self.cfg.quorum();
                 let mut accum: i64 = 0;
-                let mut newid: BTreeMap<OriginalId, NewName> = BTreeMap::new();
-                for &(id, raw) in &accepted {
+                let mut newid = self.probe.is_some().then(BTreeMap::new);
+                self.decided = None;
+                for &(id, raw) in &self.accepted {
                     let offset = if self.clamp_offsets {
                         raw.min(clamp) as i64
                     } else {
                         raw as i64
                     };
                     accum += offset;
+                    let name = NewName::new(accum);
                     record_if(self.recorder.as_ref(), || ProtocolEvent::NameOffset {
                         step: 2,
                         id,
                         echoes: raw,
                         clamped: offset as usize,
-                        name: NewName::new(accum),
+                        name,
                     });
-                    newid.insert(id, NewName::new(accum));
+                    if id == self.my_id {
+                        self.decided = Some(name);
+                    }
+                    if let Some(newid) = &mut newid {
+                        newid.insert(id, name);
+                    }
                 }
-                self.decided = newid.get(&self.my_id).copied();
                 if let Some(name) = self.decided {
                     record_if(self.recorder.as_ref(), || ProtocolEvent::Decided {
                         step: 2,
                         name,
                     });
                 }
-                if let Some(probe) = &self.probe {
+                if let (Some(probe), Some(newid)) = (&self.probe, newid) {
                     let mut p = probe.lock().unwrap();
                     p.newid = newid;
-                    p.timely = self.timely.clone();
+                    p.timely = self.timely_set.values_sorted().into_iter().collect();
                     p.rejected_echoes = rejected;
                 }
             }
@@ -237,7 +268,6 @@ impl Actor for TwoStepRenaming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::shared_two_step_probe;
     use opr_sim::{Network, Topology};
     use opr_types::RenamingOutcome;
 
@@ -291,7 +321,7 @@ mod tests {
     #[test]
     fn probe_records_tables() {
         let cfg = SystemConfig::new(4, 1).unwrap();
-        let probe = shared_two_step_probe();
+        let probe = SharedTwoStepProbe::default();
         let mut first = TwoStepRenaming::new(cfg, OriginalId::new(5)).unwrap();
         first.attach_probe(probe.clone());
         let mut actors: Vec<Box<dyn Actor<Msg = TwoStepMsg, Output = NewName>>> =
@@ -355,9 +385,7 @@ mod tests {
         let mut p = TwoStepRenaming::new(cfg, OriginalId::new(1)).unwrap();
         // Simulate step-1 state: links 1..=4 announced ids 1..=4.
         for l in 1..=4usize {
-            p.link_id.insert(LinkId::new(l), OriginalId::new(l as u64));
-            p.timely.insert(OriginalId::new(l as u64));
-            p.timely_set.insert(&OriginalId::new(l as u64));
+            p.announce(LinkId::new(l), OriginalId::new(l as u64));
         }
         // Echoes arrive on a *foreign* interner, as from an unshared peer.
         let theirs = IdInterner::new();
@@ -367,7 +395,7 @@ mod tests {
         assert!(p.echo_is_valid(LinkId::new(1), &good));
         // Unknown link (announced nothing in step 1).
         let mut q = p.clone();
-        q.link_id.remove(&LinkId::new(2));
+        q.link_id[LinkId::new(2).index()] = None;
         assert!(!q.echo_is_valid(LinkId::new(2), &good));
         // Oversized echo.
         let oversized = set(&[1, 2, 3, 4, 5]);
@@ -380,11 +408,9 @@ mod tests {
         let three_common = set(&[1, 2, 3, 10]);
         assert!(p.echo_is_valid(LinkId::new(1), &three_common));
         // Same checks with a shared interner exercise the borrowed-word path.
-        let mut s = TwoStepRenaming::new(cfg, OriginalId::new(1)).unwrap();
-        s.share_interner(theirs.clone());
+        let mut s = TwoStepRenaming::with_clamp(cfg, OriginalId::new(1), true, &theirs).unwrap();
         for l in 1..=4usize {
-            s.link_id.insert(LinkId::new(l), OriginalId::new(l as u64));
-            s.timely_set.insert(&OriginalId::new(l as u64));
+            s.announce(LinkId::new(l), OriginalId::new(l as u64));
         }
         assert!(s.echo_is_valid(LinkId::new(1), &good));
         assert!(!s.echo_is_valid(LinkId::new(1), &two_common));

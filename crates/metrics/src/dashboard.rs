@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn dashboard_mentions_every_metric() {
-        let mut s = MetricsSnapshot::new();
+        let mut s = MetricsSnapshot::default();
         s.add_counter("c_total", 7);
         s.set_gauge("depth", 3);
         for v in [1u64, 2, 2, 9, 300] {

@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn renders_counters_gauges_histograms() {
-        let mut s = MetricsSnapshot::new();
+        let mut s = MetricsSnapshot::default();
         s.add_counter("a_total", 3);
         s.add_counter("a_total{shard=\"1\"}", 2);
         s.set_gauge("depth", -4);
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn type_line_emitted_once_per_base() {
-        let mut s = MetricsSnapshot::new();
+        let mut s = MetricsSnapshot::default();
         s.add_counter("x_total{shard=\"0\"}", 1);
         s.add_counter("x_total{shard=\"1\"}", 1);
         let text = render_prometheus(&s);

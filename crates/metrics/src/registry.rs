@@ -220,7 +220,7 @@ impl MetricsRegistry {
 
     /// Merge all shards of every metric into an order-stable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new();
+        let mut snap = MetricsSnapshot::default();
         for (name, cells) in self.inner.counters.lock().unwrap().iter() {
             snap.counters.insert(name.clone(), cells.total());
         }
@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn fold_mirrors_deterministic_snapshot() {
-        let mut det = MetricsSnapshot::new();
+        let mut det = MetricsSnapshot::default();
         det.add_counter("c", 9);
         det.set_gauge("g", -2);
         det.record("h", 17);

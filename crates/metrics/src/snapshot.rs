@@ -18,10 +18,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
@@ -127,9 +123,9 @@ mod tests {
 
     #[test]
     fn merge_missing_is_left_biased() {
-        let mut live = MetricsSnapshot::new();
+        let mut live = MetricsSnapshot::default();
         live.add_counter("shared_total", 7);
-        let mut det = MetricsSnapshot::new();
+        let mut det = MetricsSnapshot::default();
         det.add_counter("shared_total", 7);
         det.add_counter("det_only_total", 3);
         det.record("det_hist", 1);

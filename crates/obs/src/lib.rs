@@ -15,7 +15,7 @@
 //!
 //! Exporters: [`render_jsonl`] (one JSON object per event, machine-diffable)
 //! and [`render_trace_json`] (Chrome trace-event JSON, loadable in Perfetto
-//! or `chrome://tracing`). [`json`] is the workspace's integer-only JSON
+//! or `chrome://tracing`). [`Json`] is the workspace's integer-only JSON
 //! tree, writer and parser — the repro file formats of `opr-chaos` and
 //! `opr-service` are built on it.
 //!
@@ -26,7 +26,7 @@
 #![warn(missing_docs)]
 
 mod event;
-pub mod json;
+pub(crate) mod json;
 mod jsonl;
 mod log;
 mod perfetto;
@@ -34,6 +34,7 @@ mod recorder;
 mod span;
 
 pub use event::{ProtocolEvent, ValidityViolation};
+pub use json::{Json, JsonError};
 pub use jsonl::render_jsonl;
 pub use log::{ProcessLog, RunLog};
 pub use perfetto::render_trace_json;

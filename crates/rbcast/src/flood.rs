@@ -191,15 +191,11 @@ pub struct EchoReadyFlood<V> {
 impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
     /// Creates a flood participant announcing `initial` (correct processes
     /// announce their own id; pass `None` to participate without
-    /// announcing), with a private interner.
-    pub fn new(n: usize, t: usize, initial: Option<V>) -> Self {
-        EchoReadyFlood::with_interner(n, t, initial, IdInterner::new())
-    }
-
-    /// [`EchoReadyFlood::new`] over a shared per-run interner, so messages
-    /// from co-participants arrive pre-interned and accumulate zero-decode.
+    /// announcing) over `interner` — a shared per-run one, so messages from
+    /// co-participants arrive pre-interned and accumulate zero-decode.
     /// Sharing is purely the fast path — messages built against any other
-    /// interner are decoded and re-interned on arrival.
+    /// interner (a new one per participant, say) are decoded and
+    /// re-interned on arrival.
     pub fn with_interner(n: usize, t: usize, initial: Option<V>, interner: IdInterner<V>) -> Self {
         EchoReadyFlood {
             n,
@@ -213,6 +209,24 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
             timely: BTreeSet::new(),
             result: None,
         }
+    }
+
+    /// Starts another instance announcing `initial` among `n` processes
+    /// with fault bound `t`, on the same interner: every set, counter and
+    /// `seen` row is emptied, keeping its capacity — a flood
+    /// [`EchoReadyFlood::with_interner`] would build on that interner. Clear
+    /// the interner first: the previous instance's slots are numbered in
+    /// it.
+    pub fn restart(&mut self, n: usize, t: usize, initial: Option<V>) {
+        self.n = n;
+        self.t = t;
+        self.initial = initial;
+        self.working.clear();
+        self.ready_sent.clear();
+        self.ready_counts.clear();
+        self.ready_seen.clear();
+        self.timely.clear();
+        self.result = None;
     }
 
     /// The interner this instance's slots are relative to.
@@ -244,7 +258,8 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
             ))),
             3 => {
                 let ready = std::mem::take(&mut self.working);
-                self.ready_sent = ready.clone();
+                self.ready_sent.clear();
+                self.ready_sent.extend_from_slice(&ready);
                 Some(FloodMsg::Ready(IdSlotSet::from_words(
                     &self.interner,
                     ready,
@@ -455,6 +470,12 @@ struct LinkBitsets {
 }
 
 impl LinkBitsets {
+    /// No rows, keeping the block's capacity.
+    fn clear(&mut self) {
+        self.words.clear();
+        self.stride = 0;
+    }
+
     /// Row `link`, at least `width` words wide, in a block of at least
     /// `links` rows.
     fn row(&mut self, link: usize, width: usize, links: usize) -> &mut [u64] {
@@ -530,7 +551,7 @@ mod tests {
     impl<V: Ord + Clone + Debug> FloodActor<V> {
         fn new(n: usize, t: usize, initial: Option<V>) -> Self {
             FloodActor {
-                flood: EchoReadyFlood::new(n, t, initial),
+                flood: EchoReadyFlood::with_interner(n, t, initial, IdInterner::new()),
                 result: None,
             }
         }
@@ -678,13 +699,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "exactly 4 steps")]
     fn rejects_out_of_range_step() {
-        let mut flood: EchoReadyFlood<Val> = EchoReadyFlood::new(4, 1, None);
+        let mut flood: EchoReadyFlood<Val> =
+            EchoReadyFlood::with_interner(4, 1, None, IdInterner::new());
         let _ = flood.send(5);
     }
 
     #[test]
     fn result_unavailable_before_step_4() {
-        let mut flood: EchoReadyFlood<Val> = EchoReadyFlood::new(4, 1, Some(Val(1)));
+        let mut flood: EchoReadyFlood<Val> =
+            EchoReadyFlood::with_interner(4, 1, Some(Val(1)), IdInterner::new());
         assert!(flood.result().is_none());
     }
 
@@ -736,7 +759,7 @@ mod tests {
         let n = 4usize;
         let vals = [Val(1), Val(2), Val(3), Val(4)];
         let mut floods: Vec<EchoReadyFlood<Val>> = (0..n)
-            .map(|i| EchoReadyFlood::new(n, 1, Some(vals[i])))
+            .map(|i| EchoReadyFlood::with_interner(n, 1, Some(vals[i]), IdInterner::new()))
             .collect();
         let mut obs = CountingObserver::default();
         for step in 1..=4u32 {

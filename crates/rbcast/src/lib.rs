@@ -25,4 +25,4 @@ pub(crate) mod flood;
 pub(crate) mod slots;
 
 pub use flood::{EchoReadyFlood, FloodMsg, FloodObserver, FloodResult};
-pub use slots::{for_each_slot, IdInterner, IdSlotSet, SlotWords, WORD_BITS};
+pub use slots::{for_each_slot, IdInterner, IdSlotSet, WORD_BITS};

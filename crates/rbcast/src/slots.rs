@@ -34,6 +34,7 @@
 //! working unshared — just at the old speed.
 
 use opr_sim::WireSize;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
@@ -120,6 +121,17 @@ impl<V: Ord + Clone> IdInterner<V> {
         self.len() == 0
     }
 
+    /// Forgets every value, keeping the slot table's capacity: the next
+    /// value interned gets slot 0 again, so a run on a cleared interner
+    /// numbers its slots as a run on a new one would. Every clone sees the
+    /// cleared registry; a set built before the clear must not be read
+    /// after it.
+    pub fn clear(&self) {
+        let mut state = write_lock(&self.state);
+        state.slots.clear();
+        state.index.clear();
+    }
+
     /// Whether `self` and `other` are the *same* registry (not merely equal
     /// content) — the precondition for comparing raw words across sets.
     pub(crate) fn same_as(&self, other: &Self) -> bool {
@@ -134,7 +146,8 @@ impl<V: Ord + Clone> IdInterner<V> {
     /// Decodes the set slots of `words` into values, sorted by `Ord`.
     fn decode_sorted(&self, words: &[u64]) -> Vec<V> {
         let state = read_lock(&self.state);
-        let mut values: Vec<V> = Vec::new();
+        let members = words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut values: Vec<V> = Vec::with_capacity(members);
         for (word_index, &word) in words.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
@@ -237,12 +250,12 @@ impl<V: Ord + Clone> IdSlotSet<V> {
         self.interner.decode_sorted(&self.words)
     }
 
-    /// The set's words rebased onto `target`'s slot space: a borrow when the
-    /// interners are the same registry (the fast path), a decoded and
-    /// re-interned copy otherwise.
-    pub fn words_in<'a>(&'a self, target: &IdInterner<V>) -> SlotWords<'a> {
+    /// The set's words rebased onto `target`'s slot space: borrowed when
+    /// the interners are the same registry (the fast path, zero-copy), a
+    /// decoded and re-interned copy otherwise.
+    pub fn words_in<'a>(&'a self, target: &IdInterner<V>) -> Cow<'a, [u64]> {
         if self.interner.same_as(target) {
-            SlotWords::Borrowed(&self.words)
+            Cow::Borrowed(&self.words)
         } else {
             let mut words: Vec<u64> = Vec::new();
             for v in self.values_sorted() {
@@ -253,7 +266,7 @@ impl<V: Ord + Clone> IdSlotSet<V> {
                 }
                 words[word] |= 1u64 << (slot % WORD_BITS);
             }
-            SlotWords::Owned(words)
+            Cow::Owned(words)
         }
     }
 }
@@ -268,25 +281,6 @@ impl<V: Ord + Clone> std::ops::BitOrAssign<&IdSlotSet<V>> for IdSlotSet<V> {
         }
         for (mine, theirs) in self.words.iter_mut().zip(words.iter()) {
             *mine |= theirs;
-        }
-    }
-}
-
-/// Bitset words either borrowed from a same-interner set or rebased into a
-/// fresh allocation (see [`IdSlotSet::words_in`]).
-pub enum SlotWords<'a> {
-    /// The sender shares the receiver's interner: zero-copy.
-    Borrowed(&'a [u64]),
-    /// Foreign interner: decoded and re-interned.
-    Owned(Vec<u64>),
-}
-
-impl std::ops::Deref for SlotWords<'_> {
-    type Target = [u64];
-    fn deref(&self) -> &[u64] {
-        match self {
-            SlotWords::Borrowed(words) => words,
-            SlotWords::Owned(words) => words,
         }
     }
 }
@@ -355,6 +349,13 @@ mod tests {
         assert_eq!(interner.intern(&30), 0, "re-interning is stable");
         assert_eq!(interner.value_of(1), 10);
         assert_eq!(interner.len(), 2);
+        // A cleared interner numbers from slot 0 again, in every clone.
+        let clone = interner.clone();
+        interner.clear();
+        assert!(clone.is_empty());
+        assert_eq!(clone.lookup(&30), None);
+        assert_eq!(interner.intern(&10), 0);
+        assert_eq!(clone.value_of(0), 10);
     }
 
     #[test]
@@ -392,12 +393,12 @@ mod tests {
     fn words_in_borrows_on_shared_and_rebases_on_foreign() {
         let shared = IdInterner::new();
         let set = IdSlotSet::from_values(&shared, [5u64, 6]);
-        assert!(matches!(set.words_in(&shared), SlotWords::Borrowed(_)));
+        assert!(matches!(set.words_in(&shared), Cow::Borrowed(_)));
 
         let foreign = IdInterner::new();
         foreign.intern(&6); // different slot order
         let rebased = set.words_in(&foreign);
-        assert!(matches!(rebased, SlotWords::Owned(_)));
+        assert!(matches!(rebased, Cow::Owned(_)));
         let mut slots = Vec::new();
         for_each_slot(&rebased, |s| slots.push(s));
         assert_eq!(slots, vec![0, 1], "6 then 5 in foreign slot order");

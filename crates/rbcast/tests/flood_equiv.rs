@@ -144,7 +144,7 @@ proptest! {
     ) {
         // `LATE` stands for "no announcement".
         let initial = (initial < LATE).then_some(Val(initial));
-        let mut fast = EchoReadyFlood::new(n, t, initial);
+        let mut fast = EchoReadyFlood::with_interner(n, t, initial, IdInterner::new());
         let mut slow = SetFlood::new(n, t, initial);
         let mut fast_obs = Recorder::default();
         let mut slow_obs = Recorder::default();

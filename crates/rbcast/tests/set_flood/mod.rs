@@ -29,7 +29,7 @@ pub(crate) struct SetFlood<V> {
 
 impl<V: Ord + Clone + Debug> SetFlood<V> {
     /// Creates a flood participant announcing `initial`; see
-    /// [`EchoReadyFlood::new`](opr_rbcast::EchoReadyFlood::new).
+    /// [`EchoReadyFlood::with_interner`](opr_rbcast::EchoReadyFlood::with_interner).
     pub(crate) fn new(n: usize, t: usize, initial: Option<V>) -> Self {
         SetFlood {
             n,

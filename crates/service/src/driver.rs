@@ -182,7 +182,7 @@ impl ServiceReport {
     /// function of the (deterministic) report, so it is bit-identical
     /// across backends and `jobs` counts and safe to pin in goldens.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new();
+        let mut snap = MetricsSnapshot::default();
         snap.add_counter("opr_service_epochs_total", self.epochs);
         snap.add_counter("opr_service_grants_total", self.grants);
         snap.add_counter("opr_service_releases_total", self.releases);

@@ -17,7 +17,7 @@ use opr_metrics::{
 };
 use opr_obs::SharedSpanLog;
 use opr_types::{NewName, OriginalId, RenamingError, RenamingOutcome};
-use opr_workload::{ClientId, RenamingRun};
+use opr_workload::{ClientId, RenamingRun, RunArena};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
 
@@ -143,6 +143,22 @@ struct Shard {
     /// Every name granted at least once — a grant whose insert here fails is
     /// a cross-epoch recycle.
     granted_ever: BTreeSet<u64>,
+    /// This epoch's batch, taken off the backlog; emptied by the grants.
+    batch: Vec<(ClientId, OriginalId)>,
+    /// What the shard's last protocol instance left for the next one. Moved
+    /// into the instance's pool task and handed back with its outcome:
+    /// `None` while the task runs and after a task that panicked, so a
+    /// panic never leaves a half-reset arena behind — the next instance
+    /// starts from a new one.
+    instance: Option<Instance>,
+}
+
+/// The state a shard's protocol instances reuse from epoch to epoch.
+#[derive(Default)]
+struct Instance {
+    arena: RunArena,
+    /// The instance's original ids: the batch's, then the fillers.
+    ids: Vec<OriginalId>,
 }
 
 impl Shard {
@@ -153,6 +169,8 @@ impl Shard {
             backlog_clients: BTreeSet::new(),
             live: BTreeMap::new(),
             granted_ever: BTreeSet::new(),
+            batch: Vec::new(),
+            instance: None,
         }
     }
 }
@@ -326,15 +344,11 @@ impl ServiceEngine {
         self.drain_queue(epoch, &mut stats);
         self.record_span("epoch admission", epoch, admission_start);
 
-        let (batches, outcomes) = self.run_shard_instances(pool, epoch, &mut stats)?;
+        let outcomes = self.run_shard_instances(pool, epoch, &mut stats, run_instance);
 
         let grant_start = Instant::now();
-        for (shard_index, batch, outcome) in batches
-            .into_iter()
-            .zip(outcomes)
-            .map(|((s, b), o)| (s, b, o))
-        {
-            self.publish_grants(epoch, shard_index, batch, &outcome?, &mut stats);
+        for (shard_index, outcome) in outcomes {
+            self.publish_grants(epoch, shard_index, &outcome?, &mut stats);
         }
         self.record_span("epoch grants", epoch, grant_start);
 
@@ -430,95 +444,85 @@ impl ServiceEngine {
     }
 
     /// Forms one batch per shard and runs the non-empty ones as protocol
-    /// instances on the pool. Returns the batches (with their shard index)
-    /// and the instance outcomes in the same order.
-    #[allow(clippy::type_complexity)]
+    /// instances on the pool, each by `run` in its shard's arena
+    /// ([`run_instance`]; a test substitutes one that fails). Returns each
+    /// run shard's index with its instance's outcome, in shard order.
     fn run_shard_instances(
         &mut self,
         pool: &RunPool,
         epoch: u64,
         stats: &mut EpochStats,
-    ) -> Result<
-        (
-            Vec<(usize, Vec<(ClientId, OriginalId)>)>,
-            Vec<Result<RenamingOutcome, RenamingError>>,
-        ),
-        ServiceError,
-    > {
-        let mut batches = Vec::new();
-        for shard_index in 0..self.shards.len() {
-            let batch = self.form_batch(shard_index, stats);
-            if batch.is_empty() {
-                stats.skipped_shards += 1;
-            } else {
-                batches.push((shard_index, batch));
-            }
-        }
-
+        run: InstanceRunner,
+    ) -> Vec<(usize, Result<RenamingOutcome, RenamingError>)> {
         let cfg = self.cfg;
-        let tasks: Vec<_> = batches
-            .iter()
-            .map(|(shard_index, batch)| {
-                let shard_index = *shard_index;
-                let originals: Vec<OriginalId> = batch.iter().map(|&(_, o)| o).collect();
-                let spans = self.spans.clone();
-                let registry = self.metrics.as_ref().map(|m| m.registry.clone());
-                let protocol_ns = self.metrics.as_ref().map(|m| m.protocol_ns.clone());
-                move || {
-                    let start = Instant::now();
-                    let result = run_instance(&cfg, epoch, shard_index, &originals, registry);
-                    if let Some(hist) = protocol_ns {
-                        hist.record(start.elapsed().as_nanos() as u64);
-                    }
-                    if let Some(log) = spans {
-                        log.lock().expect("span log poisoned").record_detailed(
-                            "epoch protocol",
-                            epoch,
-                            shard_index as u64,
-                            start,
-                        );
-                    }
-                    result
+        let mut tasks = Vec::new();
+        for shard_index in 0..self.shards.len() {
+            self.form_batch(shard_index, stats);
+            let shard = &mut self.shards[shard_index];
+            if shard.batch.is_empty() {
+                stats.skipped_shards += 1;
+                continue;
+            }
+            let mut instance = shard.instance.take().unwrap_or_default();
+            instance.ids.clear();
+            instance.ids.extend(shard.batch.iter().map(|&(_, o)| o));
+            let spans = self.spans.clone();
+            let registry = self.metrics.as_ref().map(|m| m.registry.clone());
+            let protocol_ns = self.metrics.as_ref().map(|m| m.protocol_ns.clone());
+            tasks.push(move || {
+                let start = Instant::now();
+                let result = run(&cfg, epoch, shard_index, &mut instance, registry);
+                if let Some(hist) = protocol_ns {
+                    hist.record(start.elapsed().as_nanos() as u64);
                 }
-            })
-            .collect();
+                if let Some(log) = spans {
+                    log.lock().expect("span log poisoned").record_detailed(
+                        "epoch protocol",
+                        epoch,
+                        shard_index as u64,
+                        start,
+                    );
+                }
+                (shard_index, instance, result)
+            });
+        }
         stats.protocol_runs = tasks.len() as u64;
-        let outcomes = pool
-            .run_batch(tasks)
-            .into_iter()
-            .map(|task| match task {
-                Ok(outcome) => outcome,
+        let mut outcomes = Vec::with_capacity(tasks.len());
+        for task in pool.run_batch(tasks) {
+            match task {
+                Ok((shard_index, instance, outcome)) => {
+                    self.shards[shard_index].instance = Some(instance);
+                    outcomes.push((shard_index, outcome));
+                }
                 // A panicking instance is a harness bug; surface it exactly
                 // like `run_grid` does instead of absorbing it into a slot.
+                // Its shard keeps no instance state.
                 Err(panic) => std::panic::panic_any(panic.message),
-            })
-            .collect();
-        Ok((batches, outcomes))
+            }
+        }
+        outcomes
     }
 
-    /// Takes up to `min(backlog, epoch capacity, free pool)` requests off a
-    /// shard's backlog, FIFO, skipping (and re-queueing in order) requests
-    /// whose original id already appears in the batch — a protocol instance
-    /// needs distinct ids.
-    fn form_batch(
-        &mut self,
-        shard_index: usize,
-        stats: &mut EpochStats,
-    ) -> Vec<(ClientId, OriginalId)> {
+    /// Fills the shard's batch with up to `min(backlog, epoch capacity,
+    /// free pool)` requests off its backlog, FIFO, skipping (and
+    /// re-queueing in order) requests whose original id already appears in
+    /// the batch — a protocol instance needs distinct ids.
+    fn form_batch(&mut self, shard_index: usize, stats: &mut EpochStats) {
         let shard = &mut self.shards[shard_index];
         let limit = self
             .cfg
             .epoch_capacity()
             .min(shard.free.len())
             .min(shard.backlog.len());
-        let mut batch: Vec<(ClientId, OriginalId)> = Vec::with_capacity(limit);
-        let mut originals = BTreeSet::new();
+        let batch = &mut shard.batch;
+        batch.clear();
         let mut deferred = VecDeque::new();
         while batch.len() < limit {
             let Some((client, original)) = shard.backlog.pop_front() else {
                 break;
             };
-            if originals.insert(original) {
+            // A batch holds at most N ids: a scan is cheaper than a set.
+            if batch.iter().all(|&(_, o)| o != original) {
                 batch.push((client, original));
             } else {
                 deferred.push_back((client, original));
@@ -532,10 +536,9 @@ impl ServiceEngine {
         }
         // Batched clients leave the backlog set; they re-enter `live` at
         // grant time (or the backlog, if the instance leaves them undecided).
-        for &(client, _) in &batch {
+        for &(client, _) in batch.iter() {
             shard.backlog_clients.remove(&client);
         }
-        batch
     }
 
     /// Maps an instance's protocol names onto the shard's free pool and
@@ -546,7 +549,6 @@ impl ServiceEngine {
         &mut self,
         epoch: u64,
         shard_index: usize,
-        batch: Vec<(ClientId, OriginalId)>,
         outcome: &RenamingOutcome,
         stats: &mut EpochStats,
     ) {
@@ -555,9 +557,10 @@ impl ServiceEngine {
         // the raw name keeps the compaction monotone even if an instance
         // (buggily) inverted a pair — the oracle then reports the inversion
         // on the protocol names rather than it being masked by the pool.
-        let mut decided: Vec<(ClientId, OriginalId, NewName)> = Vec::with_capacity(batch.len());
         let shard = &mut self.shards[shard_index];
-        for (client, original) in batch {
+        let mut decided: Vec<(ClientId, OriginalId, NewName)> =
+            Vec::with_capacity(shard.batch.len());
+        for (client, original) in shard.batch.drain(..) {
             match outcome.name_of(original) {
                 Some(name) => decided.push((client, original, name)),
                 None => {
@@ -639,31 +642,132 @@ impl ServiceEngine {
     }
 }
 
-/// Runs one shard-epoch protocol instance: the batch's original ids plus
-/// filler ids above them (so order preservation keeps every filler name
-/// above every real name), under the configured adversary.
+/// How a shard's instance runs: [`run_instance`].
+type InstanceRunner = fn(
+    &ServiceConfig,
+    u64,
+    usize,
+    &mut Instance,
+    Option<MetricsRegistry>,
+) -> Result<RenamingOutcome, RenamingError>;
+
+/// Runs one shard-epoch protocol instance in the shard's arena: the batch's
+/// original ids (already in `instance.ids`) plus filler ids above them (so
+/// order preservation keeps every filler name above every real name), under
+/// the configured adversary.
 fn run_instance(
     cfg: &ServiceConfig,
     epoch: u64,
     shard: usize,
-    originals: &[OriginalId],
+    instance: &mut Instance,
     metrics: Option<MetricsRegistry>,
 ) -> Result<RenamingOutcome, RenamingError> {
-    let max_real = originals.iter().map(|o| o.raw()).max().unwrap_or(0);
-    let fillers = cfg.epoch_capacity() - originals.len();
-    let ids: Vec<OriginalId> = originals
-        .iter()
-        .copied()
-        .chain((1..=fillers as u64).map(|i| OriginalId::new(max_real + i)))
-        .collect();
+    let ids = &mut instance.ids;
+    let max_real = ids.iter().map(|o| o.raw()).max().unwrap_or(0);
+    let fillers = cfg.epoch_capacity() - ids.len();
+    ids.extend((1..=fillers as u64).map(|i| OriginalId::new(max_real + i)));
     let mut run = RenamingRun::builder(cfg.epoch_cfg, cfg.regime)
-        .correct_ids(ids)
+        .correct_ids(ids.iter().copied())
         .adversary(cfg.adversary, cfg.byzantine)
         .seed(epoch_seed(cfg.seed, epoch, shard))
         .backend(cfg.backend);
     if let Some(registry) = metrics {
         run = run.metrics(registry);
     }
-    let run = run.run()?;
-    Ok(run.outcome)
+    run.run_in(&mut instance.arena)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use opr_adversary::AdversarySpec;
+    use opr_transport::BackendKind;
+    use opr_types::{Regime, SystemConfig};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn engine() -> ServiceEngine {
+        ServiceEngine::new(ServiceConfig {
+            shards: 2,
+            epoch_cfg: SystemConfig::new(7, 2).unwrap(),
+            regime: Regime::LogTime,
+            byzantine: 0,
+            adversary: AdversarySpec::Silent,
+            backend: BackendKind::Sim,
+            queue_capacity: 64,
+            shard_span: 64,
+            seed: 7,
+        })
+        .unwrap()
+    }
+
+    /// Fourteen new clients, spread over both shards by the client hash.
+    fn submit_epoch(engine: &mut ServiceEngine, epoch: u64) {
+        for i in 0..14 {
+            let client = ClientId::new(epoch * 14 + i);
+            let original = OriginalId::new(1 + (client.raw() * 7_919) % 100_003);
+            assert!(engine.submit(ServiceOp::Acquire { client, original }));
+        }
+    }
+
+    /// An instance that panics part-way takes its shard's arena with it:
+    /// the shard keeps no half-reset arena, its next instance runs in a new
+    /// one, and that instance decides as a direct run on the same inputs.
+    #[test]
+    fn a_panicking_instance_leaves_no_arena_in_its_shard() {
+        let pool = RunPool::serial();
+        let mut engine = engine();
+        submit_epoch(&mut engine, 0);
+        engine.run_epoch(&pool).unwrap();
+        assert!(engine.shards.iter().all(|shard| shard.instance.is_some()));
+
+        submit_epoch(&mut engine, 1);
+        let mut stats = EpochStats::default();
+        engine.drain_queue(engine.epoch, &mut stats);
+        let fails_in_shard_1: InstanceRunner = |cfg, epoch, shard, instance, metrics| {
+            if shard == 1 {
+                instance.ids.clear();
+                panic!("injected: instance half set up");
+            }
+            run_instance(cfg, epoch, shard, instance, metrics)
+        };
+        let epoch = engine.epoch;
+        let cut = catch_unwind(AssertUnwindSafe(|| {
+            engine.run_shard_instances(&pool, epoch, &mut stats, fails_in_shard_1)
+        }));
+        assert!(cut.is_err(), "the injected panic is re-raised");
+        assert!(engine.shards[0].instance.is_some(), "shard 0 ran before it");
+        assert!(engine.shards[1].instance.is_none(), "no half-reset arena");
+
+        submit_epoch(&mut engine, 2);
+        let epoch = engine.epoch;
+        let stats = engine.run_epoch(&pool).unwrap();
+        assert!(stats.grants > 0);
+        let cfg = *engine.config();
+        for shard in 0..cfg.shards {
+            let grants: Vec<Grant> = engine
+                .ledger()
+                .iter()
+                .filter_map(|event| match event {
+                    LedgerEvent::Grant(g) if g.epoch == epoch && g.shard == shard => Some(*g),
+                    _ => None,
+                })
+                .collect();
+            let mut ids: Vec<OriginalId> = grants.iter().map(|g| g.original).collect();
+            let max_real = ids.iter().map(|o| o.raw()).max().unwrap();
+            let fillers = cfg.epoch_capacity() - ids.len();
+            ids.extend((1..=fillers as u64).map(|i| OriginalId::new(max_real + i)));
+            let direct = RenamingRun::builder(cfg.epoch_cfg, cfg.regime)
+                .correct_ids(ids)
+                .seed(epoch_seed(cfg.seed, epoch, shard))
+                .run()
+                .unwrap();
+            for grant in grants {
+                assert_eq!(
+                    direct.outcome.name_of(grant.original),
+                    Some(grant.protocol_name),
+                    "shard {shard}"
+                );
+            }
+        }
+    }
 }

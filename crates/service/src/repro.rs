@@ -12,7 +12,7 @@ use crate::config::{ServiceConfig, ServiceError};
 use crate::driver::{ServiceReport, ServiceSpec};
 use crate::oracle::{judge_ledger, ServiceViolation};
 use opr_adversary::AdversarySpec;
-use opr_obs::json::Json;
+use opr_obs::Json;
 use opr_transport::BackendKind;
 use opr_types::{Regime, SystemConfig};
 use opr_workload::ServiceWorkload;

@@ -245,6 +245,25 @@ pub trait Actor: Send {
     fn output(&self) -> Option<Self::Output>;
 }
 
+/// A boxed actor is an actor: the default seat of a
+/// [`Network`](crate::Network), where each process may run different code.
+impl<A: Actor + ?Sized> Actor for Box<A> {
+    type Msg = A::Msg;
+    type Output = A::Output;
+
+    fn send(&mut self, round: Round) -> Outbox<Self::Msg> {
+        (**self).send(round)
+    }
+
+    fn deliver(&mut self, round: Round, inbox: Inbox<'_, Self::Msg>) {
+        (**self).deliver(round, inbox);
+    }
+
+    fn output(&self) -> Option<Self::Output> {
+        (**self).output()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,9 +32,9 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// An empty metrics accumulator.
-    pub fn new() -> Self {
-        Self::default()
+    /// Forgets every round, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.rounds.clear();
     }
 
     /// Records the metrics of the next round.
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn accumulates_across_rounds() {
-        let mut m = RunMetrics::new();
+        let mut m = RunMetrics::default();
         m.push_round(RoundMetrics {
             messages_correct: 10,
             messages_faulty: 2,
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn empty_run() {
-        let m = RunMetrics::new();
+        let m = RunMetrics::default();
         assert_eq!(m.rounds_executed(), 0);
         assert_eq!(m.messages_total(), 0);
         assert_eq!(m.max_message_bits(), 0);

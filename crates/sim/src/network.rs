@@ -19,6 +19,7 @@ use crate::trace::{Trace, TraceEvent};
 use crate::wire::WireSize;
 use opr_types::{LinkId, MalformedKind, MalformedSend, ProcessIndex, Round};
 use std::fmt::Debug;
+use std::marker::PhantomData;
 
 /// Result of [`Network::run`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,8 +33,8 @@ pub struct RunReport {
 /// Everything only process `index` touches in the send and deliver phases.
 /// Its inbox is not here: deliver reads row `index` of the network's row
 /// table, which route filled, through a borrowed [`Inbox`].
-struct Seat<M, O> {
-    actor: Box<dyn Actor<Msg = M, Output = O>>,
+struct Seat<M, A> {
+    actor: A,
     /// What the actor sent this round; `Silent` outside send → route.
     outbox: Outbox<M>,
     /// The process index: which row of the row table is this seat's inbox.
@@ -44,7 +45,7 @@ struct Seat<M, O> {
 }
 
 /// One per-seat phase of a round, shared by both schedules.
-type Phase<'a, M, O> = &'a (dyn Fn(&mut Seat<M, O>) + Sync);
+type Phase<'a, M, A> = &'a (dyn Fn(&mut Seat<M, A>) + Sync);
 
 /// One entry of the round's payload table: a broadcast, or one multicast
 /// entry. Every link the payload is routed on points at it by index.
@@ -65,8 +66,13 @@ pub(crate) const NO_PAYLOAD: u32 = u32::MAX;
 /// The engine is deterministic: given the same actors (including adversary
 /// seeds) and topology, a run is exactly reproducible on either schedule —
 /// runs *are* the experiments in this workspace.
-pub struct Network<M, O> {
-    seats: Vec<Seat<M, O>>,
+///
+/// `A` is what sits in a seat: any [`Actor`] of the network's message and
+/// output types — boxed trait objects by default, or one concrete type
+/// (an enum of a protocol's correct process and a boxed adversary, say) that
+/// [`rewind`](Network::rewind) can reset in place for another run.
+pub struct Network<M, O, A = Box<dyn Actor<Msg = M, Output = O>>> {
+    seats: Vec<Seat<M, A>>,
     correct: Vec<bool>,
     topology: Topology,
     /// This round's payloads, in routing order; cleared after deliver.
@@ -83,6 +89,7 @@ pub struct Network<M, O> {
     malformed: Vec<MalformedSend>,
     /// The multicast duplicate-link bitmap, reused across senders and rounds.
     seen_arena: Vec<bool>,
+    output: PhantomData<fn() -> O>,
 }
 
 /// A transport-level delivery predicate: given the round, the sending
@@ -92,16 +99,17 @@ pub struct Network<M, O> {
 /// synchronous model): the message is never routed, counted or traced.
 pub(crate) type DeliveryFilter = Box<dyn FnMut(Round, ProcessIndex, LinkId) -> bool + Send>;
 
-impl<M, O> Network<M, O>
+impl<M, O, A> Network<M, O, A>
 where
     M: Clone + Debug + WireSize + Sync,
+    A: Actor<Msg = M, Output = O>,
 {
     /// Creates a network in which every actor is counted as correct.
     ///
     /// # Panics
     ///
     /// Panics if the number of actors differs from the topology size.
-    pub fn new(actors: Vec<Box<dyn Actor<Msg = M, Output = O>>>, topology: Topology) -> Self {
+    pub fn new(actors: Vec<A>, topology: Topology) -> Self {
         let correct = vec![true; actors.len()];
         Self::with_faults(actors, correct, topology)
     }
@@ -113,11 +121,7 @@ where
     /// # Panics
     ///
     /// Panics if lengths are inconsistent with the topology.
-    pub fn with_faults(
-        actors: Vec<Box<dyn Actor<Msg = M, Output = O>>>,
-        correct: Vec<bool>,
-        topology: Topology,
-    ) -> Self {
+    pub fn with_faults(actors: Vec<A>, correct: Vec<bool>, topology: Topology) -> Self {
         assert_eq!(
             actors.len(),
             topology.n(),
@@ -142,7 +146,7 @@ where
             // One broadcast per process is the common round.
             payloads: Vec::with_capacity(n),
             rows: vec![NO_PAYLOAD; n * n],
-            metrics: RunMetrics::new(),
+            metrics: RunMetrics::default(),
             next_round: Round::FIRST,
             trace: None,
             delivery_filter: None,
@@ -150,7 +154,34 @@ where
             malformed: Vec::new(),
             // Sized by the first multicast: fault-free runs never need it.
             seen_arena: Vec::new(),
+            output: PhantomData,
         }
+    }
+
+    /// Readies the network for another run of as many processes, keeping
+    /// every table's storage: the mesh is relabelled as
+    /// [`Topology::seeded`]`(n, seed)` labels it; the round counter,
+    /// metrics, trace, malformed sends, delivery filter and payload cap
+    /// start over; and `reseat` is handed the new topology, each seat's
+    /// index and its actor — to reset in place or replace — and returns
+    /// whether that process counts as correct. A rewound network runs as a
+    /// new one built from the same actors, mask and topology would.
+    pub fn rewind(&mut self, seed: u64, mut reseat: impl FnMut(&Topology, usize, &mut A) -> bool) {
+        self.topology.reseed(seed);
+        for (seat, correct) in self.seats.iter_mut().zip(&mut self.correct) {
+            seat.outbox = Outbox::Silent;
+            seat.received = 0;
+            *correct = reseat(&self.topology, seat.index, &mut seat.actor);
+        }
+        // A run cut short by a panic may have left a round half routed.
+        self.payloads.clear();
+        self.rows.fill(NO_PAYLOAD);
+        self.metrics.clear();
+        self.next_round = Round::FIRST;
+        self.trace = None;
+        self.delivery_filter = None;
+        self.payload_cap = None;
+        self.malformed.clear();
     }
 
     /// Installs a per-message payload cap in bits. Larger messages are
@@ -210,7 +241,7 @@ where
     }
 
     /// The one definition of a round; `apply` is the schedule.
-    fn round(&mut self, apply: impl Fn(&mut [Seat<M, O>], Phase<'_, M, O>)) {
+    fn round(&mut self, apply: impl Fn(&mut [Seat<M, A>], Phase<'_, M, A>)) {
         let round = self.next_round;
         apply(&mut self.seats, &|seat| {
             seat.outbox = seat.actor.send(round)
@@ -394,10 +425,15 @@ where
         &self.metrics
     }
 
-    /// Ends the run, moving out what it accumulated: the metrics, the
-    /// trace (if enabled) and the malformed sends.
-    pub fn into_artifacts(self) -> (RunMetrics, Option<Trace>, Vec<MalformedSend>) {
-        (self.metrics, self.trace, self.malformed)
+    /// What the run accumulated: a copy of the metrics — the network keeps
+    /// its per-round table for a [`rewind`](Network::rewind) — and, moved
+    /// out, the trace (if enabled) and the malformed sends.
+    pub fn take_artifacts(&mut self) -> (RunMetrics, Option<Trace>, Vec<MalformedSend>) {
+        (
+            self.metrics.clone(),
+            self.trace.take(),
+            std::mem::take(&mut self.malformed),
+        )
     }
 }
 
@@ -406,7 +442,7 @@ mod tests {
     use super::*;
     use opr_types::LinkId;
 
-    impl<M: Clone + Debug + WireSize + Sync, O> Network<M, O> {
+    impl<M: Clone + Debug + WireSize + Sync, O, A: Actor<Msg = M, Output = O>> Network<M, O, A> {
         /// Every send the transport rejected so far (out-of-range or
         /// duplicate link labels, oversized payloads), in `(round, sender,
         /// occurrence)` order.

@@ -37,48 +37,81 @@ impl Topology {
     /// the peers (self-loop fixed at label `N`).
     pub fn seeded(n: usize, seed: u64) -> Self {
         assert!(n >= 1, "topology needs at least one process");
+        let mut topology = Topology {
+            n,
+            slots: Vec::with_capacity(n * n),
+            label_of: Vec::with_capacity(n * n),
+        };
+        topology.reseed(seed);
+        topology
+    }
+
+    /// Relabels the mesh in place as [`Topology::seeded`]`(n, seed)` labels
+    /// it, keeping both tables' storage.
+    pub(crate) fn reseed(&mut self, seed: u64) {
+        let n = self.n;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x746f_706f_6c6f_6779);
-        let mut peer_of = Vec::with_capacity(n * n);
+        // The peer table first, in the receiver fields; `label` below.
+        self.slots.clear();
         for p in 0..n {
-            peer_of.extend((0..n).filter(|&q| q != p));
-            peer_of[p * n..].shuffle(&mut rng);
-            peer_of.push(p); // label N: self-loop
+            let peers = self.slots.len();
+            self.slots.extend((0..n).filter(|&q| q != p).map(|q| Slot {
+                receiver: q as u32,
+                label: 0,
+            }));
+            self.slots[peers..].shuffle(&mut rng);
+            self.slots.push(Slot {
+                receiver: p as u32,
+                label: 0,
+            }); // label N: self-loop
         }
-        Self::from_peer_table(n, &peer_of)
+        self.label();
     }
 
     /// A topology where process `p`'s label for peer `q` follows a fixed
     /// arithmetic pattern — convenient for hand-written unit tests.
     pub fn canonical(n: usize) -> Self {
         assert!(n >= 1, "topology needs at least one process");
-        let peer_of: Vec<usize> = (0..n)
+        let slots = (0..n)
             .flat_map(|p| (1..=n).map(move |off| (p + off) % n))
+            .map(|peer| Slot {
+                receiver: peer as u32,
+                label: 0,
+            })
             .collect();
-        Self::from_peer_table(n, &peer_of)
+        let mut topology = Topology {
+            n,
+            slots,
+            label_of: Vec::with_capacity(n * n),
+        };
+        topology.label();
+        topology
     }
 
-    /// `peer_of[p * n + l - 1]` is the process `p` reaches via label `l`.
-    fn from_peer_table(n: usize, peer_of: &[usize]) -> Self {
-        debug_assert_eq!(peer_of.len(), n * n);
-        let mut label_of = vec![LinkId::new(1); n * n];
-        for (p, peers) in peer_of.chunks(n).enumerate() {
-            debug_assert_eq!(peers[n - 1], p, "label N must be the self-loop");
-            for (idx, &peer) in peers.iter().enumerate() {
+    /// Fills `label_of` and every slot's `label` from the peer table held
+    /// in the slots' `receiver` fields: `slots[p * n + l - 1].receiver` is
+    /// the process `p` reaches via label `l`.
+    fn label(&mut self) {
+        let n = self.n;
+        debug_assert_eq!(self.slots.len(), n * n);
+        self.label_of.clear();
+        self.label_of.resize(n * n, LinkId::new(1));
+        for (p, peers) in self.slots.chunks(n).enumerate() {
+            debug_assert_eq!(
+                peers[n - 1].receiver as usize,
+                p,
+                "label N must be the self-loop"
+            );
+            for (idx, peer) in peers.iter().enumerate() {
                 // `p`'s link idx+1 joins it to `peer`, so messages from
                 // `peer` arrive at `p` on that label: the incoming label is
                 // defined by the receiver's own table.
-                label_of[p * n + peer] = LinkId::new(idx + 1);
+                self.label_of[p * n + peer.receiver as usize] = LinkId::new(idx + 1);
             }
         }
-        let slots = peer_of
-            .iter()
-            .enumerate()
-            .map(|(i, &receiver)| Slot {
-                receiver: receiver as u32,
-                label: label_of[receiver * n + i / n].index() as u32,
-            })
-            .collect();
-        Topology { n, slots, label_of }
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            slot.label = self.label_of[slot.receiver as usize * n + i / n].index() as u32;
+        }
     }
 
     /// Number of processes.
@@ -159,6 +192,24 @@ mod tests {
                     a.peer(ProcessIndex::new(p), LinkId::new(l)),
                     b.peer(ProcessIndex::new(p), LinkId::new(l))
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn reseeding_in_place_is_seeding_anew() {
+        let mut topology = Topology::seeded(9, 1);
+        for seed in [2, 77, 1] {
+            topology.reseed(seed);
+            let fresh = Topology::seeded(9, seed);
+            for p in 0..9 {
+                let p = ProcessIndex::new(p);
+                for l in 1..=9 {
+                    let link = LinkId::new(l);
+                    assert_eq!(topology.peer(p, link), fresh.peer(p, link));
+                    let q = fresh.peer(p, link);
+                    assert_eq!(topology.incoming_label(q, p), fresh.incoming_label(q, p));
+                }
             }
         }
     }

@@ -156,7 +156,7 @@ fn run(case: &Case, workers: Option<usize>) -> Observed {
         }
     }
     let reads = net.outputs().into_iter().map(Option::unwrap).collect();
-    let (_, trace, _) = net.into_artifacts();
+    let (_, trace, _) = net.take_artifacts();
     let calls = calls.lock().unwrap().clone();
     (
         reads,

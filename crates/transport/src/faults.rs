@@ -61,7 +61,8 @@ impl FaultEvent {
     }
 }
 
-/// A deterministic schedule of transport faults.
+/// A deterministic schedule of transport faults; the default plan is empty
+/// (all links healthy forever).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// One-shot drops: `(sender, link label, round)`.
@@ -73,11 +74,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (all links healthy forever).
-    pub fn new() -> Self {
-        FaultPlan::default()
-    }
-
     /// Drops the message `sender` emits on `link` in exactly `round`.
     /// Other rounds on the link are unaffected.
     pub fn drop_message(mut self, sender: usize, link: LinkId, round: Round) -> Self {
@@ -146,7 +142,7 @@ impl FaultPlan {
     pub fn from_events<I: IntoIterator<Item = FaultEvent>>(events: I) -> Self {
         events
             .into_iter()
-            .fold(FaultPlan::new(), |plan, event| match event {
+            .fold(FaultPlan::default(), |plan, event| match event {
                 FaultEvent::Drop {
                     sender,
                     link,
@@ -202,7 +198,7 @@ mod tests {
 
     #[test]
     fn empty_plan_delivers_everything() {
-        let plan = FaultPlan::new();
+        let plan = FaultPlan::default();
         assert!(plan.is_empty());
         for r in 1..5 {
             for l in 1..4 {
@@ -213,7 +209,7 @@ mod tests {
 
     #[test]
     fn drop_message_hits_exactly_one_round_on_one_link() {
-        let plan = FaultPlan::new().drop_message(1, lnk(2), rnd(3));
+        let plan = FaultPlan::default().drop_message(1, lnk(2), rnd(3));
         assert!(!plan.is_empty());
         // The scheduled (sender, link, round) is dropped…
         assert!(!plan.delivers(rnd(3), ProcessIndex::new(1), lnk(2)));
@@ -226,7 +222,7 @@ mod tests {
 
     #[test]
     fn silence_link_from_is_permanent_from_onset() {
-        let plan = FaultPlan::new().silence_link_from(0, lnk(1), rnd(2));
+        let plan = FaultPlan::default().silence_link_from(0, lnk(1), rnd(2));
         assert!(plan.delivers(rnd(1), ProcessIndex::new(0), lnk(1)));
         for r in 2..10 {
             assert!(
@@ -240,7 +236,7 @@ mod tests {
 
     #[test]
     fn crash_from_silences_every_link_of_the_process() {
-        let plan = FaultPlan::new().crash_from(2, rnd(4));
+        let plan = FaultPlan::default().crash_from(2, rnd(4));
         for l in 1..=5 {
             assert!(plan.delivers(rnd(3), ProcessIndex::new(2), lnk(l)));
             assert!(!plan.delivers(rnd(4), ProcessIndex::new(2), lnk(l)));
@@ -252,7 +248,7 @@ mod tests {
 
     #[test]
     fn earliest_onset_wins_when_scheduled_twice() {
-        let plan = FaultPlan::new()
+        let plan = FaultPlan::default()
             .silence_link_from(0, lnk(1), rnd(5))
             .silence_link_from(0, lnk(1), rnd(3))
             .crash_from(1, rnd(6))
@@ -264,7 +260,7 @@ mod tests {
 
     #[test]
     fn schedules_compose() {
-        let plan = FaultPlan::new()
+        let plan = FaultPlan::default()
             .drop_message(0, lnk(1), rnd(1))
             .silence_link_from(0, lnk(2), rnd(2))
             .crash_from(1, rnd(3));

@@ -16,8 +16,9 @@
 //! that this state survives it, which is why small systems are not clamped
 //! to inline execution: a pooled run that spawns no thread proves nothing.
 
-use crate::substrate::{run_job, BackendKind, ExecutionReport, Job, Substrate};
-use opr_sim::WireSize;
+use crate::substrate::{run_job, run_network, BackendKind, ExecutionReport, Job, Substrate};
+use crate::ExecOptions;
+use opr_sim::{Actor, Network, RunReport, WireSize};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -70,13 +71,32 @@ impl PooledBackend {
     }
 }
 
+impl PooledBackend {
+    /// Runs `net` with its per-process phases on this backend's workers;
+    /// see [`BackendKind::run`].
+    pub(crate) fn run<M, O, A>(
+        &self,
+        net: &mut Network<M, O, A>,
+        opts: ExecOptions,
+        max_rounds: u32,
+    ) -> RunReport
+    where
+        M: Clone + Debug + WireSize + Send + Sync,
+        A: Actor<Msg = M, Output = O>,
+    {
+        let workers = self.effective_workers();
+        run_network(net, opts, max_rounds, BackendKind::Pooled, |net| {
+            net.step_on(workers)
+        })
+    }
+}
+
 impl<M, O> Substrate<M, O> for PooledBackend
 where
     M: Clone + Debug + WireSize + Send + Sync,
 {
     fn execute(&self, job: Job<M, O>) -> ExecutionReport<O> {
-        let workers = self.effective_workers();
-        run_job(job, BackendKind::Pooled, |net| net.step_on(workers))
+        run_job(job, |net, opts, max_rounds| self.run(net, opts, max_rounds))
     }
 }
 
@@ -186,7 +206,7 @@ mod tests {
             actors.push(Box::new(Equivocator(5)));
             let correct = vec![true, true, true, true, false];
             Job::with_faulty(actors, correct, Topology::seeded(5, 42), 6).opts(ExecOptions {
-                faults: FaultPlan::new()
+                faults: FaultPlan::default()
                     .drop_message(0, LinkId::new(2), Round::new(1))
                     .silence_link_from(4, LinkId::new(1), Round::new(1)),
                 ..ExecOptions::default()

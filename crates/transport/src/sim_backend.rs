@@ -1,8 +1,9 @@
 //! The reference substrate: [`opr_sim::Network`] stepped on the calling
 //! thread.
 
-use crate::substrate::{run_job, BackendKind, ExecutionReport, Job, Substrate};
-use opr_sim::{Network, WireSize};
+use crate::substrate::{run_job, run_network, BackendKind, ExecutionReport, Job, Substrate};
+use crate::ExecOptions;
+use opr_sim::{Actor, Network, RunReport, WireSize};
 use std::fmt::Debug;
 
 /// Executes jobs with [`Network::step`] — single-threaded, bit-for-bit
@@ -10,12 +11,28 @@ use std::fmt::Debug;
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct SimBackend;
 
+impl SimBackend {
+    /// Runs `net` on the calling thread; see [`BackendKind::run`].
+    pub(crate) fn run<M, O, A>(
+        &self,
+        net: &mut Network<M, O, A>,
+        opts: ExecOptions,
+        max_rounds: u32,
+    ) -> RunReport
+    where
+        M: Clone + Debug + WireSize + Sync,
+        A: Actor<Msg = M, Output = O>,
+    {
+        run_network(net, opts, max_rounds, BackendKind::Sim, Network::step)
+    }
+}
+
 impl<M, O> Substrate<M, O> for SimBackend
 where
     M: Clone + Debug + WireSize + Sync,
 {
     fn execute(&self, job: Job<M, O>) -> ExecutionReport<O> {
-        run_job(job, BackendKind::Sim, Network::step)
+        run_job(job, |net, opts, max_rounds| self.run(net, opts, max_rounds))
     }
 }
 
@@ -81,7 +98,7 @@ mod tests {
         let clean = SimBackend.execute(Job::new(counters(3), Topology::canonical(3), 5));
         let faulty = SimBackend.execute(Job::new(counters(3), Topology::canonical(3), 5).opts(
             ExecOptions {
-                faults: FaultPlan::new().drop_message(0, LinkId::new(1), Round::new(1)),
+                faults: FaultPlan::default().drop_message(0, LinkId::new(1), Round::new(1)),
                 ..ExecOptions::default()
             },
         ));

@@ -4,7 +4,7 @@ use crate::faults::FaultPlan;
 use crate::{PooledBackend, SimBackend};
 use opr_metrics::MetricsRegistry;
 use opr_obs::SharedSpanLog;
-use opr_sim::{Actor, Network, RunMetrics, Topology, Trace, WireSize};
+use opr_sim::{Actor, Network, RunMetrics, RunReport, Topology, Trace, WireSize};
 use opr_types::MalformedSend;
 use std::fmt;
 use std::fmt::Debug;
@@ -136,19 +136,46 @@ pub trait Substrate<M, O> {
     fn execute(&self, job: Job<M, O>) -> ExecutionReport<O>;
 }
 
-/// The one way a [`Job`] becomes an [`ExecutionReport`]: applies the
-/// [`ExecOptions`] to an [`opr_sim::Network`], runs `step` — the backend's
-/// schedule for one round — until termination or budget, times each round
-/// when a span log or registry is attached, and moves what the network
-/// accumulated into the report. Backends differ only in the `step` they
-/// pass.
+/// The one way a [`Job`] becomes an [`ExecutionReport`]: builds its
+/// [`opr_sim::Network`], runs it with `run` — a backend's
+/// [`run_network`] — and moves what the network accumulated into the
+/// report.
 pub(crate) fn run_job<M, O>(
     job: Job<M, O>,
-    kind: BackendKind,
-    mut step: impl FnMut(&mut Network<M, O>),
+    run: impl FnOnce(&mut Network<M, O>, ExecOptions, u32) -> RunReport,
 ) -> ExecutionReport<O>
 where
     M: Clone + Debug + WireSize + Sync,
+{
+    let mut net = Network::with_faults(job.actors, job.correct, job.topology);
+    let report = run(&mut net, job.opts, job.max_rounds);
+    let outputs = net.outputs();
+    let (metrics, trace, malformed) = net.take_artifacts();
+    ExecutionReport {
+        rounds_executed: report.rounds_executed,
+        completed: report.completed,
+        outputs,
+        metrics,
+        trace,
+        malformed,
+    }
+}
+
+/// The one way a network runs: applies the [`ExecOptions`] to it, runs
+/// `step` — the backend's schedule for one round — until termination or
+/// budget, and times each round when a span log or registry is attached.
+/// Backends differ only in the `step` they pass; what the run accumulated
+/// stays in the network.
+pub(crate) fn run_network<M, O, A>(
+    net: &mut Network<M, O, A>,
+    opts: ExecOptions,
+    max_rounds: u32,
+    kind: BackendKind,
+    mut step: impl FnMut(&mut Network<M, O, A>),
+) -> RunReport
+where
+    M: Clone + Debug + WireSize + Sync,
+    A: Actor<Msg = M, Output = O>,
 {
     let ExecOptions {
         faults,
@@ -156,8 +183,7 @@ where
         trace_capacity,
         spans,
         metrics,
-    } = job.opts;
-    let mut net = Network::with_faults(job.actors, job.correct, job.topology);
+    } = opts;
     if let Some(capacity) = trace_capacity {
         net.enable_trace(capacity);
     }
@@ -174,7 +200,7 @@ where
         ))
     });
     let timed = spans.is_some() || round_hist.is_some();
-    let report = net.run_with(job.max_rounds, |net| {
+    net.run_with(max_rounds, |net| {
         let start = timed.then(std::time::Instant::now);
         step(net);
         if let Some(start) = start {
@@ -186,17 +212,7 @@ where
                 log.lock().unwrap().record_indexed("round", round, start);
             }
         }
-    });
-    let outputs = net.outputs();
-    let (metrics, trace, malformed) = net.into_artifacts();
-    ExecutionReport {
-        rounds_executed: report.rounds_executed,
-        completed: report.completed,
-        outputs,
-        metrics,
-        trace,
-        malformed,
-    }
+    })
 }
 
 /// Backend selection, e.g. from a `--backend` CLI flag.
@@ -276,6 +292,28 @@ impl BackendKind {
         match self {
             BackendKind::Sim => SimBackend.execute(job),
             BackendKind::Pooled => PooledBackend::default().execute(job),
+        }
+    }
+
+    /// Runs a network the caller built — or
+    /// [`rewound`](opr_sim::Network::rewind) — for up to `max_rounds`
+    /// rounds on the selected backend, with `opts` applied as
+    /// [`execute`](BackendKind::execute) applies a job's. What the run
+    /// accumulated (outputs, metrics, trace, malformed sends) stays in the
+    /// network, for the caller to read or move out.
+    pub fn run<M, O, A>(
+        &self,
+        net: &mut Network<M, O, A>,
+        opts: ExecOptions,
+        max_rounds: u32,
+    ) -> RunReport
+    where
+        M: Clone + Debug + WireSize + Send + Sync,
+        A: Actor<Msg = M, Output = O>,
+    {
+        match self {
+            BackendKind::Sim => SimBackend.run(net, opts, max_rounds),
+            BackendKind::Pooled => PooledBackend::default().run(net, opts, max_rounds),
         }
     }
 }

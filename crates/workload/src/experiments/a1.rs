@@ -10,8 +10,8 @@
 use crate::id_dist::IdDistribution;
 use crate::table::ExperimentTable;
 use opr_adversary::AdversarySpec;
-use opr_core::runner::{run_alg1, Alg1Options};
 use opr_core::Alg1Tweaks;
+use opr_core::{run_alg1, Alg1Options};
 use opr_types::{Regime, SystemConfig};
 
 fn violating_runs(n: usize, t: usize, validation: bool, seeds: u64) -> (u32, u32) {

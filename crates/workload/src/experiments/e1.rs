@@ -13,8 +13,8 @@
 use crate::id_dist::IdDistribution;
 use crate::table::ExperimentTable;
 use opr_adversary::AdversarySpec;
-use opr_core::runner::{run_alg1, Alg1Options};
 use opr_core::Alg1Tweaks;
+use opr_core::{run_alg1, Alg1Options};
 use opr_types::{Regime, SystemConfig};
 
 /// Runs the experiment at `(N, t) = (10, 3)` across adversary behaviours.

@@ -10,7 +10,7 @@
 use crate::id_dist::IdDistribution;
 use crate::table::ExperimentTable;
 use opr_adversary::AdversarySpec;
-use opr_core::runner::{run_alg1, Alg1Options};
+use opr_core::{run_alg1, Alg1Options};
 use opr_types::{Regime, SystemConfig};
 
 /// Runs the experiment at `(N, t) = (13, 4)` under the strongest

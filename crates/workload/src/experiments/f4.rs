@@ -5,7 +5,7 @@
 use crate::id_dist::IdDistribution;
 use crate::table::ExperimentTable;
 use opr_adversary::AdversarySpec;
-use opr_core::runner::{run_two_step, TwoStepOptions};
+use opr_core::{run_two_step, TwoStepOptions};
 use opr_types::{OriginalId, SystemConfig};
 use std::collections::BTreeSet;
 

@@ -4,7 +4,7 @@
 use crate::id_dist::IdDistribution;
 use crate::table::ExperimentTable;
 use opr_adversary::AdversarySpec;
-use opr_core::runner::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
+use opr_core::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
 use opr_types::{OriginalId, Regime, SystemConfig};
 use std::collections::BTreeSet;
 

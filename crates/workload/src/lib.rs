@@ -35,6 +35,7 @@ pub(crate) mod service_load;
 pub(crate) mod table;
 
 pub use id_dist::IdDistribution;
+pub use opr_core::RunArena;
 pub use run::{run_grid, Algorithm, DiagnosedRun, GridPoint, RenamingRun, RunOutput, RunStats};
 pub use service_load::{Arrival, ClientId, ServiceWorkload};
 pub use table::ExperimentTable;

@@ -2,7 +2,8 @@
 
 use opr_adversary::AdversarySpec;
 use opr_baselines::{ChtRenaming, ConsensusRenaming, CrashAaRenaming, TranslatedRenaming};
-use opr_core::runner::{run_alg1_observed, run_two_step_observed, Alg1Options, ObservedRun};
+use opr_core::probe::{ProcessProbe, TwoStepProcessProbe};
+use opr_core::{run_alg1_in, run_two_step_in, Alg1Options, ObservedRun, Probes, RunArena};
 use opr_core::{Alg1Probe, TwoStepProbe, TwoStepTweaks};
 use opr_metrics::{labeled, MetricsRegistry, MetricsSnapshot};
 use opr_obs::{ProtocolEvent, RunLog, SharedSpanLog};
@@ -195,9 +196,7 @@ impl Algorithm {
         for k in 0..faulty {
             let inner = CrashAaRenaming::new(cfg, OriginalId::new(fake_base + k as u64));
             let alive = 1 + (seed + k as u64) as u32 % rounds;
-            actors.push(Box::new(opr_adversary::generic::CrashAfter::new(
-                inner, alive,
-            )));
+            actors.push(Box::new(opr_adversary::CrashAfter::new(inner, alive)));
         }
         for &id in correct_ids {
             actors.push(Box::new(CrashAaRenaming::new(cfg, id)));
@@ -220,7 +219,7 @@ impl Algorithm {
             Box<dyn Actor<Msg = opr_baselines::consensus_renaming::B2Msg, Output = NewName>>;
         let mut actors: Vec<B2Actor> = Vec::new();
         for _ in 0..faulty {
-            actors.push(Box::new(opr_core::runner::SilentActor::new()));
+            actors.push(Box::new(opr_core::SilentActor::default()));
         }
         for (offset, &id) in correct_ids.iter().enumerate() {
             let index = faulty + offset;
@@ -246,7 +245,7 @@ impl Algorithm {
         type B3Actor = Box<dyn Actor<Msg = opr_baselines::cht::ChtMsg, Output = NewName>>;
         let mut actors: Vec<B3Actor> = Vec::new();
         for _ in 0..faulty {
-            actors.push(Box::new(opr_core::runner::SilentActor::new()));
+            actors.push(Box::new(opr_core::SilentActor::default()));
         }
         for &id in correct_ids {
             actors.push(Box::new(ChtRenaming::new(cfg.n(), id)));
@@ -473,10 +472,11 @@ pub struct RenamingRun {
     opts: Alg1Options,
 }
 
-/// Either family's observation, as the one shared run path returns it.
-enum Observed {
-    Alg1(ObservedRun<Alg1Probe>),
-    TwoStep(ObservedRun<TwoStepProbe>),
+/// Either family's observation, as the one shared run path returns it,
+/// with the probes each family's entry point collected.
+enum Observed<P = Alg1Probe, Q = TwoStepProbe> {
+    Alg1(ObservedRun<P>),
+    TwoStep(ObservedRun<Q>),
 }
 
 /// The structured result of [`RenamingRun::run_diagnosed`]: what happened,
@@ -530,7 +530,7 @@ impl DiagnosedRun {
     /// Pooled backends and any job count (the equivalence suites pin this).
     /// Wall-clock timings never appear in it.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new();
+        let mut snap = MetricsSnapshot::default();
         snap.add_counter("opr_rounds_total", u64::from(self.rounds));
         snap.add_counter(
             labeled("opr_messages_total", &[("class", "correct")]),
@@ -701,13 +701,22 @@ impl RenamingRun {
         self
     }
 
-    /// The one path both entry points execute through: every option the
+    /// The one path every entry point executes through: every option the
     /// builder collected moves into the runner whole, so no entry point can
-    /// forget one. Hands the ids back for the diagnosis to walk.
-    fn observe(self) -> Result<(Observed, Vec<OriginalId>), RenamingError> {
+    /// forget one. Runs in `arena` (a new one for the one-off entry points)
+    /// and hands the ids back for the diagnosis to walk.
+    fn observe<P, Q>(
+        self,
+        arena: &mut RunArena,
+    ) -> Result<(Observed<P, Q>, Vec<OriginalId>), RenamingError>
+    where
+        P: Probes<ProcessProbe>,
+        Q: Probes<TwoStepProcessProbe>,
+    {
         let spec = self.adversary;
         let observed = match self.regime {
-            Regime::LogTime | Regime::ConstantTime => Observed::Alg1(run_alg1_observed(
+            Regime::LogTime | Regime::ConstantTime => Observed::Alg1(run_alg1_in(
+                arena,
                 self.cfg,
                 self.regime,
                 &self.ids,
@@ -715,7 +724,8 @@ impl RenamingRun {
                 |env| spec.build_alg1(env),
                 self.opts,
             )?),
-            Regime::TwoStep => Observed::TwoStep(run_two_step_observed(
+            Regime::TwoStep => Observed::TwoStep(run_two_step_in(
+                arena,
                 self.cfg,
                 &self.ids,
                 self.faulty,
@@ -738,7 +748,7 @@ impl RenamingRun {
             let bound = cfg.namespace_bound(regime);
             RunStats::collect(algorithm, cfg, adversary, outcome, rounds, metrics, bound)
         };
-        Ok(match self.observe()?.0 {
+        Ok(match self.observe(&mut RunArena::default())?.0 {
             Observed::Alg1(observed) => {
                 let o = observed.strict()?;
                 let algorithm = if regime == Regime::LogTime {
@@ -784,9 +794,28 @@ impl RenamingRun {
         let expected_rounds =
             self.cfg.total_steps(self.regime) + self.opts.tweaks.extra_voting_steps;
         let disturbed = self.opts.exec.faults.disturbed_senders();
-        Ok(match self.observe()? {
-            (Observed::Alg1(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
-            (Observed::TwoStep(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
+        Ok(
+            match self.observe::<Alg1Probe, TwoStepProbe>(&mut RunArena::default())? {
+                (Observed::Alg1(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
+                (Observed::TwoStep(o), ids) => {
+                    diagnose(o, &ids, &disturbed, expected_rounds, bound)
+                }
+            },
+        )
+    }
+
+    /// Executes the run in `arena`, reusing what the arena's earlier runs
+    /// built (see [`RunArena`]), and returns only the decided names: no
+    /// probe is attached and no [`RunStats`] computed. The judgement is
+    /// [`RenamingRun::run`]'s, and so are the names.
+    ///
+    /// # Errors
+    ///
+    /// As [`RenamingRun::run`].
+    pub fn run_in(self, arena: &mut RunArena) -> Result<RenamingOutcome, RenamingError> {
+        Ok(match self.observe::<(), ()>(arena)?.0 {
+            Observed::Alg1(observed) => observed.strict()?.outcome,
+            Observed::TwoStep(observed) => observed.strict()?.outcome,
         })
     }
 }
@@ -1041,7 +1070,7 @@ mod tests {
             .correct_ids(ids)
             .adversary(AdversarySpec::Silent, 1)
             .seed(seed)
-            .faults(FaultPlan::new().crash_from(victim, Round::FIRST))
+            .faults(FaultPlan::default().crash_from(victim, Round::FIRST))
             .run_diagnosed()
             .unwrap();
         assert_eq!(d.excluded.len(), 1);

@@ -14,8 +14,8 @@
 //! cargo run --example early_output
 //! ```
 
-use opr::core::runner::{run_alg1, Alg1Options};
 use opr::core::Alg1Tweaks;
+use opr::core::{run_alg1, Alg1Options};
 use opr::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -97,6 +97,11 @@ bench-quick:
 bench-full:
     benchmark/run.sh --sets 5
 
+# Where each benchmark workload shape's allocations go, per instance and per
+# name, on a new and on a warm run arena (DESIGN.md §15's census table).
+alloc-census:
+    cargo test --release -q --test alloc_gates -- --ignored --nocapture alloc_census
+
 # Interleaved pairs of the declared benchmark command, a revision against
 # the index (`just bench-pairs HEAD run-n64-alg1 --pairs 10 --seed 7`).
 bench-pairs REV WORKLOAD *ARGS:

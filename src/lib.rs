@@ -92,7 +92,7 @@ pub mod prelude {
         RenamingOutcome, Round, SystemConfig,
     };
     pub use opr_workload::{
-        Algorithm, ClientId, DiagnosedRun, ExperimentTable, IdDistribution, RenamingRun, RunOutput,
-        RunStats, ServiceWorkload,
+        Algorithm, ClientId, DiagnosedRun, ExperimentTable, IdDistribution, RenamingRun, RunArena,
+        RunOutput, RunStats, ServiceWorkload,
     };
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the ablation knobs and the early-output extension
 //! through the public facade.
 
-use opr::core::runner::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
+use opr::core::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
 use opr::core::{Alg1Tweaks, TwoStepTweaks};
 use opr::prelude::*;
 

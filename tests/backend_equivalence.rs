@@ -318,7 +318,7 @@ fn link_silence_onset_boundary_is_exact_on_both_backends() {
         .peer(ProcessIndex::new(sender), link)
         .index();
     assert_ne!(victim, sender);
-    let plan = FaultPlan::new().silence_link_from(sender, link, Round::new(onset));
+    let plan = FaultPlan::default().silence_link_from(sender, link, Round::new(onset));
     for backend in BackendKind::ALL {
         let seen = probe_deliveries(backend, n, rounds, plan.clone());
         // The boundary itself, stated explicitly: round onset−1 delivers,
@@ -352,7 +352,7 @@ fn crash_onset_boundary_is_exact_on_both_backends() {
     let rounds = 5u32;
     let onset = 3u32;
     let sender = 1usize;
-    let plan = FaultPlan::new().crash_from(sender, Round::new(onset));
+    let plan = FaultPlan::default().crash_from(sender, Round::new(onset));
     for backend in BackendKind::ALL {
         let seen = probe_deliveries(backend, n, rounds, plan.clone());
         for receiver in (0..n).filter(|&r| r != sender) {
@@ -396,7 +396,7 @@ fn crash_at_first_round_composes_as_removal_from_correct_set() {
                 .adversary(AdversarySpec::Silent, 0)
                 .seed(seed)
                 .backend(backend)
-                .faults(FaultPlan::new().crash_from(victim, Round::FIRST))
+                .faults(FaultPlan::default().crash_from(victim, Round::FIRST))
                 .run_diagnosed()
                 .unwrap();
             // Run B: the victim's index is a silent Byzantine process and

@@ -3,7 +3,7 @@
 //! must hold for *arbitrary* (not only scripted) faulty messages.
 
 use opr::core::ranks::{approximate, RankVector};
-use opr::core::runner::{run_alg1, Alg1Options};
+use opr::core::{run_alg1, Alg1Options};
 use opr::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeSet;

@@ -1,7 +1,7 @@
 //! Cross-crate lemma checks via the invariant probes — the structural
 //! guarantees behind the headline theorems, observed on live runs.
 
-use opr::core::runner::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
+use opr::core::{run_alg1, run_two_step, Alg1Options, TwoStepOptions};
 use opr::prelude::*;
 use std::collections::BTreeSet;
 

@@ -204,7 +204,7 @@ fn prometheus_rendering_matches_the_service_golden() {
 /// satisfy the Prometheus cumulative-bucket contract.
 #[test]
 fn prometheus_rendering_is_stable_and_cumulative() {
-    let mut snap = MetricsSnapshot::new();
+    let mut snap = MetricsSnapshot::default();
     snap.add_counter("a_total", 3);
     snap.set_gauge("g", -7);
     for v in [1u64, 2, 3, 900, 5_000_000] {

@@ -11,7 +11,7 @@
 //! * Wall-clock spans stay out of every deterministic artifact.
 
 use opr::chaos::{explain_repro, render_waterfall, Repro};
-use opr::obs::json::Json;
+use opr::obs::Json;
 use opr::obs::{render_jsonl, render_trace_json, shared_span_log, RunLog};
 use opr::transport::BackendKind;
 
