@@ -2,8 +2,8 @@
 //! paper-invariant oracles, shrinking and replayable repro files.
 //!
 //! ```text
-//! # A 500-run mixed-budget campaign on both backends, 4 executor workers:
-//! cargo run --release -p opr-bench --bin chaos -- --seed 42 --runs 500 --budget mixed --backend both --jobs 4
+//! # A 500-run mixed-budget campaign on 4 executor workers:
+//! cargo run --release -p opr-bench --bin chaos -- --seed 42 --runs 500 --budget mixed --jobs 4
 //!
 //! # Replay a repro file captured by a failing campaign:
 //! cargo run --release -p opr-bench --bin chaos -- --repro chaos-repro.json
@@ -30,7 +30,6 @@ use opr_obs::{render_jsonl, render_trace_json};
 fn usage() -> ! {
     eprintln!(
         "usage: chaos [--seed S] [--runs K] [--budget in|at|over|mixed]\n\
-         \x20            [--backend sim|pooled|both]\n\
          \x20            [--jobs N] [--repro-out <file>] [--events <file>]\n\
          \x20      chaos explain <file> [--events <file>] [--perfetto <file>]\n\
          \x20                                replay a repro with the recorder attached and\n\
@@ -44,7 +43,6 @@ struct Args {
     seed: u64,
     runs: usize,
     budget: Option<BudgetRegime>,
-    backend: BackendChoice,
     jobs: usize,
     repro: Option<String>,
     repro_out: String,
@@ -84,7 +82,6 @@ fn parse_args(raw: Vec<String>) -> Args {
         seed: 42,
         runs: 200,
         budget: None,
-        backend: BackendChoice::Both,
         jobs: 1,
         repro: None,
         repro_out: "chaos-repro.json".to_string(),
@@ -101,7 +98,6 @@ fn parse_args(raw: Vec<String>) -> Args {
                     label => BudgetRegime::parse(label).map(Some),
                 })
             }
-            "--backend" => args.backend = flags.label(&flag, BackendChoice::parse),
             "--jobs" => args.jobs = flags.value(&flag),
             "--repro" => args.repro = Some(flags.value(&flag)),
             "--repro-out" => args.repro_out = flags.value(&flag),
@@ -191,8 +187,7 @@ fn explain(args: &ExplainArgs) -> i32 {
 fn write_campaign_events(args: &Args, path: &str) {
     let budget = args.budget.unwrap_or(BudgetRegime::ALL[0]);
     let schedule = generate_schedule(per_run_seed(args.seed, 0), budget);
-    let (reference, _) = args.backend.backends();
-    match schedule.run_observed(reference) {
+    match schedule.run_observed() {
         Ok(run) => match run.events {
             Some(log) => match std::fs::write(path, render_jsonl(&log)) {
                 Ok(()) => eprintln!("chaos: wrote {path} ({} events)", log.len()),
@@ -209,13 +204,13 @@ fn campaign(args: &Args, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
         seed: args.seed,
         runs: args.runs,
         budget: args.budget,
-        backend: args.backend,
+        backend: BackendChoice::Sim,
         jobs: args.jobs,
     };
     let budget_label = args.budget.map(|b| b.label()).unwrap_or("mixed");
     eprintln!(
-        "chaos: seed={} runs={} budget={} backend={} jobs={}",
-        args.seed, args.runs, budget_label, args.backend, args.jobs
+        "chaos: seed={} runs={} budget={} jobs={}",
+        args.seed, args.runs, budget_label, args.jobs
     );
     let report = run_campaign(&config, oracles);
     eprintln!("chaos: {report}");
@@ -233,7 +228,7 @@ fn campaign(args: &Args, oracles: &[Box<dyn opr_chaos::Oracle>]) -> i32 {
         failure.verdict.digest(),
         failure.schedule.describe()
     );
-    let (repro, result) = failure.shrink_to_repro(args.seed, args.backend, oracles);
+    let (repro, result) = failure.shrink_to_repro(args.seed, oracles);
     eprintln!(
         "chaos: shrunk {} → {} events in {} attempts",
         result.original_events, result.events, result.attempts

@@ -6,7 +6,7 @@
 //! cargo run --release -p opr-bench --bin service
 //!
 //! # The CI soak gate: ≥1000 epochs across 4 shards with recycling,
-//! # oracle-clean and bit-identical across --jobs {1,4} and every backend:
+//! # oracle-clean and bit-identical across --jobs {1,4}:
 //! cargo run --release -p opr-bench --bin service -- --soak --epochs 1000
 //!
 //! # Service-level wall-clock spans (admission / per-shard protocol /
@@ -52,7 +52,7 @@ fn usage() -> ! {
         "usage: service [--seed S] [--epochs E] [--shards K]\n\
          \x20       service --soak [--seed S] [--epochs E] [--shards K] [--repro-out <file>]\n\
          \x20                                 oracle + determinism gate across jobs {{1,4}}\n\
-         \x20                                 and every backend (exit 1 on failure)\n\
+         \x20                                 (exit 1 on failure)\n\
          \x20       service --perfetto <file> export service-level spans as a Perfetto trace\n\
          \x20       service --repro <file>    replay a captured service failure: exit 0 if it\n\
          \x20                                 reproduces, 1 if the replay is clean\n\
@@ -108,7 +108,7 @@ fn parse_args() -> Args {
     // Every non-replay mode runs the soak spec these flags shape: refuse one
     // the engine could never run before any run, dump or repro file.
     if args.repro.is_none() {
-        let spec = soak_spec(args.seed, args.epochs, args.shards, BackendKind::Sim, 1);
+        let spec = soak_spec(args.seed, args.epochs, args.shards, 1);
         if let Err(e) = spec.service.validate() {
             eprintln!("service: {e}");
             std::process::exit(2);
@@ -120,13 +120,7 @@ fn parse_args() -> Args {
 /// The canonical soak/demo spec: `(N, t) = (7, 2)` log-time instances with
 /// 2 silent Byzantine actors, an open-loop workload over a 4000-client
 /// universe with 1–3-epoch holds, shards and epochs from the flags.
-fn soak_spec(
-    seed: u64,
-    epochs: u64,
-    shards: usize,
-    backend: BackendKind,
-    jobs: usize,
-) -> ServiceSpec {
+fn soak_spec(seed: u64, epochs: u64, shards: usize, jobs: usize) -> ServiceSpec {
     ServiceSpec {
         service: ServiceConfig {
             shards,
@@ -134,7 +128,7 @@ fn soak_spec(
             regime: Regime::LogTime,
             byzantine: 2,
             adversary: AdversarySpec::Silent,
-            backend,
+            backend: BackendKind::Sim,
             queue_capacity: 64,
             shard_span: 64,
             seed,
@@ -154,13 +148,14 @@ fn summarize(label: &str, report: &ServiceReport) {
     let a = report.admission;
     eprintln!(
         "service: {label}: {} epochs, {} grants, {} releases, {} recycled, backlog-rejects {} \
-         (duplicates {}, unknown-releases {}, cancelled-pending {})",
+         (duplicates {}, id-overflows {}, unknown-releases {}, cancelled-pending {})",
         report.epochs,
         report.grants,
         report.releases,
         report.recycled,
         a.rejected_queue_full,
         a.rejected_duplicate,
+        a.rejected_id_overflow,
         a.rejected_unknown_release,
         a.cancelled_pending,
     );
@@ -256,22 +251,21 @@ fn write_metrics(args: &Args, registry: &MetricsRegistry, report: &ServiceReport
     }
 }
 
-/// The soak gate: the reference run (sim, serial) must be oracle-clean and
-/// actually recycle names, and every other execution strategy — jobs 4,
-/// the pooled backend, and its jobs-4 combination — must reproduce it bit
-/// for bit.
+/// The soak gate: the reference run (serial) must be oracle-clean and
+/// actually recycle names, and the same spec at jobs 4 must reproduce it
+/// bit for bit.
 fn soak(args: &Args) -> i32 {
-    let reference_spec = soak_spec(args.seed, args.epochs, args.shards, BackendKind::Sim, 1);
+    let reference_spec = soak_spec(args.seed, args.epochs, args.shards, 1);
     eprintln!(
         "service: soak: {} epochs x {} shards, seed {}",
         args.epochs, args.shards, args.seed
     );
     let start = Instant::now();
     let registry = metrics_registry(args);
-    let Ok(reference) = run_judged(&reference_spec, "sim/jobs1", args, registry.as_ref()) else {
+    let Ok(reference) = run_judged(&reference_spec, "jobs1", args, registry.as_ref()) else {
         return 1;
     };
-    summarize("sim/jobs1", &reference);
+    summarize("jobs1", &reference);
     if let Some(registry) = &registry {
         if write_metrics(args, registry, &reference) != 0 {
             return 1;
@@ -282,24 +276,17 @@ fn soak(args: &Args) -> i32 {
         write_repro(&reference_spec, args);
         return 1;
     }
-    for (backend, jobs) in [
-        (BackendKind::Sim, 4),
-        (BackendKind::Pooled, 1),
-        (BackendKind::Pooled, 4),
-    ] {
-        let spec = soak_spec(args.seed, args.epochs, args.shards, backend, jobs);
-        let label = format!("{}/jobs{jobs}", backend.label());
-        let Ok(report) = run_judged(&spec, &label, args, None) else {
-            return 1;
-        };
-        if report != reference {
-            eprintln!("service: soak: {label} diverged from the sim/jobs1 reference");
-            write_repro(&spec, args);
-            return 1;
-        }
+    let spec = soak_spec(args.seed, args.epochs, args.shards, 4);
+    let Ok(report) = run_judged(&spec, "jobs4", args, None) else {
+        return 1;
+    };
+    if report != reference {
+        eprintln!("service: soak: jobs4 diverged from the jobs1 reference");
+        write_repro(&spec, args);
+        return 1;
     }
     eprintln!(
-        "service: soak passed in {:.1}s (all strategies bit-identical, oracle-clean)",
+        "service: soak passed in {:.1}s (jobs 1 and 4 bit-identical, oracle-clean)",
         start.elapsed().as_secs_f64()
     );
     0
@@ -309,13 +296,7 @@ fn soak(args: &Args) -> i32 {
 /// service-level timing (per-epoch admission / per-shard protocol / grant
 /// publication spans) as Chrome trace-event JSON loadable in Perfetto.
 fn perfetto(args: &Args, path: &str) -> i32 {
-    let spec = soak_spec(
-        args.seed,
-        args.epochs.clamp(1, 8),
-        args.shards,
-        BackendKind::Sim,
-        2,
-    );
+    let spec = soak_spec(args.seed, args.epochs.clamp(1, 8), args.shards, 2);
     let spans = shared_span_log();
     let obs = ServiceObs {
         spans: Some(spans.clone()),
@@ -362,7 +343,7 @@ fn replay(path: &str) -> i32 {
     };
     let s = repro.spec.service;
     eprintln!(
-        "service: replaying shards={} n={} t={} {} byz={} {} backend={} jobs={} \
+        "service: replaying shards={} n={} t={} {} byz={} {} jobs={} \
          (campaign seed {}, run #{})",
         s.shards,
         s.epoch_cfg.n(),
@@ -370,7 +351,6 @@ fn replay(path: &str) -> i32 {
         s.regime.label(),
         s.byzantine,
         s.adversary.label(),
-        s.backend.label(),
         repro.spec.jobs,
         repro.campaign_seed,
         repro.run_index,
@@ -394,7 +374,7 @@ fn replay(path: &str) -> i32 {
         eprintln!("service: replay: [{oracle}] {violation}");
     }
     if replay.diverged {
-        eprintln!("service: replay: report differs from the same spec at jobs=1 on sim");
+        eprintln!("service: replay: report differs from the same spec at jobs=1");
     }
     if replay.violations.is_empty() && !replay.diverged {
         eprintln!("service: failure did NOT reproduce (replay clean)");
@@ -406,13 +386,7 @@ fn replay(path: &str) -> i32 {
 
 /// The quickstart: one small seeded run, summarized and judged.
 fn demo(args: &Args) -> i32 {
-    let spec = soak_spec(
-        args.seed,
-        args.epochs.clamp(1, 50),
-        args.shards,
-        BackendKind::Sim,
-        2,
-    );
+    let spec = soak_spec(args.seed, args.epochs.clamp(1, 50), args.shards, 2);
     let registry = metrics_registry(args);
     match run_judged(&spec, "demo", args, registry.as_ref()) {
         Ok(report) => {

@@ -16,7 +16,6 @@
 use opr_adversary::AdversarySpec;
 use opr_bench::Flags;
 use opr_exec::RunPool;
-use opr_transport::BackendKind;
 use opr_types::SystemConfig;
 use opr_workload::{run_grid, Algorithm, GridPoint, IdDistribution};
 
@@ -31,7 +30,7 @@ fn parse_range(s: &str) -> Option<(usize, usize)> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sweep --alg <label> [--t A..B] [--seeds K] [--adversary <label>] [--n-extra E] [--backend sim|pooled] [--jobs N]\n\
+        "usage: sweep --alg <label> [--t A..B] [--seeds K] [--adversary <label>] [--n-extra E] [--jobs N]\n\
          algorithms: {}\n\
          adversaries: {}",
         Algorithm::ALL.map(|a| a.label()).join(", "),
@@ -51,7 +50,6 @@ fn main() {
     let mut seeds = 3u64;
     let mut adversary: Option<AdversarySpec> = None;
     let mut n_extra = 0usize;
-    let mut backend = BackendKind::default();
     let mut jobs = 1usize;
     let mut flags = Flags::from_env(usage);
     while let Some(flag) = flags.next_arg() {
@@ -61,7 +59,6 @@ fn main() {
             "--seeds" => seeds = flags.value(&flag),
             "--adversary" => adversary = Some(flags.label(&flag, AdversarySpec::parse)),
             "--n-extra" => n_extra = flags.value(&flag),
-            "--backend" => backend = flags.label(&flag, BackendKind::parse),
             "--jobs" => jobs = flags.value(&flag),
             _ => flags.unknown(&flag),
         }
@@ -92,7 +89,6 @@ fn main() {
                 faulty: t,
                 adversary: spec,
                 seed,
-                backend,
             });
         }
     }

@@ -41,7 +41,7 @@ impl Flags {
     }
 
     /// The value following `flag`, looked up by `parse` (a label table such
-    /// as `BackendKind::parse`); a label `parse` does not know is a usage
+    /// as `Algorithm::parse`); a label `parse` does not know is a usage
     /// error, never a silent default.
     pub fn label<T>(&mut self, flag: &str, parse: impl FnOnce(&str) -> Option<T>) -> T {
         let Some(raw) = self.args.next() else {

@@ -84,9 +84,9 @@ fn unhonourable_arguments_say_why_and_exit_2() {
     let zero_shards_path = concat!(env!("CARGO_TARGET_TMPDIR"), "/zero-shards.json");
     std::fs::write(
         zero_shards_path,
-        r#"{"version": 1, "campaign_seed": 0, "run_index": 0, "jobs": 1,
+        r#"{"version": 2, "campaign_seed": 0, "run_index": 0, "jobs": 1,
             "service": {"shards": 0, "n": 7, "t": 2, "regime": "log-time",
-                        "byzantine": 2, "adversary": "silent", "backend": "sim",
+                        "byzantine": 2, "adversary": "silent",
                         "queue_capacity": 64, "shard_span": 64, "seed": 1},
             "workload": {"clients": 40, "epochs": 3, "arrivals_per_epoch": 4,
                          "max_hold": 3, "seed": 7}}"#,
@@ -97,7 +97,7 @@ fn unhonourable_arguments_say_why_and_exit_2() {
     let repro_out = concat!(env!("CARGO_TARGET_TMPDIR"), "/refused-service-repro.json");
     let _ = std::fs::remove_file(repro_out);
 
-    let cases: [(&str, &[&str], &str); 14] = [
+    let cases: [(&str, &[&str], &str); 13] = [
         // An unknown adversary label used to run the default adversary.
         (
             env!("CARGO_BIN_EXE_sweep"),
@@ -106,7 +106,7 @@ fn unhonourable_arguments_say_why_and_exit_2() {
         ),
         // An unknown `--flag` used to be dropped and every table printed.
         (env!("CARGO_BIN_EXE_tables"), &["e1", "--cvs"], "usage:"),
-        // Retired surfaces: the measuring modes and the `auto` backend.
+        // Retired surfaces: the measuring modes.
         (
             env!("CARGO_BIN_EXE_chaos"),
             &["--bench", "x.json"],
@@ -129,12 +129,6 @@ fn unhonourable_arguments_say_why_and_exit_2() {
             "usage:",
         ),
         (env!("CARGO_BIN_EXE_chaos"), &["--baseline"], "usage:"),
-        // Every `service` mode fixes its own backend, so the flag is gone.
-        (
-            env!("CARGO_BIN_EXE_service"),
-            &["--backend", "pooled"],
-            "usage:",
-        ),
         (
             env!("CARGO_BIN_EXE_chaos"),
             &["--repro", hostile_path],
@@ -179,16 +173,16 @@ fn unhonourable_arguments_say_why_and_exit_2() {
 }
 
 /// `service --repro` judges what the replay shows, as `chaos --repro` does:
-/// a spec that runs oracle-clean and matches its `jobs = 1` sim twin is not
+/// a spec that runs oracle-clean and matches its `jobs = 1` twin is not
 /// a reproduced failure, so the replay exits 1.
 #[test]
 fn service_repro_of_a_clean_spec_exits_1() {
     let clean_path = concat!(env!("CARGO_TARGET_TMPDIR"), "/clean-service-repro.json");
     std::fs::write(
         clean_path,
-        r#"{"version": 1, "campaign_seed": 0, "run_index": 0, "jobs": 2,
+        r#"{"version": 2, "campaign_seed": 0, "run_index": 0, "jobs": 2,
             "service": {"shards": 2, "n": 7, "t": 2, "regime": "log-time",
-                        "byzantine": 2, "adversary": "silent", "backend": "pooled",
+                        "byzantine": 2, "adversary": "silent",
                         "queue_capacity": 64, "shard_span": 64, "seed": 1},
             "workload": {"clients": 40, "epochs": 3, "arrivals_per_epoch": 4,
                          "max_hold": 3, "seed": 7}}"#,

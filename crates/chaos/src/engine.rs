@@ -15,8 +15,7 @@
 //!   violation is a failure.
 //! * **over-budget** — the theorems are void; a run passes iff it comes
 //!   back *degraded but diagnosed*. Harness-level breaches (a correct
-//!   process sending malformed traffic, backends diverging) and panics
-//!   fail in every regime.
+//!   process sending malformed traffic) and panics fail in every regime.
 
 use crate::generator::generate_schedule;
 use crate::oracle::{violation_kind, Oracle, OracleInput};
@@ -25,7 +24,6 @@ use crate::schedule::{BudgetRegime, ChaosSchedule};
 use crate::shrink::{shrink, ShrinkResult};
 use opr_exec::RunPool;
 use opr_sim::RunMetrics;
-use opr_transport::BackendKind;
 use opr_types::math::mix64;
 use opr_types::Violation;
 use opr_workload::DiagnosedRun;
@@ -33,58 +31,13 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// Which execution substrate(s) a campaign drives.
+/// The schedule a campaign runs on. It has one variant and selects nothing:
+/// it is kept, with [`CampaignConfig::backend`], for `benchmark/` until
+/// that package depends on the `opr` facade alone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BackendChoice {
-    /// The single-threaded reference simulator only.
+    /// The network stepped on the executing thread.
     Sim,
-    /// The pooled (real worker threads) backend only.
-    Pooled,
-    /// The sim reference cross-checked against the pooled backend, with the
-    /// cross-backend oracle comparing them run by run.
-    Both,
-}
-
-impl BackendChoice {
-    /// All choices.
-    pub(crate) const ALL: [BackendChoice; 3] = [
-        BackendChoice::Sim,
-        BackendChoice::Pooled,
-        BackendChoice::Both,
-    ];
-
-    /// A short stable label (`"sim"`, `"pooled"`, `"both"`).
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            BackendChoice::Sim => "sim",
-            BackendChoice::Pooled => "pooled",
-            BackendChoice::Both => "both",
-        }
-    }
-
-    /// Parses a backend label (`sim`, `pooled`, `both`).
-    pub fn parse(label: &str) -> Option<BackendChoice> {
-        BackendChoice::ALL
-            .iter()
-            .copied()
-            .find(|b| b.label() == label)
-    }
-
-    /// The reference backend and, for [`BackendChoice::Both`], the backend
-    /// cross-checked against it.
-    pub fn backends(self) -> (BackendKind, Option<BackendKind>) {
-        match self {
-            BackendChoice::Sim => (BackendKind::Sim, None),
-            BackendChoice::Pooled => (BackendKind::Pooled, None),
-            BackendChoice::Both => (BackendKind::Sim, Some(BackendKind::Pooled)),
-        }
-    }
-}
-
-impl fmt::Display for BackendChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// Parameters of one campaign.
@@ -96,7 +49,7 @@ pub struct CampaignConfig {
     pub runs: usize,
     /// The fault budget regime, or `None` to cycle through all three.
     pub budget: Option<BudgetRegime>,
-    /// Which backend(s) execute each schedule.
+    /// Selects nothing; see [`BackendChoice`].
     pub backend: BackendChoice,
     /// Worker threads executing schedules (`≤ 1` = serial). Judging is
     /// always serial, so the report is a pure function of the other fields
@@ -172,10 +125,7 @@ pub fn digests_overlap(a: &str, b: &str) -> bool {
 /// Whether `v` is a legitimate consequence of exceeding the fault budget
 /// (the paper's theorems no longer apply) rather than a harness bug.
 fn tolerable_over_budget(v: &Violation) -> bool {
-    !matches!(
-        v,
-        Violation::CorrectMalformed(_) | Violation::BackendDivergence { .. }
-    )
+    !matches!(v, Violation::CorrectMalformed(_))
 }
 
 /// One failing run, with everything needed to shrink and replay it.
@@ -197,27 +147,25 @@ impl Failure {
     /// Shrinks the failing schedule — a candidate survives while it still
     /// fails under this run's budget with a digest overlapping the
     /// original's — and packages the result as a [`Repro`] of campaign
-    /// `campaign_seed` carrying the reference run's metrics (none when the
+    /// `campaign_seed` carrying the shrunk run's metrics (none when the
     /// shrunk schedule panics or is refused).
     pub fn shrink_to_repro(
         &self,
         campaign_seed: u64,
-        backend: BackendChoice,
         oracles: &[Box<dyn Oracle>],
     ) -> (Repro, ShrinkResult) {
         let digest = self.verdict.digest();
         let result = shrink(&self.schedule, |candidate| {
-            let verdict = judge_schedule(candidate, backend, oracles);
+            let verdict = judge_schedule(candidate, oracles);
             verdict.is_failure(self.budget) && digests_overlap(&verdict.digest(), &digest)
         });
-        let metrics = execute_schedule(&result.schedule, backend)
+        let metrics = execute_schedule(&result.schedule)
             .ok()
-            .map(|run| run.reference.metrics);
+            .map(|run| run.metrics);
         let repro = Repro {
             campaign_seed,
             run_index: self.index,
             budget: self.budget,
-            backend,
             digest,
             schedule: result.schedule.clone(),
             metrics,
@@ -229,8 +177,8 @@ impl Failure {
 /// Network metrics summed over every run a campaign actually executed
 /// (panicking and setup-refused slots contribute nothing). Like the
 /// clean/degraded counts, these are a pure function of the configuration:
-/// they come from the reference backend's deterministic counters, so any
-/// worker count and any backend choice with the same reference agree.
+/// they come from each run's deterministic counters, so any worker count
+/// agrees.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CampaignMetrics {
     /// Runs whose metrics are included.
@@ -333,23 +281,12 @@ pub fn per_run_seed(campaign_seed: u64, index: usize) -> u64 {
     )
 }
 
-/// The executed-but-not-yet-judged form of one schedule: the diagnosed
-/// reference run plus the cross-check run, if any. Splitting
-/// execution from judging lets campaigns execute on pool workers (pure
-/// data in, pure data out) while the oracle suite — whose trait objects
-/// are not `Send` — judges serially on the collector.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExecutedRun {
-    /// The run on the reference backend.
-    pub reference: DiagnosedRun,
-    /// The run on the cross-check backend, when the choice compares two
-    /// ([`BackendChoice::Both`]).
-    pub cross_check: Option<(BackendKind, DiagnosedRun)>,
-}
-
-/// One campaign slot after execution: the schedule's provenance and either
-/// its executed runs or the verdict that pre-empted them (panic or setup
-/// refusal).
+/// One campaign slot after execution, not yet judged: the schedule's
+/// provenance and either its diagnosed run or the verdict that pre-empted
+/// it (panic or setup refusal). Splitting execution from judging lets
+/// campaigns execute on pool workers (pure data in, pure data out) while
+/// the oracle suite — whose trait objects are not `Send` — judges serially
+/// on the collector.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExecutedSchedule {
     /// Index of the run within the campaign.
@@ -361,57 +298,34 @@ pub struct ExecutedSchedule {
     /// The generated schedule.
     pub schedule: ChaosSchedule,
     /// The execution result.
-    pub executed: Result<ExecutedRun, RunVerdict>,
+    pub executed: Result<DiagnosedRun, RunVerdict>,
 }
 
-/// Executes `schedule` on the chosen backend(s) with panics contained.
+/// Executes `schedule` with panics contained.
 ///
 /// # Errors
 ///
 /// `Err` carries the verdict that pre-empted execution:
 /// [`RunVerdict::Panicked`] or [`RunVerdict::SetupError`].
-pub(crate) fn execute_schedule(
-    schedule: &ChaosSchedule,
-    backend: BackendChoice,
-) -> Result<ExecutedRun, RunVerdict> {
-    let contained = |kind: BackendKind| {
-        let outcome = catch_unwind(AssertUnwindSafe(|| schedule.run_on(kind)));
-        match outcome {
-            Ok(Ok(run)) => Ok(run),
-            Ok(Err(e)) => Err(RunVerdict::SetupError {
-                message: format!("{kind:?}: {e}"),
-            }),
-            Err(payload) => Err(RunVerdict::Panicked {
-                message: format!("{kind:?}: {}", panic_message(payload.as_ref())),
-            }),
-        }
-    };
-    let (reference_backend, cross_check) = backend.backends();
-    let reference = contained(reference_backend)?;
-    let cross_check = match cross_check {
-        Some(kind) => Some((kind, contained(kind)?)),
-        None => None,
-    };
-    Ok(ExecutedRun {
-        reference,
-        cross_check,
-    })
+pub(crate) fn execute_schedule(schedule: &ChaosSchedule) -> Result<DiagnosedRun, RunVerdict> {
+    match catch_unwind(AssertUnwindSafe(|| schedule.run())) {
+        Ok(Ok(run)) => Ok(run),
+        Ok(Err(e)) => Err(RunVerdict::SetupError {
+            message: e.to_string(),
+        }),
+        Err(payload) => Err(RunVerdict::Panicked {
+            message: panic_message(payload.as_ref()),
+        }),
+    }
 }
 
 /// Runs the oracle suite over an executed schedule.
 pub(crate) fn judge_executed(
     schedule: &ChaosSchedule,
-    backend: BackendChoice,
-    run: &ExecutedRun,
+    run: &DiagnosedRun,
     oracles: &[Box<dyn Oracle>],
 ) -> RunVerdict {
-    let (reference_backend, _) = backend.backends();
-    let input = OracleInput {
-        schedule,
-        reference: &run.reference,
-        reference_backend,
-        cross_check: run.cross_check.as_ref().map(|(kind, run)| (*kind, run)),
-    };
+    let input = OracleInput { schedule, run };
     let violations: Vec<Violation> = oracles
         .iter()
         .flat_map(|oracle| oracle.check(&input))
@@ -423,15 +337,11 @@ pub(crate) fn judge_executed(
     }
 }
 
-/// Executes `schedule` on the chosen backend(s), contains panics, and runs
-/// the oracle suite over the result.
-pub fn judge_schedule(
-    schedule: &ChaosSchedule,
-    backend: BackendChoice,
-    oracles: &[Box<dyn Oracle>],
-) -> RunVerdict {
-    match execute_schedule(schedule, backend) {
-        Ok(run) => judge_executed(schedule, backend, &run, oracles),
+/// Executes `schedule`, contains panics, and runs the oracle suite over the
+/// result.
+pub fn judge_schedule(schedule: &ChaosSchedule, oracles: &[Box<dyn Oracle>]) -> RunVerdict {
+    match execute_schedule(schedule) {
+        Ok(run) => judge_executed(schedule, &run, oracles),
         Err(verdict) => verdict,
     }
 }
@@ -449,7 +359,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Generates and executes every schedule of a campaign, fanning execution
 /// out over `pool` and reassembling in index order. Schedules are generated
 /// serially in index order, so the returned sequence — provenance, schedule
-/// and executed runs alike — is identical at any worker count.
+/// and diagnosed runs alike — is identical at any worker count.
 pub(crate) fn execute_campaign_on(
     pool: &RunPool,
     config: &CampaignConfig,
@@ -463,12 +373,11 @@ pub(crate) fn execute_campaign_on(
             (index, seed, budget, generate_schedule(seed, budget))
         })
         .collect();
-    let backend = config.backend;
     let tasks: Vec<_> = prepared
         .iter()
         .map(|(_, _, _, schedule)| {
             let schedule = schedule.clone();
-            move || execute_schedule(&schedule, backend)
+            move || execute_schedule(&schedule)
         })
         .collect();
     // execute_schedule contains panics itself; a pool-level panic would be
@@ -534,8 +443,8 @@ pub(crate) fn run_campaign_on(
         } = slot;
         let mut verdict = match executed {
             Ok(run) => {
-                report.metrics.absorb(&run.reference.metrics);
-                judge_executed(&schedule, config.backend, &run, oracles)
+                report.metrics.absorb(&run.metrics);
+                judge_executed(&schedule, &run, oracles)
             }
             Err(verdict) => verdict,
         };
@@ -568,26 +477,6 @@ pub(crate) fn run_campaign_on(
 mod tests {
     use super::*;
     use crate::oracle::standard_suite;
-
-    #[test]
-    fn choices_resolve_to_backends_and_labels_round_trip() {
-        assert_eq!(BackendChoice::Sim.backends(), (BackendKind::Sim, None));
-        assert_eq!(
-            BackendChoice::Pooled.backends(),
-            (BackendKind::Pooled, None)
-        );
-        assert_eq!(
-            BackendChoice::Both.backends(),
-            (BackendKind::Sim, Some(BackendKind::Pooled))
-        );
-        for choice in BackendChoice::ALL {
-            assert_eq!(BackendChoice::parse(choice.label()), Some(choice));
-        }
-        // Retired labels are rejected, not aliased.
-        for label in ["threaded", "all", "auto"] {
-            assert_eq!(BackendChoice::parse(label), None, "{label}");
-        }
-    }
 
     #[test]
     fn in_budget_campaign_is_all_clean() {
@@ -692,11 +581,11 @@ mod tests {
     #[test]
     fn verdict_failure_rules_match_the_contract() {
         let harness_bug = RunVerdict::Violated {
-            violations: vec![Violation::BackendDivergence {
-                observable: "rounds",
-                reference: "7".into(),
-                other: "8".into(),
-            }],
+            violations: vec![Violation::CorrectMalformed(opr_types::MalformedSend {
+                sender: opr_types::ProcessIndex::new(0),
+                round: opr_types::Round::FIRST,
+                kind: opr_types::MalformedKind::DuplicateLink { label: 1 },
+            })],
         };
         let degradation = RunVerdict::Violated {
             violations: vec![Violation::MissedTermination {

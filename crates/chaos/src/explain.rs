@@ -22,17 +22,16 @@ pub struct Explained {
     pub text: String,
 }
 
-/// Replays `repro`'s schedule on its reference backend with the recorder
-/// attached and renders the decision waterfall.
+/// Replays `repro`'s schedule with the recorder attached and renders the
+/// decision waterfall.
 ///
 /// # Errors
 ///
 /// Returns [`RenamingError`] only when the schedule cannot start (a
 /// corrupt repro file) — the same conditions as
-/// [`crate::schedule::ChaosSchedule::run_on`].
+/// [`crate::schedule::ChaosSchedule::run`].
 pub fn explain_repro(repro: &Repro) -> Result<Explained, RenamingError> {
-    let (reference, _) = repro.backend.backends();
-    let run = repro.schedule.run_observed(reference)?;
+    let run = repro.schedule.run_observed()?;
     let text = render_waterfall(repro, &run);
     Ok(Explained { run, text })
 }
@@ -45,8 +44,8 @@ pub fn render_waterfall(repro: &Repro, run: &DiagnosedRun) -> String {
     let _ = writeln!(out, "schedule: {}", repro.schedule.describe());
     let _ = writeln!(
         out,
-        "captured: digest '{}' under {} budget on {} (campaign seed {}, run #{})",
-        repro.digest, repro.budget, repro.backend, repro.campaign_seed, repro.run_index
+        "captured: digest '{}' under {} budget (campaign seed {}, run #{})",
+        repro.digest, repro.budget, repro.campaign_seed, repro.run_index
     );
     if let Some(metrics) = &repro.metrics {
         let _ = writeln!(
@@ -59,10 +58,9 @@ pub fn render_waterfall(repro: &Repro, run: &DiagnosedRun) -> String {
             metrics.max_message_bits()
         );
     }
-    let reference = repro.backend.backends().0;
     let _ = writeln!(
         out,
-        "replayed: {} rounds on {reference:?}; {}+{} msgs correct+faulty, {} bits correct, max msg {} bits",
+        "replayed: {} rounds on Sim; {}+{} msgs correct+faulty, {} bits correct, max msg {} bits",
         run.rounds,
         run.metrics.messages_correct(),
         run.metrics.messages_faulty(),
@@ -81,7 +79,7 @@ pub fn render_waterfall(repro: &Repro, run: &DiagnosedRun) -> String {
         "faults:   byzantine indices {faulty:?}, transport-excluded ids {excluded:?}, {} malformed sends",
         run.malformed.len()
     );
-    let margins = crate::oracle::suite_margins(&repro.schedule, run, reference);
+    let margins = crate::oracle::suite_margins(&repro.schedule, run);
     if !margins.is_empty() {
         let rendered: Vec<String> = margins
             .iter()
@@ -279,7 +277,6 @@ pub(crate) fn describe_event(event: &ProtocolEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BackendChoice;
     use crate::generator::generate_schedule;
     use crate::schedule::BudgetRegime;
 
@@ -288,7 +285,6 @@ mod tests {
             campaign_seed: 7,
             run_index: 0,
             budget: BudgetRegime::InBudget,
-            backend: BackendChoice::Both,
             digest: "clean".into(),
             schedule: generate_schedule(per_seed(), BudgetRegime::InBudget),
             metrics: None,

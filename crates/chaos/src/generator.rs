@@ -151,7 +151,6 @@ fn link_in(rng: &mut StdRng, n: usize) -> LinkId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opr_transport::BackendKind;
 
     #[test]
     fn generation_is_deterministic_in_seed() {
@@ -197,7 +196,7 @@ mod tests {
         for seed in 0..8u64 {
             for budget in BudgetRegime::ALL {
                 let s = generate_schedule(seed, budget);
-                s.run_on(BackendKind::Sim)
+                s.run()
                     .unwrap_or_else(|e| panic!("seed {seed} {budget}: {e}"));
             }
         }

@@ -16,20 +16,17 @@
 //!    size, an id layout, a Byzantine adversary placement and a transport
 //!    [`FaultPlan`](opr_transport::FaultPlan), aimed at one of three fault
 //!    *budget regimes* (strictly under `t`, exactly `t`, deliberately over).
-//! 2. [`ChaosSchedule::run_on`] executes the schedule on the simulator and/or the
-//!    pooled backend via the diagnosing runner
+//! 2. [`ChaosSchedule::run`] executes the schedule via the diagnosing runner
 //!    ([`opr_workload::RenamingRun::run_diagnosed`]) — over-budget runs
 //!    *degrade* into structured reports instead of panicking.
 //! 3. [`standard_suite`] holds the pluggable [`Oracle`]s: uniqueness, order
 //!    preservation over healthy correct processes, the per-algorithm
-//!    namespace bound, the exact step count, and bit-equality across
-//!    backends.
+//!    namespace bound, the exact step count, and correct-process hygiene.
 //! 4. [`engine`] loops 1–3 into a campaign, converts panics into failures
 //!    with `catch_unwind`, and applies the per-regime pass rule: in- and
 //!    at-budget runs must be clean; over-budget runs pass iff they are
 //!    *degraded but diagnosed* (harness-level breaches — a correct process
-//!    sending malformed traffic, backends diverging, a panic — fail in
-//!    every regime).
+//!    sending malformed traffic, a panic — fail in every regime).
 //! 5. Shrinking ([`ShrinkResult`]) minimizes a failing schedule: delta debugging
 //!    over the fault events, then Byzantine-count reduction, then onset
 //!    weakening.
@@ -54,8 +51,8 @@ mod schedule;
 mod shrink;
 
 pub use engine::{
-    BackendChoice, CampaignConfig, CampaignMetrics, CampaignReport, ExecutedRun, ExecutedSchedule,
-    Failure, RunVerdict,
+    BackendChoice, CampaignConfig, CampaignMetrics, CampaignReport, ExecutedSchedule, Failure,
+    RunVerdict,
 };
 pub use explain::{explain_repro, render_waterfall, Explained};
 pub use generator::generate_schedule;

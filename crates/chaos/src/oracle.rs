@@ -1,12 +1,9 @@
 //! The pluggable invariant-oracle suite.
 //!
-//! Each oracle inspects one diagnosed run (plus, when the campaign executes
-//! a schedule on both backends, the second run) and reports the breaches it
-//! owns. The property oracles project out of the runner's own diagnosis
+//! Each oracle inspects one diagnosed run and reports the breaches it owns.
+//! The property oracles project out of the runner's own diagnosis
 //! ([`DegradedOutcome::diagnose`](opr_types::DegradedOutcome::diagnose)
-//! already judges the healthy correct processes); the cross-backend oracle
-//! compares the two executions observable-by-observable and demands
-//! bit-equality.
+//! already judges the healthy correct processes).
 //!
 //! Beyond the boolean verdict, oracles with a numeric notion of slack
 //! expose [`Oracle::margin`] — the distance to violation. A margin of `0`
@@ -16,7 +13,6 @@
 
 use crate::schedule::ChaosSchedule;
 use opr_obs::ProtocolEvent;
-use opr_transport::BackendKind;
 use opr_types::{PropertyViolation, Violation};
 use opr_workload::DiagnosedRun;
 
@@ -24,13 +20,8 @@ use opr_workload::DiagnosedRun;
 pub struct OracleInput<'a> {
     /// The schedule that ran.
     pub schedule: &'a ChaosSchedule,
-    /// The reference execution's diagnosis.
-    pub reference: &'a DiagnosedRun,
-    /// Which backend produced the reference.
-    pub reference_backend: BackendKind,
-    /// The cross-check execution, when the campaign compares backends
-    /// ([`BackendChoice::Both`](crate::BackendChoice::Both)).
-    pub cross_check: Option<(BackendKind, &'a DiagnosedRun)>,
+    /// The run's diagnosis.
+    pub run: &'a DiagnosedRun,
 }
 
 /// One paper invariant, checkable against an executed schedule.
@@ -60,14 +51,13 @@ pub(crate) fn violation_kind(v: &Violation) -> &'static str {
         Violation::StepCountMismatch { .. } => "steps",
         Violation::MissedTermination { .. } => "missed-termination",
         Violation::CorrectMalformed(_) => "correct-malformed",
-        Violation::BackendDivergence { .. } => "backend-divergence",
     }
 }
 
-/// Projects the reference diagnosis onto the kinds an oracle owns.
+/// Projects the run's diagnosis onto the kinds an oracle owns.
 fn project(input: &OracleInput<'_>, kinds: &[&str]) -> Vec<Violation> {
     input
-        .reference
+        .run
         .degraded
         .violations
         .iter()
@@ -120,7 +110,7 @@ impl Oracle for NamespaceOracle {
             .cfg()
             .ok()?
             .namespace_bound(input.schedule.regime) as i64;
-        let max = input.reference.full_outcome.max_name()?;
+        let max = input.run.full_outcome.max_name()?;
         Some(bound - max.raw())
     }
 }
@@ -139,7 +129,7 @@ impl Oracle for StepCountOracle {
     /// slack is zero and any drift is already a violation by that much.
     /// `None` while the run has not completed (the contract is unjudged).
     fn margin(&self, input: &OracleInput<'_>) -> Option<i64> {
-        if !input.reference.degraded.completed {
+        if !input.run.degraded.completed {
             return None;
         }
         let expected = input
@@ -147,7 +137,7 @@ impl Oracle for StepCountOracle {
             .cfg()
             .ok()?
             .total_steps(input.schedule.regime) as i64;
-        let got = input.reference.rounds as i64;
+        let got = input.run.rounds as i64;
         Some(-(expected - got).abs())
     }
 }
@@ -166,7 +156,7 @@ impl Oracle for TerminationOracle {
     /// latest decision step`, from the event stream); `−1` when some
     /// recorded process never decided. `None` without recorded events.
     fn margin(&self, input: &OracleInput<'_>) -> Option<i64> {
-        let log = input.reference.events.as_ref()?;
+        let log = input.run.events.as_ref()?;
         let budget = input
             .schedule
             .cfg()
@@ -203,64 +193,6 @@ impl Oracle for MalformedOracle {
     }
     fn check(&self, input: &OracleInput<'_>) -> Vec<Violation> {
         project(input, &["correct-malformed"])
-    }
-}
-
-/// Every compared backend produced observables bit-equal to the reference:
-/// outcome, rounds, message/bit metrics, the malformed-send ledger and the
-/// diagnosis itself.
-pub(crate) struct CrossBackendOracle;
-
-impl Oracle for CrossBackendOracle {
-    fn name(&self) -> &'static str {
-        "cross-backend"
-    }
-    fn check(&self, input: &OracleInput<'_>) -> Vec<Violation> {
-        let a = input.reference;
-        let mut out = Vec::new();
-        if let Some((_, other)) = input.cross_check {
-            let mut diverge = |observable: &'static str, left: String, right: String| {
-                if left != right {
-                    out.push(Violation::BackendDivergence {
-                        observable,
-                        reference: left,
-                        other: right,
-                    });
-                }
-            };
-            diverge(
-                "outcome",
-                format!("{:?}", a.full_outcome),
-                format!("{:?}", other.full_outcome),
-            );
-            diverge("rounds", a.rounds.to_string(), other.rounds.to_string());
-            diverge(
-                "messages",
-                a.metrics.messages_total().to_string(),
-                other.metrics.messages_total().to_string(),
-            );
-            diverge(
-                "bits",
-                a.metrics.bits_correct().to_string(),
-                other.metrics.bits_correct().to_string(),
-            );
-            diverge(
-                "max-message-bits",
-                a.metrics.max_message_bits().to_string(),
-                other.metrics.max_message_bits().to_string(),
-            );
-            diverge(
-                "malformed",
-                format!("{:?}", a.malformed),
-                format!("{:?}", other.malformed),
-            );
-            diverge(
-                "diagnosis",
-                format!("{:?}", a.degraded.violations),
-                format!("{:?}", other.degraded.violations),
-            );
-        }
-        out
     }
 }
 
@@ -329,13 +261,13 @@ impl Oracle for QuorumEdgeOracle {
         Vec::new()
     }
     fn margin(&self, input: &OracleInput<'_>) -> Option<i64> {
-        quorum_pressure(input.reference)
+        quorum_pressure(input.run)
     }
 }
 
 /// The full standard suite, in reporting order: the four renaming
-/// properties, the step count, correct-process hygiene, cross-backend
-/// bit-equality, and the (margin-only) quorum edge.
+/// properties, the step count, correct-process hygiene, and the
+/// (margin-only) quorum edge.
 pub fn standard_suite() -> Vec<Box<dyn Oracle>> {
     vec![
         Box::new(UniquenessOracle),
@@ -344,24 +276,17 @@ pub fn standard_suite() -> Vec<Box<dyn Oracle>> {
         Box::new(TerminationOracle),
         Box::new(StepCountOracle),
         Box::new(MalformedOracle),
-        Box::new(CrossBackendOracle),
         Box::new(QuorumEdgeOracle),
     ]
 }
 
-/// Every oracle's margin for one single-backend execution, in suite order,
-/// skipping oracles with no numeric slack on this run.
+/// Every oracle's margin for one run, in suite order, skipping oracles
+/// with no numeric slack on this run.
 pub(crate) fn suite_margins(
     schedule: &ChaosSchedule,
     run: &DiagnosedRun,
-    backend: BackendKind,
 ) -> Vec<(&'static str, i64)> {
-    let input = OracleInput {
-        schedule,
-        reference: run,
-        reference_backend: backend,
-        cross_check: None,
-    };
+    let input = OracleInput { schedule, run };
     standard_suite()
         .iter()
         .filter_map(|oracle| oracle.margin(&input).map(|m| (oracle.name(), m)))
@@ -374,46 +299,18 @@ mod tests {
     use crate::generator::generate_schedule;
     use crate::schedule::BudgetRegime;
 
-    fn input_for<'a>(
-        schedule: &'a ChaosSchedule,
-        reference: &'a DiagnosedRun,
-        other: Option<&'a DiagnosedRun>,
-    ) -> OracleInput<'a> {
-        OracleInput {
-            schedule,
-            reference,
-            reference_backend: BackendKind::Sim,
-            cross_check: other.map(|o| (BackendKind::Pooled, o)),
-        }
-    }
-
     #[test]
     fn clean_run_satisfies_every_oracle() {
         let schedule = generate_schedule(3, BudgetRegime::AtBudget);
-        let sim = schedule.run_on(BackendKind::Sim).unwrap();
-        let pooled = schedule.run_on(BackendKind::Pooled).unwrap();
-        let input = input_for(&schedule, &sim, Some(&pooled));
+        let run = schedule.run().unwrap();
+        let input = OracleInput {
+            schedule: &schedule,
+            run: &run,
+        };
         for oracle in standard_suite() {
             let violations = oracle.check(&input);
             assert!(violations.is_empty(), "{}: {violations:?}", oracle.name());
         }
-    }
-
-    #[test]
-    fn cross_backend_oracle_flags_divergence() {
-        let schedule = generate_schedule(3, BudgetRegime::AtBudget);
-        let sim = schedule.run_on(BackendKind::Sim).unwrap();
-        let mut forged = sim.clone();
-        forged.rounds += 1;
-        let input = input_for(&schedule, &sim, Some(&forged));
-        let violations = CrossBackendOracle.check(&input);
-        assert!(violations.iter().any(|v| matches!(
-            v,
-            Violation::BackendDivergence {
-                observable: "rounds",
-                ..
-            }
-        )));
     }
 
     #[test]
@@ -432,9 +329,12 @@ mod tests {
             events: Vec::new(),
             payload_cap: None,
         };
-        let sim = schedule.run_on(BackendKind::Sim).unwrap();
-        let input = input_for(&schedule, &sim, None);
-        if sim.degraded.is_clean() {
+        let run = schedule.run().unwrap();
+        let input = OracleInput {
+            schedule: &schedule,
+            run: &run,
+        };
+        if run.degraded.is_clean() {
             // 3 silent processes may still allow termination; nothing to do.
             return;
         }
@@ -449,7 +349,7 @@ mod tests {
         let mut names: Vec<&str> = standard_suite().iter().map(|o| o.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 8);
+        assert_eq!(names.len(), 7);
     }
 
     #[test]
@@ -457,8 +357,8 @@ mod tests {
         let mut saw_quorum_edge = false;
         for seed in 0..8u64 {
             let schedule = generate_schedule(seed, BudgetRegime::InBudget);
-            let run = schedule.run_observed(BackendKind::Sim).unwrap();
-            let margins = suite_margins(&schedule, &run, BackendKind::Sim);
+            let run = schedule.run_observed().unwrap();
+            let margins = suite_margins(&schedule, &run);
             let lookup = |name: &str| margins.iter().find(|(n, _)| *n == name).map(|&(_, m)| m);
             // A clean in-budget run sits inside every numeric bound.
             assert!(lookup("namespace").unwrap() >= 0, "seed {seed}");
@@ -477,8 +377,8 @@ mod tests {
     #[test]
     fn margins_need_events_where_events_are_the_signal() {
         let schedule = generate_schedule(3, BudgetRegime::InBudget);
-        let run = schedule.run_on(BackendKind::Sim).unwrap();
-        let margins = suite_margins(&schedule, &run, BackendKind::Sim);
+        let run = schedule.run().unwrap();
+        let margins = suite_margins(&schedule, &run);
         // Without a recorded event stream the event-derived margins vanish
         // but the outcome-derived ones survive.
         assert!(margins.iter().any(|(n, _)| *n == "namespace"));

@@ -1,11 +1,10 @@
 //! Replayable repro files (`chaos-repro.json`).
 //!
 //! A repro file is self-contained: the campaign seed it came from, the
-//! failing schedule in full, the backend choice and the verdict digest the
-//! failure showed. Replaying re-executes the schedule deterministically and
+//! failing schedule in full and the verdict digest the failure showed. Replaying re-executes the schedule deterministically and
 //! re-judges it with the same oracle suite — the digest must reproduce.
 
-use crate::engine::{judge_schedule, BackendChoice, RunVerdict};
+use crate::engine::{judge_schedule, RunVerdict};
 use crate::oracle::Oracle;
 use crate::schedule::{BudgetRegime, ChaosSchedule};
 use opr_adversary::AdversarySpec;
@@ -17,7 +16,8 @@ use opr_workload::IdDistribution;
 use std::fmt;
 
 /// Format version written into every file (bump on breaking changes).
-pub(crate) const REPRO_VERSION: u64 = 1;
+/// Version 2 dropped the `backend` key.
+pub(crate) const REPRO_VERSION: u64 = 2;
 
 /// The largest system size a repro file may ask for: the largest `N` any
 /// test runs (`tests/large_n.rs`). A larger `n` is refused before anything
@@ -33,13 +33,11 @@ pub struct Repro {
     pub run_index: usize,
     /// The budget regime the run was judged under.
     pub budget: BudgetRegime,
-    /// Which backend(s) showed the failure.
-    pub backend: BackendChoice,
     /// The verdict digest at capture time (e.g. `"uniqueness"`, `"panic"`).
     pub digest: String,
     /// The (possibly shrunk) schedule.
     pub schedule: ChaosSchedule,
-    /// Per-round network metrics of the reference run at capture time, when
+    /// Per-round network metrics of the run at capture time, when
     /// the capturing campaign executed the schedule (panicking runs have
     /// none). Purely informational on replay — the replayed run recomputes
     /// its own — but lets a repro file document how much traffic the
@@ -72,7 +70,6 @@ impl Repro {
             ("campaign_seed".into(), Json::UInt(self.campaign_seed)),
             ("run_index".into(), Json::UInt(self.run_index as u64)),
             ("budget".into(), Json::Str(self.budget.label().into())),
-            ("backend".into(), Json::Str(self.backend.label().into())),
             ("digest".into(), Json::Str(self.digest.clone())),
             ("schedule".into(), schedule_to_json(&self.schedule)),
         ];
@@ -104,8 +101,6 @@ impl Repro {
             run_index: field_u64(&doc, "run_index")? as usize,
             budget: BudgetRegime::parse(field_str(&doc, "budget")?)
                 .ok_or_else(|| bad("unknown budget label"))?,
-            backend: BackendChoice::parse(field_str(&doc, "backend")?)
-                .ok_or_else(|| bad("unknown backend label"))?,
             digest: field_str(&doc, "digest")?.to_string(),
             schedule: schedule_from_json(
                 doc.get("schedule").ok_or_else(|| bad("missing schedule"))?,
@@ -117,11 +112,11 @@ impl Repro {
         })
     }
 
-    /// Re-executes the schedule with the recorded backend choice and
-    /// re-judges it. Deterministic: the same file always yields the same
-    /// verdict, and a valid repro reproduces its recorded digest.
+    /// Re-executes the schedule and re-judges it. Deterministic: the same
+    /// file always yields the same verdict, and a valid repro reproduces
+    /// its recorded digest.
     pub fn replay(&self, oracles: &[Box<dyn Oracle>]) -> RunVerdict {
-        judge_schedule(&self.schedule, self.backend, oracles)
+        judge_schedule(&self.schedule, oracles)
     }
 }
 
@@ -351,7 +346,6 @@ mod tests {
             campaign_seed: seed,
             run_index: 17,
             budget: BudgetRegime::OverBudget,
-            backend: BackendChoice::Both,
             digest: "missed-termination".into(),
             schedule: generate_schedule(seed, BudgetRegime::OverBudget),
             metrics: None,
@@ -422,8 +416,8 @@ mod tests {
             ("{", "json error"),
             (r#"{"version": 99}"#, "version"),
             (
-                r#"{"version": 1, "campaign_seed": 0, "run_index": 0,
-                   "budget": "sideways", "backend": "sim", "digest": "x",
+                r#"{"version": 2, "campaign_seed": 0, "run_index": 0,
+                   "budget": "sideways", "digest": "x",
                    "schedule": {}}"#,
                 "budget",
             ),
@@ -508,14 +502,12 @@ mod tests {
         let mut largest = base;
         (largest.n, largest.t) = (MAX_REPRO_N, 300);
         assert_eq!(schedule_from_json(&schedule_to_json(&largest)), Ok(largest));
-        // An otherwise valid file carrying a retired backend label is a typed
-        // error, not a panic or alias.
+        // A version-1 file (which named a backend) is refused by version.
         let text = sample_repro(23).to_json();
-        for label in ["threaded", "all", "auto"] {
-            let stale = text.replace(r#""backend": "both""#, &format!(r#""backend": "{label}""#));
-            assert_ne!(stale, text);
-            let err = Repro::from_json(&stale).unwrap_err();
-            assert!(err.to_string().contains("unknown backend label"), "{err}");
-        }
+        assert!(!text.contains("backend"), "{text}");
+        let v1 = text.replace(r#""version": 2"#, r#""version": 1"#);
+        assert_ne!(v1, text);
+        let err = Repro::from_json(&v1).unwrap_err();
+        assert!(err.to_string().contains("unsupported version 1"), "{err}");
     }
 }

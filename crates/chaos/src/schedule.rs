@@ -2,7 +2,7 @@
 
 use opr_adversary::AdversarySpec;
 use opr_core::fault_placement;
-use opr_transport::{BackendKind, FaultEvent, FaultPlan};
+use opr_transport::{FaultEvent, FaultPlan};
 use opr_types::{Regime, RenamingError, SystemConfig};
 use opr_workload::{DiagnosedRun, IdDistribution, RenamingRun};
 use std::fmt;
@@ -135,10 +135,10 @@ impl ChaosSchedule {
         }
     }
 
-    /// The schedule as a ready-to-run [`RenamingRun`] on `backend` — the one
-    /// place a schedule becomes a run (ids, adversary, seed, fault plan,
-    /// payload cap, fault overrun). Callers that want more than
-    /// [`ChaosSchedule::run_on`] / [`ChaosSchedule::run_observed`] attach it
+    /// The schedule as a ready-to-run [`RenamingRun`] — the one place a
+    /// schedule becomes a run (ids, adversary, seed, fault plan, payload
+    /// cap, fault overrun). Callers that want more than
+    /// [`ChaosSchedule::run`] / [`ChaosSchedule::run_observed`] attach it
     /// through the builder (`.trace(..)`, `.spans(..)`, `.metrics(..)`).
     ///
     /// # Errors
@@ -146,7 +146,7 @@ impl ChaosSchedule {
     /// Returns [`RenamingError`] for setups the runner cannot start: an
     /// invalid `(n, t)` pair, or more Byzantine actors than processes — a
     /// generator or repro-file bug, never a legitimate chaos outcome.
-    pub fn to_run(&self, backend: BackendKind) -> Result<RenamingRun, RenamingError> {
+    pub fn to_run(&self) -> Result<RenamingRun, RenamingError> {
         let cfg = self.cfg()?;
         if self.byzantine > self.n {
             return Err(RenamingError::TooManyFaultyActors {
@@ -161,7 +161,6 @@ impl ChaosSchedule {
             .correct_ids(ids)
             .adversary(self.adversary, self.byzantine)
             .seed(self.run_seed)
-            .backend(backend)
             .faults(self.fault_plan())
             .allow_fault_overrun();
         Ok(match self.payload_cap {
@@ -170,26 +169,26 @@ impl ChaosSchedule {
         })
     }
 
-    /// Executes the schedule on `backend` and diagnoses the result.
-    /// Over-budget schedules degrade into reports rather than erroring.
+    /// Executes the schedule and diagnoses the result. Over-budget
+    /// schedules degrade into reports rather than erroring.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ChaosSchedule::to_run`], plus a bad id set.
-    pub fn run_on(&self, backend: BackendKind) -> Result<DiagnosedRun, RenamingError> {
-        self.to_run(backend)?.run_diagnosed()
+    pub fn run(&self) -> Result<DiagnosedRun, RenamingError> {
+        self.to_run()?.run_diagnosed()
     }
 
-    /// [`ChaosSchedule::run_on`] with the protocol event recorder attached:
+    /// [`ChaosSchedule::run`] with the protocol event recorder attached:
     /// the diagnosis comes back with [`DiagnosedRun::events`] populated (the
-    /// event stream is deterministic — bit-identical across backends). This
+    /// event stream is deterministic — bit-identical across replays). This
     /// is the entry point `chaos explain` replays repro files through.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ChaosSchedule::run_on`].
-    pub fn run_observed(&self, backend: BackendKind) -> Result<DiagnosedRun, RenamingError> {
-        self.to_run(backend)?.record_events().run_diagnosed()
+    /// Same conditions as [`ChaosSchedule::run`].
+    pub fn run_observed(&self) -> Result<DiagnosedRun, RenamingError> {
+        self.to_run()?.record_events().run_diagnosed()
     }
 
     /// A one-line human summary for logs and failure reports.
@@ -254,14 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn runs_identically_on_both_backends() {
-        let s = base();
-        let sim = s.run_on(BackendKind::Sim).unwrap();
-        let pooled = s.run_on(BackendKind::Pooled).unwrap();
-        assert!(sim.degraded.is_clean(), "{:?}", sim.degraded.violations);
-        assert_eq!(sim.full_outcome, pooled.full_outcome);
-        assert_eq!(sim.rounds, pooled.rounds);
-        assert_eq!(sim.malformed, pooled.malformed);
+    fn an_in_budget_schedule_runs_clean() {
+        let run = base().run().unwrap();
+        assert!(run.degraded.is_clean(), "{:?}", run.degraded.violations);
     }
 
     #[test]
@@ -271,7 +265,7 @@ mod tests {
             ..base()
         };
         assert!(matches!(
-            s.run_on(BackendKind::Sim),
+            s.run(),
             Err(RenamingError::TooManyFaultyActors { got: 9, bound: 7 })
         ));
     }
@@ -279,18 +273,16 @@ mod tests {
     #[test]
     fn observed_runs_match_unobserved_runs_and_each_other() {
         let s = base();
-        let plain = s.run_on(BackendKind::Sim).unwrap();
-        let sim = s.run_observed(BackendKind::Sim).unwrap();
-        let pooled = s.run_observed(BackendKind::Pooled).unwrap();
+        let plain = s.run().unwrap();
+        let observed = s.run_observed().unwrap();
         // Attaching the recorder perturbs nothing deterministic…
-        assert_eq!(plain.full_outcome, sim.full_outcome);
-        assert_eq!(plain.rounds, sim.rounds);
-        assert_eq!(plain.metrics, sim.metrics);
-        // …and the event stream itself is backend-invariant.
-        let sim_events = sim.events.expect("recorder attached");
-        let pooled_events = pooled.events.expect("recorder attached");
-        assert!(!sim_events.is_empty());
-        assert_eq!(sim_events, pooled_events);
+        assert_eq!(plain.full_outcome, observed.full_outcome);
+        assert_eq!(plain.rounds, observed.rounds);
+        assert_eq!(plain.metrics, observed.metrics);
+        // …and the event stream itself replays identically.
+        let events = observed.events.expect("recorder attached");
+        assert!(!events.is_empty());
+        assert_eq!(Some(events), s.run_observed().unwrap().events);
     }
 
     #[test]

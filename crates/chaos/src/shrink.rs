@@ -12,8 +12,8 @@
 //!    fault that bites later is a weaker, easier-to-read reproducer.
 //!
 //! The caller supplies the predicate (typically "re-execute and compare
-//! the verdict digest"), so the shrinker is independent of backends and
-//! oracle configuration.
+//! the verdict digest"), so the shrinker is independent of how schedules
+//! run and of the oracle configuration.
 
 use crate::schedule::ChaosSchedule;
 use opr_transport::{FaultEvent, FaultPlan};

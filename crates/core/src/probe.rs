@@ -41,8 +41,9 @@ pub struct ProcessProbe {
 }
 
 /// Shared handle to a [`ProcessProbe`]. `Arc<Mutex<…>>` so actors stay
-/// `Send` and probes work on the pooled substrate; on the sim backend the
-/// lock is uncontended and effectively free.
+/// `Send` (`Network::step_on` may step them on worker threads); every run
+/// steps them on one thread, where the lock is uncontended and effectively
+/// free.
 pub(crate) type SharedProcessProbe = Arc<Mutex<ProcessProbe>>;
 
 /// Creates a fresh shared probe.

@@ -90,8 +90,9 @@ impl AdversaryEnv<'_> {
 pub struct RunOptions<T> {
     /// Seed for topology labelling and faulty-actor placement.
     pub seed: u64,
-    /// Which execution substrate runs the system (observationally
-    /// equivalent; defaults to the single-threaded simulator).
+    /// Selects nothing: every run steps its network on the calling thread.
+    /// Kept for `benchmark/` until that package depends on the `opr`
+    /// facade alone.
     pub backend: BackendKind,
     /// Skip the `faulty_count ≤ t` check — for over-budget chaos campaigns
     /// that deliberately exceed the fault bound to observe degradation.
@@ -153,7 +154,7 @@ pub struct ObservedRun<P> {
     /// Delivery events, present iff a `trace_capacity` was requested.
     pub trace: Option<Trace>,
     /// Per-process protocol event streams, present iff event recording was
-    /// requested. Deterministic: bit-identical across backends and job
+    /// requested. Deterministic: bit-identical across replays and job
     /// counts for the same schedule.
     pub events: Option<RunLog>,
     /// Aggregated invariant probes.
@@ -517,7 +518,7 @@ where
             true
         }
     });
-    let report = opts.backend.run(net, opts.exec, total_steps);
+    let report = opr_transport::run(net, opts.exec, total_steps);
     let outcome = RenamingOutcome::new(
         positions
             .iter()

@@ -130,7 +130,7 @@ impl RunPool {
     /// and execution-time histograms (`opr_pool_queue_wait_ns`,
     /// `opr_pool_task_ns`) plus a task counter, and every batch a stage
     /// duration histogram. These are wall-clock metrics: they never enter
-    /// goldens or cross-backend equality.
+    /// goldens or equality checks.
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.metrics = Some(PoolMetrics {
             tasks: registry.counter("opr_pool_tasks_total"),

@@ -5,12 +5,12 @@
 //!
 //! * **Deterministic plane** — protocol facts (messages, wire bits, quorum
 //!   crossings, grants, recycled names, oracle margins) derived from run
-//!   artefacts into a [`MetricsSnapshot`]. Bit-identical across the Sim
-//!   and Pooled backends and any `--jobs` value; safe to pin in
-//!   goldens and equivalence suites.
+//!   artefacts into a [`MetricsSnapshot`]. Bit-identical across replays
+//!   and any `--jobs` value; safe to pin in goldens and equivalence
+//!   suites.
 //! * **Wall-clock plane** — latencies and queue waits recorded live through a
 //!   [`MetricsRegistry`] of sharded atomic cells. Never enters goldens or
-//!   cross-backend equality checks.
+//!   equality checks.
 //!
 //! The hot path is one relaxed `fetch_add`; with no registry attached the
 //! instrumented code pays nothing (alloc-bracket gated in `opr-bench`).

@@ -165,7 +165,7 @@ struct Inner {
 }
 
 /// Shared registry of named metrics. Cloning shares the underlying store, so
-/// one registry can be handed to every backend, pool worker, and service shard
+/// one registry can be handed to every run, pool worker, and service shard
 /// and merged with a single [`snapshot`](Self::snapshot) call.
 ///
 /// Handle *creation* takes a lock and may allocate; do it once at setup, then

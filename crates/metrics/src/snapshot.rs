@@ -1,6 +1,6 @@
 //! Point-in-time, order-stable view of a registry (or a hand-built
 //! deterministic fold). `MetricsSnapshot` derives `Eq` so equivalence suites
-//! can pin the deterministic plane bit-identical across backends and job
+//! can pin the deterministic plane bit-identical across replays and job
 //! counts.
 
 use std::collections::BTreeMap;

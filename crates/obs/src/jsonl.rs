@@ -1,8 +1,8 @@
 //! JSONL exporter: one compact JSON object per merged protocol event.
 //!
 //! Output is a pure function of the [`RunLog`], so two logs that compare
-//! equal render byte-identical JSONL — the cross-backend and cross-jobs
-//! equivalence gates compare these bytes directly. Rank values are rendered
+//! equal render byte-identical JSONL — the cross-jobs equivalence gate
+//! compares these bytes directly. Rank values are rendered
 //! as fixed-precision *strings* (never raw float literals) so that the
 //! output stays parseable by strict integer-only JSON readers.
 

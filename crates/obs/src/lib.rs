@@ -6,9 +6,8 @@
 //!    per-process stream of decision points (threshold crossings, vote
 //!    validation, trimmed means, king adoptions, name assignments). The
 //!    stream is a pure function of the messages a process receives, so for
-//!    a fixed schedule it is bit-identical across the Sim and Pooled
-//!    backends and across `--jobs` counts; `tests/backend_equivalence.rs`
-//!    and `tests/exec_equivalence.rs` gate exactly that.
+//!    a fixed schedule it is bit-identical across replays and across
+//!    `--jobs` counts; `tests/exec_equivalence.rs` gates exactly that.
 //! 2. **Wall-clock spans** ([`Span`], [`SpanLog`]) — real per-round and
 //!    per-pool-task timings. Never merged into the deterministic stream,
 //!    never equality-gated.

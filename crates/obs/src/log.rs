@@ -30,9 +30,9 @@ pub(crate) struct MergedEvent {
 
 /// The deterministic protocol event stream of one run.
 ///
-/// Process order follows the run's correct-actor order, which both backends
-/// share; every field is a pure function of delivered messages, so two
-/// `RunLog`s from the same schedule compare bit-identical across substrates.
+/// Process order follows the run's correct-actor order; every field is a
+/// pure function of delivered messages, so two `RunLog`s from the same
+/// schedule compare bit-identical.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunLog {
     /// One log per correct process, in correct-actor order.

@@ -41,7 +41,8 @@ impl MemoryRecorder {
 
 /// A shareable recorder handle: one per process, cloned into the actor and
 /// kept by the runner for post-run collection. `Mutex` (not `RefCell`)
-/// because the pooled backend steps actors on worker threads.
+/// because actors are `Send`: `Network::step_on` may step them on worker
+/// threads.
 pub type SharedRecorder = Arc<Mutex<MemoryRecorder>>;
 
 /// Creates a fresh [`SharedRecorder`].

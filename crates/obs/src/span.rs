@@ -3,8 +3,8 @@
 //! Spans are the *non-deterministic* half of the telemetry: real durations
 //! of rounds and pool tasks. They are kept strictly apart from the protocol
 //! event stream — never merged into it, never equality-gated, and excluded
-//! from golden renderings — because wall timings differ across backends,
-//! machines and runs by nature.
+//! from golden renderings — because wall timings differ across machines
+//! and runs by nature.
 //!
 //! Span names are `&'static str` plus up to two numeric qualifiers, so
 //! recording a span never allocates (beyond amortised `Vec` growth, which

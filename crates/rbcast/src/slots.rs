@@ -16,9 +16,9 @@
 //!
 //! # Determinism
 //!
-//! Slot numbers are *not* deterministic: on the pooled backend, actors
-//! intern concurrently, so first-sight order (and hence slot order) varies
-//! between runs. Every observable therefore goes through values, never
+//! Slot numbers are *not* deterministic: when actors are stepped on worker
+//! threads (`Network::step_on`), they intern concurrently, so first-sight
+//! order (and hence slot order) varies between runs. Every observable therefore goes through values, never
 //! slots: `Debug` renders the decoded values in `Ord` order (byte-identical
 //! to the `BTreeSet` rendering traces were blessed against), equality and
 //! wire size are value-based, and the flood decodes to value-ordered

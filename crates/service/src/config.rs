@@ -90,7 +90,9 @@ pub struct ServiceConfig {
     pub byzantine: usize,
     /// Byzantine strategy of the faulty actors.
     pub adversary: AdversarySpec,
-    /// Execution substrate for the protocol instances.
+    /// Selects nothing: every instance steps its network on the calling
+    /// thread. Kept for `benchmark/` until that package depends on the
+    /// `opr` facade alone; repro files do not record it.
     pub backend: BackendKind,
     /// Admission-queue bound: operations beyond this are rejected with
     /// backpressure instead of queueing unboundedly.
@@ -137,6 +139,13 @@ impl ServiceConfig {
     /// the correct slots of the protocol instance.
     pub(crate) fn epoch_capacity(&self) -> usize {
         self.epoch_cfg.n() - self.byzantine
+    }
+
+    /// The largest original id an instance can carry: its filler ids sit
+    /// above every real one, and a batch of one real id takes
+    /// `epoch_capacity − 1` of them.
+    pub(crate) fn max_original(&self) -> u64 {
+        u64::MAX - (self.epoch_capacity() as u64).saturating_sub(1)
     }
 
     /// The inclusive name range shard `s` owns.

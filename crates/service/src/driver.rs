@@ -4,7 +4,7 @@
 //!
 //! The driver is the replayability boundary: a [`ServiceSpec`] is a pure
 //! value, and `run()` is a deterministic function of it — same spec, same
-//! report, bit for bit, across `jobs` counts and backends. Everything the
+//! report, bit for bit, across `jobs` counts. Everything the
 //! soak/reduction/smoke gates compare is in the report; wall-clock spans are
 //! deliberately outside it.
 
@@ -59,7 +59,7 @@ pub struct ServiceObs {
     /// Wall-clock span log (engine + pool spans).
     pub spans: Option<SharedSpanLog>,
     /// Live metrics registry threaded through the engine, the pool, and
-    /// every protocol instance's backend.
+    /// every protocol instance's round clock.
     pub metrics: Option<MetricsRegistry>,
     /// Flight recorder receiving one epoch summary per epoch.
     pub flight: Option<SharedFlightRecorder>,
@@ -81,7 +81,7 @@ impl ServiceSpec {
 
     /// [`ServiceSpec::run`] with the full wall-plane observation bundle:
     /// spans, live metrics (engine gauges/histograms, pool queue-wait,
-    /// per-round backend histograms), flight recorder, and an optional
+    /// per-round histograms), flight recorder, and an optional
     /// every-N-epochs dashboard on stderr. The returned report is
     /// bit-identical to an unobserved run.
     ///
@@ -180,7 +180,7 @@ impl ServiceSpec {
 impl ServiceReport {
     /// Folds the report into the deterministic metrics plane: a pure
     /// function of the (deterministic) report, so it is bit-identical
-    /// across backends and `jobs` counts and safe to pin in goldens.
+    /// across `jobs` counts and safe to pin in goldens.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         snap.add_counter("opr_service_epochs_total", self.epochs);
@@ -195,6 +195,7 @@ impl ServiceReport {
             labeled("opr_service_admission_total", &[("verdict", "rejected")]),
             self.admission.rejected_queue_full
                 + self.admission.rejected_duplicate
+                + self.admission.rejected_id_overflow
                 + self.admission.rejected_unknown_release,
         );
         snap.add_counter(

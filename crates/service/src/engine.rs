@@ -60,6 +60,10 @@ pub struct AdmissionStats {
     /// Acquires dropped at drain time because the client already holds a
     /// grant or already has an acquire pending.
     pub rejected_duplicate: u64,
+    /// Acquires dropped at drain time because their original id lies
+    /// within the epoch capacity of `u64::MAX`: the instance's filler ids,
+    /// which sit above every real id, would not fit in a `u64`.
+    pub rejected_id_overflow: u64,
     /// Releases dropped at drain time because the client neither holds a
     /// grant nor has an acquire pending.
     pub rejected_unknown_release: u64,
@@ -178,7 +182,7 @@ impl Shard {
 /// Pre-created metric handles for the engine's hot paths (wall plane; the
 /// deterministic plane is `ServiceReport::metrics_snapshot`).
 struct EngineMetrics {
-    /// The registry itself, passed down into protocol instances so backend
+    /// The registry itself, passed down into protocol instances so their
     /// round histograms land in the same store.
     registry: MetricsRegistry,
     queue_depth: Gauge,
@@ -285,7 +289,7 @@ impl ServiceEngine {
     /// Attaches a live metrics registry (wall plane): queue-depth/backlog
     /// gauges, per-epoch latency and grant histograms, per-shard grant
     /// counters and free-pool occupancy, cross-epoch recycle counts, and
-    /// per-round backend histograms from the protocol instances themselves.
+    /// per-round histograms from the protocol instances themselves.
     /// Without this call the engine touches no atomics at all.
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.metrics = Some(EngineMetrics::new(registry, self.cfg.shards));
@@ -417,6 +421,8 @@ impl ServiceEngine {
                 ServiceOp::Acquire { client, original } => {
                     if shard.live.contains_key(&client) || shard.backlog_clients.contains(&client) {
                         self.admission.rejected_duplicate += 1;
+                    } else if original.raw() > self.cfg.max_original() {
+                        self.admission.rejected_id_overflow += 1;
                     } else {
                         shard.backlog.push_back((client, original));
                         shard.backlog_clients.insert(client);
@@ -665,12 +671,13 @@ fn run_instance(
     let ids = &mut instance.ids;
     let max_real = ids.iter().map(|o| o.raw()).max().unwrap_or(0);
     let fillers = cfg.epoch_capacity() - ids.len();
+    // Admission refuses every original above `ServiceConfig::max_original`,
+    // so the largest filler, `max_real + fillers`, fits.
     ids.extend((1..=fillers as u64).map(|i| OriginalId::new(max_real + i)));
     let mut run = RenamingRun::builder(cfg.epoch_cfg, cfg.regime)
         .correct_ids(ids.iter().copied())
         .adversary(cfg.adversary, cfg.byzantine)
-        .seed(epoch_seed(cfg.seed, epoch, shard))
-        .backend(cfg.backend);
+        .seed(epoch_seed(cfg.seed, epoch, shard));
     if let Some(registry) = metrics {
         run = run.metrics(registry);
     }

@@ -31,11 +31,11 @@
 //!
 //! Everything is deterministic: a [`ServiceSpec`] (configuration +
 //! [`ServiceWorkload`](opr_workload::ServiceWorkload) + jobs) replays to a
-//! bit-identical [`ServiceReport`] across `--jobs` counts and backends,
-//! which is what the `service --soak` gate and `tests/service_soak.rs`
-//! compare. [`ServiceRepro`] round-trips a spec through
-//! `service-repro.json`; `service --repro` replays it, judging the ledger
-//! and the report against the spec at `jobs = 1` on the simulator.
+//! bit-identical [`ServiceReport`] across `--jobs` counts, which is what
+//! the `service --soak` gate and `tests/service_soak.rs` compare.
+//! [`ServiceRepro`] round-trips a spec through `service-repro.json`;
+//! `service --repro` replays it, judging the ledger and the report against
+//! the spec at `jobs = 1`.
 
 pub(crate) mod config;
 pub(crate) mod driver;
@@ -132,6 +132,34 @@ mod tests {
         engine.run_epoch(&RunPool::serial()).unwrap();
         assert_eq!(engine.admission().rejected_duplicate, 2);
         assert_eq!(engine.live_count(), 1);
+    }
+
+    #[test]
+    fn an_original_whose_fillers_would_overflow_is_rejected() {
+        let mut engine = ServiceEngine::new(small_cfg()).unwrap();
+        // Capacity 3: an instance carrying `u64::MAX − 1` beside `5` would
+        // need the fillers `u64::MAX` and `u64::MAX + 1`.
+        assert!(engine.submit(acquire(1, 5)));
+        assert!(engine.submit(acquire(2, u64::MAX - 1)));
+        let stats = engine.run_epoch(&RunPool::serial()).unwrap();
+        assert_eq!(engine.admission().rejected_id_overflow, 1);
+        assert_eq!(engine.admission().rejected_duplicate, 0);
+        assert_eq!(stats.grants, 1);
+        // The largest original that fits is served; in both instances the
+        // real id keeps protocol name 1, below its fillers.
+        assert!(engine.submit(acquire(3, u64::MAX - 2)));
+        engine.run_epoch(&RunPool::serial()).unwrap();
+        assert_eq!(engine.admission().rejected_id_overflow, 1);
+        let grants: Vec<(u64, u64, i64)> = engine
+            .ledger()
+            .iter()
+            .filter_map(|event| match event {
+                LedgerEvent::Grant(g) => Some((g.client.raw(), g.name, g.protocol_name.raw())),
+                LedgerEvent::Release { .. } => None,
+            })
+            .collect();
+        assert_eq!(grants, vec![(1, 1, 1), (3, 2, 1)]);
+        assert!(judge_ledger(engine.config(), engine.ledger()).is_empty());
     }
 
     #[test]

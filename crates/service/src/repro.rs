@@ -5,8 +5,7 @@
 //! parallelism — so the repro file is just the spec plus where it was
 //! drawn. Replaying re-runs the spec, re-judges the ledger with the service
 //! oracle suite and compares the report with the spec's reference twin
-//! (`jobs = 1` on the simulator), so a captured jobs/backend divergence
-//! replays as a failure too.
+//! (`jobs = 1`), so a captured jobs divergence replays as a failure too.
 
 use crate::config::{ServiceConfig, ServiceError};
 use crate::driver::{ServiceReport, ServiceSpec};
@@ -19,7 +18,8 @@ use opr_workload::ServiceWorkload;
 use std::fmt;
 
 /// Format version written into every file (bump on breaking changes).
-pub(crate) const SERVICE_REPRO_VERSION: u64 = 1;
+/// Version 2 dropped the `backend` key.
+pub(crate) const SERVICE_REPRO_VERSION: u64 = 2;
 
 /// A replayable service failure record.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,8 +42,7 @@ pub struct ServiceReplay {
     pub report: ServiceReport,
     /// Ledger-oracle violations of `report`, tagged with their oracle.
     pub violations: Vec<(&'static str, ServiceViolation)>,
-    /// Whether `report` differs from the same spec run at `jobs = 1` on
-    /// the simulator.
+    /// Whether `report` differs from the same spec run at `jobs = 1`.
     pub diverged: bool,
 }
 
@@ -101,7 +100,6 @@ impl ServiceRepro {
                     ("regime".into(), Json::Str(s.regime.label().into())),
                     ("byzantine".into(), Json::UInt(s.byzantine as u64)),
                     ("adversary".into(), Json::Str(s.adversary.label().into())),
-                    ("backend".into(), Json::Str(s.backend.label().into())),
                     ("queue_capacity".into(), Json::UInt(s.queue_capacity as u64)),
                     ("shard_span".into(), Json::UInt(s.shard_span)),
                     ("seed".into(), Json::UInt(s.seed)),
@@ -151,8 +149,7 @@ impl ServiceRepro {
             byzantine: field_usize(s, "byzantine")?,
             adversary: AdversarySpec::parse(field_str(s, "adversary")?)
                 .ok_or_else(|| bad("unknown adversary label"))?,
-            backend: BackendKind::parse(field_str(s, "backend")?)
-                .ok_or_else(|| bad("unknown backend label"))?,
+            backend: BackendKind::Sim,
             queue_capacity: field_usize(s, "queue_capacity")?,
             shard_span: field_u64(s, "shard_span")?,
             seed: field_u64(s, "seed")?,
@@ -194,16 +191,10 @@ impl ServiceRepro {
         })
     }
 
-    /// The spec's reference twin: the same spec at `jobs = 1` on the
-    /// simulator, whose report every other execution strategy must
-    /// reproduce bit for bit.
+    /// The spec's reference twin: the same spec at `jobs = 1`, whose
+    /// report every other worker count must reproduce bit for bit.
     fn twin(&self) -> ServiceSpec {
-        let service = ServiceConfig {
-            backend: BackendKind::Sim,
-            ..self.spec.service
-        };
         ServiceSpec {
-            service,
             jobs: 1,
             ..self.spec
         }
@@ -230,7 +221,7 @@ mod tests {
                     regime: Regime::LogTime,
                     byzantine: 1,
                     adversary: AdversarySpec::RankSkew,
-                    backend: BackendKind::Pooled,
+                    backend: BackendKind::Sim,
                     queue_capacity: 32,
                     shard_span: 16,
                     seed: 99,
@@ -263,15 +254,12 @@ mod tests {
         let second = repro.replay().unwrap();
         assert_eq!(first.report, second.report);
         assert!(first.violations.is_empty(), "{:?}", first.violations);
-        assert!(
-            !first.diverged,
-            "pooled/jobs4 must match its sim/jobs1 twin"
-        );
+        assert!(!first.diverged, "jobs 4 must match its jobs 1 twin");
         assert!(first.report.grants > 0);
     }
 
     #[test]
-    fn replay_flags_a_report_that_differs_from_the_serial_sim_twin() {
+    fn replay_flags_a_report_that_differs_from_the_serial_twin() {
         let repro = sample();
         let mut tampered = repro.spec.run().unwrap();
         assert!(!repro.diverges_from_twin(&tampered).unwrap());
@@ -291,9 +279,9 @@ mod tests {
             ("{", "json error"),
             (r#"{"version": 99}"#, "version"),
             (
-                r#"{"version": 1, "campaign_seed": 0, "run_index": 0, "jobs": 1,
+                r#"{"version": 2, "campaign_seed": 0, "run_index": 0, "jobs": 1,
                    "service": {"shards": 1, "n": 7, "t": 2, "regime": "sideways",
-                               "byzantine": 0, "adversary": "silent", "backend": "sim",
+                               "byzantine": 0, "adversary": "silent",
                                "queue_capacity": 8, "shard_span": 16, "seed": 0},
                    "workload": {"clients": 10, "epochs": 2, "arrivals_per_epoch": 3,
                                 "max_hold": 1, "seed": 0}}"#,
@@ -310,17 +298,12 @@ mod tests {
         assert_ne!(zero, text);
         let err = ServiceRepro::from_json(&zero).unwrap_err();
         assert!(err.to_string().contains("at least one shard"), "{err}");
-        // An otherwise valid file naming a retired backend label is a typed
-        // error, not a panic or a silent alias.
+        // A version-1 file (which named a backend) is refused by version.
         let text = sample().to_json();
-        assert!(text.contains(r#""backend": "pooled""#), "{text}");
-        for label in ["threaded", "auto"] {
-            let stale = text.replace(
-                r#""backend": "pooled""#,
-                &format!(r#""backend": "{label}""#),
-            );
-            let err = ServiceRepro::from_json(&stale).unwrap_err();
-            assert!(err.to_string().contains("unknown backend label"), "{err}");
-        }
+        assert!(!text.contains("backend"), "{text}");
+        let v1 = text.replace(r#""version": 2"#, r#""version": 1"#);
+        assert_ne!(v1, text);
+        let err = ServiceRepro::from_json(&v1).unwrap_err();
+        assert!(err.to_string().contains("unsupported version 1"), "{err}");
     }
 }

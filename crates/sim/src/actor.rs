@@ -224,8 +224,8 @@ impl<M> FromIterator<(LinkId, Sealed<M>)> for Inbox<'_, M> {
 ///
 /// Actors are `Send` so [`Network::step_on`](crate::Network::step_on) may
 /// run the send and deliver phases on worker threads (`opr-transport`'s
-/// pooled backend); [`Network::step`](crate::Network::step) does not rely
-/// on it.
+/// `PooledBackend`, which no run selects); [`Network::step`](crate::Network::step),
+/// the schedule every run uses, does not rely on it.
 pub trait Actor: Send {
     /// Message vocabulary of the protocol.
     type Msg;

@@ -215,6 +215,10 @@ where
     /// malformed sends are those of `step` at any worker count. An actor
     /// panic is re-raised on the caller's thread once the phase has joined —
     /// the lowest-index one if several seats panic.
+    ///
+    /// No run selects this schedule: it serves `opr-transport`'s
+    /// `PooledBackend`, kept for `benchmark/`'s transport probe until that
+    /// package depends on the `opr` facade alone.
     pub fn step_on(&mut self, workers: usize)
     where
         M: Send,

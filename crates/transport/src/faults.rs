@@ -12,8 +12,7 @@
 //!
 //! Links are identified by `(sender index, outgoing link label)` — the
 //! sender-side view, matching where a real transport would fail. Plans are
-//! applied identically by every backend, before routing, metrics and
-//! tracing.
+//! applied before routing, metrics and tracing.
 
 use opr_types::{LinkId, ProcessIndex, Round};
 use std::collections::{BTreeMap, BTreeSet};

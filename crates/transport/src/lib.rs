@@ -1,28 +1,28 @@
 #![warn(missing_docs)]
-//! Pluggable lock-step execution substrates.
+//! The lock-step execution substrate.
 //!
 //! Every protocol in this workspace is written against the
 //! [`Actor`](opr_sim::Actor) contract: `send`, route, `deliver`, one
-//! synchronous round at a time. This crate makes *where that contract
-//! executes* a first-class choice:
-//!
-//! * `SimBackend` — [`opr_sim::Network`] stepped on the calling thread.
-//!   Zero concurrency, bit-for-bit reproducible, the reference semantics.
-//! * [`PooledBackend`] — the real-threads engine: the *same* `Network`,
-//!   with each round's per-process send and deliver phases on at most
-//!   `workers` scoped threads and routing kept serial. One definition of a
-//!   round, two schedules for it, so a given seed produces **identical**
-//!   outcomes, traces and [`RunMetrics`](opr_sim::RunMetrics) on both
-//!   backends, at any worker count, by construction.
+//! synchronous round at a time. This crate runs that contract: [`run`]
+//! steps an [`opr_sim::Network`] on the calling thread until every correct
+//! actor has decided or the round budget is spent, and [`Job`] /
+//! [`ExecutionReport`] package one such run for callers that bring their
+//! own actors. There is one schedule — the paper's synchronous round, in
+//! which every process sends and then every process receives — so a given
+//! seed produces one outcome, one trace and one
+//! [`RunMetrics`](opr_sim::RunMetrics).
 //!
 //! The substrate boundary is also where the model's link-anonymity lives:
-//! receivers observe *link labels*, never sender identities, on every
-//! backend. And it is the natural place for faults *below* the adversary
-//! layer — [`FaultPlan`] drops or silences chosen links per round at the
-//! transport itself, regardless of what the (possibly Byzantine) actor
-//! above tried to send.
+//! receivers observe *link labels*, never sender identities. And it is the
+//! natural place for faults *below* the adversary layer — [`FaultPlan`]
+//! drops or silences chosen links per round at the transport itself,
+//! regardless of what the (possibly Byzantine) actor above tried to send.
 //!
-//! # Example: one job, two substrates, equal results
+//! [`PooledBackend`] (the round's per-process phases on worker threads)
+//! and the one-variant [`BackendKind`] select nothing; they are kept for
+//! `benchmark/` until that package depends on the `opr` facade alone.
+//!
+//! # Example: one job, run to completion
 //!
 //! ```
 //! use opr_transport::{BackendKind, Job};
@@ -51,18 +51,21 @@
 //!     Topology::seeded(4, 7),
 //!     5,
 //! );
-//! let sim = BackendKind::Sim.execute(job(()));
-//! let pooled = BackendKind::Pooled.execute(job(()));
-//! assert_eq!(sim.outputs, pooled.outputs);
-//! assert_eq!(sim.metrics, pooled.metrics);
+//! let report = BackendKind::Sim.execute(job(()));
+//! assert!(report.completed);
+//! assert_eq!(report.rounds_executed, 1);
+//! // Every process heard all four values, its own included; the network
+//! // carried the 4 × 3 that crossed a link.
+//! assert_eq!(report.outputs, vec![Some(6); 4]);
+//! assert_eq!(report.metrics.messages_correct(), 12);
+//! // The same job, run twice, reports the same thing.
+//! assert_eq!(BackendKind::Sim.execute(job(())).metrics, report.metrics);
 //! ```
 
 pub(crate) mod faults;
 pub(crate) mod pooled;
-pub(crate) mod sim_backend;
 pub(crate) mod substrate;
 
 pub use faults::{FaultEvent, FaultPlan};
 pub use pooled::PooledBackend;
-pub(crate) use sim_backend::SimBackend;
-pub use substrate::{BackendKind, ExecOptions, ExecutionReport, Job, Substrate};
+pub use substrate::{run, BackendKind, ExecOptions, ExecutionReport, Job, Substrate};

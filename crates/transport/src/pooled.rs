@@ -1,38 +1,28 @@
-//! The real-threads schedule of the round engine.
+//! The real-threads schedule of the round engine, kept for one caller.
 //!
-//! `PooledBackend` steps the same [`opr_sim::Network`] as
-//! [`SimBackend`](crate::SimBackend), with
-//! [`Network::step_on`](opr_sim::Network::step_on): each round's send and
-//! deliver phases run on contiguous blocks of processes on at most `workers`
-//! scoped threads (the caller's included, whatever N is); routing, the only
-//! phase that touches shared state, stays serial. Nothing about a round is
-//! defined here, so outcomes, metrics, traces and malformed sends equal the
-//! simulator's at any worker count by construction; an actor panic is
-//! re-raised on the caller's thread with its own payload.
+//! `PooledBackend` steps the same [`opr_sim::Network`] as [`run`](crate::run),
+//! with [`Network::step_on`](opr_sim::Network::step_on): each round's send
+//! and deliver phases run on contiguous blocks of processes on at most
+//! `workers` scoped threads (the caller's included, whatever N is); routing,
+//! the only phase that touches shared state, stays serial. Nothing about a
+//! round is defined here, so outcomes, metrics, traces and malformed sends
+//! equal the calling-thread schedule's at any worker count by construction;
+//! an actor panic is re-raised on the caller's thread with its own payload.
 //!
-//! What the construction cannot see is the per-run state actors share
-//! behind the engine's back (the `IdInterner`, probes, recorders). Running
-//! actor code on concurrent threads is how the equivalence suites witness
-//! that this state survives it, which is why small systems are not clamped
-//! to inline execution: a pooled run that spawns no thread proves nothing.
+//! No run, campaign, table or service epoch can select this schedule. It
+//! stays, with its own tests, for `benchmark/`'s transport probe until that
+//! package depends on the `opr` facade alone.
 
-use crate::substrate::{run_job, run_network, BackendKind, ExecutionReport, Job, Substrate};
-use crate::ExecOptions;
-use opr_sim::{Actor, Network, RunReport, WireSize};
+use crate::substrate::{run_job, run_network, ExecutionReport, Job, Substrate};
+use opr_sim::WireSize;
 use std::fmt::Debug;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The process-wide default worker count; see
-/// [`PooledBackend::set_process_default_workers`]. `0` means "auto".
-static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Executes jobs with the per-process phases of every round on worker
-/// threads, reproducing `SimBackend`'s observable
-/// behaviour exactly at any worker count.
-#[derive(Clone, Copy, Debug, Default)]
+/// threads, reproducing [`run`](crate::run)'s observable behaviour exactly
+/// at any worker count. Selects nothing: it is kept for `benchmark/`.
+#[derive(Clone, Copy, Debug)]
 pub struct PooledBackend {
-    /// Worker threads for this backend instance; `0` defers to the process
-    /// default (and ultimately to the machine's parallelism).
+    /// Worker threads per phase; `0` defers to the machine's parallelism.
     workers: usize,
 }
 
@@ -43,26 +33,12 @@ impl PooledBackend {
         PooledBackend { workers }
     }
 
-    /// Overrides the worker count used by `PooledBackend::default()` (and
-    /// therefore by [`BackendKind::Pooled`]) for the rest of the process.
-    /// Intended for binaries translating a `--workers` flag once at
-    /// startup. Worker counts are observationally equivalent — this changes
-    /// wall-clock time, never results.
-    pub fn set_process_default_workers(workers: usize) {
-        DEFAULT_WORKERS.store(workers, Ordering::Relaxed);
-    }
-
     /// The worker count this instance will actually use: its own if set,
-    /// else the process default, else the machine's available parallelism
-    /// (capped at 8 — round phases are memory-bound well before that).
-    pub(crate) fn effective_workers(&self) -> usize {
-        let configured = if self.workers != 0 {
-            self.workers
-        } else {
-            DEFAULT_WORKERS.load(Ordering::Relaxed)
-        };
-        if configured != 0 {
-            return configured;
+    /// else the machine's available parallelism (capped at 8 — round
+    /// phases are memory-bound well before that).
+    fn effective_workers(&self) -> usize {
+        if self.workers != 0 {
+            return self.workers;
         }
         std::thread::available_parallelism()
             .map(|p| p.get())
@@ -71,39 +47,22 @@ impl PooledBackend {
     }
 }
 
-impl PooledBackend {
-    /// Runs `net` with its per-process phases on this backend's workers;
-    /// see [`BackendKind::run`].
-    pub(crate) fn run<M, O, A>(
-        &self,
-        net: &mut Network<M, O, A>,
-        opts: ExecOptions,
-        max_rounds: u32,
-    ) -> RunReport
-    where
-        M: Clone + Debug + WireSize + Send + Sync,
-        A: Actor<Msg = M, Output = O>,
-    {
-        let workers = self.effective_workers();
-        run_network(net, opts, max_rounds, BackendKind::Pooled, |net| {
-            net.step_on(workers)
-        })
-    }
-}
-
 impl<M, O> Substrate<M, O> for PooledBackend
 where
     M: Clone + Debug + WireSize + Send + Sync,
 {
     fn execute(&self, job: Job<M, O>) -> ExecutionReport<O> {
-        run_job(job, |net, opts, max_rounds| self.run(net, opts, max_rounds))
+        let workers = self.effective_workers();
+        run_job(job, |net, opts, max_rounds| {
+            run_network(net, opts, max_rounds, "pooled", |net| net.step_on(workers))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecOptions, FaultPlan};
+    use crate::{BackendKind, ExecOptions, FaultPlan};
     use opr_sim::{Actor, Inbox, Outbox, Topology};
     use opr_types::{LinkId, Round};
 
@@ -166,17 +125,23 @@ mod tests {
             .collect()
     }
 
-    fn traced(capacity: usize) -> ExecOptions {
-        ExecOptions {
-            trace_capacity: Some(capacity),
-            ..ExecOptions::default()
+    fn traced(job: Job<Num, u64>, capacity: usize) -> Job<Num, u64> {
+        Job {
+            opts: ExecOptions {
+                trace_capacity: Some(capacity),
+                ..ExecOptions::default()
+            },
+            ..job
         }
     }
 
-    fn capped(cap: u64) -> ExecOptions {
-        ExecOptions {
-            payload_cap: Some(cap),
-            ..ExecOptions::default()
+    fn capped(job: Job<Num, u64>, cap: u64) -> Job<Num, u64> {
+        Job {
+            opts: ExecOptions {
+                payload_cap: Some(cap),
+                ..ExecOptions::default()
+            },
+            ..job
         }
     }
 
@@ -193,7 +158,7 @@ mod tests {
         for seed in 0..5u64 {
             let job = |_| Job::new(summers(&[3, 1, 4, 1, 5, 9]), Topology::seeded(6, seed), 4);
             let sim = BackendKind::Sim.execute(job(()));
-            let pooled = BackendKind::Pooled.execute(job(()));
+            let pooled = PooledBackend::new(2).execute(job(()));
             assert_reports_match(&sim, &pooled);
             assert!(pooled.completed, "seed {seed}");
         }
@@ -205,23 +170,31 @@ mod tests {
             let mut actors = summers(&[10, 20, 30, 40]);
             actors.push(Box::new(Equivocator(5)));
             let correct = vec![true, true, true, true, false];
-            Job::with_faulty(actors, correct, Topology::seeded(5, 42), 6).opts(ExecOptions {
-                faults: FaultPlan::default()
-                    .drop_message(0, LinkId::new(2), Round::new(1))
-                    .silence_link_from(4, LinkId::new(1), Round::new(1)),
-                ..ExecOptions::default()
-            })
+            Job {
+                opts: ExecOptions {
+                    faults: FaultPlan::default()
+                        .drop_message(0, LinkId::new(2), Round::new(1))
+                        .silence_link_from(4, LinkId::new(1), Round::new(1)),
+                    ..ExecOptions::default()
+                },
+                ..Job::with_faulty(actors, correct, Topology::seeded(5, 42), 6)
+            }
         };
         let sim = BackendKind::Sim.execute(build(()));
-        let pooled = BackendKind::Pooled.execute(build(()));
+        let pooled = PooledBackend::new(2).execute(build(()));
         assert_reports_match(&sim, &pooled);
     }
 
     #[test]
     fn traces_are_identical_to_the_reference() {
-        let job = |_| Job::new(summers(&[7, 8, 9]), Topology::seeded(3, 11), 2).opts(traced(1000));
+        let job = |_| {
+            traced(
+                Job::new(summers(&[7, 8, 9]), Topology::seeded(3, 11), 2),
+                1000,
+            )
+        };
         let sim = BackendKind::Sim.execute(job(()));
-        let pooled = BackendKind::Pooled.execute(job(()));
+        let pooled = PooledBackend::new(2).execute(job(()));
         let (st, pt) = (sim.trace.unwrap(), pooled.trace.unwrap());
         assert_eq!(st.events(), pt.events());
         assert_eq!(st.dropped(), pt.dropped());
@@ -234,7 +207,10 @@ mod tests {
                 let mut actors = summers(&[10, 20, 30, 40]);
                 actors.push(Box::new(Equivocator(5)));
                 let correct = vec![true, true, true, true, false];
-                Job::with_faulty(actors, correct, Topology::seeded(5, 9), 6).opts(traced(500))
+                traced(
+                    Job::with_faulty(actors, correct, Topology::seeded(5, 9), 6),
+                    500,
+                )
             };
             let serial = PooledBackend::new(1).execute(job(()));
             let parallel = PooledBackend::new(workers).execute(job(()));
@@ -340,19 +316,22 @@ mod tests {
             let mut actors = summers(&[10, 20, 30]);
             actors.push(Box::new(Sloppy));
             let correct = vec![true, true, true, false];
-            Job::with_faulty(actors, correct, Topology::seeded(4, 7), 3).opts(capped(64))
+            capped(
+                Job::with_faulty(actors, correct, Topology::seeded(4, 7), 3),
+                64,
+            )
         };
         let sim = BackendKind::Sim.execute(build(()));
-        let pooled = BackendKind::Pooled.execute(build(()));
+        let pooled = PooledBackend::new(2).execute(build(()));
         assert!(!sim.malformed.is_empty());
         assert_reports_match(&sim, &pooled);
     }
 
     #[test]
     fn payload_cap_matches_reference_backend() {
-        let build = |_| Job::new(summers(&[1, 2]), Topology::canonical(2), 2).opts(capped(32));
+        let build = |_| capped(Job::new(summers(&[1, 2]), Topology::canonical(2), 2), 32);
         let sim = BackendKind::Sim.execute(build(()));
-        let pooled = BackendKind::Pooled.execute(build(()));
+        let pooled = PooledBackend::new(2).execute(build(()));
         assert_eq!(sim.malformed.len(), 4);
         assert_reports_match(&sim, &pooled);
     }
@@ -361,7 +340,7 @@ mod tests {
     fn single_process_self_loop_works() {
         let job = |_| Job::new(summers(&[5]), Topology::canonical(1), 2);
         let sim = BackendKind::Sim.execute(job(()));
-        let pooled = BackendKind::Pooled.execute(job(()));
+        let pooled = PooledBackend::new(2).execute(job(()));
         assert_reports_match(&sim, &pooled);
         assert_eq!(pooled.outputs, vec![Some(5)]);
     }
@@ -413,8 +392,8 @@ mod tests {
     }
 
     #[test]
-    fn explicit_worker_counts_override_the_process_default() {
+    fn explicit_worker_counts_override_the_machine_default() {
         assert_eq!(PooledBackend::new(3).effective_workers(), 3);
-        assert!(PooledBackend::default().effective_workers() >= 1);
+        assert!(PooledBackend::new(0).effective_workers() >= 1);
     }
 }

@@ -1,18 +1,16 @@
 //! The substrate contract: what it means to execute a lock-step job.
 
 use crate::faults::FaultPlan;
-use crate::{PooledBackend, SimBackend};
 use opr_metrics::MetricsRegistry;
 use opr_obs::SharedSpanLog;
 use opr_sim::{Actor, Network, RunMetrics, RunReport, Topology, Trace, WireSize};
 use opr_types::MalformedSend;
-use std::fmt;
 use std::fmt::Debug;
 
 /// Everything a [`Job`] carries besides its actors, mask, topology and
 /// round budget — the run surface's one declaration of the transport-level
 /// knobs. The runner and workload layers embed this value and hand it down
-/// whole; `run_job` destructures it once, for both backends.
+/// whole; `run_network` destructures it once.
 #[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Transport-level faults applied below the actors (drops and
@@ -24,11 +22,11 @@ pub struct ExecOptions {
     /// When `Some(cap)`, record the first `cap` delivery events into
     /// [`ExecutionReport::trace`].
     pub trace_capacity: Option<usize>,
-    /// When attached, backends record one wall-clock span per round here.
+    /// When attached, the run records one wall-clock span per round here.
     /// Wall timings are *not* part of the deterministic contract — they
     /// never appear in [`ExecutionReport`] equality checks.
     pub spans: Option<SharedSpanLog>,
-    /// When attached, backends record per-round wall-clock timing
+    /// When attached, the run records per-round wall-clock timing
     /// histograms (`opr_round_ns{backend=...}`) here. Like spans, these
     /// never enter [`ExecutionReport`] equality.
     pub metrics: Option<MetricsRegistry>,
@@ -72,7 +70,7 @@ impl<M, O> Job<M, O> {
     /// # Panics
     ///
     /// Panics if lengths are inconsistent with the topology.
-    pub fn with_faulty(
+    pub(crate) fn with_faulty(
         actors: Vec<Box<dyn Actor<Msg = M, Output = O>>>,
         correct: Vec<bool>,
         topology: Topology,
@@ -92,16 +90,10 @@ impl<M, O> Job<M, O> {
             opts: ExecOptions::default(),
         }
     }
-
-    /// Replaces the job's [`ExecOptions`].
-    pub fn opts(mut self, opts: ExecOptions) -> Self {
-        self.opts = opts;
-        self
-    }
 }
 
-/// Everything observable from one execution, identical across backends for
-/// the same [`Job`].
+/// Everything observable from one execution, a pure function of the
+/// [`Job`].
 #[derive(Clone, Debug)]
 pub struct ExecutionReport<O> {
     /// Rounds actually executed.
@@ -115,30 +107,24 @@ pub struct ExecutionReport<O> {
     /// The delivery trace, if the job requested one.
     pub trace: Option<Trace>,
     /// Sends the transport rejected (out-of-range or duplicate link labels,
-    /// oversized payloads), in `(round, sender, occurrence)` order — the
-    /// same order on every backend.
+    /// oversized payloads), in `(round, sender, occurrence)` order.
     pub malformed: Vec<MalformedSend>,
 }
 
 /// A lock-step execution substrate: consumes a [`Job`], runs it round by
 /// round (all sends, routing, then all deliveries, in lock-step), and
-/// reports what happened.
+/// reports what happened. Its one implementation is [`PooledBackend`],
+/// kept for `benchmark/`'s transport probe; no run selects it.
 ///
-/// Implementations must be *observationally deterministic*: for a fixed job
-/// (same actors, topology, budget, faults), the report — outcomes, rounds,
-/// metrics, trace — must not depend on scheduling. Both backends here step
-/// the same [`opr_sim::Network`], so that holds by construction; the
-/// cross-backend equivalence tests keep holding [`PooledBackend`] to
-/// `SimBackend`'s report all the same, because actors share per-run state
-/// the engine cannot see.
+/// [`PooledBackend`]: crate::PooledBackend
 pub trait Substrate<M, O> {
     /// Executes the job to completion or round-budget exhaustion.
     fn execute(&self, job: Job<M, O>) -> ExecutionReport<O>;
 }
 
 /// The one way a [`Job`] becomes an [`ExecutionReport`]: builds its
-/// [`opr_sim::Network`], runs it with `run` — a backend's
-/// [`run_network`] — and moves what the network accumulated into the
+/// [`opr_sim::Network`], runs it with `run` — [`run`](crate::run) or the
+/// pooled schedule — and moves what the network accumulated into the
 /// report.
 pub(crate) fn run_job<M, O>(
     job: Job<M, O>,
@@ -162,15 +148,14 @@ where
 }
 
 /// The one way a network runs: applies the [`ExecOptions`] to it, runs
-/// `step` — the backend's schedule for one round — until termination or
-/// budget, and times each round when a span log or registry is attached.
-/// Backends differ only in the `step` they pass; what the run accumulated
-/// stays in the network.
+/// `step` — one round — until termination or budget, and times each round
+/// into `opr_round_ns{backend=label}` when a registry is attached (and the
+/// span log when one is). What the run accumulated stays in the network.
 pub(crate) fn run_network<M, O, A>(
     net: &mut Network<M, O, A>,
     opts: ExecOptions,
     max_rounds: u32,
-    kind: BackendKind,
+    label: &'static str,
     mut step: impl FnMut(&mut Network<M, O, A>),
 ) -> RunReport
 where
@@ -193,12 +178,8 @@ where
             faults.delivers(round, sender, link)
         }));
     }
-    let round_hist = metrics.map(|m| {
-        m.histogram(&opr_metrics::labeled(
-            "opr_round_ns",
-            &[("backend", kind.label())],
-        ))
-    });
+    let round_hist =
+        metrics.map(|m| m.histogram(&opr_metrics::labeled("opr_round_ns", &[("backend", label)])));
     let timed = spans.is_some() || round_hist.is_some();
     net.run_with(max_rounds, |net| {
         let start = timed.then(std::time::Instant::now);
@@ -215,151 +196,127 @@ where
     })
 }
 
-/// Backend selection, e.g. from a `--backend` CLI flag.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// Single-threaded deterministic simulator (the reference).
-    Sim,
-    /// The same round engine with its per-process phases on scoped worker
-    /// threads — the real-threads equivalence witness and the large-N soak
-    /// engine, not a speed path (DESIGN.md §2).
-    Pooled,
+/// Runs a network the caller built — or
+/// [`rewound`](opr_sim::Network::rewind) — for up to `max_rounds` rounds
+/// with [`Network::step`] on the calling thread, the one schedule every run
+/// uses, with `opts` applied as [`BackendKind::execute`] applies a job's.
+/// What the run accumulated (outputs, metrics, trace, malformed sends)
+/// stays in the network, for the caller to read or move out.
+pub fn run<M, O, A>(net: &mut Network<M, O, A>, opts: ExecOptions, max_rounds: u32) -> RunReport
+where
+    M: Clone + Debug + WireSize + Sync,
+    A: Actor<Msg = M, Output = O>,
+{
+    run_network(net, opts, max_rounds, "sim", Network::step)
 }
 
-/// The process-wide default backend; see [`BackendKind::set_process_default`].
-static PROCESS_DEFAULT: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-impl Default for BackendKind {
-    /// The process default: [`BackendKind::Sim`] unless a binary overrode it
-    /// via [`BackendKind::set_process_default`] (e.g. a `--backend` flag).
-    fn default() -> Self {
-        BackendKind::from_tag(PROCESS_DEFAULT.load(std::sync::atomic::Ordering::Relaxed))
-    }
+/// The schedule a [`Job`] runs on. It has one variant and selects nothing:
+/// it is kept, with [`BackendKind::execute`], for `benchmark/` until that
+/// package depends on the `opr` facade alone.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum BackendKind {
+    /// [`opr_sim::Network`] stepped on the calling thread.
+    #[default]
+    Sim,
 }
 
 impl BackendKind {
-    /// Every backend, reference first.
-    pub const ALL: [BackendKind; 2] = [BackendKind::Sim, BackendKind::Pooled];
-
-    /// The stable atomic discriminant used by the process-default cell. The
-    /// exhaustive match is the point: adding a variant without assigning it
-    /// a distinct tag is a compile error, not a silent alias of `Sim`.
-    const fn tag(self) -> u8 {
-        match self {
-            BackendKind::Sim => 0,
-            BackendKind::Pooled => 1,
-        }
-    }
-
-    /// Inverse of [`BackendKind::tag`]; unknown tags fall back to the
-    /// reference backend (the cell starts at `Sim`'s tag anyway).
-    fn from_tag(tag: u8) -> BackendKind {
-        BackendKind::ALL
-            .into_iter()
-            .find(|kind| kind.tag() == tag)
-            .unwrap_or(BackendKind::Sim)
-    }
-
-    /// Overrides what `BackendKind::default()` returns for the rest of the
-    /// process. Intended for binaries translating a `--backend` flag once at
-    /// startup, so every run that doesn't pick a backend explicitly (the
-    /// experiment tables, default options) executes on the chosen substrate.
-    /// Backends are observationally equivalent, so this changes how runs
-    /// execute, never what they produce.
-    pub fn set_process_default(kind: BackendKind) {
-        PROCESS_DEFAULT.store(kind.tag(), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Stable label (accepted by [`BackendKind::parse`]).
-    pub fn label(&self) -> &'static str {
-        match self {
-            BackendKind::Sim => "sim",
-            BackendKind::Pooled => "pooled",
-        }
-    }
-
-    /// Parses a label as produced by [`BackendKind::label`].
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        BackendKind::ALL.into_iter().find(|b| b.label() == s)
-    }
-
-    /// Executes `job` on the selected backend.
+    /// Executes `job` with [`run`].
     pub fn execute<M, O>(&self, job: Job<M, O>) -> ExecutionReport<O>
     where
-        M: Clone + Debug + WireSize + Send + Sync + 'static,
-        O: Send + 'static,
+        M: Clone + Debug + WireSize + Sync,
     {
-        match self {
-            BackendKind::Sim => SimBackend.execute(job),
-            BackendKind::Pooled => PooledBackend::default().execute(job),
-        }
-    }
-
-    /// Runs a network the caller built — or
-    /// [`rewound`](opr_sim::Network::rewind) — for up to `max_rounds`
-    /// rounds on the selected backend, with `opts` applied as
-    /// [`execute`](BackendKind::execute) applies a job's. What the run
-    /// accumulated (outputs, metrics, trace, malformed sends) stays in the
-    /// network, for the caller to read or move out.
-    pub fn run<M, O, A>(
-        &self,
-        net: &mut Network<M, O, A>,
-        opts: ExecOptions,
-        max_rounds: u32,
-    ) -> RunReport
-    where
-        M: Clone + Debug + WireSize + Send + Sync,
-        A: Actor<Msg = M, Output = O>,
-    {
-        match self {
-            BackendKind::Sim => SimBackend.run(net, opts, max_rounds),
-            BackendKind::Pooled => PooledBackend::default().run(net, opts, max_rounds),
-        }
-    }
-}
-
-impl fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+        run_job(job, run)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opr_sim::{Inbox, Outbox};
+    use opr_types::{LinkId, Round};
 
-    #[test]
-    fn labels_round_trip() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.label()), Some(kind));
+    #[derive(Clone, Debug)]
+    struct Num(#[allow(dead_code)] u64);
+    impl WireSize for Num {
+        fn wire_bits(&self) -> u64 {
+            64
         }
-        assert_eq!(BackendKind::parse("fpga"), None);
-        // Retired labels are rejected, not aliased.
-        assert_eq!(BackendKind::parse("threaded"), None);
-        assert_eq!(BackendKind::parse("auto"), None);
+    }
+
+    struct Counter {
+        seen: u64,
+        done: Option<u64>,
+    }
+    impl Actor for Counter {
+        type Msg = Num;
+        type Output = u64;
+        fn send(&mut self, _round: Round) -> Outbox<Num> {
+            Outbox::Broadcast(Num(1))
+        }
+        fn deliver(&mut self, round: Round, inbox: Inbox<Num>) {
+            self.seen += inbox.len() as u64;
+            if round.number() == 2 {
+                self.done = Some(self.seen);
+            }
+        }
+        fn output(&self) -> Option<u64> {
+            self.done
+        }
+    }
+
+    fn counters(n: usize) -> Vec<Box<dyn Actor<Msg = Num, Output = u64>>> {
+        (0..n)
+            .map(|_| {
+                Box::new(Counter {
+                    seen: 0,
+                    done: None,
+                }) as _
+            })
+            .collect()
     }
 
     #[test]
-    fn tags_are_distinct_and_round_trip() {
-        let mut seen = std::collections::BTreeSet::new();
-        for kind in BackendKind::ALL {
-            assert!(seen.insert(kind.tag()), "{kind}: tag collision");
-            assert_eq!(BackendKind::from_tag(kind.tag()), kind);
-        }
-        assert_eq!(BackendKind::from_tag(200), BackendKind::Sim);
+    fn runs_to_completion_and_reports() {
+        let report = BackendKind::Sim.execute(Job::new(counters(3), Topology::canonical(3), 5));
+        assert!(report.completed);
+        assert_eq!(report.rounds_executed, 2);
+        // Every actor saw 3 messages per round (2 peers + self-loop).
+        assert_eq!(report.outputs, vec![Some(6), Some(6), Some(6)]);
+        assert_eq!(report.metrics.messages_correct(), 2 * 3 * 2);
     }
 
-    /// One test covers both the initial default and the override round-trip:
-    /// they share the process-wide cell, so probing them in sequence (and
-    /// restoring `Sim`) avoids a race between parallel `#[test]`s.
     #[test]
-    fn default_is_the_reference_backend_and_overrides_round_trip() {
-        assert_eq!(BackendKind::default(), BackendKind::Sim);
-        for kind in BackendKind::ALL {
-            BackendKind::set_process_default(kind);
-            assert_eq!(BackendKind::default(), kind);
-        }
-        BackendKind::set_process_default(BackendKind::Sim);
-        assert_eq!(BackendKind::default(), BackendKind::Sim);
+    fn fault_plan_removes_deliveries_and_metrics() {
+        let clean = BackendKind::Sim.execute(Job::new(counters(3), Topology::canonical(3), 5));
+        let faulty = BackendKind::Sim.execute(Job {
+            opts: ExecOptions {
+                faults: FaultPlan::default().drop_message(0, LinkId::new(1), Round::new(1)),
+                ..ExecOptions::default()
+            },
+            ..Job::new(counters(3), Topology::canonical(3), 5)
+        });
+        assert_eq!(
+            faulty.metrics.messages_correct(),
+            clean.metrics.messages_correct() - 1
+        );
+        // Process 0's link 1 in the canonical topology points at process 1,
+        // which therefore saw one message fewer.
+        assert_eq!(faulty.outputs[1], Some(5));
+        assert_eq!(faulty.outputs[2], Some(6));
+    }
+
+    #[test]
+    fn trace_capacity_is_honoured() {
+        let report = BackendKind::Sim.execute(Job {
+            opts: ExecOptions {
+                trace_capacity: Some(3),
+                ..ExecOptions::default()
+            },
+            ..Job::new(counters(2), Topology::canonical(2), 5)
+        });
+        let trace = report.trace.expect("trace requested");
+        assert_eq!(trace.events().len(), 3);
+        assert!(trace.dropped() > 0);
     }
 }

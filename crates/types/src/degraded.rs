@@ -9,11 +9,10 @@
 //!
 //! * [`MalformedSend`] — a transport-rejected send (out-of-range link label,
 //!   duplicate multicast link, oversized payload). Recorded and dropped by
-//!   every backend instead of panicking the engine.
+//!   the transport instead of panicking the engine.
 //! * [`Violation`] — one diagnosed breach of a paper invariant (a renaming
 //!   [`PropertyViolation`], the namespace bound, the fixed step count,
-//!   missed termination, a malformed send by a *correct* process, or a
-//!   cross-backend divergence).
+//!   missed termination, or a malformed send by a *correct* process).
 //! * [`DegradedOutcome`] — a completed diagnosis: the outcome that was
 //!   reached plus every violation found. "Degraded but diagnosed" is a pass
 //!   in the over-budget regime; a panic never is.
@@ -112,15 +111,6 @@ pub enum Violation {
     /// A *correct* process produced a transport-rejected send — a protocol
     /// or harness bug, never legal behaviour.
     CorrectMalformed(MalformedSend),
-    /// Two backends disagreed on an observable of the same job.
-    BackendDivergence {
-        /// Which observable diverged (e.g. `"outcome"`, `"messages"`).
-        observable: &'static str,
-        /// The reference backend's value, rendered.
-        reference: String,
-        /// The other backend's value, rendered.
-        other: String,
-    },
 }
 
 impl fmt::Display for Violation {
@@ -141,14 +131,6 @@ impl fmt::Display for Violation {
                 )
             }
             Violation::CorrectMalformed(m) => write!(f, "correct process sent malformed: {m}"),
-            Violation::BackendDivergence {
-                observable,
-                reference,
-                other,
-            } => write!(
-                f,
-                "backends diverge on {observable}: {reference} vs {other}"
-            ),
         }
     }
 }
@@ -248,7 +230,6 @@ impl DegradedOutcome {
                 Violation::StepCountMismatch { .. } => "steps",
                 Violation::MissedTermination { .. } => "missed-termination",
                 Violation::CorrectMalformed(_) => "correct-malformed",
-                Violation::BackendDivergence { .. } => "backend-divergence",
             })
             .collect();
         kinds.join("+")
@@ -363,11 +344,10 @@ mod tests {
         ] {
             assert!(!kind.to_string().is_empty());
         }
-        let v = Violation::BackendDivergence {
-            observable: "messages",
-            reference: "10".into(),
-            other: "11".into(),
+        let v = Violation::StepCountMismatch {
+            expected: 10,
+            got: 11,
         };
-        assert!(v.to_string().contains("messages"));
+        assert!(v.to_string().contains("executed 11"));
     }
 }

@@ -7,8 +7,8 @@ use opr_core::{run_alg1_in, run_two_step_in, Alg1Options, ObservedRun, Probes, R
 use opr_core::{Alg1Probe, TwoStepProbe, TwoStepTweaks};
 use opr_metrics::{labeled, MetricsRegistry, MetricsSnapshot};
 use opr_obs::{ProtocolEvent, RunLog, SharedSpanLog};
-use opr_sim::{Actor, Inbox, Outbox, RunMetrics, Topology, Trace, WireSize};
-use opr_transport::{BackendKind, FaultPlan, Job};
+use opr_sim::{Actor, Inbox, Network, Outbox, RunMetrics, Topology, Trace, WireSize};
+use opr_transport::{BackendKind, ExecOptions, FaultPlan};
 use opr_types::{
     DegradedOutcome, MalformedSend, NewName, OriginalId, Regime, RenamingError, RenamingOutcome,
     Round, SystemConfig,
@@ -134,38 +134,11 @@ impl Algorithm {
         adversary: AdversarySpec,
         seed: u64,
     ) -> Result<RunStats, RenamingError> {
-        self.run_on(
-            BackendKind::default(),
-            cfg,
-            correct_ids,
-            faulty,
-            adversary,
-            seed,
-        )
-    }
-
-    /// [`Algorithm::run`] on an explicitly chosen execution substrate.
-    /// Backends are observationally equivalent, so the stats are identical;
-    /// this selects how the system executes, not what it computes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RenamingError`] from the underlying runner.
-    pub fn run_on(
-        &self,
-        backend: BackendKind,
-        cfg: SystemConfig,
-        correct_ids: &[OriginalId],
-        faulty: usize,
-        adversary: AdversarySpec,
-        seed: u64,
-    ) -> Result<RunStats, RenamingError> {
         let paper = |regime| {
             RenamingRun::builder(cfg, regime)
                 .correct_ids(correct_ids.iter().copied())
                 .adversary(adversary, faulty)
                 .seed(seed)
-                .backend(backend)
                 .run()
                 .map(|output| output.stats)
         };
@@ -173,16 +146,15 @@ impl Algorithm {
             Algorithm::Alg1LogTime => paper(Regime::LogTime),
             Algorithm::Alg1ConstantTime => paper(Regime::ConstantTime),
             Algorithm::TwoStep => paper(Regime::TwoStep),
-            Algorithm::CrashAa => self.run_crash_aa(backend, cfg, correct_ids, faulty, seed),
-            Algorithm::Consensus => self.run_consensus(backend, cfg, correct_ids, faulty, seed),
-            Algorithm::Cht => self.run_cht(backend, cfg, correct_ids, faulty, seed),
-            Algorithm::Translated => self.run_translated(backend, cfg, correct_ids, faulty, seed),
+            Algorithm::CrashAa => self.run_crash_aa(cfg, correct_ids, faulty, seed),
+            Algorithm::Consensus => self.run_consensus(cfg, correct_ids, faulty, seed),
+            Algorithm::Cht => self.run_cht(cfg, correct_ids, faulty, seed),
+            Algorithm::Translated => self.run_translated(cfg, correct_ids, faulty, seed),
         }
     }
 
     fn run_crash_aa(
         &self,
-        backend: BackendKind,
         cfg: SystemConfig,
         correct_ids: &[OriginalId],
         faulty: usize,
@@ -202,12 +174,11 @@ impl Algorithm {
             actors.push(Box::new(CrashAaRenaming::new(cfg, id)));
         }
         let topology = Topology::seeded(cfg.n(), seed);
-        run_baseline(*self, backend, cfg, "crash", correct_ids, actors, topology)
+        run_baseline(*self, cfg, "crash", correct_ids, actors, topology)
     }
 
     fn run_consensus(
         &self,
-        backend: BackendKind,
         cfg: SystemConfig,
         correct_ids: &[OriginalId],
         faulty: usize,
@@ -230,12 +201,11 @@ impl Algorithm {
                 opr_baselines::phase_king::king_links_for(&topo, index),
             )));
         }
-        run_baseline(*self, backend, cfg, "silent", correct_ids, actors, topo)
+        run_baseline(*self, cfg, "silent", correct_ids, actors, topo)
     }
 
     fn run_cht(
         &self,
-        backend: BackendKind,
         cfg: SystemConfig,
         correct_ids: &[OriginalId],
         faulty: usize,
@@ -251,20 +221,11 @@ impl Algorithm {
             actors.push(Box::new(ChtRenaming::new(cfg.n(), id)));
         }
         let topology = Topology::seeded(cfg.n(), seed);
-        run_baseline(
-            *self,
-            backend,
-            cfg,
-            "crash-at-start",
-            correct_ids,
-            actors,
-            topology,
-        )
+        run_baseline(*self, cfg, "crash-at-start", correct_ids, actors, topology)
     }
 
     fn run_translated(
         &self,
-        backend: BackendKind,
         cfg: SystemConfig,
         correct_ids: &[OriginalId],
         faulty: usize,
@@ -298,7 +259,6 @@ impl Algorithm {
         let topology = Topology::seeded(cfg.n(), seed);
         run_baseline(
             *self,
-            backend,
             cfg,
             "consistent-forge",
             correct_ids,
@@ -357,9 +317,8 @@ fn check_baseline_counts(
 /// Executes a baseline system for its fixed round count. `actors` is the
 /// faulty actors followed by one correct actor per id, counts already
 /// checked by [`check_baseline_counts`].
-fn run_baseline<M: Clone + Debug + WireSize + Send + Sync + 'static>(
+fn run_baseline<M: Clone + Debug + WireSize + Sync>(
     algorithm: Algorithm,
-    backend: BackendKind,
     cfg: SystemConfig,
     adversary_label: &str,
     correct_ids: &[OriginalId],
@@ -370,7 +329,8 @@ fn run_baseline<M: Clone + Debug + WireSize + Send + Sync + 'static>(
     let rounds = algorithm.rounds(cfg);
     let mut correct_mask = vec![false; faulty];
     correct_mask.extend(vec![true; correct_ids.len()]);
-    let report = backend.execute(Job::with_faulty(actors, correct_mask, topology, rounds));
+    let mut net = Network::with_faults(actors, correct_mask, topology);
+    let report = opr_transport::run(&mut net, ExecOptions::default(), rounds);
     if !report.completed {
         return Err(RenamingError::MissedTermination { budget: rounds });
     }
@@ -378,7 +338,7 @@ fn run_baseline<M: Clone + Debug + WireSize + Send + Sync + 'static>(
         correct_ids
             .iter()
             .enumerate()
-            .map(|(i, &id)| (id, report.outputs[faulty + i])),
+            .map(|(i, &id)| (id, net.output_of(faulty + i))),
     );
     Ok(RunStats::collect(
         algorithm,
@@ -386,7 +346,7 @@ fn run_baseline<M: Clone + Debug + WireSize + Send + Sync + 'static>(
         adversary_label,
         &outcome,
         report.rounds_executed,
-        &report.metrics,
+        net.metrics(),
         algorithm.namespace_bound(cfg),
     ))
 }
@@ -474,15 +434,14 @@ pub struct RenamingRun {
 
 /// Either family's observation, as the one shared run path returns it,
 /// with the probes each family's entry point collected.
-enum Observed<P = Alg1Probe, Q = TwoStepProbe> {
+enum Observed<P, Q> {
     Alg1(ObservedRun<P>),
     TwoStep(ObservedRun<Q>),
 }
 
 /// The structured result of [`RenamingRun::run_diagnosed`]: what happened,
 /// judged against the paper's invariants over the *healthy* correct
-/// processes, with everything a chaos oracle or cross-backend comparison
-/// needs alongside.
+/// processes, with everything a chaos oracle needs alongside.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiagnosedRun {
     /// The diagnosis over the healthy correct processes — correct actors
@@ -493,7 +452,7 @@ pub struct DiagnosedRun {
     pub degraded: DegradedOutcome,
     /// Decisions of *all* correct processes, transport-disturbed included.
     pub full_outcome: RenamingOutcome,
-    /// Network metrics (identical across backends for the same run).
+    /// Network metrics.
     pub metrics: RunMetrics,
     /// Rounds executed.
     pub rounds: u32,
@@ -508,7 +467,7 @@ pub struct DiagnosedRun {
     pub trace: Option<Trace>,
     /// Per-process protocol event streams, present iff
     /// [`RenamingRun::record_events`] requested them. Deterministic:
-    /// bit-identical across backends and job counts for the same run.
+    /// bit-identical across job counts for the same run.
     pub events: Option<RunLog>,
 }
 
@@ -526,8 +485,8 @@ impl DiagnosedRun {
     /// crossings, vote verdicts and decisions from the event streams.
     ///
     /// Everything here is a pure function of the run's deterministic
-    /// artefacts, so the snapshot is bit-identical across the Sim and
-    /// Pooled backends and any job count (the equivalence suites pin this).
+    /// artefacts, so the snapshot is bit-identical across replays and any
+    /// job count (the equivalence suites pin this).
     /// Wall-clock timings never appear in it.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
@@ -640,9 +599,9 @@ impl RenamingRun {
         self
     }
 
-    /// Selects the execution substrate (default: the single-threaded
-    /// simulator; `BackendKind::Pooled` steps processes as tasks on a worker
-    /// pool with identical observable results).
+    /// Selects nothing: every run steps its network on the calling thread.
+    /// Kept for `benchmark/` until that package depends on the `opr`
+    /// facade alone.
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.opts.backend = backend;
         self
@@ -748,31 +707,36 @@ impl RenamingRun {
             let bound = cfg.namespace_bound(regime);
             RunStats::collect(algorithm, cfg, adversary, outcome, rounds, metrics, bound)
         };
-        Ok(match self.observe(&mut RunArena::default())?.0 {
-            Observed::Alg1(observed) => {
-                let o = observed.strict()?;
-                let algorithm = if regime == Regime::LogTime {
-                    Algorithm::Alg1LogTime
-                } else {
-                    Algorithm::Alg1ConstantTime
-                };
-                RunOutput {
-                    stats: stats(algorithm, &o.outcome, o.rounds, &o.metrics),
-                    outcome: o.outcome,
-                    alg1_probe: Some(o.probe),
-                    two_step_probe: None,
+        Ok(
+            match self
+                .observe::<Alg1Probe, TwoStepProbe>(&mut RunArena::default())?
+                .0
+            {
+                Observed::Alg1(observed) => {
+                    let o = observed.strict()?;
+                    let algorithm = if regime == Regime::LogTime {
+                        Algorithm::Alg1LogTime
+                    } else {
+                        Algorithm::Alg1ConstantTime
+                    };
+                    RunOutput {
+                        stats: stats(algorithm, &o.outcome, o.rounds, &o.metrics),
+                        outcome: o.outcome,
+                        alg1_probe: Some(o.probe),
+                        two_step_probe: None,
+                    }
                 }
-            }
-            Observed::TwoStep(observed) => {
-                let o = observed.strict()?;
-                RunOutput {
-                    stats: stats(Algorithm::TwoStep, &o.outcome, o.rounds, &o.metrics),
-                    outcome: o.outcome,
-                    alg1_probe: None,
-                    two_step_probe: Some(o.probe),
+                Observed::TwoStep(observed) => {
+                    let o = observed.strict()?;
+                    RunOutput {
+                        stats: stats(Algorithm::TwoStep, &o.outcome, o.rounds, &o.metrics),
+                        outcome: o.outcome,
+                        alg1_probe: None,
+                        two_step_probe: Some(o.probe),
+                    }
                 }
-            }
-        })
+            },
+        )
     }
 
     /// Executes the run and *diagnoses* it instead of judging it: missed
@@ -794,14 +758,10 @@ impl RenamingRun {
         let expected_rounds =
             self.cfg.total_steps(self.regime) + self.opts.tweaks.extra_voting_steps;
         let disturbed = self.opts.exec.faults.disturbed_senders();
-        Ok(
-            match self.observe::<Alg1Probe, TwoStepProbe>(&mut RunArena::default())? {
-                (Observed::Alg1(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
-                (Observed::TwoStep(o), ids) => {
-                    diagnose(o, &ids, &disturbed, expected_rounds, bound)
-                }
-            },
-        )
+        Ok(match self.observe::<(), ()>(&mut RunArena::default())? {
+            (Observed::Alg1(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
+            (Observed::TwoStep(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
+        })
     }
 
     /// Executes the run in `arena`, reusing what the arena's earlier runs
@@ -871,7 +831,7 @@ fn diagnose<P>(
     }
 }
 
-/// One cell of an experiment grid: everything [`Algorithm::run_on`] needs,
+/// One cell of an experiment grid: everything [`Algorithm::run`] needs,
 /// owned, so the cell can be shipped to a pool worker.
 #[derive(Clone, Debug)]
 pub struct GridPoint {
@@ -888,8 +848,6 @@ pub struct GridPoint {
     pub adversary: AdversarySpec,
     /// The run seed.
     pub seed: u64,
-    /// The execution substrate.
-    pub backend: BackendKind,
 }
 
 impl GridPoint {
@@ -899,8 +857,7 @@ impl GridPoint {
     ///
     /// Propagates [`RenamingError`] from the underlying runner.
     pub(crate) fn run(&self) -> Result<RunStats, RenamingError> {
-        self.algorithm.run_on(
-            self.backend,
+        self.algorithm.run(
             self.cfg,
             &self.correct_ids,
             self.faulty,
@@ -1109,12 +1066,11 @@ mod tests {
                 faulty: 2,
                 adversary: AdversarySpec::EchoSplit,
                 seed,
-                backend: BackendKind::default(),
             })
             .collect();
         let serial: Vec<_> = points.iter().map(GridPoint::run).collect();
-        let pooled = run_grid(&opr_exec::RunPool::new(4), points);
-        assert_eq!(serial, pooled);
+        let parallel = run_grid(&opr_exec::RunPool::new(4), points);
+        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -39,27 +39,21 @@ build:
 test:
     cargo test -q --workspace
 
-# Cross-backend equivalence suite only.
-equivalence:
-    cargo test -q --test backend_equivalence
-
-# Serial-vs-parallel determinism gate (jobs=1 ≡ jobs=4, both backends).
+# Serial-vs-parallel determinism gate (jobs=1 ≡ jobs=4).
 exec-equivalence:
     cargo test -q --test exec_equivalence
 
-# Bounded chaos smoke campaign (fixed seed, sim cross-checked against pooled) — the CI gate.
+# Bounded chaos smoke campaign (fixed seed) — the CI gate.
 chaos:
-    cargo run --release -p opr-bench --bin chaos -- --seed 42 --runs 200 --budget mixed --backend both --jobs 4
+    cargo run --release -p opr-bench --bin chaos -- --seed 42 --runs 200 --budget mixed --jobs 4
 
 # Long randomized chaos soak (override with `just chaos-soak SEED=7 RUNS=50000 JOBS=8`).
 chaos-soak SEED="1" RUNS="20000" JOBS="4":
-    cargo run --release -p opr-bench --bin chaos -- --seed {{SEED}} --runs {{RUNS}} --budget mixed --backend both --jobs {{JOBS}}
+    cargo run --release -p opr-bench --bin chaos -- --seed {{SEED}} --runs {{RUNS}} --budget mixed --jobs {{JOBS}}
 
-# Large-N soak of the pooled schedule (Network::step_on): full Alg1 at
-# N=1024, t=300 under a wall-clock ceiling, bit-identical to the simulator,
-# plus the N=512 sim-vs-pooled cross-check over adversaries and worker
-# counts.
-pool-soak:
+# Large-N soak: full Alg1 at N=1024, t=300 under a wall-clock ceiling,
+# printing its wall time and peak RSS.
+large-n:
     cargo test --release -q --test large_n -- --ignored --nocapture
 
 # Replay a repro with the protocol recorder attached and print every
@@ -73,7 +67,7 @@ service:
     cargo run --release -p opr-bench --bin service
 
 # Service soak gate: seeded ≥1000-epoch run across 4 shards with recycling;
-# must be oracle-clean and bit-identical across jobs and backends.
+# must be oracle-clean and bit-identical across jobs.
 service-soak EPOCHS="1000":
     cargo run --release -p opr-bench --bin service -- --soak --epochs {{EPOCHS}}
 
@@ -83,7 +77,7 @@ service-soak EPOCHS="1000":
 metrics OUT="metrics.prom":
     cargo run --release -p opr-bench --bin service -- --epochs 20 --metrics {{OUT}} --watch
 
-# Regenerate every experiment table (add `--backend pooled` to switch substrate).
+# Regenerate every experiment table (`just tables t1 f3` for a subset).
 tables *ARGS:
     cargo run --release -p opr-bench --bin tables -- {{ARGS}}
 

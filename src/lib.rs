@@ -10,10 +10,9 @@
 //! * [`aa`] — approximate-agreement building blocks (the vote multiset and
 //!   the DLPSW `select_t` reduction).
 //! * [`rbcast`] — Echo/Ready flooding substrate (the id-selection core).
-//! * [`transport`] — pluggable lock-step execution substrates (`SimBackend`,
-//!   the deterministic single-threaded reference, and `PooledBackend`, the
-//!   worker-pool real-threads engine), the [`ExecOptions`] every layer above
-//!   embeds, and transport-level fault injection.
+//! * [`transport`] — the lock-step execution substrate: one schedule, the
+//!   network stepped on the calling thread, the [`ExecOptions`] every layer
+//!   above embeds, and transport-level fault injection.
 //! * [`core`] — the paper's algorithms: Algorithm 1 (log-time and
 //!   constant-time schedules) and Algorithm 4 (2-step).
 //! * [`adversary`] — the Byzantine strategy library.
@@ -86,7 +85,7 @@ pub mod prelude {
     pub use opr_metrics::{MetricsRegistry, MetricsSnapshot};
     pub use opr_obs::{ProtocolEvent, RunLog};
     pub use opr_service::{ServiceConfig, ServiceReport, ServiceSpec};
-    pub use opr_transport::{BackendKind, FaultPlan};
+    pub use opr_transport::FaultPlan;
     pub use opr_types::{
         ConfigError, LinkId, NewName, OriginalId, ProcessIndex, Rank, Regime, RenamingError,
         RenamingOutcome, Round, SystemConfig,

@@ -16,7 +16,7 @@ use opr::obs::SpanLog;
 use opr::prelude::*;
 use opr::service::{LedgerEvent, ServiceEngine, ServiceOp};
 use opr::sim::{Actor, Inbox, Network, Outbox, Topology, Trace};
-use opr::transport::PooledBackend;
+use opr::transport::BackendKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Instant;
@@ -98,10 +98,10 @@ fn recorder_off_runs_allocate_identically_around_a_recorded_run() {
     assert!(on >= off_before, "recording allocated {on} < {off_before}");
 }
 
-/// One [`gate_run`] on `backend` with the delivery trace off or bounded at
-/// `capacity`: `(allocations, events kept, events dropped)`.
-fn traced_run(backend: BackendKind, capacity: Option<usize>) -> (u64, usize, u64) {
-    let mut run = gate_run().backend(backend);
+/// One [`gate_run`] with the delivery trace off or bounded at `capacity`:
+/// `(allocations, events kept, events dropped)`.
+fn traced_run(capacity: Option<usize>) -> (u64, usize, u64) {
+    let mut run = gate_run();
     if let Some(capacity) = capacity {
         run = run.trace(capacity);
     }
@@ -115,24 +115,20 @@ fn traced_run(backend: BackendKind, capacity: Option<usize>) -> (u64, usize, u64
 }
 
 #[test]
-fn a_full_trace_bounds_the_work_of_tracing_on_both_backends() {
-    // One worker: the pooled schedule then runs on this (counting) thread.
-    PooledBackend::set_process_default_workers(1);
-    for backend in BackendKind::ALL {
-        traced_run(backend, None); // warm-up, as above
-        let (untraced, ..) = traced_run(backend, None);
-        let (bounded, kept, dropped) = traced_run(backend, Some(4));
-        let (_, all, none_dropped) = traced_run(backend, Some(1_000_000));
-        assert_eq!((kept, none_dropped), (4, 0), "{backend}");
-        assert_eq!(kept as u64 + dropped, all as u64, "{backend}");
-        assert_eq!(dropped, 3180, "{backend}");
-        // Four rendered events and the trace itself — not one `String` per
-        // delivery, and no run-long buffer of them.
-        assert!(
-            bounded <= untraced + 64,
-            "{backend}: capacity-4 trace allocated {bounded} against {untraced} untraced"
-        );
-    }
+fn a_full_trace_bounds_the_work_of_tracing() {
+    traced_run(None); // warm-up, as above
+    let (untraced, ..) = traced_run(None);
+    let (bounded, kept, dropped) = traced_run(Some(4));
+    let (_, all, none_dropped) = traced_run(Some(1_000_000));
+    assert_eq!((kept, none_dropped), (4, 0));
+    assert_eq!(kept as u64 + dropped, all as u64);
+    assert_eq!(dropped, 3180);
+    // Four rendered events and the trace itself — not one `String` per
+    // delivery, and no run-long buffer of them.
+    assert!(
+        bounded <= untraced + 64,
+        "capacity-4 trace allocated {bounded} against {untraced} untraced"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! A run in a used arena is a run in a new one. One `RunArena` is driven
 //! through sequences of instances — ids, id counts, seeds, fault counts,
-//! adversaries, backends, tracing and system sizes all changing between
+//! adversaries, tracing and system sizes all changing between
 //! them — and every instance is compared with a fresh run of the same
 //! inputs: outcome, `RunMetrics`, rounds, completion, malformed sends, the
 //! delivery trace, the protocol events and the probes. The service's path
@@ -40,7 +40,6 @@ struct Instance {
     spec: AdversarySpec,
     ids: Vec<OriginalId>,
     seed: u64,
-    backend: BackendKind,
     trace: Option<usize>,
     events: bool,
     payload_cap: Option<u64>,
@@ -88,7 +87,6 @@ impl Instance {
             spec,
             ids: dist.generate(n - faulty, seed),
             seed,
-            backend: d.pick(&BackendKind::ALL),
             trace: (d.below(3) == 0).then_some(1 << 12),
             events: d.below(3) == 0,
             // Tight enough to turn the widest votes and floods away.
@@ -99,7 +97,6 @@ impl Instance {
     fn alg1_opts(&self) -> Alg1Options {
         let mut opts = Alg1Options {
             seed: self.seed,
-            backend: self.backend,
             record_events: self.events,
             ..Alg1Options::default()
         };
@@ -173,7 +170,6 @@ impl Instance {
             .correct_ids(self.ids.iter().copied())
             .adversary(self.spec, self.faulty)
             .seed(self.seed)
-            .backend(self.backend)
     }
 }
 
@@ -247,7 +243,6 @@ fn an_instance_of_another_size_rebuilds_the_network() {
             spec,
             ids: IdDistribution::SparseRandom.generate(n - faulty, seed),
             seed,
-            backend: BackendKind::Sim,
             trace: Some(1 << 12),
             events: true,
             payload_cap: None,

@@ -6,7 +6,7 @@
 //! rendering of its replay — every delivery event the network performed,
 //! plus the diagnosis, metrics and verdict digest — recorded *before* the
 //! network started reusing its per-round inbox/outbox buffers. Replaying
-//! the repro now must reproduce that file byte-for-byte on both backends:
+//! the repro now must reproduce that file byte-for-byte:
 //! buffer reuse is an allocation strategy, not a semantic change, and this
 //! gate is what makes that claim checkable instead of asserted.
 //!
@@ -16,7 +16,6 @@
 
 use opr::chaos::engine::digests_overlap;
 use opr::chaos::{standard_suite, Repro};
-use opr::transport::BackendKind;
 use opr::workload::DiagnosedRun;
 use std::fmt::Write as _;
 
@@ -26,10 +25,9 @@ const TRACE_CAPACITY: usize = 1 << 20;
 
 /// Renders everything observable about a traced replay, one stable line at
 /// a time, so a diff of golden vs current reads like a protocol log.
-fn render(backend: BackendKind, run: &DiagnosedRun) -> String {
+fn render(run: &DiagnosedRun) -> String {
     let mut out = String::new();
     let trace = run.trace.as_ref().expect("trace requested");
-    writeln!(out, "# backend={backend:?}").unwrap();
     writeln!(
         out,
         "# rounds={} digest={}",
@@ -68,16 +66,12 @@ fn render(backend: BackendKind, run: &DiagnosedRun) -> String {
 
 fn replay_rendering() -> String {
     let repro = Repro::from_json(REPRO).expect("stored repro must parse");
-    let mut out = String::new();
-    for backend in BackendKind::ALL {
-        let run = repro
-            .schedule
-            .to_run(backend)
-            .and_then(|run| run.trace(TRACE_CAPACITY).run_diagnosed())
-            .expect("stored repro must replay");
-        out.push_str(&render(backend, &run));
-    }
-    out
+    let run = repro
+        .schedule
+        .to_run()
+        .and_then(|run| run.trace(TRACE_CAPACITY).run_diagnosed())
+        .expect("stored repro must replay");
+    render(&run)
 }
 
 #[test]
@@ -114,13 +108,12 @@ fn replayed_repro_keeps_its_recorded_digest() {
 #[test]
 fn tracing_does_not_perturb_the_replay() {
     let repro = Repro::from_json(REPRO).expect("stored repro must parse");
-    let (reference, _) = repro.backend.backends();
     let traced = repro
         .schedule
-        .to_run(reference)
+        .to_run()
         .and_then(|run| run.trace(TRACE_CAPACITY).run_diagnosed())
         .expect("replay");
-    let untraced = repro.schedule.run_on(reference).expect("replay");
+    let untraced = repro.schedule.run().expect("replay");
     assert!(untraced.trace.is_none());
     assert_eq!(untraced.degraded, traced.degraded);
     assert_eq!(untraced.full_outcome, traced.full_outcome);

@@ -1,7 +1,7 @@
 //! End-to-end chaos campaign guarantees (the acceptance gates of the chaos
 //! engine):
 //!
-//! * in-budget schedules uphold every paper invariant on both backends,
+//! * in-budget schedules uphold every paper invariant,
 //! * over-budget schedules degrade gracefully — structured diagnoses, no
 //!   panics, never an undiagnosed wrong answer,
 //! * a failing schedule shrinks to a minimal reproducer that round-trips
@@ -48,10 +48,9 @@ fn committed_repros_round_trip_byte_for_byte() {
 }
 
 /// The committed worst-case seeds pin near-misses, not failures: each
-/// reproduces its recorded digest and replays green on every backend and
-/// cross-checked across both.
+/// reproduces its recorded digest and replays green.
 #[test]
-fn committed_worst_seeds_replay_green_on_every_backend() {
+fn committed_worst_seeds_replay_green() {
     let oracles = standard_suite();
     let worst: Vec<_> = committed_repros()
         .into_iter()
@@ -63,36 +62,25 @@ fn committed_worst_seeds_replay_green_on_every_backend() {
     );
     for (name, text) in worst {
         let recorded = Repro::from_json(&text).expect("seed parses");
-        for backend in [
-            BackendChoice::Sim,
-            BackendChoice::Pooled,
-            BackendChoice::Both,
-        ] {
-            let verdict = Repro {
-                backend,
-                ..recorded.clone()
-            }
-            .replay(&oracles);
-            assert_eq!(verdict.digest(), recorded.digest, "{name} on {backend}");
-            assert!(
-                !verdict.is_failure(recorded.budget),
-                "{name}: a committed worst seed must replay green on {backend}"
-            );
-        }
+        let verdict = recorded.replay(&oracles);
+        assert_eq!(verdict.digest(), recorded.digest, "{name}");
+        assert!(
+            !verdict.is_failure(recorded.budget),
+            "{name}: a committed worst seed must replay green"
+        );
     }
 }
 
 /// The headline guarantee: a large seeded campaign of schedules whose
 /// effective fault load stays within the algorithm's bound `t` produces
-/// zero violations — on the reference simulator and the pooled backend,
-/// bit-identically.
+/// zero violations.
 #[test]
-fn in_budget_campaign_is_clean_on_both_backends() {
+fn in_budget_campaign_is_clean() {
     let config = CampaignConfig {
         seed: 0xC4A05,
         runs: 1000,
         budget: Some(BudgetRegime::InBudget),
-        backend: BackendChoice::Both,
+        backend: BackendChoice::Sim,
         jobs: 4,
     };
     let report = run_campaign(&config, &standard_suite());
@@ -105,12 +93,12 @@ fn in_budget_campaign_is_clean_on_both_backends() {
 /// At-budget (exactly `t` effective faults) is the paper's worst legal
 /// case and must be just as clean.
 #[test]
-fn at_budget_campaign_is_clean_on_both_backends() {
+fn at_budget_campaign_is_clean() {
     let config = CampaignConfig {
         seed: 0xA7B0D6,
         runs: 300,
         budget: Some(BudgetRegime::AtBudget),
-        backend: BackendChoice::Both,
+        backend: BackendChoice::Sim,
         jobs: 4,
     };
     let report = run_campaign(&config, &standard_suite());
@@ -121,14 +109,14 @@ fn at_budget_campaign_is_clean_on_both_backends() {
 /// Graceful degradation: past the fault bound the algorithms owe no
 /// guarantees, but the harness still owes structure — every over-budget
 /// run ends in a diagnosis (clean or degraded), never a panic, never an
-/// undiagnosed wrong answer, and never a backend divergence.
+/// undiagnosed wrong answer.
 #[test]
 fn over_budget_campaign_degrades_without_panicking() {
     let config = CampaignConfig {
         seed: 0x0EB,
         runs: 300,
         budget: Some(BudgetRegime::OverBudget),
-        backend: BackendChoice::Both,
+        backend: BackendChoice::Sim,
         jobs: 4,
     };
     let report = run_campaign(&config, &standard_suite());
@@ -148,13 +136,12 @@ fn over_budget_campaign_degrades_without_panicking() {
 #[test]
 fn injected_failure_shrinks_and_round_trips_through_repro() {
     let oracles = standard_suite();
-    let backend = BackendChoice::Sim;
     let campaign_seed = 11u64;
     let failure = (0..500usize)
         .find_map(|index| {
             let seed = per_run_seed(campaign_seed, index);
             let schedule = generate_schedule(seed, BudgetRegime::OverBudget);
-            let verdict = judge_schedule(&schedule, backend, &oracles);
+            let verdict = judge_schedule(&schedule, &oracles);
             verdict
                 .is_failure(BudgetRegime::AtBudget)
                 .then_some(Failure {
@@ -167,7 +154,7 @@ fn injected_failure_shrinks_and_round_trips_through_repro() {
         })
         .expect("over-budget schedules must violate at-budget expectations");
 
-    let (repro, result) = failure.shrink_to_repro(campaign_seed, backend, &oracles);
+    let (repro, result) = failure.shrink_to_repro(campaign_seed, &oracles);
     assert!(result.events <= result.original_events);
     assert_eq!(repro.schedule, result.schedule);
     assert_eq!(repro.digest, failure.verdict.digest());
@@ -176,16 +163,12 @@ fn injected_failure_shrinks_and_round_trips_through_repro() {
         (campaign_seed, failure.index)
     );
     // The shrunk schedule still fails with the same digest...
-    let shrunk_verdict = judge_schedule(&repro.schedule, backend, &oracles);
+    let shrunk_verdict = judge_schedule(&repro.schedule, &oracles);
     assert!(shrunk_verdict.is_failure(repro.budget));
     assert!(digests_overlap(&shrunk_verdict.digest(), &repro.digest));
 
     // ...the repro carries the shrunk run's metrics...
-    let (reference, _) = backend.backends();
-    let run = repro
-        .schedule
-        .run_on(reference)
-        .expect("shrunk schedule runs");
+    let run = repro.schedule.run().expect("shrunk schedule runs");
     assert_eq!(repro.metrics.as_ref(), Some(&run.metrics));
 
     // ...round-trips through the repro file format unchanged...
@@ -204,17 +187,16 @@ fn injected_failure_shrinks_and_round_trips_through_repro() {
     assert!(digests_overlap(&first.digest(), &repro.digest));
 }
 
-/// The mixed-budget smoke campaign (over-budget schedules included),
-/// judged with the cross-backend oracle comparing the simulator against
-/// the pooled substrate. Any pooled divergence — outcome, metrics or
-/// diagnosis — surfaces as a campaign failure here.
+/// The mixed-budget smoke campaign (over-budget schedules included) passes:
+/// in- and at-budget runs are clean, over-budget ones degrade with a
+/// diagnosis.
 #[test]
-fn mixed_budget_campaign_is_clean_on_all_backends() {
+fn mixed_budget_campaign_is_clean() {
     let config = CampaignConfig {
         seed: 0x900_1ED,
         runs: 200,
         budget: None,
-        backend: BackendChoice::Both,
+        backend: BackendChoice::Sim,
         jobs: 4,
     };
     let report = run_campaign(&config, &standard_suite());
@@ -231,7 +213,7 @@ fn campaigns_are_deterministic_in_their_seed() {
         seed: 99,
         runs: 120,
         budget: None,
-        backend: BackendChoice::Both,
+        backend: BackendChoice::Sim,
         jobs: 4,
     };
     let oracles = standard_suite();

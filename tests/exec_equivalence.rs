@@ -4,8 +4,8 @@
 //! schedule, so farming runs out to a `RunPool` must be unobservable: a
 //! campaign executed with `jobs = 4` must produce a **bit-identical**
 //! sequence — same `DiagnosedRun`s, same outcomes, same metrics, in the
-//! same submission order — as the serial run of the same seed and budget,
-//! on both execution backends. This gate is what licenses `--jobs N` on
+//! same submission order — as the serial run of the same seed and budget.
+//! This gate is what licenses `--jobs N` on
 //! the chaos, sweep and tables binaries: parallelism is an execution
 //! strategy, never an observable.
 
@@ -20,18 +20,12 @@ use proptest::sample::select;
 /// The worker count the CI smoke step exercises.
 const PARALLEL_JOBS: usize = 4;
 
-fn config(
-    seed: u64,
-    runs: usize,
-    budget: Option<BudgetRegime>,
-    backend: BackendChoice,
-    jobs: usize,
-) -> CampaignConfig {
+fn config(seed: u64, runs: usize, budget: Option<BudgetRegime>, jobs: usize) -> CampaignConfig {
     CampaignConfig {
         seed,
         runs,
         budget,
-        backend,
+        backend: BackendChoice::Sim,
         jobs,
     }
 }
@@ -46,16 +40,10 @@ fn budgets() -> impl Strategy<Value = Option<BudgetRegime>> {
     ])
 }
 
-/// `Both` executes the simulator *and* the pooled backend per schedule, so
-/// these two choices cover every backend.
-fn backends() -> impl Strategy<Value = BackendChoice> {
-    select(vec![BackendChoice::Sim, BackendChoice::Both])
-}
-
 proptest! {
-    // Each case runs the campaign once serially and once on four workers
-    // (and `Both` doubles the per-schedule cost), so keep the case count
-    // CI-sized; the seed space still varies freely across cases.
+    // Each case runs the campaign once serially and once on four workers,
+    // so keep the case count CI-sized; the seed space still varies freely
+    // across cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The executed sequence — schedule, seed, budget and the full
@@ -66,11 +54,9 @@ proptest! {
         seed in 0u64..u64::MAX,
         runs in 4usize..10,
         budget in budgets(),
-        backend in backends(),
     ) {
-        let serial = execute_campaign(&config(seed, runs, budget, backend, 1));
-        let parallel =
-            execute_campaign(&config(seed, runs, budget, backend, PARALLEL_JOBS));
+        let serial = execute_campaign(&config(seed, runs, budget, 1));
+        let parallel = execute_campaign(&config(seed, runs, budget, PARALLEL_JOBS));
         prop_assert_eq!(serial, parallel);
     }
 
@@ -82,12 +68,10 @@ proptest! {
         seed in 0u64..u64::MAX,
         runs in 6usize..12,
         budget in budgets(),
-        backend in backends(),
     ) {
         let oracles = standard_suite();
-        let serial = run_campaign(&config(seed, runs, budget, backend, 1), &oracles);
-        let parallel =
-            run_campaign(&config(seed, runs, budget, backend, PARALLEL_JOBS), &oracles);
+        let serial = run_campaign(&config(seed, runs, budget, 1), &oracles);
+        let parallel = run_campaign(&config(seed, runs, budget, PARALLEL_JOBS), &oracles);
         prop_assert_eq!(serial.total, parallel.total);
         prop_assert_eq!(serial.clean, parallel.clean);
         prop_assert_eq!(serial.degraded, parallel.degraded);
@@ -115,7 +99,7 @@ proptest! {
                     let schedule = schedule.clone();
                     move || {
                         schedule
-                            .run_observed(BackendKind::Sim)
+                            .run_observed()
                             .expect("chaos schedules are legal by construction")
                             .events
                             .expect("recorder attached")
@@ -134,42 +118,6 @@ proptest! {
             logs.iter().map(render_jsonl).collect()
         };
         prop_assert_eq!(rendered(&serial), rendered(&parallel));
-    }
-
-    /// The pooled substrate's *internal* worker pool is unobservable too:
-    /// the same chaos schedule executed with the process-default worker
-    /// count pinned to 1 and to `PARALLEL_JOBS` yields bit-identical
-    /// `DiagnosedRun`s and telemetry. (Worker-count invariance is also a
-    /// determinism property, so the global default racing with concurrent
-    /// pooled runs in this binary cannot perturb their assertions.)
-    #[test]
-    fn pooled_substrate_is_bit_identical_across_worker_counts(
-        seed in 0u64..100_000,
-        budget in select(BudgetRegime::ALL.to_vec()),
-    ) {
-        use opr::transport::PooledBackend;
-        let schedule = opr::chaos::generate_schedule(seed, budget);
-        let run = |workers: usize| {
-            PooledBackend::set_process_default_workers(workers);
-            let observed = schedule
-                .run_observed(BackendKind::Pooled)
-                .expect("chaos schedules are legal by construction");
-            PooledBackend::set_process_default_workers(0);
-            observed
-        };
-        let one = run(1);
-        let four = run(PARALLEL_JOBS);
-        let tag = schedule.describe();
-        prop_assert_eq!(&one, &four, "diagnosed run: {}", tag);
-        let one_log = one.events.as_ref().expect("recorder attached");
-        let four_log = four.events.as_ref().expect("recorder attached");
-        prop_assert_eq!(one_log, four_log, "event streams: {}", tag);
-        prop_assert_eq!(
-            render_jsonl(one_log),
-            render_jsonl(four_log),
-            "JSONL bytes: {}",
-            tag
-        );
     }
 
     /// The deterministic service-level `MetricsSnapshot` is a pure function

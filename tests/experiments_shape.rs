@@ -1,8 +1,36 @@
 //! Shape regression of the experiment tables: the qualitative claims the
 //! paper makes (who wins, by what factor, which bounds are tight) must come
-//! out of the regenerated tables.
+//! out of the regenerated tables — and the tables themselves, as the
+//! `tables` binary prints them, are pinned byte for byte against
+//! `tests/data/tables.golden`.
 
 use opr::workload::experiments;
+
+const TABLES_GOLDEN: &str = "tests/data/tables.golden";
+
+/// Every experiment table as `tables` (no arguments) prints it: each
+/// table's markdown, in [`experiments::IDS`] order, followed by a blank
+/// line. A deliberate change re-blesses with
+/// `BLESS_TABLES=1 cargo test --test experiments_shape`.
+#[test]
+fn every_table_matches_the_committed_golden() {
+    let mut current = String::new();
+    for id in experiments::IDS {
+        let table = experiments::run(id).expect("listed ids run");
+        current.push_str(&table.to_markdown());
+        current.push_str("\n\n");
+    }
+    if std::env::var_os("BLESS_TABLES").is_some() {
+        std::fs::write(TABLES_GOLDEN, &current).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(TABLES_GOLDEN)
+        .expect("golden committed (bless with BLESS_TABLES=1)");
+    assert_eq!(
+        golden, current,
+        "{TABLES_GOLDEN} drifted; re-bless with BLESS_TABLES=1 if deliberate"
+    );
+}
 
 #[test]
 fn t1_paper_algorithms_beat_consensus_in_rounds_for_large_t() {

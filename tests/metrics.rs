@@ -2,8 +2,9 @@
 //!
 //! * histogram bucket boundaries are exact powers of two,
 //! * sharded registry cells merge losslessly across threads,
-//! * the deterministic `MetricsSnapshot` of a run and of a service schedule
-//!   is bit-identical across all three backends and across `jobs` counts,
+//! * the deterministic `MetricsSnapshot` of a run is unchanged by a live
+//!   registry, and a service schedule's is bit-identical across `jobs`
+//!   counts,
 //! * the Prometheus rendering of the deterministic plane is pinned
 //!   byte-for-byte against committed goldens (`tests/data/metrics.prom`,
 //!   `tests/data/service-metrics.prom`; re-bless with `BLESS_METRICS=1`),
@@ -23,7 +24,7 @@ use opr::workload::ServiceWorkload;
 const RUN_GOLDEN: &str = "tests/data/metrics.prom";
 const SERVICE_GOLDEN: &str = "tests/data/service-metrics.prom";
 
-fn small_service(backend: BackendKind, jobs: usize) -> ServiceSpec {
+fn small_service(jobs: usize) -> ServiceSpec {
     ServiceSpec {
         service: ServiceConfig {
             shards: 2,
@@ -31,7 +32,7 @@ fn small_service(backend: BackendKind, jobs: usize) -> ServiceSpec {
             regime: Regime::LogTime,
             byzantine: 2,
             adversary: AdversarySpec::Silent,
-            backend,
+            backend: BackendKind::Sim,
             queue_capacity: 32,
             shard_span: 16,
             seed: 0xfeed,
@@ -92,25 +93,19 @@ fn sharded_cells_merge_losslessly_across_threads() {
 }
 
 /// The deterministic plane of a protocol run is a pure function of the
-/// schedule: all three backends produce the same snapshot, and attaching a
-/// live registry does not change it.
+/// schedule: attaching a live registry does not change it.
 #[test]
-fn run_snapshot_is_backend_invariant() {
+fn run_snapshot_is_unchanged_by_a_live_registry() {
     let schedule = opr::chaos::generate_schedule(11, opr::chaos::BudgetRegime::InBudget);
     let reference = schedule
-        .run_observed(BackendKind::Sim)
+        .run_observed()
         .expect("legal schedule")
         .metrics_snapshot();
     assert!(!reference.is_empty());
     assert!(reference.counter("opr_rounds_total") > 0);
-    let pooled = schedule
-        .run_observed(BackendKind::Pooled)
-        .expect("legal schedule")
-        .metrics_snapshot();
-    assert_eq!(reference, pooled, "snapshot on pooled");
     let registry = MetricsRegistry::new();
     let instrumented = schedule
-        .to_run(BackendKind::Sim)
+        .to_run()
         .and_then(|run| {
             run.record_events()
                 .metrics(registry.clone())
@@ -131,33 +126,27 @@ fn run_snapshot_is_backend_invariant() {
     );
 }
 
-/// The deterministic service snapshot is bit-identical across both
-/// backends and `jobs` counts, observed or not.
+/// The deterministic service snapshot is bit-identical across `jobs`
+/// counts, observed or not.
 #[test]
-fn service_snapshot_is_backend_and_jobs_invariant() {
-    let reference = small_service(BackendKind::Sim, 1)
+fn service_snapshot_is_jobs_invariant() {
+    let reference = small_service(1)
         .run()
         .expect("clean spec")
         .metrics_snapshot();
     assert!(reference.counter("opr_service_grants_total") > 0);
-    for (backend, jobs) in [
-        (BackendKind::Sim, 4),
-        (BackendKind::Pooled, 1),
-        (BackendKind::Pooled, 4),
-    ] {
-        let other = small_service(backend, jobs)
-            .run()
-            .expect("clean spec")
-            .metrics_snapshot();
-        assert_eq!(reference, other, "snapshot on {backend}/jobs{jobs}");
-    }
+    let parallel = small_service(4)
+        .run()
+        .expect("clean spec")
+        .metrics_snapshot();
+    assert_eq!(reference, parallel, "snapshot at jobs 4");
     // Full observation attached: report (and so snapshot) unchanged.
     let obs = ServiceObs {
         metrics: Some(MetricsRegistry::new()),
         flight: Some(shared_flight_recorder(4)),
         ..ServiceObs::default()
     };
-    let observed = small_service(BackendKind::Sim, 1)
+    let observed = small_service(1)
         .run_observed(&obs)
         .expect("clean spec")
         .metrics_snapshot();
@@ -181,7 +170,7 @@ fn check_golden(path: &str, rendered: &str) {
 fn prometheus_rendering_matches_the_run_golden() {
     let schedule = opr::chaos::generate_schedule(11, opr::chaos::BudgetRegime::InBudget);
     let snap = schedule
-        .run_observed(BackendKind::Sim)
+        .run_observed()
         .expect("legal schedule")
         .metrics_snapshot();
     let rendered = render_prometheus(&snap);
@@ -191,7 +180,7 @@ fn prometheus_rendering_matches_the_run_golden() {
 
 #[test]
 fn prometheus_rendering_matches_the_service_golden() {
-    let snap = small_service(BackendKind::Sim, 1)
+    let snap = small_service(1)
         .run()
         .expect("clean spec")
         .metrics_snapshot();
@@ -233,7 +222,7 @@ fn flight_recorder_dumps_last_k_on_injected_violation() {
         flight: Some(flight.clone()),
         ..ServiceObs::default()
     };
-    let spec = small_service(BackendKind::Sim, 1);
+    let spec = small_service(1);
     let report = spec.run_observed(&obs).expect("clean spec");
     assert_eq!(report.epochs, 10);
     let summaries = flight.lock().unwrap().summaries();

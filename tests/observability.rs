@@ -13,7 +13,6 @@
 use opr::chaos::{explain_repro, render_waterfall, Repro};
 use opr::obs::Json;
 use opr::obs::{render_jsonl, render_trace_json, shared_span_log, RunLog};
-use opr::transport::BackendKind;
 
 const REPRO_PATH: &str = "tests/data/chaos-repro.json";
 const GOLDEN_PATH: &str = "tests/data/chaos-explain.golden";
@@ -26,7 +25,7 @@ fn committed_repro() -> Repro {
 fn observed_log() -> RunLog {
     committed_repro()
         .schedule
-        .run_observed(BackendKind::Sim)
+        .run_observed()
         .expect("committed repro replays")
         .events
         .expect("recorder attached")
@@ -51,28 +50,15 @@ fn explain_waterfall_matches_the_committed_golden() {
 }
 
 /// The waterfall is a pure function of (repro, run): rendering twice from
-/// independent replays is byte-identical, on either backend.
+/// independent replays is byte-identical.
 #[test]
 fn explain_waterfall_is_replay_invariant() {
     let repro = committed_repro();
-    let render = |backend: BackendKind| {
-        let run = repro.schedule.run_observed(backend).unwrap();
+    let render = || {
+        let run = repro.schedule.run_observed().unwrap();
         render_waterfall(&repro, &run)
     };
-    // The header names the reference backend, so compare each backend's
-    // rendering against itself across replays; the event sections must
-    // also agree across backends (strip the 'replayed:' header line).
-    assert_eq!(render(BackendKind::Sim), render(BackendKind::Sim));
-    let body = |text: String| -> String {
-        text.lines()
-            .filter(|line| !line.starts_with("replayed: "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        body(render(BackendKind::Sim)),
-        body(render(BackendKind::Pooled))
-    );
+    assert_eq!(render(), render());
 }
 
 /// Every JSONL line is a standalone JSON object with the envelope fields.
@@ -152,12 +138,12 @@ fn deterministic_exports_are_stable_across_replays() {
 /// `.metrics(registry)` record one wall span and one `opr_round_ns` sample
 /// per executed round on the plain `run()` path exactly as on
 /// `run_diagnosed()`, in both runner arms (Alg1 and the 2-step algorithm)
-/// and through `ChaosSchedule::to_run`, with the outcome untouched.
+/// and through `ChaosSchedule::to_run`, with the outcome untouched. The
+/// round clock is one site, labelled `backend="sim"`.
 #[test]
 fn plain_and_diagnosed_runs_record_the_same_round_spans() {
     use opr::prelude::*;
-    let check = |what: &str, backend: BackendKind, build: &dyn Fn() -> RenamingRun| {
-        let what = format!("{what} on {backend}");
+    let check = |what: &str, build: &dyn Fn() -> RenamingRun| {
         let attached = || {
             let (log, registry) = (shared_span_log(), MetricsRegistry::new());
             let run = build().spans(log.clone()).metrics(registry.clone());
@@ -168,7 +154,7 @@ fn plain_and_diagnosed_runs_record_the_same_round_spans() {
             let spans = log.spans().iter().filter(|s| s.name == "round").count();
             let samples = registry
                 .snapshot()
-                .histogram(&format!("opr_round_ns{{backend=\"{backend}\"}}"))
+                .histogram("opr_round_ns{backend=\"sim\"}")
                 .map_or(0, |hist| hist.count);
             (spans, samples as usize)
         };
@@ -185,24 +171,20 @@ fn plain_and_diagnosed_runs_record_the_same_round_spans() {
             "{what}: run_diagnosed"
         );
     };
-    // Both labels: the round clock is one site shared by the two backends.
-    for backend in BackendKind::ALL {
-        for (regime, cfg) in [
-            (Regime::LogTime, SystemConfig::new(7, 2).unwrap()),
-            (Regime::TwoStep, SystemConfig::new(11, 2).unwrap()),
-        ] {
-            let ids = IdDistribution::SparseRandom.generate(cfg.n() - 2, 5);
-            check(&format!("{regime:?}"), backend, &|| {
-                RenamingRun::builder(cfg, regime)
-                    .correct_ids(ids.clone())
-                    .adversary(AdversarySpec::Silent, 2)
-                    .seed(5)
-                    .backend(backend)
-            });
-        }
-        let schedule = opr::chaos::generate_schedule(11, opr::chaos::BudgetRegime::InBudget);
-        check("chaos schedule", backend, &|| {
-            schedule.to_run(backend).expect("legal schedule")
+    for (regime, cfg) in [
+        (Regime::LogTime, SystemConfig::new(7, 2).unwrap()),
+        (Regime::TwoStep, SystemConfig::new(11, 2).unwrap()),
+    ] {
+        let ids = IdDistribution::SparseRandom.generate(cfg.n() - 2, 5);
+        check(&format!("{regime:?}"), &|| {
+            RenamingRun::builder(cfg, regime)
+                .correct_ids(ids.clone())
+                .adversary(AdversarySpec::Silent, 2)
+                .seed(5)
         });
     }
+    let schedule = opr::chaos::generate_schedule(11, opr::chaos::BudgetRegime::InBudget);
+    check("chaos schedule", &|| {
+        schedule.to_run().expect("legal schedule")
+    });
 }

@@ -4,14 +4,14 @@
 //! releases adds nothing to the protocol: the protocol names it records per
 //! original id must be **bit-identical** to a direct `RenamingRun` on the
 //! same inputs (same ids — batch originals plus the service's filler
-//! padding — same adversary, same seed, same backend), and the service
-//! names must be the order-preserving compaction of those protocol names
-//! onto the fresh pool (`1..=k` in original-id order). Property-tested over
-//! `(N, t)`, batch size, id layout and both backends, for the log-time and
-//! two-step regimes.
+//! padding — same adversary, same seed), and the service names must be the
+//! order-preserving compaction of those protocol names onto the fresh pool
+//! (`1..=k` in original-id order). Property-tested over `(N, t)`, batch
+//! size and id layout, for the log-time and two-step regimes.
 
 use opr::prelude::*;
 use opr::service::{epoch_seed, LedgerEvent, ServiceConfig, ServiceEngine, ServiceOp};
+use opr::transport::BackendKind;
 use opr::types::NewName;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -40,7 +40,6 @@ fn config_for(regime: Regime) -> impl Strategy<Value = (usize, usize)> {
 
 /// Runs the one-shard one-epoch service on `batch` acquires and checks both
 /// halves of the reduction against the direct run.
-#[allow(clippy::too_many_arguments)]
 fn assert_reduces(
     regime: Regime,
     n: usize,
@@ -49,7 +48,6 @@ fn assert_reduces(
     dist: IdDistribution,
     spec: AdversarySpec,
     seed: u64,
-    backend: BackendKind,
 ) {
     let cfg = SystemConfig::new(n, t).unwrap();
     let capacity = n - t;
@@ -62,7 +60,7 @@ fn assert_reduces(
         regime,
         byzantine: t,
         adversary: spec,
-        backend,
+        backend: BackendKind::Sim,
         queue_capacity: capacity.max(1),
         shard_span: capacity as u64 + 8,
         seed,
@@ -89,7 +87,6 @@ fn assert_reduces(
         .correct_ids(ids)
         .adversary(spec, t)
         .seed(epoch_seed(seed, 0, 0))
-        .backend(backend)
         .run()
         .unwrap();
 
@@ -132,9 +129,7 @@ proptest! {
         spec in adversary_for(Regime::LogTime),
         seed in 0u64..1000,
     ) {
-        for backend in BackendKind::ALL {
-            assert_reduces(Regime::LogTime, n, t, batch, dist, spec, seed, backend);
-        }
+        assert_reduces(Regime::LogTime, n, t, batch, dist, spec, seed);
     }
 
     #[test]
@@ -145,8 +140,6 @@ proptest! {
         spec in adversary_for(Regime::TwoStep),
         seed in 0u64..1000,
     ) {
-        for backend in BackendKind::ALL {
-            assert_reduces(Regime::TwoStep, n, t, batch, dist, spec, seed, backend);
-        }
+        assert_reduces(Regime::TwoStep, n, t, batch, dist, spec, seed);
     }
 }

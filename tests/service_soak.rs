@@ -1,25 +1,25 @@
 //! The service soak gate: a seeded 1000-epoch run with recycling across 4
 //! shards must complete oracle-clean and be bit-identical across worker
-//! counts and execution backends. Beside it, the service smoke sweeps 40
+//! counts. Beside it, the service smoke sweeps 40
 //! small seeded specs over every regime and adversary the soak spec fixes.
 //!
 //! This is the acceptance gate for the service layer: within-epoch
 //! uniqueness/order/namespace discipline plus cross-epoch uniqueness over
 //! thousands of protocol instances, with names cycling through the shard
-//! pools the whole time, and `jobs`/backend demoted to pure execution
-//! strategy (the `ServiceReport` — ledger included — is compared with
+//! pools the whole time, and `jobs` demoted to pure execution strategy (the `ServiceReport` — ledger included — is compared with
 //! `==`).
 
 use opr::chaos::engine::per_run_seed;
 use opr::prelude::*;
 use opr::service::{judge_ledger, ServiceConfig, ServiceSpec};
+use opr::transport::BackendKind;
 use opr::types::Regime;
 
 /// The soak spec: 4 shards, `(N, t) = (7, 2)` log-time instances with 2
 /// silent Byzantine actors each, 16 arrivals per epoch over a 4000-client
 /// universe (clients wrap, so returning clients re-acquire after releasing)
 /// and holds of 1–3 epochs, so the pools recycle constantly.
-fn soak_spec(epochs: u64, backend: BackendKind, jobs: usize) -> ServiceSpec {
+fn soak_spec(epochs: u64, jobs: usize) -> ServiceSpec {
     ServiceSpec {
         service: ServiceConfig {
             shards: 4,
@@ -27,7 +27,7 @@ fn soak_spec(epochs: u64, backend: BackendKind, jobs: usize) -> ServiceSpec {
             regime: Regime::LogTime,
             byzantine: 2,
             adversary: AdversarySpec::Silent,
-            backend,
+            backend: BackendKind::Sim,
             queue_capacity: 64,
             shard_span: 64,
             seed: 0x5eed,
@@ -45,7 +45,7 @@ fn soak_spec(epochs: u64, backend: BackendKind, jobs: usize) -> ServiceSpec {
 
 #[test]
 fn thousand_epoch_soak_is_oracle_clean_and_recycles() {
-    let spec = soak_spec(1000, BackendKind::Sim, 1);
+    let spec = soak_spec(1000, 1);
     let report = spec.run().unwrap();
     assert_eq!(report.epochs, 1000);
     let violations = judge_ledger(&spec.service, &report.ledger);
@@ -69,32 +69,15 @@ fn thousand_epoch_soak_is_oracle_clean_and_recycles() {
 }
 
 #[test]
-fn soak_report_is_bit_identical_across_jobs_and_backends() {
-    // Full 1000 epochs on the simulator across worker counts; the pooled
-    // backend (a worker pool per instance, thousands of instances) runs a
-    // shorter schedule to keep the suite CI-sized — the backends' per-run
-    // equivalence is already property-gated in `service_reduction.rs`.
-    let reference = soak_spec(1000, BackendKind::Sim, 1).run().unwrap();
-    let parallel = soak_spec(1000, BackendKind::Sim, 4).run().unwrap();
+fn soak_report_is_bit_identical_across_jobs() {
+    let reference = soak_spec(1000, 1).run().unwrap();
+    let parallel = soak_spec(1000, 4).run().unwrap();
     assert_eq!(reference, parallel, "jobs must be unobservable");
-
-    let short_sim = soak_spec(120, BackendKind::Sim, 1).run().unwrap();
-    for (backend, jobs) in [
-        (BackendKind::Sim, 4),
-        (BackendKind::Pooled, 1),
-        (BackendKind::Pooled, 4),
-    ] {
-        let other = soak_spec(120, backend, jobs).run().unwrap();
-        assert_eq!(
-            short_sim, other,
-            "backend {backend:?} jobs {jobs} diverged from the sim reference"
-        );
-    }
 }
 
 /// The smoke spec drawn from one run seed: 1–4 shards, every regime at
 /// `t = 1`, 0–1 Byzantine actors under any adversary of the regime's suite,
-/// both backends, a 20-client universe (clients wrap around, producing
+/// a 20-client universe (clients wrap around, producing
 /// duplicate-acquire and re-acquire traffic) and holds short enough to
 /// recycle names within the 10-epoch schedule.
 fn smoke_spec(seed: u64) -> ServiceSpec {
@@ -109,7 +92,7 @@ fn smoke_spec(seed: u64) -> ServiceSpec {
             regime,
             byzantine: ((seed >> 16) % 2) as usize,
             adversary: suite[((seed >> 24) as usize) % suite.len()],
-            backend: BackendKind::ALL[((seed >> 32) % 2) as usize],
+            backend: BackendKind::Sim,
             queue_capacity: 64,
             shard_span: 16,
             seed,
@@ -147,9 +130,6 @@ fn seeded_smoke_specs_are_oracle_clean_and_jobs_invariant() {
     let covers = |pred: &dyn Fn(&ServiceConfig) -> bool| specs.iter().any(|s| pred(&s.service));
     for regime in Regime::ALL {
         assert!(covers(&|c| c.regime == regime), "{regime:?} never drawn");
-    }
-    for backend in BackendKind::ALL {
-        assert!(covers(&|c| c.backend == backend), "{backend:?} never drawn");
     }
     for shards in 1..=4 {
         assert!(covers(&|c| c.shards == shards), "{shards} shards");

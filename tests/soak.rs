@@ -51,7 +51,6 @@ fn alg1_log_time_soak() {
                             faulty: t,
                             adversary: spec,
                             seed,
-                            backend: BackendKind::default(),
                         });
                     }
                 }
@@ -80,7 +79,6 @@ fn two_step_soak() {
                             faulty: t,
                             adversary: spec,
                             seed,
-                            backend: BackendKind::default(),
                         });
                     }
                 }
@@ -108,7 +106,6 @@ fn constant_time_soak() {
                     faulty: t,
                     adversary: spec,
                     seed,
-                    backend: BackendKind::default(),
                 });
             }
         }
