@@ -124,11 +124,8 @@ impl Actor for ConsensusRenaming {
                 }),
             );
             if r == 4 {
-                let accepted = self
-                    .flood
-                    .result()
-                    .expect("flood finishes at step 4")
-                    .accepted;
+                let result = self.flood.result().expect("flood finishes at step 4");
+                let accepted = result.accepted.iter().copied().collect();
                 self.consensus = Some(VectorPhaseKing::new(
                     self.cfg.n(),
                     self.cfg.t(),

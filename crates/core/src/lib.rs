@@ -66,3 +66,19 @@ pub use runner::{
     SilentActor, TwoStepOptions,
 };
 pub use two_step::{TwoStepRenaming, TwoStepTweaks};
+
+use std::sync::Arc;
+
+/// Makes `shared` hold `values`: written into its own slice while `shared`
+/// is that slice's one handle and has their length, collected into a new
+/// slice otherwise — so no handle anyone else holds ever sees a write.
+pub(crate) fn refill<T>(shared: &mut Arc<[T]>, values: impl ExactSizeIterator<Item = T>) {
+    match Arc::get_mut(shared).filter(|slice| slice.len() == values.len()) {
+        Some(slice) => {
+            for (slot, value) in slice.iter_mut().zip(values) {
+                *slot = value;
+            }
+        }
+        None => *shared = values.collect(),
+    }
+}

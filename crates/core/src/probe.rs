@@ -20,12 +20,12 @@ pub struct VotingSnapshot {
     pub step: u32,
     /// The process's rank vector.
     pub ranks: RankVector,
-    /// The process's `timely` set (constant after step 4, so every
-    /// snapshot of a process shares one).
-    pub timely: Arc<BTreeSet<OriginalId>>,
-    /// The process's `accepted` set (may shrink during voting; shared
-    /// between snapshots until it does).
-    pub accepted: Arc<BTreeSet<OriginalId>>,
+    /// The process's `timely` set, its ids ascending (constant after step
+    /// 4, so every snapshot of a process shares one slice).
+    pub timely: Arc<[OriginalId]>,
+    /// The process's `accepted` set, its ids ascending (may shrink during
+    /// voting; shared between snapshots until it does).
+    pub accepted: Arc<[OriginalId]>,
 }
 
 /// Sink one correct Algorithm 1 process writes into.
@@ -96,7 +96,12 @@ impl Alg1Probe {
             .collect();
         firsts
             .iter()
-            .map(|s| timely_union.difference(&s.accepted).count())
+            .map(|s| {
+                timely_union
+                    .iter()
+                    .filter(|id| s.accepted.binary_search(id).is_err())
+                    .count()
+            })
             .sum()
     }
 
@@ -243,8 +248,8 @@ mod tests {
                 .iter()
                 .map(|&(id, r)| (OriginalId::new(id), Rank::new(r)))
                 .collect(),
-            timely: Arc::new(timely.iter().map(|&x| OriginalId::new(x)).collect()),
-            accepted: Arc::new(accepted.iter().map(|&x| OriginalId::new(x)).collect()),
+            timely: timely.iter().map(|&x| OriginalId::new(x)).collect(),
+            accepted: accepted.iter().map(|&x| OriginalId::new(x)).collect(),
         }
     }
 

@@ -308,7 +308,23 @@ impl RankVector {
     /// Initial ranks after id selection (Algorithm 1, lines 26–28): the
     /// 1-based position of each accepted id, stretched by `delta`.
     pub fn from_accepted(accepted: &BTreeSet<OriginalId>, delta: f64) -> Self {
-        VoteScratch::default().first_vector(accepted, delta)
+        let accepted: Vec<OriginalId> = accepted.iter().copied().collect();
+        let mut ranks = RankVector::new();
+        ranks.reset_to_first(&accepted, delta);
+        ranks
+    }
+
+    /// Makes this vector [`from_accepted`](RankVector::from_accepted)'s
+    /// over `accepted` (ascending ids), written into this vector's own
+    /// slice while it is that slice's one holder and has `accepted`'s
+    /// length — a process's last vector, when a run arena reruns it — and
+    /// into a new slice otherwise.
+    pub(crate) fn reset_to_first(&mut self, accepted: &[OriginalId], delta: f64) {
+        let first = accepted
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, Rank::from_position(i + 1, delta)));
+        crate::refill(&mut self.entries, first);
     }
 
     /// The rank of `id`, if tracked.
@@ -413,16 +429,15 @@ const TILE_RUNS: usize = 128 * 1024 / std::mem::size_of::<Run>();
 const STRIDE_PAD: usize = 64 / std::mem::size_of::<Run>();
 
 /// Reusable working memory of [`approximate`](VoteScratch::approximate):
-/// the accepted ids, one cursor per distinct vote, one tile of vote columns
-/// and the new vector's entries. A process keeps one across its voting
-/// steps (and across the instances of a run arena), so once the first step
-/// has sized it a step allocates here only the new vector's shared slice —
-/// and not even that when the step changed no rank.
+/// one cursor per distinct vote, one tile of vote columns and the new
+/// vector's entries. A process keeps one across its voting steps (and
+/// across the instances of a run arena), so once the first step has sized
+/// it a step allocates here only the new vector's shared slice — and not
+/// even that when the step changed no rank.
 #[derive(Clone, Debug)]
 pub struct VoteScratch {
     /// [`TILE_RUNS`], except in the unit test that forces many tiles.
     tile_runs: usize,
-    ids: Vec<OriginalId>,
     /// Per vote, the first entry not yet walked past — carried from tile to
     /// tile, so every vote is walked once per step.
     cursors: Vec<usize>,
@@ -439,7 +454,6 @@ impl Default for VoteScratch {
     fn default() -> Self {
         VoteScratch {
             tile_runs: TILE_RUNS,
-            ids: Vec::new(),
             cursors: Vec::new(),
             columns: Vec::new(),
             filled: Vec::new(),
@@ -449,29 +463,10 @@ impl Default for VoteScratch {
 }
 
 impl VoteScratch {
-    /// [`RankVector::from_accepted`], gathered in the reused entry buffer
-    /// and copied into the vector's slice once.
-    pub(crate) fn first_vector(
-        &mut self,
-        accepted: &BTreeSet<OriginalId>,
-        delta: f64,
-    ) -> RankVector {
-        self.ranks.clear();
-        self.ranks.extend(
-            accepted
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| (id, Rank::from_position(i + 1, delta))),
-        );
-        RankVector {
-            entries: self.ranks.as_slice().into(),
-        }
-    }
-
-    /// One voting step (Algorithm 3, `approximate`): for each accepted id,
-    /// gather the validated votes, drop ids with fewer than `N − t` votes,
-    /// pad each multiset to `N` votes with our own rank, trim `t` per side,
-    /// select and average.
+    /// One voting step (Algorithm 3, `approximate`): for each accepted id
+    /// (`accepted` ascending), gather the validated votes, drop ids with
+    /// fewer than `N − t` votes, pad each multiset to `N` votes with our own
+    /// rank, trim `t` per side, select and average.
     ///
     /// `valid_votes` are distinct votes in canonical form (strictly
     /// ascending ids — what [`RankVector`] holds), each with its number of
@@ -495,7 +490,7 @@ impl VoteScratch {
     pub fn approximate<V: AsRef<[(OriginalId, Rank)]>>(
         &mut self,
         my_ranks: &RankVector,
-        accepted: &BTreeSet<OriginalId>,
+        accepted: &[OriginalId],
         valid_votes: &[(V, usize)],
         n: usize,
         t: usize,
@@ -504,19 +499,19 @@ impl VoteScratch {
         debug_assert!(valid_votes
             .iter()
             .all(|(v, _)| strictly_ascending(v.as_ref())));
-        self.ids.clear();
-        self.ids.extend(accepted);
+        debug_assert!(accepted.windows(2).all(|w| w[0] < w[1]));
         self.cursors.clear();
         self.cursors.resize(valid_votes.len(), 0);
         // A column holds one run per distinct vote and one of the own rank.
         let stride = valid_votes.len() + 1 + STRIDE_PAD;
-        let width = (self.tile_runs / stride).clamp(1, self.ids.len().max(1));
+        let width = (self.tile_runs / stride).clamp(1, accepted.len().max(1));
         if self.columns.len() < width * stride {
             self.columns.resize(width * stride, (Rank::default(), 0));
         }
         let mut own = my_ranks.entries.iter();
         self.ranks.clear();
-        for tile in self.ids.chunks(width) {
+        self.ranks.reserve(accepted.len());
+        for tile in accepted.chunks(width) {
             self.filled.clear();
             self.filled.resize(tile.len(), (0, 0));
             for ((vote, copies), cursor) in valid_votes.iter().zip(&mut self.cursors) {
@@ -588,8 +583,9 @@ pub fn approximate(
         // Already canonical and, by this function's contract, valid.
         let _ = ballot.cast(&vote.entries, |_| Ok(()));
     }
+    let accepted: Vec<OriginalId> = accepted.iter().copied().collect();
     let new_ranks =
-        VoteScratch::default().approximate(my_ranks, accepted, ballot.votes(), n, t, |_, _, _| {});
+        VoteScratch::default().approximate(my_ranks, &accepted, ballot.votes(), n, t, |_, _, _| {});
     let new_accepted = new_ranks.ids().collect();
     (new_ranks, new_accepted)
 }
@@ -607,6 +603,10 @@ mod tests {
 
     fn ids(raw: &[u64]) -> BTreeSet<OriginalId> {
         raw.iter().map(|&x| OriginalId::new(x)).collect()
+    }
+
+    fn sorted(ids: &BTreeSet<OriginalId>) -> Vec<OriginalId> {
+        ids.iter().copied().collect()
     }
 
     fn vector(pairs: &[(u64, f64)]) -> RankVector {
@@ -627,6 +627,25 @@ mod tests {
             Some(Rank::new(3.0 * delta))
         );
         assert_eq!(ranks.len(), 3);
+    }
+
+    /// The first vector goes into the last one's slice while nothing else
+    /// holds it and the lengths agree, and into a new slice otherwise: a
+    /// held vector never changes.
+    #[test]
+    fn the_first_vector_reuses_an_unheld_slice_of_its_length() {
+        let (delta, three) = (1.25, sorted(&ids(&[4, 8, 9])));
+        let mut ranks = RankVector::from_accepted(&ids(&[1, 2, 3]), 1.0);
+        let slice = Arc::as_ptr(&ranks.entries);
+        ranks.reset_to_first(&three, delta);
+        assert_eq!(Arc::as_ptr(&ranks.entries), slice, "unheld: in place");
+        assert_eq!(ranks, RankVector::from_accepted(&ids(&[4, 8, 9]), delta));
+        let held = ranks.clone();
+        ranks.reset_to_first(&sorted(&ids(&[5, 6, 7])), delta);
+        assert!(!Arc::ptr_eq(&ranks.entries, &held.entries));
+        assert_eq!(held, RankVector::from_accepted(&ids(&[4, 8, 9]), delta));
+        ranks.reset_to_first(&three[..2], delta);
+        assert_eq!(ranks.len(), 2, "another length: a new slice");
     }
 
     #[test]
@@ -699,7 +718,7 @@ mod tests {
         let mut seen = Vec::new();
         let new_ranks = VoteScratch::default().approximate(
             &mine,
-            &accepted,
+            &sorted(&accepted),
             &votes,
             n,
             t,
@@ -753,10 +772,16 @@ mod tests {
         for columns_per_tile in [1, 2, 3, 7, 40] {
             scratch.tile_runs = columns_per_tile * stride;
             let mut fates = Vec::new();
-            let new_ranks =
-                scratch.approximate(&mine, &accepted, ballot.votes(), n, t, |id, votes, rank| {
+            let new_ranks = scratch.approximate(
+                &mine,
+                &sorted(&accepted),
+                ballot.votes(),
+                n,
+                t,
+                |id, votes, rank| {
                     fates.push((id, votes, rank));
-                });
+                },
+            );
             assert_eq!(fates, expected_fates, "{columns_per_tile} columns per tile");
             assert_eq!(
                 new_ranks.iter().collect::<vote_model::Model>(),
@@ -999,7 +1024,14 @@ mod tests {
             for vote in votes {
                 let _ = ballot.cast(&vote.entries, |_| Ok(()));
             }
-            VoteScratch::default().approximate(&mine, &accepted, ballot.votes(), n, t, |_, _, _| {})
+            VoteScratch::default().approximate(
+                &mine,
+                &sorted(&accepted),
+                ballot.votes(),
+                n,
+                t,
+                |_, _, _| {},
+            )
         };
         let converged = step(&[mine.clone(), mine.clone(), mine.clone(), mine.clone()]);
         assert!(Arc::ptr_eq(&converged.entries, &mine.entries));

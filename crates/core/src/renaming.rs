@@ -3,11 +3,11 @@
 use crate::messages::Alg1Msg;
 use crate::probe::{SharedProcessProbe, VotingSnapshot};
 use crate::ranks::{self, Ballot, RankVector, VoteScratch};
+use crate::refill;
 use opr_obs::{record_if, ProtocolEvent, SharedRecorder};
 use opr_rbcast::{EchoReadyFlood, FloodObserver, IdInterner};
 use opr_sim::{Actor, Inbox, Outbox};
 use opr_types::{LinkId, NewName, OriginalId, Regime, Round, SystemConfig};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Maps flood threshold decisions onto recorder events (ids only — the
@@ -106,13 +106,17 @@ pub struct OrderPreservingRenaming {
     delta: f64,
     tweaks: Alg1Tweaks,
     flood: EchoReadyFlood<OriginalId>,
-    /// Shared with every [`VotingSnapshot`]: set at step 4, constant after.
-    timely: Option<Arc<BTreeSet<OriginalId>>>,
-    /// `timely` as the sorted slice `isValid` merge-walks once per vote.
-    timely_ids: Vec<OriginalId>,
-    /// Shared with the snapshots; set at step 4, replaced only by a step
-    /// that drops an id. Always the ids of `ranks`.
-    accepted: Option<Arc<BTreeSet<OriginalId>>>,
+    /// The sorted `timely` ids `isValid` merge-walks once per vote, shared
+    /// with every [`VotingSnapshot`]: set at step 4, constant after.
+    timely: Arc<[OriginalId]>,
+    /// The sorted `accepted` ids, shared with the snapshots; set at step 4,
+    /// replaced only by a step that drops an id. Always the ids of `ranks`
+    /// from step 4 on.
+    accepted: Arc<[OriginalId]>,
+    /// From step 4 on, the rank vector. Before step 4, `timely`, `accepted`
+    /// and `ranks` hold the last instance's — nothing reads them — so that
+    /// step 4 can write this instance's into their slices (see
+    /// [`crate::refill`]).
     ranks: RankVector,
     /// The voting steps' fold of received votes, cleared after each step.
     ballot: Ballot,
@@ -231,9 +235,8 @@ impl OrderPreservingRenaming {
             delta: 0.0,
             tweaks,
             flood: EchoReadyFlood::with_interner(cfg.n(), cfg.t(), None, interner.clone()),
-            timely: None,
-            timely_ids: Vec::new(),
-            accepted: None,
+            timely: Arc::default(),
+            accepted: Arc::default(),
             ranks: RankVector::new(),
             ballot: Ballot::with_capacity(cfg.n()),
             scratch: VoteScratch::default(),
@@ -247,10 +250,10 @@ impl OrderPreservingRenaming {
 
     /// Makes this process a new one: what
     /// [`new_unchecked`](Self::new_unchecked) builds on this process's
-    /// interner, with nothing attached — but keeping the capacity of the
-    /// flood's words and counters, the ballot, the vote scratch and the
-    /// timely ids. The interner must have been cleared since the last
-    /// instance's flood.
+    /// interner, with nothing attached — but keeping the flood's words,
+    /// counters and result, the ballot, the vote scratch, and the last
+    /// instance's sets and rank vector for step 4 to rewrite. The interner
+    /// must have been cleared since the last instance's flood.
     pub(crate) fn reset(
         &mut self,
         cfg: SystemConfig,
@@ -272,10 +275,6 @@ impl OrderPreservingRenaming {
         self.delta = cfg.delta();
         self.tweaks = tweaks;
         self.flood.restart(cfg.n(), cfg.t(), Some(my_id));
-        self.timely = None;
-        self.timely_ids.clear();
-        self.accepted = None;
-        self.ranks = RankVector::new();
         self.ballot.clear();
         self.decided = None;
         self.probe = None;
@@ -312,12 +311,11 @@ impl OrderPreservingRenaming {
 
     fn record_snapshot(&self, step: u32) {
         if let Some(probe) = &self.probe {
-            let shared = |set: &Option<Arc<_>>| Arc::clone(set.as_ref().expect("set at step 4"));
             probe.lock().unwrap().snapshots.push(VotingSnapshot {
                 step,
                 ranks: self.ranks.clone(),
-                timely: shared(&self.timely),
-                accepted: shared(&self.accepted),
+                timely: Arc::clone(&self.timely),
+                accepted: Arc::clone(&self.accepted),
             });
         }
     }
@@ -365,10 +363,9 @@ impl Actor for OrderPreservingRenaming {
             );
             if r == 4 {
                 let result = self.flood.result().expect("flood finishes at step 4");
-                self.timely_ids.extend(&result.timely);
-                self.timely = Some(Arc::new(result.timely));
-                self.ranks = self.scratch.first_vector(&result.accepted, self.delta);
-                self.accepted = Some(Arc::new(result.accepted));
+                refill(&mut self.timely, result.timely.iter().copied());
+                refill(&mut self.accepted, result.accepted.iter().copied());
+                self.ranks.reset_to_first(&self.accepted, self.delta);
                 if let Some(probe) = &self.probe {
                     // One snapshot now and one per voting step.
                     let steps = (self.total_steps - 3) as usize;
@@ -388,7 +385,7 @@ impl Actor for OrderPreservingRenaming {
                     if self.tweaks.disable_validation {
                         Ok(())
                     } else {
-                        ranks::check_valid(vote, self.timely_ids.iter().copied(), spacing)
+                        ranks::check_valid(vote, self.timely.iter().copied(), spacing)
                     }
                 });
                 match verdict {
@@ -425,10 +422,9 @@ impl Actor for OrderPreservingRenaming {
                     .all(|(vote, _)| **vote == *self.ranks.as_ref());
             let recorder = self.recorder.as_ref();
             let needed = self.cfg.quorum();
-            let accepted = self.accepted.as_mut().expect("set at step 4");
             self.ranks = self.scratch.approximate(
                 &self.ranks,
-                accepted,
+                &self.accepted,
                 self.ballot.votes(),
                 self.cfg.n(),
                 self.cfg.t(),
@@ -448,8 +444,8 @@ impl Actor for OrderPreservingRenaming {
                 },
             );
             self.ballot.clear();
-            if self.ranks.len() < accepted.len() {
-                *accepted = Arc::new(self.ranks.ids().collect());
+            if self.ranks.len() < self.accepted.len() {
+                self.accepted = self.ranks.ids().collect();
             }
             self.record_snapshot(r);
             if frozen || r == self.total_steps {
@@ -484,6 +480,7 @@ mod tests {
     use opr_obs::ValidityViolation;
     use opr_sim::{Network, Topology};
     use opr_types::RenamingOutcome;
+    use std::collections::BTreeSet;
 
     fn run_correct_only(
         cfg: SystemConfig,

@@ -9,6 +9,7 @@
 
 use crate::messages::{Alg1Msg, TwoStepMsg};
 use crate::probe::{Alg1Probe, ProcessProbe, TwoStepProbe, TwoStepProcessProbe};
+use crate::refill;
 use crate::renaming::{Alg1Tweaks, OrderPreservingRenaming};
 use crate::two_step::{TwoStepRenaming, TwoStepTweaks};
 use opr_obs::{shared_recorder, ProcessLog, RunLog, SharedRecorder};
@@ -149,8 +150,10 @@ pub struct ObservedRun<P> {
     pub completed: bool,
     /// Sends the transport rejected, in `(round, sender, occurrence)` order.
     pub malformed: Vec<MalformedSend>,
-    /// Which actor indices were Byzantine (`true` = faulty).
-    pub faulty_mask: Vec<bool>,
+    /// Which actor indices were Byzantine (`true` = faulty); shared with
+    /// the arena, which rewrites it for a later run only once no
+    /// observation holds it.
+    pub faulty_mask: Arc<[bool]>,
     /// Delivery events, present iff a `trace_capacity` was requested.
     pub trace: Option<Trace>,
     /// Per-process protocol event streams, present iff event recording was
@@ -332,11 +335,31 @@ impl<S> Probes<S> for () {
 /// adversaries and the system size may all change between runs (a new
 /// size rebuilds the network). Adversaries are built per run. An arena a
 /// run panicked in is dropped, never reused.
+///
+/// What a run hands back shares storage with the arena — the fault mask,
+/// the metrics, and the sets and vectors inside probe snapshots. The arena
+/// writes such storage for a later run only while it is the one holder
+/// and builds new storage otherwise, so an observation kept across later
+/// runs never changes and equals that of a run in a new arena.
 #[derive(Default)]
 pub struct RunArena {
     run: RunBuffers,
     alg1: Option<Seats<OrderPreservingRenaming>>,
     two_step: Option<Seats<TwoStepRenaming>>,
+    /// The id list a caller last handed in ([`RunArena::swap_ids`]).
+    ids: Vec<OriginalId>,
+}
+
+impl RunArena {
+    /// Keeps `ids` and returns the list kept before, emptied but with its
+    /// storage. A caller that builds the correct ids of instance after
+    /// instance takes a list out (`swap_ids(Vec::new())`), fills it, runs
+    /// and hands it back, so its list is allocated once.
+    pub fn swap_ids(&mut self, ids: Vec<OriginalId>) -> Vec<OriginalId> {
+        let mut kept = std::mem::replace(&mut self.ids, ids);
+        kept.clear();
+        kept
+    }
 }
 
 /// The run-level part of an arena, whatever the family.
@@ -345,6 +368,8 @@ struct RunBuffers {
     /// The run's shared id-slot registry, cleared at the start of each run.
     interner: IdInterner<OriginalId>,
     faulty: Vec<bool>,
+    /// `faulty`, as the run's observation shares it.
+    mask: Arc<[bool]>,
     shuffled: Vec<usize>,
     sorted_ids: Vec<OriginalId>,
     positions: Vec<(usize, OriginalId)>,
@@ -435,6 +460,7 @@ where
     let RunBuffers {
         interner,
         faulty,
+        mask,
         shuffled,
         sorted_ids,
         positions,
@@ -445,6 +471,7 @@ where
     validate(cfg, sorted_ids, faulty_count, fault_bound)?;
     let seed = opts.seed;
     place_faults(n, faulty_count, seed, shuffled, faulty);
+    refill(mask, faulty.iter().copied());
     // The run's shared id-slot registry: every correct actor's bitset
     // payloads are relative to it, and every adversary's [`AdversaryEnv`]
     // carries it so forged payloads encode against the same slots. Cleared
@@ -541,7 +568,7 @@ where
         step_budget: total_steps,
         completed: report.completed,
         malformed,
-        faulty_mask: faulty.to_vec(),
+        faulty_mask: Arc::clone(mask),
         trace,
         events,
         probe: P::from_sinks(

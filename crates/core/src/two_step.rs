@@ -29,8 +29,9 @@ pub struct TwoStepRenaming {
     /// `⊥`).
     link_id: Vec<Option<OriginalId>>,
     /// The `timely` set as a slot bitset over
-    /// [`TwoStepRenaming::interner`]: what step 2 broadcasts, and the
-    /// word-AND side of the `isValid` overlap check.
+    /// [`TwoStepRenaming::interner`]: what step 2 broadcasts (a handle on
+    /// its words, not a copy), and the word-AND side of the `isValid`
+    /// overlap check.
     timely_set: IdSlotSet<OriginalId>,
     /// Step 2's valid echoes per slot.
     counts: Vec<u16>,
@@ -84,7 +85,7 @@ impl TwoStepRenaming {
             my_id,
             clamp_offsets,
             link_id: Vec::new(),
-            timely_set: IdSlotSet::new(interner),
+            timely_set: IdSlotSet::from_values(interner, []),
             counts: Vec::new(),
             accepted: Vec::new(),
             decided: None,
@@ -96,14 +97,14 @@ impl TwoStepRenaming {
     /// Makes this process a new one: what [`with_clamp`](Self::with_clamp)
     /// builds on this process's interner, with nothing attached — but
     /// keeping the capacity of the link table, the step-2 counts and the
-    /// accepted buffer. The interner must have been cleared since the last
-    /// instance.
+    /// accepted buffer, and the timely set's words once no `MultiEcho` holds
+    /// them. The interner must have been cleared since the last instance.
     pub(crate) fn reset(&mut self, cfg: SystemConfig, my_id: OriginalId, clamp_offsets: bool) {
         self.cfg = cfg;
         self.my_id = my_id;
         self.clamp_offsets = clamp_offsets;
         self.link_id.clear();
-        self.timely_set = IdSlotSet::new(self.timely_set.interner());
+        self.timely_set.clear();
         self.decided = None;
         self.probe = None;
         self.recorder = None;

@@ -26,6 +26,12 @@ use std::sync::Arc;
 
 type Wire = Vec<(OriginalId, Rank)>;
 
+/// The ids of `set`, ascending — the slice `VoteScratch::approximate`
+/// walks.
+fn ascending(set: &BTreeSet<OriginalId>) -> Vec<OriginalId> {
+    set.iter().copied().collect()
+}
+
 /// One receiver's view of one voting step.
 struct Step {
     n: usize,
@@ -204,7 +210,7 @@ proptest! {
         let mut fates = Vec::new();
         let single: Vec<(&RankVector, usize)> = votes.iter().map(|vote| (vote, 1)).collect();
         let new_ranks = VoteScratch::default()
-            .approximate(&mine, &accepted, &single, n, t, |id, votes, rank| {
+            .approximate(&mine, &ascending(&accepted), &single, n, t, |id, votes, rank| {
                 fates.push((id, votes, rank.map(|r| r.value().to_bits())));
             });
         let expected_fates: Vec<_> = expected_fates
@@ -279,7 +285,7 @@ fn read_in_order(step: &Step, inbox: &[Wire], order: &[usize]) -> Read {
     let mut fates = Vec::new();
     let new_ranks = VoteScratch::default().approximate(
         &mine,
-        &step.accepted,
+        &ascending(&step.accepted),
         ballot.votes(),
         step.n,
         step.t,

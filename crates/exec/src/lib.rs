@@ -12,18 +12,21 @@
 //! determinism-equivalence suite (`tests/exec_equivalence.rs`) holds the
 //! pool to that contract bit-for-bit.
 //!
-//! The pool is deliberately boring: fixed worker threads and an `mpsc` job
+//! The pool is deliberately boring: fixed worker threads sharing one job
 //! queue, built on `std::sync` alone (the build environment has no crates.io
-//! access — same constraint that produced `shims/`). Panics inside a task
-//! are contained per task (`Err(TaskPanic)`), never poisoning the pool or
-//! hanging the batch, and dropping the pool joins every worker.
+//! access — same constraint that produced `shims/`). Jobs wait in a
+//! `VecDeque` and a batch's results come back in submission-order slots,
+//! each behind one `Mutex` and `Condvar`, so what a batch allocates does not
+//! depend on which worker takes or finishes a job first. Panics inside a
+//! task are contained per task (`Err(TaskPanic)`), never poisoning the pool
+//! or hanging the batch, and dropping the pool joins every worker.
 
 use opr_metrics::{Counter, Histogram, MetricsRegistry};
 use opr_obs::SharedSpanLog;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -59,12 +62,63 @@ pub(crate) type TaskResult<T> = Result<T, TaskPanic>;
 
 type BoxedJob = Box<dyn FnOnce() + Send>;
 
+/// The workers' job queue. Workers wait on `ready` while it is empty, and
+/// [`RunPool::new`] until every worker has started. A `VecDeque` keeps its
+/// storage, and a `Condvar` wait allocates nothing, so no allocation
+/// depends on which worker waits when.
+struct Queue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    /// The jobs not yet taken, in submission order.
+    jobs: VecDeque<BoxedJob>,
+    /// Set when the pool is dropped: workers leave once `jobs` is empty.
+    closed: bool,
+    /// Workers that have started running.
+    started: usize,
+}
+
+impl Queue {
+    /// The queue, locked. Jobs run outside the lock, so a poisoned lock
+    /// holds a consistent queue.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits on `ready`, releasing the lock meanwhile.
+    fn wait<'a>(&self, state: MutexGuard<'a, QueueState>) -> MutexGuard<'a, QueueState> {
+        self.ready
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One batch's results on their way back: a slot per task, in submission
+/// order, and how many are filled.
+struct Batch<T> {
+    slots: Mutex<(Vec<Option<TaskResult<T>>>, usize)>,
+    /// Signalled when the last slot is filled.
+    done: Condvar,
+}
+
+impl<T> Batch<T> {
+    /// The slots, locked. No code panics while holding the lock (tasks run
+    /// outside it, under `catch_unwind`), so a poisoned lock holds
+    /// consistent slots.
+    fn lock(&self) -> MutexGuard<'_, (Vec<Option<TaskResult<T>>>, usize)> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A fixed-size worker pool executing batches of independent closures.
 ///
 /// `jobs ≤ 1` (including 0) degenerates to inline serial execution on the
 /// caller's thread — no workers are spawned, and the panic-containment
 /// contract is identical. `jobs ≥ 2` spawns exactly `jobs` worker threads
-/// sharing one `mpsc` job queue; workers live until the pool is dropped, so
+/// sharing one job queue; workers live until the pool is dropped, so
 /// repeated batches reuse the same threads.
 ///
 /// # Ordering contract
@@ -74,7 +128,8 @@ type BoxedJob = Box<dyn FnOnce() + Send>;
 /// that are pure functions of their inputs (every run in this workspace),
 /// a batch is observationally identical at any worker count.
 pub struct RunPool {
-    queue: Option<Sender<BoxedJob>>,
+    /// `None` for a serial pool.
+    queue: Option<Arc<Queue>>,
     workers: Vec<JoinHandle<()>>,
     /// When attached, each batch records one wall-clock stage span. Wall
     /// timings are observability only — they never affect results or their
@@ -88,7 +143,8 @@ pub struct RunPool {
 
 impl RunPool {
     /// Creates a pool with `jobs` workers (`0` and `1` both mean serial
-    /// inline execution).
+    /// inline execution). Returns once every worker is running, so no
+    /// thread's start-up — its own allocations included — overlaps a batch.
     pub fn new(jobs: usize) -> Self {
         if jobs <= 1 {
             return RunPool {
@@ -99,24 +155,37 @@ impl RunPool {
                 stage: AtomicUsize::new(0),
             };
         }
-        let (tx, rx) = channel::<BoxedJob>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..jobs)
-            .map(|k| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("opr-exec-{k}"))
-                    .spawn(move || worker_loop(&rx))
-                    .expect("spawning a pool worker")
-            })
-            .collect();
-        RunPool {
-            queue: Some(tx),
-            workers,
+        let queue = Arc::new(Queue {
+            state: Mutex::new(QueueState::default()),
+            ready: Condvar::new(),
+        });
+        // Built first, so a failed spawn drops it: its `Drop` closes the
+        // queue and joins the workers already running.
+        let mut pool = RunPool {
+            queue: Some(Arc::clone(&queue)),
+            workers: Vec::with_capacity(jobs),
             spans: None,
             metrics: None,
             stage: AtomicUsize::new(0),
+        };
+        for k in 0..jobs {
+            let queue = Arc::clone(&queue);
+            let worker = std::thread::Builder::new()
+                .name(format!("opr-exec-{k}"))
+                .spawn(move || {
+                    queue.lock().started += 1;
+                    queue.ready.notify_all();
+                    worker_loop(&queue);
+                })
+                .expect("spawning a pool worker");
+            pool.workers.push(worker);
         }
+        let mut state = queue.lock();
+        while state.started < jobs {
+            state = queue.wait(state);
+        }
+        drop(state);
+        pool
     }
 
     /// Attaches a wall-clock span log; every subsequent batch records one
@@ -203,25 +272,41 @@ impl RunPool {
             return tasks.into_iter().map(run_contained).collect();
         };
         let total = tasks.len();
-        let (result_tx, result_rx) = channel::<(usize, TaskResult<T>)>();
-        for (index, task) in tasks.into_iter().enumerate() {
-            let result_tx = result_tx.clone();
-            let job: BoxedJob = Box::new(move || {
-                // The receiver outlives the batch, so send only fails if the
-                // caller's thread already panicked; nothing left to report to.
-                let _ = result_tx.send((index, run_contained(task)));
-            });
-            queue.send(job).expect("workers outlive the pool handle");
+        let batch = Arc::new(Batch {
+            slots: Mutex::new(((0..total).map(|_| None).collect(), 0)),
+            done: Condvar::new(),
+        });
+        {
+            let mut state = queue.lock();
+            // The last batch's jobs are all taken, so this allocates only
+            // when a batch is larger than every one before it.
+            state.jobs.reserve(total);
+            for (index, task) in tasks.into_iter().enumerate() {
+                let batch = Arc::clone(&batch);
+                state.jobs.push_back(Box::new(move || {
+                    let result = run_contained(task);
+                    let mut slots = batch.lock();
+                    slots.0[index] = Some(result);
+                    slots.1 += 1;
+                    if slots.1 == total {
+                        batch.done.notify_one();
+                    }
+                }));
+            }
         }
-        drop(result_tx);
-        let mut slots: Vec<Option<TaskResult<T>>> = (0..total).map(|_| None).collect();
-        for _ in 0..total {
-            let (index, result) = result_rx
-                .recv()
-                .expect("every submitted task sends exactly one result");
-            slots[index] = Some(result);
+        // One worker now; each worker that takes a job and leaves more
+        // wakes the next. Waking every worker at once from this thread let
+        // the scheduler stack them on one core, where they ran the
+        // batch's jobs one after another.
+        queue.ready.notify_one();
+        let mut slots = batch.lock();
+        while slots.1 < total {
+            slots = batch
+                .done
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        slots
+        std::mem::take(&mut slots.0)
             .into_iter()
             .map(|slot| slot.expect("every slot filled by its task"))
             .collect()
@@ -230,26 +315,37 @@ impl RunPool {
 
 impl Drop for RunPool {
     fn drop(&mut self) {
-        // Closing the queue ends every worker's recv loop; then join so no
-        // detached thread outlives the pool.
-        self.queue = None;
+        // Closing the queue ends every worker's loop once the queue is
+        // empty; then join so no detached thread outlives the pool.
+        if let Some(queue) = self.queue.take() {
+            queue.lock().closed = true;
+            queue.ready.notify_all();
+        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<BoxedJob>>) {
+fn worker_loop(queue: &Queue) {
     loop {
         // Hold the lock only for the dequeue, not while running the job.
-        let job = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
+        let (job, more) = {
+            let mut state = queue.lock();
+            loop {
+                if let Some(job) = state.jobs.pop_front() {
+                    break (job, !state.jobs.is_empty());
+                }
+                if state.closed {
+                    return;
+                }
+                state = queue.wait(state);
+            }
         };
-        match job {
-            Ok(job) => job(),
-            Err(_) => return,
+        if more {
+            queue.ready.notify_one();
         }
+        job();
     }
 }
 

@@ -1,11 +1,11 @@
 //! The 4-step Echo/Ready flood (Algorithm 1, steps 1–4, generalized over
 //! the value type), counting word-parallel over interned id slots.
 
-use crate::slots::{for_each_slot, IdInterner, IdSlotSet, WORD_BITS};
+use crate::slots::{for_each_slot, words_cleared, words_mut, IdInterner, IdSlotSet, WORD_BITS};
 use opr_sim::{WireSize, COUNT_BITS, TAG_BITS};
 use opr_types::LinkId;
-use std::collections::BTreeSet;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 /// Messages of the flood protocol.
 ///
@@ -62,23 +62,24 @@ impl<V: Ord + Clone + WireSize> WireSize for FloodMsg<V> {
     }
 }
 
-/// Outcome of the flood at one correct process.
+/// Outcome of the flood at one correct process: two sets, each as its
+/// values in strictly ascending `Ord` order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FloodResult<V> {
     /// Values whose `Ready` reached `N − t` links by step 3 — guaranteed to
     /// include every correct value, and guaranteed to be inside every other
     /// correct process's `accepted`.
-    pub timely: BTreeSet<V>,
+    pub timely: Vec<V>,
     /// Values whose `Ready` messages (steps 3 + 4 combined) reached `N − t`
     /// distinct links. `|accepted| ≤ N + ⌊t²/(N−2t)⌋`.
-    pub accepted: BTreeSet<V>,
+    pub accepted: Vec<V>,
 }
 
 impl<V> Default for FloodResult<V> {
     fn default() -> Self {
         FloodResult {
-            timely: BTreeSet::new(),
-            accepted: BTreeSet::new(),
+            timely: Vec::new(),
+            accepted: Vec::new(),
         }
     }
 }
@@ -162,18 +163,25 @@ impl<V> FloodObserver<V> for NoopFloodObserver {
 /// member, instead of per-value ordered-tree inserts. Values only get
 /// decoded at the edges: the [`FloodResult`] sets, read straight off the
 /// counters, and enabled-observer callbacks.
+///
+/// The words a participant sends are its own two word slices, shared with
+/// the messages that carry them. Each is rewritten in place, by the
+/// delivery that computes the next message, once the network has dropped
+/// the round that carried it — a copy is made only if someone still holds
+/// it — so a restarted flood allocates nothing for its messages, its
+/// counters or its result.
 #[derive(Clone, Debug)]
 pub struct EchoReadyFlood<V> {
     n: usize,
     t: usize,
     initial: Option<V>,
     interner: IdInterner<V>,
-    /// Working slots: after step 1 the values to echo; after step 2 the
-    /// values to send `Ready` for; after step 3 the values to relay-`Ready`.
-    working: Vec<u64>,
-    /// Slots we have already sent `Ready` for (step 3), so step 4 only
-    /// relays new ones.
-    ready_sent: Vec<u64>,
+    /// Step 2's `Echo` (the values step 1 announced), then step 4's relay
+    /// `Ready` (written by step 3, after step 2's round has dropped the
+    /// `Echo`).
+    working: Arc<[u64]>,
+    /// Step 3's `Ready` (written by step 2), which step 4 does not repeat.
+    ready_sent: Arc<[u64]>,
     /// Distinct links per slot across `Ready` messages of steps 3 and 4
     /// (and, in step 2, the echoes per slot — the vector is free until
     /// step 3).
@@ -182,10 +190,10 @@ pub struct EchoReadyFlood<V> {
     /// `LinkId::index`), deduplicating a link that `Ready`s the same value
     /// in both step 3 and step 4.
     ready_seen: LinkBitsets,
-    /// Step 3's `timely` set, until step 4 moves it into the result.
-    timely: BTreeSet<V>,
-    /// Set by step 4, moved out by [`result`](EchoReadyFlood::result).
-    result: Option<FloodResult<V>>,
+    /// `timely` from step 3 on, `accepted` from step 4 on.
+    result: FloodResult<V>,
+    /// Whether step 4 has been delivered.
+    finished: bool,
 }
 
 impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
@@ -202,18 +210,18 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
             t,
             initial,
             interner,
-            working: Vec::new(),
-            ready_sent: Vec::new(),
+            working: Arc::default(),
+            ready_sent: Arc::default(),
             ready_counts: Vec::new(),
             ready_seen: LinkBitsets::default(),
-            timely: BTreeSet::new(),
-            result: None,
+            result: FloodResult::default(),
+            finished: false,
         }
     }
 
     /// Starts another instance announcing `initial` among `n` processes
     /// with fault bound `t`, on the same interner: every set, counter and
-    /// `seen` row is emptied, keeping its capacity — a flood
+    /// `seen` row is emptied, keeping its storage — a flood
     /// [`EchoReadyFlood::with_interner`] would build on that interner. Clear
     /// the interner first: the previous instance's slots are numbered in
     /// it.
@@ -221,12 +229,13 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
         self.n = n;
         self.t = t;
         self.initial = initial;
-        self.working.clear();
-        self.ready_sent.clear();
+        words_cleared(&mut self.working, 0);
+        words_cleared(&mut self.ready_sent, 0);
         self.ready_counts.clear();
         self.ready_seen.clear();
-        self.timely.clear();
-        self.result = None;
+        self.result.timely.clear();
+        self.result.accepted.clear();
+        self.finished = false;
     }
 
     /// The interner this instance's slots are relative to.
@@ -250,25 +259,12 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
     ///
     /// Panics on steps outside `1..=4`.
     pub fn send(&mut self, step: u32) -> Option<FloodMsg<V>> {
+        let words = |words| IdSlotSet::shared(&self.interner, words);
         match step {
             1 => self.initial.clone().map(FloodMsg::Init),
-            2 => Some(FloodMsg::Echo(IdSlotSet::from_words(
-                &self.interner,
-                std::mem::take(&mut self.working),
-            ))),
-            3 => {
-                let ready = std::mem::take(&mut self.working);
-                self.ready_sent.clear();
-                self.ready_sent.extend_from_slice(&ready);
-                Some(FloodMsg::Ready(IdSlotSet::from_words(
-                    &self.interner,
-                    ready,
-                )))
-            }
-            4 => Some(FloodMsg::Ready(IdSlotSet::from_words(
-                &self.interner,
-                std::mem::take(&mut self.working),
-            ))),
+            2 => Some(FloodMsg::Echo(words(&self.working))),
+            3 => Some(FloodMsg::Ready(words(&self.ready_sent))),
+            4 => Some(FloodMsg::Ready(words(&self.working))),
             _ => panic!("flood has exactly 4 steps, got step {step}"),
         }
     }
@@ -307,11 +303,14 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
     {
         match step {
             1 => {
-                // Collect one announced value per distinct link.
+                // Collect one announced value per distinct link (into the
+                // words `restart` emptied).
                 for (link, msg) in inbox {
                     if let FloodMsg::Init(v) = msg {
                         observer.id_seen(step, link, v);
-                        set_slot(&mut self.working, self.interner.intern(v) as usize);
+                        let slot = self.interner.intern(v) as usize;
+                        let word = slot / WORD_BITS;
+                        words_mut(&mut self.working, word + 1)[word] |= 1u64 << (slot % WORD_BITS);
                     }
                 }
             }
@@ -331,7 +330,9 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
                     }
                 }
                 let quorum = self.quorum();
-                self.working = words_where(&self.ready_counts, |c| c as usize >= quorum);
+                words_where(&mut self.ready_sent, &self.ready_counts, |c| {
+                    c as usize >= quorum
+                });
                 if observer.is_enabled() {
                     for (v, count) in self.decoded_counts(&self.ready_counts) {
                         observer.echo_threshold(step, &v, count, quorum, count >= quorum);
@@ -343,14 +344,22 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
                 self.accumulate_ready(inbox);
                 // Timely: Ready on ≥ N−t links already in step 3.
                 let quorum = self.quorum();
-                self.timely = self.values_where(|c| c as usize >= quorum);
-                // Relay in step 4: Ready on ≥ N−2t links, not yet sent by us.
+                values_where(
+                    &mut self.result.timely,
+                    &self.interner,
+                    &self.ready_counts,
+                    |c| c as usize >= quorum,
+                );
+                // Relay in step 4: Ready on ≥ N−2t links, not yet sent by
+                // us. Step 2's `Echo` left the network with its round, so
+                // its words take the relay.
                 let weak = self.weak_quorum();
-                let mut working = words_where(&self.ready_counts, |c| c as usize >= weak);
-                for (i, word) in working.iter_mut().enumerate() {
-                    *word &= !self.ready_sent.get(i).copied().unwrap_or(0);
+                let relay = words_where(&mut self.working, &self.ready_counts, |c| {
+                    c as usize >= weak
+                });
+                for (word, sent) in relay.iter_mut().zip(self.ready_sent.iter()) {
+                    *word &= !sent;
                 }
-                self.working = working;
                 if observer.is_enabled() {
                     for (v, count) in self.decoded_counts(&self.ready_counts) {
                         observer.ready_threshold(
@@ -359,7 +368,7 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
                             count,
                             quorum,
                             weak,
-                            self.timely.contains(&v),
+                            self.result.timely.binary_search(&v).is_ok(),
                             count >= weak && !self.result_slot_in(&self.ready_sent, &v),
                         );
                     }
@@ -368,16 +377,19 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
             4 => {
                 self.accumulate_ready(inbox);
                 let quorum = self.quorum();
-                let accepted = self.values_where(|c| c as usize >= quorum);
+                values_where(
+                    &mut self.result.accepted,
+                    &self.interner,
+                    &self.ready_counts,
+                    |c| c as usize >= quorum,
+                );
                 if observer.is_enabled() {
                     for (v, count) in self.decoded_counts(&self.ready_counts) {
-                        observer.accept_threshold(step, &v, count, quorum, accepted.contains(&v));
+                        let accepted = self.result.accepted.binary_search(&v).is_ok();
+                        observer.accept_threshold(step, &v, count, quorum, accepted);
                     }
                 }
-                self.result = Some(FloodResult {
-                    timely: std::mem::take(&mut self.timely),
-                    accepted,
-                });
+                self.finished = true;
             }
             _ => panic!("flood has exactly 4 steps, got step {step}"),
         }
@@ -411,21 +423,6 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
         }
     }
 
-    /// The values whose `ready_counts` entry is nonzero and satisfies
-    /// `keep` — a result set, read off the counters under one interner
-    /// lock.
-    fn values_where(&self, keep: impl Fn(u16) -> bool) -> BTreeSet<V> {
-        self.interner.with_values(|values| {
-            let mut set = BTreeSet::new();
-            for (&count, value) in self.ready_counts.iter().zip(values) {
-                if count > 0 && keep(count) {
-                    set.insert(value.clone());
-                }
-            }
-            set
-        })
-    }
-
     /// The `(value, count)` pairs for every slot with a nonzero count, in
     /// value `Ord` order — what observers iterate, decoupling their
     /// deterministic emission order from nondeterministic slot numbering.
@@ -450,12 +447,12 @@ impl<V: Ord + Clone + Debug> EchoReadyFlood<V> {
         })
     }
 
-    /// Moves the result out: `Some` on the first call after step 4 has
-    /// been delivered, `None` before that and on every later call. The
-    /// embedding protocol takes it once and keeps what it needs, so no set
-    /// is copied.
-    pub fn result(&mut self) -> Option<FloodResult<V>> {
-        self.result.take()
+    /// The result: `Some` from step 4's delivery until the next
+    /// [`restart`](EchoReadyFlood::restart), `None` before. It stays the
+    /// flood's — the embedding protocol copies out what it keeps — so a
+    /// restarted flood writes the next result into the same vectors.
+    pub fn result(&self) -> Option<&FloodResult<V>> {
+        self.finished.then_some(&self.result)
     }
 }
 
@@ -499,15 +496,6 @@ impl LinkBitsets {
     }
 }
 
-/// Sets bit `slot`, growing the word vector as needed.
-fn set_slot(words: &mut Vec<u64>, slot: usize) {
-    let word = slot / WORD_BITS;
-    if word >= words.len() {
-        words.resize(word + 1, 0);
-    }
-    words[word] |= 1u64 << (slot % WORD_BITS);
-}
-
 /// Grows `counts` to cover every slot addressable by `words` bitset words.
 fn grow_counts(counts: &mut Vec<u16>, words: usize) {
     let needed = words * WORD_BITS;
@@ -516,9 +504,14 @@ fn grow_counts(counts: &mut Vec<u16>, words: usize) {
     }
 }
 
-/// The linear quorum scan: the bitset of slots whose count satisfies `keep`.
-fn words_where(counts: &[u16], keep: impl Fn(u16) -> bool) -> Vec<u64> {
-    let mut words = vec![0u64; counts.len().div_ceil(WORD_BITS)];
+/// The linear quorum scan: `words` rewritten (see [`words_cleared`]) to
+/// the bitset of slots whose count satisfies `keep`.
+fn words_where<'w>(
+    words: &'w mut Arc<[u64]>,
+    counts: &[u16],
+    keep: impl Fn(u16) -> bool,
+) -> &'w mut [u64] {
+    let words = words_cleared(words, counts.len().div_ceil(WORD_BITS));
     for (slot, &count) in counts.iter().enumerate() {
         if count > 0 && keep(count) {
             words[slot / WORD_BITS] |= 1u64 << (slot % WORD_BITS);
@@ -527,11 +520,32 @@ fn words_where(counts: &[u16], keep: impl Fn(u16) -> bool) -> Vec<u64> {
     words
 }
 
+/// The values whose count is nonzero and satisfies `keep`, read off the
+/// counters under one interner lock into `values`, sorted.
+fn values_where<V: Ord + Clone>(
+    values: &mut Vec<V>,
+    interner: &IdInterner<V>,
+    counts: &[u16],
+    keep: impl Fn(u16) -> bool,
+) {
+    values.clear();
+    values.reserve(counts.iter().filter(|&&c| c > 0 && keep(c)).count());
+    interner.with_values(|slots| {
+        for (&count, value) in counts.iter().zip(slots) {
+            if count > 0 && keep(count) {
+                values.push(value.clone());
+            }
+        }
+    });
+    values.sort_unstable();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use opr_sim::{Actor, Inbox, Network, Outbox, Topology, ID_BITS};
     use opr_types::Round;
+    use std::collections::BTreeSet;
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
     struct Val(u64);
@@ -576,7 +590,7 @@ mod tests {
             if round.number() <= 4 {
                 self.flood.deliver(round.number(), inbox.messages());
                 if round.number() == 4 {
-                    self.result = self.flood.result();
+                    self.result = self.flood.result().cloned();
                 }
             }
         }
@@ -646,7 +660,7 @@ mod tests {
                 assert!(res.timely.contains(&Val(v)), "p{i} missing {v}");
             }
             // Lemma IV.1 ⊆ relation.
-            assert!(res.timely.is_subset(&res.accepted));
+            assert!(res.timely.iter().all(|v| res.accepted.contains(v)));
         }
     }
 
@@ -663,7 +677,7 @@ mod tests {
             .collect();
         for (i, res) in results.iter().enumerate() {
             assert!(
-                timely_union.is_subset(&res.accepted),
+                timely_union.iter().all(|v| res.accepted.contains(v)),
                 "correct process {i}: union of timely sets must be ⊆ accepted"
             );
         }
@@ -706,7 +720,7 @@ mod tests {
 
     #[test]
     fn result_unavailable_before_step_4() {
-        let mut flood: EchoReadyFlood<Val> =
+        let flood: EchoReadyFlood<Val> =
             EchoReadyFlood::with_interner(4, 1, Some(Val(1)), IdInterner::new());
         assert!(flood.result().is_none());
     }
@@ -800,6 +814,78 @@ mod tests {
         assert_eq!(result.timely.len(), 4);
     }
 
+    /// The slices of flood 0's `Echo`/`Ready` messages over one instance of
+    /// four participants on a shared interner, and the messages themselves
+    /// when `hold`; every other message is dropped with its round.
+    fn instance(
+        floods: &mut [EchoReadyFlood<Val>],
+        hold: bool,
+    ) -> (Vec<*const u64>, Vec<FloodMsg<Val>>) {
+        let (mut slices, mut held) = (Vec::new(), Vec::new());
+        for step in 1..=4u32 {
+            let outgoing: Vec<FloodMsg<Val>> =
+                floods.iter_mut().map(|f| f.send(step).unwrap()).collect();
+            if let FloodMsg::Echo(set) | FloodMsg::Ready(set) = &outgoing[0] {
+                slices.push(set.words().as_ptr());
+                if hold {
+                    held.push(outgoing[0].clone());
+                }
+            }
+            for flood in floods.iter_mut() {
+                let inbox = outgoing.iter().enumerate();
+                flood.deliver(step, inbox.map(|(i, m)| (LinkId::new(i + 1), m)));
+            }
+        }
+        (slices, held)
+    }
+
+    /// A restarted flood writes its messages into the slices of the last
+    /// instance's once the rounds that carried them are over, and into new
+    /// ones while someone holds a message — which keeps its words.
+    #[test]
+    fn a_restarted_flood_rewrites_its_words_unless_a_message_is_held() {
+        let interner = IdInterner::new();
+        let mut floods: Vec<EchoReadyFlood<Val>> = (1..=4)
+            .map(|v| EchoReadyFlood::with_interner(4, 1, Some(Val(v)), interner.clone()))
+            .collect();
+        let restart = |floods: &mut [EchoReadyFlood<Val>]| {
+            interner.clear();
+            for (v, flood) in (1..=4).zip(floods.iter_mut()) {
+                flood.restart(4, 1, Some(Val(v)));
+            }
+        };
+        let (first, _) = instance(&mut floods, false);
+        assert_eq!(first.len(), 3);
+        assert_eq!(first[0], first[2], "step 4 reuses step 2's slice");
+        restart(&mut floods);
+        assert_eq!(instance(&mut floods, false).0, first, "rewritten in place");
+        // Holding step 2's `Echo` moves step 4's relay to a new slice.
+        restart(&mut floods);
+        let (third, held) = instance(&mut floods, true);
+        assert_eq!(third[..2], first[..2]);
+        assert_ne!(third[2], first[0]);
+        let words: Vec<Vec<u64>> = held
+            .iter()
+            .map(|msg| match msg {
+                FloodMsg::Echo(set) | FloodMsg::Ready(set) => set.words().to_vec(),
+                FloodMsg::Init(_) => unreachable!("only sets are held"),
+            })
+            .collect();
+        // And holding every message of the last instance moves them all.
+        restart(&mut floods);
+        let (fourth, _) = instance(&mut floods, false);
+        assert!(fourth.iter().all(|slice| !third.contains(slice)));
+        for (msg, words) in held.iter().zip(&words) {
+            if let FloodMsg::Echo(set) | FloodMsg::Ready(set) = msg {
+                assert_eq!(set.words(), &words[..], "a held message kept its words");
+            }
+        }
+        assert_eq!(
+            floods[0].result().unwrap().accepted,
+            (1..=4).map(Val).collect::<Vec<_>>()
+        );
+    }
+
     /// Rows keep their words when a wider bitset re-strides the block, the
     /// words it adds read zero, and a link past the sized rows adds rows.
     #[test]
@@ -853,8 +939,8 @@ mod tests {
                 }
             }
             floods
-                .iter_mut()
-                .map(|f| f.result().unwrap())
+                .iter()
+                .map(|f| f.result().unwrap().clone())
                 .collect::<Vec<_>>()
         };
         let shared = IdInterner::new();

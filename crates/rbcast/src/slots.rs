@@ -9,10 +9,22 @@
 //!
 //! [`IdInterner`] assigns each value a small dense slot on first sight
 //! (adversary-introduced values included — interning is not an admission
-//! decision, just a name for a wire position). [`IdSlotSet`] is a
-//! `Vec<u64>`-word bitset over those slots; senders build it once, and a
-//! receiver sharing the same interner accumulates it with word-parallel
-//! `trailing_zeros` walks instead of per-value tree operations.
+//! decision, just a name for a wire position). [`IdSlotSet`] is a bitset
+//! over those slots in one shared `Arc<[u64]>` word slice; senders build it
+//! once, and a receiver sharing the same interner accumulates it with
+//! word-parallel `trailing_zeros` walks instead of per-value tree
+//! operations.
+//!
+//! # Shared words
+//!
+//! Cloning a set, and so sending it, clones a handle on its words. A set
+//! writes its words in place only while it is their one holder and they are
+//! long enough, and copies them into a new slice otherwise ([`words_mut`],
+//! [`words_cleared`]): a sender keeps the handle of what it sent and rewrites
+//! that slice for its next message once the network has dropped the last
+//! one, while a message someone still holds never changes. A slice may be
+//! longer than its highest set slot needs; the extra words are zero, and
+//! every observable below ignores them.
 //!
 //! # Determinism
 //!
@@ -35,7 +47,6 @@
 
 use opr_sim::WireSize;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
@@ -46,8 +57,16 @@ pub const WORD_BITS: usize = 64;
 struct InternerState<V> {
     /// Slot → value.
     slots: Vec<V>,
-    /// Value → slot.
-    index: BTreeMap<V, u32>,
+    /// Value → slot, sorted by value: a binary search finds a slot, and a
+    /// [`clear`](IdInterner::clear) keeps the storage for the next run.
+    index: Vec<(V, u32)>,
+}
+
+impl<V: Ord> InternerState<V> {
+    /// Where `value` is in `index`, or where it would go.
+    fn position(&self, value: &V) -> Result<usize, usize> {
+        self.index.binary_search_by(|(entry, _)| entry.cmp(value))
+    }
 }
 
 /// A shared value ⇄ dense-slot registry; cloning shares the registry.
@@ -75,7 +94,7 @@ impl<V: Ord + Clone> IdInterner<V> {
         IdInterner {
             state: Arc::new(RwLock::new(InternerState {
                 slots: Vec::new(),
-                index: BTreeMap::new(),
+                index: Vec::new(),
             })),
         }
     }
@@ -88,18 +107,21 @@ impl<V: Ord + Clone> IdInterner<V> {
         let mut state = write_lock(&self.state);
         // Double-check: another thread may have interned between our read
         // probe and this write lock.
-        if let Some(&slot) = state.index.get(value) {
-            return slot;
+        match state.position(value) {
+            Ok(at) => state.index[at].1,
+            Err(at) => {
+                let slot = u32::try_from(state.slots.len()).expect("slot space exhausted");
+                state.slots.push(value.clone());
+                state.index.insert(at, (value.clone(), slot));
+                slot
+            }
         }
-        let slot = u32::try_from(state.slots.len()).expect("slot space exhausted");
-        state.slots.push(value.clone());
-        state.index.insert(value.clone(), slot);
-        slot
     }
 
     /// The slot of `value`, if it has ever been interned.
     pub fn lookup(&self, value: &V) -> Option<u32> {
-        read_lock(&self.state).index.get(value).copied()
+        let state = read_lock(&self.state);
+        state.position(value).ok().map(|at| state.index[at].1)
     }
 
     /// The value behind `slot`.
@@ -121,7 +143,7 @@ impl<V: Ord + Clone> IdInterner<V> {
         self.len() == 0
     }
 
-    /// Forgets every value, keeping the slot table's capacity: the next
+    /// Forgets every value, keeping the tables' capacity: the next
     /// value interned gets slot 0 again, so a run on a cleared interner
     /// numbers its slots as a run on a new one would. Every clone sees the
     /// cleared registry; a set built before the clear must not be read
@@ -173,22 +195,62 @@ fn write_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// `words` writable and at least `len` words long, their bits kept: in
+/// place while `words` is the slice's one handle and long enough, otherwise
+/// copied into a new slice (the words it adds are zero).
+pub(crate) fn words_mut(words: &mut Arc<[u64]>, len: usize) -> &mut [u64] {
+    if len.max(words.len()) == 0 {
+        // The empty slice is shared and has no word to write.
+        return &mut [];
+    }
+    if words.len() < len || Arc::get_mut(words).is_none() {
+        let extra = len.saturating_sub(words.len());
+        *words = words
+            .iter()
+            .copied()
+            .chain(std::iter::repeat_n(0, extra))
+            .collect();
+    }
+    Arc::get_mut(words).expect("a new slice has one handle")
+}
+
+/// `words` emptied and at least `len` words long: zeroed in place while
+/// `words` is the slice's one handle and long enough, otherwise a new
+/// zeroed slice (the shared empty one, which allocates nothing, for
+/// `len == 0`).
+pub(crate) fn words_cleared(words: &mut Arc<[u64]>, len: usize) -> &mut [u64] {
+    if Arc::get_mut(words).is_none_or(|words| words.len() < len) {
+        *words = match len {
+            0 => Arc::default(),
+            _ => std::iter::repeat_n(0, len).collect(),
+        };
+    }
+    match Arc::get_mut(words) {
+        Some(words) => {
+            words.fill(0);
+            words
+        }
+        None => &mut [],
+    }
+}
+
 /// A dense bitset of interned values, carrying its interner handle.
 ///
 /// Renders (`Debug`), compares (`PartialEq`) and sizes ([`WireSize`])
 /// exactly like the `BTreeSet<V>` it replaces, so traces, metrics and
-/// payload caps cannot tell the difference.
+/// payload caps cannot tell the difference. A clone shares the words (see
+/// the module's "Shared words").
 #[derive(Clone)]
 pub struct IdSlotSet<V> {
-    words: Vec<u64>,
+    words: Arc<[u64]>,
     interner: IdInterner<V>,
 }
 
 impl<V: Ord + Clone> IdSlotSet<V> {
     /// An empty set over `interner`'s slot space.
-    pub fn new(interner: &IdInterner<V>) -> Self {
+    pub(crate) fn new(interner: &IdInterner<V>) -> Self {
         IdSlotSet {
-            words: Vec::new(),
+            words: Arc::default(),
             interner: interner.clone(),
         }
     }
@@ -205,23 +267,34 @@ impl<V: Ord + Clone> IdSlotSet<V> {
         set
     }
 
-    /// Wraps raw slot words already relative to `interner` — the flood's
-    /// zero-decode path from its accumulated state to an outgoing message.
-    pub(crate) fn from_words(interner: &IdInterner<V>, words: Vec<u64>) -> Self {
+    /// A set over `words`, slot words already relative to `interner`,
+    /// sharing them — the flood's zero-copy path from its accumulated state
+    /// to an outgoing message.
+    pub(crate) fn shared(interner: &IdInterner<V>, words: &Arc<[u64]>) -> Self {
         IdSlotSet {
-            words,
+            words: Arc::clone(words),
             interner: interner.clone(),
         }
     }
 
-    /// Inserts `value`, interning it on first sight.
+    /// Inserts `value`, interning it on first sight. Words that must grow
+    /// grow to cover every slot interned so far, so building a set of
+    /// interned values copies its words at most once.
     pub fn insert(&mut self, value: &V) {
         let slot = self.interner.intern(value) as usize;
         let word = slot / WORD_BITS;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1u64 << (slot % WORD_BITS);
+        let len = if word < self.words.len() {
+            0
+        } else {
+            self.interner.len().div_ceil(WORD_BITS)
+        };
+        words_mut(&mut self.words, len)[word] |= 1u64 << (slot % WORD_BITS);
+    }
+
+    /// Removes every value, keeping the words while this set is their one
+    /// holder.
+    pub fn clear(&mut self) {
+        words_cleared(&mut self.words, 0);
     }
 
     /// Number of values in the set.
@@ -276,10 +349,8 @@ impl<V: Ord + Clone> IdSlotSet<V> {
 impl<V: Ord + Clone> std::ops::BitOrAssign<&IdSlotSet<V>> for IdSlotSet<V> {
     fn bitor_assign(&mut self, other: &IdSlotSet<V>) {
         let words = other.words_in(&self.interner);
-        if words.len() > self.words.len() {
-            self.words.resize(words.len(), 0);
-        }
-        for (mine, theirs) in self.words.iter_mut().zip(words.iter()) {
+        let mine = words_mut(&mut self.words, words.len());
+        for (mine, theirs) in mine.iter_mut().zip(words.iter()) {
             *mine |= theirs;
         }
     }
@@ -385,7 +456,7 @@ mod tests {
         let mut b = IdSlotSet::from_values(&interner, [0u64, 65]);
         // Clearing the high value leaves b with an extra all-zero word.
         let slot = interner.lookup(&65).unwrap() as usize;
-        b.words[slot / WORD_BITS] &= !(1u64 << (slot % WORD_BITS));
+        words_mut(&mut b.words, 0)[slot / WORD_BITS] &= !(1u64 << (slot % WORD_BITS));
         assert_eq!(a, b);
     }
 
@@ -418,6 +489,28 @@ mod tests {
         set |= &IdSlotSet::from_values(&foreign, [7u64, 5000]);
         let expected: Vec<u64> = (1..100).chain([1000, 5000]).collect();
         assert_eq!(set.values_sorted(), expected);
+    }
+
+    /// A clone shares the words; a write to a set that shares them copies
+    /// them first, and one to a set that holds them alone writes in place.
+    #[test]
+    fn shared_words_are_copied_on_write_and_unshared_ones_written_in_place() {
+        let interner = IdInterner::new();
+        let mut set = IdSlotSet::from_values(&interner, [1u64, 2]);
+        let sent = set.clone();
+        assert!(Arc::ptr_eq(&set.words, &sent.words));
+        set.insert(&3);
+        assert!(!Arc::ptr_eq(&set.words, &sent.words));
+        assert_eq!(sent.values_sorted(), [1, 2]);
+        let before = Arc::as_ptr(&set.words);
+        set.insert(&4);
+        set.clear();
+        assert_eq!(Arc::as_ptr(&set.words), before, "one holder: in place");
+        assert!(set.is_empty());
+        let held = set.clone();
+        set.clear();
+        assert!(set.words.is_empty(), "a held slice is left to its holder");
+        assert_eq!(Arc::as_ptr(&held.words), before);
     }
 
     #[test]

@@ -135,7 +135,9 @@ proptest! {
     /// link's step-3 one —
     /// the bitset flood and the seed set flood produce the same outgoing
     /// value sets, the same observer event sequence, and the same final
-    /// `FloodResult`.
+    /// `FloodResult`. The same flood restarted on its cleared interner
+    /// then runs the schedule again exactly as it did new, and every message
+    /// it sent the first time and someone still holds keeps its words.
     #[test]
     fn bitset_flood_matches_set_flood(
         (n, t) in (4usize..9).prop_flat_map(|n| (Just(n), 1usize..=(n - 1) / 3)),
@@ -146,30 +148,55 @@ proptest! {
         let initial = (initial < LATE).then_some(Val(initial));
         let mut fast = EchoReadyFlood::with_interner(n, t, initial, IdInterner::new());
         let mut slow = SetFlood::new(n, t, initial);
-        let mut fast_obs = Recorder::default();
         let mut slow_obs = Recorder::default();
-        for (i, raws) in steps.iter().enumerate() {
-            let step = i as u32 + 1;
-            // Outgoing payloads must carry the same value sets.
-            let sent = fast.send(step);
-            let sent_values: Vec<Val> = match &sent {
-                Some(FloodMsg::Init(v)) => vec![*v],
-                Some(FloodMsg::Echo(s)) | Some(FloodMsg::Ready(s)) => s.values_sorted(),
-                None => Vec::new(),
-            };
-            prop_assert_eq!(sent_values, slow.send_values(step));
-            let inbox: Vec<(LinkId, FloodMsg<Val>)> = raws
-                .iter()
-                .map(|raw| materialize(raw, fast.interner()))
-                .collect();
-            fast.deliver_observed(step, inbox.iter().map(|(l, m)| (*l, m)), &mut fast_obs);
-            slow.deliver_observed(step, inbox.iter().map(|(l, m)| (*l, m)), &mut slow_obs);
-            prop_assert_eq!(&fast_obs.0, &slow_obs.0, "diverged at step {}", step);
-        }
-        let result = fast.result();
+        let mut run = |fast: &mut EchoReadyFlood<Val>, slow: Option<&mut SetFlood<Val>>| {
+            let mut slow = slow;
+            let (mut fast_obs, mut sent) = (Recorder::default(), Vec::new());
+            for (i, raws) in steps.iter().enumerate() {
+                let step = i as u32 + 1;
+                // Outgoing payloads must carry the same value sets.
+                let msg = fast.send(step);
+                let sent_values: Vec<Val> = match &msg {
+                    Some(FloodMsg::Init(v)) => vec![*v],
+                    Some(FloodMsg::Echo(s)) | Some(FloodMsg::Ready(s)) => s.values_sorted(),
+                    None => Vec::new(),
+                };
+                if let Some(slow) = slow.as_deref_mut() {
+                    prop_assert_eq!(&sent_values, &slow.send_values(step));
+                }
+                sent.push(msg);
+                let inbox: Vec<(LinkId, FloodMsg<Val>)> = raws
+                    .iter()
+                    .map(|raw| materialize(raw, fast.interner()))
+                    .collect();
+                fast.deliver_observed(step, inbox.iter().map(|(l, m)| (*l, m)), &mut fast_obs);
+                if let Some(slow) = slow.as_deref_mut() {
+                    slow.deliver_observed(step, inbox.iter().map(|(l, m)| (*l, m)), &mut slow_obs);
+                    prop_assert_eq!(&fast_obs.0, &slow_obs.0, "diverged at step {}", step);
+                }
+            }
+            (fast_obs.0, sent, fast.result().cloned())
+        };
+        let (events, held, result) = run(&mut fast, Some(&mut slow));
         prop_assert!(result.is_some());
-        prop_assert_eq!(result.as_ref(), slow.result());
-        prop_assert!(fast.result().is_none(), "the result moves out once");
+        prop_assert_eq!(&result, &slow.result());
+        prop_assert_eq!(fast.result(), result.as_ref(), "the result stays until a restart");
+        let words = |sent: &[Option<FloodMsg<Val>>]| -> Vec<Vec<u64>> {
+            sent.iter()
+                .map(|msg| match msg {
+                    Some(FloodMsg::Echo(s)) | Some(FloodMsg::Ready(s)) => s.words().to_vec(),
+                    _ => Vec::new(),
+                })
+                .collect()
+        };
+        let held_words = words(&held);
+        fast.interner().clear();
+        fast.restart(n, t, initial);
+        prop_assert!(fast.result().is_none(), "a restart clears the result");
+        let (again, _, result_again) = run(&mut fast, None);
+        prop_assert_eq!(again, events);
+        prop_assert_eq!(result_again, result);
+        prop_assert_eq!(words(&held), held_words, "a held message changed");
     }
 
     /// Wire-accounting invariant: a bitset `FloodMsg` reports exactly the

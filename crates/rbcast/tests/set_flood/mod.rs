@@ -23,7 +23,8 @@ pub(crate) struct SetFlood<V> {
     working: BTreeSet<V>,
     ready_sent: BTreeSet<V>,
     ready_links: BTreeMap<V, BTreeSet<LinkId>>,
-    result: FloodResult<V>,
+    timely: BTreeSet<V>,
+    accepted: BTreeSet<V>,
     finished: bool,
 }
 
@@ -38,7 +39,8 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
             working: BTreeSet::new(),
             ready_sent: BTreeSet::new(),
             ready_links: BTreeMap::new(),
-            result: FloodResult::default(),
+            timely: BTreeSet::new(),
+            accepted: BTreeSet::new(),
             finished: false,
         }
     }
@@ -116,7 +118,7 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
             3 => {
                 self.accumulate_ready(inbox);
                 let quorum = self.quorum();
-                self.result.timely = self
+                self.timely = self
                     .ready_links
                     .iter()
                     .filter(|(_, links)| links.len() >= quorum)
@@ -136,7 +138,7 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
                         links.len(),
                         quorum,
                         weak,
-                        self.result.timely.contains(v),
+                        self.timely.contains(v),
                         self.working.contains(v),
                     );
                 }
@@ -144,7 +146,7 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
             4 => {
                 self.accumulate_ready(inbox);
                 let quorum = self.quorum();
-                self.result.accepted = self
+                self.accepted = self
                     .ready_links
                     .iter()
                     .filter(|(_, links)| links.len() >= quorum)
@@ -156,7 +158,7 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
                         v,
                         links.len(),
                         quorum,
-                        self.result.accepted.contains(v),
+                        self.accepted.contains(v),
                     );
                 }
                 self.finished = true;
@@ -179,8 +181,12 @@ impl<V: Ord + Clone + Debug> SetFlood<V> {
         }
     }
 
-    /// The result, once step 4 has been delivered.
-    pub(crate) fn result(&self) -> Option<&FloodResult<V>> {
-        self.finished.then_some(&self.result)
+    /// The result, once step 4 has been delivered: the two sets in the
+    /// sorted-vector form [`FloodResult`] holds.
+    pub(crate) fn result(&self) -> Option<FloodResult<V>> {
+        self.finished.then(|| FloodResult {
+            timely: self.timely.iter().cloned().collect(),
+            accepted: self.accepted.iter().cloned().collect(),
+        })
     }
 }

@@ -149,20 +149,12 @@ struct Shard {
     granted_ever: BTreeSet<u64>,
     /// This epoch's batch, taken off the backlog; emptied by the grants.
     batch: Vec<(ClientId, OriginalId)>,
-    /// What the shard's last protocol instance left for the next one. Moved
-    /// into the instance's pool task and handed back with its outcome:
-    /// `None` while the task runs and after a task that panicked, so a
-    /// panic never leaves a half-reset arena behind — the next instance
-    /// starts from a new one.
-    instance: Option<Instance>,
-}
-
-/// The state a shard's protocol instances reuse from epoch to epoch.
-#[derive(Default)]
-struct Instance {
-    arena: RunArena,
-    /// The instance's original ids: the batch's, then the fillers.
-    ids: Vec<OriginalId>,
+    /// What the shard's last protocol instance left for the next one, its
+    /// id list included. Moved into the instance's pool task and handed
+    /// back with its outcome: `None` while the task runs and after a task
+    /// that panicked, so a panic never leaves a half-reset arena behind —
+    /// the next instance starts from a new one.
+    arena: Option<RunArena>,
 }
 
 impl Shard {
@@ -174,7 +166,7 @@ impl Shard {
             live: BTreeMap::new(),
             granted_ever: BTreeSet::new(),
             batch: Vec::new(),
-            instance: None,
+            arena: None,
         }
     }
 }
@@ -469,15 +461,15 @@ impl ServiceEngine {
                 stats.skipped_shards += 1;
                 continue;
             }
-            let mut instance = shard.instance.take().unwrap_or_default();
-            instance.ids.clear();
-            instance.ids.extend(shard.batch.iter().map(|&(_, o)| o));
+            let mut arena = shard.arena.take().unwrap_or_default();
+            let mut ids = arena.swap_ids(Vec::new());
+            ids.extend(shard.batch.iter().map(|&(_, o)| o));
             let spans = self.spans.clone();
             let registry = self.metrics.as_ref().map(|m| m.registry.clone());
             let protocol_ns = self.metrics.as_ref().map(|m| m.protocol_ns.clone());
             tasks.push(move || {
                 let start = Instant::now();
-                let result = run(&cfg, epoch, shard_index, &mut instance, registry);
+                let result = run(&cfg, epoch, shard_index, &mut arena, ids, registry);
                 if let Some(hist) = protocol_ns {
                     hist.record(start.elapsed().as_nanos() as u64);
                 }
@@ -489,15 +481,15 @@ impl ServiceEngine {
                         start,
                     );
                 }
-                (shard_index, instance, result)
+                (shard_index, arena, result)
             });
         }
         stats.protocol_runs = tasks.len() as u64;
         let mut outcomes = Vec::with_capacity(tasks.len());
         for task in pool.run_batch(tasks) {
             match task {
-                Ok((shard_index, instance, outcome)) => {
-                    self.shards[shard_index].instance = Some(instance);
+                Ok((shard_index, arena, outcome)) => {
+                    self.shards[shard_index].arena = Some(arena);
                     outcomes.push((shard_index, outcome));
                 }
                 // A panicking instance is a harness bug; surface it exactly
@@ -653,35 +645,36 @@ type InstanceRunner = fn(
     &ServiceConfig,
     u64,
     usize,
-    &mut Instance,
+    &mut RunArena,
+    Vec<OriginalId>,
     Option<MetricsRegistry>,
 ) -> Result<RenamingOutcome, RenamingError>;
 
 /// Runs one shard-epoch protocol instance in the shard's arena: the batch's
-/// original ids (already in `instance.ids`) plus filler ids above them (so
-/// order preservation keeps every filler name above every real name), under
-/// the configured adversary.
+/// original ids (`ids`, the arena's own list) plus filler ids above them
+/// (so order preservation keeps every filler name above every real name),
+/// under the configured adversary. The list goes back to the arena.
 fn run_instance(
     cfg: &ServiceConfig,
     epoch: u64,
     shard: usize,
-    instance: &mut Instance,
+    arena: &mut RunArena,
+    mut ids: Vec<OriginalId>,
     metrics: Option<MetricsRegistry>,
 ) -> Result<RenamingOutcome, RenamingError> {
-    let ids = &mut instance.ids;
     let max_real = ids.iter().map(|o| o.raw()).max().unwrap_or(0);
     let fillers = cfg.epoch_capacity() - ids.len();
     // Admission refuses every original above `ServiceConfig::max_original`,
     // so the largest filler, `max_real + fillers`, fits.
     ids.extend((1..=fillers as u64).map(|i| OriginalId::new(max_real + i)));
     let mut run = RenamingRun::builder(cfg.epoch_cfg, cfg.regime)
-        .correct_ids(ids.iter().copied())
+        .correct_ids(ids)
         .adversary(cfg.adversary, cfg.byzantine)
         .seed(epoch_seed(cfg.seed, epoch, shard));
     if let Some(registry) = metrics {
         run = run.metrics(registry);
     }
-    run.run_in(&mut instance.arena)
+    run.run_in(arena)
 }
 
 #[cfg(test)]
@@ -725,25 +718,25 @@ mod tests {
         let mut engine = engine();
         submit_epoch(&mut engine, 0);
         engine.run_epoch(&pool).unwrap();
-        assert!(engine.shards.iter().all(|shard| shard.instance.is_some()));
+        assert!(engine.shards.iter().all(|shard| shard.arena.is_some()));
 
         submit_epoch(&mut engine, 1);
         let mut stats = EpochStats::default();
         engine.drain_queue(engine.epoch, &mut stats);
-        let fails_in_shard_1: InstanceRunner = |cfg, epoch, shard, instance, metrics| {
+        let fails_in_shard_1: InstanceRunner = |cfg, epoch, shard, arena, ids, metrics| {
             if shard == 1 {
-                instance.ids.clear();
+                arena.swap_ids(Vec::new());
                 panic!("injected: instance half set up");
             }
-            run_instance(cfg, epoch, shard, instance, metrics)
+            run_instance(cfg, epoch, shard, arena, ids, metrics)
         };
         let epoch = engine.epoch;
         let cut = catch_unwind(AssertUnwindSafe(|| {
             engine.run_shard_instances(&pool, epoch, &mut stats, fails_in_shard_1)
         }));
         assert!(cut.is_err(), "the injected panic is re-raised");
-        assert!(engine.shards[0].instance.is_some(), "shard 0 ran before it");
-        assert!(engine.shards[1].instance.is_none(), "no half-reset arena");
+        assert!(engine.shards[0].arena.is_some(), "shard 0 ran before it");
+        assert!(engine.shards[1].arena.is_none(), "no half-reset arena");
 
         submit_epoch(&mut engine, 2);
         let epoch = engine.epoch;

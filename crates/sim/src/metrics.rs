@@ -4,6 +4,8 @@
 //! the paper's `O(N² log t)` message bound and per-message bit bounds, so the
 //! network engine maintains them for every run.
 
+use std::sync::Arc;
+
 /// Counters for a single round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundMetrics {
@@ -18,28 +20,29 @@ pub struct RoundMetrics {
     pub max_message_bits: u64,
 }
 
-impl RoundMetrics {
-    /// Total messages from all processes.
-    pub(crate) fn messages_total(&self) -> u64 {
-        self.messages_correct + self.messages_faulty
-    }
-}
-
 /// Counters for a complete run.
+///
+/// The per-round list is shared: a clone is a handle, and a write goes into
+/// the list itself only while no clone holds it (into a copy otherwise), so
+/// a network hands its metrics to a run's caller without copying them and
+/// reuses their storage for the next run once the caller has let go.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunMetrics {
-    rounds: Vec<RoundMetrics>,
+    rounds: Arc<Vec<RoundMetrics>>,
 }
 
 impl RunMetrics {
-    /// Forgets every round, keeping the storage.
+    /// Forgets every round, keeping the storage while no clone holds it.
     pub(crate) fn clear(&mut self) {
-        self.rounds.clear();
+        match Arc::get_mut(&mut self.rounds) {
+            Some(rounds) => rounds.clear(),
+            None => self.rounds = Arc::default(),
+        }
     }
 
     /// Records the metrics of the next round.
     pub fn push_round(&mut self, round: RoundMetrics) {
-        self.rounds.push(round);
+        Arc::make_mut(&mut self.rounds).push(round);
     }
 
     /// Number of rounds executed, saturating at `u32::MAX` (no real run gets
@@ -56,11 +59,6 @@ impl RunMetrics {
     /// Total messages sent by correct processes over the run.
     pub fn messages_correct(&self) -> u64 {
         self.rounds.iter().map(|r| r.messages_correct).sum()
-    }
-
-    /// Total messages from all processes over the run.
-    pub fn messages_total(&self) -> u64 {
-        self.rounds.iter().map(RoundMetrics::messages_total).sum()
     }
 
     /// Total messages sent by faulty processes over the run.
@@ -104,17 +102,36 @@ mod tests {
         });
         assert_eq!(m.rounds_executed(), 2);
         assert_eq!(m.messages_correct(), 15);
-        assert_eq!(m.messages_total(), 17);
+        assert_eq!(m.messages_faulty(), 2);
         assert_eq!(m.bits_correct(), 980);
         assert_eq!(m.max_message_bits(), 100);
         assert_eq!(m.per_round().len(), 2);
+    }
+
+    /// A clone shares the rounds and never sees a later write; an unshared
+    /// list is cleared in place.
+    #[test]
+    fn a_clone_is_a_handle_that_later_writes_leave_alone() {
+        let mut m = RunMetrics::default();
+        m.push_round(RoundMetrics::default());
+        let kept = m.clone();
+        assert!(Arc::ptr_eq(&m.rounds, &kept.rounds));
+        m.clear();
+        m.push_round(RoundMetrics::default());
+        m.push_round(RoundMetrics::default());
+        assert_eq!((kept.rounds_executed(), m.rounds_executed()), (1, 2));
+        drop(kept);
+        let list = Arc::as_ptr(&m.rounds);
+        m.clear();
+        assert_eq!(Arc::as_ptr(&m.rounds), list);
+        assert_eq!(m.rounds_executed(), 0);
     }
 
     #[test]
     fn empty_run() {
         let m = RunMetrics::default();
         assert_eq!(m.rounds_executed(), 0);
-        assert_eq!(m.messages_total(), 0);
+        assert_eq!(m.messages_correct() + m.messages_faulty(), 0);
         assert_eq!(m.max_message_bits(), 0);
     }
 }

@@ -429,9 +429,10 @@ where
         &self.metrics
     }
 
-    /// What the run accumulated: a copy of the metrics — the network keeps
-    /// its per-round table for a [`rewind`](Network::rewind) — and, moved
-    /// out, the trace (if enabled) and the malformed sends.
+    /// What the run accumulated: the metrics — a handle on the network's
+    /// per-round table, which a [`rewind`](Network::rewind) clears in place
+    /// once the handle is dropped — and, moved out, the trace (if enabled)
+    /// and the malformed sends.
     pub fn take_artifacts(&mut self) -> (RunMetrics, Option<Trace>, Vec<MalformedSend>) {
         (
             self.metrics.clone(),

@@ -15,6 +15,7 @@ use opr_types::{
 };
 use std::fmt;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 /// Every runnable renaming implementation in the workspace.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -459,7 +460,7 @@ pub struct DiagnosedRun {
     /// Sends the transport rejected, in `(round, sender, occurrence)` order.
     pub malformed: Vec<MalformedSend>,
     /// Which actor indices were Byzantine (`true` = faulty).
-    pub faulty_mask: Vec<bool>,
+    pub faulty_mask: Arc<[bool]>,
     /// Original ids of correct processes excluded from the judged set
     /// because the fault plan disturbs their outgoing links.
     pub excluded: Vec<OriginalId>,
@@ -569,7 +570,8 @@ impl RenamingRun {
         }
     }
 
-    /// Sets the correct processes' original ids.
+    /// Sets the correct processes' original ids. A `Vec` is kept as given,
+    /// not copied (see [`RenamingRun::run_in`]).
     pub fn correct_ids<I>(mut self, ids: I) -> Self
     where
         I: IntoIterator<Item = OriginalId>,
@@ -767,13 +769,18 @@ impl RenamingRun {
     /// Executes the run in `arena`, reusing what the arena's earlier runs
     /// built (see [`RunArena`]), and returns only the decided names: no
     /// probe is attached and no [`RunStats`] computed. The judgement is
-    /// [`RenamingRun::run`]'s, and so are the names.
+    /// [`RenamingRun::run`]'s, and so are the names. The id list goes to
+    /// the arena ([`RunArena::swap_ids`]): a caller that fills the list the
+    /// arena hands out and passes it to
+    /// [`correct_ids`](RenamingRun::correct_ids) allocates no list per run.
     ///
     /// # Errors
     ///
     /// As [`RenamingRun::run`].
     pub fn run_in(self, arena: &mut RunArena) -> Result<RenamingOutcome, RenamingError> {
-        Ok(match self.observe::<(), ()>(arena)?.0 {
+        let (observed, ids) = self.observe::<(), ()>(arena)?;
+        arena.swap_ids(ids);
+        Ok(match observed {
             Observed::Alg1(observed) => observed.strict()?.outcome,
             Observed::TwoStep(observed) => observed.strict()?.outcome,
         })

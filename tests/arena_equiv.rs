@@ -308,3 +308,57 @@ fn last_instance_announcements_do_not_validate_this_instance_echoes() {
     let warm = run(&mut arena, &ids[..3], 1);
     assert_eq!(warm, run(&mut RunArena::default(), &ids[..3], 1));
 }
+
+/// An observation kept while the arena runs on is never written: instance
+/// k's probe snapshots — their `timely`, `accepted` and rank-vector slices,
+/// the last of which is the vector its last voting step broadcast — and its
+/// fault mask and metrics stay as they were while instance k + 1, of the
+/// same shape, runs in the same arena, and k + 1 still equals a fresh run.
+/// (The arena rewrites such storage in place only while it holds it alone;
+/// were it to write a slice k still holds, k's rendering would change.)
+#[test]
+fn a_kept_observation_is_never_written_by_the_next_instance() {
+    let at = |seed: u64| Instance {
+        regime: Regime::LogTime,
+        cfg: SystemConfig::new(7, 2).expect("legal config"),
+        faulty: 2,
+        spec: AdversarySpec::Silent,
+        ids: IdDistribution::SparseRandom.generate(5, seed),
+        seed,
+        trace: None,
+        events: false,
+        payload_cap: None,
+    };
+    let mut arena = RunArena::default();
+    // A first instance leaves slices of the shape k and k + 1 use behind.
+    at(1).observe(Some(&mut arena));
+    let k = at(2);
+    let spec = k.spec;
+    let kept: ObservedRun<Alg1Probe> = run_alg1_in(
+        &mut arena,
+        k.cfg,
+        k.regime,
+        &k.ids,
+        k.faulty,
+        |env| spec.build_alg1(env),
+        k.alg1_opts(),
+    )
+    .expect("legal instance");
+    let last_votes: Vec<_> = kept
+        .probe
+        .processes
+        .iter()
+        .map(|process| process.snapshots.last().expect("snapshots").ranks.to_wire())
+        .collect();
+    let (rendered, votes) = (render(&kept), format!("{last_votes:?}"));
+    assert_eq!(rendered, k.observe(None), "k is a fresh run");
+
+    let next = at(3);
+    assert_eq!(
+        next.observe(Some(&mut arena)),
+        next.observe(None),
+        "k + 1 is a fresh run"
+    );
+    assert_eq!(render(&kept), rendered, "k's observation changed");
+    assert_eq!(format!("{last_votes:?}"), votes, "k's last votes changed");
+}
