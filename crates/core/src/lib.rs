@@ -28,12 +28,15 @@
 //!
 //! # Running a protocol
 //!
-//! [`run_alg1`] and [`run_two_step`] execute a full system (correct actors
-//! plus caller-supplied Byzantine actors) on the simulator and return the
-//! [`RenamingOutcome`](opr_types::RenamingOutcome), the network metrics and
-//! the invariant probes the experiments consume; [`run_alg1_in`] and
-//! [`run_two_step_in`] do so in a [`RunArena`] that keeps what one run
-//! builds for the next. Most users go through the higher-level
+//! [`run_alg1_in`] and [`run_two_step_in`] execute a full system (correct
+//! actors plus caller-supplied Byzantine actors) on the simulator, in a
+//! [`RunArena`] that keeps what one run builds for the next, and return the
+//! run's one record, an [`ObservedRun`]: the
+//! [`RenamingOutcome`](opr_types::RenamingOutcome), the network metrics,
+//! what went wrong, and the invariant probes the caller asked for (`()` for
+//! none). [`run_alg1`] and [`run_two_step`] are the one-off form: a new
+//! arena, the family's probe, and the strict judgement
+//! ([`ObservedRun::strict`]). Most users go through the higher-level
 //! `opr-workload` harness instead.
 //!
 //! ```
@@ -61,9 +64,8 @@ pub use probe::{Alg1Probe, TwoStepProbe, VotingSnapshot};
 pub use ranks::RankVector;
 pub use renaming::{Alg1Tweaks, OrderPreservingRenaming};
 pub use runner::{
-    fault_placement, run_alg1, run_alg1_in, run_alg1_observed, run_two_step, run_two_step_in,
-    run_two_step_observed, AdversaryEnv, Alg1Options, ObservedRun, Probes, RunArena, RunOptions,
-    SilentActor, TwoStepOptions,
+    fault_placement, run_alg1, run_alg1_in, run_two_step, run_two_step_in, AdversaryEnv,
+    Alg1Options, ObservedRun, Probes, RunArena, RunOptions, SilentActor, TwoStepOptions,
 };
 pub use two_step::{TwoStepRenaming, TwoStepTweaks};
 

@@ -701,6 +701,30 @@ mod tests {
         assert_eq!(probe.snapshots.last().unwrap().ranks.len(), 4);
     }
 
+    /// `isValid` checks δ-spacing, not order alone: at (4, 1), δ = 16/15,
+    /// and a vector spaced by exactly 1 is refused.
+    #[test]
+    fn a_vector_spaced_by_one_is_rejected() {
+        let spaced_by_one = LinkId::new(2);
+        let (events, probe) = first_voting_step((4, 1), |link, wire| {
+            if link == spaced_by_one {
+                assert_eq!(wire.len(), 4);
+                for (k, entry) in wire.iter_mut().enumerate() {
+                    entry.1 = opr_types::Rank::new(1.0 + k as f64);
+                }
+            }
+        });
+        assert!(events.iter().any(|e| matches!(
+            e,
+            ProtocolEvent::VoteRejected {
+                step: 5,
+                link,
+                violation: ValidityViolation::InsufficientSpacing { .. },
+            } if *link == spaced_by_one
+        )));
+        assert_eq!(probe.rejected_votes, 1);
+    }
+
     /// Folding is invisible per link. At (7, 2) every correct vector is the
     /// same bits; links 3 and 4 carry one duplicate-id vector instead, so
     /// the common vector arrives as a run of two and a run of three. Each

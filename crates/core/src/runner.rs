@@ -98,7 +98,7 @@ pub struct RunOptions<T> {
     /// Skip the `faulty_count ≤ t` check — for over-budget chaos campaigns
     /// that deliberately exceed the fault bound to observe degradation.
     /// Strict entry points will then typically fail with
-    /// [`RenamingError::MissedTermination`]; the `*_observed` entry points
+    /// [`RenamingError::MissedTermination`]; the `*_in` entry points
     /// report what happened instead.
     pub allow_fault_overrun: bool,
     /// When `true`, attach a protocol-event recorder to every correct actor
@@ -326,7 +326,7 @@ impl<S> Probes<S> for () {
 /// placement buffers.
 ///
 /// Every run executes in an arena. The one-off entry points
-/// ([`run_alg1_observed`], [`run_two_step_observed`]) pass a new one; a
+/// ([`run_alg1`], [`run_two_step`]) pass a new one; a
 /// caller running instance after instance — a service shard, one epoch
 /// after another — keeps one and passes it to [`run_alg1_in`] /
 /// [`run_two_step_in`] each time. A run in a used arena resets every
@@ -582,7 +582,8 @@ where
 
 /// Runs Algorithm 1 (`regime` selects the log-time or constant-time voting
 /// schedule) with `faulty_count` Byzantine actors built by `adversary`
-/// (`None` ⇒ silent).
+/// (`None` ⇒ silent), in a new [`RunArena`], and judges the run strictly
+/// ([`ObservedRun::strict`]).
 ///
 /// # Errors
 ///
@@ -601,30 +602,6 @@ pub fn run_alg1<F>(
 where
     F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = Alg1Msg, Output = NewName>>>,
 {
-    run_alg1_observed(cfg, regime, correct_ids, faulty_count, adversary, opts)?.strict()
-}
-
-/// [`run_alg1`] without the strict judgement: missed terminations and
-/// malformed sends are *reported* in the [`ObservedRun`] instead of becoming
-/// errors. Combined with [`RunOptions::allow_fault_overrun`], this is how
-/// chaos campaigns observe degradation beyond the fault bound.
-///
-/// # Errors
-///
-/// Returns [`RenamingError`] only for invalid configurations, id sets or
-/// (unless overrun is allowed) fault counts — never for what happened
-/// during the run itself.
-pub fn run_alg1_observed<F>(
-    cfg: SystemConfig,
-    regime: Regime,
-    correct_ids: &[OriginalId],
-    faulty_count: usize,
-    adversary: F,
-    opts: Alg1Options,
-) -> Result<ObservedRun<Alg1Probe>, RenamingError>
-where
-    F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = Alg1Msg, Output = NewName>>>,
-{
     run_alg1_in(
         &mut RunArena::default(),
         cfg,
@@ -633,16 +610,23 @@ where
         faulty_count,
         adversary,
         opts,
-    )
+    )?
+    .strict()
 }
 
-/// [`run_alg1_observed`] in `arena`, reusing what its earlier runs built;
-/// the observation is that of a run in a new arena. `P` names the probes
-/// collected: [`Alg1Probe`], or `()` for none.
+/// Runs Algorithm 1 in `arena`, reusing what its earlier runs built, and
+/// reports the run without judging it: missed terminations and malformed
+/// sends are *recorded* in the [`ObservedRun`] instead of becoming errors.
+/// Combined with [`RunOptions::allow_fault_overrun`], this is how chaos
+/// campaigns observe degradation beyond the fault bound. The observation
+/// is that of a run in a new arena. `P` names the probes collected:
+/// [`Alg1Probe`], or `()` for none.
 ///
 /// # Errors
 ///
-/// As [`run_alg1_observed`].
+/// Returns [`RenamingError`] only for invalid configurations, id sets or
+/// (unless overrun is allowed) fault counts — never for what happened
+/// during the run itself.
 pub fn run_alg1_in<F, P>(
     arena: &mut RunArena,
     cfg: SystemConfig,
@@ -693,32 +677,13 @@ where
 }
 
 /// Runs Algorithm 4 (2-step renaming) with `faulty_count` Byzantine actors
-/// built by `adversary` (`None` ⇒ silent).
+/// built by `adversary` (`None` ⇒ silent), in a new [`RunArena`], and
+/// judges the run strictly.
 ///
 /// # Errors
 ///
 /// Same conditions as [`run_alg1`].
 pub fn run_two_step<F>(
-    cfg: SystemConfig,
-    correct_ids: &[OriginalId],
-    faulty_count: usize,
-    adversary: F,
-    opts: TwoStepOptions,
-) -> Result<ObservedRun<TwoStepProbe>, RenamingError>
-where
-    F: FnMut(&AdversaryEnv) -> Option<Box<dyn Actor<Msg = TwoStepMsg, Output = NewName>>>,
-{
-    run_two_step_observed(cfg, correct_ids, faulty_count, adversary, opts)?.strict()
-}
-
-/// [`run_two_step`] without the strict judgement; see
-/// [`run_alg1_observed`] for the contract.
-///
-/// # Errors
-///
-/// Returns [`RenamingError`] only for invalid configurations, id sets or
-/// (unless overrun is allowed) fault counts.
-pub fn run_two_step_observed<F>(
     cfg: SystemConfig,
     correct_ids: &[OriginalId],
     faulty_count: usize,
@@ -735,15 +700,17 @@ where
         faulty_count,
         adversary,
         opts,
-    )
+    )?
+    .strict()
 }
 
-/// [`run_two_step_observed`] in `arena`; see [`run_alg1_in`]. `P` names
-/// the probes collected: [`TwoStepProbe`], or `()` for none.
+/// Runs Algorithm 4 in `arena` without judging the run; see
+/// [`run_alg1_in`] for the contract. `P` names the probes collected:
+/// [`TwoStepProbe`], or `()` for none.
 ///
 /// # Errors
 ///
-/// As [`run_two_step_observed`].
+/// As [`run_alg1_in`].
 pub fn run_two_step_in<F, P>(
     arena: &mut RunArena,
     cfg: SystemConfig,
@@ -794,6 +761,18 @@ mod tests {
 
     fn ids(raw: &[u64]) -> Vec<OriginalId> {
         raw.iter().map(|&x| OriginalId::new(x)).collect()
+    }
+
+    /// A LogTime run among silent faulty actors in a new arena, observed,
+    /// not judged, with no probe.
+    fn observe(
+        cfg: SystemConfig,
+        correct: &[OriginalId],
+        faulty: usize,
+        opts: Alg1Options,
+    ) -> Result<ObservedRun<()>, RenamingError> {
+        let arena = &mut RunArena::default();
+        run_alg1_in(arena, cfg, Regime::LogTime, correct, faulty, |_| None, opts)
     }
 
     #[test]
@@ -923,8 +902,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RenamingError::MissedTermination { .. }));
-        let observed =
-            run_alg1_observed(cfg, Regime::LogTime, &correct, 2, |_| None, opts(faults)).unwrap();
+        let observed = observe(cfg, &correct, 2, opts(faults)).unwrap();
         assert!(!observed.completed);
         assert_eq!(observed.rounds, observed.step_budget);
         assert!(observed
@@ -939,22 +917,12 @@ mod tests {
     fn fault_overrun_is_rejected_unless_allowed() {
         let cfg = SystemConfig::new(7, 2).unwrap();
         let correct = ids(&[1, 2, 3, 4]);
-        let err = run_alg1_observed(
-            cfg,
-            Regime::LogTime,
-            &correct,
-            3,
-            |_| None,
-            Alg1Options::default(),
-        )
-        .unwrap_err();
+        let err = observe(cfg, &correct, 3, Alg1Options::default()).unwrap_err();
         assert!(matches!(err, RenamingError::TooManyFaultyActors { .. }));
-        let observed = run_alg1_observed(
+        let observed = observe(
             cfg,
-            Regime::LogTime,
             &correct,
             3,
-            |_| None,
             Alg1Options {
                 allow_fault_overrun: true,
                 ..Alg1Options::default()
@@ -966,12 +934,10 @@ mod tests {
         assert_eq!(observed.faulty_mask.iter().filter(|&&f| f).count(), 3);
         // Overrun lifts the bound to N, not to infinity: more faulty actors
         // than processes is a typed error, never an arithmetic underflow.
-        let err = run_alg1_observed(
+        let err = observe(
             cfg,
-            Regime::LogTime,
             &[],
             cfg.n() + 2,
-            |_| None,
             Alg1Options {
                 allow_fault_overrun: true,
                 ..Alg1Options::default()
@@ -988,12 +954,10 @@ mod tests {
     fn recorded_events_and_spans_are_returned_when_requested() {
         let cfg = SystemConfig::new(7, 2).unwrap();
         let spans = opr_obs::shared_span_log();
-        let observed = run_alg1_observed(
+        let observed = observe(
             cfg,
-            Regime::LogTime,
             &ids(&[100, 2, 57, 31, 9]),
             2,
-            |_| None,
             Alg1Options {
                 seed: 1,
                 record_events: true,
@@ -1028,15 +992,7 @@ mod tests {
     #[test]
     fn disabled_recording_returns_no_events() {
         let cfg = SystemConfig::new(7, 2).unwrap();
-        let observed = run_alg1_observed(
-            cfg,
-            Regime::LogTime,
-            &ids(&[1, 2, 3, 4, 5]),
-            2,
-            |_| None,
-            Alg1Options::default(),
-        )
-        .unwrap();
+        let observed = observe(cfg, &ids(&[1, 2, 3, 4, 5]), 2, Alg1Options::default()).unwrap();
         assert!(observed.events.is_none());
     }
 

@@ -27,6 +27,14 @@
 //! used in examples, [`ServiceWorkload`] generates the open-loop
 //! acquire/release schedules the service layer (`opr-service`) consumes,
 //! and [`ExperimentTable`] renders markdown/CSV.
+//!
+//! Every run of every implementation produces one record, an
+//! [`opr_core::ObservedRun`] without probes, and its three readers each
+//! read it in one place: [`RunStats`] (the uniform measurements, the
+//! baselines' included), [`RunOutput`] (after the strict judgement) and
+//! [`DiagnosedRun`] (the diagnosis in place of a judgement). A family's
+//! invariant probes come from the runner itself ([`opr_core::run_alg1`],
+//! [`opr_core::run_two_step`]).
 
 pub mod experiments;
 pub(crate) mod id_dist;

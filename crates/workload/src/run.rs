@@ -2,9 +2,7 @@
 
 use opr_adversary::AdversarySpec;
 use opr_baselines::{ChtRenaming, ConsensusRenaming, CrashAaRenaming, TranslatedRenaming};
-use opr_core::probe::{ProcessProbe, TwoStepProcessProbe};
-use opr_core::{run_alg1_in, run_two_step_in, Alg1Options, ObservedRun, Probes, RunArena};
-use opr_core::{Alg1Probe, TwoStepProbe, TwoStepTweaks};
+use opr_core::{run_alg1_in, run_two_step_in, Alg1Options, ObservedRun, RunArena, TwoStepTweaks};
 use opr_metrics::{labeled, MetricsRegistry, MetricsSnapshot};
 use opr_obs::{ProtocolEvent, RunLog, SharedSpanLog};
 use opr_sim::{Actor, Inbox, Network, Outbox, RunMetrics, Topology, Trace, WireSize};
@@ -58,6 +56,15 @@ impl Algorithm {
             Algorithm::Consensus => "b2-consensus",
             Algorithm::Cht => "b3-cht",
             Algorithm::Translated => "b4-translated",
+        }
+    }
+
+    /// The paper's algorithm that runs under `regime`.
+    fn paper(regime: Regime) -> Algorithm {
+        match regime {
+            Regime::LogTime => Algorithm::Alg1LogTime,
+            Regime::ConstantTime => Algorithm::Alg1ConstantTime,
+            Regime::TwoStep => Algorithm::TwoStep,
         }
     }
 
@@ -315,41 +322,45 @@ fn check_baseline_counts(
     Ok(())
 }
 
-/// Executes a baseline system for its fixed round count. `actors` is the
-/// faulty actors followed by one correct actor per id, counts already
-/// checked by [`check_baseline_counts`].
+/// Executes a baseline system for its fixed round count and judges it as
+/// [`RenamingRun::run`] judges a paper algorithm. `actors` is the faulty
+/// actors followed by one correct actor per id, counts already checked by
+/// [`check_baseline_counts`].
 fn run_baseline<M: Clone + Debug + WireSize + Sync>(
     algorithm: Algorithm,
     cfg: SystemConfig,
-    adversary_label: &str,
+    adversary: &'static str,
     correct_ids: &[OriginalId],
     actors: Vec<Box<dyn Actor<Msg = M, Output = NewName>>>,
     topology: Topology,
 ) -> Result<RunStats, RenamingError> {
     let faulty = actors.len() - correct_ids.len();
     let rounds = algorithm.rounds(cfg);
-    let mut correct_mask = vec![false; faulty];
-    correct_mask.extend(vec![true; correct_ids.len()]);
+    let faulty_mask: Arc<[bool]> = (0..cfg.n()).map(|index| index < faulty).collect();
+    let correct_mask = faulty_mask.iter().map(|&f| !f).collect();
     let mut net = Network::with_faults(actors, correct_mask, topology);
     let report = opr_transport::run(&mut net, ExecOptions::default(), rounds);
-    if !report.completed {
-        return Err(RenamingError::MissedTermination { budget: rounds });
-    }
     let outcome = RenamingOutcome::new(
         correct_ids
             .iter()
             .enumerate()
             .map(|(i, &id)| (id, net.output_of(faulty + i))),
     );
-    Ok(RunStats::collect(
-        algorithm,
-        cfg,
-        adversary_label,
-        &outcome,
-        report.rounds_executed,
-        net.metrics(),
-        algorithm.namespace_bound(cfg),
-    ))
+    let (metrics, trace, malformed) = net.take_artifacts();
+    let observed = ObservedRun {
+        outcome,
+        metrics,
+        rounds: report.rounds_executed,
+        step_budget: rounds,
+        completed: report.completed,
+        malformed,
+        faulty_mask,
+        trace,
+        events: None,
+        probe: (),
+    }
+    .strict()?;
+    Ok(RunStats::new(algorithm, adversary, cfg, &observed))
 }
 
 /// Measurements of one run, uniform across implementations.
@@ -362,7 +373,7 @@ pub struct RunStats {
     /// Fault bound.
     pub t: usize,
     /// Adversary label.
-    pub adversary: String,
+    pub adversary: &'static str,
     /// Rounds executed.
     pub rounds: u32,
     /// Messages sent by correct processes.
@@ -378,32 +389,38 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    fn collect(
+    /// The measurements of `run`, its names judged against `algorithm`'s
+    /// namespace bound.
+    fn new(
         algorithm: Algorithm,
+        adversary: &'static str,
         cfg: SystemConfig,
-        adversary: &str,
-        outcome: &RenamingOutcome,
-        rounds: u32,
-        metrics: &opr_sim::RunMetrics,
-        bound: u64,
+        run: &ObservedRun<()>,
     ) -> Self {
         RunStats {
             algorithm,
             n: cfg.n(),
             t: cfg.t(),
-            adversary: adversary.to_owned(),
-            rounds,
-            messages: metrics.messages_correct(),
-            bits: metrics.bits_correct(),
-            max_message_bits: metrics.max_message_bits(),
-            max_name: outcome.max_name().map(|n| n.raw()),
-            violations: outcome.verify(bound).len(),
+            adversary,
+            rounds: run.rounds,
+            messages: run.metrics.messages_correct(),
+            bits: run.metrics.bits_correct(),
+            max_message_bits: run.metrics.max_message_bits(),
+            max_name: run.outcome.max_name().map(|n| n.raw()),
+            violations: run.outcome.verify(algorithm.namespace_bound(cfg)).len(),
         }
     }
 }
 
 /// Builder for one-off runs of the paper's algorithms — the friendly entry
 /// point used by the examples.
+///
+/// Every entry point runs the same way: the builder's options move into
+/// the runner, which returns the run's one record (an [`ObservedRun`]
+/// without probes), and the entry point reads its result off that record —
+/// [`run`](RenamingRun::run) a [`RunOutput`] after the strict judgement,
+/// [`run_diagnosed`](RenamingRun::run_diagnosed) a [`DiagnosedRun`],
+/// [`run_in`](RenamingRun::run_in) the decided names.
 ///
 /// ```
 /// use opr_workload::RenamingRun;
@@ -433,16 +450,10 @@ pub struct RenamingRun {
     opts: Alg1Options,
 }
 
-/// Either family's observation, as the one shared run path returns it,
-/// with the probes each family's entry point collected.
-enum Observed<P, Q> {
-    Alg1(ObservedRun<P>),
-    TwoStep(ObservedRun<Q>),
-}
-
 /// The structured result of [`RenamingRun::run_diagnosed`]: what happened,
 /// judged against the paper's invariants over the *healthy* correct
-/// processes, with everything a chaos oracle needs alongside.
+/// processes, with everything a chaos oracle needs alongside — the fields
+/// of the run's [`ObservedRun`], moved out beside the diagnosis.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiagnosedRun {
     /// The diagnosis over the healthy correct processes — correct actors
@@ -544,17 +555,16 @@ impl DiagnosedRun {
     }
 }
 
-/// The result of a [`RenamingRun`].
+/// The result of [`RenamingRun::run`]: the decided names and the uniform
+/// measurements, both read off the run's one record. A caller that needs a
+/// family's invariant probes asks the runner for them
+/// ([`opr_core::run_alg1`], [`opr_core::run_two_step`]).
 #[derive(Clone, Debug)]
 pub struct RunOutput {
     /// The decided names.
     pub outcome: RenamingOutcome,
     /// Uniform measurements.
     pub stats: RunStats,
-    /// Voting-phase probes (Algorithm 1 only).
-    pub alg1_probe: Option<Alg1Probe>,
-    /// Name-table probes (Algorithm 4 only).
-    pub two_step_probe: Option<TwoStepProbe>,
 }
 
 impl RenamingRun {
@@ -664,19 +674,15 @@ impl RenamingRun {
 
     /// The one path every entry point executes through: every option the
     /// builder collected moves into the runner whole, so no entry point can
-    /// forget one. Runs in `arena` (a new one for the one-off entry points)
-    /// and hands the ids back for the diagnosis to walk.
-    fn observe<P, Q>(
+    /// forget one. Runs in `arena` (a new one for the one-off entry points),
+    /// collects no probe, and hands the ids back for the diagnosis to walk.
+    fn observe(
         self,
         arena: &mut RunArena,
-    ) -> Result<(Observed<P, Q>, Vec<OriginalId>), RenamingError>
-    where
-        P: Probes<ProcessProbe>,
-        Q: Probes<TwoStepProcessProbe>,
-    {
+    ) -> Result<(ObservedRun<()>, Vec<OriginalId>), RenamingError> {
         let spec = self.adversary;
         let observed = match self.regime {
-            Regime::LogTime | Regime::ConstantTime => Observed::Alg1(run_alg1_in(
+            Regime::LogTime | Regime::ConstantTime => run_alg1_in(
                 arena,
                 self.cfg,
                 self.regime,
@@ -684,61 +690,38 @@ impl RenamingRun {
                 self.faulty,
                 |env| spec.build_alg1(env),
                 self.opts,
-            )?),
-            Regime::TwoStep => Observed::TwoStep(run_two_step_in(
+            )?,
+            Regime::TwoStep => run_two_step_in(
                 arena,
                 self.cfg,
                 &self.ids,
                 self.faulty,
                 |env| spec.build_two_step(env),
                 self.opts.with_tweaks(TwoStepTweaks::default()),
-            )?),
+            )?,
         };
         Ok((observed, self.ids))
     }
 
-    /// Executes the run.
+    /// Executes the run and judges it strictly ([`ObservedRun::strict`]).
     ///
     /// # Errors
     ///
-    /// Returns [`RenamingError`] on invalid configuration or if a correct
-    /// process misses its termination deadline.
+    /// Returns [`RenamingError`] on invalid configuration, if a correct
+    /// process sends malformed traffic, or if a correct process misses its
+    /// termination deadline.
     pub fn run(self) -> Result<RunOutput, RenamingError> {
-        let (cfg, regime, adversary) = (self.cfg, self.regime, self.adversary.label());
-        let stats = |algorithm, outcome: &RenamingOutcome, rounds, metrics: &RunMetrics| {
-            let bound = cfg.namespace_bound(regime);
-            RunStats::collect(algorithm, cfg, adversary, outcome, rounds, metrics, bound)
-        };
-        Ok(
-            match self
-                .observe::<Alg1Probe, TwoStepProbe>(&mut RunArena::default())?
-                .0
-            {
-                Observed::Alg1(observed) => {
-                    let o = observed.strict()?;
-                    let algorithm = if regime == Regime::LogTime {
-                        Algorithm::Alg1LogTime
-                    } else {
-                        Algorithm::Alg1ConstantTime
-                    };
-                    RunOutput {
-                        stats: stats(algorithm, &o.outcome, o.rounds, &o.metrics),
-                        outcome: o.outcome,
-                        alg1_probe: Some(o.probe),
-                        two_step_probe: None,
-                    }
-                }
-                Observed::TwoStep(observed) => {
-                    let o = observed.strict()?;
-                    RunOutput {
-                        stats: stats(Algorithm::TwoStep, &o.outcome, o.rounds, &o.metrics),
-                        outcome: o.outcome,
-                        alg1_probe: None,
-                        two_step_probe: Some(o.probe),
-                    }
-                }
-            },
-        )
+        let (algorithm, adversary, cfg) = (
+            Algorithm::paper(self.regime),
+            self.adversary.label(),
+            self.cfg,
+        );
+        let observed = self.observe(&mut RunArena::default())?.0.strict()?;
+        let stats = RunStats::new(algorithm, adversary, cfg, &observed);
+        Ok(RunOutput {
+            outcome: observed.outcome,
+            stats,
+        })
     }
 
     /// Executes the run and *diagnoses* it instead of judging it: missed
@@ -760,38 +743,33 @@ impl RenamingRun {
         let expected_rounds =
             self.cfg.total_steps(self.regime) + self.opts.tweaks.extra_voting_steps;
         let disturbed = self.opts.exec.faults.disturbed_senders();
-        Ok(match self.observe::<(), ()>(&mut RunArena::default())? {
-            (Observed::Alg1(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
-            (Observed::TwoStep(o), ids) => diagnose(o, &ids, &disturbed, expected_rounds, bound),
-        })
+        let (observed, ids) = self.observe(&mut RunArena::default())?;
+        Ok(diagnose(observed, &ids, &disturbed, expected_rounds, bound))
     }
 
     /// Executes the run in `arena`, reusing what the arena's earlier runs
     /// built (see [`RunArena`]), and returns only the decided names: no
-    /// probe is attached and no [`RunStats`] computed. The judgement is
-    /// [`RenamingRun::run`]'s, and so are the names. The id list goes to
-    /// the arena ([`RunArena::swap_ids`]): a caller that fills the list the
-    /// arena hands out and passes it to
+    /// [`RunStats`] is computed. The judgement is [`RenamingRun::run`]'s,
+    /// and so are the names. The id list goes to the arena
+    /// ([`RunArena::swap_ids`]): a caller that fills the list the arena
+    /// hands out and passes it to
     /// [`correct_ids`](RenamingRun::correct_ids) allocates no list per run.
     ///
     /// # Errors
     ///
     /// As [`RenamingRun::run`].
     pub fn run_in(self, arena: &mut RunArena) -> Result<RenamingOutcome, RenamingError> {
-        let (observed, ids) = self.observe::<(), ()>(arena)?;
+        let (observed, ids) = self.observe(arena)?;
         arena.swap_ids(ids);
-        Ok(match observed {
-            Observed::Alg1(observed) => observed.strict()?.outcome,
-            Observed::TwoStep(observed) => observed.strict()?.outcome,
-        })
+        Ok(observed.strict()?.outcome)
     }
 }
 
-/// Judges an observation of either family over the healthy correct
-/// processes: `ids` in the caller's order, minus those at `disturbed`
-/// indices.
-fn diagnose<P>(
-    o: ObservedRun<P>,
+/// Judges a run's record over the healthy correct processes: `ids` in the
+/// caller's order, minus those at `disturbed` indices. The record's fields
+/// move into the [`DiagnosedRun`].
+fn diagnose(
+    o: ObservedRun<()>,
     ids: &[OriginalId],
     disturbed: &std::collections::BTreeSet<usize>,
     expected_rounds: u32,
@@ -919,30 +897,53 @@ mod tests {
     fn builder_runs_two_step() {
         let cfg = SystemConfig::new(11, 2).unwrap();
         let ids = IdDistribution::Clustered.generate(9, 3);
+        let spec = AdversarySpec::FakeFlood;
         let out = RenamingRun::builder(cfg, Regime::TwoStep)
-            .correct_ids(ids)
-            .adversary(AdversarySpec::FakeFlood, 2)
+            .correct_ids(ids.clone())
+            .adversary(spec, 2)
             .seed(8)
             .run()
             .unwrap();
         assert_eq!(out.stats.violations, 0);
-        assert!(out.two_step_probe.is_some());
-        assert!(out.alg1_probe.is_none());
+        // The probe comes from the runner, on the same run.
+        let opts = opr_core::TwoStepOptions {
+            seed: 8,
+            ..Default::default()
+        };
+        let probed =
+            opr_core::run_two_step(cfg, &ids, 2, |env| spec.build_two_step(env), opts).unwrap();
+        assert_eq!(probed.outcome, out.outcome);
+        assert_eq!(probed.probe.processes.len(), 9);
     }
 
     #[test]
     fn builder_runs_alg1_with_probe() {
         let cfg = SystemConfig::new(7, 2).unwrap();
         let ids = IdDistribution::EvenSpaced.generate(5, 4);
+        let spec = AdversarySpec::RankSkew;
         let out = RenamingRun::builder(cfg, Regime::LogTime)
-            .correct_ids(ids)
-            .adversary(AdversarySpec::RankSkew, 2)
+            .correct_ids(ids.clone())
+            .adversary(spec, 2)
             .seed(1)
             .run()
             .unwrap();
         assert_eq!(out.stats.violations, 0);
-        let probe = out.alg1_probe.unwrap();
-        assert!(!probe.spread_series().is_empty());
+        // The probe comes from the runner, on the same run.
+        let opts = Alg1Options {
+            seed: 1,
+            ..Alg1Options::default()
+        };
+        let probed = opr_core::run_alg1(
+            cfg,
+            Regime::LogTime,
+            &ids,
+            2,
+            |env| spec.build_alg1(env),
+            opts,
+        )
+        .unwrap();
+        assert_eq!(probed.outcome, out.outcome);
+        assert!(!probed.probe.spread_series().is_empty());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! cargo run --example convergence_trace
 //! ```
 
+use opr::core::{run_alg1, Alg1Options};
 use opr::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -13,14 +14,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = SystemConfig::new(n, t)?;
     let ids = IdDistribution::EvenSpaced.generate(n - t, 3);
 
-    let out = RenamingRun::builder(cfg, Regime::LogTime)
-        .correct_ids(ids)
-        .adversary(AdversarySpec::RankSkew, t)
-        .seed(11)
-        .run()?;
+    let spec = AdversarySpec::RankSkew;
+    let opts = Alg1Options {
+        seed: 11,
+        ..Alg1Options::default()
+    };
+    let run = run_alg1(
+        cfg,
+        Regime::LogTime,
+        &ids,
+        t,
+        |env| spec.build_alg1(env),
+        opts,
+    )?;
 
-    let probe = out.alg1_probe.expect("alg1 probe");
-    let series = probe.spread_series();
+    let series = run.probe.spread_series();
     let sigma = cfg.sigma();
     let threshold = (cfg.delta() - 1.0) / 2.0;
 
@@ -41,9 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nfinal spread {last:.2e} < threshold {threshold:.2e}: rounding cannot \
          clash or invert — order-preserving renaming achieved in {} steps",
-        out.stats.rounds
+        run.rounds
     );
     assert!(last < threshold);
-    assert_eq!(out.stats.violations, 0);
+    assert!(run
+        .outcome
+        .verify(cfg.namespace_bound(Regime::LogTime))
+        .is_empty());
     Ok(())
 }

@@ -7,6 +7,7 @@
 //! cargo run --example fault_injection
 //! ```
 
+use opr::core::{run_alg1, Alg1Options};
 use opr::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,30 +19,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "adversary", "max-name", "violations", "rejected-votes", "final-spread", "messages"
     );
 
+    let bound = cfg.namespace_bound(Regime::LogTime);
     for spec in AdversarySpec::ALG1 {
-        let out = RenamingRun::builder(cfg, Regime::LogTime)
-            .correct_ids(ids.clone())
-            .adversary(spec, 3)
-            .seed(5)
-            .run()?;
-        let probe = out.alg1_probe.as_ref().expect("alg1 runs carry probes");
-        let spread = probe.spread_series().last().copied().unwrap_or(0.0);
+        let opts = Alg1Options {
+            seed: 5,
+            ..Alg1Options::default()
+        };
+        let run = run_alg1(
+            cfg,
+            Regime::LogTime,
+            &ids,
+            3,
+            |env| spec.build_alg1(env),
+            opts,
+        )?;
+        let violations = run.outcome.verify(bound).len();
+        let spread = run.probe.spread_series().last().copied().unwrap_or(0.0);
         println!(
             "{:<14} {:>9} {:>10} {:>14} {:>13.2e} {:>11}",
             spec.label(),
-            out.stats.max_name.unwrap_or(0),
-            out.stats.violations,
-            probe.total_rejected_votes(),
+            run.outcome.max_name().map_or(0, |name| name.raw()),
+            violations,
+            run.probe.total_rejected_votes(),
             spread,
-            out.stats.messages,
+            run.metrics.messages_correct(),
         );
-        assert_eq!(out.stats.violations, 0, "{spec} broke the algorithm!");
+        assert_eq!(violations, 0, "{spec} broke the algorithm!");
     }
 
     println!(
         "\nall attacks absorbed: max name never exceeded N + t − 1 = {}, and \
          isValid rejected every malformed vote",
-        cfg.namespace_bound(Regime::LogTime)
+        bound
     );
     Ok(())
 }

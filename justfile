@@ -1,7 +1,7 @@
 # Development commands. `just ci` is the full gate; individual recipes below.
 
 # Everything CI runs, in order.
-ci: fmt-check lint doc surface build test bench-quick
+ci: fmt-check lint doc surface build test examples bench-quick
 
 # Formatting gate.
 fmt-check:
@@ -38,6 +38,11 @@ build:
 # Full test suite (unit + property + integration + doc tests), every crate.
 test:
     cargo test -q --workspace
+
+# Run every example: each is a self-checking scenario that asserts what it
+# prints (`cargo test` only compiles them).
+examples:
+    for example in examples/*.rs; do cargo run -q --release --example "$(basename "$example" .rs)" || exit 1; done
 
 # Serial-vs-parallel determinism gate (jobs=1 ≡ jobs=4).
 exec-equivalence:

@@ -7,8 +7,8 @@
 //! (`RenamingRun::run_in`, outcome only) is held to `RenamingRun::run`.
 
 use opr::core::{
-    run_alg1_in, run_alg1_observed, run_two_step_in, run_two_step_observed, Alg1Options, Alg1Probe,
-    ObservedRun, TwoStepMsg, TwoStepOptions, TwoStepProbe,
+    run_alg1_in, run_two_step_in, Alg1Options, Alg1Probe, ObservedRun, TwoStepMsg, TwoStepOptions,
+    TwoStepProbe,
 };
 use opr::prelude::*;
 use opr::rbcast::IdSlotSet;
@@ -110,50 +110,33 @@ impl Instance {
     fn observe(&self, arena: Option<&mut RunArena>) -> String {
         let spec = self.spec;
         let (cfg, ids, faulty) = (self.cfg, &self.ids, self.faulty);
-        match (self.regime, arena) {
-            (Regime::TwoStep, arena) => {
+        let mut fresh = RunArena::default();
+        let arena = arena.unwrap_or(&mut fresh);
+        match self.regime {
+            Regime::TwoStep => {
                 let opts: TwoStepOptions = self.alg1_opts().with_tweaks(Default::default());
-                let run: ObservedRun<TwoStepProbe> = match arena {
-                    Some(arena) => run_two_step_in(
-                        arena,
-                        cfg,
-                        ids,
-                        faulty,
-                        |env| spec.build_two_step(env),
-                        opts,
-                    ),
-                    None => run_two_step_observed(
-                        cfg,
-                        ids,
-                        faulty,
-                        |env| spec.build_two_step(env),
-                        opts,
-                    ),
-                }
+                let run: ObservedRun<TwoStepProbe> = run_two_step_in(
+                    arena,
+                    cfg,
+                    ids,
+                    faulty,
+                    |env| spec.build_two_step(env),
+                    opts,
+                )
                 .expect("instances are legal");
                 render(&run)
             }
-            (regime, arena) => {
+            regime => {
                 let opts = self.alg1_opts();
-                let run: ObservedRun<Alg1Probe> = match arena {
-                    Some(arena) => run_alg1_in(
-                        arena,
-                        cfg,
-                        regime,
-                        ids,
-                        faulty,
-                        |env| spec.build_alg1(env),
-                        opts,
-                    ),
-                    None => run_alg1_observed(
-                        cfg,
-                        regime,
-                        ids,
-                        faulty,
-                        |env| spec.build_alg1(env),
-                        opts,
-                    ),
-                }
+                let run: ObservedRun<Alg1Probe> = run_alg1_in(
+                    arena,
+                    cfg,
+                    regime,
+                    ids,
+                    faulty,
+                    |env| spec.build_alg1(env),
+                    opts,
+                )
                 .expect("instances are legal");
                 render(&run)
             }

@@ -1,6 +1,6 @@
 //! Hostile-run goldens: every Algorithm 1 adversary at (10, 3) and
 //! (32, 10), seed 5, hashed over everything a run lets a caller see — the
-//! decided names, the `RunStats` message and bit counts, and every correct
+//! decided names, the run's message and bit counts, and every correct
 //! process's snapshot ranks bit for bit, with its rejected-vote count and
 //! decision step. The constants were generated before the receiver folded
 //! every bit-identical vote of a step and before the simulated forger kept
@@ -10,6 +10,7 @@
 //! To re-bless after an *intentional* behaviour change, run with
 //! `--nocapture` and copy the printed table.
 
+use opr::core::{run_alg1, Alg1Options};
 use opr::prelude::*;
 
 /// FNV-1a, 64 bit: a stable hash that does not depend on `std`'s hasher.
@@ -32,28 +33,34 @@ impl Fnv {
 fn digest(n: usize, t: usize, spec: AdversarySpec) -> u64 {
     let seed = 5;
     let cfg = SystemConfig::new(n, t).unwrap();
-    let out = RenamingRun::builder(cfg, Regime::LogTime)
-        .correct_ids(IdDistribution::SparseRandom.generate(n - t, seed))
-        .adversary(spec, t)
-        .seed(seed)
-        .run()
-        .unwrap_or_else(|e| panic!("{spec} at ({n}, {t}): {e}"));
+    let ids = IdDistribution::SparseRandom.generate(n - t, seed);
+    let opts = Alg1Options {
+        seed,
+        ..Alg1Options::default()
+    };
+    let run = run_alg1(
+        cfg,
+        Regime::LogTime,
+        &ids,
+        t,
+        |env| spec.build_alg1(env),
+        opts,
+    )
+    .unwrap_or_else(|e| panic!("{spec} at ({n}, {t}): {e}"));
     let mut h = Fnv::new();
-    for (id, name) in out.outcome.decisions() {
+    for (id, name) in run.outcome.decisions() {
         h.u64(id.raw());
         h.u64(name.map_or(u64::MAX, |name| name.raw() as u64));
     }
-    let stats = &out.stats;
     for value in [
-        u64::from(stats.rounds),
-        stats.messages,
-        stats.bits,
-        stats.max_message_bits,
+        u64::from(run.rounds),
+        run.metrics.messages_correct(),
+        run.metrics.bits_correct(),
+        run.metrics.max_message_bits(),
     ] {
         h.u64(value);
     }
-    let probe = out.alg1_probe.expect("Algorithm 1 runs carry a probe");
-    for process in &probe.processes {
+    for process in &run.probe.processes {
         h.u64(process.rejected_votes);
         h.u64(process.decided_at_step.map_or(u64::MAX, u64::from));
         for snapshot in &process.snapshots {

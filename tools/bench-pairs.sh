@@ -133,3 +133,26 @@ jq -rn --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.
           + " the parent IQR \($iqr);"
           + (if $worse > 0 then " \($worse | pct) % worse" else " \(-$worse | pct) % better" end)
           + (if $worse > $m.bound then "  WORSE THAN BOUND" else "" end))'
+
+# The two levels (ROADMAP, "How to measure"): a process runs at one of a few
+# speed levels for its whole life, so a side's median follows how many of
+# its processes drew the fast one. Pool both sides' op_ms_p50, split the
+# pool at its largest gap, and print each side's run count per level and
+# every end-to-end metric's median within each level.
+jq -rn --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.jsonl" \
+    --slurpfile spec "$repo/BENCHMARK.json" '
+    def median: sort as $v | ($v | length) as $n
+        | if $n == 0 then "-"
+          else ($v[(($n - 1) / 2 | floor)] + $v[(($n - 1) / 2 | ceil)]) / 2 end;
+    ([$parent[], $change[]] | map(.metrics.op_ms_p50.value) | sort) as $pool
+    | if ($pool | length) < 2 then "levels: fewer than two runs, no split"
+      else ([range(1; $pool | length) | {gap: ($pool[.] - $pool[. - 1]), low: $pool[. - 1], high: $pool[.]}]
+            | max_by(.gap)) as $split
+        | def at($level): map(select((.metrics.op_ms_p50.value <= $split.low) == ($level == "low")));
+        "levels: pooled op_ms_p50 split at its largest gap, \($split.gap) ms, between \($split.low) and \($split.high)",
+        (("low", "high") as $level
+          | ($parent | at($level)) as $p | ($change | at($level)) as $c
+          | "level \($level): parent \($p | length) runs, change \($c | length) runs",
+            ($spec[0].end_to_end[].name as $k
+              | "level \($level) \($k): parent \([$p[].metrics[$k].value] | median)  change \([$c[].metrics[$k].value] | median)"))
+      end'

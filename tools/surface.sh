@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-MAX_PUBLIC_ITEMS=507
+MAX_PUBLIC_ITEMS=505
 MAX_CRATES=15
 
 status=0
