@@ -54,10 +54,7 @@ fn main() {
     let pool = RunPool::new(jobs);
     let tasks: Vec<_> = ids
         .iter()
-        .map(|id| {
-            let id = id.clone();
-            move || experiments::run(&id).expect("ids validated above")
-        })
+        .map(|id| || experiments::run(id).expect("ids validated above"))
         .collect();
     for table in pool
         .run_batch(tasks)

@@ -22,13 +22,12 @@ use crate::oracle::{violation_kind, Oracle, OracleInput};
 use crate::repro::Repro;
 use crate::schedule::{BudgetRegime, ChaosSchedule};
 use crate::shrink::{shrink, ShrinkResult};
-use opr_exec::RunPool;
+use opr_exec::{contain, RunPool, TaskPanic};
 use opr_sim::RunMetrics;
 use opr_types::math::mix64;
-use opr_types::Violation;
+use opr_types::{RenamingError, Violation};
 use opr_workload::DiagnosedRun;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// The schedule a campaign runs on. It has one variant and selects nothing:
@@ -284,7 +283,7 @@ pub fn per_run_seed(campaign_seed: u64, index: usize) -> u64 {
 /// One campaign slot after execution, not yet judged: the schedule's
 /// provenance and either its diagnosed run or the verdict that pre-empted
 /// it (panic or setup refusal). Splitting execution from judging lets
-/// campaigns execute on pool workers (pure data in, pure data out) while
+/// campaigns execute on pool threads (pure data in, pure data out) while
 /// the oracle suite — whose trait objects are not `Send` — judges serially
 /// on the collector.
 #[derive(Clone, Debug, PartialEq)]
@@ -308,13 +307,21 @@ pub struct ExecutedSchedule {
 /// `Err` carries the verdict that pre-empted execution:
 /// [`RunVerdict::Panicked`] or [`RunVerdict::SetupError`].
 pub(crate) fn execute_schedule(schedule: &ChaosSchedule) -> Result<DiagnosedRun, RunVerdict> {
-    match catch_unwind(AssertUnwindSafe(|| schedule.run())) {
+    preempting_verdict(contain(|| schedule.run()))
+}
+
+/// A contained run's diagnosis, or the verdict that pre-empted it: the
+/// panic that ended it or the setup error that refused it.
+fn preempting_verdict(
+    contained: Result<Result<DiagnosedRun, RenamingError>, TaskPanic>,
+) -> Result<DiagnosedRun, RunVerdict> {
+    match contained {
         Ok(Ok(run)) => Ok(run),
         Ok(Err(e)) => Err(RunVerdict::SetupError {
             message: e.to_string(),
         }),
-        Err(payload) => Err(RunVerdict::Panicked {
-            message: panic_message(payload.as_ref()),
+        Err(panic) => Err(RunVerdict::Panicked {
+            message: panic.message,
         }),
     }
 }
@@ -346,16 +353,6 @@ pub fn judge_schedule(schedule: &ChaosSchedule, oracles: &[Box<dyn Oracle>]) -> 
     }
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Generates and executes every schedule of a campaign, fanning execution
 /// out over `pool` and reassembling in index order. Schedules are generated
 /// serially in index order, so the returned sequence — provenance, schedule
@@ -373,22 +370,12 @@ pub(crate) fn execute_campaign_on(
             (index, seed, budget, generate_schedule(seed, budget))
         })
         .collect();
+    // The pool contains every run's panic: one containment per run.
     let tasks: Vec<_> = prepared
         .iter()
-        .map(|(_, _, _, schedule)| {
-            let schedule = schedule.clone();
-            move || execute_schedule(&schedule)
-        })
+        .map(|(_, _, _, schedule)| || schedule.run())
         .collect();
-    // execute_schedule contains panics itself; a pool-level panic would be
-    // a harness bug, recorded as such rather than unwound.
-    let results = pool.run_batch(tasks).into_iter().map(|result| {
-        result.unwrap_or_else(|panic| {
-            Err(RunVerdict::Panicked {
-                message: panic.message,
-            })
-        })
-    });
+    let results = pool.run_batch(tasks).into_iter().map(preempting_verdict);
     prepared
         .into_iter()
         .zip(results)

@@ -23,7 +23,7 @@
 //!    preservation over healthy correct processes, the per-algorithm
 //!    namespace bound, the exact step count, and correct-process hygiene.
 //! 4. [`engine`] loops 1–3 into a campaign, converts panics into failures
-//!    with `catch_unwind`, and applies the per-regime pass rule: in- and
+//!    with [`opr_exec::contain`], and applies the per-regime pass rule: in- and
 //!    at-budget runs must be clean; over-budget runs pass iff they are
 //!    *degraded but diagnosed* (harness-level breaches — a correct process
 //!    sending malformed traffic, a panic — fail in every regime).

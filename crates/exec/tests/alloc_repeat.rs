@@ -1,13 +1,13 @@
-//! What a batch allocates is a function of the batch sequence, not of
-//! thread timing: the same sequence of small batches on fresh two-worker
-//! pools allocates the same total every time, the same in each pool's
-//! first batch and the same in every later one. Jobs wait in a queue that
-//! keeps its storage, results return through submission-order slots, and a
-//! pool is ready only once its workers have started, so nothing a batch
-//! allocates depends on which worker takes, finishes or starts first.
+//! What a batch allocates is a function of the batch, not of thread
+//! timing: the same sequence of small batches on fresh two-worker pools
+//! allocates the same total every time, and every two-task batch — the
+//! first included — the same count. A batch allocates its scope, its one
+//! helper thread's handle, packet and start closure, and its slot table,
+//! and the results are collected in place, so nothing it allocates depends
+//! on which thread claims, finishes or starts first.
 //!
 //! This binary's one counting `#[global_allocator]` counts every thread's
-//! allocations — the pool's workers are where the timing lives.
+//! allocations — the helper threads are where the timing lives.
 
 use opr_exec::RunPool;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -42,8 +42,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const BATCHES: u64 = 2_000;
 
 /// Allocations, on every thread, of a new two-worker pool running
-/// [`BATCHES`] two-task batches and being dropped (which joins its
-/// workers), and those each batch's `run_batch` call spans.
+/// [`BATCHES`] two-task batches, and those each batch's `run_batch` call
+/// spans (each batch's helper thread has been joined when it returns).
 fn sequence() -> (u64, Vec<u64>) {
     let before = ALLOCS.load(Ordering::SeqCst);
     let pool = RunPool::new(2);
@@ -55,7 +55,6 @@ fn sequence() -> (u64, Vec<u64>) {
         per_batch.push(ALLOCS.load(Ordering::SeqCst) - start);
         assert_eq!(results, [Ok(k * 2), Ok(k * 2 + 1)]);
     }
-    drop(pool);
     (ALLOCS.load(Ordering::SeqCst) - before, per_batch)
 }
 
@@ -75,11 +74,11 @@ fn the_same_batches_allocate_the_same_on_every_fresh_pool() {
         firsts.windows(2).all(|pair| pair[0] == pair[1]),
         "a fresh pool's first batch moved with thread timing: {firsts:?}"
     );
-    // And batch by batch: after the first, which sizes the job queue, every
-    // two-task batch allocates the same — nothing a worker allocates the
-    // first time it waits lands in some batch and not in others.
+    // And batch by batch: every two-task batch allocates the same — nothing
+    // a helper allocates when it starts or finds no task left lands in some
+    // batch and not in others.
     for (_, per_batch) in &runs {
-        let steady = per_batch[1];
+        let steady = per_batch[0];
         let odd: Vec<(usize, u64)> = (1..per_batch.len())
             .filter(|&k| per_batch[k] != steady)
             .map(|k| (k, per_batch[k]))

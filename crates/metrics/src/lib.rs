@@ -8,7 +8,7 @@
 //!   artefacts into a [`MetricsSnapshot`]. Bit-identical across replays
 //!   and any `--jobs` value; safe to pin in goldens and equivalence
 //!   suites.
-//! * **Wall-clock plane** — latencies and queue waits recorded live through a
+//! * **Wall-clock plane** — latencies and gauges recorded live through a
 //!   [`MetricsRegistry`] of sharded atomic cells. Never enters goldens or
 //!   equality checks.
 //!

@@ -14,8 +14,9 @@ use std::sync::{Arc, Mutex};
 use crate::hist::{bucket_index, HistogramSnapshot, BUCKETS};
 use crate::snapshot::MetricsSnapshot;
 
-/// Number of shards per metric. Power of two; eight covers the worker counts
-/// the `RunPool` actually spawns while keeping snapshot merges trivial.
+/// Number of shards per metric. Power of two; eight covers the threads a
+/// `RunPool` batch usually runs on (more share shards round-robin) while
+/// keeping snapshot merges trivial.
 pub(crate) const SHARDS: usize = 8;
 
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);

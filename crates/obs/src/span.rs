@@ -20,7 +20,7 @@ use std::time::Instant;
 /// stored representation is allocation-free.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
-    /// What the interval covers, e.g. `"round"` or `"pool stage"`.
+    /// What the interval covers, e.g. `"round"` or `"epoch protocol"`.
     pub name: &'static str,
     /// Primary qualifier (round number, stage index, epoch...), if any.
     pub index: Option<u64>,
@@ -34,7 +34,8 @@ pub struct Span {
 
 impl Span {
     /// Render the span's name with its qualifiers, e.g. `"round 3"` or
-    /// `"pool stage 0 (4)"`. Allocates; exporters call this, hot paths don't.
+    /// `"epoch protocol 2 (1)"`. Allocates; exporters call this, hot paths
+    /// don't.
     pub fn label(&self) -> String {
         match (self.index, self.detail) {
             (None, None) => self.name.to_string(),
@@ -87,7 +88,7 @@ impl SpanLog {
     }
 
     /// Records an interval with two numeric qualifiers
-    /// (`"pool stage 0 (4)"`, `"epoch protocol 2 (1)"`).
+    /// (`"epoch protocol 2 (1)"`: epoch 2, shard 1).
     #[inline]
     pub fn record_detailed(&mut self, name: &'static str, index: u64, detail: u64, start: Instant) {
         self.push(name, Some(index), Some(detail), start);
@@ -152,16 +153,16 @@ mod tests {
     #[test]
     fn labels_render_qualifiers() {
         let mk = |index, detail| Span {
-            name: "pool stage",
+            name: "epoch protocol",
             index,
             detail,
             start_micros: 0,
             duration_micros: 0,
         };
-        assert_eq!(mk(None, None).label(), "pool stage");
-        assert_eq!(mk(Some(2), None).label(), "pool stage 2");
-        assert_eq!(mk(Some(2), Some(8)).label(), "pool stage 2 (8)");
-        assert_eq!(mk(None, Some(8)).label(), "pool stage (8)");
+        assert_eq!(mk(None, None).label(), "epoch protocol");
+        assert_eq!(mk(Some(2), None).label(), "epoch protocol 2");
+        assert_eq!(mk(Some(2), Some(8)).label(), "epoch protocol 2 (8)");
+        assert_eq!(mk(None, Some(8)).label(), "epoch protocol (8)");
     }
 
     #[test]

@@ -56,10 +56,11 @@ pub struct ServiceReport {
 /// optional; `ServiceObs::default()` observes nothing and changes nothing.
 #[derive(Clone, Default)]
 pub struct ServiceObs {
-    /// Wall-clock span log (engine + pool spans).
+    /// Wall-clock span log: the engine's per-epoch admission and grant
+    /// spans and one protocol span per shard instance.
     pub spans: Option<SharedSpanLog>,
-    /// Live metrics registry threaded through the engine, the pool, and
-    /// every protocol instance's round clock.
+    /// Live metrics registry threaded through the engine and every
+    /// protocol instance's round clock.
     pub metrics: Option<MetricsRegistry>,
     /// Flight recorder receiving one epoch summary per epoch.
     pub flight: Option<SharedFlightRecorder>,
@@ -80,8 +81,8 @@ impl ServiceSpec {
     }
 
     /// [`ServiceSpec::run`] with the full wall-plane observation bundle:
-    /// spans, live metrics (engine gauges/histograms, pool queue-wait,
-    /// per-round histograms), flight recorder, and an optional
+    /// spans, live metrics (engine gauges/histograms, per-instance protocol
+    /// time, per-round histograms), flight recorder, and an optional
     /// every-N-epochs dashboard on stderr. The returned report is
     /// bit-identical to an unobserved run.
     ///
@@ -90,14 +91,12 @@ impl ServiceSpec {
     /// Returns [`ServiceError`] on invalid configuration or a failed
     /// protocol instance.
     pub fn run_observed(&self, obs: &ServiceObs) -> Result<ServiceReport, ServiceError> {
-        let mut pool = RunPool::new(self.jobs);
+        let pool = RunPool::new(self.jobs);
         let mut engine = ServiceEngine::new(self.service)?;
         if let Some(log) = &obs.spans {
-            pool = pool.with_spans(log.clone());
             engine = engine.with_spans(log.clone());
         }
         if let Some(registry) = &obs.metrics {
-            pool = pool.with_metrics(registry);
             engine = engine.with_metrics(registry);
         }
         if let Some(flight) = &obs.flight {

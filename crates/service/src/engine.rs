@@ -150,10 +150,10 @@ struct Shard {
     /// This epoch's batch, taken off the backlog; emptied by the grants.
     batch: Vec<(ClientId, OriginalId)>,
     /// What the shard's last protocol instance left for the next one, its
-    /// id list included. Moved into the instance's pool task and handed
-    /// back with its outcome: `None` while the task runs and after a task
-    /// that panicked, so a panic never leaves a half-reset arena behind —
-    /// the next instance starts from a new one.
+    /// id list included. Lent to the instance's pool task; `None` before the
+    /// shard's first instance and after one that panicked, so a panic never
+    /// leaves a half-reset arena behind — the next instance starts from a
+    /// new one.
     arena: Option<RunArena>,
 }
 
@@ -442,9 +442,10 @@ impl ServiceEngine {
     }
 
     /// Forms one batch per shard and runs the non-empty ones as protocol
-    /// instances on the pool, each by `run` in its shard's arena
-    /// ([`run_instance`]; a test substitutes one that fails). Returns each
-    /// run shard's index with its instance's outcome, in shard order.
+    /// instances on the pool, each by `run` in its shard's arena, which the
+    /// task borrows ([`run_instance`]; a test substitutes one that fails).
+    /// Returns each run shard's index with its instance's outcome, in shard
+    /// order.
     fn run_shard_instances(
         &mut self,
         pool: &RunPool,
@@ -452,24 +453,25 @@ impl ServiceEngine {
         stats: &mut EpochStats,
         run: InstanceRunner,
     ) -> Vec<(usize, Result<RenamingOutcome, RenamingError>)> {
-        let cfg = self.cfg;
-        let mut tasks = Vec::new();
         for shard_index in 0..self.shards.len() {
             self.form_batch(shard_index, stats);
-            let shard = &mut self.shards[shard_index];
+        }
+        let cfg = &self.cfg;
+        let spans = self.spans.as_ref();
+        let registry = self.metrics.as_ref().map(|m| &m.registry);
+        let protocol_ns = self.metrics.as_ref().map(|m| &m.protocol_ns);
+        let mut tasks = Vec::new();
+        for (shard_index, shard) in self.shards.iter_mut().enumerate() {
             if shard.batch.is_empty() {
                 stats.skipped_shards += 1;
                 continue;
             }
-            let mut arena = shard.arena.take().unwrap_or_default();
+            let arena = shard.arena.get_or_insert_with(RunArena::default);
             let mut ids = arena.swap_ids(Vec::new());
             ids.extend(shard.batch.iter().map(|&(_, o)| o));
-            let spans = self.spans.clone();
-            let registry = self.metrics.as_ref().map(|m| m.registry.clone());
-            let protocol_ns = self.metrics.as_ref().map(|m| m.protocol_ns.clone());
             tasks.push(move || {
                 let start = Instant::now();
-                let result = run(&cfg, epoch, shard_index, &mut arena, ids, registry);
+                let result = run(cfg, epoch, shard_index, arena, ids, registry);
                 if let Some(hist) = protocol_ns {
                     hist.record(start.elapsed().as_nanos() as u64);
                 }
@@ -481,21 +483,29 @@ impl ServiceEngine {
                         start,
                     );
                 }
-                (shard_index, arena, result)
+                (shard_index, result)
             });
         }
         stats.protocol_runs = tasks.len() as u64;
         let mut outcomes = Vec::with_capacity(tasks.len());
-        for task in pool.run_batch(tasks) {
+        for (k, task) in pool.run_batch(tasks).into_iter().enumerate() {
             match task {
-                Ok((shard_index, arena, outcome)) => {
-                    self.shards[shard_index].arena = Some(arena);
-                    outcomes.push((shard_index, outcome));
-                }
+                Ok(outcome) => outcomes.push(outcome),
                 // A panicking instance is a harness bug; surface it exactly
                 // like `run_grid` does instead of absorbing it into a slot.
-                // Its shard keeps no instance state.
-                Err(panic) => std::panic::panic_any(panic.message),
+                // Its shard (the k-th that ran) keeps no instance state, so
+                // no half-reset arena is ever reused.
+                Err(panic) => {
+                    if let Some(shard) = self
+                        .shards
+                        .iter_mut()
+                        .filter(|shard| !shard.batch.is_empty())
+                        .nth(k)
+                    {
+                        shard.arena = None;
+                    }
+                    std::panic::panic_any(panic.message)
+                }
             }
         }
         outcomes
@@ -647,7 +657,7 @@ type InstanceRunner = fn(
     usize,
     &mut RunArena,
     Vec<OriginalId>,
-    Option<MetricsRegistry>,
+    Option<&MetricsRegistry>,
 ) -> Result<RenamingOutcome, RenamingError>;
 
 /// Runs one shard-epoch protocol instance in the shard's arena: the batch's
@@ -660,7 +670,7 @@ fn run_instance(
     shard: usize,
     arena: &mut RunArena,
     mut ids: Vec<OriginalId>,
-    metrics: Option<MetricsRegistry>,
+    metrics: Option<&MetricsRegistry>,
 ) -> Result<RenamingOutcome, RenamingError> {
     let max_real = ids.iter().map(|o| o.raw()).max().unwrap_or(0);
     let fillers = cfg.epoch_capacity() - ids.len();
@@ -672,7 +682,7 @@ fn run_instance(
         .adversary(cfg.adversary, cfg.byzantine)
         .seed(epoch_seed(cfg.seed, epoch, shard));
     if let Some(registry) = metrics {
-        run = run.metrics(registry);
+        run = run.metrics(registry.clone());
     }
     run.run_in(arena)
 }

@@ -11,6 +11,7 @@ use crate::config::{ServiceConfig, ServiceError};
 use crate::driver::{ServiceReport, ServiceSpec};
 use crate::oracle::{judge_ledger, ServiceViolation};
 use opr_adversary::AdversarySpec;
+use opr_exec::MAX_JOBS;
 use opr_obs::Json;
 use opr_transport::BackendKind;
 use opr_types::{Regime, SystemConfig};
@@ -127,8 +128,9 @@ impl ServiceRepro {
     /// # Errors
     ///
     /// Returns [`ServiceReproError`] on malformed JSON, an unknown version,
-    /// unknown labels, or a spec [`ServiceConfig::validate`] rejects — a
-    /// file no run can be built from is refused here, not replayed.
+    /// unknown labels, a spec [`ServiceConfig::validate`] rejects, or a
+    /// `jobs` above [`opr_exec::MAX_JOBS`] — a file no run can be built
+    /// from as it is written is refused here, not replayed.
     pub fn from_json(text: &str) -> Result<ServiceRepro, ServiceReproError> {
         let doc = Json::parse(text).map_err(|e| bad(e.to_string()))?;
         let version = field_u64(&doc, "version")?;
@@ -155,6 +157,14 @@ impl ServiceRepro {
             seed: field_u64(s, "seed")?,
         };
         service.validate().map_err(|e| bad(e.to_string()))?;
+        // A repro replays the worker count it names, so one the pool would
+        // clamp is refused rather than silently replayed at another.
+        let jobs = field_usize(&doc, "jobs")?;
+        if jobs > MAX_JOBS {
+            return Err(bad(format!(
+                "jobs {jobs} exceeds the maximum of {MAX_JOBS}"
+            )));
+        }
         let workload = ServiceWorkload {
             clients: field_u64(w, "clients")?,
             epochs: field_u64(w, "epochs")?,
@@ -166,7 +176,7 @@ impl ServiceRepro {
             spec: ServiceSpec {
                 service,
                 workload,
-                jobs: field_usize(&doc, "jobs")?,
+                jobs,
             },
             campaign_seed: field_u64(&doc, "campaign_seed")?,
             run_index: field_u64(&doc, "run_index")? as usize,
@@ -305,5 +315,12 @@ mod tests {
         assert_ne!(v1, text);
         let err = ServiceRepro::from_json(&v1).unwrap_err();
         assert!(err.to_string().contains("unsupported version 1"), "{err}");
+        // A worker count the pool would clamp is refused by the loader,
+        // before any pool exists.
+        let text = sample().to_json();
+        let huge = text.replace(r#""jobs": 4"#, r#""jobs": 1000000"#);
+        assert_ne!(huge, text);
+        let err = ServiceRepro::from_json(&huge).unwrap_err();
+        assert!(err.to_string().contains("jobs 1000000 exceeds"), "{err}");
     }
 }

@@ -817,7 +817,9 @@ fn diagnose(
 }
 
 /// One cell of an experiment grid: everything [`Algorithm::run`] needs,
-/// owned, so the cell can be shipped to a pool worker.
+/// owned, so a grid is a plain list of values to run on a [`RunPool`].
+///
+/// [`RunPool`]: opr_exec::RunPool
 #[derive(Clone, Debug)]
 pub struct GridPoint {
     /// Which implementation to run.

@@ -1,7 +1,7 @@
 # Development commands. `just ci` is the full gate; individual recipes below.
 
 # Everything CI runs, in order.
-ci: fmt-check lint doc surface build test examples bench-quick
+ci: fmt-check lint doc surface build test examples tables-parallel bench-quick
 
 # Formatting gate.
 fmt-check:
@@ -81,6 +81,13 @@ service-soak EPOCHS="1000":
 # the ANSI dashboard.
 metrics OUT="metrics.prom":
     cargo run --release -p opr-bench --bin service -- --epochs 20 --metrics {{OUT}} --watch
+
+# The experiment tables on four workers equal the committed golden byte for
+# byte (`tests/experiments_shape.rs` checks it on one thread).
+tables-parallel:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo run -q --release -p opr-bench --bin tables -- --jobs 4 | cmp - tests/data/tables.golden
 
 # Regenerate every experiment table (`just tables t1 f3` for a subset).
 tables *ARGS:

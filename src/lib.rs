@@ -21,9 +21,10 @@
 //! * [`chaos`] — randomized fault-schedule campaigns: seeded schedule
 //!   generation, paper-invariant oracles, counterexample shrinking and
 //!   replayable repro files.
-//! * [`exec`] — run-level parallel execution: a std-only [`RunPool`]
-//!   (fixed workers + `mpsc` queue) that reassembles batch results in
-//!   submission order so multi-run drivers stay observably serial.
+//! * [`exec`] — run-level parallel execution: a std-only [`RunPool`], a
+//!   worker count whose batches of borrowed tasks run in one scoped set of
+//!   threads and return their results in submission order, so multi-run
+//!   drivers stay observably serial.
 //! * [`obs`] — deterministic protocol telemetry: a decision-point event
 //!   recorder threaded through the protocol layers, JSONL and Perfetto
 //!   (Chrome trace-event) exporters, and a wall-clock span layer kept

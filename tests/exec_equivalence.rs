@@ -96,8 +96,7 @@ proptest! {
             let tasks: Vec<_> = schedules
                 .iter()
                 .map(|schedule| {
-                    let schedule = schedule.clone();
-                    move || {
+                    || {
                         schedule
                             .run_observed()
                             .expect("chaos schedules are legal by construction")

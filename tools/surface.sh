@@ -5,6 +5,9 @@
 #  * routing, trace emission or the round clock grows a second copy
 #    ("routed once": one round engine);
 #  * a crate's [dependencies] names an opr-* crate its src/ never uses;
+#  * library code (a crates/*/src file up to its #[cfg(test)] module)
+#    starts a thread anywhere but opr-exec's batch scope and
+#    Network::step_on ("one thread facility");
 #  * the public-item count under crates/ exceeds MAX_PUBLIC_ITEMS, or
 #    crates/ holds more than MAX_CRATES packages — `pub` hides an item from
 #    `dead_code`, so the surface only shrinks unless a PR raises the
@@ -69,7 +72,23 @@ for manifest in crates/*/Cargo.toml; do
     done
 done
 
-[ "$status" -eq 0 ] && echo "surface: every run knob is declared at most once, routing is in one place, no stale dependency edges"
+# One thread facility: threads start only in opr-exec's per-batch scope
+# (crates/exec/src/lib.rs) and in Network::step_on (crates/sim/src/network.rs);
+# test modules may start their own.
+thread_start='thread::(spawn|scope|Builder)|spawn_scoped|scope\.spawn'
+for file in $(grep -rlE "$thread_start" crates/*/src --include='*.rs' || true); do
+    case "$file" in
+        crates/exec/src/lib.rs | crates/sim/src/network.rs) continue ;;
+    esac
+    hits=$(awk -v pat="$thread_start" '/^#\[cfg\(test\)\]/ { exit } $0 ~ pat { print FILENAME ":" FNR ": " $0 }' "$file")
+    if [ -n "$hits" ]; then
+        echo "surface: a thread starts outside opr-exec's batch scope and Network::step_on (run the work through opr_exec::RunPool):" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+done
+
+[ "$status" -eq 0 ] && echo "surface: every run knob is declared at most once, routing is in one place, no stale dependency edges, threads start in one facility"
 
 items=$(grep -rEn "^\s*pub (fn|struct|enum|trait|type|const|static|mod) " crates --include='*.rs' | wc -l)
 crates=$(ls crates/*/Cargo.toml | wc -l)
